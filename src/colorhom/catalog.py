@@ -14,9 +14,13 @@ import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import product as iproduct
+from typing import Callable
 
+from . import constructions as cons
+from . import quadratic as quad
 from .checks import (
     Verdict,
+    check_bracket_operator_conditions,
     check_cyclic_commutator_products,
     check_epsilon_commutative,
     check_hom_associative,
@@ -34,7 +38,6 @@ from .checks import (
     is_rota_baxter,
     is_weak_morphism,
 )
-from .constructions import derivation_product, yau_twist
 from .core import (
     ColorHomAlgebra,
     GradedBasis,
@@ -47,7 +50,7 @@ from .core import (
 )
 from .errors import StructureError
 from .grading import GradeGroup, make_bicharacter, trivial_bicharacter
-from .quadratic import BilinearFormStructure, is_symmetric_automorphism
+from .quadratic import BilinearFormStructure
 from .scalars import ScalarField, rationals
 
 __all__ = [
@@ -63,6 +66,11 @@ __all__ = [
     "RECIPES",
     "build_entry",
     "standard_entries",
+    "CHECK",
+    "CONSTRUCTION",
+    "Operation",
+    "OPERATIONS",
+    "OPTIONAL_ARGUMENTS",
     "CHECKS_BY_NAME",
     "run_named_check",
     "search_maps",
@@ -251,7 +259,7 @@ def _recipe_super_commutative_line(field: ScalarField) -> CatalogEntry:
 
 def _recipe_euler_novikov(field: ScalarField, n: int = 3) -> CatalogEntry:
     base = truncated_polynomial(n, field)
-    a = derivation_product(base, euler_derivation(base))
+    a = cons.derivation_product(base, euler_derivation(base))
     claims = (
         "hom_novikov", "left_symmetric", "lie_admissible",
         "cyclic_commutator_products", "multiplicative", "regular", "involutive",
@@ -265,7 +273,7 @@ def _recipe_euler_novikov(field: ScalarField, n: int = 3) -> CatalogEntry:
 def _recipe_scaled_polynomial(field: ScalarField, n: int = 3, c=2) -> CatalogEntry:
     base = truncated_polynomial(n, field)
     c = field.coerce(c)
-    a = yau_twist(base, scaling_morphism(base, c))
+    a = cons.yau_twist(base, scaling_morphism(base, c))
     claims = [
         "epsilon_commutative", "hom_associative", "hom_novikov", "left_symmetric",
         "lie_admissible", "cyclic_commutator_products", "multiplicative",
@@ -420,18 +428,128 @@ def standard_entries(field: ScalarField) -> list:
     return entries
 
 
-# unary checks addressable by name (CLI, claims, suites)
+# ---------------------------------------------------------------------------
+# named operations: the one table behind the CLI, suites, claims and search
+
+CHECK = "check"
+CONSTRUCTION = "construction"
+
+
+@dataclass(frozen=True)
+class Operation:
+    """A check or construction addressable by name.
+
+    `takes` names the arguments that follow the algebra, in the order
+    `call` receives them, out of "map", "form", "with" (a second algebra),
+    "n", "xi", "weight" and "side"; constructions receive `checked` last,
+    and those that take a form return (algebra, form).  Each call looks its
+    function up by module-global name when it runs, so rebinding that name
+    (as the traced benchmark run does) reaches every caller.
+    """
+
+    kind: str
+    takes: tuple
+    call: Callable
+
+
+# arguments an operation may leave out, with the value they then take
+OPTIONAL_ARGUMENTS = {"side": "both", "weight": 0}
+
+OPERATIONS = {
+    # algebra checks
+    "epsilon_commutative": Operation(CHECK, (), lambda a: check_epsilon_commutative(a)),
+    "hom_associative": Operation(CHECK, (), lambda a: check_hom_associative(a)),
+    "hom_novikov": Operation(CHECK, (), lambda a: check_hom_novikov(a)),
+    "left_symmetric": Operation(CHECK, (), lambda a: check_left_symmetric(a)),
+    "hom_lie": Operation(CHECK, (), lambda a: check_hom_lie(a)),
+    "lie_admissible": Operation(CHECK, (), lambda a: check_lie_admissible(a)),
+    "cyclic_commutator_products": Operation(
+        CHECK, (), lambda a: check_cyclic_commutator_products(a)
+    ),
+    "multiplicative": Operation(CHECK, (), lambda a: check_multiplicative(a)),
+    "regular": Operation(CHECK, (), lambda a: check_regular(a)),
+    "involutive": Operation(CHECK, (), lambda a: check_involutive(a)),
+    "quadratic_structure": Operation(
+        CHECK, ("form",), lambda a, f: quad.check_quadratic_structure(a, f)
+    ),
+    # operator predicates
+    "weak_morphism": Operation(CHECK, ("map",), lambda a, m: is_weak_morphism(a, a, m)),
+    "morphism": Operation(CHECK, ("map",), lambda a, m: is_morphism(a, a, m)),
+    "derivation": Operation(CHECK, ("map",), lambda a, m: is_derivation(a, m)),
+    "averaging": Operation(CHECK, ("map", "side"), lambda a, m, side: is_averaging(a, m, side)),
+    "centroid": Operation(CHECK, ("map", "side"), lambda a, m, side: is_centroid(a, m, side)),
+    "rota_baxter": Operation(CHECK, ("map", "weight"), lambda a, m, w: is_rota_baxter(a, m, w)),
+    "bracket_operator_conditions": Operation(
+        CHECK, ("map",), lambda a, m: check_bracket_operator_conditions(a, m)
+    ),
+    "symmetric_automorphism": Operation(
+        CHECK, ("form", "map"), lambda a, f, m: quad.is_symmetric_automorphism(a, f, m)
+    ),
+    # constructions
+    "yau_twist": Operation(
+        CONSTRUCTION, ("map",), lambda a, m, checked: cons.yau_twist(a, m, checked=checked)
+    ),
+    "power_twist": Operation(
+        CONSTRUCTION, ("n",), lambda a, n, checked: cons.power_twist(a, n, checked=checked)
+    ),
+    "centroid_twist": Operation(
+        CONSTRUCTION, ("map",), lambda a, m, checked: cons.centroid_twist(a, m, checked=checked)
+    ),
+    "xi_square_twist": Operation(
+        CONSTRUCTION, ("xi",), lambda a, xi, checked: cons.xi_square_twist(a, xi, checked=checked)
+    ),
+    "commutator_algebra": Operation(
+        CONSTRUCTION, (), lambda a, checked: cons.commutator_algebra(a)
+    ),
+    "derivation_product": Operation(
+        CONSTRUCTION, ("map",),
+        lambda a, m, checked: cons.derivation_product(a, m, checked=checked),
+    ),
+    "composed_derivation_product": Operation(
+        CONSTRUCTION, ("map",),
+        lambda a, m, checked: cons.composed_derivation_product(a, m, checked=checked),
+    ),
+    "averaging_product": Operation(
+        CONSTRUCTION, ("map",),
+        lambda a, m, checked: cons.averaging_product(a, m, checked=checked),
+    ),
+    "bracket_operator_product": Operation(
+        CONSTRUCTION, ("map",),
+        lambda a, m, checked: cons.bracket_operator_product(a, m, checked=checked),
+    ),
+    "direct_sum": Operation(
+        CONSTRUCTION, ("with",), lambda a, b, checked: cons.direct_sum(a, b)
+    ),
+    "tensor_product": Operation(
+        CONSTRUCTION, ("with",), lambda a, b, checked: cons.tensor_product(a, b, checked=checked)
+    ),
+    "untwist_involutive": Operation(
+        CONSTRUCTION, (), lambda a, checked: cons.untwist_involutive(a, checked=checked)
+    ),
+    "regular_lie_untwist": Operation(
+        CONSTRUCTION, (), lambda a, checked: cons.regular_lie_untwist(a, checked=checked)
+    ),
+    "quadratic_yau_twist": Operation(
+        CONSTRUCTION, ("form", "map"),
+        lambda a, f, m, checked: quad.quadratic_yau_twist(a, f, m, checked=checked),
+    ),
+    "quadratic_commutator": Operation(
+        CONSTRUCTION, ("form",),
+        lambda a, f, checked: quad.quadratic_commutator(a, f, checked=checked),
+    ),
+    "regular_quadratic_commutator": Operation(
+        CONSTRUCTION, ("form",),
+        lambda a, f, checked: quad.regular_quadratic_commutator(a, f, checked=checked),
+    ),
+    "quadratic_untwist_involutive": Operation(
+        CONSTRUCTION, ("form",),
+        lambda a, f, checked: quad.quadratic_untwist_involutive(a, f, checked=checked),
+    ),
+}
+
+# the checks that take nothing but the algebra (claims are drawn from these)
 CHECKS_BY_NAME = {
-    "epsilon_commutative": check_epsilon_commutative,
-    "hom_associative": check_hom_associative,
-    "hom_novikov": check_hom_novikov,
-    "left_symmetric": check_left_symmetric,
-    "hom_lie": check_hom_lie,
-    "lie_admissible": check_lie_admissible,
-    "cyclic_commutator_products": check_cyclic_commutator_products,
-    "multiplicative": check_multiplicative,
-    "regular": check_regular,
-    "involutive": check_involutive,
+    name: op.call for name, op in OPERATIONS.items() if op.kind == CHECK and not op.takes
 }
 
 
@@ -443,19 +561,6 @@ def run_named_check(a: ColorHomAlgebra, name: str) -> Verdict:
 
 # ---------------------------------------------------------------------------
 # structure search
-
-_SEARCH_PREDICATES = {
-    "weak_morphism": lambda a, m, kw: is_weak_morphism(a, a, m),
-    "morphism": lambda a, m, kw: is_morphism(a, a, m),
-    "derivation": lambda a, m, kw: is_derivation(a, m),
-    "averaging": lambda a, m, kw: is_averaging(a, m, kw.get("side", "both")),
-    "centroid": lambda a, m, kw: is_centroid(a, m, kw.get("side", "both")),
-    "rota_baxter": lambda a, m, kw: is_rota_baxter(a, m, kw.get("weight", 0)),
-    "symmetric_automorphism": lambda a, m, kw: is_symmetric_automorphism(
-        a, kw["form"], m
-    ),
-}
-
 
 def search_maps(
     a: ColorHomAlgebra,
@@ -470,22 +575,23 @@ def search_maps(
 ) -> list:
     """Deterministic search for even maps satisfying a named predicate.
 
-    Candidates are matrices supported on the even positions (deg e_k =
+    The predicate is any check in OPERATIONS that takes exactly one map;
+    form, weight and side supply its other arguments.  Candidates are matrices supported on the even positions (deg e_k =
     deg e_i) with entries drawn from a small value set (default -1, 0, 1, 2).
     When the whole space fits in the budget it is enumerated exhaustively;
     otherwise `budget` candidates are sampled with the seeded generator.
     Hits come back deduplicated and sorted by matrix entries, so equal
     inputs give equal outputs.
     """
-    if predicate not in _SEARCH_PREDICATES:
+    op = OPERATIONS.get(predicate)
+    if op is None or op.kind != CHECK or op.takes.count("map") != 1:
         raise StructureError(f"unknown search predicate {predicate!r}")
-    if predicate == "symmetric_automorphism" and form is None:
-        raise StructureError("symmetric_automorphism search needs form=...")
-    kw = {"side": side}
-    if form is not None:
-        kw["form"] = form
+    given = {**OPTIONAL_ARGUMENTS, "form": form, "side": side}
     if weight is not None:
-        kw["weight"] = weight
+        given["weight"] = weight
+    for arg in op.takes:
+        if arg != "map" and given.get(arg) is None:
+            raise StructureError(f"{predicate} search needs {arg}=...")
     field = a.field
     if values is None:
         values = (-1, 0, 1, 2)
@@ -496,7 +602,6 @@ def search_maps(
         (k, i) for k in range(n) for i in range(n) if degs[k] == degs[i]
     ]
     zero = field.zero
-    pred = _SEARCH_PREDICATES[predicate]
 
     def candidate(assignment):
         rows = [[zero] * n for _ in range(n)]
@@ -520,7 +625,7 @@ def search_maps(
             continue
         seen.add(rows)
         m = GradedLinearMap(a.basis, rows)
-        if pred(a, m, kw):
+        if op.call(a, *(m if arg == "map" else given[arg] for arg in op.takes)):
             hits.append(m)
     hits.sort(key=lambda m: tuple(field.sort_key(v) for row in m.matrix for v in row))
     return hits

@@ -228,6 +228,15 @@ def _scan(a: ColorHomAlgebra, name: str) -> Verdict:
     return PASS
 
 
+def _scan_check(a: ColorHomAlgebra, check: str) -> Verdict:
+    """Scan the identities a named check quantifies, in order; the first failure wins."""
+    for name in IDENTITIES_BY_CHECK[check]:
+        v = _scan(a, name)
+        if not v:
+            return v
+    return PASS
+
+
 def identity_residual_on_vectors(a: ColorHomAlgebra, name: str, vectors) -> tuple:
     """left - right on arbitrary vectors, via homogeneous decomposition.
 
@@ -255,12 +264,12 @@ def identity_residual_on_vectors(a: ColorHomAlgebra, name: str, vectors) -> tupl
 
 def check_epsilon_commutative(a: ColorHomAlgebra) -> Verdict:
     """x*y = eps(x,y) y*x on all basis pairs."""
-    return _scan(a, "epsilon-commutativity")
+    return _scan_check(a, "epsilon_commutative")
 
 
 def check_hom_associative(a: ColorHomAlgebra) -> Verdict:
     """alpha(x)*(y*z) = (x*y)*alpha(z) on all basis triples."""
-    return _scan(a, "hom-associativity")
+    return _scan_check(a, "hom_associative")
 
 
 def check_right_commutative(a: ColorHomAlgebra) -> Verdict:
@@ -270,23 +279,17 @@ def check_right_commutative(a: ColorHomAlgebra) -> Verdict:
 
 def check_left_symmetric(a: ColorHomAlgebra) -> Verdict:
     """The twisted associator is eps-symmetric in its first two slots."""
-    return _scan(a, "left-symmetry")
+    return _scan_check(a, "left_symmetric")
 
 
 def check_hom_novikov(a: ColorHomAlgebra) -> Verdict:
     """Right-commutativity plus left-symmetry; witness names the failed one."""
-    v = _scan(a, "right-commutativity")
-    if not v:
-        return v
-    return _scan(a, "left-symmetry")
+    return _scan_check(a, "hom_novikov")
 
 
 def check_hom_lie(a: ColorHomAlgebra) -> Verdict:
     """Skew-symmetry plus the twisted Jacobi sum, both with eps signs."""
-    v = _scan(a, "skew-symmetry")
-    if not v:
-        return v
-    return _scan(a, "hom-jacobi")
+    return _scan_check(a, "hom_lie")
 
 
 def check_cyclic_commutator_products(a: ColorHomAlgebra) -> Verdict:
@@ -295,10 +298,7 @@ def check_cyclic_commutator_products(a: ColorHomAlgebra) -> Verdict:
     The bracket is formed from a's own product; these are the two sums that
     make a right-commutative product Hom-Lie admissible.
     """
-    v = _scan(a, "cyclic-right-products")
-    if not v:
-        return v
-    return _scan(a, "cyclic-left-products")
+    return _scan_check(a, "cyclic_commutator_products")
 
 
 def check_lie_admissible(a: ColorHomAlgebra) -> Verdict:

@@ -15,18 +15,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import catalog as cat
-from . import constructions as cons
-from . import quadratic as quad
-from .checks import (
-    Verdict,
-    check_bracket_operator_conditions,
-    is_averaging,
-    is_centroid,
-    is_derivation,
-    is_morphism,
-    is_rota_baxter,
-    is_weak_morphism,
-)
+from .checks import Verdict
 from .errors import HypothesisError, StructureError
 from .io import ParsedDocument, document_digest, parse_document, serialize_document
 from .scalars import ScalarField, prime_field, rationals
@@ -69,7 +58,7 @@ def _print_witness_text(field: ScalarField, w, out):
 
 
 # ---------------------------------------------------------------------------
-# check
+# binding named operations to a document
 
 def _named_map(doc: ParsedDocument, name: str):
     if name == "alpha":
@@ -79,53 +68,80 @@ def _named_map(doc: ParsedDocument, name: str):
     return doc.maps[name]
 
 
-def _named_form(doc: ParsedDocument, name: str):
-    if name not in doc.forms:
-        raise StructureError(f"document defines no form {name!r}")
-    return doc.forms[name]
+def _bind(kind: str, name: str, doc: ParsedDocument, raw: dict, base_dir: Path = Path()):
+    """Look up a named operation and turn raw arguments into its call arguments.
 
-
-def _run_check(doc: ParsedDocument, name: str, args) -> Verdict:
-    a = doc.algebra
-    if name in cat.CHECKS_BY_NAME:
-        if args.maps:
-            raise StructureError(f"check {name!r} takes no map arguments")
-        return cat.run_named_check(a, name)
-    map_checks = {
-        "weak_morphism": lambda m: is_weak_morphism(a, a, m),
-        "morphism": lambda m: is_morphism(a, a, m),
-        "derivation": lambda m: is_derivation(a, m),
-        "averaging": lambda m: is_averaging(a, m, args.side),
-        "centroid": lambda m: is_centroid(a, m, args.side),
-        "rota_baxter": lambda m: is_rota_baxter(
-            a, m, a.field.parse(args.weight) if args.weight is not None else 0
-        ),
-        "bracket_operator_conditions": lambda m: check_bracket_operator_conditions(a, m),
-    }
-    if name in map_checks:
-        if len(args.maps) != 1:
-            raise StructureError(f"check {name!r} needs exactly one map name")
-        return map_checks[name](_named_map(doc, args.maps[0]))
-    if name == "quadratic_structure":
-        if args.form is None:
-            raise StructureError("check quadratic_structure needs --form")
-        if args.maps:
-            raise StructureError("check quadratic_structure takes no map arguments")
-        return quad.check_quadratic_structure(a, _named_form(doc, args.form))
-    if name == "symmetric_automorphism":
-        if args.form is None or len(args.maps) != 1:
-            raise StructureError(
-                "check symmetric_automorphism needs --form and one map name"
-            )
-        return quad.is_symmetric_automorphism(
-            a, _named_form(doc, args.form), _named_map(doc, args.maps[0])
+    raw holds "maps", a list of map names, plus any of "form", "with", "n",
+    "xi" (a list of scalar literals), "weight" and "side", as parsed from
+    the command line or spelled in a suite row.  The number of map names
+    must match the operation; other arguments it does not take are ignored.
+    Scalars are decoded by the field's parser, and with-paths resolve
+    against base_dir.
+    """
+    op = cat.OPERATIONS.get(name)
+    if op is None or op.kind != kind:
+        raise StructureError(f"unknown {kind} {name!r}")
+    names = list(raw.get("maps", ()))
+    if len(names) != op.takes.count("map"):
+        raise StructureError(
+            f"{kind} {name!r} takes {op.takes.count('map')} map name(s), got {len(names)}"
         )
-    raise StructureError(f"unknown check {name!r}")
+    field = doc.algebra.field
+    args = []
+    for arg in op.takes:
+        if arg == "map":
+            args.append(_named_map(doc, names.pop(0)))
+            continue
+        if arg not in raw and arg not in cat.OPTIONAL_ARGUMENTS:
+            raise StructureError(f"{kind} {name!r} needs {arg}")
+        value = raw.get(arg, cat.OPTIONAL_ARGUMENTS.get(arg))
+        if arg == "form":
+            if value not in doc.forms:
+                raise StructureError(f"document defines no form {value!r}")
+            value = doc.forms[value]
+        elif arg == "with":
+            if not isinstance(value, str):
+                raise StructureError(f"with must be a document path, got {value!r}")
+            value = _load_document(str(base_dir / value)).algebra
+        elif arg == "xi":
+            if not isinstance(value, list):
+                raise StructureError(f"xi must be a list of scalars, got {value!r}")
+            value = tuple(field.parse(v) for v in value)
+        elif arg == "weight":
+            value = field.parse(value)
+        args.append(value)
+    return op, args
 
+
+def _check(doc: ParsedDocument, name: str, raw: dict) -> Verdict:
+    op, args = _bind(cat.CHECK, name, doc, raw)
+    return op.call(doc.algebra, *args)
+
+
+def _construct(doc: ParsedDocument, name: str, raw: dict, checked: bool, base_dir: Path = Path()):
+    """Returns (algebra, output forms by name)."""
+    op, args = _bind(cat.CONSTRUCTION, name, doc, raw, base_dir)
+    out = op.call(doc.algebra, *args, checked)
+    if "form" in op.takes:
+        out, form = out
+        return out, {raw["form"]: form}
+    return out, {}
+
+
+def _cli_arguments(args) -> dict:
+    """The options given on the command line, in the binder's terms."""
+    raw = {key: value for key, value in vars(args).items() if value is not None}
+    if "xi" in raw:
+        raw["xi"] = raw["xi"].split(",")
+    return raw
+
+
+# ---------------------------------------------------------------------------
+# check
 
 def cmd_check(args) -> int:
     doc = _load_document(args.algebra)
-    verdict = _run_check(doc, args.check, args)
+    verdict = _check(doc, args.check, _cli_arguments(args))
     field = doc.algebra.field
     if args.format == "machine":
         print(json.dumps({
@@ -146,82 +162,11 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 # construct
 
-def _parse_xi(field: ScalarField, text: str, dim: int):
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != dim:
-        raise StructureError(f"--xi needs {dim} comma-separated scalars")
-    return tuple(field.parse(p) for p in parts)
-
-
-def _run_construct(doc: ParsedDocument, args, checked: bool):
-    """Returns (algebra, forms_out, extra_input_paths)."""
-    a = doc.algebra
-    op = args.op
-    unary_map_ops = {
-        "yau_twist": cons.yau_twist,
-        "centroid_twist": cons.centroid_twist,
-        "derivation_product": cons.derivation_product,
-        "composed_derivation_product": cons.composed_derivation_product,
-        "averaging_product": cons.averaging_product,
-        "bracket_operator_product": cons.bracket_operator_product,
-    }
-    if op in unary_map_ops:
-        if len(args.maps) != 1:
-            raise StructureError(f"construct {op!r} needs exactly one map name")
-        return unary_map_ops[op](a, _named_map(doc, args.maps[0]), checked=checked), {}, []
-    if op == "power_twist":
-        if args.n is None:
-            raise StructureError("construct power_twist needs --n")
-        return cons.power_twist(a, args.n, checked=checked), {}, []
-    if op == "xi_square_twist":
-        if args.xi is None:
-            raise StructureError("construct xi_square_twist needs --xi")
-        xi = _parse_xi(a.field, args.xi, a.dim)
-        return cons.xi_square_twist(a, xi, checked=checked), {}, []
-    if op == "commutator_algebra":
-        return cons.commutator_algebra(a), {}, []
-    if op == "untwist_involutive":
-        return cons.untwist_involutive(a, checked=checked), {}, []
-    if op == "regular_lie_untwist":
-        return cons.regular_lie_untwist(a, checked=checked), {}, []
-    if op in ("direct_sum", "tensor_product"):
-        if args.with_ is None:
-            raise StructureError(f"construct {op!r} needs --with FILE")
-        other = _load_document(args.with_)
-        if op == "direct_sum":
-            return cons.direct_sum(a, other.algebra), {}, [args.with_]
-        return cons.tensor_product(a, other.algebra, checked=checked), {}, [args.with_]
-    quadratic_ops = {
-        "quadratic_yau_twist": True,
-        "quadratic_commutator": False,
-        "regular_quadratic_commutator": False,
-        "quadratic_untwist_involutive": False,
-    }
-    if op in quadratic_ops:
-        if args.form is None:
-            raise StructureError(f"construct {op!r} needs --form")
-        form = _named_form(doc, args.form)
-        if op == "quadratic_yau_twist":
-            if len(args.maps) != 1:
-                raise StructureError("quadratic_yau_twist needs one map name")
-            out, fout = quad.quadratic_yau_twist(
-                a, form, _named_map(doc, args.maps[0]), checked=checked
-            )
-        elif op == "quadratic_commutator":
-            out, fout = quad.quadratic_commutator(a, form, checked=checked)
-        elif op == "regular_quadratic_commutator":
-            out, fout = quad.regular_quadratic_commutator(a, form, checked=checked)
-        else:
-            out, fout = quad.quadratic_untwist_involutive(a, form, checked=checked)
-        return out, {args.form: fout}, []
-    raise StructureError(f"unknown construction {op!r}")
-
-
 def cmd_construct(args) -> int:
     doc = _load_document(args.algebra)
     field = doc.algebra.field
     try:
-        out, forms_out, extra_paths = _run_construct(doc, args, not args.unchecked)
+        out, forms_out = _construct(doc, args.op, _cli_arguments(args), not args.unchecked)
     except HypothesisError as exc:
         if args.format == "machine":
             print(json.dumps({
@@ -246,13 +191,13 @@ def cmd_construct(args) -> int:
     arguments = {}
     if args.maps:
         arguments["maps"] = list(args.maps)
-    for key in ("n", "xi", "form"):
-        v = getattr(args, key)
+    for key in ("n", "xi", "form", "with"):
+        v = vars(args)[key]
         if v is not None:
             arguments[key] = v
-    if args.with_ is not None:
-        arguments["with"] = args.with_
-    inputs = [args.algebra] + extra_paths
+    inputs = [args.algebra]
+    if "with" in cat.OPERATIONS[args.op].takes:
+        inputs.append(vars(args)["with"])
     provenance = {
         "construction": args.op,
         "arguments": arguments,
@@ -286,81 +231,28 @@ def _normalize_checkspec(spec):
     raise StructureError(f"bad check spec {spec!r}")
 
 
-def _suite_check(doc_like, spec, forms_out) -> Verdict:
-    """Run one check spec against an algebra plus its maps/forms context."""
-    a, maps, forms = doc_like
-    name = spec["check"]
-    if name in cat.CHECKS_BY_NAME:
-        return cat.run_named_check(a, name)
-    def need_map():
-        mname = spec.get("map")
-        if mname is None:
-            raise StructureError(f"check {name!r} in suite needs a map")
-        if mname == "alpha":
-            return a.alpha
-        if mname not in maps:
-            raise StructureError(f"suite row uses undefined map {mname!r}")
-        return maps[mname]
-    if name == "weak_morphism":
-        return is_weak_morphism(a, a, need_map())
-    if name == "morphism":
-        return is_morphism(a, a, need_map())
-    if name == "derivation":
-        return is_derivation(a, need_map())
-    if name == "averaging":
-        return is_averaging(a, need_map(), spec.get("side", "both"))
-    if name == "centroid":
-        return is_centroid(a, need_map(), spec.get("side", "both"))
-    if name == "rota_baxter":
-        return is_rota_baxter(a, need_map(), spec.get("weight", 0))
-    if name == "bracket_operator_conditions":
-        return check_bracket_operator_conditions(a, need_map())
-    if name == "quadratic_structure":
-        fname = spec.get("form")
-        if fname is None:
-            raise StructureError("quadratic_structure in suite needs a form")
-        form = (forms_out or {}).get(fname) or forms.get(fname)
-        if form is None:
-            raise StructureError(f"suite row uses undefined form {fname!r}")
-        return quad.check_quadratic_structure(a, form)
-    if name == "symmetric_automorphism":
-        fname = spec.get("form")
-        if fname is None or fname not in forms:
-            raise StructureError("symmetric_automorphism in suite needs a defined form")
-        return quad.is_symmetric_automorphism(a, forms[fname], need_map())
-    raise StructureError(f"unknown check {name!r}")
+def _row_arguments(spec: dict) -> dict:
+    """A suite row's check or construction spec in the binder's terms."""
+    raw = dict(spec)
+    raw["maps"] = [raw.pop("map")] if "map" in raw else []
+    return raw
 
 
-class _ConstructArgs:
-    """Adapter so suite rows reuse the construct dispatcher."""
-
-    def __init__(self, row_cons, base_dir: Path):
-        self.op = row_cons["name"]
-        self.maps = [row_cons["map"]] if "map" in row_cons else []
-        self.n = row_cons.get("n")
-        xi = row_cons.get("xi")
-        self.xi = ",".join(str(v) for v in xi) if xi is not None else None
-        self.form = row_cons.get("form")
-        w = row_cons.get("with")
-        self.with_ = str(base_dir / w) if w is not None else None
-
-
-def _row_algebra(row, base_dir: Path):
+def _row_document(row, base_dir: Path) -> ParsedDocument:
     src = row.get("algebra")
     if isinstance(src, str):
-        doc = _load_document(str(base_dir / src))
-        return doc.algebra, doc.maps, doc.forms
+        return _load_document(str(base_dir / src))
     if isinstance(src, dict) and "recipe" in src:
         field = _parse_field_label(src.get("field", "Q"))
         entry = cat.build_entry(src["recipe"], field, **src.get("params", {}))
-        return entry.algebra, entry.maps, entry.forms
+        return ParsedDocument(entry.algebra, entry.maps, entry.forms)
     raise StructureError(f"row needs an algebra path or recipe, got {src!r}")
 
 
 def _run_suite_row(row, base_dir: Path, unchecked: bool):
     """Returns a result dict; raises StructureError for ill-formed rows."""
     name = row.get("name", "<unnamed>")
-    a, maps, forms = _row_algebra(row, base_dir)
+    doc = _row_document(row, base_dir)
     result = {"name": name, "passes": True}
 
     def fail(stage, check_name, witness, field, detail=""):
@@ -373,26 +265,27 @@ def _run_suite_row(row, base_dir: Path, unchecked: bool):
         return result
 
     for spec in map(_normalize_checkspec, row.get("hypothesis_checks", ())):
-        v = _suite_check((a, maps, forms), spec, None)
+        v = _check(doc, spec["check"], _row_arguments(spec))
         if not v:
-            return fail("hypothesis", spec["check"], v.witness, a.field)
-    forms_out = None
+            return fail("hypothesis", spec["check"], v.witness, doc.algebra.field)
     if "construction" in row:
-        cargs = _ConstructArgs(row["construction"], base_dir)
-        doc_like = ParsedDocument(a, maps, forms)
+        spec = row["construction"]
         try:
-            a, forms_out, _ = _run_construct(doc_like, cargs, not unchecked)
+            out, forms_out = _construct(
+                doc, spec.get("name"), _row_arguments(spec), not unchecked, base_dir
+            )
         except HypothesisError as exc:
             return fail(
                 "construct", exc.requirement,
-                getattr(exc.verdict, "witness", None), doc_like.algebra.field,
+                getattr(exc.verdict, "witness", None), doc.algebra.field,
                 exc.detail,
             )
-        maps = {}
+        # the result keeps no maps; its own output forms shadow the input's
+        doc = ParsedDocument(out, {}, {**doc.forms, **forms_out})
     for spec in map(_normalize_checkspec, row.get("conclusion_checks", ())):
-        v = _suite_check((a, maps, forms), spec, forms_out)
+        v = _check(doc, spec["check"], _row_arguments(spec))
         if not v:
-            return fail("conclusion", spec["check"], v.witness, a.field)
+            return fail("conclusion", spec["check"], v.witness, doc.algebra.field)
     return result
 
 
@@ -490,10 +383,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "machine"), default="text")
-    common.add_argument("--seed", type=int, default=0,
-                        help="forwarded to anything that samples")
-    common.add_argument("--budget", type=int, default=10000,
-                        help="forwarded to anything that samples")
 
     p = sub.add_parser("check", parents=[common], help="run one check on a document")
     p.add_argument("algebra", help="algebra document (JSON)")
@@ -509,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("algebra", help="input algebra document (JSON)")
     p.add_argument("op", help="construction name")
     p.add_argument("maps", nargs="*", help="map names used by the construction")
-    p.add_argument("--with", dest="with_", metavar="FILE",
+    p.add_argument("--with", metavar="FILE",
                    help="second algebra document for direct_sum / tensor_product")
     p.add_argument("--n", type=int, help="power for power_twist")
     p.add_argument("--xi", help="comma-separated vector for xi_square_twist")

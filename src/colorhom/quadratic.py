@@ -21,13 +21,13 @@ from itertools import product as iproduct
 from .checks import (
     PASS,
     Verdict,
-    Witness,
+    _fail,
     check_hom_novikov,
     check_involutive,
     check_multiplicative,
     is_morphism,
 )
-from .constructions import commutator_algebra, untwist_involutive, yau_twist
+from .constructions import _require, commutator_algebra, untwist_involutive, yau_twist
 from .core import (
     ColorHomAlgebra,
     GradedBasis,
@@ -36,6 +36,7 @@ from .core import (
     identity_map,
     invert_map,
     matrix_rank,
+    unit_vector,
 )
 from .errors import HypothesisError, SingularMapError, StructureError
 
@@ -105,10 +106,6 @@ def form_value(f: BilinearFormStructure, x, y):
     return acc
 
 
-def _fail(identity, indices, left, right) -> Verdict:
-    return Verdict(False, Witness(identity, tuple(indices), left, right))
-
-
 def check_quadratic_structure(a: ColorHomAlgebra, f: BilinearFormStructure) -> Verdict:
     """Run the quadratic clauses in order; the witness names the failed one.
 
@@ -146,16 +143,11 @@ def check_quadratic_structure(a: ColorHomAlgebra, f: BilinearFormStructure) -> V
                 if left != right:
                     return _fail("invariance", (i, j, k), (left,), (right,))
     for i, j in iproduct(range(n), repeat=2):
-        left = form_value(f, a.alpha.column(i), _unit(a, j))
-        right = form_value(f, _unit(a, i), a.alpha.column(j))
+        left = form_value(f, a.alpha.column(i), unit_vector(a.field, n, j))
+        right = form_value(f, unit_vector(a.field, n, i), a.alpha.column(j))
         if left != right:
             return _fail("twist-b-symmetry", (i, j), (left,), (right,))
     return PASS
-
-
-def _unit(a: ColorHomAlgebra, i: int):
-    one, zero = a.field.one, a.field.zero
-    return tuple(one if k == i else zero for k in range(a.dim))
 
 
 def is_symmetric_automorphism(a: ColorHomAlgebra, f: BilinearFormStructure, phi: GradedLinearMap) -> Verdict:
@@ -176,16 +168,11 @@ def is_symmetric_automorphism(a: ColorHomAlgebra, f: BilinearFormStructure, phi:
         return v
     n = a.dim
     for i, j in iproduct(range(n), repeat=2):
-        left = form_value(f, phi.column(i), _unit(a, j))
-        right = form_value(f, _unit(a, i), phi.column(j))
+        left = form_value(f, phi.column(i), unit_vector(a.field, n, j))
+        right = form_value(f, unit_vector(a.field, n, i), phi.column(j))
         if left != right:
             return _fail("b-symmetry", (i, j), (left,), (right,))
     return PASS
-
-
-def _require(op, requirement, verdict):
-    if not verdict:
-        raise HypothesisError(op, requirement, verdict)
 
 
 def _require_identity_companion(op: str, f: BilinearFormStructure):
