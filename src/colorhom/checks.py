@@ -22,12 +22,19 @@ from .core import (
     GradedLinearMap,
     commutator_tensor,
     compose_maps,
+    dense_vector,
     eval_map,
     eval_product,
     homogeneous_components,
     identity_map,
     make_algebra,
     matrix_rank,
+    sparse_add,
+    sparse_apply,
+    sparse_product,
+    sparse_scale,
+    sparse_sub,
+    sparse_vector,
     unit_vector,
     vec_add,
     vec_is_zero,
@@ -102,83 +109,86 @@ def _fail(identity: str, indices, left, right) -> Verdict:
 # ---------------------------------------------------------------------------
 # two-sided identity evaluators on homogeneous arguments
 #
-# Each takes (algebra, degrees, vectors) where vectors[s] is homogeneous of
-# degree degrees[s], and returns (left, right) as coordinate tuples.
+# Each takes (algebra, eps, keys, vectors): vectors[s] is a sparse vector,
+# homogeneous of some degree, and eps[keys[s]][keys[t]] is the bicharacter on
+# the degrees of slots s and t.  The basis scans pass the algebra's eps_table
+# with basis indices as keys; identity_sides passes a table over its slots.
+# Each returns (left, right) as sparse vectors.
 
 def _mul(a, x, y):
-    return eval_product(a, x, y)
+    return sparse_product(a, x, y)
 
 
 def _al(a, x):
-    return eval_map(a.alpha, x)
+    return sparse_apply(a.alpha, x)
 
 
-def _bracket(a, dx, dy, x, y):
-    # x*y - eps(x,y) y*x, formed from a's own product
-    return vec_sub(_mul(a, x, y), vec_scale(a.eps(dx, dy), _mul(a, y, x)))
+def _bracket(a, e, x, y):
+    # x*y - e y*x with e = eps(x, y), formed from a's own product
+    return sparse_sub(_mul(a, x, y), sparse_scale(e, _mul(a, y, x)))
 
 
-def _sides_epsilon_commutativity(a, degs, vecs):
-    (dx, dy), (x, y) = degs, vecs
-    return _mul(a, x, y), vec_scale(a.eps(dx, dy), _mul(a, y, x))
+def _sides_epsilon_commutativity(a, eps, keys, vecs):
+    (dx, dy), (x, y) = keys, vecs
+    return _mul(a, x, y), sparse_scale(eps[dx][dy], _mul(a, y, x))
 
 
-def _sides_hom_associativity(a, degs, vecs):
+def _sides_hom_associativity(a, eps, keys, vecs):
     x, y, z = vecs
     return _mul(a, _al(a, x), _mul(a, y, z)), _mul(a, _mul(a, x, y), _al(a, z))
 
 
-def _sides_right_commutativity(a, degs, vecs):
-    (dx, dy, dz), (x, y, z) = degs, vecs
+def _sides_right_commutativity(a, eps, keys, vecs):
+    (dx, dy, dz), (x, y, z) = keys, vecs
     left = _mul(a, _mul(a, x, y), _al(a, z))
-    right = vec_scale(a.eps(dy, dz), _mul(a, _mul(a, x, z), _al(a, y)))
+    right = sparse_scale(eps[dy][dz], _mul(a, _mul(a, x, z), _al(a, y)))
     return left, right
 
 
-def _sides_left_symmetry(a, degs, vecs):
-    (dx, dy, dz), (x, y, z) = degs, vecs
-    left = vec_sub(_mul(a, _mul(a, x, y), _al(a, z)), _mul(a, _al(a, x), _mul(a, y, z)))
-    assoc_yx = vec_sub(
+def _sides_left_symmetry(a, eps, keys, vecs):
+    (dx, dy, dz), (x, y, z) = keys, vecs
+    left = sparse_sub(_mul(a, _mul(a, x, y), _al(a, z)), _mul(a, _al(a, x), _mul(a, y, z)))
+    assoc_yx = sparse_sub(
         _mul(a, _mul(a, y, x), _al(a, z)), _mul(a, _al(a, y), _mul(a, x, z))
     )
-    return left, vec_scale(a.eps(dx, dy), assoc_yx)
+    return left, sparse_scale(eps[dx][dy], assoc_yx)
 
 
-def _sides_skew_symmetry(a, degs, vecs):
-    (dx, dy), (x, y) = degs, vecs
-    return _mul(a, x, y), vec_scale(-a.eps(dx, dy), _mul(a, y, x))
+def _sides_skew_symmetry(a, eps, keys, vecs):
+    (dx, dy), (x, y) = keys, vecs
+    return _mul(a, x, y), sparse_scale(-eps[dx][dy], _mul(a, y, x))
 
 
-def _sides_hom_jacobi(a, degs, vecs):
-    (dx, dy, dz), (x, y, z) = degs, vecs
-    acc = vec_scale(a.eps(dz, dx), _mul(a, _al(a, x), _mul(a, y, z)))
-    acc = vec_add(acc, vec_scale(a.eps(dx, dy), _mul(a, _al(a, y), _mul(a, z, x))))
-    acc = vec_add(acc, vec_scale(a.eps(dy, dz), _mul(a, _al(a, z), _mul(a, x, y))))
-    return acc, zero_vector(a.field, a.dim)
+def _sides_hom_jacobi(a, eps, keys, vecs):
+    (dx, dy, dz), (x, y, z) = keys, vecs
+    acc = sparse_scale(eps[dz][dx], _mul(a, _al(a, x), _mul(a, y, z)))
+    acc = sparse_add(acc, sparse_scale(eps[dx][dy], _mul(a, _al(a, y), _mul(a, z, x))))
+    acc = sparse_add(acc, sparse_scale(eps[dy][dz], _mul(a, _al(a, z), _mul(a, x, y))))
+    return acc, {}
 
 
-def _sides_cyclic_right_products(a, degs, vecs):
-    (dx, dy, dz), (x, y, z) = degs, vecs
-    acc = vec_scale(a.eps(dz, dx), _mul(a, _bracket(a, dx, dy, x, y), _al(a, z)))
-    acc = vec_add(
-        acc, vec_scale(a.eps(dx, dy), _mul(a, _bracket(a, dy, dz, y, z), _al(a, x)))
+def _sides_cyclic_right_products(a, eps, keys, vecs):
+    (dx, dy, dz), (x, y, z) = keys, vecs
+    acc = sparse_scale(eps[dz][dx], _mul(a, _bracket(a, eps[dx][dy], x, y), _al(a, z)))
+    acc = sparse_add(
+        acc, sparse_scale(eps[dx][dy], _mul(a, _bracket(a, eps[dy][dz], y, z), _al(a, x)))
     )
-    acc = vec_add(
-        acc, vec_scale(a.eps(dy, dz), _mul(a, _bracket(a, dz, dx, z, x), _al(a, y)))
+    acc = sparse_add(
+        acc, sparse_scale(eps[dy][dz], _mul(a, _bracket(a, eps[dz][dx], z, x), _al(a, y)))
     )
-    return acc, zero_vector(a.field, a.dim)
+    return acc, {}
 
 
-def _sides_cyclic_left_products(a, degs, vecs):
-    (dx, dy, dz), (x, y, z) = degs, vecs
-    acc = vec_scale(a.eps(dz, dx), _mul(a, _al(a, x), _bracket(a, dy, dz, y, z)))
-    acc = vec_add(
-        acc, vec_scale(a.eps(dx, dy), _mul(a, _al(a, y), _bracket(a, dz, dx, z, x)))
+def _sides_cyclic_left_products(a, eps, keys, vecs):
+    (dx, dy, dz), (x, y, z) = keys, vecs
+    acc = sparse_scale(eps[dz][dx], _mul(a, _al(a, x), _bracket(a, eps[dy][dz], y, z)))
+    acc = sparse_add(
+        acc, sparse_scale(eps[dx][dy], _mul(a, _al(a, y), _bracket(a, eps[dz][dx], z, x)))
     )
-    acc = vec_add(
-        acc, vec_scale(a.eps(dy, dz), _mul(a, _al(a, z), _bracket(a, dx, dy, x, y)))
+    acc = sparse_add(
+        acc, sparse_scale(eps[dy][dz], _mul(a, _al(a, z), _bracket(a, eps[dx][dy], x, y)))
     )
-    return acc, zero_vector(a.field, a.dim)
+    return acc, {}
 
 
 _IDENTITIES = {
@@ -212,19 +222,34 @@ def identity_sides(a: ColorHomAlgebra, name: str, degrees, vectors):
     arity, sides = _IDENTITIES[name]
     if len(degrees) != arity or len(vectors) != arity:
         raise StructureError(f"identity {name!r} takes {arity} arguments")
-    return sides(a, tuple(degrees), tuple(vectors))
+    n = a.dim
+    for v in vectors:
+        if len(v) != n:
+            raise StructureError(f"vector length {len(v)} != dim {n}")
+    eps = [[a.eps(d, e) for e in degrees] for d in degrees]
+    left, right = sides(a, eps, tuple(range(arity)), tuple(sparse_vector(v) for v in vectors))
+    return _dense(a, left), _dense(a, right)
+
+
+def _dense(a: ColorHomAlgebra, x: dict) -> tuple:
+    return dense_vector(a.field, a.dim, x)
 
 
 def _scan(a: ColorHomAlgebra, name: str) -> Verdict:
-    """Quantify one identity over basis tuples, lexicographic slot order."""
+    """Quantify one identity over basis tuples, lexicographic slot order.
+
+    Sides are compared as sparse vectors; a witness carries them as
+    coordinate tuples.
+    """
     arity, sides = _IDENTITIES[name]
     n = a.dim
-    degs = a.degrees
-    units = [unit_vector(a.field, n, i) for i in range(n)]
+    eps = a.eps_table
+    one = a.field.one
+    units = [{i: one} for i in range(n)]
     for idx in iproduct(range(n), repeat=arity):
-        left, right = sides(a, tuple(degs[i] for i in idx), tuple(units[i] for i in idx))
+        left, right = sides(a, eps, idx, tuple(units[i] for i in idx))
         if left != right:
-            return _fail(name, idx, left, right)
+            return _fail(name, idx, _dense(a, left), _dense(a, right))
     return PASS
 
 
@@ -246,7 +271,7 @@ def identity_residual_on_vectors(a: ColorHomAlgebra, name: str, vectors) -> tupl
     """
     if name not in _IDENTITIES:
         raise StructureError(f"unknown identity {name!r}")
-    arity, sides = _IDENTITIES[name]
+    arity = IDENTITY_ARITY[name]
     if len(vectors) != arity:
         raise StructureError(f"identity {name!r} takes {arity} arguments")
     split = [homogeneous_components(a.basis, v) for v in vectors]
@@ -254,8 +279,7 @@ def identity_residual_on_vectors(a: ColorHomAlgebra, name: str, vectors) -> tupl
     for combo in iproduct(*split):
         degs = tuple(d for d, _ in combo)
         vecs = tuple(v for _, v in combo)
-        left, right = sides(a, degs, vecs)
-        total = vec_add(total, vec_sub(left, right))
+        total = vec_add(total, vec_sub(*identity_sides(a, name, degs, vecs)))
     return total
 
 

@@ -8,12 +8,19 @@ Conventions used everywhere in the package:
 
 All containers are tuples and all dataclasses frozen; operations return new
 objects and never mutate their inputs.
+
+Maps and algebras also carry sparse views, built once at construction and
+excluded from equality and repr: a map's columns and an algebra's product
+rows as {k: c} dicts holding only nonzero coefficients, and the algebra's
+eps value for every pair of basis indices.  The kernel (sparse_product,
+sparse_apply) works on sparse vectors, {index: nonzero coefficient}; the
+dense-tuple functions eval_product and eval_map convert at their boundary.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 from .errors import SingularMapError, StructureError
 from .grading import (
@@ -40,6 +47,13 @@ __all__ = [
     "invert_map",
     "map_commutes_with_alpha",
     "eval_product",
+    "sparse_vector",
+    "dense_vector",
+    "sparse_product",
+    "sparse_apply",
+    "sparse_add",
+    "sparse_sub",
+    "sparse_scale",
     "commutator_tensor",
     "unit_vector",
     "zero_vector",
@@ -51,6 +65,15 @@ __all__ = [
     "determinant",
     "matrix_rank",
 ]
+
+
+# the view of every all-zero cell and column; never mutated
+_EMPTY: dict = {}
+
+
+def _derived():
+    """A field computed in __post_init__, invisible to equality, hashing and repr."""
+    return dataclasses.field(init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -92,6 +115,8 @@ class GradedLinearMap:
     basis: GradedBasis
     matrix: tuple
     degree: GroupElement | None = None
+    # sparse_columns[i] = {k: matrix[k][i]} over the nonzero entries
+    sparse_columns: tuple = _derived()
 
     def __post_init__(self):
         basis = self.basis
@@ -102,14 +127,20 @@ class GradedLinearMap:
         rows = tuple(tuple(basis.field.coerce(v) for v in row) for row in self.matrix)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise StructureError(f"matrix must be {n}x{n}")
-        for k, i in iproduct(range(n), repeat=2):
-            if rows[k][i] != 0 and basis.degrees[k] != basis.degrees[i] + deg:
-                raise StructureError(
-                    f"entry ({k},{i}) breaks homogeneity of degree {deg}",
-                    indices=(k, i),
-                )
+        degs = basis.degrees
+        columns = [{} for _ in range(n)]
+        for k, row in enumerate(rows):
+            for i, v in enumerate(row):
+                if v:
+                    if degs[k] != degs[i] + deg:
+                        raise StructureError(
+                            f"entry ({k},{i}) breaks homogeneity of degree {deg}",
+                            indices=(k, i),
+                        )
+                    columns[i][k] = v
         object.__setattr__(self, "matrix", rows)
         object.__setattr__(self, "degree", deg)
+        object.__setattr__(self, "sparse_columns", tuple(c or _EMPTY for c in columns))
 
     @property
     def is_even(self) -> bool:
@@ -144,16 +175,22 @@ def eval_map(m: GradedLinearMap, x) -> tuple:
     n = m.basis.dim
     if len(x) != n:
         raise StructureError(f"vector length {len(x)} != dim {n}")
-    zero = m.basis.field.zero
-    out = [zero] * n
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        for k in range(n):
-            mki = m.matrix[k][i]
-            if mki != 0:
-                out[k] = out[k] + mki * xi
-    return tuple(out)
+    return dense_vector(m.basis.field, n, sparse_apply(m, sparse_vector(x)))
+
+
+def sparse_apply(m: GradedLinearMap, x: dict) -> dict:
+    """m(x) for a sparse vector x, through the map's sparse columns."""
+    columns = m.sparse_columns
+    out = {}
+    merged = False
+    for i, xi in x.items():
+        for k, c in columns[i].items():
+            if k in out:
+                out[k] = out[k] + c * xi
+                merged = True
+            else:
+                out[k] = c * xi
+    return _nonzero(out) if merged else out
 
 
 def compose_maps(m: GradedLinearMap, n: GradedLinearMap) -> GradedLinearMap:
@@ -162,18 +199,9 @@ def compose_maps(m: GradedLinearMap, n: GradedLinearMap) -> GradedLinearMap:
         raise StructureError("composition needs a shared basis")
     dim = m.basis.dim
     zero = m.basis.field.zero
-    rows = []
-    for k in range(dim):
-        row = []
-        for i in range(dim):
-            acc = zero
-            for l in range(dim):
-                a, b = m.matrix[k][l], n.matrix[l][i]
-                if a != 0 and b != 0:
-                    acc = acc + a * b
-            row.append(acc)
-        rows.append(tuple(row))
-    return GradedLinearMap(m.basis, tuple(rows), m.degree + n.degree)
+    columns = [sparse_apply(m, column) for column in n.sparse_columns]
+    rows = tuple(tuple(column.get(k, zero) for column in columns) for k in range(dim))
+    return GradedLinearMap(m.basis, rows, m.degree + n.degree)
 
 
 def map_power(m: GradedLinearMap, n: int) -> GradedLinearMap:
@@ -270,14 +298,60 @@ class ColorHomAlgebra:
     """A graded algebra (A, *, eps, alpha) given by structure constants.
 
     structure[i][j][k] is the e_k coefficient of e_i * e_j; alpha is the even
-    twisting endomap.  Instances are built through make_algebra, which
-    enforces evenness of the product and validity of the bicharacter.
+    twisting endomap.  Construction coerces the constants into the field and
+    checks the tensor's shape and the evenness of the product; make_algebra
+    also validates the bicharacter and alpha.
+
+    Derived in the same pass: product_rows[i][j] = {k: structure[i][j][k]}
+    over the nonzero coefficients, and eps_table[i][j] = eps(deg e_i,
+    deg e_j).  Every empty cell of product_rows is one shared object, and so
+    is every all-zero cell of structure.
     """
 
     basis: GradedBasis
     bicharacter: Bicharacter
     structure: tuple
     alpha: GradedLinearMap
+    product_rows: tuple = _derived()
+    eps_table: tuple = _derived()
+
+    def __post_init__(self):
+        n = self.basis.dim
+        coerce = self.basis.field.coerce
+        degs = self.basis.degrees
+        zero_cell = (self.basis.field.zero,) * n
+        shape = f"product tensor must be {n}x{n}x{n}"
+        if len(self.structure) != n:
+            raise StructureError(shape)
+        planes, rows = [], []
+        for i, plane in enumerate(self.structure):
+            if len(plane) != n:
+                raise StructureError(shape)
+            dense, sparse = [], []
+            for j, cell in enumerate(plane):
+                values = tuple(coerce(v) for v in cell)
+                if len(values) != n:
+                    raise StructureError(shape)
+                nonzero = {k: c for k, c in enumerate(values) if c}
+                if nonzero:
+                    d = degs[i] + degs[j]
+                    for k in nonzero:
+                        if degs[k] != d:
+                            raise StructureError(
+                                f"product not even: c[{i}][{j}][{k}] != 0 but "
+                                f"deg(e_{k}) != deg(e_{i}) + deg(e_{j})",
+                                indices=(i, j, k),
+                            )
+                    dense.append(values)
+                    sparse.append(nonzero)
+                else:
+                    dense.append(zero_cell)
+                    sparse.append(_EMPTY)
+            planes.append(tuple(dense))
+            rows.append(tuple(sparse))
+        object.__setattr__(self, "structure", tuple(planes))
+        object.__setattr__(self, "product_rows", tuple(rows))
+        object.__setattr__(self, "eps_table", _eps_table(self.bicharacter, degs))
 
     @property
     def dim(self) -> int:
@@ -299,6 +373,22 @@ class ColorHomAlgebra:
         return bicharacter_eval(self.bicharacter, a, c)
 
 
+def _eps_table(b: Bicharacter, degrees) -> tuple:
+    """eps for every pair of basis indices; one evaluation per pair of distinct degrees.
+
+    Indices of equal degree share one row tuple.
+    """
+    position: dict = {}
+    for d in degrees:
+        position.setdefault(d, len(position))
+    classes = [position[d] for d in degrees]
+    rows = [
+        tuple(values[q] for q in classes)
+        for values in ([bicharacter_eval(b, d, e) for e in position] for d in position)
+    ]
+    return tuple(rows[p] for p in classes)
+
+
 def make_algebra(basis: GradedBasis, bichar: Bicharacter, structure, alpha: GradedLinearMap) -> ColorHomAlgebra:
     """Validate and assemble.  Raises StructureError on:
 
@@ -306,6 +396,7 @@ def make_algebra(basis: GradedBasis, bichar: Bicharacter, structure, alpha: Grad
       * a bicharacter failing its axioms,
       * a product tensor of the wrong shape,
       * an evenness violation (the first offending (i, j, k) is named),
+      * an eps value too large to compute (see grading.EPS_MAX_BITS),
       * alpha on the wrong basis or of nonzero degree.
     """
     if bichar.group != basis.group:
@@ -318,28 +409,12 @@ def make_algebra(basis: GradedBasis, bichar: Bicharacter, structure, alpha: Grad
             f"bicharacter axiom '{report.axiom}' fails at generator pair "
             f"{report.pair}: {report.detail}"
         )
-    n = basis.dim
-    rows = tuple(
-        tuple(tuple(basis.field.coerce(v) for v in cell) for cell in plane)
-        for plane in structure
-    )
-    if len(rows) != n or any(
-        len(plane) != n or any(len(cell) != n for cell in plane) for plane in rows
-    ):
-        raise StructureError(f"product tensor must be {n}x{n}x{n}")
-    degs = basis.degrees
-    for i, j, k in iproduct(range(n), repeat=3):
-        if rows[i][j][k] != 0 and degs[k] != degs[i] + degs[j]:
-            raise StructureError(
-                f"product not even: c[{i}][{j}][{k}] != 0 but "
-                f"deg(e_{k}) != deg(e_{i}) + deg(e_{j})",
-                indices=(i, j, k),
-            )
+    algebra = ColorHomAlgebra(basis, bichar, structure, alpha)
     if alpha.basis != basis:
         raise StructureError("alpha lives on a different basis")
     if not alpha.is_even:
         raise StructureError("alpha must be even (degree 0)")
-    return ColorHomAlgebra(basis, bichar, rows, alpha)
+    return algebra
 
 
 def eval_product(a: ColorHomAlgebra, x, y) -> tuple:
@@ -347,32 +422,81 @@ def eval_product(a: ColorHomAlgebra, x, y) -> tuple:
     n = a.dim
     if len(x) != n or len(y) != n:
         raise StructureError(f"vectors must have length {n}")
-    zero = a.field.zero
-    out = [zero] * n
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        for j, yj in enumerate(y):
-            if yj == 0:
-                continue
-            coeff = xi * yj
-            cell = a.structure[i][j]
-            for k in range(n):
-                ck = cell[k]
-                if ck != 0:
-                    out[k] = out[k] + coeff * ck
-    return tuple(out)
+    return dense_vector(a.field, n, sparse_product(a, sparse_vector(x), sparse_vector(y)))
+
+
+def sparse_product(a: ColorHomAlgebra, x: dict, y: dict) -> dict:
+    """x * y for sparse vectors, through the algebra's product rows."""
+    rows = a.product_rows
+    out = {}
+    merged = False
+    for i, xi in x.items():
+        row = rows[i]
+        for j, yj in y.items():
+            cell = row[j]
+            if cell:
+                coeff = xi * yj
+                for k, c in cell.items():
+                    if k in out:
+                        out[k] = out[k] + coeff * c
+                        merged = True
+                    else:
+                        out[k] = coeff * c
+    return _nonzero(out) if merged else out
+
+
+def _nonzero(x: dict) -> dict:
+    # only sums can cancel: a product of nonzero field elements is nonzero
+    return {k: c for k, c in x.items() if c}
+
+
+def sparse_vector(x) -> dict:
+    """The nonzero coordinates of a coordinate sequence, {index: coefficient}."""
+    return {k: c for k, c in enumerate(x) if c}
+
+
+def dense_vector(field: ScalarField, dim: int, x: dict) -> tuple:
+    """The coordinate tuple of a sparse vector."""
+    zero = field.zero
+    return tuple(x.get(k, zero) for k in range(dim))
+
+
+def sparse_add(x: dict, y: dict) -> dict:
+    out = dict(x)
+    merged = False
+    for k, c in y.items():
+        if k in out:
+            out[k] = out[k] + c
+            merged = True
+        else:
+            out[k] = c
+    return _nonzero(out) if merged else out
+
+
+def sparse_sub(x: dict, y: dict) -> dict:
+    out = dict(x)
+    merged = False
+    for k, c in y.items():
+        if k in out:
+            out[k] = out[k] - c
+            merged = True
+        else:
+            out[k] = -c
+    return _nonzero(out) if merged else out
+
+
+def sparse_scale(s, x: dict) -> dict:
+    return {k: s * c for k, c in x.items()} if s else {}
 
 
 def commutator_tensor(a: ColorHomAlgebra) -> tuple:
     """b[i][j][k] = c[i][j][k] - eps(deg_i, deg_j) * c[j][i][k]."""
     n = a.dim
-    degs = a.degrees
     rows = []
     for i in range(n):
         plane = []
         for j in range(n):
-            e = a.eps(degs[i], degs[j])
+            e = a.eps_table[i][j]
             plane.append(
                 tuple(
                     a.structure[i][j][k] - e * a.structure[j][i][k]

@@ -9,6 +9,7 @@ eps(a, c) = prod_{i,j} E[i][j]^(a_i * c_j).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 
 from .errors import StructureError
@@ -23,7 +24,13 @@ __all__ = [
     "trivial_bicharacter",
     "validate_bicharacter",
     "bicharacter_eval",
+    "EPS_MAX_BITS",
 ]
+
+# Largest rational eps value, in bits of numerator or denominator, that
+# bicharacter_eval will compute: free coordinates are unbounded integers,
+# and a generator value like 2 raised to their product would not fit in memory.
+EPS_MAX_BITS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -193,8 +200,11 @@ def bicharacter_eval(b: Bicharacter, a: GroupElement, c: GroupElement):
     """eps(a, c) by square-and-multiply on generator values.
 
     Pre: b passed validation and a, c are canonical elements of b.group.
-    Torsion lets exponents reduce mod the generator order, so free
-    coordinates of any size stay cheap.
+    Torsion lets exponents reduce mod the generator order, and prime-field
+    powers reduce mod p, so those stay cheap for coordinates of any size.
+    A rational value other than +-1 grows with its exponent: the size of
+    each power is bounded before it is taken, and a value that could exceed
+    EPS_MAX_BITS raises StructureError.
     """
     g = b.group
     if a.group != g or c.group != g:
@@ -202,6 +212,7 @@ def bicharacter_eval(b: Bicharacter, a: GroupElement, c: GroupElement):
     r = g.free_rank
     orders = g.torsion_orders
     out = b.field.one
+    bits = 0
     for i, ai in enumerate(a.coords):
         if ai == 0:
             continue
@@ -215,5 +226,15 @@ def bicharacter_eval(b: Bicharacter, a: GroupElement, c: GroupElement):
                 e %= orders[j - r]
             if e == 0:
                 continue
-            out = out * b.gen_table[i][j] ** e
+            v = b.gen_table[i][j]
+            if isinstance(v, Fraction):
+                height = max(abs(v.numerator), v.denominator)
+                if height > 1:
+                    bits += abs(e) * height.bit_length()
+                    if bits > EPS_MAX_BITS:
+                        raise StructureError(
+                            f"eps value too large: generator pair ({i}, {j}) "
+                            f"raises {v} past {EPS_MAX_BITS} bits"
+                        )
+            out = out * v ** e
     return out

@@ -92,14 +92,12 @@ def serialize_document(
         },
         "basis": {"degrees": [list(d.coords) for d in algebra.degrees]},
     }
-    triples = []
-    n = algebra.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                v = algebra.structure[i][j][k]
-                if v != 0:
-                    triples.append([i, j, k, f.to_json(v)])
+    triples = [
+        [i, j, k, f.to_json(v)]
+        for i, plane in enumerate(algebra.product_rows)
+        for j, cell in enumerate(plane)
+        for k, v in cell.items()
+    ]
     doc["product"] = {"triples": triples}
     doc["alpha"] = {"matrix": _matrix_to_json(f, algebra.alpha.matrix)}
     if maps:

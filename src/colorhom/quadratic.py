@@ -116,12 +116,11 @@ def check_quadratic_structure(a: ColorHomAlgebra, f: BilinearFormStructure) -> V
     if f.basis != a.basis:
         raise StructureError("form lives on a different basis")
     n = a.dim
-    degs = a.degrees
     gram = f.gram
     beta = f.companion
     for i, j in iproduct(range(n), repeat=2):
         left = gram[i][j]
-        right = a.eps(degs[i], degs[j]) * gram[j][i]
+        right = a.eps_table[i][j] * gram[j][i]
         if left != right:
             return _fail("epsilon-symmetry", (i, j), (left,), (right,))
     det = determinant(a.field, gram)
