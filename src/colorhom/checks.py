@@ -4,7 +4,9 @@ Every check quantifies an identity over basis tuples (sufficient by
 multilinearity: once degrees are fixed, both sides are linear in each slot).
 A failing check returns the first offending tuple in lexicographic slot
 order together with the exactly evaluated left and right sides, so every
-reported failure can be replayed.
+reported failure can be replayed.  Identity scans and operator predicates
+share one loop (_first_failure): each condition maps basis indices to
+sparse sides, and only a witness is made dense.
 
 The same two-sided identity evaluators back identity_residual_on_vectors,
 which evaluates an identity on arbitrary (non-homogeneous) vectors by
@@ -20,14 +22,11 @@ from itertools import product as iproduct
 from .core import (
     ColorHomAlgebra,
     GradedLinearMap,
-    commutator_tensor,
-    compose_maps,
+    _algebra_from_cells,
+    _bracket_cell,
     dense_vector,
-    eval_map,
-    eval_product,
     homogeneous_components,
     identity_map,
-    make_algebra,
     matrix_rank,
     sparse_add,
     sparse_apply,
@@ -35,12 +34,6 @@ from .core import (
     sparse_scale,
     sparse_sub,
     sparse_vector,
-    unit_vector,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
-    vec_sub,
-    zero_vector,
 )
 from .errors import StructureError
 
@@ -217,6 +210,10 @@ IDENTITIES_BY_CHECK = {
 
 def identity_sides(a: ColorHomAlgebra, name: str, degrees, vectors):
     """Evaluate one identity's two sides on homogeneous arguments."""
+    return tuple(_dense(a, side) for side in _sparse_sides(a, name, degrees, vectors))
+
+
+def _sparse_sides(a: ColorHomAlgebra, name: str, degrees, vectors):
     if name not in _IDENTITIES:
         raise StructureError(f"unknown identity {name!r}")
     arity, sides = _IDENTITIES[name]
@@ -227,30 +224,41 @@ def identity_sides(a: ColorHomAlgebra, name: str, degrees, vectors):
         if len(v) != n:
             raise StructureError(f"vector length {len(v)} != dim {n}")
     eps = [[a.eps(d, e) for e in degrees] for d in degrees]
-    left, right = sides(a, eps, tuple(range(arity)), tuple(sparse_vector(v) for v in vectors))
-    return _dense(a, left), _dense(a, right)
+    return sides(a, eps, tuple(range(arity)), tuple(sparse_vector(v) for v in vectors))
 
 
 def _dense(a: ColorHomAlgebra, x: dict) -> tuple:
     return dense_vector(a.field, a.dim, x)
 
 
-def _scan(a: ColorHomAlgebra, name: str) -> Verdict:
-    """Quantify one identity over basis tuples, lexicographic slot order.
-
-    Sides are compared as sparse vectors; a witness carries them as
-    coordinate tuples.
-    """
-    arity, sides = _IDENTITIES[name]
-    n = a.dim
-    eps = a.eps_table
+def _units(a: ColorHomAlgebra) -> list:
     one = a.field.one
-    units = [{i: one} for i in range(n)]
-    for idx in iproduct(range(n), repeat=arity):
-        left, right = sides(a, eps, idx, tuple(units[i] for i in idx))
-        if left != right:
-            return _fail(name, idx, _dense(a, left), _dense(a, right))
+    return [{i: one} for i in range(a.dim)]
+
+
+def _first_failure(a: ColorHomAlgebra, arity: int, conditions) -> Verdict:
+    """Check (name, sides) conditions on every basis tuple, lexicographic slot order.
+
+    At each tuple the conditions run in the order given.  sides(*indices)
+    returns (left, right) as sparse vectors; only a failing pair is made
+    dense, for the witness.
+    """
+    for idx in iproduct(range(a.dim), repeat=arity):
+        for name, sides in conditions:
+            left, right = sides(*idx)
+            if left != right:
+                return _fail(name, idx, _dense(a, left), _dense(a, right))
     return PASS
+
+
+def _scan(a: ColorHomAlgebra, name: str) -> Verdict:
+    """Quantify one identity over basis tuples, fed as unit vectors."""
+    arity, sides = _IDENTITIES[name]
+    eps = a.eps_table
+    units = _units(a)
+    return _first_failure(
+        a, arity, [(name, lambda *idx: sides(a, eps, idx, tuple(map(units.__getitem__, idx))))]
+    )
 
 
 def _scan_check(a: ColorHomAlgebra, check: str) -> Verdict:
@@ -275,12 +283,12 @@ def identity_residual_on_vectors(a: ColorHomAlgebra, name: str, vectors) -> tupl
     if len(vectors) != arity:
         raise StructureError(f"identity {name!r} takes {arity} arguments")
     split = [homogeneous_components(a.basis, v) for v in vectors]
-    total = zero_vector(a.field, a.dim)
+    total = {}
     for combo in iproduct(*split):
         degs = tuple(d for d, _ in combo)
         vecs = tuple(v for _, v in combo)
-        total = vec_add(total, vec_sub(*identity_sides(a, name, degs, vecs)))
-    return total
+        total = sparse_add(total, sparse_sub(*_sparse_sides(a, name, degs, vecs)))
+    return _dense(a, total)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +335,7 @@ def check_cyclic_commutator_products(a: ColorHomAlgebra) -> Verdict:
 
 def check_lie_admissible(a: ColorHomAlgebra) -> Verdict:
     """The commutator bracket of a satisfies the Hom-Lie axioms."""
-    bracket = make_algebra(a.basis, a.bicharacter, commutator_tensor(a), a.alpha)
+    bracket = _algebra_from_cells(a.basis, a.bicharacter, _bracket_cell(a), a.alpha)
     return check_hom_lie(bracket)
 
 
@@ -351,16 +359,24 @@ def check_regular(a: ColorHomAlgebra) -> Verdict:
 
 def check_involutive(a: ColorHomAlgebra) -> Verdict:
     """alpha composed with itself is the identity."""
-    sq = compose_maps(a.alpha, a.alpha)
     ident = identity_map(a.basis)
-    for i in range(a.dim):
-        if sq.column(i) != ident.column(i):
-            return _fail("involution", (i,), sq.column(i), ident.column(i))
-    return PASS
+    return _composites_agree(a, "involution", (a.alpha, a.alpha), (ident, ident))
+
+
+def _composites_agree(a: ColorHomAlgebra, name: str, left, right) -> Verdict:
+    """left[0] after left[1] equals right[0] after right[1]; witness compares columns."""
+    (m, p), (q, r) = left, right
+    pc, rc = p.sparse_columns, r.sparse_columns
+    return _first_failure(
+        a, 1, [(name, lambda i: (sparse_apply(m, pc[i]), sparse_apply(q, rc[i])))]
+    )
 
 
 # ---------------------------------------------------------------------------
 # operator predicates
+#
+# Each condition is a function of basis indices returning sparse sides, run
+# on the shared loop; images of basis vectors are the maps' sparse columns.
 
 def _require_shared_space(a: ColorHomAlgebra, b: ColorHomAlgebra):
     if a.basis != b.basis:
@@ -378,25 +394,21 @@ def _require_even_endo(a: ColorHomAlgebra, f: GradedLinearMap, role: str):
 
 def commutes_with_twist(a: ColorHomAlgebra, f: GradedLinearMap) -> Verdict:
     """f must commute with a's twisting map; witness compares columns."""
-    left = compose_maps(a.alpha, f)
-    right = compose_maps(f, a.alpha)
-    for i in range(a.dim):
-        if left.column(i) != right.column(i):
-            return _fail("twist-commutation", (i,), left.column(i), right.column(i))
-    return PASS
+    if f.basis != a.basis:
+        raise StructureError("composition needs a shared basis")
+    return _composites_agree(a, "twist-commutation", (a.alpha, f), (f, a.alpha))
 
 
 def is_weak_morphism(a: ColorHomAlgebra, b: ColorHomAlgebra, f: GradedLinearMap) -> Verdict:
     """f(x *_a y) = f(x) *_b f(y); both products live on the shared basis."""
     _require_shared_space(a, b)
     _require_even_endo(a, f, "morphism candidate")
-    n = a.dim
-    for i, j in iproduct(range(n), repeat=2):
-        left = eval_map(f, a.structure[i][j])
-        right = eval_product(b, f.column(i), f.column(j))
-        if left != right:
-            return _fail("product-morphism", (i, j), left, right)
-    return PASS
+    rows, fc = a.product_rows, f.sparse_columns
+
+    def product_morphism(i, j):
+        return sparse_apply(f, rows[i][j]), sparse_product(b, fc[i], fc[j])
+
+    return _first_failure(a, 2, [("product-morphism", product_morphism)])
 
 
 def is_morphism(a: ColorHomAlgebra, b: ColorHomAlgebra, f: GradedLinearMap) -> Verdict:
@@ -404,12 +416,7 @@ def is_morphism(a: ColorHomAlgebra, b: ColorHomAlgebra, f: GradedLinearMap) -> V
     v = is_weak_morphism(a, b, f)
     if not v:
         return v
-    left = compose_maps(f, a.alpha)
-    right = compose_maps(b.alpha, f)
-    for i in range(a.dim):
-        if left.column(i) != right.column(i):
-            return _fail("twist-compatibility", (i,), left.column(i), right.column(i))
-    return PASS
+    return _composites_agree(a, "twist-compatibility", (f, a.alpha), (b.alpha, f))
 
 
 def is_derivation(a: ColorHomAlgebra, d: GradedLinearMap, degree=None) -> Verdict:
@@ -418,19 +425,31 @@ def is_derivation(a: ColorHomAlgebra, d: GradedLinearMap, degree=None) -> Verdic
         raise StructureError("derivation candidate lives on a different basis")
     if degree is not None and degree != d.degree:
         raise StructureError("declared degree disagrees with the map's degree")
-    n = a.dim
-    degs = a.degrees
-    for i, j in iproduct(range(n), repeat=2):
-        left = eval_map(d, a.structure[i][j])
-        first = eval_product(a, d.column(i), unit_vector(a.field, n, j))
-        second = vec_scale(
-            a.eps(d.degree, degs[i]),
-            eval_product(a, unit_vector(a.field, n, i), d.column(j)),
-        )
-        right = vec_add(first, second)
-        if left != right:
-            return _fail("leibniz", (i, j), left, right)
-    return PASS
+    rows, dc, units, degs = a.product_rows, d.sparse_columns, _units(a), a.degrees
+
+    def leibniz(i, j):
+        left = sparse_apply(d, rows[i][j])
+        first = sparse_product(a, dc[i], units[j])
+        second = sparse_scale(a.eps(d.degree, degs[i]), sparse_product(a, units[i], dc[j]))
+        return left, sparse_add(first, second)
+
+    return _first_failure(a, 2, [("leibniz", leibniz)])
+
+
+def _sided(a: ColorHomAlgebra, f: GradedLinearMap, side: str, role: str, left, right) -> Verdict:
+    """An even operator that commutes with alpha and meets its left and/or right condition.
+
+    left and right are (name, sides) conditions; with side="both" the left
+    one runs first at each pair.
+    """
+    _require_even_endo(a, f, role)
+    if side not in ("left", "right", "both"):
+        raise StructureError(f"side must be left/right/both, got {side!r}")
+    v = commutes_with_twist(a, f)
+    if not v:
+        return v
+    conditions = [c for s, c in (("left", left), ("right", right)) if side in (s, "both")]
+    return _first_failure(a, 2, conditions)
 
 
 def is_averaging(a: ColorHomAlgebra, f: GradedLinearMap, side: str = "both") -> Verdict:
@@ -438,46 +457,32 @@ def is_averaging(a: ColorHomAlgebra, f: GradedLinearMap, side: str = "both") -> 
 
     left side:  f(x)*f(y) = f(f(x)*y);  right side:  f(x)*f(y) = f(x*f(y)).
     """
-    _require_even_endo(a, f, "averaging candidate")
-    if side not in ("left", "right", "both"):
-        raise StructureError(f"side must be left/right/both, got {side!r}")
-    v = commutes_with_twist(a, f)
-    if not v:
-        return v
-    n = a.dim
-    for i, j in iproduct(range(n), repeat=2):
-        ff = eval_product(a, f.column(i), f.column(j))
-        if side in ("left", "both"):
-            right = eval_map(f, eval_product(a, f.column(i), unit_vector(a.field, n, j)))
-            if ff != right:
-                return _fail("left-averaging", (i, j), ff, right)
-        if side in ("right", "both"):
-            right = eval_map(f, eval_product(a, unit_vector(a.field, n, i), f.column(j)))
-            if ff != right:
-                return _fail("right-averaging", (i, j), ff, right)
-    return PASS
+    fc, units = f.sparse_columns, _units(a)
+
+    def left(i, j):
+        return sparse_product(a, fc[i], fc[j]), sparse_apply(f, sparse_product(a, fc[i], units[j]))
+
+    def right(i, j):
+        return sparse_product(a, fc[i], fc[j]), sparse_apply(f, sparse_product(a, units[i], fc[j]))
+
+    return _sided(
+        a, f, side, "averaging candidate", ("left-averaging", left), ("right-averaging", right)
+    )
 
 
 def is_centroid(a: ColorHomAlgebra, f: GradedLinearMap, side: str = "both") -> Verdict:
     """Centroid element: commutes with alpha and slides out of the product."""
-    _require_even_endo(a, f, "centroid candidate")
-    if side not in ("left", "right", "both"):
-        raise StructureError(f"side must be left/right/both, got {side!r}")
-    v = commutes_with_twist(a, f)
-    if not v:
-        return v
-    n = a.dim
-    for i, j in iproduct(range(n), repeat=2):
-        fxy = eval_map(f, a.structure[i][j])
-        if side in ("left", "both"):
-            right = eval_product(a, f.column(i), unit_vector(a.field, n, j))
-            if fxy != right:
-                return _fail("left-centroid", (i, j), fxy, right)
-        if side in ("right", "both"):
-            right = eval_product(a, unit_vector(a.field, n, i), f.column(j))
-            if fxy != right:
-                return _fail("right-centroid", (i, j), fxy, right)
-    return PASS
+    rows, fc, units = a.product_rows, f.sparse_columns, _units(a)
+
+    def left(i, j):
+        return sparse_apply(f, rows[i][j]), sparse_product(a, fc[i], units[j])
+
+    def right(i, j):
+        return sparse_apply(f, rows[i][j]), sparse_product(a, units[i], fc[j])
+
+    return _sided(
+        a, f, side, "centroid candidate", ("left-centroid", left), ("right-centroid", right)
+    )
 
 
 def is_rota_baxter(l: ColorHomAlgebra, r: GradedLinearMap, weight) -> Verdict:
@@ -491,26 +496,22 @@ def is_rota_baxter(l: ColorHomAlgebra, r: GradedLinearMap, weight) -> Verdict:
     v = commutes_with_twist(l, r)
     if not v:
         return v
-    n = l.dim
-    for i, j in iproduct(range(n), repeat=2):
-        left = eval_product(l, r.column(i), r.column(j))
-        inner = vec_add(
-            eval_product(l, r.column(i), unit_vector(l.field, n, j)),
-            eval_product(l, unit_vector(l.field, n, i), r.column(j)),
-        )
-        inner = vec_add(inner, vec_scale(lam, tuple(l.structure[i][j])))
-        right = eval_map(r, inner)
-        if left != right:
-            return _fail("rota-baxter", (i, j), left, right)
-    return PASS
+    rows, rc, units = l.product_rows, r.sparse_columns, _units(l)
+
+    def rota_baxter(i, j):
+        inner = sparse_add(sparse_product(l, rc[i], units[j]), sparse_product(l, units[i], rc[j]))
+        inner = sparse_add(inner, sparse_scale(lam, rows[i][j]))
+        return sparse_product(l, rc[i], rc[j]), sparse_apply(r, inner)
+
+    return _first_failure(l, 2, [("rota-baxter", rota_baxter)])
 
 
 def in_alpha_center(l: ColorHomAlgebra, x) -> bool:
     """True when [x, alpha(y)] = 0 for every y (checked on basis images)."""
-    for j in range(l.dim):
-        if not vec_is_zero(eval_product(l, x, eval_map(l.alpha, unit_vector(l.field, l.dim, j)))):
-            return False
-    return True
+    if len(x) != l.dim:
+        raise StructureError(f"vectors must have length {l.dim}")
+    xs, ac = sparse_vector(x), l.alpha.sparse_columns
+    return bool(_first_failure(l, 1, [("alpha-center", lambda j: (sparse_product(l, xs, ac[j]), {}))]))
 
 
 def check_bracket_operator_conditions(l: ColorHomAlgebra, f: GradedLinearMap) -> Verdict:
@@ -527,28 +528,28 @@ def check_bracket_operator_conditions(l: ColorHomAlgebra, f: GradedLinearMap) ->
     if not v:
         return v
     n = l.dim
-    degs = l.degrees
-    units = [unit_vector(l.field, n, i) for i in range(n)]
-    zero = zero_vector(l.field, n)
-    for i, j in iproduct(range(n), repeat=2):
-        inner = vec_add(
-            eval_product(l, f.column(i), units[j]),
-            eval_product(l, units[i], f.column(j)),
-        )
-        defect = vec_sub(eval_map(f, inner), eval_product(l, f.column(i), f.column(j)))
-        if not vec_is_zero(defect):
-            for k in range(n):
-                probe = eval_product(l, defect, eval_map(l.alpha, units[k]))
-                if not vec_is_zero(probe):
-                    return _fail("defect-centrality", (i, j, k), probe, zero)
-    for i, j, k in iproduct(range(n), repeat=3):
-        fij = eval_map(f, eval_product(l, f.column(i), units[j]))
-        fik = eval_map(f, eval_product(l, f.column(i), units[k]))
-        left = eval_product(l, fij, eval_map(l.alpha, units[k]))
-        right = vec_scale(
-            l.eps(degs[j], degs[k]),
-            eval_product(l, fik, eval_map(l.alpha, units[j])),
-        )
-        if left != right:
-            return _fail("operator-right-commutativity", (i, j, k), left, right)
-    return PASS
+    fc, ac, units, eps = f.sparse_columns, l.alpha.sparse_columns, _units(l), l.eps_table
+    # fx_y[i][j] = [f(e_i), e_j]
+    fx_y = [[sparse_product(l, fc[i], units[j]) for j in range(n)] for i in range(n)]
+    defect = [
+        [
+            sparse_sub(
+                sparse_apply(f, sparse_add(fx_y[i][j], sparse_product(l, units[i], fc[j]))),
+                sparse_product(l, fc[i], fc[j]),
+            )
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    v = _first_failure(
+        l, 3, [("defect-centrality", lambda i, j, k: (sparse_product(l, defect[i][j], ac[k]), {}))]
+    )
+    if not v:
+        return v
+    g = [[sparse_apply(f, c) for c in row] for row in fx_y]
+
+    def operator_right_commutativity(i, j, k):
+        left = sparse_product(l, g[i][j], ac[k])
+        return left, sparse_scale(eps[j][k], sparse_product(l, g[i][k], ac[j]))
+
+    return _first_failure(l, 3, [("operator-right-commutativity", operator_right_commutativity)])

@@ -35,7 +35,11 @@ def _load_document(path: str) -> ParsedDocument:
     p = Path(path)
     if not p.is_file():
         raise StructureError(f"no such file: {path}")
-    return parse_document(p.read_text(encoding="utf-8"))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise StructureError(f"{path}: not UTF-8 text: {exc}") from None
+    return parse_document(text)
 
 
 def _witness_json(field: ScalarField, w):
@@ -307,7 +311,8 @@ def cmd_suite(args) -> int:
             raise StructureError(f"no such manifest: {manifest_arg}")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    # bad JSON or UTF-8, an integer literal past int's digit limit, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise StructureError(f"manifest syntax: {exc}") from None
     if not isinstance(manifest, dict) or "rows" not in manifest:
         raise StructureError("manifest must be an object with a rows list")

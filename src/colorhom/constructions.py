@@ -2,14 +2,13 @@
 
 Every construction validates its stated hypotheses before computing
 (checked=False skips that validation for experiments; structural sanity and
-product evenness are still enforced by make_algebra on the way out).  All
-outputs are assembled through make_algebra, so no construction can emit an
-ill-formed algebra.
+product evenness are still enforced by make_algebra on the way out).  Each
+construction states its product as a sparse cell, (i, j) -> e_i * e_j, and
+core._algebra_from_cells assembles it through make_algebra, so no
+construction can emit an ill-formed algebra.
 """
 
 from __future__ import annotations
-
-from itertools import product as iproduct
 
 from .checks import (
     check_epsilon_commutative,
@@ -28,16 +27,17 @@ from .core import (
     ColorHomAlgebra,
     GradedBasis,
     GradedLinearMap,
-    commutator_tensor,
+    _algebra_from_cells,
+    _bracket_cell,
     compose_maps,
-    eval_map,
-    eval_product,
     homogeneous_components,
     identity_map,
     invert_map,
     make_algebra,
     map_power,
-    unit_vector,
+    sparse_apply,
+    sparse_product,
+    sparse_vector,
 )
 from .errors import HypothesisError, SingularMapError, StructureError
 
@@ -63,12 +63,33 @@ def _require(op: str, requirement: str, verdict):
         raise HypothesisError(op, requirement, verdict)
 
 
-def _map_structure(f: GradedLinearMap, a: ColorHomAlgebra) -> tuple:
-    """Apply f to every product: c'[i][j] = f(e_i * e_j)."""
-    return tuple(
-        tuple(eval_map(f, a.structure[i][j]) for j in range(a.dim))
-        for i in range(a.dim)
-    )
+def _require_dim(a: ColorHomAlgebra, f: GradedLinearMap):
+    # unchecked mode skips the predicates that would reject f's basis
+    if f.basis.dim != a.dim:
+        raise StructureError(f"map has dimension {f.basis.dim}, the algebra {a.dim}")
+
+
+def _mapped(f: GradedLinearMap, a: ColorHomAlgebra):
+    """The cell of f applied to every product: (i, j) -> f(e_i * e_j)."""
+    _require_dim(a, f)
+    rows = a.product_rows
+    return lambda i, j: sparse_apply(f, rows[i][j])
+
+
+def _times_column(a: ColorHomAlgebra, f: GradedLinearMap):
+    """The cell (i, j) -> e_i * f(e_j)."""
+    _require_dim(a, f)
+    one, fc = a.field.one, f.sparse_columns
+    return lambda i, j: sparse_product(a, {i: one}, fc[j])
+
+
+def _require_shared_grading(a: ColorHomAlgebra, b: ColorHomAlgebra, what: str):
+    if a.field != b.field:
+        raise StructureError(f"{what} needs a shared scalar field")
+    if a.group != b.group:
+        raise StructureError(f"{what} needs a shared grading group")
+    if a.bicharacter != b.bicharacter:
+        raise StructureError(f"{what} needs a shared bicharacter")
 
 
 def yau_twist(a: ColorHomAlgebra, beta: GradedLinearMap, *, checked: bool = True) -> ColorHomAlgebra:
@@ -80,11 +101,8 @@ def yau_twist(a: ColorHomAlgebra, beta: GradedLinearMap, *, checked: bool = True
     if checked:
         _require("yau_twist", "weak-morphism", is_weak_morphism(a, a, beta))
         _require("yau_twist", "hom-novikov", check_hom_novikov(a))
-    return make_algebra(
-        a.basis,
-        a.bicharacter,
-        _map_structure(beta, a),
-        compose_maps(beta, a.alpha),
+    return _algebra_from_cells(
+        a.basis, a.bicharacter, _mapped(beta, a), compose_maps(beta, a.alpha)
     )
 
 
@@ -96,8 +114,8 @@ def power_twist(a: ColorHomAlgebra, n: int, *, checked: bool = True) -> ColorHom
         _require("power_twist", "multiplicative", check_multiplicative(a))
         _require("power_twist", "hom-novikov", check_hom_novikov(a))
     an = map_power(a.alpha, n)
-    return make_algebra(
-        a.basis, a.bicharacter, _map_structure(an, a), map_power(a.alpha, n + 1)
+    return _algebra_from_cells(
+        a.basis, a.bicharacter, _mapped(an, a), map_power(a.alpha, n + 1)
     )
 
 
@@ -106,7 +124,7 @@ def centroid_twist(a: ColorHomAlgebra, beta: GradedLinearMap, *, checked: bool =
     if checked:
         _require("centroid_twist", "centroid", is_centroid(a, beta, "both"))
         _require("centroid_twist", "hom-novikov", check_hom_novikov(a))
-    return make_algebra(a.basis, a.bicharacter, _map_structure(beta, a), a.alpha)
+    return _algebra_from_cells(a.basis, a.bicharacter, _mapped(beta, a), a.alpha)
 
 
 def xi_square_twist(a: ColorHomAlgebra, xi, *, checked: bool = True) -> ColorHomAlgebra:
@@ -129,12 +147,10 @@ def xi_square_twist(a: ColorHomAlgebra, xi, *, checked: bool = True) -> ColorHom
             "xi_square_twist", "epsilon-commutative", check_epsilon_commutative(a)
         )
         _require("xi_square_twist", "hom-associative", check_hom_associative(a))
-    structure = tuple(
-        tuple(eval_product(a, xi, a.structure[i][j]) for j in range(a.dim))
-        for i in range(a.dim)
-    )
-    return make_algebra(
-        a.basis, a.bicharacter, structure, map_power(a.alpha, 2)
+    xs, rows = sparse_vector(xi), a.product_rows
+    return _algebra_from_cells(
+        a.basis, a.bicharacter, lambda i, j: sparse_product(a, xs, rows[i][j]),
+        map_power(a.alpha, 2),
     )
 
 
@@ -144,7 +160,7 @@ def commutator_algebra(a: ColorHomAlgebra) -> ColorHomAlgebra:
     Total: no hypotheses.  The bracket of a Hom-Novikov algebra is Hom-Lie;
     that conclusion is a check on the output, not a precondition here.
     """
-    return make_algebra(a.basis, a.bicharacter, commutator_tensor(a), a.alpha)
+    return _algebra_from_cells(a.basis, a.bicharacter, _bracket_cell(a), a.alpha)
 
 
 def derivation_product(a: ColorHomAlgebra, d: GradedLinearMap, *, checked: bool = True) -> ColorHomAlgebra:
@@ -153,27 +169,15 @@ def derivation_product(a: ColorHomAlgebra, d: GradedLinearMap, *, checked: bool 
     d must be an even derivation commuting with alpha; the output is
     Hom-Novikov with the same twisting map.
     """
+    op = "derivation_product"
     if checked:
-        _require(
-            "derivation_product", "epsilon-commutative", check_epsilon_commutative(a)
-        )
-        _require("derivation_product", "hom-associative", check_hom_associative(a))
+        _require(op, "epsilon-commutative", check_epsilon_commutative(a))
+        _require(op, "hom-associative", check_hom_associative(a))
         if not d.is_even:
-            raise HypothesisError(
-                "derivation_product", "even-derivation", detail="derivation has nonzero degree"
-            )
-        _require("derivation_product", "derivation", is_derivation(a, d))
-        _require(
-            "derivation_product", "twist-commutation", commutes_with_twist(a, d)
-        )
-    structure = tuple(
-        tuple(
-            eval_product(a, unit_vector(a.field, a.dim, i), d.column(j))
-            for j in range(a.dim)
-        )
-        for i in range(a.dim)
-    )
-    return make_algebra(a.basis, a.bicharacter, structure, a.alpha)
+            raise HypothesisError(op, "even-derivation", detail="derivation has nonzero degree")
+        _require(op, "derivation", is_derivation(a, d))
+        _require(op, "twist-commutation", commutes_with_twist(a, d))
+    return _algebra_from_cells(a.basis, a.bicharacter, _times_column(a, d), a.alpha)
 
 
 def composed_derivation_product(a: ColorHomAlgebra, d: GradedLinearMap, *, checked: bool = True) -> ColorHomAlgebra:
@@ -185,43 +189,24 @@ def composed_derivation_product(a: ColorHomAlgebra, d: GradedLinearMap, *, check
     Yau twist of the derivation product along m, so it is Hom-Novikov with
     twisting map m.
     """
+    op = "composed_derivation_product"
     m = a.alpha
     plain = make_algebra(a.basis, a.bicharacter, a.structure, identity_map(a.basis))
     if checked:
-        _require(
-            "composed_derivation_product",
-            "epsilon-commutative",
-            check_epsilon_commutative(plain),
-        )
-        _require(
-            "composed_derivation_product",
-            "associative",
-            check_hom_associative(plain),
-        )
-        _require(
-            "composed_derivation_product",
-            "weak-morphism",
-            is_weak_morphism(plain, plain, m),
-        )
+        _require(op, "epsilon-commutative", check_epsilon_commutative(plain))
+        _require(op, "associative", check_hom_associative(plain))
+        _require(op, "weak-morphism", is_weak_morphism(plain, plain, m))
         if not d.is_even:
-            raise HypothesisError(
-                "composed_derivation_product", "even-derivation",
-                detail="derivation has nonzero degree",
-            )
-        _require("composed_derivation_product", "derivation", is_derivation(plain, d))
+            raise HypothesisError(op, "even-derivation", detail="derivation has nonzero degree")
+        _require(op, "derivation", is_derivation(plain, d))
         if compose_maps(d, m).matrix != compose_maps(m, d).matrix:
             raise HypothesisError(
-                "composed_derivation_product", "twist-commutation",
-                detail="derivation does not commute with the morphism",
+                op, "twist-commutation", detail="derivation does not commute with the morphism"
             )
-    structure = tuple(
-        tuple(
-            eval_map(m, eval_product(a, unit_vector(a.field, a.dim, i), d.column(j)))
-            for j in range(a.dim)
-        )
-        for i in range(a.dim)
+    product = _times_column(a, d)
+    return _algebra_from_cells(
+        a.basis, a.bicharacter, lambda i, j: sparse_apply(m, product(i, j)), m
     )
-    return make_algebra(a.basis, a.bicharacter, structure, m)
 
 
 def averaging_product(a: ColorHomAlgebra, f: GradedLinearMap, *, checked: bool = True) -> ColorHomAlgebra:
@@ -235,14 +220,7 @@ def averaging_product(a: ColorHomAlgebra, f: GradedLinearMap, *, checked: bool =
         )
         _require("averaging_product", "hom-novikov", check_hom_novikov(a))
         _require("averaging_product", "averaging", is_averaging(a, f, "both"))
-    structure = tuple(
-        tuple(
-            eval_product(a, unit_vector(a.field, a.dim, i), f.column(j))
-            for j in range(a.dim)
-        )
-        for i in range(a.dim)
-    )
-    return make_algebra(a.basis, a.bicharacter, structure, a.alpha)
+    return _algebra_from_cells(a.basis, a.bicharacter, _times_column(a, f), a.alpha)
 
 
 def bracket_operator_product(l: ColorHomAlgebra, f: GradedLinearMap, *, checked: bool = True) -> ColorHomAlgebra:
@@ -261,14 +239,10 @@ def bracket_operator_product(l: ColorHomAlgebra, f: GradedLinearMap, *, checked:
         _require(
             "bracket_operator_product", "twist-commutation", commutes_with_twist(l, f)
         )
-    structure = tuple(
-        tuple(
-            eval_product(l, f.column(i), unit_vector(l.field, l.dim, j))
-            for j in range(l.dim)
-        )
-        for i in range(l.dim)
+    one, fc = l.field.one, f.sparse_columns
+    return _algebra_from_cells(
+        l.basis, l.bicharacter, lambda i, j: sparse_product(l, fc[i], {j: one}), l.alpha
     )
-    return make_algebra(l.basis, l.bicharacter, structure, l.alpha)
 
 
 def direct_sum(a: ColorHomAlgebra, b: ColorHomAlgebra) -> ColorHomAlgebra:
@@ -277,40 +251,25 @@ def direct_sum(a: ColorHomAlgebra, b: ColorHomAlgebra) -> ColorHomAlgebra:
     mixed products vanish, alpha acts blockwise; Hom-Novikov when both
     summands are (a conclusion, checked by callers).
     """
-    if a.field != b.field:
-        raise StructureError("direct sum needs a shared scalar field")
-    if a.group != b.group:
-        raise StructureError("direct sum needs a shared grading group")
-    if a.bicharacter != b.bicharacter:
-        raise StructureError("direct sum needs a shared bicharacter")
+    _require_shared_grading(a, b, "direct sum")
     na, nb = a.dim, b.dim
-    n = na + nb
     basis = GradedBasis(a.field, a.group, a.degrees + b.degrees)
+    ra, rb = a.product_rows, b.product_rows
+
+    def cell(i, j):
+        if i < na and j < na:
+            return ra[i][j]
+        if i >= na and j >= na:
+            return {na + k: c for k, c in rb[i - na][j - na].items()}
+        return {}
+
     zero = a.field.zero
-    structure = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            cell = [zero] * n
-            if i < na and j < na:
-                for k in range(na):
-                    cell[k] = a.structure[i][j][k]
-            elif i >= na and j >= na:
-                for k in range(nb):
-                    cell[na + k] = b.structure[i - na][j - na][k]
-            plane.append(tuple(cell))
-        structure.append(tuple(plane))
-    alpha_rows = []
-    for k in range(n):
-        row = [zero] * n
-        for i in range(n):
-            if k < na and i < na:
-                row[i] = a.alpha.matrix[k][i]
-            elif k >= na and i >= na:
-                row[i] = b.alpha.matrix[k - na][i - na]
-        alpha_rows.append(tuple(row))
-    alpha = GradedLinearMap(basis, tuple(alpha_rows))
-    return make_algebra(basis, a.bicharacter, tuple(structure), alpha)
+    alpha = GradedLinearMap(
+        basis,
+        tuple(row + (zero,) * nb for row in a.alpha.matrix)
+        + tuple((zero,) * na + row for row in b.alpha.matrix),
+    )
+    return _algebra_from_cells(basis, a.bicharacter, cell, alpha)
 
 
 def tensor_product(s: ColorHomAlgebra, a: ColorHomAlgebra, *, checked: bool = True) -> ColorHomAlgebra:
@@ -320,12 +279,7 @@ def tensor_product(s: ColorHomAlgebra, a: ColorHomAlgebra, *, checked: bool = Tr
     Hom-associative, over the same field, group, and bicharacter.  Basis
     pairs are ordered row-major: index (i, p) -> i * dim(a) + p.
     """
-    if s.field != a.field:
-        raise StructureError("tensor product needs a shared scalar field")
-    if s.group != a.group:
-        raise StructureError("tensor product needs a shared grading group")
-    if s.bicharacter != a.bicharacter:
-        raise StructureError("tensor product needs a shared bicharacter")
+    _require_shared_grading(s, a, "tensor product")
     if checked:
         _require("tensor_product", "hom-novikov(first factor)", check_hom_novikov(s))
         _require(
@@ -337,42 +291,28 @@ def tensor_product(s: ColorHomAlgebra, a: ColorHomAlgebra, *, checked: bool = Tr
             "tensor_product", "hom-associative(second factor)", check_hom_associative(a)
         )
     ns, na = s.dim, a.dim
-    n = ns * na
     degrees = tuple(
         s.degrees[i] + a.degrees[p] for i in range(ns) for p in range(na)
     )
     basis = GradedBasis(s.field, s.group, degrees)
-    zero = s.field.zero
-    structure = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for i, p, j, q in iproduct(range(ns), range(na), range(ns), range(na)):
-        sign = s.eps(a.degrees[p], s.degrees[j])
-        row = i * na + p
-        col = j * na + q
-        scell = s.structure[i][j]
-        acell = a.structure[p][q]
-        for k in range(ns):
-            sk = scell[k]
-            if sk == 0:
-                continue
-            for r in range(na):
-                ar = acell[r]
-                if ar == 0:
-                    continue
-                structure[row][col][k * na + r] = (
-                    structure[row][col][k * na + r] + sign * sk * ar
-                )
-    alpha_rows = [[zero] * n for _ in range(n)]
-    for k, r, i, p in iproduct(range(ns), range(na), range(ns), range(na)):
-        v = s.alpha.matrix[k][i] * a.alpha.matrix[r][p]
-        if v != 0:
-            alpha_rows[k * na + r][i * na + p] = v
-    alpha = GradedLinearMap(basis, tuple(tuple(r) for r in alpha_rows))
-    return make_algebra(
-        basis,
-        s.bicharacter,
-        tuple(tuple(tuple(c) for c in plane) for plane in structure),
-        alpha,
-    )
+    signs = [[s.eps(a.degrees[p], s.degrees[j]) for j in range(ns)] for p in range(na)]
+    rs, ra = s.product_rows, a.product_rows
+
+    def cell(row, col):
+        (i, p), (j, q) = divmod(row, na), divmod(col, na)
+        sign = signs[p][j]
+        return {
+            k * na + r: sign * sk * ar
+            for k, sk in rs[i][j].items()
+            for r, ar in ra[p][q].items()
+        }
+
+    sm, am = s.alpha.matrix, a.alpha.matrix
+    alpha = GradedLinearMap(basis, tuple(
+        tuple(sm[k][i] * am[r][p] for i in range(ns) for p in range(na))
+        for k in range(ns) for r in range(na)
+    ))
+    return _algebra_from_cells(basis, s.bicharacter, cell, alpha)
 
 
 def untwist_involutive(a: ColorHomAlgebra, *, checked: bool = True) -> ColorHomAlgebra:
@@ -386,8 +326,8 @@ def untwist_involutive(a: ColorHomAlgebra, *, checked: bool = True) -> ColorHomA
         _require("untwist_involutive", "involutive", check_involutive(a))
         _require("untwist_involutive", "multiplicative", check_multiplicative(a))
         _require("untwist_involutive", "hom-novikov", check_hom_novikov(a))
-    return make_algebra(
-        a.basis, a.bicharacter, _map_structure(a.alpha, a), identity_map(a.basis)
+    return _algebra_from_cells(
+        a.basis, a.bicharacter, _mapped(a.alpha, a), identity_map(a.basis)
     )
 
 
@@ -405,9 +345,8 @@ def regular_lie_untwist(a: ColorHomAlgebra, *, checked: bool = True) -> ColorHom
             "regular_lie_untwist", "invertible-twist",
             detail="alpha is singular",
         ) from None
-    bracket = commutator_tensor(a)
-    structure = tuple(
-        tuple(eval_map(inv, bracket[i][j]) for j in range(a.dim))
-        for i in range(a.dim)
+    bracket = _bracket_cell(a)
+    return _algebra_from_cells(
+        a.basis, a.bicharacter, lambda i, j: sparse_apply(inv, bracket(i, j)),
+        identity_map(a.basis),
     )
-    return make_algebra(a.basis, a.bicharacter, structure, identity_map(a.basis))

@@ -13,8 +13,11 @@ Maps and algebras also carry sparse views, built once at construction and
 excluded from equality and repr: a map's columns and an algebra's product
 rows as {k: c} dicts holding only nonzero coefficients, and the algebra's
 eps value for every pair of basis indices.  The kernel (sparse_product,
-sparse_apply) works on sparse vectors, {index: nonzero coefficient}; the
-dense-tuple functions eval_product and eval_map convert at their boundary.
+sparse_apply) on sparse vectors, {index: nonzero coefficient}, is the only
+way the package evaluates products and maps.  Coordinate tuples appear only
+at the boundary: eval_product, eval_map and commutator_tensor convert, and
+_algebra_from_cells densifies computed products once into the tensor that
+make_algebra validates.
 """
 
 from __future__ import annotations
@@ -305,7 +308,8 @@ class ColorHomAlgebra:
     Derived in the same pass: product_rows[i][j] = {k: structure[i][j][k]}
     over the nonzero coefficients, and eps_table[i][j] = eps(deg e_i,
     deg e_j).  Every empty cell of product_rows is one shared object, and so
-    is every all-zero cell of structure.
+    is every all-zero cell of structure.  Checks and constructions read
+    these views; structure is what equality, hashing and repr see.
     """
 
     basis: GradedBasis
@@ -417,6 +421,22 @@ def make_algebra(basis: GradedBasis, bichar: Bicharacter, structure, alpha: Grad
     return algebra
 
 
+def _algebra_from_cells(basis: GradedBasis, bicharacter: Bicharacter, cell, alpha: GradedLinearMap) -> ColorHomAlgebra:
+    """make_algebra on the products cell(i, j) = e_i * e_j, given as sparse vectors.
+
+    The one way an algebra is built from computed products: the cells are
+    densified here, once, into the structure tensor make_algebra validates.
+    """
+    return make_algebra(basis, bicharacter, _dense_cells(basis, cell), alpha)
+
+
+def _dense_cells(basis: GradedBasis, cell) -> tuple:
+    n, field = basis.dim, basis.field
+    return tuple(
+        tuple(dense_vector(field, n, cell(i, j)) for j in range(n)) for i in range(n)
+    )
+
+
 def eval_product(a: ColorHomAlgebra, x, y) -> tuple:
     """Bilinear extension of the structure constants to arbitrary vectors."""
     n = a.dim
@@ -491,20 +511,13 @@ def sparse_scale(s, x: dict) -> dict:
 
 def commutator_tensor(a: ColorHomAlgebra) -> tuple:
     """b[i][j][k] = c[i][j][k] - eps(deg_i, deg_j) * c[j][i][k]."""
-    n = a.dim
-    rows = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            e = a.eps_table[i][j]
-            plane.append(
-                tuple(
-                    a.structure[i][j][k] - e * a.structure[j][i][k]
-                    for k in range(n)
-                )
-            )
-        rows.append(tuple(plane))
-    return tuple(rows)
+    return _dense_cells(a.basis, _bracket_cell(a))
+
+
+def _bracket_cell(a: ColorHomAlgebra):
+    """The commutator as a sparse cell: (i, j) -> e_i*e_j - eps(e_i, e_j) e_j*e_i."""
+    rows, eps = a.product_rows, a.eps_table
+    return lambda i, j: sparse_sub(rows[i][j], sparse_scale(eps[i][j], rows[j][i]))
 
 
 def unit_vector(field: ScalarField, dim: int, i: int) -> tuple:

@@ -165,17 +165,25 @@ def validate_bicharacter(b: Bicharacter) -> BicharacterReport:
     for t, order in enumerate(g.torsion_orders):
         i = g.free_rank + t
         for j in range(n):
-            if table[i][j] ** order != b.field.one:
+            if not _root_of_unity(table[i][j], order, b.field.one):
                 return BicharacterReport(
                     False, "torsion", (i, j),
                     f"E[{i}][{j}] has no order dividing {order}",
                 )
-            if table[j][i] ** order != b.field.one:
+            if not _root_of_unity(table[j][i], order, b.field.one):
                 return BicharacterReport(
                     False, "torsion", (j, i),
                     f"E[{j}][{i}] has no order dividing {order}",
                 )
     return BicharacterReport(True)
+
+
+def _root_of_unity(v, order: int, one) -> bool:
+    # the only rational roots of unity are +-1; v ** order is never formed for
+    # other rationals, since the order can be huge
+    if isinstance(v, Fraction) and abs(v) != 1:
+        return False
+    return v ** order == one
 
 
 def make_bicharacter(field: ScalarField, group: GradeGroup, rows) -> Bicharacter:

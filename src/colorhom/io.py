@@ -21,8 +21,8 @@ from .core import (
     ColorHomAlgebra,
     GradedBasis,
     GradedLinearMap,
+    _algebra_from_cells,
     identity_map,
-    make_algebra,
 )
 from .errors import StructureError
 from .grading import Bicharacter, GradeGroup
@@ -59,6 +59,30 @@ def _scalar_from_json(f: ScalarField, v, where: str):
     if isinstance(v, str):
         return f.parse(v)
     raise StructureError(f"{where}: bad scalar {v!r}")
+
+
+def _matrix_from_json(f: ScalarField, rows, where: str) -> tuple:
+    _expect(
+        isinstance(rows, list) and all(isinstance(row, list) for row in rows),
+        f"{where}: matrix must be a list of rows",
+    )
+    return tuple(tuple(_scalar_from_json(f, v, where) for v in row) for row in rows)
+
+
+def _degree_from_json(group: GradeGroup, coords, where: str):
+    _expect(
+        isinstance(coords, list)
+        and all(isinstance(c, int) and not isinstance(c, bool) for c in coords),
+        f"{where} must be a list of integers",
+    )
+    return group.element(coords)
+
+
+def _object_from_json(section, where: str) -> dict:
+    """An optional section: absent or empty reads as {}."""
+    section = section or {}
+    _expect(isinstance(section, dict), f"{where}: must be an object")
+    return section
 
 
 def _matrix_to_json(f: ScalarField, rows):
@@ -176,7 +200,8 @@ def parse_document(text: str) -> ParsedDocument:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # a JSONDecodeError, an integer literal past int's digit limit, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise StructureError(f"syntax: {exc}") from None
     _expect(isinstance(doc, dict), "document must be a JSON object")
     for section in ("field", "group", "bicharacter", "basis", "product", "alpha"):
@@ -194,33 +219,28 @@ def parse_document(text: str) -> ParsedDocument:
 
     gsec = doc["group"]
     _expect(isinstance(gsec, dict), "group: must be an object")
-    group = GradeGroup(
-        gsec.get("free_rank", 0), tuple(gsec.get("torsion_orders", ()))
-    )
+    torsion = gsec.get("torsion_orders", [])
+    _expect(isinstance(torsion, list), "group: torsion_orders must be a list")
+    group = GradeGroup(gsec.get("free_rank", 0), tuple(torsion))
 
     bsec = doc["bicharacter"]
     _expect(isinstance(bsec, dict) and "gen_table" in bsec, "bicharacter: need gen_table")
-    table = [
-        [_scalar_from_json(field, v, "bicharacter") for v in row]
-        for row in bsec["gen_table"]
-    ]
-    bichar = Bicharacter(field, group, tuple(tuple(r) for r in table))
+    bichar = Bicharacter(field, group, _matrix_from_json(field, bsec["gen_table"], "bicharacter"))
 
     dsec = doc["basis"]
     _expect(isinstance(dsec, dict) and "degrees" in dsec, "basis: need degrees")
-    degrees = []
-    for idx, coords in enumerate(dsec["degrees"]):
-        _expect(
-            isinstance(coords, list) and all(isinstance(c, int) and not isinstance(c, bool) for c in coords),
-            f"basis: degree {idx} must be a list of integers",
-        )
-        degrees.append(group.element(coords))
+    _expect(isinstance(dsec["degrees"], list), "basis: degrees must be a list")
+    degrees = [
+        _degree_from_json(group, coords, f"basis: degree {idx}")
+        for idx, coords in enumerate(dsec["degrees"])
+    ]
     basis = GradedBasis(field, group, tuple(degrees))
     n = basis.dim
 
     psec = doc["product"]
     _expect(isinstance(psec, dict) and "triples" in psec, "product: need triples")
-    structure = [[[field.zero] * n for _ in range(n)] for _ in range(n)]
+    _expect(isinstance(psec["triples"], list), "product: triples must be a list")
+    cells: dict = {}
     for entry in psec["triples"]:
         _expect(
             isinstance(entry, list) and len(entry) == 4,
@@ -232,58 +252,42 @@ def parse_document(text: str) -> ParsedDocument:
                 isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n,
                 f"product: index out of range in {entry!r}",
             )
-        structure[i][j][k] = structure[i][j][k] + _scalar_from_json(
-            field, v, f"product[{i},{j},{k}]"
-        )
+        cell = cells.setdefault((i, j), {})
+        cell[k] = cell.get(k, field.zero) + _scalar_from_json(field, v, f"product[{i},{j},{k}]")
 
     asec = doc["alpha"]
     _expect(isinstance(asec, dict) and "matrix" in asec, "alpha: need matrix")
-    alpha_rows = [
-        [_scalar_from_json(field, v, "alpha") for v in row] for row in asec["matrix"]
-    ]
-    alpha = GradedLinearMap(basis, tuple(tuple(r) for r in alpha_rows))
+    alpha = GradedLinearMap(basis, _matrix_from_json(field, asec["matrix"], "alpha"))
 
-    algebra = make_algebra(
-        basis,
-        bichar,
-        tuple(tuple(tuple(c) for c in plane) for plane in structure),
-        alpha,
-    )
+    algebra = _algebra_from_cells(basis, bichar, lambda i, j: cells.get((i, j), {}), alpha)
 
     maps = {}
-    for name, msec in (doc.get("maps") or {}).items():
+    for name, msec in _object_from_json(doc.get("maps"), "maps").items():
         _expect(isinstance(msec, dict) and "matrix" in msec, f"maps.{name}: need matrix")
         deg = None
         if "degree" in msec:
-            deg = group.element(msec["degree"])
-        rows = [
-            [_scalar_from_json(field, v, f"maps.{name}") for v in row]
-            for row in msec["matrix"]
-        ]
-        maps[name] = GradedLinearMap(basis, tuple(tuple(r) for r in rows), deg)
+            deg = _degree_from_json(group, msec["degree"], f"maps.{name}: degree")
+        rows = _matrix_from_json(field, msec["matrix"], f"maps.{name}")
+        maps[name] = GradedLinearMap(basis, rows, deg)
 
     forms = {}
-    for name, fsec2 in (doc.get("forms") or {}).items():
+    for name, fsec2 in _object_from_json(doc.get("forms"), "forms").items():
         _expect(isinstance(fsec2, dict) and "gram" in fsec2, f"forms.{name}: need gram")
         companion_name = fsec2.get("companion", "id")
         if companion_name == "id":
             companion = identity_map(basis)
         elif companion_name == "alpha":
             companion = alpha
-        elif companion_name in maps:
+        elif isinstance(companion_name, str) and companion_name in maps:
             companion = maps[companion_name]
         else:
             raise StructureError(
                 f"forms.{name}: companion {companion_name!r} is not id, alpha, "
                 "or a map defined in this document"
             )
-        gram = [
-            [_scalar_from_json(field, v, f"forms.{name}") for v in row]
-            for row in fsec2["gram"]
-        ]
         forms[name] = BilinearFormStructure(
             basis,
-            tuple(tuple(r) for r in gram),
+            _matrix_from_json(field, fsec2["gram"], f"forms.{name}"),
             companion,
             require_even=fsec2.get("require_even", True),
         )

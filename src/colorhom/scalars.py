@@ -20,6 +20,9 @@ PRIME_FIELD = "prime-field"
 
 # moduli are capped, so trial division is plenty
 _MAX_MODULUS = 2**31
+# a decimal exponent stays below 10**4: Fraction("1e999999999") would build
+# a billion-digit integer
+_MAX_EXPONENT_DIGITS = 4
 
 
 def is_prime(n: int) -> bool:
@@ -145,12 +148,13 @@ class ScalarField:
                 raise StructureError("rationals take no modulus")
         elif self.kind == PRIME_FIELD:
             p = self.p
+            # the cap comes first: it bounds the trial division in is_prime
+            if isinstance(p, int) and p >= _MAX_MODULUS:
+                raise StructureError(f"modulus {p} too large (cap 2**31)")
             if not isinstance(p, int) or not is_prime(p):
                 raise StructureError(f"modulus {p!r} is not prime")
             if p == 2:
                 raise StructureError("characteristic 2 is not supported")
-            if p >= _MAX_MODULUS:
-                raise StructureError(f"modulus {p} too large (cap 2**31)")
         else:
             raise StructureError(f"unknown field kind {self.kind!r}")
 
@@ -193,6 +197,9 @@ class ScalarField:
         if isinstance(text, int):
             return self.from_int(text)
         if isinstance(text, str):
+            _, marker, exponent = text.lower().partition("e")
+            if marker and len(exponent.strip().lstrip("+-")) > _MAX_EXPONENT_DIGITS:
+                raise StructureError(f"bad scalar literal {text!r}: exponent too long")
             try:
                 q = Fraction(text.strip())
             except (ValueError, ZeroDivisionError) as exc:

@@ -1,0 +1,194 @@
+"""Hostile documents end in StructureError (CLI exit 2), in bounded time.
+
+The fuzz mutates the bundled instance documents: it drops or retypes
+sections and entries at any depth, pushes product indices out of range, and
+plants huge integers and float scalars.  parse_document may accept the
+result or raise StructureError; any other exception is a defect.
+"""
+
+import json
+import subprocess
+import sys
+import time
+from fractions import Fraction
+from importlib import resources
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from colorhom.errors import StructureError
+from colorhom.grading import GradeGroup, make_bicharacter
+from colorhom.io import parse_document
+from colorhom.scalars import prime_field, rationals
+
+# the text of a huge integer is spliced in after json.dumps, which refuses
+# to print an int past Python's digit limit
+_HUGE_TEXT = "@huge@"
+_HUGE_DIGITS = "9" * 5000
+# 2**61 - 1 is prime: trial division up to its square root would not end
+HUGE_INTEGERS = (10**30, -(10**30), 2**61 - 1, 2**31 + 11, _HUGE_TEXT)
+
+INSTANCES = sorted(
+    (p.name, p.read_text(encoding="utf-8"))
+    for p in (resources.files("colorhom") / "suites" / "instances").iterdir()
+    if p.name.endswith(".json")
+)
+
+junk = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 9),
+    st.sampled_from(HUGE_INTEGERS),
+    st.sampled_from((0.5, -1.0, 1e300)),
+    st.text("01/-ab", max_size=4),
+    st.lists(st.integers(-2, 9), max_size=4),
+    st.lists(st.lists(st.integers(-1, 3), max_size=3), max_size=3),
+    # fresh objects each draw: later mutations may change them in place
+    st.builds(dict),
+    st.builds(lambda: {"matrix": [[1]]}),
+)
+
+
+def _paths(node, prefix=()):
+    """Every position in a JSON tree, as a tuple of keys and list indices."""
+    yield prefix
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _paths(v, prefix + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _paths(v, prefix + (i,))
+
+
+def _parent(doc, path):
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    return node
+
+
+@st.composite
+def hostile_documents(draw):
+    name, text = draw(st.sampled_from(INSTANCES))
+    doc = json.loads(text)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = [p for p in _paths(doc) if p]
+        kind = draw(st.sampled_from(("drop", "retype", "index", "huge", "float")))
+        triples = doc.get("product", {}).get("triples") if isinstance(doc.get("product"), dict) else None
+        if kind == "index" and isinstance(triples, list) and triples and isinstance(triples[0], list):
+            entry = draw(st.sampled_from([t for t in triples if isinstance(t, list)]))
+            if entry:
+                slot = draw(st.integers(0, min(2, len(entry) - 1)))
+                entry[slot] = draw(st.sampled_from((-1, 8, 9, 10**6)))
+            continue
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = _parent(doc, path)
+        if kind == "drop":
+            del parent[path[-1]]
+        elif kind == "retype":
+            parent[path[-1]] = draw(junk)
+        elif kind == "huge":
+            parent[path[-1]] = draw(st.sampled_from(HUGE_INTEGERS))
+        else:
+            parent[path[-1]] = draw(st.sampled_from((0.5, 2.0, -0.25)))
+    return json.dumps(doc).replace(json.dumps(_HUGE_TEXT), _HUGE_DIGITS)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(hostile_documents())
+def test_parse_document_raises_only_structure_error(text):
+    start = time.perf_counter()
+    try:
+        parse_document(text)
+    except StructureError:
+        pass
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("name,text", INSTANCES, ids=[n for n, _ in INSTANCES])
+def test_bundled_instances_still_parse(name, text):
+    parse_document(text)
+
+
+def _superline(**changes):
+    doc = json.loads(dict(INSTANCES)["superline.json"])
+    for section, value in changes.items():
+        doc[section] = value
+    return json.dumps(doc)
+
+
+def test_a_huge_prime_modulus_is_rejected_without_a_primality_scan():
+    text = _superline(field={"kind": "prime-field", "p": 2**61 - 1})
+    start = time.perf_counter()
+    with pytest.raises(StructureError, match="too large"):
+        parse_document(text)
+    assert time.perf_counter() - start < 5
+
+
+def test_a_huge_torsion_order_with_a_rational_generator_value_is_rejected_quickly():
+    # E[0][1] = 2 is no root of unity in Q, whatever the order; 2**(10**30) is never formed
+    g = GradeGroup(0, (10**30, 2))
+    start = time.perf_counter()
+    with pytest.raises(StructureError, match="torsion"):
+        make_bicharacter(rationals(), g, ((1, 2), (Fraction(1, 2), 1)))
+    assert time.perf_counter() - start < 5
+    # +-1 and prime-field values are still checked exactly
+    make_bicharacter(rationals(), g, ((1, -1), (-1, 1)))
+    with pytest.raises(StructureError, match="torsion"):
+        make_bicharacter(prime_field(7), GradeGroup(0, (10**30 + 1, 2)), ((1, 6), (6, 1)))
+
+
+def test_a_scalar_literal_with_a_huge_exponent_is_rejected_quickly():
+    start = time.perf_counter()
+    with pytest.raises(StructureError):
+        rationals().parse("1e999999999")
+    assert time.perf_counter() - start < 5
+    assert rationals().parse("1.5e3") == 1500
+
+
+def test_nesting_too_deep_for_the_json_decoder_is_a_structure_error():
+    with pytest.raises(StructureError, match="syntax"):
+        parse_document("[" * 100000 + "]" * 100000)
+
+
+def _run_cli(*args):
+    return subprocess.run(
+        [sys.executable, "-m", "colorhom", *args],
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_cli_check_on_an_integer_past_the_digit_limit_exits_2(tmp_path):
+    doc = json.loads(dict(INSTANCES)["poly2.json"])
+    doc["basis"]["degrees"] = [[_HUGE_TEXT], [0]]
+    doc["group"] = {"free_rank": 1, "torsion_orders": []}
+    doc["bicharacter"] = {"gen_table": [[1]]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc).replace(json.dumps(_HUGE_TEXT), _HUGE_DIGITS), encoding="utf-8")
+    proc = _run_cli("check", str(path), "hom_novikov")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "error:" in proc.stderr
+
+
+def test_cli_check_on_a_document_that_is_not_utf8_exits_2(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(dict(INSTANCES)["poly2.json"].encode("utf-8") + b"\xff\xfe")
+    proc = _run_cli("check", str(path), "hom_novikov")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "error:" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [b'{"rows": [], "n": ' + b"9" * 5000 + b"}", b"\xff\xfe{}", b"[" * 100000],
+    ids=["integer-past-digit-limit", "not-utf8", "nesting-too-deep"],
+)
+def test_cli_suite_on_a_hostile_manifest_exits_2(tmp_path, payload):
+    path = tmp_path / "manifest.json"
+    path.write_bytes(payload)
+    proc = _run_cli("suite", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "error:" in proc.stderr

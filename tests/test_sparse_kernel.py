@@ -16,11 +16,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from colorhom import checks, core
+from colorhom import checks, constructions, core
 from colorhom.catalog import standard_entries
 from colorhom.checks import IDENTITIES_BY_CHECK, PASS, Verdict, Witness
 from colorhom.core import ColorHomAlgebra, GradedBasis, make_algebra, make_map
-from colorhom.errors import StructureError
+from colorhom.errors import HypothesisError, SingularMapError, StructureError
 from colorhom.grading import (
     EPS_MAX_BITS,
     GradeGroup,
@@ -200,8 +200,8 @@ VALUES = (-2, -1, 1, 2, 3)
 
 
 @st.composite
-def algebras(draw):
-    field, grading = draw(st.sampled_from(GRADINGS))
+def algebras(draw, field_grading=None):
+    field, grading = field_grading or draw(st.sampled_from(GRADINGS))
     group, bichar = grading(field)
     n = draw(st.integers(1, 4))
     elements = [group.element(c) for c in iproduct(*(range(m) for m in group.torsion_orders))]
@@ -391,3 +391,557 @@ def test_cli_check_on_a_hostile_exponent_exits_2_without_traceback(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# operator predicates and constructions against dense references
+#
+# The references below are the dense loops the operator predicates and the
+# constructions ran before they moved onto the shared scan loop and the
+# sparse-cell builder, rewritten over the dense evaluator above.  Maps are
+# applied through their matrices and basis images are map columns.  Hypothesis
+# gates of the reference constructions call the reference predicates and
+# dense_check, so only compose_maps, map_power, invert_map and make_algebra
+# are shared with the code under test.
+
+
+def _d_map(m, x):
+    n = len(m.matrix)
+    out = [m.basis.field.zero] * n
+    for k, i in iproduct(range(n), repeat=2):
+        if m.matrix[k][i] != 0 and x[i] != 0:
+            out[k] = out[k] + m.matrix[k][i] * x[i]
+    return tuple(out)
+
+
+def _d_unit(a, i):
+    return core.unit_vector(a.field, a.dim, i)
+
+
+def _fail(identity, indices, left, right):
+    return Verdict(False, Witness(identity, tuple(indices), left, right))
+
+
+def _d_require_shared_space(a, b):
+    if a.basis != b.basis:
+        raise StructureError("the two algebras must share a basis")
+    if a.bicharacter != b.bicharacter:
+        raise StructureError("the two algebras must share a bicharacter")
+
+
+def _d_require_even_endo(a, f, role):
+    if f.basis != a.basis:
+        raise StructureError(f"{role} lives on a different basis")
+    if not f.is_even:
+        raise StructureError(f"{role} must be even (degree 0)")
+
+
+def _d_columns_agree(a, name, left_of, right_of):
+    for i in range(a.dim):
+        left, right = left_of(i), right_of(i)
+        if left != right:
+            return _fail(name, (i,), left, right)
+    return PASS
+
+
+def ref_commutes_with_twist(a, f):
+    if f.basis != a.basis:
+        raise StructureError("composition needs a shared basis")
+    return _d_columns_agree(
+        a, "twist-commutation",
+        lambda i: _d_map(a.alpha, f.column(i)), lambda i: _d_map(f, a.alpha.column(i)),
+    )
+
+
+def ref_check_involutive(a):
+    return _d_columns_agree(
+        a, "involution", lambda i: _d_map(a.alpha, a.alpha.column(i)), lambda i: _d_unit(a, i)
+    )
+
+
+def ref_is_weak_morphism(a, b, f):
+    _d_require_shared_space(a, b)
+    _d_require_even_endo(a, f, "morphism candidate")
+    for i, j in iproduct(range(a.dim), repeat=2):
+        left = _d_map(f, a.structure[i][j])
+        right = _d_mul(b, f.column(i), f.column(j))
+        if left != right:
+            return _fail("product-morphism", (i, j), left, right)
+    return PASS
+
+
+def ref_is_morphism(a, b, f):
+    v = ref_is_weak_morphism(a, b, f)
+    if not v:
+        return v
+    return _d_columns_agree(
+        a, "twist-compatibility",
+        lambda i: _d_map(f, a.alpha.column(i)), lambda i: _d_map(b.alpha, f.column(i)),
+    )
+
+
+def ref_is_derivation(a, d, degree=None):
+    if d.basis != a.basis:
+        raise StructureError("derivation candidate lives on a different basis")
+    if degree is not None and degree != d.degree:
+        raise StructureError("declared degree disagrees with the map's degree")
+    for i, j in iproduct(range(a.dim), repeat=2):
+        left = _d_map(d, a.structure[i][j])
+        first = _d_mul(a, d.column(i), _d_unit(a, j))
+        second = _d_scale(_d_eps(a, d.degree, a.degrees[i]), _d_mul(a, _d_unit(a, i), d.column(j)))
+        right = _d_add(first, second)
+        if left != right:
+            return _fail("leibniz", (i, j), left, right)
+    return PASS
+
+
+def _d_sided(a, f, side, role, name, lhs, left_rhs, right_rhs):
+    _d_require_even_endo(a, f, role)
+    if side not in ("left", "right", "both"):
+        raise StructureError(f"side must be left/right/both, got {side!r}")
+    v = ref_commutes_with_twist(a, f)
+    if not v:
+        return v
+    for i, j in iproduct(range(a.dim), repeat=2):
+        left = lhs(i, j)
+        if side in ("left", "both"):
+            right = left_rhs(i, j)
+            if left != right:
+                return _fail(f"left-{name}", (i, j), left, right)
+        if side in ("right", "both"):
+            right = right_rhs(i, j)
+            if left != right:
+                return _fail(f"right-{name}", (i, j), left, right)
+    return PASS
+
+
+def ref_is_averaging(a, f, side="both"):
+    return _d_sided(
+        a, f, side, "averaging candidate", "averaging",
+        lambda i, j: _d_mul(a, f.column(i), f.column(j)),
+        lambda i, j: _d_map(f, _d_mul(a, f.column(i), _d_unit(a, j))),
+        lambda i, j: _d_map(f, _d_mul(a, _d_unit(a, i), f.column(j))),
+    )
+
+
+def ref_is_centroid(a, f, side="both"):
+    return _d_sided(
+        a, f, side, "centroid candidate", "centroid",
+        lambda i, j: _d_map(f, a.structure[i][j]),
+        lambda i, j: _d_mul(a, f.column(i), _d_unit(a, j)),
+        lambda i, j: _d_mul(a, _d_unit(a, i), f.column(j)),
+    )
+
+
+def ref_is_rota_baxter(l, r, weight):
+    _d_require_even_endo(l, r, "operator")
+    lam = l.field.coerce(weight)
+    v = ref_commutes_with_twist(l, r)
+    if not v:
+        return v
+    for i, j in iproduct(range(l.dim), repeat=2):
+        left = _d_mul(l, r.column(i), r.column(j))
+        inner = _d_add(_d_mul(l, r.column(i), _d_unit(l, j)), _d_mul(l, _d_unit(l, i), r.column(j)))
+        inner = _d_add(inner, _d_scale(lam, l.structure[i][j]))
+        right = _d_map(r, inner)
+        if left != right:
+            return _fail("rota-baxter", (i, j), left, right)
+    return PASS
+
+
+def ref_in_alpha_center(l, x):
+    if len(x) != l.dim:
+        raise StructureError(f"vectors must have length {l.dim}")
+    return all(not any(_d_mul(l, x, l.alpha.column(j))) for j in range(l.dim))
+
+
+def ref_check_bracket_operator_conditions(l, f):
+    _d_require_even_endo(l, f, "operator")
+    v = ref_commutes_with_twist(l, f)
+    if not v:
+        return v
+    n = l.dim
+    zero = tuple(l.field.zero for _ in range(n))
+    for i, j in iproduct(range(n), repeat=2):
+        inner = _d_add(_d_mul(l, f.column(i), _d_unit(l, j)), _d_mul(l, _d_unit(l, i), f.column(j)))
+        defect = _d_sub(_d_map(f, inner), _d_mul(l, f.column(i), f.column(j)))
+        if any(defect):
+            for k in range(n):
+                probe = _d_mul(l, defect, l.alpha.column(k))
+                if any(probe):
+                    return _fail("defect-centrality", (i, j, k), probe, zero)
+    for i, j, k in iproduct(range(n), repeat=3):
+        fij = _d_map(f, _d_mul(l, f.column(i), _d_unit(l, j)))
+        fik = _d_map(f, _d_mul(l, f.column(i), _d_unit(l, k)))
+        left = _d_mul(l, fij, l.alpha.column(k))
+        right = _d_scale(_d_eps(l, l.degrees[j], l.degrees[k]), _d_mul(l, fik, l.alpha.column(j)))
+        if left != right:
+            return _fail("operator-right-commutativity", (i, j, k), left, right)
+    return PASS
+
+
+def _outcome(fn):
+    """A call's result, or the type and message of the error it raised."""
+    try:
+        result = fn()
+    except (StructureError, HypothesisError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, ColorHomAlgebra):
+        return result.structure, result.alpha.matrix, result.degrees
+    return result
+
+
+def _predicate_pairs(a, f):
+    """(label, code under test, reference) for every operator predicate on (a, f)."""
+    pairs = [
+        ("commutes_with_twist", lambda: checks.commutes_with_twist(a, f), lambda: ref_commutes_with_twist(a, f)),
+        ("is_weak_morphism", lambda: checks.is_weak_morphism(a, a, f), lambda: ref_is_weak_morphism(a, a, f)),
+        ("is_morphism", lambda: checks.is_morphism(a, a, f), lambda: ref_is_morphism(a, a, f)),
+        ("is_derivation", lambda: checks.is_derivation(a, f), lambda: ref_is_derivation(a, f)),
+        ("bracket_operator_conditions", lambda: checks.check_bracket_operator_conditions(a, f),
+         lambda: ref_check_bracket_operator_conditions(a, f)),
+    ]
+    for side in ("left", "right", "both"):
+        pairs.append((f"is_averaging {side}", lambda side=side: checks.is_averaging(a, f, side),
+                      lambda side=side: ref_is_averaging(a, f, side)))
+        pairs.append((f"is_centroid {side}", lambda side=side: checks.is_centroid(a, f, side),
+                      lambda side=side: ref_is_centroid(a, f, side)))
+    for weight in (0, 1):
+        pairs.append((f"is_rota_baxter {weight}", lambda w=weight: checks.is_rota_baxter(a, f, w),
+                      lambda w=weight: ref_is_rota_baxter(a, f, w)))
+    return pairs
+
+
+def assert_predicates_match_reference(a, maps):
+    assert checks.check_involutive(a) == ref_check_involutive(a)
+    assert checks.check_multiplicative(a) == ref_is_weak_morphism(a, a, a.alpha)
+    for f in maps:
+        for label, fn, ref in _predicate_pairs(a, f):
+            assert _outcome(fn) == _outcome(ref), label
+        x = f.column(0)
+        assert checks.in_alpha_center(a, x) == ref_in_alpha_center(a, x)
+
+
+# dense reference constructions
+
+
+def _d_require(op, requirement, verdict):
+    if not verdict:
+        raise HypothesisError(op, requirement, verdict)
+
+
+def _d_assemble(basis, bicharacter, cell, alpha):
+    n = basis.dim
+    structure = tuple(tuple(cell(i, j) for j in range(n)) for i in range(n))
+    return make_algebra(basis, bicharacter, structure, alpha)
+
+
+def _d_mapped(f, a):
+    return lambda i, j: _d_map(f, a.structure[i][j])
+
+
+def ref_yau_twist(a, beta, checked):
+    if checked:
+        _d_require("yau_twist", "weak-morphism", ref_is_weak_morphism(a, a, beta))
+        _d_require("yau_twist", "hom-novikov", dense_check(a, "hom_novikov"))
+    return _d_assemble(a.basis, a.bicharacter, _d_mapped(beta, a), core.compose_maps(beta, a.alpha))
+
+
+def ref_power_twist(a, n, checked):
+    if not isinstance(n, int) or n < 0:
+        raise StructureError(f"power_twist wants n >= 0, got {n!r}")
+    if checked:
+        _d_require("power_twist", "multiplicative", ref_is_weak_morphism(a, a, a.alpha))
+        _d_require("power_twist", "hom-novikov", dense_check(a, "hom_novikov"))
+    an = core.map_power(a.alpha, n)
+    return _d_assemble(a.basis, a.bicharacter, _d_mapped(an, a), core.map_power(a.alpha, n + 1))
+
+
+def ref_centroid_twist(a, beta, checked):
+    if checked:
+        _d_require("centroid_twist", "centroid", ref_is_centroid(a, beta, "both"))
+        _d_require("centroid_twist", "hom-novikov", dense_check(a, "hom_novikov"))
+    return _d_assemble(a.basis, a.bicharacter, _d_mapped(beta, a), a.alpha)
+
+
+def ref_xi_square_twist(a, xi, checked):
+    if len(xi) != a.dim:
+        raise StructureError(f"xi must have length {a.dim}")
+    xi = tuple(a.field.coerce(v) for v in xi)
+    if checked:
+        if any(not d.is_zero for d, _ in core.homogeneous_components(a.basis, xi)):
+            raise HypothesisError(
+                "xi_square_twist", "xi-degree-zero", detail="xi has a component of nonzero degree"
+            )
+        _d_require("xi_square_twist", "epsilon-commutative", dense_check(a, "epsilon_commutative"))
+        _d_require("xi_square_twist", "hom-associative", dense_check(a, "hom_associative"))
+    return _d_assemble(
+        a.basis, a.bicharacter, lambda i, j: _d_mul(a, xi, a.structure[i][j]), core.map_power(a.alpha, 2)
+    )
+
+
+def ref_commutator_algebra(a, checked):
+    return make_algebra(a.basis, a.bicharacter, _dense_commutator(a), a.alpha)
+
+
+def ref_derivation_product(a, d, checked):
+    op = "derivation_product"
+    if checked:
+        _d_require(op, "epsilon-commutative", dense_check(a, "epsilon_commutative"))
+        _d_require(op, "hom-associative", dense_check(a, "hom_associative"))
+        if not d.is_even:
+            raise HypothesisError(op, "even-derivation", detail="derivation has nonzero degree")
+        _d_require(op, "derivation", ref_is_derivation(a, d))
+        _d_require(op, "twist-commutation", ref_commutes_with_twist(a, d))
+    return _d_assemble(a.basis, a.bicharacter, lambda i, j: _d_mul(a, _d_unit(a, i), d.column(j)), a.alpha)
+
+
+def ref_composed_derivation_product(a, d, checked):
+    op = "composed_derivation_product"
+    m = a.alpha
+    plain = make_algebra(a.basis, a.bicharacter, a.structure, core.identity_map(a.basis))
+    if checked:
+        _d_require(op, "epsilon-commutative", dense_check(plain, "epsilon_commutative"))
+        _d_require(op, "associative", dense_check(plain, "hom_associative"))
+        _d_require(op, "weak-morphism", ref_is_weak_morphism(plain, plain, m))
+        if not d.is_even:
+            raise HypothesisError(op, "even-derivation", detail="derivation has nonzero degree")
+        _d_require(op, "derivation", ref_is_derivation(plain, d))
+        if core.compose_maps(d, m).matrix != core.compose_maps(m, d).matrix:
+            raise HypothesisError(
+                op, "twist-commutation", detail="derivation does not commute with the morphism"
+            )
+    return _d_assemble(
+        a.basis, a.bicharacter, lambda i, j: _d_map(m, _d_mul(a, _d_unit(a, i), d.column(j))), m
+    )
+
+
+def ref_averaging_product(a, f, checked):
+    op = "averaging_product"
+    if checked:
+        _d_require(op, "epsilon-commutative", dense_check(a, "epsilon_commutative"))
+        _d_require(op, "hom-novikov", dense_check(a, "hom_novikov"))
+        _d_require(op, "averaging", ref_is_averaging(a, f, "both"))
+    return _d_assemble(a.basis, a.bicharacter, lambda i, j: _d_mul(a, _d_unit(a, i), f.column(j)), a.alpha)
+
+
+def ref_bracket_operator_product(l, f, checked):
+    if not f.is_even:
+        raise StructureError("operator must be even (degree 0)")
+    if f.basis != l.basis:
+        raise StructureError("operator lives on a different basis")
+    if checked:
+        _d_require("bracket_operator_product", "hom-lie", dense_check(l, "hom_lie"))
+        _d_require("bracket_operator_product", "twist-commutation", ref_commutes_with_twist(l, f))
+    return _d_assemble(l.basis, l.bicharacter, lambda i, j: _d_mul(l, f.column(i), _d_unit(l, j)), l.alpha)
+
+
+def _d_require_shared_grading(s, a, what):
+    if s.field != a.field:
+        raise StructureError(f"{what} needs a shared scalar field")
+    if s.group != a.group:
+        raise StructureError(f"{what} needs a shared grading group")
+    if s.bicharacter != a.bicharacter:
+        raise StructureError(f"{what} needs a shared bicharacter")
+
+
+def ref_direct_sum(a, b, checked):
+    _d_require_shared_grading(a, b, "direct sum")
+    na, n = a.dim, a.dim + b.dim
+    basis = GradedBasis(a.field, a.group, a.degrees + b.degrees)
+    zero = a.field.zero
+
+    def block(matrix_a, matrix_b, k, i):
+        if k < na and i < na:
+            return matrix_a(k, i)
+        if k >= na and i >= na:
+            return matrix_b(k - na, i - na)
+        return zero
+
+    def cell(i, j):
+        return tuple(
+            block(lambda p, q: a.structure[p][q][k] if k < na else zero,
+                  lambda p, q: b.structure[p][q][k - na] if k >= na else zero, i, j)
+            for k in range(n)
+        )
+
+    alpha = core.GradedLinearMap(basis, tuple(
+        tuple(block(lambda p, q: a.alpha.matrix[p][q], lambda p, q: b.alpha.matrix[p][q], k, i)
+              for i in range(n))
+        for k in range(n)
+    ))
+    return _d_assemble(basis, a.bicharacter, cell, alpha)
+
+
+def ref_tensor_product(s, a, checked):
+    _d_require_shared_grading(s, a, "tensor product")
+    if checked:
+        _d_require("tensor_product", "hom-novikov(first factor)", dense_check(s, "hom_novikov"))
+        _d_require("tensor_product", "epsilon-commutative(second factor)", dense_check(a, "epsilon_commutative"))
+        _d_require("tensor_product", "hom-associative(second factor)", dense_check(a, "hom_associative"))
+    ns, na = s.dim, a.dim
+    n = ns * na
+    basis = GradedBasis(s.field, s.group, tuple(s.degrees[i] + a.degrees[p] for i in range(ns) for p in range(na)))
+    zero = s.field.zero
+    structure = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for i, p, j, q in iproduct(range(ns), range(na), range(ns), range(na)):
+        sign = _d_eps(s, a.degrees[p], s.degrees[j])
+        for k, r in iproduct(range(ns), range(na)):
+            term = sign * s.structure[i][j][k] * a.structure[p][q][r]
+            if term != 0:
+                structure[i * na + p][j * na + q][k * na + r] += term
+    alpha = core.GradedLinearMap(basis, tuple(
+        tuple(s.alpha.matrix[k][i] * a.alpha.matrix[r][p] for i in range(ns) for p in range(na))
+        for k in range(ns) for r in range(na)
+    ))
+    return _d_assemble(basis, s.bicharacter, lambda i, j: tuple(structure[i][j]), alpha)
+
+
+def ref_untwist_involutive(a, checked):
+    if checked:
+        _d_require("untwist_involutive", "involutive", ref_check_involutive(a))
+        _d_require("untwist_involutive", "multiplicative", ref_is_weak_morphism(a, a, a.alpha))
+        _d_require("untwist_involutive", "hom-novikov", dense_check(a, "hom_novikov"))
+    return _d_assemble(a.basis, a.bicharacter, _d_mapped(a.alpha, a), core.identity_map(a.basis))
+
+
+def ref_regular_lie_untwist(a, checked):
+    if checked:
+        _d_require("regular_lie_untwist", "hom-novikov", dense_check(a, "hom_novikov"))
+    try:
+        inv = core.invert_map(a.alpha)
+    except SingularMapError:
+        raise HypothesisError("regular_lie_untwist", "invertible-twist", detail="alpha is singular") from None
+    bracket = _dense_commutator(a)
+    return _d_assemble(
+        a.basis, a.bicharacter, lambda i, j: _d_map(inv, bracket[i][j]), core.identity_map(a.basis)
+    )
+
+
+# construction name -> (reference, what it takes after the algebra)
+REFERENCE_CONSTRUCTIONS = {
+    "yau_twist": (ref_yau_twist, "map"),
+    "power_twist": (ref_power_twist, "n"),
+    "centroid_twist": (ref_centroid_twist, "map"),
+    "xi_square_twist": (ref_xi_square_twist, "xi"),
+    "commutator_algebra": (ref_commutator_algebra, None),
+    "derivation_product": (ref_derivation_product, "map"),
+    "composed_derivation_product": (ref_composed_derivation_product, "map"),
+    "averaging_product": (ref_averaging_product, "map"),
+    "bracket_operator_product": (ref_bracket_operator_product, "map"),
+    "direct_sum": (ref_direct_sum, "with"),
+    "tensor_product": (ref_tensor_product, "with"),
+    "untwist_involutive": (ref_untwist_involutive, None),
+    "regular_lie_untwist": (ref_regular_lie_untwist, None),
+}
+
+
+def test_the_construction_references_cover_every_construction():
+    assert set(REFERENCE_CONSTRUCTIONS) == set(constructions.__all__)
+
+
+def assert_constructions_match_reference(a, maps, others):
+    xis = [_d_unit(a, i) for i in range(a.dim)] + [tuple(a.field.from_int(k + 1) for k in range(a.dim))]
+    arguments = {"map": maps, "n": (0, 1, 2), "xi": xis, "with": others, None: (None,)}
+    for name, (ref, takes) in REFERENCE_CONSTRUCTIONS.items():
+        fn = getattr(constructions, name)
+        for arg in arguments[takes]:
+            args = () if takes is None else (arg,)
+            for checked in (True, False):
+                kwargs = {} if name in ("commutator_algebra", "direct_sum") else {"checked": checked}
+                got = _outcome(lambda: fn(a, *args, **kwargs))
+                assert got == _outcome(lambda: ref(a, *args, checked)), (name, checked)
+
+
+def _ones(basis, degree, source=None):
+    """Ones wherever a map of the given degree may be nonzero, on the source degree if one is given."""
+    degrees, field = basis.degrees, basis.field
+    rows = [
+        [field.one if degrees[k] == degrees[i] + degree and source in (None, degrees[i]) else field.zero
+         for i in range(basis.dim)]
+        for k in range(basis.dim)
+    ]
+    return make_map(basis, rows, degree)
+
+
+def _map_pool(a, extra=()):
+    """alpha, scalars, grade projections and maps of up to three nonzero degrees, plus extra."""
+    basis = a.basis
+    degrees = list(dict.fromkeys(basis.degrees))
+    shifts = [g for g in dict.fromkeys(d + (-e) for d in degrees for e in degrees) if not g.is_zero]
+    return [
+        a.alpha, core.identity_map(basis), core.scalar_map(basis, 0), core.scalar_map(basis, 2),
+        *(_ones(basis, basis.group.zero(), d) for d in degrees),
+        *(_ones(basis, g) for g in shifts[:3]),
+        *extra,
+    ]
+
+
+@pytest.mark.parametrize("field", [Q, F7], ids=str)
+def test_operator_predicates_match_the_dense_reference_on_the_catalog(field):
+    for entry in standard_entries(field):
+        assert_predicates_match_reference(entry.algebra, _map_pool(entry.algebra, entry.maps.values()))
+
+
+@pytest.mark.parametrize("field", [Q, F7], ids=str)
+def test_constructions_match_the_dense_reference_on_the_catalog(field):
+    entries = standard_entries(field)
+    for entry in entries:
+        a = entry.algebra
+        others = [e.algebra for e in entries if e.algebra.dim <= 3][:4] + [a]
+        assert_constructions_match_reference(a, _map_pool(a, entry.maps.values()), others)
+
+
+@st.composite
+def homogeneous_maps(draw, basis):
+    """A random map of a random degree drawn from the basis degrees' differences."""
+    degrees = basis.degrees
+    degree = draw(st.sampled_from([d + (-e) for d in degrees for e in degrees]))
+    n, field = basis.dim, basis.field
+    rows = [[field.zero] * n for _ in range(n)]
+    for k, i in iproduct(range(n), repeat=2):
+        if degrees[k] == degrees[i] + degree and draw(st.booleans()):
+            rows[k][i] = field.from_int(draw(st.sampled_from(VALUES)))
+    return make_map(basis, rows, degree)
+
+
+@st.composite
+def algebras_with_maps(draw):
+    field_grading = draw(st.sampled_from(GRADINGS))
+    a = draw(algebras(field_grading))
+    even = [draw(homogeneous_maps(a.basis).filter(lambda m: m.is_even)) for _ in range(2)]
+    graded = draw(homogeneous_maps(a.basis))
+    other = draw(algebras(field_grading))
+    return a, even + [graded], other
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(algebras_with_maps())
+def test_operator_predicates_match_the_dense_reference_on_random_algebras(case):
+    a, maps, _ = case
+    assert_predicates_match_reference(a, _map_pool(a, maps))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(algebras_with_maps())
+def test_constructions_match_the_dense_reference_on_random_algebras(case):
+    a, maps, other = case
+    assert_constructions_match_reference(a, _map_pool(a, maps), [other, a])
+
+
+def test_operator_right_commutativity_witness_carries_a_graded_sign():
+    # Z2 over Q: e0 even, e1 and e2 odd; e0*e2 = e1, e2*e1 = 2 e0; f = diag(1, 2, 2).
+    # The defect is alpha-central, and operator-right-commutativity holds on
+    # the tuples before the witness only through eps(odd, odd) = -1, so a
+    # lost sign moves the witness.
+    group, bichar = _z2_sign(Q)
+    basis = GradedBasis(Q, group, (group.element((0,)), group.element((1,)), group.element((1,))))
+    structure = [[[Q.zero] * 3 for _ in range(3)] for _ in range(3)]
+    structure[0][2][1] = Q.one
+    structure[2][1][0] = Q.from_int(2)
+    a = make_algebra(basis, bichar, structure, core.identity_map(basis))
+    f = make_map(basis, [[1, 0, 0], [0, 2, 0], [0, 0, 2]])
+    verdict = checks.check_bracket_operator_conditions(a, f)
+    assert verdict == ref_check_bracket_operator_conditions(a, f)
+    assert verdict.witness.identity == "operator-right-commutativity"
+    assert verdict.witness.indices == (2, 1, 2)
