@@ -620,11 +620,11 @@ def search_maps(
             tuple(rng.choice(values) for _ in positions) for _ in range(budget)
         )
     for assignment in assignments:
-        rows = candidate(assignment)
-        if rows in seen:
+        # rows are an injective function of the assignment: dedupe before building them
+        if assignment in seen:
             continue
-        seen.add(rows)
-        m = GradedLinearMap(a.basis, rows)
+        seen.add(assignment)
+        m = GradedLinearMap(a.basis, candidate(assignment))
         if op.call(a, *(m if arg == "map" else given[arg] for arg in op.takes)):
             hits.append(m)
     hits.sort(key=lambda m: tuple(field.sort_key(v) for row in m.matrix for v in row))

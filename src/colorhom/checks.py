@@ -223,8 +223,9 @@ def _sparse_sides(a: ColorHomAlgebra, name: str, degrees, vectors):
     for v in vectors:
         if len(v) != n:
             raise StructureError(f"vector length {len(v)} != dim {n}")
-    eps = [[a.eps(d, e) for e in degrees] for d in degrees]
-    return sides(a, eps, tuple(range(arity)), tuple(sparse_vector(v) for v in vectors))
+    field = a.field
+    eps = [[field.kernel_scalar(a.eps(d, e)) for e in degrees] for d in degrees]
+    return sides(a, eps, tuple(range(arity)), tuple(sparse_vector(field, v) for v in vectors))
 
 
 def _dense(a: ColorHomAlgebra, x: dict) -> tuple:
@@ -232,23 +233,30 @@ def _dense(a: ColorHomAlgebra, x: dict) -> tuple:
 
 
 def _units(a: ColorHomAlgebra) -> list:
-    one = a.field.one
-    return [{i: one} for i in range(a.dim)]
+    return [{i: 1} for i in range(a.dim)]
 
 
 def _first_failure(a: ColorHomAlgebra, arity: int, conditions) -> Verdict:
     """Check (name, sides) conditions on every basis tuple, lexicographic slot order.
 
     At each tuple the conditions run in the order given.  sides(*indices)
-    returns (left, right) as sparse vectors; only a failing pair is made
-    dense, for the witness.
+    returns (left, right) as sparse vectors of kernel scalars; only a
+    failing pair is made dense, for the witness.  Over F_p the sides are
+    unreduced: equal ones are equal mod p, and only unequal ones are
+    reduced and compared again.
     """
+    p = a.field.p
     for idx in iproduct(range(a.dim), repeat=arity):
         for name, sides in conditions:
             left, right = sides(*idx)
-            if left != right:
+            if left != right and (p is None or _reduced(left, p) != _reduced(right, p)):
                 return _fail(name, idx, _dense(a, left), _dense(a, right))
     return PASS
+
+
+def _reduced(x: dict, p: int) -> dict:
+    """A sparse vector of F_p kernel scalars with every value in [0, p) and no zeros."""
+    return {k: c % p for k, c in x.items() if c % p}
 
 
 def _scan(a: ColorHomAlgebra, name: str) -> Verdict:
@@ -430,7 +438,8 @@ def is_derivation(a: ColorHomAlgebra, d: GradedLinearMap, degree=None) -> Verdic
     def leibniz(i, j):
         left = sparse_apply(d, rows[i][j])
         first = sparse_product(a, dc[i], units[j])
-        second = sparse_scale(a.eps(d.degree, degs[i]), sparse_product(a, units[i], dc[j]))
+        eps = a.field.kernel_scalar(a.eps(d.degree, degs[i]))
+        second = sparse_scale(eps, sparse_product(a, units[i], dc[j]))
         return left, sparse_add(first, second)
 
     return _first_failure(a, 2, [("leibniz", leibniz)])
@@ -492,7 +501,7 @@ def is_rota_baxter(l: ColorHomAlgebra, r: GradedLinearMap, weight) -> Verdict:
     l's product.  Whether that product is Hom-Lie is a separate check.
     """
     _require_even_endo(l, r, "operator")
-    lam = l.field.coerce(weight)
+    lam = l.field.kernel_scalar(weight)
     v = commutes_with_twist(l, r)
     if not v:
         return v
@@ -510,7 +519,7 @@ def in_alpha_center(l: ColorHomAlgebra, x) -> bool:
     """True when [x, alpha(y)] = 0 for every y (checked on basis images)."""
     if len(x) != l.dim:
         raise StructureError(f"vectors must have length {l.dim}")
-    xs, ac = sparse_vector(x), l.alpha.sparse_columns
+    xs, ac = sparse_vector(l.field, x), l.alpha.sparse_columns
     return bool(_first_failure(l, 1, [("alpha-center", lambda j: (sparse_product(l, xs, ac[j]), {}))]))
 
 

@@ -79,8 +79,8 @@ def _mapped(f: GradedLinearMap, a: ColorHomAlgebra):
 def _times_column(a: ColorHomAlgebra, f: GradedLinearMap):
     """The cell (i, j) -> e_i * f(e_j)."""
     _require_dim(a, f)
-    one, fc = a.field.one, f.sparse_columns
-    return lambda i, j: sparse_product(a, {i: one}, fc[j])
+    fc = f.sparse_columns
+    return lambda i, j: sparse_product(a, {i: 1}, fc[j])
 
 
 def _require_shared_grading(a: ColorHomAlgebra, b: ColorHomAlgebra, what: str):
@@ -147,7 +147,7 @@ def xi_square_twist(a: ColorHomAlgebra, xi, *, checked: bool = True) -> ColorHom
             "xi_square_twist", "epsilon-commutative", check_epsilon_commutative(a)
         )
         _require("xi_square_twist", "hom-associative", check_hom_associative(a))
-    xs, rows = sparse_vector(xi), a.product_rows
+    xs, rows = sparse_vector(a.field, xi), a.product_rows
     return _algebra_from_cells(
         a.basis, a.bicharacter, lambda i, j: sparse_product(a, xs, rows[i][j]),
         map_power(a.alpha, 2),
@@ -239,9 +239,9 @@ def bracket_operator_product(l: ColorHomAlgebra, f: GradedLinearMap, *, checked:
         _require(
             "bracket_operator_product", "twist-commutation", commutes_with_twist(l, f)
         )
-    one, fc = l.field.one, f.sparse_columns
+    fc = f.sparse_columns
     return _algebra_from_cells(
-        l.basis, l.bicharacter, lambda i, j: sparse_product(l, fc[i], {j: one}), l.alpha
+        l.basis, l.bicharacter, lambda i, j: sparse_product(l, fc[i], {j: 1}), l.alpha
     )
 
 
@@ -295,7 +295,10 @@ def tensor_product(s: ColorHomAlgebra, a: ColorHomAlgebra, *, checked: bool = Tr
         s.degrees[i] + a.degrees[p] for i in range(ns) for p in range(na)
     )
     basis = GradedBasis(s.field, s.group, degrees)
-    signs = [[s.eps(a.degrees[p], s.degrees[j]) for j in range(ns)] for p in range(na)]
+    signs = [
+        [s.field.kernel_scalar(s.eps(a.degrees[p], s.degrees[j])) for j in range(ns)]
+        for p in range(na)
+    ]
     rs, ra = s.product_rows, a.product_rows
 
     def cell(row, col):

@@ -18,6 +18,16 @@ way the package evaluates products and maps.  Coordinate tuples appear only
 at the boundary: eval_product, eval_map and commutator_tensor convert, and
 _algebra_from_cells densifies computed products once into the tensor that
 make_algebra validates.
+
+The views and sparse vectors hold kernel scalars, not field elements (see
+ScalarField.kernel_scalar): over Q an int for an integral value and a
+Fraction only for a true fraction, over F_p an int residue.  Every value
+enters the kernel through kernel_scalar.  No modulus enters the kernel: it
+only multiplies, adds and drops exact zeros, so over F_p its results are
+correct mod p but unreduced.  Reduction happens in exactly two places:
+checks._first_failure reduces two sides mod p only when they differ as
+ints, and dense_vector boxes every value through field.coerce, so tuples,
+matrices, witnesses and documents hold Fraction or Fp elements only.
 """
 
 from __future__ import annotations
@@ -127,20 +137,25 @@ class GradedLinearMap:
         deg = self.degree if self.degree is not None else basis.group.zero()
         if not isinstance(deg, GroupElement) or deg.group != basis.group:
             raise StructureError("map degree not in the grading group")
-        rows = tuple(tuple(basis.field.coerce(v) for v in row) for row in self.matrix)
+        field = basis.field
+        rows = tuple(tuple(field.coerce(v) for v in row) for row in self.matrix)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise StructureError(f"matrix must be {n}x{n}")
         degs = basis.degrees
+        # targets[i]: the one degree a nonzero entry of column i may land in
+        targets = degs if deg.is_zero else tuple(d + deg for d in degs)
+        kernel_scalar = field.kernel_scalar
         columns = [{} for _ in range(n)]
         for k, row in enumerate(rows):
+            dk = degs[k]
             for i, v in enumerate(row):
                 if v:
-                    if degs[k] != degs[i] + deg:
+                    if dk != targets[i]:
                         raise StructureError(
                             f"entry ({k},{i}) breaks homogeneity of degree {deg}",
                             indices=(k, i),
                         )
-                    columns[i][k] = v
+                    columns[i][k] = kernel_scalar(v)
         object.__setattr__(self, "matrix", rows)
         object.__setattr__(self, "degree", deg)
         object.__setattr__(self, "sparse_columns", tuple(c or _EMPTY for c in columns))
@@ -178,7 +193,8 @@ def eval_map(m: GradedLinearMap, x) -> tuple:
     n = m.basis.dim
     if len(x) != n:
         raise StructureError(f"vector length {len(x)} != dim {n}")
-    return dense_vector(m.basis.field, n, sparse_apply(m, sparse_vector(x)))
+    field = m.basis.field
+    return dense_vector(field, n, sparse_apply(m, sparse_vector(field, x)))
 
 
 def sparse_apply(m: GradedLinearMap, x: dict) -> dict:
@@ -200,11 +216,9 @@ def compose_maps(m: GradedLinearMap, n: GradedLinearMap) -> GradedLinearMap:
     """m after n; degrees add."""
     if m.basis != n.basis:
         raise StructureError("composition needs a shared basis")
-    dim = m.basis.dim
-    zero = m.basis.field.zero
-    columns = [sparse_apply(m, column) for column in n.sparse_columns]
-    rows = tuple(tuple(column.get(k, zero) for column in columns) for k in range(dim))
-    return GradedLinearMap(m.basis, rows, m.degree + n.degree)
+    field, dim = m.basis.field, m.basis.dim
+    columns = [dense_vector(field, dim, sparse_apply(m, column)) for column in n.sparse_columns]
+    return GradedLinearMap(m.basis, tuple(zip(*columns)), m.degree + n.degree)
 
 
 def map_power(m: GradedLinearMap, n: int) -> GradedLinearMap:
@@ -322,6 +336,7 @@ class ColorHomAlgebra:
     def __post_init__(self):
         n = self.basis.dim
         coerce = self.basis.field.coerce
+        kernel_scalar = self.basis.field.kernel_scalar
         degs = self.basis.degrees
         zero_cell = (self.basis.field.zero,) * n
         shape = f"product tensor must be {n}x{n}x{n}"
@@ -336,7 +351,7 @@ class ColorHomAlgebra:
                 values = tuple(coerce(v) for v in cell)
                 if len(values) != n:
                     raise StructureError(shape)
-                nonzero = {k: c for k, c in enumerate(values) if c}
+                nonzero = {k: kernel_scalar(c) for k, c in enumerate(values) if c}
                 if nonzero:
                     d = degs[i] + degs[j]
                     for k in nonzero:
@@ -355,7 +370,7 @@ class ColorHomAlgebra:
             rows.append(tuple(sparse))
         object.__setattr__(self, "structure", tuple(planes))
         object.__setattr__(self, "product_rows", tuple(rows))
-        object.__setattr__(self, "eps_table", _eps_table(self.bicharacter, degs))
+        object.__setattr__(self, "eps_table", _eps_table(self.basis.field, self.bicharacter, degs))
 
     @property
     def dim(self) -> int:
@@ -377,10 +392,11 @@ class ColorHomAlgebra:
         return bicharacter_eval(self.bicharacter, a, c)
 
 
-def _eps_table(b: Bicharacter, degrees) -> tuple:
-    """eps for every pair of basis indices; one evaluation per pair of distinct degrees.
+def _eps_table(field: ScalarField, b: Bicharacter, degrees) -> tuple:
+    """eps for every pair of basis indices, as kernel scalars.
 
-    Indices of equal degree share one row tuple.
+    One evaluation per pair of distinct degrees; indices of equal degree
+    share one row tuple.
     """
     position: dict = {}
     for d in degrees:
@@ -388,7 +404,9 @@ def _eps_table(b: Bicharacter, degrees) -> tuple:
     classes = [position[d] for d in degrees]
     rows = [
         tuple(values[q] for q in classes)
-        for values in ([bicharacter_eval(b, d, e) for e in position] for d in position)
+        for values in (
+            [field.kernel_scalar(bicharacter_eval(b, d, e)) for e in position] for d in position
+        )
     ]
     return tuple(rows[p] for p in classes)
 
@@ -442,7 +460,8 @@ def eval_product(a: ColorHomAlgebra, x, y) -> tuple:
     n = a.dim
     if len(x) != n or len(y) != n:
         raise StructureError(f"vectors must have length {n}")
-    return dense_vector(a.field, n, sparse_product(a, sparse_vector(x), sparse_vector(y)))
+    field = a.field
+    return dense_vector(field, n, sparse_product(a, sparse_vector(field, x), sparse_vector(field, y)))
 
 
 def sparse_product(a: ColorHomAlgebra, x: dict, y: dict) -> dict:
@@ -470,15 +489,19 @@ def _nonzero(x: dict) -> dict:
     return {k: c for k, c in x.items() if c}
 
 
-def sparse_vector(x) -> dict:
-    """The nonzero coordinates of a coordinate sequence, {index: coefficient}."""
-    return {k: c for k, c in enumerate(x) if c}
+def sparse_vector(field: ScalarField, x) -> dict:
+    """The nonzero coordinates of a coordinate sequence, {index: kernel scalar}."""
+    kernel_scalar = field.kernel_scalar
+    return {k: c for k, c in enumerate(map(kernel_scalar, x)) if c}
 
 
 def dense_vector(field: ScalarField, dim: int, x: dict) -> tuple:
-    """The coordinate tuple of a sparse vector."""
-    zero = field.zero
-    return tuple(x.get(k, zero) for k in range(dim))
+    """The coordinate tuple of a sparse vector, every value boxed as a field element."""
+    out = [field.zero] * dim
+    coerce = field.coerce
+    for k, c in x.items():
+        out[k] = coerce(c)
+    return tuple(out)
 
 
 def sparse_add(x: dict, y: dict) -> dict:

@@ -192,6 +192,20 @@ class ScalarField:
                 return Fp(x.numerator, self.p) / Fp(x.denominator, self.p)
         raise StructureError(f"not a scalar over {self}: {x!r}")
 
+    def kernel_scalar(self, x):
+        """x as the sparse kernel stores it: a plain Python number.
+
+        Over Q an int when x is integral, else a Fraction (int/Fraction
+        arithmetic stays exact); over F_p the residue in [0, p) as an int.
+        The kernel only multiplies, adds and drops exact zeros, so over F_p
+        its sums grow past p and are reduced lazily; coerce boxes a kernel
+        scalar back into a field element.
+        """
+        x = self.coerce(x)
+        if self.kind == RATIONALS:
+            return x.numerator if x.denominator == 1 else x
+        return x.val
+
     def parse(self, text):
         """Parse an int, or a string "n" or "n/d", into a field element."""
         if isinstance(text, int):

@@ -5,11 +5,16 @@ is a full coordinate tuple computed from algebra.structure and alpha.matrix,
 and every sign comes from bicharacter_eval.  It shares no code with the
 sparse kernel, so equal verdicts (identity, tuple, both sides) on random and
 catalog algebras pin the sparse scans down exactly.
+
+The kernel computes with plain ints, so the last sections check by type
+that every value leaving it is a field element again, and that F_p sides
+are compared mod p.
 """
 
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
@@ -17,7 +22,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from colorhom import checks, constructions, core
-from colorhom.catalog import standard_entries
+from colorhom.catalog import (
+    CHECK,
+    OPERATIONS,
+    dt_derivation,
+    search_maps,
+    standard_entries,
+    truncated_polynomial,
+)
 from colorhom.checks import IDENTITIES_BY_CHECK, PASS, Verdict, Witness
 from colorhom.core import ColorHomAlgebra, GradedBasis, make_algebra, make_map
 from colorhom.errors import HypothesisError, SingularMapError, StructureError
@@ -29,7 +41,7 @@ from colorhom.grading import (
     trivial_bicharacter,
 )
 from colorhom.io import parse_document, serialize_document
-from colorhom.scalars import prime_field, rationals
+from colorhom.scalars import Fp, prime_field, rationals
 
 Q = rationals()
 F7 = prime_field(7)
@@ -200,7 +212,7 @@ VALUES = (-2, -1, 1, 2, 3)
 
 
 @st.composite
-def algebras(draw, field_grading=None):
+def algebras(draw, field_grading=None, values=VALUES):
     field, grading = field_grading or draw(st.sampled_from(GRADINGS))
     group, bichar = grading(field)
     n = draw(st.integers(1, 4))
@@ -210,7 +222,7 @@ def algebras(draw, field_grading=None):
     # dense cells fill every admissible k; sparse cells hold at most one entry
     dense = draw(st.booleans())
     fill = draw(st.sampled_from((2, 6, 10)))  # in tenths
-    value = st.sampled_from(VALUES)
+    value = st.sampled_from(values)
     structure = [[[field.zero] * n for _ in range(n)] for _ in range(n)]
     for i, j in iproduct(range(n), repeat=2):
         targets = [k for k in range(n) if degrees[k] == degrees[i] + degrees[j]]
@@ -893,7 +905,7 @@ def test_constructions_match_the_dense_reference_on_the_catalog(field):
 
 
 @st.composite
-def homogeneous_maps(draw, basis):
+def homogeneous_maps(draw, basis, values=VALUES):
     """A random map of a random degree drawn from the basis degrees' differences."""
     degrees = basis.degrees
     degree = draw(st.sampled_from([d + (-e) for d in degrees for e in degrees]))
@@ -901,7 +913,7 @@ def homogeneous_maps(draw, basis):
     rows = [[field.zero] * n for _ in range(n)]
     for k, i in iproduct(range(n), repeat=2):
         if degrees[k] == degrees[i] + degree and draw(st.booleans()):
-            rows[k][i] = field.from_int(draw(st.sampled_from(VALUES)))
+            rows[k][i] = field.from_int(draw(st.sampled_from(values)))
     return make_map(basis, rows, degree)
 
 
@@ -945,3 +957,192 @@ def test_operator_right_commutativity_witness_carries_a_graded_sign():
     assert verdict == ref_check_bracket_operator_conditions(a, f)
     assert verdict.witness.identity == "operator-right-commutativity"
     assert verdict.witness.indices == (2, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# boxed values at the boundary
+#
+# The kernel holds plain ints (and, over Q, Fractions for true fractions);
+# every value that leaves it must be a field element again.  1 == Fraction(1)
+# and 1 == Fp(1, 7), so the == oracles above cannot see a leaked int: these
+# tests compare types.
+
+
+def _assert_boxed(field, values, label):
+    kind = Fraction if field.characteristic == 0 else Fp
+    leaked = [v for v in values if type(v) is not kind]
+    assert not leaked, (label, leaked[:3])
+
+
+def _cells(tensor):
+    return [v for plane in tensor for cell in plane for v in cell]
+
+
+def _entries(matrix):
+    return [v for row in matrix for v in row]
+
+
+def _assert_verdict_boxed(field, verdict, label):
+    w = getattr(verdict, "witness", None)
+    if w is not None and w.left is not None:
+        _assert_boxed(field, w.left + w.right, label)
+
+
+def _assert_result_boxed(field, result, label):
+    """A check's witness, or a construction's structure, alpha and form, holds field elements."""
+    if isinstance(result, tuple):  # quadratic constructions return (algebra, form)
+        result, form = result
+        _assert_boxed(field, _entries(form.gram), label)
+    if isinstance(result, ColorHomAlgebra):
+        _assert_boxed(field, _cells(result.structure) + _entries(result.alpha.matrix), label)
+    else:
+        _assert_verdict_boxed(field, result, label)
+
+
+def _operation_calls(a, maps, forms, others):
+    """(name, call) for every registry operation over every combination of the given arguments."""
+    xis = [_d_unit(a, 0), tuple(a.field.from_int(k + 1) for k in range(a.dim))]
+    choices = {
+        "map": maps, "form": forms, "with": others, "n": (0, 2), "xi": xis,
+        "weight": (0, 1, Fraction(1, 2)), "side": ("left", "right", "both"),
+    }
+    for name, op in OPERATIONS.items():
+        for args in iproduct(*(choices[arg] for arg in op.takes)):
+            if op.kind == CHECK:
+                yield name, lambda op=op, args=args: op.call(a, *args)
+            else:
+                for checked in (True, False):
+                    yield name, lambda op=op, args=args, c=checked: op.call(a, *args, c)
+
+
+def assert_boundary_boxed(a, maps, forms=(), others=(), search=False):
+    field, n = a.field, a.dim
+    x = tuple(field.from_int(k - 1) for k in range(n))
+    ints = tuple(range(1, n + 1))
+    for name, arity in checks.IDENTITY_ARITY.items():
+        _assert_verdict_boxed(field, checks._scan(a, name), name)
+        vectors = [x, ints, x][:arity]
+        _assert_boxed(field, checks.identity_residual_on_vectors(a, name, vectors), name)
+        degrees, units = [a.degrees[0]] * arity, [_d_unit(a, 0), ints, _d_unit(a, 0)][:arity]
+        for side in checks.identity_sides(a, name, degrees, units):
+            _assert_boxed(field, side, name)
+    _assert_boxed(field, core.eval_product(a, x, ints) + core.eval_product(a, ints, ints), "eval_product")
+    _assert_boxed(field, _cells(core.commutator_tensor(a)), "commutator_tensor")
+    for f in maps:
+        _assert_boxed(field, core.eval_map(f, x) + core.eval_map(f, ints), "eval_map")
+        _assert_boxed(field, _entries(core.compose_maps(a.alpha, f).matrix), "compose_maps")
+    for name, call in _operation_calls(a, maps, forms, others):
+        try:
+            result = call()
+        except HypothesisError as exc:
+            _assert_verdict_boxed(field, exc.verdict, name)
+            continue
+        except StructureError:
+            continue
+        _assert_result_boxed(field, result, name)
+    if search:
+        for predicate in ("derivation", "weak_morphism", "centroid"):
+            for hit in search_maps(a, predicate, budget=300):
+                _assert_boxed(field, _entries(hit.matrix), predicate)
+
+
+@pytest.mark.parametrize("field", [Q, F7], ids=str)
+def test_values_leaving_the_kernel_are_field_elements_on_the_catalog(field):
+    entries = standard_entries(field)
+    for entry in entries:
+        a = entry.algebra
+        others = [e.algebra for e in entries if e.algebra.dim <= 3][:2] + [a]
+        assert_boundary_boxed(
+            a, _map_pool(a, entry.maps.values()), list(entry.forms.values()), others, search=a.dim <= 3
+        )
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(algebras_with_maps())
+def test_values_leaving_the_kernel_are_field_elements_on_random_algebras(case):
+    a, maps, other = case
+    assert_boundary_boxed(a, _map_pool(a, maps), (), [other, a])
+
+
+def test_formal_derivative_witnesses_keep_their_exact_repr():
+    # the witnesses the by-design failure of test_criterion_03 reports
+    expected = {
+        ("Q", 3): "Witness(identity='left-symmetry', indices=(0, 2, 2), left=(Fraction(0, 1), "
+        "Fraction(0, 1), Fraction(4, 1)), right=(Fraction(0, 1), Fraction(0, 1), Fraction(-2, 1)))",
+        ("Q", 4): "Witness(identity='left-symmetry', indices=(0, 2, 3), left=(Fraction(0, 1), "
+        "Fraction(0, 1), Fraction(0, 1), Fraction(6, 1)), right=(Fraction(0, 1), Fraction(0, 1), "
+        "Fraction(0, 1), Fraction(-6, 1)))",
+        ("Q", 5): "Witness(identity='left-symmetry', indices=(0, 2, 4), left=(Fraction(0, 1), "
+        "Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), Fraction(8, 1)), right=(Fraction(0, 1), "
+        "Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), Fraction(-12, 1)))",
+        ("F5", 3): "Witness(identity='left-symmetry', indices=(0, 2, 2), left=(Fp(0, 5), Fp(0, 5), "
+        "Fp(4, 5)), right=(Fp(0, 5), Fp(0, 5), Fp(3, 5)))",
+        ("F5", 4): "Witness(identity='left-symmetry', indices=(0, 2, 3), left=(Fp(0, 5), Fp(0, 5), "
+        "Fp(0, 5), Fp(1, 5)), right=(Fp(0, 5), Fp(0, 5), Fp(0, 5), Fp(4, 5)))",
+    }
+    got = {}
+    for field in (Q, prime_field(5)):
+        for n in range(2, 6):
+            base = truncated_polynomial(n, field)
+            verdict = checks.check_hom_novikov(
+                constructions.derivation_product(base, dt_derivation(base), checked=False)
+            )
+            if not verdict:
+                got[(str(field), n)] = repr(verdict.witness)
+    assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# lazy reduction over F_p
+#
+# Over F_p the kernel never reduces: sides are ints that are right mod p.
+# Sides equal as ints are equal mod p; unequal ones must be reduced before
+# they count as a failure.
+
+
+def _skew_pair(field):
+    # trivial grading: e0*e1 = 3 e0 and e1*e0 = 4 e0
+    basis = core.trivial_basis(field, 2)
+    structure = [[[field.zero] * 2 for _ in range(2)] for _ in range(2)]
+    structure[0][1][0] = field.from_int(3)
+    structure[1][0][0] = field.from_int(4)
+    return make_algebra(basis, trivial_bicharacter(field, basis.group), structure, core.identity_map(basis))
+
+
+def test_sides_equal_mod_p_but_not_as_ints_pass():
+    # skew-symmetry at (0, 1) compares 3 with -4 as ints, which agree only mod 7
+    a = _skew_pair(F7)
+    assert checks._scan(a, "skew-symmetry") == dense_scan(a, "skew-symmetry") == PASS
+    # over Q the same sides differ exactly
+    q = _skew_pair(Q)
+    verdict = checks._scan(q, "skew-symmetry")
+    assert verdict == dense_scan(q, "skew-symmetry")
+    assert verdict.witness.left == (Q.from_int(3), Q.zero)
+
+
+def _near_p_gradings():
+    out = []
+    for p in (3, 5, 7):
+        field = prime_field(p)
+        out += [(field, _trivial), (field, _z2_sign)]
+    return out + [(F7, _z3z3_cube_root)]
+
+
+@st.composite
+def near_p_algebras_with_maps(draw):
+    """Algebras and maps over F3/F5/F7 whose constants sit just below p."""
+    field, grading = draw(st.sampled_from(_near_p_gradings()))
+    p = field.p
+    values = (p - 1, p - 2, (p + 1) // 2, 1)
+    a = draw(algebras((field, grading), values))
+    maps = [draw(homogeneous_maps(a.basis, values)) for _ in range(2)]
+    return a, maps, draw(algebras((field, grading), values))
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(near_p_algebras_with_maps())
+def test_near_p_constants_match_the_dense_reference(case):
+    a, maps, other = case
+    assert_matches_reference(a)
+    assert_predicates_match_reference(a, _map_pool(a, maps))
+    assert_constructions_match_reference(a, _map_pool(a, maps), [other, a])
