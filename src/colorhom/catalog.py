@@ -42,6 +42,7 @@ from .core import (
     ColorHomAlgebra,
     GradedBasis,
     GradedLinearMap,
+    _even_map_of_parts,
     identity_map,
     make_algebra,
     make_map,
@@ -596,6 +597,7 @@ def search_maps(
     if values is None:
         values = (-1, 0, 1, 2)
     values = tuple(field.coerce(v) for v in values)
+    kernel = {v: field.kernel_scalar(v) for v in values}
     n = a.dim
     degs = a.degrees
     positions = [
@@ -604,10 +606,14 @@ def search_maps(
     zero = field.zero
 
     def candidate(assignment):
+        # entries are coerced and on even positions: the map needs no second pass
         rows = [[zero] * n for _ in range(n)]
+        columns = [{} for _ in range(n)]
         for (k, i), v in zip(positions, assignment):
             rows[k][i] = v
-        return tuple(tuple(r) for r in rows)
+            if v:
+                columns[i][k] = kernel[v]
+        return _even_map_of_parts(a.basis, tuple(tuple(r) for r in rows), columns)
 
     space = len(values) ** len(positions)
     seen = set()
@@ -624,7 +630,7 @@ def search_maps(
         if assignment in seen:
             continue
         seen.add(assignment)
-        m = GradedLinearMap(a.basis, candidate(assignment))
+        m = candidate(assignment)
         if op.call(a, *(m if arg == "map" else given[arg] for arg in op.takes)):
             hits.append(m)
     hits.sort(key=lambda m: tuple(field.sort_key(v) for row in m.matrix for v in row))

@@ -17,6 +17,7 @@ test-suite compares the basis scans against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product as iproduct
 
 from .core import (
@@ -434,12 +435,13 @@ def is_derivation(a: ColorHomAlgebra, d: GradedLinearMap, degree=None) -> Verdic
     if degree is not None and degree != d.degree:
         raise StructureError("declared degree disagrees with the map's degree")
     rows, dc, units, degs = a.product_rows, d.sparse_columns, _units(a), a.degrees
+    # eps(deg d, deg e_i), evaluated once per basis degree the scan reaches
+    eps_d = cache(lambda degree: a.field.kernel_scalar(a.eps(d.degree, degree)))
 
     def leibniz(i, j):
         left = sparse_apply(d, rows[i][j])
         first = sparse_product(a, dc[i], units[j])
-        eps = a.field.kernel_scalar(a.eps(d.degree, degs[i]))
-        second = sparse_scale(eps, sparse_product(a, units[i], dc[j]))
+        second = sparse_scale(eps_d(degs[i]), sparse_product(a, units[i], dc[j]))
         return left, sparse_add(first, second)
 
     return _first_failure(a, 2, [("leibniz", leibniz)])

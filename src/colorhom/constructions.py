@@ -33,7 +33,6 @@ from .core import (
     homogeneous_components,
     identity_map,
     invert_map,
-    make_algebra,
     map_power,
     sparse_apply,
     sparse_product,
@@ -191,7 +190,8 @@ def composed_derivation_product(a: ColorHomAlgebra, d: GradedLinearMap, *, check
     """
     op = "composed_derivation_product"
     m = a.alpha
-    plain = make_algebra(a.basis, a.bicharacter, a.structure, identity_map(a.basis))
+    rows = a.product_rows
+    plain = _algebra_from_cells(a.basis, a.bicharacter, lambda i, j: rows[i][j], identity_map(a.basis))
     if checked:
         _require(op, "epsilon-commutative", check_epsilon_commutative(plain))
         _require(op, "associative", check_hom_associative(plain))

@@ -9,24 +9,26 @@ Conventions used everywhere in the package:
 All containers are tuples and all dataclasses frozen; operations return new
 objects and never mutate their inputs.
 
-Maps and algebras also carry sparse views, built once at construction and
-excluded from equality and repr: a map's columns and an algebra's product
-rows as {k: c} dicts holding only nonzero coefficients, and the algebra's
-eps value for every pair of basis indices.  The kernel (sparse_product,
-sparse_apply) on sparse vectors, {index: nonzero coefficient}, is the only
-way the package evaluates products and maps.  Coordinate tuples appear only
-at the boundary: eval_product, eval_map and commutator_tensor convert, and
-_algebra_from_cells densifies computed products once into the tensor that
-make_algebra validates.
+An algebra stores its product sparsely, as product_rows[i][j] = {k: c} over
+the nonzero coefficients of e_i * e_j; the dense structure tensor is built
+from the rows only when something reads it, so an algebra, and the load of
+a document, costs what its nonzeros, alpha and eps table cost.  Maps carry
+their nonzero columns and algebras their eps value per pair of basis
+indices, as views excluded from equality and repr.  The kernel
+(sparse_product, sparse_apply) on sparse vectors, {index: nonzero
+coefficient}, is the only way the package evaluates products and maps.
+Coordinate tuples appear only at the boundary: eval_product, eval_map,
+commutator_tensor and structure convert, and make_algebra accepts a dense
+tensor.
 
-The views and sparse vectors hold kernel scalars, not field elements (see
-ScalarField.kernel_scalar): over Q an int for an integral value and a
-Fraction only for a true fraction, over F_p an int residue.  Every value
-enters the kernel through kernel_scalar.  No modulus enters the kernel: it
-only multiplies, adds and drops exact zeros, so over F_p its results are
-correct mod p but unreduced.  Reduction happens in exactly two places:
-checks._first_failure reduces two sides mod p only when they differ as
-ints, and dense_vector boxes every value through field.coerce, so tuples,
+The rows, the views and sparse vectors hold kernel scalars, not field
+elements (see ScalarField.kernel_scalar): over Q an int for an integral
+value and a Fraction only for a true fraction, over F_p an int residue.
+Every value enters the kernel through kernel_scalar.  No modulus enters the
+kernel: it only multiplies, adds and drops exact zeros, so over F_p its
+results are correct mod p but unreduced.  Reduction happens in exactly two
+places: checks._first_failure reduces two sides mod p only when they differ
+as ints, and dense_vector boxes every value through field.coerce, so tuples,
 matrices, witnesses and documents hold Fraction or Fp elements only.
 """
 
@@ -34,6 +36,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 from .errors import SingularMapError, StructureError
 from .grading import (
@@ -85,7 +89,7 @@ _EMPTY: dict = {}
 
 
 def _derived():
-    """A field computed in __post_init__, invisible to equality, hashing and repr."""
+    """A field computed at construction, invisible to equality, hashing and repr."""
     return dataclasses.field(init=False, compare=False, repr=False)
 
 
@@ -166,6 +170,19 @@ class GradedLinearMap:
 
     def column(self, i: int) -> tuple:
         return tuple(row[i] for row in self.matrix)
+
+
+def _even_map_of_parts(basis: GradedBasis, matrix: tuple, columns: list) -> GradedLinearMap:
+    """An even map from coerced rows, nonzero on even positions only, and their sparse columns.
+
+    Nothing is coerced or checked again: for a caller that built both parts.
+    """
+    m = object.__new__(GradedLinearMap)
+    object.__setattr__(m, "basis", basis)
+    object.__setattr__(m, "matrix", matrix)
+    object.__setattr__(m, "degree", basis.group.zero())
+    object.__setattr__(m, "sparse_columns", tuple(c or _EMPTY for c in columns))
+    return m
 
 
 def make_map(basis: GradedBasis, rows, degree: GroupElement | None = None) -> GradedLinearMap:
@@ -310,67 +327,58 @@ def invert_map(m: GradedLinearMap) -> GradedLinearMap:
     return GradedLinearMap(m.basis, inv, m.basis.group.zero())
 
 
-@dataclass(frozen=True)
+class _Cells(NamedTuple):
+    """Products as a sparse cell function, (i, j) -> e_i * e_j, in place of a dense tensor."""
+
+    cell: Callable
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class ColorHomAlgebra:
     """A graded algebra (A, *, eps, alpha) given by structure constants.
 
-    structure[i][j][k] is the e_k coefficient of e_i * e_j; alpha is the even
-    twisting endomap.  Construction coerces the constants into the field and
-    checks the tensor's shape and the evenness of the product; make_algebra
-    also validates the bicharacter and alpha.
+    ColorHomAlgebra(basis, bicharacter, structure, alpha) takes the dense
+    tensor structure[i][j][k], the e_k coefficient of e_i * e_j, coerces it
+    and checks its shape and the evenness of the product; alpha is the even
+    twisting endomap.  make_algebra also validates the bicharacter and alpha.
 
-    Derived in the same pass: product_rows[i][j] = {k: structure[i][j][k]}
-    over the nonzero coefficients, and eps_table[i][j] = eps(deg e_i,
-    deg e_j).  Every empty cell of product_rows is one shared object, and so
-    is every all-zero cell of structure.  Checks and constructions read
-    these views; structure is what equality, hashing and repr see.
+    Stored: product_rows[i][j] = {k: c} over the nonzero coefficients, as
+    kernel scalars with k ascending and one shared empty cell, so equal rows
+    mean equal tensors; equality and hashing read them.  eps_table[i][j] =
+    eps(deg e_i, deg e_j) is derived alongside.  structure is built from the
+    rows on first read and cached, with one shared all-zero cell.
     """
 
     basis: GradedBasis
     bicharacter: Bicharacter
-    structure: tuple
+    product_rows: tuple
     alpha: GradedLinearMap
-    product_rows: tuple = _derived()
     eps_table: tuple = _derived()
 
-    def __post_init__(self):
-        n = self.basis.dim
-        coerce = self.basis.field.coerce
-        kernel_scalar = self.basis.field.kernel_scalar
-        degs = self.basis.degrees
-        zero_cell = (self.basis.field.zero,) * n
-        shape = f"product tensor must be {n}x{n}x{n}"
-        if len(self.structure) != n:
-            raise StructureError(shape)
-        planes, rows = [], []
-        for i, plane in enumerate(self.structure):
-            if len(plane) != n:
-                raise StructureError(shape)
-            dense, sparse = [], []
-            for j, cell in enumerate(plane):
-                values = tuple(coerce(v) for v in cell)
-                if len(values) != n:
-                    raise StructureError(shape)
-                nonzero = {k: kernel_scalar(c) for k, c in enumerate(values) if c}
-                if nonzero:
-                    d = degs[i] + degs[j]
-                    for k in nonzero:
-                        if degs[k] != d:
-                            raise StructureError(
-                                f"product not even: c[{i}][{j}][{k}] != 0 but "
-                                f"deg(e_{k}) != deg(e_{i}) + deg(e_{j})",
-                                indices=(i, j, k),
-                            )
-                    dense.append(values)
-                    sparse.append(nonzero)
-                else:
-                    dense.append(zero_cell)
-                    sparse.append(_EMPTY)
-            planes.append(tuple(dense))
-            rows.append(tuple(sparse))
-        object.__setattr__(self, "structure", tuple(planes))
-        object.__setattr__(self, "product_rows", tuple(rows))
-        object.__setattr__(self, "eps_table", _eps_table(self.basis.field, self.bicharacter, degs))
+    def __init__(self, basis: GradedBasis, bicharacter: Bicharacter, structure, alpha: GradedLinearMap):
+        cell = structure.cell if isinstance(structure, _Cells) else _dense_cell(basis, structure)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "bicharacter", bicharacter)
+        object.__setattr__(self, "product_rows", _stored_rows(basis, cell))
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "eps_table", _eps_table(basis.field, bicharacter, basis.degrees))
+
+    @cached_property
+    def structure(self) -> tuple:
+        """The dense tensor structure[i][j][k], built from the rows on first read."""
+        rows = self.product_rows
+        return _dense_cells(self.basis, lambda i, j: rows[i][j])
+
+    def __hash__(self):
+        # cells keep their keys in ascending order, so items() is canonical
+        cells = tuple(tuple(cell.items()) for row in self.product_rows for cell in row)
+        return hash((self.basis, self.bicharacter, cells, self.alpha))
+
+    def __repr__(self):
+        return (
+            f"{type(self).__qualname__}(basis={self.basis!r}, bicharacter={self.bicharacter!r}, "
+            f"structure={self.structure!r}, alpha={self.alpha!r})"
+        )
 
     @property
     def dim(self) -> int:
@@ -392,27 +400,84 @@ class ColorHomAlgebra:
         return bicharacter_eval(self.bicharacter, a, c)
 
 
+def _dense_cell(basis: GradedBasis, structure):
+    """A dense tensor read as a cell function; each cell is shape-checked and coerced when read."""
+    n, coerce = basis.dim, basis.field.coerce
+
+    def cell(i, j):
+        planes_fit = len(structure) == n and len(structure[i]) == n
+        values = tuple(map(coerce, structure[i][j])) if planes_fit else ()
+        if len(values) != n:
+            raise StructureError(f"product tensor must be {n}x{n}x{n}")
+        return {k: c for k, c in enumerate(values) if c}
+
+    return cell
+
+
+def _stored_rows(basis: GradedBasis, cell) -> tuple:
+    """The canonical rows of the products cell(i, j) = e_i * e_j, validated in cell order.
+
+    Each nonempty cell keeps its nonzero coefficients as kernel scalars, keys
+    ascending; an uneven product names its first offending (i, j, k).
+    """
+    n = basis.dim
+    kernel_scalar = basis.field.kernel_scalar
+    distinct, classes = _degree_classes(basis.degrees)
+    position = {d: p for p, d in enumerate(distinct)}
+    # (class of e_i, class of e_j) -> the class of their degree sum, -1 if no
+    # basis vector has it; filled only for pairs with a nonempty cell
+    sum_class: dict = {}
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            c = cell(i, j)
+            nonzero = {k: v for k in sorted(c) if (v := kernel_scalar(c[k]))} if c else None
+            if not nonzero:
+                row.append(_EMPTY)
+                continue
+            pair = (classes[i], classes[j])
+            target = sum_class.get(pair)
+            if target is None:
+                target = sum_class[pair] = position.get(distinct[pair[0]] + distinct[pair[1]], -1)
+            for k in nonzero:
+                if classes[k] != target:
+                    raise StructureError(
+                        f"product not even: c[{i}][{j}][{k}] != 0 but "
+                        f"deg(e_{k}) != deg(e_{i}) + deg(e_{j})",
+                        indices=(i, j, k),
+                    )
+            row.append(nonzero)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def _eps_table(field: ScalarField, b: Bicharacter, degrees) -> tuple:
     """eps for every pair of basis indices, as kernel scalars.
 
     One evaluation per pair of distinct degrees; indices of equal degree
     share one row tuple.
     """
-    position: dict = {}
-    for d in degrees:
-        position.setdefault(d, len(position))
-    classes = [position[d] for d in degrees]
+    distinct, classes = _degree_classes(degrees)
     rows = [
         tuple(values[q] for q in classes)
         for values in (
-            [field.kernel_scalar(bicharacter_eval(b, d, e)) for e in position] for d in position
+            [field.kernel_scalar(bicharacter_eval(b, d, e)) for e in distinct] for d in distinct
         )
     ]
     return tuple(rows[p] for p in classes)
 
 
+def _degree_classes(degrees) -> tuple:
+    """The distinct degrees in order of first occurrence, and each index's position among them."""
+    position: dict = {}
+    for d in degrees:
+        position.setdefault(d, len(position))
+    return list(position), [position[d] for d in degrees]
+
+
 def make_algebra(basis: GradedBasis, bichar: Bicharacter, structure, alpha: GradedLinearMap) -> ColorHomAlgebra:
-    """Validate and assemble.  Raises StructureError on:
+    """Validate and assemble from a dense tensor structure[i][j][k].  Raises StructureError on:
 
       * field or group mismatch between basis and bicharacter,
       * a bicharacter failing its axioms,
@@ -442,16 +507,20 @@ def make_algebra(basis: GradedBasis, bichar: Bicharacter, structure, alpha: Grad
 def _algebra_from_cells(basis: GradedBasis, bicharacter: Bicharacter, cell, alpha: GradedLinearMap) -> ColorHomAlgebra:
     """make_algebra on the products cell(i, j) = e_i * e_j, given as sparse vectors.
 
-    The one way an algebra is built from computed products: the cells are
-    densified here, once, into the structure tensor make_algebra validates.
+    The one way an algebra is built from computed products: make_algebra
+    validates the cells and stores them as the algebra's rows, with no
+    dense tensor in between.
     """
-    return make_algebra(basis, bicharacter, _dense_cells(basis, cell), alpha)
+    return make_algebra(basis, bicharacter, _Cells(cell), alpha)
 
 
 def _dense_cells(basis: GradedBasis, cell) -> tuple:
+    """The dense tensor of sparse cells; every empty cell is one shared zero tuple."""
     n, field = basis.dim, basis.field
+    zero_cell = (field.zero,) * n
     return tuple(
-        tuple(dense_vector(field, n, cell(i, j)) for j in range(n)) for i in range(n)
+        tuple(dense_vector(field, n, c) if (c := cell(i, j)) else zero_cell for j in range(n))
+        for i in range(n)
     )
 
 

@@ -252,8 +252,10 @@ def parse_document(text: str) -> ParsedDocument:
                 isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n,
                 f"product: index out of range in {entry!r}",
             )
+        value = _scalar_from_json(field, v, f"product[{i},{j},{k}]")
         cell = cells.setdefault((i, j), {})
-        cell[k] = cell.get(k, field.zero) + _scalar_from_json(field, v, f"product[{i},{j},{k}]")
+        # a repeated (i, j, k) sums; zeros, given or summed, drop when the rows are stored
+        cell[k] = cell[k] + value if k in cell else value
 
     asec = doc["alpha"]
     _expect(isinstance(asec, dict) and "matrix" in asec, "alpha: need matrix")

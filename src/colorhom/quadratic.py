@@ -36,6 +36,7 @@ from .core import (
     identity_map,
     invert_map,
     matrix_rank,
+    sparse_vector,
     unit_vector,
 )
 from .errors import HypothesisError, SingularMapError, StructureError
@@ -93,15 +94,19 @@ def form_value(f: BilinearFormStructure, x, y):
     n = f.basis.dim
     if len(x) != n or len(y) != n:
         raise StructureError(f"vectors must have length {n}")
+    field = f.basis.field
+    return _pairing(f, sparse_vector(field, x), sparse_vector(field, y))
+
+
+def _pairing(f: BilinearFormStructure, x: dict, y: dict):
+    """B(x, y) for sparse vectors, as a field element."""
+    gram = f.gram
     acc = f.basis.field.zero
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        for j, yj in enumerate(y):
-            if yj == 0:
-                continue
-            g = f.gram[i][j]
-            if g != 0:
+    for i, xi in x.items():
+        row = gram[i]
+        for j, yj in y.items():
+            g = row[j]
+            if g:
                 acc = acc + xi * g * yj
     return acc
 
@@ -133,12 +138,13 @@ def check_quadratic_structure(a: ColorHomAlgebra, f: BilinearFormStructure) -> V
         return _fail("nondegeneracy", (), None, None)
     # z-major scan: for a fixed z the invariance clause pairs off products
     # against it, and the first reported failure follows that grouping
+    rows, beta_columns = a.product_rows, beta.sparse_columns
     for k in range(n):
-        bz = beta.column(k)
+        bz = beta_columns[k]
         for j in range(n):
             for i in range(n):
-                left = form_value(f, a.structure[i][j], bz)
-                right = form_value(f, beta.column(i), a.structure[j][k])
+                left = _pairing(f, rows[i][j], bz)
+                right = _pairing(f, beta_columns[i], rows[j][k])
                 if left != right:
                     return _fail("invariance", (i, j, k), (left,), (right,))
     for i, j in iproduct(range(n), repeat=2):

@@ -201,6 +201,8 @@ class ScalarField:
         its sums grow past p and are reduced lazily; coerce boxes a kernel
         scalar back into a field element.
         """
+        if type(x) is int:  # the kernel's own scalars come back as ints
+            return x if self.kind == RATIONALS else x % self.p
         x = self.coerce(x)
         if self.kind == RATIONALS:
             return x.numerator if x.denominator == 1 else x

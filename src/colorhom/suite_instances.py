@@ -13,7 +13,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .catalog import build_entry, euler_derivation, scaling_morphism, truncated_polynomial
-from .core import make_algebra
+from .core import _algebra_from_cells
 from .io import serialize_document
 from .scalars import prime_field, rationals
 
@@ -28,7 +28,8 @@ def _poly3_scaled():
     morphism the composed derivation product composes with."""
     plain = truncated_polynomial(3, rationals())
     alpha = scaling_morphism(plain, 2)
-    a = make_algebra(plain.basis, plain.bicharacter, plain.structure, alpha)
+    rows = plain.product_rows
+    a = _algebra_from_cells(plain.basis, plain.bicharacter, lambda i, j: rows[i][j], alpha)
     return a, {"euler": euler_derivation(a)}, {}
 
 

@@ -7,6 +7,7 @@ result or raise StructureError; any other exception is a defect.
 """
 
 import json
+import resource
 import subprocess
 import sys
 import time
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from colorhom.core import GradedBasis, identity_map, make_algebra
 from colorhom.errors import StructureError
 from colorhom.grading import GradeGroup, make_bicharacter
 from colorhom.io import parse_document
@@ -192,3 +194,91 @@ def test_cli_suite_on_a_hostile_manifest_exits_2(tmp_path, payload):
     proc = _run_cli("suite", str(path))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and "error:" in proc.stderr
+
+
+def _product_free_document(n):
+    """Dimension n, trivial grading, empty product, identity alpha: about n*n*3 bytes."""
+    alpha = [[1 if k == i else 0 for i in range(n)] for k in range(n)]
+    return json.dumps({
+        "field": {"kind": "rationals"},
+        "group": {"free_rank": 0, "torsion_orders": []},
+        "bicharacter": {"gen_table": []},
+        "basis": {"degrees": [[]] * n},
+        "product": {"triples": []},
+        "alpha": {"matrix": alpha},
+    })
+
+
+def _limit_address_space():
+    # a dense n^3 load fails fast here instead of taking the host's memory
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_cli_check_on_a_product_free_dim_600_document_is_fast_and_small(tmp_path):
+    path = tmp_path / "dim600.json"
+    path.write_text(_product_free_document(600), encoding="utf-8")
+    assert path.stat().st_size > 10**6
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "colorhom", "check", str(path), "epsilon_commutative"],
+        capture_output=True, text=True, timeout=30, preexec_fn=_limit_address_space,
+    )
+    elapsed = time.perf_counter() - start
+    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 30
+    assert peak_mb < 300
+
+
+def _two_dim_parts(field):
+    # Z2: e0 even, e1 odd
+    g = GradeGroup(0, (2,))
+    basis = GradedBasis(field, g, (g.element([0]), g.element([1])))
+    return basis, make_bicharacter(field, g, ((field.from_int(-1),),)), identity_map(basis)
+
+
+def _tensor(**entries):
+    """A 2x2x2 tensor of ints with the named entries, e.g. c011=1."""
+    t = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+    for name, v in entries.items():
+        i, j, k = map(int, name[1:])
+        t[i][j][k] = v
+    return t
+
+
+UNEVEN_001 = "product not even: c[0][0][1] != 0 but deg(e_1) != deg(e_0) + deg(e_0)"
+
+
+@pytest.mark.parametrize(
+    "tensor, message",
+    [
+        (_tensor()[:1], "product tensor must be 2x2x2"),
+        ([_tensor()[0], _tensor()[1][:1]], "product tensor must be 2x2x2"),
+        ([_tensor()[0], [[0, 0], [0]]], "product tensor must be 2x2x2"),
+        (_tensor(c001=1), UNEVEN_001),
+        (_tensor(c011=1, c110=3, c010=2), "product not even: c[0][1][0] != 0 but deg(e_0) != deg(e_0) + deg(e_1)"),
+        # the first defect in cell order is reported
+        ([[[0, 1], [0, 0]], [[0, 0], [0]]], UNEVEN_001),
+        ([[[0, 0], [0, 0, 0]], [[0, 1], [0, 0]]], "product tensor must be 2x2x2"),
+        ([[[Fraction(1, 2), 0.5], [0, 0]], [[0, 0], [0, 0]]], "not a scalar over Q: 0.5"),
+    ],
+    ids=["planes", "rows", "cell", "uneven", "uneven-later-k", "uneven-before-shape", "shape-before-uneven", "float"],
+)
+def test_make_algebra_reports_shape_coercion_and_evenness_errors(tensor, message):
+    basis, bichar, alpha = _two_dim_parts(rationals())
+    with pytest.raises(StructureError) as info:
+        make_algebra(basis, bichar, tensor, alpha)
+    assert str(info.value) == message
+
+
+def test_a_parsed_uneven_triple_names_the_same_constant():
+    basis, bichar, alpha = _two_dim_parts(rationals())
+    with pytest.raises(StructureError) as dense:
+        make_algebra(basis, bichar, _tensor(c011=1, c001=2), alpha)
+    doc = json.loads(dict(INSTANCES)["superline.json"])
+    doc["product"]["triples"] = [[0, 1, 1, 1], [0, 0, 1, 2]]
+    with pytest.raises(StructureError) as parsed:
+        parse_document(json.dumps(doc))
+    assert str(parsed.value) == str(dense.value) == UNEVEN_001
+    assert parsed.value.indices == dense.value.indices == (0, 0, 1)

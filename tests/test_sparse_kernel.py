@@ -11,6 +11,7 @@ that every value leaving it is a field element again, and that F_p sides
 are compared mod p.
 """
 
+import json
 import subprocess
 import sys
 import time
@@ -212,7 +213,8 @@ VALUES = (-2, -1, 1, 2, 3)
 
 
 @st.composite
-def algebras(draw, field_grading=None, values=VALUES):
+def algebra_parts(draw, field_grading=None, values=VALUES):
+    """(basis, bicharacter, dense structure, alpha) of a random algebra."""
     field, grading = field_grading or draw(st.sampled_from(GRADINGS))
     group, bichar = grading(field)
     n = draw(st.integers(1, 4))
@@ -237,7 +239,11 @@ def algebras(draw, field_grading=None, values=VALUES):
     for k, i in iproduct(range(n), repeat=2):
         if degrees[k] == degrees[i] and (k == i or draw(st.booleans())):
             alpha[k][i] = field.from_int(draw(value))
-    return make_algebra(basis, bichar, structure, make_map(basis, alpha))
+    return basis, bichar, structure, make_map(basis, alpha)
+
+
+def algebras(field_grading=None, values=VALUES):
+    return algebra_parts(field_grading, values).map(lambda parts: make_algebra(*parts))
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -1146,3 +1152,134 @@ def test_near_p_constants_match_the_dense_reference(case):
     assert_matches_reference(a)
     assert_predicates_match_reference(a, _map_pool(a, maps))
     assert_constructions_match_reference(a, _map_pool(a, maps), [other, a])
+
+
+# ---------------------------------------------------------------------------
+# the stored form
+#
+# An algebra stores its canonical product rows; structure is built from them
+# on first read.  The dense tensors below are read from the inputs (or from a
+# document's triples) without colorhom.core.
+
+
+def _tensor_of_document(text):
+    """The dense tensor a document's triples spell out."""
+    doc = json.loads(text)
+    field = Q if doc["field"]["kind"] == "rationals" else prime_field(doc["field"]["p"])
+    n = len(doc["basis"]["degrees"])
+    tensor = [[[field.zero] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k, v in doc["product"]["triples"]:
+        tensor[i][j][k] = field.parse(v)
+    return tuple(tuple(tuple(cell) for cell in plane) for plane in tensor)
+
+
+def _unbuilt(a):
+    return "structure" not in vars(a)
+
+
+def assert_stored_form(a, tensor):
+    """a.structure is the given tensor, boxed, with one shared zero cell, built once on demand."""
+    assert _unbuilt(a)
+    structure = a.structure
+    assert structure == tensor
+    assert a.structure is structure
+    _assert_boxed(a.field, _cells(structure), "structure")
+    zero_cells = [cell for plane in structure for cell in plane if not any(cell)]
+    assert all(cell is zero_cells[0] for cell in zero_cells)
+    assert all(list(cell) == sorted(cell) for row in a.product_rows for cell in row)
+
+
+def assert_builds_agree(basis, bichar, tensor, alpha):
+    """Dense tensor, sparse cells (keys descending) and a parsed document give one algebra."""
+    dense = make_algebra(basis, bichar, tensor, alpha)
+    cells = core._algebra_from_cells(
+        basis, bichar,
+        lambda i, j: {k: c for k, c in reversed(list(enumerate(tensor[i][j]))) if c},
+        alpha,
+    )
+    text = serialize_document(dense)
+    parsed = parse_document(text).algebra
+    assert dense == cells == parsed
+    assert hash(dense) == hash(cells) == hash(parsed)
+    assert serialize_document(cells) == serialize_document(parsed) == text
+    assert _unbuilt(dense) and _unbuilt(cells) and _unbuilt(parsed)
+    return dense
+
+
+def _perturbed(tensor, degrees, field):
+    """The tensor with one admissible constant moved by one, or None if no constant is admissible."""
+    n = len(degrees)
+    spots = [(i, j, k) for i, j, k in iproduct(range(n), repeat=3) if degrees[k] == degrees[i] + degrees[j]]
+    if not spots:
+        return None
+    i, j, k = spots[0]
+    out = [[list(cell) for cell in plane] for plane in tensor]
+    out[i][j][k] = out[i][j][k] + field.one
+    return out
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(algebra_parts())
+def test_the_stored_form_on_random_algebras(parts):
+    basis, bichar, structure, alpha = parts
+    tensor = tuple(tuple(tuple(cell) for cell in plane) for plane in structure)
+    a = assert_builds_agree(basis, bichar, tensor, alpha)
+    assert_stored_form(a, tensor)
+    other = _perturbed(tensor, basis.degrees, basis.field)
+    if other is not None:
+        assert make_algebra(basis, bichar, other, alpha) != a
+
+
+@pytest.mark.parametrize("field", [Q, F7], ids=str)
+def test_the_stored_form_on_the_catalog(field):
+    for entry in standard_entries(field):
+        a = parse_document(serialize_document(entry.algebra)).algebra
+        tensor = _tensor_of_document(serialize_document(a))
+        assert_builds_agree(a.basis, a.bicharacter, tensor, a.alpha)
+        assert_stored_form(a, tensor)
+        other = _perturbed(tensor, a.degrees, field)
+        assert make_algebra(a.basis, a.bicharacter, other, a.alpha) != a
+
+
+def test_repr_shows_the_dense_structure():
+    basis = core.trivial_basis(Q, 1)
+    a = make_algebra(basis, trivial_bicharacter(Q, basis.group), [[[Fraction(1, 2)]]], core.identity_map(basis))
+    trivial = "GradeGroup(free_rank=0, torsion_orders=())"
+    rational_basis = (
+        f"GradedBasis(field=ScalarField(kind='rationals', p=None), group={trivial}, "
+        f"degrees=(GroupElement(group={trivial}, coords=()),))"
+    )
+    assert repr(a) == (
+        f"ColorHomAlgebra(basis={rational_basis}, bicharacter=Bicharacter(field=ScalarField("
+        f"kind='rationals', p=None), group={trivial}, gen_table=()), structure=(((Fraction(1, 2),),),), "
+        f"alpha=GradedLinearMap(basis={rational_basis}, matrix=((Fraction(1, 1),),), "
+        f"degree=GroupElement(group={trivial}, coords=())))"
+    )
+    for entry in standard_entries(F7):
+        b = entry.algebra
+        assert repr(b) == (
+            f"ColorHomAlgebra(basis={b.basis!r}, bicharacter={b.bicharacter!r}, "
+            f"structure={b.structure!r}, alpha={b.alpha!r})"
+        )
+
+
+@pytest.mark.parametrize("field", [Q, F7], ids=str)
+def test_parsing_checking_constructing_and_serializing_never_build_structure(field):
+    entries = standard_entries(field)
+    fresh = [parse_document(serialize_document(e.algebra, maps=e.maps, forms=e.forms)) for e in entries]
+    others = [doc.algebra for doc in fresh if doc.algebra.dim <= 3][:2]
+    for entry, doc in zip(entries, fresh):
+        a = doc.algebra
+        maps = _map_pool(a, doc.maps.values())
+        for name, call in _operation_calls(a, maps, list(doc.forms.values()), others + [a]):
+            try:
+                result = call()
+            except (HypothesisError, StructureError):
+                continue
+            if isinstance(result, tuple):  # quadratic constructions return (algebra, form)
+                result = result[0]
+            if isinstance(result, ColorHomAlgebra):
+                serialize_document(result)
+                assert _unbuilt(result), name
+        serialize_document(a, maps=doc.maps, forms=doc.forms)
+        assert all(_unbuilt(b) for b in [a] + others), entry.recipe
