@@ -5,10 +5,21 @@ multilinearity: once degrees are fixed, both sides are linear in each slot).
 A failing check returns the first offending tuple in lexicographic slot
 order together with the exactly evaluated left and right sides, so every
 reported failure can be replayed.  Identity scans and operator predicates
-share one loop (_first_failure): each condition maps basis indices to
-sparse sides, and only a witness is made dense.
+share one loop (_first_failure) over basis tuples given in lexicographic
+order: each condition maps basis indices to sparse sides, and only a
+witness is made dense.
 
-The same two-sided identity evaluators back identity_residual_on_vectors,
+Each identity is declared once, as the signed terms of its two sides in
+three shapes (C: x*y, L: (x*y)*alpha(z), R: alpha(x)*(y*z)), and _sides
+sums them.  An identity scan visits only the support of those terms: the
+algebra's product index (core.ProductIndex) tells where each term can be
+nonzero on basis vectors.  At a skipped tuple every term is zero, so both
+sides are {} and the tuple passes; the first failing tuple, and its sides,
+are therefore those of a scan over every tuple.  The support is built one
+slot-0 value at a time, so a scan that stops early pays only for the
+slices it reached.
+
+The same term sums back identity_sides and identity_residual_on_vectors,
 which evaluates an identity on arbitrary (non-homogeneous) vectors by
 splitting them into homogeneous components; it is the independent route the
 test-suite compares the basis scans against.
@@ -19,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import product as iproduct
+from typing import NamedTuple
 
 from .core import (
     ColorHomAlgebra,
@@ -101,102 +113,68 @@ def _fail(identity: str, indices, left, right) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# two-sided identity evaluators on homogeneous arguments
+# identities as signed sums of terms
 #
-# Each takes (algebra, eps, keys, vectors): vectors[s] is a sparse vector,
-# homogeneous of some degree, and eps[keys[s]][keys[t]] is the bicharacter on
-# the degrees of slots s and t.  The basis scans pass the algebra's eps_table
-# with basis indices as keys; identity_sides passes a table over its slots.
-# Each returns (left, right) as sparse vectors.
+# Every identity is multilinear: each side is a sum of products of three
+# shapes, each naming every slot once.  A term (sign, pairs, shape) is worth
+# sign times eps(deg s, deg t) for each slot pair (s, t) in pairs, times the
+# shape's product; a bracket [u, v] = u*v - eps(u, v) v*u gives two terms.
 
-def _mul(a, x, y):
-    return sparse_product(a, x, y)
+class C(NamedTuple):
+    """e_p * e_q on the arguments in slots p and q."""
 
-
-def _al(a, x):
-    return sparse_apply(a.alpha, x)
+    p: int
+    q: int
 
 
-def _bracket(a, e, x, y):
-    # x*y - e y*x with e = eps(x, y), formed from a's own product
-    return sparse_sub(_mul(a, x, y), sparse_scale(e, _mul(a, y, x)))
+class L(NamedTuple):
+    """(e_p * e_q) * alpha(e_r)."""
+
+    p: int
+    q: int
+    r: int
 
 
-def _sides_epsilon_commutativity(a, eps, keys, vecs):
-    (dx, dy), (x, y) = keys, vecs
-    return _mul(a, x, y), sparse_scale(eps[dx][dy], _mul(a, y, x))
+class R(NamedTuple):
+    """alpha(e_p) * (e_q * e_r)."""
+
+    p: int
+    q: int
+    r: int
 
 
-def _sides_hom_associativity(a, eps, keys, vecs):
-    x, y, z = vecs
-    return _mul(a, _al(a, x), _mul(a, y, z)), _mul(a, _mul(a, x, y), _al(a, z))
+E01, E12, E20 = (0, 1), (1, 2), (2, 0)
 
-
-def _sides_right_commutativity(a, eps, keys, vecs):
-    (dx, dy, dz), (x, y, z) = keys, vecs
-    left = _mul(a, _mul(a, x, y), _al(a, z))
-    right = sparse_scale(eps[dy][dz], _mul(a, _mul(a, x, z), _al(a, y)))
-    return left, right
-
-
-def _sides_left_symmetry(a, eps, keys, vecs):
-    (dx, dy, dz), (x, y, z) = keys, vecs
-    left = sparse_sub(_mul(a, _mul(a, x, y), _al(a, z)), _mul(a, _al(a, x), _mul(a, y, z)))
-    assoc_yx = sparse_sub(
-        _mul(a, _mul(a, y, x), _al(a, z)), _mul(a, _al(a, y), _mul(a, x, z))
-    )
-    return left, sparse_scale(eps[dx][dy], assoc_yx)
-
-
-def _sides_skew_symmetry(a, eps, keys, vecs):
-    (dx, dy), (x, y) = keys, vecs
-    return _mul(a, x, y), sparse_scale(-eps[dx][dy], _mul(a, y, x))
-
-
-def _sides_hom_jacobi(a, eps, keys, vecs):
-    (dx, dy, dz), (x, y, z) = keys, vecs
-    acc = sparse_scale(eps[dz][dx], _mul(a, _al(a, x), _mul(a, y, z)))
-    acc = sparse_add(acc, sparse_scale(eps[dx][dy], _mul(a, _al(a, y), _mul(a, z, x))))
-    acc = sparse_add(acc, sparse_scale(eps[dy][dz], _mul(a, _al(a, z), _mul(a, x, y))))
-    return acc, {}
-
-
-def _sides_cyclic_right_products(a, eps, keys, vecs):
-    (dx, dy, dz), (x, y, z) = keys, vecs
-    acc = sparse_scale(eps[dz][dx], _mul(a, _bracket(a, eps[dx][dy], x, y), _al(a, z)))
-    acc = sparse_add(
-        acc, sparse_scale(eps[dx][dy], _mul(a, _bracket(a, eps[dy][dz], y, z), _al(a, x)))
-    )
-    acc = sparse_add(
-        acc, sparse_scale(eps[dy][dz], _mul(a, _bracket(a, eps[dz][dx], z, x), _al(a, y)))
-    )
-    return acc, {}
-
-
-def _sides_cyclic_left_products(a, eps, keys, vecs):
-    (dx, dy, dz), (x, y, z) = keys, vecs
-    acc = sparse_scale(eps[dz][dx], _mul(a, _al(a, x), _bracket(a, eps[dy][dz], y, z)))
-    acc = sparse_add(
-        acc, sparse_scale(eps[dx][dy], _mul(a, _al(a, y), _bracket(a, eps[dz][dx], z, x)))
-    )
-    acc = sparse_add(
-        acc, sparse_scale(eps[dy][dz], _mul(a, _al(a, z), _bracket(a, eps[dx][dy], x, y)))
-    )
-    return acc, {}
-
-
+# name -> (arity, left terms, right terms)
 _IDENTITIES = {
-    "epsilon-commutativity": (2, _sides_epsilon_commutativity),
-    "hom-associativity": (3, _sides_hom_associativity),
-    "right-commutativity": (3, _sides_right_commutativity),
-    "left-symmetry": (3, _sides_left_symmetry),
-    "skew-symmetry": (2, _sides_skew_symmetry),
-    "hom-jacobi": (3, _sides_hom_jacobi),
-    "cyclic-right-products": (3, _sides_cyclic_right_products),
-    "cyclic-left-products": (3, _sides_cyclic_left_products),
+    "epsilon-commutativity": (2, [(1, (), C(0, 1))], [(1, (E01,), C(1, 0))]),
+    "hom-associativity": (3, [(1, (), R(0, 1, 2))], [(1, (), L(0, 1, 2))]),
+    "right-commutativity": (3, [(1, (), L(0, 1, 2))], [(1, (E12,), L(0, 2, 1))]),
+    # the twisted associator is eps-symmetric in its first two slots
+    "left-symmetry": (
+        3,
+        [(1, (), L(0, 1, 2)), (-1, (), R(0, 1, 2))],
+        [(1, (E01,), L(1, 0, 2)), (-1, (E01,), R(1, 0, 2))],
+    ),
+    "skew-symmetry": (2, [(1, (), C(0, 1))], [(-1, (E01,), C(1, 0))]),
+    "hom-jacobi": (
+        3, [(1, (E20,), R(0, 1, 2)), (1, (E01,), R(1, 2, 0)), (1, (E12,), R(2, 0, 1))], []
+    ),
+    # eps(z,x) [x,y]*alpha(z) + eps(x,y) [y,z]*alpha(x) + eps(y,z) [z,x]*alpha(y)
+    "cyclic-right-products": (3, [
+        (1, (E20,), L(0, 1, 2)), (-1, (E20, E01), L(1, 0, 2)),
+        (1, (E01,), L(1, 2, 0)), (-1, (E01, E12), L(2, 1, 0)),
+        (1, (E12,), L(2, 0, 1)), (-1, (E12, E20), L(0, 2, 1)),
+    ], []),
+    # eps(z,x) alpha(x)*[y,z] + eps(x,y) alpha(y)*[z,x] + eps(y,z) alpha(z)*[x,y]
+    "cyclic-left-products": (3, [
+        (1, (E20,), R(0, 1, 2)), (-1, (E20, E12), R(0, 2, 1)),
+        (1, (E01,), R(1, 2, 0)), (-1, (E01, E20), R(1, 0, 2)),
+        (1, (E12,), R(2, 0, 1)), (-1, (E12, E01), R(2, 1, 0)),
+    ], []),
 }
 
-IDENTITY_ARITY = {name: arity for name, (arity, _) in _IDENTITIES.items()}
+IDENTITY_ARITY = {name: arity for name, (arity, _, _) in _IDENTITIES.items()}
 
 # which multilinear identities each algebra-level check quantifies
 IDENTITIES_BY_CHECK = {
@@ -209,6 +187,46 @@ IDENTITIES_BY_CHECK = {
 }
 
 
+def _shapes(name: str) -> list:
+    _, left, right = _IDENTITIES[name]
+    return [shape for _, _, shape in left + right]
+
+
+def _sides(a: ColorHomAlgebra, terms, keys, eps, products, images) -> tuple:
+    """An identity's (left, right), the signed sums of its (left, right) terms, as sparse vectors.
+
+    Slot s of the identity is keys[s]: products[keys[s]][keys[t]] is the
+    sparse product of the arguments in slots s and t, images[keys[s]] the
+    image of the argument in slot s under alpha, and eps[keys[s]][keys[t]]
+    the bicharacter on their degrees.
+    """
+    sides = []
+    for side_terms in terms:
+        out = {}
+        for sign, pairs, shape in side_terms:
+            kind = type(shape)
+            if kind is C:
+                value = products[keys[shape.p]][keys[shape.q]]
+            elif kind is L:
+                value = products[keys[shape.p]][keys[shape.q]]
+                if value:
+                    value = sparse_product(a, value, images[keys[shape.r]])
+            else:
+                value = products[keys[shape.q]][keys[shape.r]]
+                if value:
+                    value = sparse_product(a, images[keys[shape.p]], value)
+            if value:
+                coefficient = sign
+                for s, t in pairs:
+                    coefficient *= eps[keys[s]][keys[t]]
+                if coefficient != 1:
+                    value = sparse_scale(coefficient, value)
+                # value may be a stored cell: sparse_add copies, nothing is mutated
+                out = sparse_add(out, value) if out else value
+        sides.append(out)
+    return tuple(sides)
+
+
 def identity_sides(a: ColorHomAlgebra, name: str, degrees, vectors):
     """Evaluate one identity's two sides on homogeneous arguments."""
     return tuple(_dense(a, side) for side in _sparse_sides(a, name, degrees, vectors))
@@ -217,7 +235,7 @@ def identity_sides(a: ColorHomAlgebra, name: str, degrees, vectors):
 def _sparse_sides(a: ColorHomAlgebra, name: str, degrees, vectors):
     if name not in _IDENTITIES:
         raise StructureError(f"unknown identity {name!r}")
-    arity, sides = _IDENTITIES[name]
+    arity = IDENTITY_ARITY[name]
     if len(degrees) != arity or len(vectors) != arity:
         raise StructureError(f"identity {name!r} takes {arity} arguments")
     n = a.dim
@@ -226,7 +244,10 @@ def _sparse_sides(a: ColorHomAlgebra, name: str, degrees, vectors):
             raise StructureError(f"vector length {len(v)} != dim {n}")
     field = a.field
     eps = [[field.kernel_scalar(a.eps(d, e)) for e in degrees] for d in degrees]
-    return sides(a, eps, tuple(range(arity)), tuple(sparse_vector(field, v) for v in vectors))
+    vecs = [sparse_vector(field, v) for v in vectors]
+    products = [[sparse_product(a, x, y) for y in vecs] for x in vecs]
+    images = [sparse_apply(a.alpha, x) for x in vecs]
+    return _sides(a, _IDENTITIES[name][1:], range(arity), eps, products, images)
 
 
 def _dense(a: ColorHomAlgebra, x: dict) -> tuple:
@@ -237,17 +258,22 @@ def _units(a: ColorHomAlgebra) -> list:
     return [{i: 1} for i in range(a.dim)]
 
 
-def _first_failure(a: ColorHomAlgebra, arity: int, conditions) -> Verdict:
-    """Check (name, sides) conditions on every basis tuple, lexicographic slot order.
+def _every_tuple(a: ColorHomAlgebra, arity: int):
+    return iproduct(range(a.dim), repeat=arity)
 
-    At each tuple the conditions run in the order given.  sides(*indices)
+
+def _first_failure(a: ColorHomAlgebra, tuples, conditions) -> Verdict:
+    """Check (name, sides) conditions on basis tuples, given in lexicographic slot order.
+
+    The caller passes every tuple, or only those where some condition can
+    fail.  At each tuple the conditions run in the order given.  sides(*indices)
     returns (left, right) as sparse vectors of kernel scalars; only a
     failing pair is made dense, for the witness.  Over F_p the sides are
     unreduced: equal ones are equal mod p, and only unequal ones are
     reduced and compared again.
     """
     p = a.field.p
-    for idx in iproduct(range(a.dim), repeat=arity):
+    for idx in tuples:
         for name, sides in conditions:
             left, right = sides(*idx)
             if left != right and (p is None or _reduced(left, p) != _reduced(right, p)):
@@ -261,13 +287,116 @@ def _reduced(x: dict, p: int) -> dict:
 
 
 def _scan(a: ColorHomAlgebra, name: str) -> Verdict:
-    """Quantify one identity over basis tuples, fed as unit vectors."""
-    arity, sides = _IDENTITIES[name]
-    eps = a.eps_table
-    units = _units(a)
+    """Quantify one identity over basis tuples, fed as unit vectors.
+
+    Only the support of the identity's terms is visited: every other tuple
+    has all its terms zero, so both sides are {} and it passes.
+    """
+    arity, *terms = _IDENTITIES[name]
+    eps, rows, columns = a.eps_table, a.product_rows, a.alpha.sparse_columns
+    shapes = _shapes(name)
+    support = _support(a, shapes) if arity == 3 else _pair_support(a, shapes)
+    # on basis vectors a product is a stored cell and an image a column
     return _first_failure(
-        a, arity, [(name, lambda *idx: sides(a, eps, idx, tuple(map(units.__getitem__, idx))))]
+        a, support, [(name, lambda *idx: _sides(a, terms, idx, eps, rows, columns))]
     )
+
+
+def _bits(mask: int):
+    """The positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _union(masks, keys) -> int:
+    out = 0
+    for k in keys:
+        out |= masks[k]
+    return out
+
+
+def _pair_support(a: ColorHomAlgebra, terms):
+    """The pairs (i, j) where some C term can be nonzero, in lexicographic order."""
+    x = a.product_index
+    for i in range(a.dim):
+        js = set()
+        for term in terms:
+            js.update(x.by_row[i] if term.p == 0 else x.by_col[i])
+        for j in sorted(js):
+            yield i, j
+
+
+def _support(a: ColorHomAlgebra, terms):
+    """The triples where some L or R term can be nonzero, in lexicographic order.
+
+    Built one slot-0 value at a time, so a scan that stops in slice i has
+    paid for slices up to i only.  A slice is a bit set with bit j*n + k
+    for the candidate (i, j, k).
+    """
+    n = a.dim
+    for i in range(n):
+        found = 0
+        for term in terms:
+            slot, bits = _term_bits(a, term, i)
+            found |= bits if slot == 1 else _transposed(bits, n)
+        while found:
+            low = found & -found
+            found ^= low
+            yield (i, *divmod(low.bit_length() - 1, n))
+
+
+def _transposed(bits: int, n: int) -> int:
+    """The bit set with bit v*n + u for each bit u*n + v of bits."""
+    out = 0
+    for b in _bits(bits):
+        u, v = divmod(b, n)
+        out |= 1 << v * n + u
+    return out
+
+
+def _term_bits(a: ColorHomAlgebra, term, i: int):
+    """Where an L or R term can be nonzero once slot 0 holds basis index i.
+
+    Returns (slot, bits): bits has bit u*n + v where u is the value of that
+    slot and v the value of the term's third slot that goes with it.
+    """
+    x, n, columns = a.product_index, a.dim, a.alpha.sparse_columns
+    p, q, r = term
+    if type(term) is L:
+        # (e_p e_q) alpha(e_r): a nonempty cell (p, q), and r in aright of one of its keys
+        if p == 0:
+            return q, _spread(x.aright, _in_row(a, i), n)
+        if q == 0:
+            return p, _spread(x.aright, _in_column(a, i), n)
+        # the cells with a key m such that e_m * alpha(e_i) can be nonzero
+        return p, _union(x.by_key, {m for k in columns[i] for m in x.by_col[k]})
+    # alpha(e_p) (e_q e_r): a nonempty cell (q, r), and p in aleft of one of its keys
+    if p == 0:
+        # the cells with a key m such that alpha(e_i) * e_m can be nonzero
+        return q, _union(x.by_key, {m for k in columns[i] for m in x.by_row[k]})
+    if q == 0:
+        return r, _spread(x.aleft, _in_row(a, i), n)
+    return q, _spread(x.aleft, _in_column(a, i), n)
+
+
+def _in_row(a: ColorHomAlgebra, i: int):
+    """(j, e_i * e_j) over the nonempty cells of row i."""
+    return ((j, a.product_rows[i][j]) for j in a.product_index.by_row[i])
+
+
+def _in_column(a: ColorHomAlgebra, j: int):
+    """(i, e_i * e_j) over the nonempty cells of column j."""
+    return ((i, a.product_rows[i][j]) for i in a.product_index.by_col[j])
+
+
+def _spread(masks, cells, n: int) -> int:
+    """Bit u*n + v for each (u, cell) of cells and each v in masks[m] of a key m of the cell."""
+    bits = 0
+    for u, cell in cells:
+        bits |= _union(masks, cell) << u * n
+    return bits
 
 
 def _scan_check(a: ColorHomAlgebra, check: str) -> Verdict:
@@ -377,7 +506,7 @@ def _composites_agree(a: ColorHomAlgebra, name: str, left, right) -> Verdict:
     (m, p), (q, r) = left, right
     pc, rc = p.sparse_columns, r.sparse_columns
     return _first_failure(
-        a, 1, [(name, lambda i: (sparse_apply(m, pc[i]), sparse_apply(q, rc[i])))]
+        a, _every_tuple(a, 1), [(name, lambda i: (sparse_apply(m, pc[i]), sparse_apply(q, rc[i])))]
     )
 
 
@@ -417,7 +546,7 @@ def is_weak_morphism(a: ColorHomAlgebra, b: ColorHomAlgebra, f: GradedLinearMap)
     def product_morphism(i, j):
         return sparse_apply(f, rows[i][j]), sparse_product(b, fc[i], fc[j])
 
-    return _first_failure(a, 2, [("product-morphism", product_morphism)])
+    return _first_failure(a, _every_tuple(a, 2), [("product-morphism", product_morphism)])
 
 
 def is_morphism(a: ColorHomAlgebra, b: ColorHomAlgebra, f: GradedLinearMap) -> Verdict:
@@ -444,7 +573,7 @@ def is_derivation(a: ColorHomAlgebra, d: GradedLinearMap, degree=None) -> Verdic
         second = sparse_scale(eps_d(degs[i]), sparse_product(a, units[i], dc[j]))
         return left, sparse_add(first, second)
 
-    return _first_failure(a, 2, [("leibniz", leibniz)])
+    return _first_failure(a, _every_tuple(a, 2), [("leibniz", leibniz)])
 
 
 def _sided(a: ColorHomAlgebra, f: GradedLinearMap, side: str, role: str, left, right) -> Verdict:
@@ -460,7 +589,7 @@ def _sided(a: ColorHomAlgebra, f: GradedLinearMap, side: str, role: str, left, r
     if not v:
         return v
     conditions = [c for s, c in (("left", left), ("right", right)) if side in (s, "both")]
-    return _first_failure(a, 2, conditions)
+    return _first_failure(a, _every_tuple(a, 2), conditions)
 
 
 def is_averaging(a: ColorHomAlgebra, f: GradedLinearMap, side: str = "both") -> Verdict:
@@ -514,7 +643,7 @@ def is_rota_baxter(l: ColorHomAlgebra, r: GradedLinearMap, weight) -> Verdict:
         inner = sparse_add(inner, sparse_scale(lam, rows[i][j]))
         return sparse_product(l, rc[i], rc[j]), sparse_apply(r, inner)
 
-    return _first_failure(l, 2, [("rota-baxter", rota_baxter)])
+    return _first_failure(l, _every_tuple(l, 2), [("rota-baxter", rota_baxter)])
 
 
 def in_alpha_center(l: ColorHomAlgebra, x) -> bool:
@@ -522,7 +651,8 @@ def in_alpha_center(l: ColorHomAlgebra, x) -> bool:
     if len(x) != l.dim:
         raise StructureError(f"vectors must have length {l.dim}")
     xs, ac = sparse_vector(l.field, x), l.alpha.sparse_columns
-    return bool(_first_failure(l, 1, [("alpha-center", lambda j: (sparse_product(l, xs, ac[j]), {}))]))
+    center = [("alpha-center", lambda j: (sparse_product(l, xs, ac[j]), {}))]
+    return bool(_first_failure(l, _every_tuple(l, 1), center))
 
 
 def check_bracket_operator_conditions(l: ColorHomAlgebra, f: GradedLinearMap) -> Verdict:
@@ -552,8 +682,14 @@ def check_bracket_operator_conditions(l: ColorHomAlgebra, f: GradedLinearMap) ->
         ]
         for i in range(n)
     ]
+    # both sides vanish where defect[i][j] is empty
+    nonzero_defect = (
+        (i, j, k) for i, row in enumerate(defect) for j, c in enumerate(row) if c for k in range(n)
+    )
     v = _first_failure(
-        l, 3, [("defect-centrality", lambda i, j, k: (sparse_product(l, defect[i][j], ac[k]), {}))]
+        l,
+        nonzero_defect,
+        [("defect-centrality", lambda i, j, k: (sparse_product(l, defect[i][j], ac[k]), {}))],
     )
     if not v:
         return v
@@ -563,4 +699,14 @@ def check_bracket_operator_conditions(l: ColorHomAlgebra, f: GradedLinearMap) ->
         left = sparse_product(l, g[i][j], ac[k])
         return left, sparse_scale(eps[j][k], sparse_product(l, g[i][k], ac[j]))
 
-    return _first_failure(l, 3, [("operator-right-commutativity", operator_right_commutativity)])
+    def nonzero_g():
+        # both sides vanish where g[i][j] and g[i][k] are empty
+        for i, row in enumerate(g):
+            some = [k for k, c in enumerate(row) if c]
+            for j, c in enumerate(row):
+                for k in range(n) if c else some:
+                    yield i, j, k
+
+    return _first_failure(
+        l, nonzero_g(), [("operator-right-commutativity", operator_right_commutativity)]
+    )

@@ -14,9 +14,11 @@ the nonzero coefficients of e_i * e_j; the dense structure tensor is built
 from the rows only when something reads it, so an algebra, and the load of
 a document, costs what its nonzeros, alpha and eps table cost.  Maps carry
 their nonzero columns and algebras their eps value per pair of basis
-indices, as views excluded from equality and repr.  The kernel
-(sparse_product, sparse_apply) on sparse vectors, {index: nonzero
-coefficient}, is the only way the package evaluates products and maps.
+indices, as views excluded from equality and repr; product_index, which
+says where products with alpha can be nonzero, is built on first read.
+The kernel (sparse_product, sparse_apply) on sparse vectors, {index:
+nonzero coefficient}, is the only way the package evaluates products and
+maps.
 Coordinate tuples appear only at the boundary: eval_product, eval_map,
 commutator_tensor and structure convert, and make_algebra accepts a dense
 tensor.
@@ -364,6 +366,11 @@ class ColorHomAlgebra:
         object.__setattr__(self, "eps_table", _eps_table(basis.field, bicharacter, basis.degrees))
 
     @cached_property
+    def product_index(self) -> ProductIndex:
+        """Where products with alpha can be nonzero, built from the rows on first read and cached."""
+        return _product_index(self.product_rows, self.alpha.sparse_columns)
+
+    @cached_property
     def structure(self) -> tuple:
         """The dense tensor structure[i][j][k], built from the rows on first read."""
         rows = self.product_rows
@@ -398,6 +405,54 @@ class ColorHomAlgebra:
 
     def eps(self, a: GroupElement, c: GroupElement):
         return bicharacter_eval(self.bicharacter, a, c)
+
+
+class ProductIndex(NamedTuple):
+    """The nonempty cells of an algebra, and where alpha meets them.
+
+    by_row[i] / by_col[j]: the j / the i with e_i * e_j != 0, ascending;
+    by_key[m]: the cells whose product has an e_m term, as a bit set with
+    bit i*n + j for the cell (i, j); aright[m] / aleft[m]: bit set of the r
+    with e_m * alpha(e_r) / of the p with alpha(e_p) * e_m able to be
+    nonzero, that is, some term of alpha's column meets a nonempty cell.
+    A product outside these sets is zero by construction.
+    """
+
+    by_row: tuple
+    by_col: tuple
+    by_key: tuple
+    aright: tuple
+    aleft: tuple
+
+
+def _product_index(rows: tuple, columns: tuple) -> ProductIndex:
+    n = len(rows)
+    by_row = [[j for j, cell in enumerate(row) if cell] for row in rows]
+    by_col = [[] for _ in range(n)]
+    by_key = [0] * n
+    for i, js in enumerate(by_row):
+        row, base = rows[i], i * n
+        for j in js:
+            by_col[j].append(i)
+            bit = 1 << base + j
+            for m in row[j]:
+                by_key[m] |= bit
+    # alpha_rows[k]: bit set of the r whose image alpha(e_r) has an e_k term
+    alpha_rows = [0] * n
+    for r, column in enumerate(columns):
+        for k in column:
+            alpha_rows[k] |= 1 << r
+
+    def meets(ks):
+        mask = 0
+        for k in ks:
+            mask |= alpha_rows[k]
+        return mask
+
+    return ProductIndex(
+        tuple(by_row), tuple(by_col), tuple(by_key),
+        tuple(map(meets, by_row)), tuple(map(meets, by_col)),
+    )
 
 
 def _dense_cell(basis: GradedBasis, structure):

@@ -227,10 +227,19 @@ class ScalarField:
         return str(self.coerce(x))
 
     def to_json(self, x):
-        """Canonical JSON value: a plain int when integral, else "n/d"."""
-        x = self.coerce(x)
+        """Canonical JSON value: a plain int when integral, else "n/d".
+
+        Kernel ints and this field's own elements are converted directly;
+        anything else is coerced first.
+        """
+        if type(x) is int:
+            return x if self.kind == RATIONALS else x % self.p
         if self.kind == RATIONALS:
-            return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+            if type(x) is not Fraction:
+                x = self.coerce(x)
+            return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        if type(x) is not Fp or x.p != self.p:
+            x = self.coerce(x)
         return x.val
 
     def sort_key(self, x):
