@@ -42,9 +42,9 @@ from .core import (
     ColorHomAlgebra,
     GradedBasis,
     GradedLinearMap,
+    _algebra_from_cells,
     _even_map_of_parts,
     identity_map,
-    make_algebra,
     make_map,
     scalar_map,
     trivial_basis,
@@ -103,18 +103,16 @@ def truncated_polynomial(n: int, field: ScalarField | None = None) -> ColorHomAl
     """K[t]/(t^n) on basis 1, t, ..., t^(n-1); trivially graded, identity twist."""
     if not isinstance(n, int) or n < 1:
         raise StructureError(f"truncation order must be >= 1, got {n!r}")
-    field = field or rationals()
-    basis = trivial_basis(field, n)
-    zero, one = field.zero, field.one
-    structure = tuple(
-        tuple(
-            tuple(one if (i + j) == k else zero for k in range(n))
-            for j in range(n)
-        )
-        for i in range(n)
+    basis = trivial_basis(field or rationals(), n)
+    return _monomial_algebra(basis, trivial_bicharacter(basis.field, basis.group))
+
+
+def _monomial_algebra(basis: GradedBasis, bichar) -> ColorHomAlgebra:
+    """e_i * e_j = e_(i+j), truncated at the dimension; identity twist."""
+    n = basis.dim
+    return _algebra_from_cells(
+        basis, bichar, lambda i, j: {i + j: 1} if i + j < n else {}, identity_map(basis)
     )
-    bichar = trivial_bicharacter(field, basis.group)
-    return make_algebra(basis, bichar, structure, identity_map(basis))
 
 
 def dt_derivation(a: ColorHomAlgebra) -> GradedLinearMap:
@@ -179,23 +177,13 @@ def super_commutative_line(field: ScalarField | None = None) -> ColorHomAlgebra:
     field = field or rationals()
     group = GradeGroup(0, (2,))
     basis = GradedBasis(field, group, (group.element((0,)), group.element((1,))))
-    bichar = make_bicharacter(field, group, ((field.from_int(-1),),))
-    zero, one = field.zero, field.one
-    structure = (
-        ((one, zero), (zero, one)),
-        ((zero, one), (zero, zero)),
-    )
-    return make_algebra(basis, bichar, structure, identity_map(basis))
+    return _monomial_algebra(basis, make_bicharacter(field, group, ((field.from_int(-1),),)))
 
 
 def pairing_form(a: ColorHomAlgebra, companion: GradedLinearMap | None = None) -> BilinearFormStructure:
     """Anti-diagonal pairing B(e_i, e_j) = [i + j = dim - 1] on a trivially graded basis."""
     n = a.dim
-    field = a.field
-    gram = tuple(
-        tuple(field.one if i + j == n - 1 else field.zero for j in range(n))
-        for i in range(n)
-    )
+    gram = [[int(i + j == n - 1) for j in range(n)] for i in range(n)]
     return BilinearFormStructure(
         a.basis, gram, companion if companion is not None else identity_map(a.basis)
     )
@@ -219,13 +207,16 @@ def _order3_element(field: ScalarField):
 # ---------------------------------------------------------------------------
 # recipes
 
+# what the truncated polynomials, the super line and the Z3 x Z3 instance pass
+_UNITAL_CLAIMS = (
+    "epsilon_commutative", "hom_associative", "hom_novikov", "left_symmetric",
+    "lie_admissible", "cyclic_commutator_products", "multiplicative",
+    "regular", "involutive",
+)
+
 def _recipe_truncated_polynomial(field: ScalarField, n: int = 3) -> CatalogEntry:
     a = truncated_polynomial(n, field)
-    claims = (
-        "epsilon_commutative", "hom_associative", "hom_novikov", "left_symmetric",
-        "lie_admissible", "cyclic_commutator_products", "multiplicative",
-        "regular", "involutive",
-    )
+    claims = _UNITAL_CLAIMS
     maps = {
         "dt": dt_derivation(a),
         "euler": euler_derivation(a),
@@ -243,15 +234,8 @@ def _recipe_truncated_polynomial(field: ScalarField, n: int = 3) -> CatalogEntry
 
 def _recipe_super_commutative_line(field: ScalarField) -> CatalogEntry:
     a = super_commutative_line(field)
-    claims = (
-        "epsilon_commutative", "hom_associative", "hom_novikov", "left_symmetric",
-        "lie_admissible", "cyclic_commutator_products", "multiplicative",
-        "regular", "involutive",
-    )
-    sign = make_map(
-        a.basis,
-        ((field.one, field.zero), (field.zero, field.from_int(-1))),
-    )
+    claims = _UNITAL_CLAIMS
+    sign = make_map(a.basis, ((1, 0), (0, -1)))
     return CatalogEntry(
         InstanceRecipe("super_commutative_line", str(field), (), claims),
         a, {"sign": sign}, {},
@@ -319,20 +303,9 @@ def _recipe_z3_graded_nilpotent(field: ScalarField) -> CatalogEntry:
     bichar = make_bicharacter(field, group, ((one, g), (one / g, one)))
     degs = (group.element((1, 0)), group.element((0, 1)), group.element((1, 1)))
     basis = GradedBasis(field, group, degs)
-    zero = field.zero
-    structure = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
-    structure[0][1][2] = g
-    structure[1][0][2] = one
-    a = make_algebra(
-        basis, bichar,
-        tuple(tuple(tuple(c) for c in plane) for plane in structure),
-        identity_map(basis),
-    )
-    claims = (
-        "epsilon_commutative", "hom_associative", "hom_novikov", "left_symmetric",
-        "lie_admissible", "cyclic_commutator_products", "multiplicative",
-        "regular", "involutive",
-    )
+    cells = {(0, 1): {2: g}, (1, 0): {2: one}}
+    a = _algebra_from_cells(basis, bichar, lambda i, j: cells.get((i, j)), identity_map(basis))
+    claims = _UNITAL_CLAIMS
     return CatalogEntry(
         InstanceRecipe("z3_graded_nilpotent", str(field), (), claims), a, {}, {}
     )
@@ -345,15 +318,12 @@ def _recipe_solvable_bracket(field: ScalarField) -> CatalogEntry:
     [f(x), y] a (left-symmetric) product.
     """
     basis = trivial_basis(field, 2)
-    zero, one = field.zero, field.one
-    structure = (
-        ((zero, zero), (zero, one)),
-        ((zero, -one), (zero, zero)),
+    cells = {(0, 1): {1: 1}, (1, 0): {1: -1}}
+    a = _algebra_from_cells(
+        basis, trivial_bicharacter(field, basis.group), lambda i, j: cells.get((i, j)),
+        identity_map(basis),
     )
-    a = make_algebra(
-        basis, trivial_bicharacter(field, basis.group), structure, identity_map(basis)
-    )
-    rows = ((one, zero), (zero, zero))
+    rows = ((1, 0), (0, 0))
     claims = (
         "hom_lie", "lie_admissible", "cyclic_commutator_products",
         "multiplicative", "regular", "involutive",
@@ -366,12 +336,8 @@ def _recipe_solvable_bracket(field: ScalarField) -> CatalogEntry:
 
 def _recipe_zero_algebra(field: ScalarField, dim: int = 2) -> CatalogEntry:
     basis = trivial_basis(field, dim)
-    zero = field.zero
-    structure = tuple(
-        tuple((zero,) * dim for _ in range(dim)) for _ in range(dim)
-    )
-    a = make_algebra(
-        basis, trivial_bicharacter(field, basis.group), structure, identity_map(basis)
+    a = _algebra_from_cells(
+        basis, trivial_bicharacter(field, basis.group), lambda i, j: {}, identity_map(basis)
     )
     claims = (
         "epsilon_commutative", "hom_associative", "hom_novikov", "left_symmetric",
@@ -399,12 +365,23 @@ RECIPES = {
 
 
 def build_entry(name: str, field: ScalarField, **params) -> CatalogEntry:
-    if name not in RECIPES:
+    """The recipe's entry, each parameter decoded by its declared type.
+
+    An int parameter must be an int; a scalar one is parsed from a string
+    like a document scalar and coerced otherwise.  A bool is neither.
+    """
+    if not isinstance(name, str) or name not in RECIPES:
         raise StructureError(f"unknown recipe {name!r}")
     builder, spec = RECIPES[name]
     unknown = set(params) - set(spec)
     if unknown:
         raise StructureError(f"recipe {name!r} takes no parameter {sorted(unknown)}")
+    for key, value in params.items():
+        if isinstance(value, bool) or (spec[key] is int and type(value) is not int):
+            kind = "an integer" if spec[key] is int else "a scalar"
+            raise StructureError(f"recipe {name!r} parameter {key!r} must be {kind}, got {value!r}")
+        if spec[key] == "scalar":
+            params[key] = field.parse(value) if isinstance(value, str) else field.coerce(value)
     return builder(field, **params)
 
 

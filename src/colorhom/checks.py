@@ -37,6 +37,7 @@ from .core import (
     GradedLinearMap,
     _algebra_from_cells,
     _bracket_cell,
+    _require_even_endo,
     dense_vector,
     homogeneous_components,
     identity_map,
@@ -523,13 +524,6 @@ def _require_shared_space(a: ColorHomAlgebra, b: ColorHomAlgebra):
         raise StructureError("the two algebras must share a bicharacter")
 
 
-def _require_even_endo(a: ColorHomAlgebra, f: GradedLinearMap, role: str):
-    if f.basis != a.basis:
-        raise StructureError(f"{role} lives on a different basis")
-    if not f.is_even:
-        raise StructureError(f"{role} must be even (degree 0)")
-
-
 def commutes_with_twist(a: ColorHomAlgebra, f: GradedLinearMap) -> Verdict:
     """f must commute with a's twisting map; witness compares columns."""
     if f.basis != a.basis:
@@ -540,7 +534,7 @@ def commutes_with_twist(a: ColorHomAlgebra, f: GradedLinearMap) -> Verdict:
 def is_weak_morphism(a: ColorHomAlgebra, b: ColorHomAlgebra, f: GradedLinearMap) -> Verdict:
     """f(x *_a y) = f(x) *_b f(y); both products live on the shared basis."""
     _require_shared_space(a, b)
-    _require_even_endo(a, f, "morphism candidate")
+    _require_even_endo(a.basis, f, "morphism candidate")
     rows, fc = a.product_rows, f.sparse_columns
 
     def product_morphism(i, j):
@@ -582,7 +576,7 @@ def _sided(a: ColorHomAlgebra, f: GradedLinearMap, side: str, role: str, left, r
     left and right are (name, sides) conditions; with side="both" the left
     one runs first at each pair.
     """
-    _require_even_endo(a, f, role)
+    _require_even_endo(a.basis, f, role)
     if side not in ("left", "right", "both"):
         raise StructureError(f"side must be left/right/both, got {side!r}")
     v = commutes_with_twist(a, f)
@@ -631,7 +625,7 @@ def is_rota_baxter(l: ColorHomAlgebra, r: GradedLinearMap, weight) -> Verdict:
     [r(x), r(y)] = r([r(x), y] + [x, r(y)] + lambda [x, y]), where [,] is
     l's product.  Whether that product is Hom-Lie is a separate check.
     """
-    _require_even_endo(l, r, "operator")
+    _require_even_endo(l.basis, r, "operator")
     lam = l.field.kernel_scalar(weight)
     v = commutes_with_twist(l, r)
     if not v:
@@ -664,7 +658,7 @@ def check_bracket_operator_conditions(l: ColorHomAlgebra, f: GradedLinearMap) ->
     operator-right-commutativity: [f([f(x),y]), alpha(z)] =
     eps(y,z) [f([f(x),z]), alpha(y)] on basis triples.
     """
-    _require_even_endo(l, f, "operator")
+    _require_even_endo(l.basis, f, "operator")
     v = commutes_with_twist(l, f)
     if not v:
         return v

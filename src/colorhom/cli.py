@@ -23,11 +23,13 @@ from .scalars import ScalarField, prime_field, rationals
 __all__ = ["main"]
 
 
-def _parse_field_label(label: str) -> ScalarField:
+def _parse_field_label(label) -> ScalarField:
     if label in ("Q", "rationals"):
         return rationals()
-    if label.startswith("F") and label[1:].isdigit():
-        return prime_field(int(label[1:]))
+    digits = label[1:] if isinstance(label, str) and label.startswith("F") else ""
+    # ten digits already pass the modulus cap; int() raises on a string past 4300 digits
+    if digits.isascii() and digits.isdigit() and len(digits) <= 10:
+        return prime_field(int(digits))
     raise StructureError(f"unknown field label {label!r} (use Q or F<p>)")
 
 
@@ -67,7 +69,7 @@ def _print_witness_text(field: ScalarField, w, out):
 def _named_map(doc: ParsedDocument, name: str):
     if name == "alpha":
         return doc.algebra.alpha
-    if name not in doc.maps:
+    if not isinstance(name, str) or name not in doc.maps:
         raise StructureError(f"document defines no map {name!r}")
     return doc.maps[name]
 
@@ -82,7 +84,7 @@ def _bind(kind: str, name: str, doc: ParsedDocument, raw: dict, base_dir: Path =
     Scalars are decoded by the field's parser, and with-paths resolve
     against base_dir.
     """
-    op = cat.OPERATIONS.get(name)
+    op = cat.OPERATIONS.get(name) if isinstance(name, str) else None
     if op is None or op.kind != kind:
         raise StructureError(f"unknown {kind} {name!r}")
     names = list(raw.get("maps", ()))
@@ -100,7 +102,7 @@ def _bind(kind: str, name: str, doc: ParsedDocument, raw: dict, base_dir: Path =
             raise StructureError(f"{kind} {name!r} needs {arg}")
         value = raw.get(arg, cat.OPTIONAL_ARGUMENTS.get(arg))
         if arg == "form":
-            if value not in doc.forms:
+            if not isinstance(value, str) or value not in doc.forms:
                 raise StructureError(f"document defines no form {value!r}")
             value = doc.forms[value]
         elif arg == "with":
@@ -113,6 +115,8 @@ def _bind(kind: str, name: str, doc: ParsedDocument, raw: dict, base_dir: Path =
             value = tuple(field.parse(v) for v in value)
         elif arg == "weight":
             value = field.parse(value)
+        elif arg == "n" and type(value) is not int:
+            raise StructureError(f"n must be an integer, got {value!r}")
         args.append(value)
     return op, args
 
@@ -227,12 +231,16 @@ def cmd_construct(args) -> int:
 # ---------------------------------------------------------------------------
 # suite
 
-def _normalize_checkspec(spec):
-    if isinstance(spec, str):
-        return {"check": spec}
-    if isinstance(spec, dict) and "check" in spec:
-        return dict(spec)
-    raise StructureError(f"bad check spec {spec!r}")
+def _checkspecs(row: dict, stage: str):
+    """A row's hypothesis or conclusion checks, each read as a dict naming its check when reached."""
+    specs = row.get(stage, [])
+    if not isinstance(specs, list):
+        raise StructureError(f"{stage} must be a list, got {specs!r}")
+    for spec in specs:
+        spec = {"check": spec} if isinstance(spec, str) else spec
+        if not isinstance(spec, dict) or "check" not in spec:
+            raise StructureError(f"bad check spec {spec!r}")
+        yield dict(spec)
 
 
 def _row_arguments(spec: dict) -> dict:
@@ -248,13 +256,18 @@ def _row_document(row, base_dir: Path) -> ParsedDocument:
         return _load_document(str(base_dir / src))
     if isinstance(src, dict) and "recipe" in src:
         field = _parse_field_label(src.get("field", "Q"))
-        entry = cat.build_entry(src["recipe"], field, **src.get("params", {}))
+        params = src.get("params", {})
+        if not isinstance(params, dict):
+            raise StructureError(f"recipe params must be an object, got {params!r}")
+        entry = cat.build_entry(src["recipe"], field, **params)
         return ParsedDocument(entry.algebra, entry.maps, entry.forms)
     raise StructureError(f"row needs an algebra path or recipe, got {src!r}")
 
 
 def _run_suite_row(row, base_dir: Path, unchecked: bool):
     """Returns a result dict; raises StructureError for ill-formed rows."""
+    if not isinstance(row, dict):
+        raise StructureError(f"a row must be an object, got {row!r}")
     name = row.get("name", "<unnamed>")
     doc = _row_document(row, base_dir)
     result = {"name": name, "passes": True}
@@ -268,12 +281,14 @@ def _run_suite_row(row, base_dir: Path, unchecked: bool):
             result["detail"] = detail
         return result
 
-    for spec in map(_normalize_checkspec, row.get("hypothesis_checks", ())):
+    for spec in _checkspecs(row, "hypothesis_checks"):
         v = _check(doc, spec["check"], _row_arguments(spec))
         if not v:
             return fail("hypothesis", spec["check"], v.witness, doc.algebra.field)
     if "construction" in row:
         spec = row["construction"]
+        if not isinstance(spec, dict):
+            raise StructureError(f"construction must be an object, got {spec!r}")
         try:
             out, forms_out = _construct(
                 doc, spec.get("name"), _row_arguments(spec), not unchecked, base_dir
@@ -286,7 +301,7 @@ def _run_suite_row(row, base_dir: Path, unchecked: bool):
             )
         # the result keeps no maps; its own output forms shadow the input's
         doc = ParsedDocument(out, {}, {**doc.forms, **forms_out})
-    for spec in map(_normalize_checkspec, row.get("conclusion_checks", ())):
+    for spec in _checkspecs(row, "conclusion_checks"):
         v = _check(doc, spec["check"], _row_arguments(spec))
         if not v:
             return fail("conclusion", spec["check"], v.witness, doc.algebra.field)
@@ -314,7 +329,7 @@ def cmd_suite(args) -> int:
     # bad JSON or UTF-8, an integer literal past int's digit limit, or nesting too deep
     except (ValueError, RecursionError) as exc:
         raise StructureError(f"manifest syntax: {exc}") from None
-    if not isinstance(manifest, dict) or "rows" not in manifest:
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("rows"), list):
         raise StructureError("manifest must be an object with a rows list")
     base_dir = manifest_path.parent
     results = [
@@ -352,13 +367,8 @@ def cmd_suite(args) -> int:
 
 def cmd_catalog(args) -> int:
     field = _parse_field_label(args.field)
-    params = {}
-    if args.n is not None:
-        params["n"] = args.n
-    if args.dim is not None:
-        params["dim"] = args.dim
-    if args.c is not None:
-        params["c"] = field.parse(args.c)
+    # build_entry decodes each parameter by its declared type
+    params = {key: value for key in ("n", "dim", "c") if (value := vars(args)[key]) is not None}
     entry = cat.build_entry(args.recipe, field, **params)
     text = serialize_document(entry.algebra, maps=entry.maps, forms=entry.forms)
     if args.out:
@@ -435,6 +445,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # argparse reads "--opt=--" as an empty list instead of the string "--"
+        empty = [key for key, value in vars(args).items() if value == [] and key != "maps"]
+        if empty:
+            raise StructureError(f"--{empty[0]} needs a value")
         return args.func(args)
     except StructureError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,6 +29,7 @@ from .core import (
     GradedLinearMap,
     _algebra_from_cells,
     _bracket_cell,
+    _require_even_endo,
     compose_maps,
     homogeneous_components,
     identity_map,
@@ -230,10 +231,7 @@ def bracket_operator_product(l: ColorHomAlgebra, f: GradedLinearMap, *, checked:
     they are checks on f run by callers or test suites, not silently assumed
     here, so checked mode validates only Hom-Lie-ness and commutation.
     """
-    if not f.is_even:
-        raise StructureError("operator must be even (degree 0)")
-    if f.basis != l.basis:
-        raise StructureError("operator lives on a different basis")
+    _require_even_endo(l.basis, f, "operator")
     if checked:
         _require("bracket_operator_product", "hom-lie", check_hom_lie(l))
         _require(

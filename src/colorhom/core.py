@@ -38,11 +38,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .errors import SingularMapError, StructureError
 from .grading import (
+    EPS_MAX_BITS,
     Bicharacter,
     GradeGroup,
     GroupElement,
@@ -241,12 +243,27 @@ def compose_maps(m: GradedLinearMap, n: GradedLinearMap) -> GradedLinearMap:
 
 
 def map_power(m: GradedLinearMap, n: int) -> GradedLinearMap:
+    """m^n by repeated squaring: about log2(n) compositions.
+
+    Over Q entries grow with n; a square with an entry past
+    grading.EPS_MAX_BITS bits raises StructureError rather than exhaust memory.
+    """
     if not isinstance(n, int) or n < 0:
         raise StructureError(f"map power wants n >= 0, got {n!r}")
-    out = identity_map(m.basis)
-    for _ in range(n):
-        out = compose_maps(m, out)
+    out, square = identity_map(m.basis), m
+    while n:
+        if n & 1:
+            out = compose_maps(square, out)
+        n >>= 1
+        square = _bounded(compose_maps(square, square)) if n else square
     return out
+
+
+def _bounded(m: GradedLinearMap) -> GradedLinearMap:
+    for q in (Fraction(c) for column in m.sparse_columns for c in column.values()):
+        if max(abs(q.numerator), q.denominator).bit_length() > EPS_MAX_BITS:
+            raise StructureError(f"map power too large: an entry passes {EPS_MAX_BITS} bits")
+    return m
 
 
 def _gauss_rank_inverse(field: ScalarField, rows):
@@ -552,11 +569,16 @@ def make_algebra(basis: GradedBasis, bichar: Bicharacter, structure, alpha: Grad
             f"{report.pair}: {report.detail}"
         )
     algebra = ColorHomAlgebra(basis, bichar, structure, alpha)
-    if alpha.basis != basis:
-        raise StructureError("alpha lives on a different basis")
-    if not alpha.is_even:
-        raise StructureError("alpha must be even (degree 0)")
+    _require_even_endo(basis, alpha, "alpha")
     return algebra
+
+
+def _require_even_endo(basis: GradedBasis, f: GradedLinearMap, role: str):
+    """The one guard for "f is an even map on this basis"; role names f in the message."""
+    if f.basis != basis:
+        raise StructureError(f"{role} lives on a different basis")
+    if not f.is_even:
+        raise StructureError(f"{role} must be even (degree 0)")
 
 
 def _algebra_from_cells(basis: GradedBasis, bicharacter: Bicharacter, cell, alpha: GradedLinearMap) -> ColorHomAlgebra:

@@ -209,8 +209,8 @@ class ScalarField:
         return x.val
 
     def parse(self, text):
-        """Parse an int, or a string "n" or "n/d", into a field element."""
-        if isinstance(text, int):
+        """Parse an int, or a string "n" or "n/d", into a field element; a bool is neither."""
+        if isinstance(text, int) and not isinstance(text, bool):
             return self.from_int(text)
         if isinstance(text, str):
             _, marker, exponent = text.lower().partition("e")

@@ -10,7 +10,7 @@ a different verdict or witness.
 
 from itertools import product as iproduct
 
-from colorhom import checks
+from colorhom import checks, core
 from colorhom.checks import IDENTITIES_BY_CHECK, PASS
 from colorhom.core import sparse_add, sparse_apply, sparse_product, sparse_scale, sparse_sub
 
@@ -143,7 +143,7 @@ def scan_check(a, check):
 
 def bracket_operator_conditions(l, f):
     """check_bracket_operator_conditions with both conditions scanned over every triple."""
-    checks._require_even_endo(l, f, "operator")
+    core._require_even_endo(l.basis, f, "operator")
     v = checks.commutes_with_twist(l, f)
     if not v:
         return v

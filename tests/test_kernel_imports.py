@@ -1,13 +1,16 @@
-"""Checks, constructions and document parsing stay on the sparse kernel.
+"""Every module but core stays on the sparse kernel.
 
-The dense-tuple helpers of core (eval_product, eval_map, unit_vector and the
-vec_* family) are boundary functions for callers holding coordinate tuples.
-Inside these modules every product and map image goes through
-sparse_product / sparse_apply, so a dense round-trip per call cannot creep
-back in unnoticed.
+The dense-tuple helpers of core (eval_product, eval_map, unit_vector,
+zero_vector and the vec_* family) and a map's dense .column(i) are
+boundary functions for callers holding coordinate tuples.  Inside the
+package every product and map image goes through sparse_product /
+sparse_apply, so a dense round-trip per call cannot creep back in
+unnoticed.
 
-An algebra's dense structure tensor is built on demand, at n^3 cost, so no
-module but core reads it: every internal path works on product_rows.
+An algebra is built from sparse cells through core._algebra_from_cells;
+only core takes a dense tensor (make_algebra, ColorHomAlgebra(...)), and an
+algebra's dense structure tensor is built on demand, at n^3 cost, so no
+module but core reads it either.  __init__.py only re-exports.
 """
 
 import ast
@@ -18,8 +21,13 @@ import pytest
 import colorhom
 
 PACKAGE = Path(colorhom.__file__).parent
-SPARSE_ONLY = ("checks.py", "constructions.py", "io.py")
-DENSE_HELPERS = {"eval_product", "eval_map", "unit_vector"}
+GUARDED = sorted(p.name for p in PACKAGE.glob("*.py") if p.name not in ("core.py", "__init__.py"))
+DENSE_HELPERS = {"eval_product", "eval_map", "unit_vector", "zero_vector"}
+DENSE_BUILDERS = {"make_algebra", "ColorHomAlgebra"}
+
+
+def _tree(module):
+    return ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
 
 
 def _dense_helper(name: str) -> bool:
@@ -38,16 +46,56 @@ def _uses(tree):
             yield node.attr
 
 
-@pytest.mark.parametrize("module", SPARSE_ONLY)
+def _called(tree):
+    """The name of every called function, bare or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                yield func.id
+            elif isinstance(func, ast.Attribute):
+                yield func.attr
+
+
+def test_the_guard_covers_every_module_but_core_and_the_exports():
+    assert "catalog.py" in GUARDED and "quadratic.py" in GUARDED and "cli.py" in GUARDED
+    assert "core.py" not in GUARDED and "__init__.py" not in GUARDED
+
+
+@pytest.mark.parametrize("module", GUARDED)
 def test_module_uses_no_dense_kernel_helper(module):
-    source = Path(colorhom.__file__).with_name(module).read_text(encoding="utf-8")
-    used = sorted({name for name in _uses(ast.parse(source)) if _dense_helper(name)})
+    used = sorted({name for name in _uses(_tree(module)) if _dense_helper(name)})
     assert used == [], f"{module} uses dense helpers {used}"
 
 
 def test_the_guard_sees_an_import_and_an_attribute():
-    tree = ast.parse("from .core import eval_map, vec_add\nimport x\nx.unit_vector(1)\n")
-    assert {name for name in _uses(tree) if _dense_helper(name)} == {"eval_map", "vec_add", "unit_vector"}
+    tree = ast.parse("from .core import eval_map, vec_add\nimport x\nx.unit_vector(1)\nzero_vector(f, 2)\n")
+    assert {name for name in _uses(tree) if _dense_helper(name)} == {
+        "eval_map", "vec_add", "unit_vector", "zero_vector",
+    }
+
+
+@pytest.mark.parametrize("module", GUARDED)
+def test_module_reads_no_dense_map_column(module):
+    assert "column" not in set(_called(_tree(module))), module
+
+
+def test_the_column_guard_sees_a_call_and_not_the_sparse_columns():
+    assert "column" in set(_called(ast.parse("v = a.alpha.column(i)\n")))
+    assert "column" not in set(_called(ast.parse("v = m.sparse_columns[i]\ncolumn = 1\n")))
+
+
+@pytest.mark.parametrize("module", GUARDED)
+def test_module_builds_no_algebra_from_a_dense_tensor(module):
+    built = sorted(DENSE_BUILDERS & set(_called(_tree(module))))
+    assert built == [], f"{module} calls {built}"
+
+
+def test_the_builder_guard_sees_a_call_and_not_an_annotation():
+    tree = ast.parse("a = make_algebra(b, e, t, m)\nc = core.ColorHomAlgebra(b, e, t, m)\n")
+    assert DENSE_BUILDERS <= set(_called(tree))
+    tree = ast.parse("def f(a: ColorHomAlgebra) -> ColorHomAlgebra:\n    return _algebra_from_cells(b, e, c, m)\n")
+    assert not DENSE_BUILDERS & set(_called(tree))
 
 
 def _reads_structure(tree) -> bool:
@@ -58,7 +106,7 @@ def _reads_structure(tree) -> bool:
     "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "core.py")
 )
 def test_no_module_but_core_reads_the_dense_structure(module):
-    assert not _reads_structure(ast.parse((PACKAGE / module).read_text(encoding="utf-8"))), module
+    assert not _reads_structure(_tree(module)), module
 
 
 def test_the_structure_guard_sees_a_read():

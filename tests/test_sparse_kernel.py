@@ -11,6 +11,7 @@ that every value leaving it is a field element again, and that F_p sides
 are compared mod p.
 """
 
+import functools
 import json
 import subprocess
 import sys
@@ -23,10 +24,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from colorhom import checks, constructions, core
+from colorhom import quadratic as quad
 from colorhom.catalog import (
     CHECK,
     OPERATIONS,
     dt_derivation,
+    pairing_form,
     search_maps,
     standard_entries,
     truncated_polynomial,
@@ -1283,3 +1286,241 @@ def test_parsing_checking_constructing_and_serializing_never_build_structure(fie
                 assert _unbuilt(result), name
         serialize_document(a, maps=doc.maps, forms=doc.forms)
         assert all(_unbuilt(b) for b in [a] + others), entry.recipe
+
+
+# ---------------------------------------------------------------------------
+# dense references for the quadratic clauses
+#
+# Pairings of dense columns against unit vectors and the dense product
+# m^T g, as the quadratic module computed them before it paired sparse
+# columns.  The clauses before B-symmetry are evaluated densely too: signs
+# from bicharacter_eval, products from the structure tensor.
+
+
+def ref_transpose_times(field, m, g):
+    """rows of m^T g: result[i][j] = sum_a m[a][i] g[a][j]."""
+    n = len(g)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = field.zero
+            for a_ in range(n):
+                v, w = m[a_][i], g[a_][j]
+                if v != 0 and w != 0:
+                    acc = acc + v * w
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _d_b_symmetry(a, f, m, identity):
+    n = a.dim
+    for i, j in iproduct(range(n), repeat=2):
+        left = quad.form_value(f, m.column(i), _d_unit(a, j))
+        right = quad.form_value(f, _d_unit(a, i), m.column(j))
+        if left != right:
+            return _fail(identity, (i, j), (left,), (right,))
+    return PASS
+
+
+def ref_check_quadratic_structure(a, f):
+    if f.basis != a.basis:
+        raise StructureError("form lives on a different basis")
+    n, gram, beta = a.dim, f.gram, f.companion
+    for i, j in iproduct(range(n), repeat=2):
+        left = gram[i][j]
+        right = _d_eps(a, a.degrees[i], a.degrees[j]) * gram[j][i]
+        if left != right:
+            return _fail("epsilon-symmetry", (i, j), (left,), (right,))
+    if core.determinant(a.field, gram) == 0:
+        return _fail("nondegeneracy", (), None, None)
+    for k, j, i in iproduct(range(n), repeat=3):
+        left = quad.form_value(f, a.structure[i][j], beta.column(k))
+        right = quad.form_value(f, beta.column(i), a.structure[j][k])
+        if left != right:
+            return _fail("invariance", (i, j, k), (left,), (right,))
+    return _d_b_symmetry(a, f, a.alpha, "twist-b-symmetry")
+
+
+def ref_is_symmetric_automorphism(a, f, phi):
+    if f.basis != a.basis:
+        raise StructureError("form lives on a different basis")
+    _d_require_even_endo(a, phi, "map")
+    if core.matrix_rank(a.field, phi.matrix) != a.dim:
+        return _fail("invertibility", (), None, None)
+    v = ref_is_morphism(a, a, phi)
+    if not v:
+        return v
+    return _d_b_symmetry(a, f, phi, "b-symmetry")
+
+
+def _d_form(f, gram, companion):
+    return quad.BilinearFormStructure(f.basis, gram, companion, require_even=f.require_even)
+
+
+def _d_require_companion(op, f, companion, what):
+    if f.companion.matrix != companion.matrix:
+        raise StructureError(f"{op} expects {what}")
+
+
+# the gates repeat per map and per checked flag: each reference verdict is computed once
+_d_hom_novikov = functools.cache(lambda a: dense_check(a, "hom_novikov"))
+_d_quadratic_structure = functools.cache(ref_check_quadratic_structure)
+
+
+def ref_quadratic_yau_twist(a, f, beta, checked):
+    op = "quadratic_yau_twist"
+    _d_require_companion(op, f, core.identity_map(f.basis), "a form with identity companion")
+    if checked:
+        _d_require(op, "hom-novikov", _d_hom_novikov(a))
+        _d_require(op, "quadratic-structure", _d_quadratic_structure(a, f))
+        _d_require(op, "symmetric-automorphism", ref_is_symmetric_automorphism(a, f, beta))
+    twisted = ref_yau_twist(a, beta, False)
+    gram = ref_transpose_times(a.field, beta.matrix, f.gram)
+    return twisted, _d_form(f, gram, core.identity_map(a.basis))
+
+
+def ref_quadratic_commutator(a, f, checked):
+    op = "quadratic_commutator"
+    _d_require_companion(op, f, core.identity_map(f.basis), "a form with identity companion")
+    if checked:
+        _d_require(op, "hom-novikov", _d_hom_novikov(a))
+        _d_require(op, "quadratic-structure", _d_quadratic_structure(a, f))
+    return ref_commutator_algebra(a, False), f
+
+
+def ref_regular_quadratic_commutator(a, f, checked):
+    op = "regular_quadratic_commutator"
+    _d_require_companion(op, f, a.alpha, "the twisting map as companion")
+    if checked:
+        _d_require(op, "hom-novikov", _d_hom_novikov(a))
+        _d_require(op, "quadratic-structure", _d_quadratic_structure(a, f))
+    try:
+        core.invert_map(a.alpha)
+    except SingularMapError:
+        raise HypothesisError(op, "invertible-twist", detail="alpha is singular") from None
+    gram = ref_transpose_times(a.field, a.alpha.matrix, f.gram)
+    return ref_commutator_algebra(a, False), _d_form(f, gram, a.alpha)
+
+
+def ref_quadratic_untwist_involutive(a, f, checked):
+    op = "quadratic_untwist_involutive"
+    _d_require_companion(op, f, a.alpha, "the twisting map as companion")
+    if checked:
+        _d_require(op, "involutive", ref_check_involutive(a))
+        _d_require(op, "multiplicative", ref_is_weak_morphism(a, a, a.alpha))
+        _d_require(op, "hom-novikov", _d_hom_novikov(a))
+        _d_require(op, "quadratic-structure", _d_quadratic_structure(a, f))
+    return ref_untwist_involutive(a, False), _d_form(f, f.gram, core.identity_map(a.basis))
+
+
+REFERENCE_QUADRATIC = {
+    "quadratic_yau_twist": ref_quadratic_yau_twist,
+    "quadratic_commutator": ref_quadratic_commutator,
+    "regular_quadratic_commutator": ref_regular_quadratic_commutator,
+    "quadratic_untwist_involutive": ref_quadratic_untwist_involutive,
+}
+
+
+def _quadratic_outcome(fn):
+    """repr of a call's verdict or (algebra, form) result, or of the error it raised."""
+    result = _outcome(fn)
+    if isinstance(result, tuple) and len(result) == 2 and isinstance(result[1], quad.BilinearFormStructure):
+        b, form = result
+        result = (b.structure, b.alpha.matrix, form.gram, form.companion.matrix, form.require_even)
+    return repr(result)
+
+
+def _quadratic_forms(a, forms=()):
+    """forms, plus for each of the companions identity and alpha: ones on the even pairs,
+    the zero form, the identity Gram (not required even) and, trivially graded, the pairing."""
+    basis, field, n, degs = a.basis, a.field, a.dim, a.degrees
+    ones = [[field.one if (degs[i] + degs[j]).is_zero else field.zero for j in range(n)] for i in range(n)]
+    unit = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+    out = list(forms)
+    for companion in (core.identity_map(basis), a.alpha):
+        out.append(quad.BilinearFormStructure(basis, ones, companion))
+        out.append(quad.BilinearFormStructure(basis, [[0] * n] * n, companion))
+        out.append(quad.BilinearFormStructure(basis, unit, companion, require_even=False))
+        if all(d.is_zero for d in degs):
+            out.append(pairing_form(a, companion))
+    return out
+
+
+def assert_quadratic_matches_reference(a, forms, maps):
+    for f in forms:
+        got = _quadratic_outcome(lambda: quad.check_quadratic_structure(a, f))
+        assert got == _quadratic_outcome(lambda: ref_check_quadratic_structure(a, f))
+        for m in maps:
+            got = _quadratic_outcome(lambda: quad.is_symmetric_automorphism(a, f, m))
+            assert got == _quadratic_outcome(lambda: ref_is_symmetric_automorphism(a, f, m))
+        for name, ref in REFERENCE_QUADRATIC.items():
+            fn = getattr(quad, name)
+            for args in [(m,) for m in maps] if name == "quadratic_yau_twist" else [()]:
+                for checked in (True, False):
+                    got = _quadratic_outcome(lambda: fn(a, f, *args, checked=checked))
+                    assert got == _quadratic_outcome(lambda: ref(a, f, *args, checked)), (name, checked)
+
+
+def test_the_quadratic_references_cover_every_quadratic_construction():
+    checks_and_forms = {"BilinearFormStructure", "form_value", "check_quadratic_structure", "is_symmetric_automorphism"}
+    assert set(REFERENCE_QUADRATIC) == set(quad.__all__) - checks_and_forms
+
+
+@pytest.mark.parametrize("field", [Q, prime_field(3), prime_field(5), F7], ids=str)
+def test_quadratic_clauses_match_the_dense_reference_on_the_catalog(field):
+    for entry in standard_entries(field):
+        a = entry.algebra
+        maps = _map_pool(a, entry.maps.values())
+        assert_quadratic_matches_reference(a, _quadratic_forms(a, entry.forms.values()), maps)
+
+
+@st.composite
+def algebras_with_forms(draw):
+    a, maps, _ = draw(algebras_with_maps())
+    n, field, degs = a.dim, a.field, a.degrees
+    gram = [[field.zero] * n for _ in range(n)]
+    for i, j in iproduct(range(n), repeat=2):
+        if (degs[i] + degs[j]).is_zero and draw(st.booleans()):
+            gram[i][j] = field.from_int(draw(st.sampled_from(VALUES)))
+    companion = draw(st.sampled_from([a.alpha, core.identity_map(a.basis), maps[0]]))
+    return a, quad.BilinearFormStructure(a.basis, gram, companion), maps
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(algebras_with_forms())
+def test_quadratic_clauses_match_the_dense_reference_on_random_forms_and_maps(case):
+    a, f, maps = case
+    assert_quadratic_matches_reference(a, [f], [a.alpha, core.identity_map(a.basis), *maps])
+
+
+def _shear(basis):
+    # e_0 -> e_0, e_1 -> e_0 + e_1: invertible, not symmetric for the identity Gram
+    return make_map(basis, [[1, 1], [0, 1]])
+
+
+@pytest.mark.parametrize("field", [Q, F7], ids=str)
+def test_a_twist_that_is_not_form_symmetric_fails_twist_b_symmetry(field):
+    basis = core.trivial_basis(field, 2)
+    a = make_algebra(basis, trivial_bicharacter(field, basis.group), [[[0, 0]] * 2] * 2, _shear(basis))
+    f = quad.BilinearFormStructure(basis, [[1, 0], [0, 1]], core.identity_map(basis))
+    verdict = quad.check_quadratic_structure(a, f)
+    one, zero = field.one, field.zero
+    assert verdict == _fail("twist-b-symmetry", (0, 1), (zero,), (one,))
+    assert repr(verdict.witness) == repr(ref_check_quadratic_structure(a, f).witness)
+    assert repr(verdict.witness.left + verdict.witness.right) == repr((zero, one))
+
+
+@pytest.mark.parametrize("field", [Q, F7], ids=str)
+def test_a_morphism_that_is_not_form_symmetric_fails_b_symmetry(field):
+    basis = core.trivial_basis(field, 2)
+    a = make_algebra(basis, trivial_bicharacter(field, basis.group), [[[0, 0]] * 2] * 2, core.identity_map(basis))
+    f = quad.BilinearFormStructure(basis, [[1, 0], [0, 1]], core.identity_map(basis))
+    phi = _shear(basis)
+    verdict = quad.is_symmetric_automorphism(a, f, phi)
+    assert verdict == _fail("b-symmetry", (0, 1), (field.zero,), (field.one,))
+    assert repr(verdict.witness) == repr(ref_is_symmetric_automorphism(a, f, phi).witness)
+    # the twisted form is the Gram of B(phi(x), y): row i holds B(phi(e_i), e_j)
+    _, twisted = quad.quadratic_yau_twist(a, f, phi, checked=False)
+    assert twisted.gram == ref_transpose_times(field, phi.matrix, f.gram) == ((1, 0), (1, 1))
