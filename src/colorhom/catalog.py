@@ -4,8 +4,9 @@ Each entry carries a recipe (name + parameters) and a tuple of claims: the
 checks the instance is asserted to pass.  Claims are re-verified by the test
 suite, so the catalog certifies itself instead of citing anything.
 
-Everything here is reproducible bit for bit: no randomness outside
-search_maps, and search_maps takes an explicit seed.
+Everything here is reproducible bit for bit.  The only randomness is in
+search_maps, and only when its free choices outnumber its budget; it then
+draws them with random.Random(seed).
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ from . import constructions as cons
 from . import quadratic as quad
 from .checks import (
     Verdict,
+    _centroid_sides,
+    _leibniz,
+    _twist_commutation,
+    _twist_compatibility,
     check_bracket_operator_conditions,
     check_cyclic_commutator_products,
     check_epsilon_commutative,
@@ -44,9 +49,11 @@ from .core import (
     GradedLinearMap,
     _algebra_from_cells,
     _even_map_of_parts,
+    _gauss_rank_inverse,
     identity_map,
     make_map,
     scalar_map,
+    sparse_sub,
     trivial_basis,
 )
 from .errors import StructureError
@@ -65,6 +72,7 @@ __all__ = [
     "super_commutative_line",
     "pairing_form",
     "RECIPES",
+    "MAX_RECIPE_SIZE",
     "build_entry",
     "standard_entries",
     "CHECK",
@@ -350,6 +358,11 @@ def _recipe_zero_algebra(field: ScalarField, dim: int = 2) -> CatalogEntry:
     )
 
 
+# the largest n or dim a recipe builds: the gates of scaled_polynomial and
+# involutive_quadratic_polynomial grow as about n^3.4 and take about 1 s at
+# 64 and 10 s at 128 (over Q and F7, on 2 cores)
+MAX_RECIPE_SIZE = 64
+
 RECIPES = {
     "truncated_polynomial": (_recipe_truncated_polynomial, {"n": int}),
     "super_commutative_line": (_recipe_super_commutative_line, {}),
@@ -367,8 +380,9 @@ RECIPES = {
 def build_entry(name: str, field: ScalarField, **params) -> CatalogEntry:
     """The recipe's entry, each parameter decoded by its declared type.
 
-    An int parameter must be an int; a scalar one is parsed from a string
-    like a document scalar and coerced otherwise.  A bool is neither.
+    An int parameter (a size: n or dim) must be an int no larger than
+    MAX_RECIPE_SIZE; a scalar one is parsed from a string like a document
+    scalar and coerced otherwise.  A bool is neither.
     """
     if not isinstance(name, str) or name not in RECIPES:
         raise StructureError(f"unknown recipe {name!r}")
@@ -380,6 +394,10 @@ def build_entry(name: str, field: ScalarField, **params) -> CatalogEntry:
         if isinstance(value, bool) or (spec[key] is int and type(value) is not int):
             kind = "an integer" if spec[key] is int else "a scalar"
             raise StructureError(f"recipe {name!r} parameter {key!r} must be {kind}, got {value!r}")
+        if spec[key] is int and value > MAX_RECIPE_SIZE:
+            raise StructureError(
+                f"recipe {name!r} parameter {key!r} is {value}, past the size cap {MAX_RECIPE_SIZE}"
+            )
         if spec[key] == "scalar":
             params[key] = field.parse(value) if isinstance(value, str) else field.coerce(value)
     return builder(field, **params)
@@ -423,11 +441,17 @@ class Operation:
     and those that take a form return (algebra, form).  Each call looks its
     function up by module-global name when it runs, so rebinding that name
     (as the traced benchmark run does) reaches every caller.
+
+    A one-map check may name its `linear` part: called like `call`, it
+    returns the (tuples, conditions) groups, in the shape checks._first_failure
+    takes, of the conditions that are linear in the map and that every map
+    passing the check meets.  search_maps solves them exactly.
     """
 
     kind: str
     takes: tuple
     call: Callable
+    linear: Callable | None = None
 
 
 # arguments an operation may leave out, with the value they then take
@@ -450,18 +474,34 @@ OPERATIONS = {
     "quadratic_structure": Operation(
         CHECK, ("form",), lambda a, f: quad.check_quadratic_structure(a, f)
     ),
-    # operator predicates
+    # operator predicates, each with the linear conditions it implies
     "weak_morphism": Operation(CHECK, ("map",), lambda a, m: is_weak_morphism(a, a, m)),
-    "morphism": Operation(CHECK, ("map",), lambda a, m: is_morphism(a, a, m)),
-    "derivation": Operation(CHECK, ("map",), lambda a, m: is_derivation(a, m)),
-    "averaging": Operation(CHECK, ("map", "side"), lambda a, m, side: is_averaging(a, m, side)),
-    "centroid": Operation(CHECK, ("map", "side"), lambda a, m, side: is_centroid(a, m, side)),
-    "rota_baxter": Operation(CHECK, ("map", "weight"), lambda a, m, w: is_rota_baxter(a, m, w)),
+    "morphism": Operation(
+        CHECK, ("map",), lambda a, m: is_morphism(a, a, m),
+        lambda a, m: [_twist_compatibility(a, a, m)],
+    ),
+    "derivation": Operation(
+        CHECK, ("map",), lambda a, m: is_derivation(a, m), lambda a, m: [_leibniz(a, m)]
+    ),
+    "averaging": Operation(
+        CHECK, ("map", "side"), lambda a, m, side: is_averaging(a, m, side),
+        lambda a, m, side: [_twist_commutation(a, m)],
+    ),
+    "centroid": Operation(
+        CHECK, ("map", "side"), lambda a, m, side: is_centroid(a, m, side),
+        lambda a, m, side: [_twist_commutation(a, m), _centroid_sides(a, m, side)],
+    ),
+    "rota_baxter": Operation(
+        CHECK, ("map", "weight"), lambda a, m, w: is_rota_baxter(a, m, w),
+        lambda a, m, w: [_twist_commutation(a, m)],
+    ),
     "bracket_operator_conditions": Operation(
-        CHECK, ("map",), lambda a, m: check_bracket_operator_conditions(a, m)
+        CHECK, ("map",), lambda a, m: check_bracket_operator_conditions(a, m),
+        lambda a, m: [_twist_commutation(a, m)],
     ),
     "symmetric_automorphism": Operation(
-        CHECK, ("form", "map"), lambda a, f, m: quad.is_symmetric_automorphism(a, f, m)
+        CHECK, ("form", "map"), lambda a, f, m: quad.is_symmetric_automorphism(a, f, m),
+        lambda a, f, m: [_twist_compatibility(a, a, m), quad._b_symmetry(f, m, "b-symmetry")],
     ),
     # constructions
     "yau_twist": Operation(
@@ -554,12 +594,18 @@ def search_maps(
     """Deterministic search for even maps satisfying a named predicate.
 
     The predicate is any check in OPERATIONS that takes exactly one map;
-    form, weight and side supply its other arguments.  Candidates are matrices supported on the even positions (deg e_k =
-    deg e_i) with entries drawn from a small value set (default -1, 0, 1, 2).
-    When the whole space fits in the budget it is enumerated exhaustively;
-    otherwise `budget` candidates are sampled with the seeded generator.
-    Hits come back deduplicated and sorted by matrix entries, so equal
-    inputs give equal outputs.
+    form, weight and side supply its other arguments.  The answer is every
+    matrix supported on the even positions (deg e_k = deg e_i), with each
+    entry in a small value set (default -1, 0, 1, 2), that satisfies the
+    predicate; the predicate's linear part (Operation.linear) is solved
+    exactly first, so only its solutions are tried.  Solving leaves some
+    entries free and fixes the rest; the free entries run over the values,
+    a fixed entry outside them drops the candidate, and every survivor is
+    re-checked by the predicate itself.  When the free choices number at
+    most `budget` they are all tried and the answer is exact; otherwise
+    `budget` of them are drawn with random.Random(seed).  Hits come back
+    deduplicated and sorted by matrix entries, so equal inputs give equal
+    outputs.
     """
     op = OPERATIONS.get(predicate)
     if op is None or op.kind != CHECK or op.takes.count("map") != 1:
@@ -573,8 +619,15 @@ def search_maps(
     field = a.field
     if values is None:
         values = (-1, 0, 1, 2)
-    values = tuple(field.coerce(v) for v in values)
-    kernel = {v: field.kernel_scalar(v) for v in values}
+    # distinct values in first-seen order; canon maps a solved entry to its value
+    canon = {}
+    for v in values:
+        v = field.coerce(v)
+        canon.setdefault(v, v)
+    values = tuple(canon)
+    if not values:
+        return []
+    kernel = {v: field.kernel_scalar(v) for v in (*values, field.one)}
     n = a.dim
     degs = a.degrees
     positions = [
@@ -592,23 +645,84 @@ def search_maps(
                 columns[i][k] = kernel[v]
         return _even_map_of_parts(a.basis, tuple(tuple(r) for r in rows), columns)
 
-    space = len(values) ** len(positions)
-    seen = set()
-    hits = []
+    def arguments(m):
+        return [m if arg == "map" else given[arg] for arg in op.takes]
+
+    # the zero map meets every linear condition: the predicate on it checks
+    # the other arguments before any system is built
+    op.call(a, *arguments(candidate((zero,) * len(positions))))
+    free, pivots = _solve_linear_part(a, op, positions, candidate, arguments)
+    space = len(values) ** len(free)
     if space <= budget:
-        assignments = iproduct(values, repeat=len(positions))
+        choices = iproduct(values, repeat=len(free))
     else:
         rng = random.Random(seed)
-        assignments = (
-            tuple(rng.choice(values) for _ in positions) for _ in range(budget)
-        )
-    for assignment in assignments:
-        # rows are an injective function of the assignment: dedupe before building them
-        if assignment in seen:
+        choices = (tuple(rng.choice(values) for _ in free) for _ in range(budget))
+    seen = set()
+    hits = []
+    assignment = [zero] * len(positions)
+    for choice in choices:
+        if choice in seen:
             continue
-        seen.add(assignment)
-        m = candidate(assignment)
-        if op.call(a, *(m if arg == "map" else given[arg] for arg in op.takes)):
-            hits.append(m)
+        seen.add(choice)
+        for position, v in zip(free, choice):
+            assignment[position] = v
+        for position, terms in pivots:
+            v = canon.get(sum((c * choice[j] for j, c in terms), zero))
+            if v is None:
+                break
+            assignment[position] = v
+        else:
+            m = candidate(assignment)
+            if op.call(a, *arguments(m)):
+                hits.append(m)
     hits.sort(key=lambda m: tuple(field.sort_key(v) for row in m.matrix for v in row))
     return hits
+
+
+def _solve_linear_part(a: ColorHomAlgebra, op: Operation, positions, candidate, arguments) -> tuple:
+    """The solutions of op's linear part, over maps on the given positions.
+
+    Returns (free, pivots): free lists the positions left free, ascending;
+    pivots lists (position, terms) for each fixed one, where the entry at
+    position is the sum of c * choice[j] over (j, c) in terms and choice[j]
+    is the value at free[j].  With no linear part every position is free.
+    """
+    count = len(positions)
+    if op.linear is None:
+        return list(range(count)), []
+    field = a.field
+    zero, one = field.zero, field.one
+    # one equation per (group, condition, tuple, output key): the residual's
+    # coefficient there is linear in the entries, read off the unit maps
+    equations = {}
+    for var in range(count):
+        unit = candidate(tuple(one if p == var else zero for p in range(count)))
+        for key, c in _linear_residual(a, op.linear(a, *arguments(unit))).items():
+            equations.setdefault(key, {})[var] = c
+    rows = dict.fromkeys(tuple(e.get(v, zero) for v in range(count)) for e in equations.values())
+    _, _, reduced, pivot_columns = _gauss_rank_inverse(field, list(rows))
+    fixed = set(pivot_columns)
+    free = [v for v in range(count) if v not in fixed]
+    pivots = [
+        (p, [(j, -row[f]) for j, f in enumerate(free) if row[f]])
+        for p, row in zip(pivot_columns, reduced)
+    ]
+    return free, pivots
+
+
+def _linear_residual(a: ColorHomAlgebra, groups) -> dict:
+    """left - right of every linear condition, {(group, condition, tuple, key): field element}.
+
+    groups is what an Operation's linear part returns; zeros are dropped.
+    """
+    coerce = a.field.coerce
+    out = {}
+    for g, (tuples, conditions) in enumerate(groups):
+        for idx in tuples:
+            for c, (_, sides) in enumerate(conditions):
+                for key, value in sparse_sub(*sides(*idx)).items():
+                    value = coerce(value)
+                    if value:
+                        out[g, c, idx, key] = value
+    return out

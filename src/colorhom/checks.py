@@ -263,22 +263,26 @@ def _every_tuple(a: ColorHomAlgebra, arity: int):
     return iproduct(range(a.dim), repeat=arity)
 
 
-def _first_failure(a: ColorHomAlgebra, tuples, conditions) -> Verdict:
+def _first_failure(a: ColorHomAlgebra, tuples, conditions, width: int | None = None) -> Verdict:
     """Check (name, sides) conditions on basis tuples, given in lexicographic slot order.
 
     The caller passes every tuple, or only those where some condition can
     fail.  At each tuple the conditions run in the order given.  sides(*indices)
     returns (left, right) as sparse vectors of kernel scalars; only a
-    failing pair is made dense, for the witness.  Over F_p the sides are
-    unreduced: equal ones are equal mod p, and only unequal ones are
-    reduced and compared again.
+    failing pair is made dense, for the witness, with width coordinates
+    (a.dim unless given; a scalar condition keeps its value at key 0 and
+    passes width=1).  Over F_p the sides are unreduced: equal ones are
+    equal mod p, and only unequal ones are reduced and compared again.
     """
-    p = a.field.p
+    field = a.field
+    p, width = field.p, width or a.dim
     for idx in tuples:
         for name, sides in conditions:
             left, right = sides(*idx)
             if left != right and (p is None or _reduced(left, p) != _reduced(right, p)):
-                return _fail(name, idx, _dense(a, left), _dense(a, right))
+                return _fail(
+                    name, idx, dense_vector(field, width, left), dense_vector(field, width, right)
+                )
     return PASS
 
 
@@ -499,16 +503,14 @@ def check_regular(a: ColorHomAlgebra) -> Verdict:
 def check_involutive(a: ColorHomAlgebra) -> Verdict:
     """alpha composed with itself is the identity."""
     ident = identity_map(a.basis)
-    return _composites_agree(a, "involution", (a.alpha, a.alpha), (ident, ident))
+    return _first_failure(a, *_composites(a, "involution", (a.alpha, a.alpha), (ident, ident)))
 
 
-def _composites_agree(a: ColorHomAlgebra, name: str, left, right) -> Verdict:
-    """left[0] after left[1] equals right[0] after right[1]; witness compares columns."""
+def _composites(a: ColorHomAlgebra, name: str, left, right) -> tuple:
+    """left[0] after left[1] equals right[0] after right[1]: one condition per column."""
     (m, p), (q, r) = left, right
     pc, rc = p.sparse_columns, r.sparse_columns
-    return _first_failure(
-        a, _every_tuple(a, 1), [(name, lambda i: (sparse_apply(m, pc[i]), sparse_apply(q, rc[i])))]
-    )
+    return _every_tuple(a, 1), [(name, lambda i: (sparse_apply(m, pc[i]), sparse_apply(q, rc[i])))]
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +518,13 @@ def _composites_agree(a: ColorHomAlgebra, name: str, left, right) -> Verdict:
 #
 # Each condition is a function of basis indices returning sparse sides, run
 # on the shared loop; images of basis vectors are the maps' sparse columns.
+#
+# The conditions that are linear in the map are stated once, by builders
+# returning (tuples, [(name, sides)]) for _first_failure: _twist_commutation,
+# _twist_compatibility, _leibniz, _centroid_sides and quadratic._b_symmetry.
+# Their tuples do not depend on the map, so catalog.search_maps can evaluate
+# them on unit maps and solve them (catalog.OPERATIONS names each
+# predicate's linear part).
 
 def _require_shared_space(a: ColorHomAlgebra, b: ColorHomAlgebra):
     if a.basis != b.basis:
@@ -524,11 +533,21 @@ def _require_shared_space(a: ColorHomAlgebra, b: ColorHomAlgebra):
         raise StructureError("the two algebras must share a bicharacter")
 
 
+def _twist_commutation(a: ColorHomAlgebra, f: GradedLinearMap) -> tuple:
+    """alpha.f = f.alpha, column by column."""
+    return _composites(a, "twist-commutation", (a.alpha, f), (f, a.alpha))
+
+
+def _twist_compatibility(a: ColorHomAlgebra, b: ColorHomAlgebra, f: GradedLinearMap) -> tuple:
+    """f.alpha_a = alpha_b.f, column by column."""
+    return _composites(a, "twist-compatibility", (f, a.alpha), (b.alpha, f))
+
+
 def commutes_with_twist(a: ColorHomAlgebra, f: GradedLinearMap) -> Verdict:
     """f must commute with a's twisting map; witness compares columns."""
     if f.basis != a.basis:
         raise StructureError("composition needs a shared basis")
-    return _composites_agree(a, "twist-commutation", (a.alpha, f), (f, a.alpha))
+    return _first_failure(a, *_twist_commutation(a, f))
 
 
 def is_weak_morphism(a: ColorHomAlgebra, b: ColorHomAlgebra, f: GradedLinearMap) -> Verdict:
@@ -548,15 +567,11 @@ def is_morphism(a: ColorHomAlgebra, b: ColorHomAlgebra, f: GradedLinearMap) -> V
     v = is_weak_morphism(a, b, f)
     if not v:
         return v
-    return _composites_agree(a, "twist-compatibility", (f, a.alpha), (b.alpha, f))
+    return _first_failure(a, *_twist_compatibility(a, b, f))
 
 
-def is_derivation(a: ColorHomAlgebra, d: GradedLinearMap, degree=None) -> Verdict:
-    """Colored Leibniz rule: d(x*y) = d(x)*y + eps(deg d, x) x*d(y)."""
-    if d.basis != a.basis:
-        raise StructureError("derivation candidate lives on a different basis")
-    if degree is not None and degree != d.degree:
-        raise StructureError("declared degree disagrees with the map's degree")
+def _leibniz(a: ColorHomAlgebra, d: GradedLinearMap) -> tuple:
+    """d(x*y) = d(x)*y + eps(deg d, x) x*d(y) on every basis pair."""
     rows, dc, units, degs = a.product_rows, d.sparse_columns, _units(a), a.degrees
     # eps(deg d, deg e_i), evaluated once per basis degree the scan reaches
     eps_d = cache(lambda degree: a.field.kernel_scalar(a.eps(d.degree, degree)))
@@ -567,30 +582,38 @@ def is_derivation(a: ColorHomAlgebra, d: GradedLinearMap, degree=None) -> Verdic
         second = sparse_scale(eps_d(degs[i]), sparse_product(a, units[i], dc[j]))
         return left, sparse_add(first, second)
 
-    return _first_failure(a, _every_tuple(a, 2), [("leibniz", leibniz)])
+    return _every_tuple(a, 2), [("leibniz", leibniz)]
 
 
-def _sided(a: ColorHomAlgebra, f: GradedLinearMap, side: str, role: str, left, right) -> Verdict:
-    """An even operator that commutes with alpha and meets its left and/or right condition.
+def is_derivation(a: ColorHomAlgebra, d: GradedLinearMap, degree=None) -> Verdict:
+    """Colored Leibniz rule: d(x*y) = d(x)*y + eps(deg d, x) x*d(y)."""
+    if d.basis != a.basis:
+        raise StructureError("derivation candidate lives on a different basis")
+    if degree is not None and degree != d.degree:
+        raise StructureError("declared degree disagrees with the map's degree")
+    return _first_failure(a, *_leibniz(a, d))
 
-    left and right are (name, sides) conditions; with side="both" the left
-    one runs first at each pair.
-    """
-    _require_even_endo(a.basis, f, role)
+
+def _sides_chosen(a: ColorHomAlgebra, side: str, left, right) -> tuple:
+    """The left and/or right (name, sides) condition on every basis pair; left first."""
     if side not in ("left", "right", "both"):
         raise StructureError(f"side must be left/right/both, got {side!r}")
+    conditions = [c for s, c in (("left", left), ("right", right)) if side in (s, "both")]
+    return _every_tuple(a, 2), conditions
+
+
+def _sided(a: ColorHomAlgebra, f: GradedLinearMap, side: str, role: str, sides) -> Verdict:
+    """An even operator that commutes with alpha and meets its conditions sides(a, f, side)."""
+    _require_even_endo(a.basis, f, role)
+    conditions = sides(a, f, side)
     v = commutes_with_twist(a, f)
     if not v:
         return v
-    conditions = [c for s, c in (("left", left), ("right", right)) if side in (s, "both")]
-    return _first_failure(a, _every_tuple(a, 2), conditions)
+    return _first_failure(a, *conditions)
 
 
-def is_averaging(a: ColorHomAlgebra, f: GradedLinearMap, side: str = "both") -> Verdict:
-    """Averaging operator: commutes with alpha and absorbs itself.
-
-    left side:  f(x)*f(y) = f(f(x)*y);  right side:  f(x)*f(y) = f(x*f(y)).
-    """
+def _averaging_sides(a: ColorHomAlgebra, f: GradedLinearMap, side: str) -> tuple:
+    """left: f(x)*f(y) = f(f(x)*y); right: f(x)*f(y) = f(x*f(y)).  Quadratic in f."""
     fc, units = f.sparse_columns, _units(a)
 
     def left(i, j):
@@ -599,13 +622,19 @@ def is_averaging(a: ColorHomAlgebra, f: GradedLinearMap, side: str = "both") -> 
     def right(i, j):
         return sparse_product(a, fc[i], fc[j]), sparse_apply(f, sparse_product(a, units[i], fc[j]))
 
-    return _sided(
-        a, f, side, "averaging candidate", ("left-averaging", left), ("right-averaging", right)
-    )
+    return _sides_chosen(a, side, ("left-averaging", left), ("right-averaging", right))
 
 
-def is_centroid(a: ColorHomAlgebra, f: GradedLinearMap, side: str = "both") -> Verdict:
-    """Centroid element: commutes with alpha and slides out of the product."""
+def is_averaging(a: ColorHomAlgebra, f: GradedLinearMap, side: str = "both") -> Verdict:
+    """Averaging operator: commutes with alpha and absorbs itself.
+
+    left side:  f(x)*f(y) = f(f(x)*y);  right side:  f(x)*f(y) = f(x*f(y)).
+    """
+    return _sided(a, f, side, "averaging candidate", _averaging_sides)
+
+
+def _centroid_sides(a: ColorHomAlgebra, f: GradedLinearMap, side: str) -> tuple:
+    """left: f(x*y) = f(x)*y; right: f(x*y) = x*f(y)."""
     rows, fc, units = a.product_rows, f.sparse_columns, _units(a)
 
     def left(i, j):
@@ -614,9 +643,12 @@ def is_centroid(a: ColorHomAlgebra, f: GradedLinearMap, side: str = "both") -> V
     def right(i, j):
         return sparse_apply(f, rows[i][j]), sparse_product(a, units[i], fc[j])
 
-    return _sided(
-        a, f, side, "centroid candidate", ("left-centroid", left), ("right-centroid", right)
-    )
+    return _sides_chosen(a, side, ("left-centroid", left), ("right-centroid", right))
+
+
+def is_centroid(a: ColorHomAlgebra, f: GradedLinearMap, side: str = "both") -> Verdict:
+    """Centroid element: commutes with alpha and slides out of the product."""
+    return _sided(a, f, side, "centroid candidate", _centroid_sides)
 
 
 def is_rota_baxter(l: ColorHomAlgebra, r: GradedLinearMap, weight) -> Verdict:

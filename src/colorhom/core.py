@@ -267,7 +267,12 @@ def _bounded(m: GradedLinearMap) -> GradedLinearMap:
 
 
 def _gauss_rank_inverse(field: ScalarField, rows):
-    """Exact Gauss-Jordan; returns (rank, inverse-or-None for square input)."""
+    """Exact Gauss-Jordan: (rank, inverse-or-None for square input, reduced rows, pivot columns).
+
+    The reduced rows are the rank nonzero rows of the reduced row echelon
+    form: reduced[r] has 1 in column pivots[r] and 0 in every other pivot
+    column.
+    """
     n = len(rows)
     m = [list(r) for r in rows]
     square = all(len(r) == n for r in m)
@@ -277,6 +282,7 @@ def _gauss_rank_inverse(field: ScalarField, rows):
         aug = [[one if i == j else zero for j in range(n)] for i in range(n)]
     ncols = len(m[0]) if m else 0
     rank = 0
+    pivots = []
     for col in range(ncols):
         pivot = None
         for r in range(rank, n):
@@ -299,10 +305,10 @@ def _gauss_rank_inverse(field: ScalarField, rows):
             m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
             if aug is not None:
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[rank])]
+        pivots.append(col)
         rank += 1
-    if square and rank == n:
-        return rank, tuple(tuple(r) for r in aug)
-    return rank, None
+    inverse = tuple(tuple(r) for r in aug) if square and rank == n else None
+    return rank, inverse, m[:rank], pivots
 
 
 def matrix_rank(field: ScalarField, rows) -> int:
@@ -340,7 +346,7 @@ def invert_map(m: GradedLinearMap) -> GradedLinearMap:
     """Exact inverse of an even map; raises SingularMapError if not regular."""
     if not m.is_even:
         raise StructureError("only even maps are inverted here")
-    rank, inv = _gauss_rank_inverse(m.basis.field, m.matrix)
+    inv = _gauss_rank_inverse(m.basis.field, m.matrix)[1]
     if inv is None:
         raise SingularMapError("map is singular: not regular")
     return GradedLinearMap(m.basis, inv, m.basis.group.zero())

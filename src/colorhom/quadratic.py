@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .checks import (
-    PASS,
     Verdict,
     _fail,
+    _first_failure,
     check_hom_novikov,
     check_involutive,
     check_multiplicative,
@@ -144,7 +144,7 @@ def check_quadratic_structure(a: ColorHomAlgebra, f: BilinearFormStructure) -> V
                 right = _pairing(f, beta_columns[i], rows[j][k])
                 if left != right:
                     return _fail("invariance", (i, j, k), (left,), (right,))
-    return _b_symmetry(f, a.alpha, "twist-b-symmetry")
+    return _first_failure(a, *_b_symmetry(f, a.alpha, "twist-b-symmetry"), width=1)
 
 
 def is_symmetric_automorphism(a: ColorHomAlgebra, f: BilinearFormStructure, phi: GradedLinearMap) -> Verdict:
@@ -160,18 +160,20 @@ def is_symmetric_automorphism(a: ColorHomAlgebra, f: BilinearFormStructure, phi:
     v = is_morphism(a, a, phi)
     if not v:
         return v
-    return _b_symmetry(f, phi, "b-symmetry")
+    return _first_failure(a, *_b_symmetry(f, phi, "b-symmetry"), width=1)
 
 
-def _b_symmetry(f: BilinearFormStructure, m: GradedLinearMap, identity: str) -> Verdict:
-    """B(m(e_i), e_j) = B(e_i, m(e_j)) on every basis pair, in lexicographic order."""
-    columns = m.sparse_columns
-    for i, j in iproduct(range(f.basis.dim), repeat=2):
-        left = _pairing(f, columns[i], {j: 1})
-        right = _pairing(f, {i: 1}, columns[j])
-        if left != right:
-            return _fail(identity, (i, j), (left,), (right,))
-    return PASS
+def _b_symmetry(f: BilinearFormStructure, m: GradedLinearMap, identity: str) -> tuple:
+    """B(m(e_i), e_j) = B(e_i, m(e_j)) on every basis pair, each side a scalar at key 0."""
+    columns, kernel_scalar = m.sparse_columns, f.basis.field.kernel_scalar
+
+    def scalar(x) -> dict:
+        return {0: kernel_scalar(x)} if x else {}
+
+    def sides(i, j):
+        return scalar(_pairing(f, columns[i], {j: 1})), scalar(_pairing(f, {i: 1}, columns[j]))
+
+    return iproduct(range(f.basis.dim), repeat=2), [(identity, sides)]
 
 
 def _require_identity_companion(op: str, f: BilinearFormStructure):

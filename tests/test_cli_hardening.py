@@ -14,6 +14,7 @@ import copy
 import io
 import json
 import signal
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from colorhom import catalog as cat
 from colorhom import cli
 from colorhom.errors import StructureError
 from colorhom.io import serialize_document
+from colorhom.scalars import rationals
 
 SUITES = Path(str(resources.files("colorhom") / "suites"))
 THEOREMS = json.loads((SUITES / "theorems.json").read_text(encoding="utf-8"))
@@ -306,3 +308,30 @@ def test_fuzz_catalog_flags(recipe, field, flags, data):
     options = [f"--{flag}={data.draw(values[flag])}" for flag in flags]
     fmt = data.draw(FORMATS)
     assert_clean_run(["catalog", recipe, f"--field={field}", *options, f"--format={fmt}"], fmt == "machine")
+
+
+# ---------------------------------------------------------------------------
+# recipe sizes are capped
+
+SIZED = [(name, key) for name, (_, spec) in cat.RECIPES.items() for key, kind in spec.items() if kind is int]
+
+
+@pytest.mark.parametrize("name, key", SIZED)
+def test_a_recipe_size_past_the_cap_exits_2_quickly(tmp_path, name, key):
+    start = time.perf_counter()
+    for size in (cat.MAX_RECIPE_SIZE + 1, 10**30):
+        assert_structural_error(run(["catalog", name, f"--{key}", str(size)]))
+        algebra = {"recipe": name, "field": "Q", "params": {key: size}}
+        assert_structural_error(run_rows(tmp_path, recipe_row(algebra=algebra)))
+        with pytest.raises(StructureError, match="size cap"):
+            cat.build_entry(name, rationals(), **{key: size})
+    assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("name, key", SIZED)
+def test_every_sized_recipe_builds_at_the_cap(name, key):
+    # the involutive recipe takes odd sizes only
+    size = cat.MAX_RECIPE_SIZE - (name == "involutive_quadratic_polynomial")
+    code, out, err = run(["catalog", name, f"--{key}", str(size)])  # stopped after 10 s
+    assert code == 0, err
+    assert len(json.loads(out)["basis"]["degrees"]) == size
