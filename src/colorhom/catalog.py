@@ -4,16 +4,15 @@ Each entry carries a recipe (name + parameters) and a tuple of claims: the
 checks the instance is asserted to pass.  Claims are re-verified by the test
 suite, so the catalog certifies itself instead of citing anything.
 
-Everything here is reproducible bit for bit.  The only randomness is in
-search_maps, and only when its free choices outnumber its budget; it then
-draws them with random.Random(seed).
+Everything here is reproducible bit for bit, search_maps included: it
+walks its search tree in one fixed order and draws nothing at random.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cache
 from itertools import product as iproduct
 from typing import Callable
 
@@ -53,6 +52,7 @@ from .core import (
     identity_map,
     make_map,
     scalar_map,
+    sparse_product,
     sparse_sub,
     trivial_basis,
 )
@@ -446,12 +446,18 @@ class Operation:
     returns the (tuples, conditions) groups, in the shape checks._first_failure
     takes, of the conditions that are linear in the map and that every map
     passing the check meets.  search_maps solves them exactly.
+
+    A one-map check with preserves_products holds only for maps with
+    f(e_i e_j) = f(e_i) f(e_j) at every basis pair, and names no linear
+    part: search_maps checks each pair as soon as the columns it reads are
+    set, and sets any column a pair forces.
     """
 
     kind: str
     takes: tuple
     call: Callable
     linear: Callable | None = None
+    preserves_products: bool = False
 
 
 # arguments an operation may leave out, with the value they then take
@@ -475,7 +481,9 @@ OPERATIONS = {
         CHECK, ("form",), lambda a, f: quad.check_quadratic_structure(a, f)
     ),
     # operator predicates, each with the linear conditions it implies
-    "weak_morphism": Operation(CHECK, ("map",), lambda a, m: is_weak_morphism(a, a, m)),
+    "weak_morphism": Operation(
+        CHECK, ("map",), lambda a, m: is_weak_morphism(a, a, m), preserves_products=True
+    ),
     "morphism": Operation(
         CHECK, ("map",), lambda a, m: is_morphism(a, a, m),
         lambda a, m: [_twist_compatibility(a, a, m)],
@@ -591,21 +599,31 @@ def search_maps(
     weight=None,
     side: str = "both",
 ) -> list:
-    """Deterministic search for even maps satisfying a named predicate.
+    """Deterministic backtracking search for even maps satisfying a named predicate.
 
     The predicate is any check in OPERATIONS that takes exactly one map;
     form, weight and side supply its other arguments.  The answer is every
     matrix supported on the even positions (deg e_k = deg e_i), with each
     entry in a small value set (default -1, 0, 1, 2), that satisfies the
-    predicate; the predicate's linear part (Operation.linear) is solved
-    exactly first, so only its solutions are tried.  Solving leaves some
-    entries free and fixes the rest; the free entries run over the values,
-    a fixed entry outside them drops the candidate, and every survivor is
-    re-checked by the predicate itself.  When the free choices number at
-    most `budget` they are all tried and the answer is exact; otherwise
-    `budget` of them are drawn with random.Random(seed).  Hits come back
-    deduplicated and sorted by matrix entries, so equal inputs give equal
-    outputs.
+    predicate.
+
+    The predicate's linear part (Operation.linear) is solved exactly, which
+    leaves some entries free and fixes the rest.  A depth-first search sets
+    the columns f(e_0), f(e_1), ... in turn, branching over the values of
+    each column's free entries and filling a fixed entry once the free
+    entries it reads are set; one outside the values abandons the branch.
+    For a predicate that preserves products (Operation.preserves_products)
+    each pair f(e_i e_j) = f(e_i) f(e_j) is checked once columns i, j and
+    the support of e_i e_j are set, and a pair that reads exactly one unset
+    column forces it: the column is set without branching, or the branch is
+    abandoned when it leaves the values or the even positions.  Every
+    complete candidate is re-checked by the predicate itself.
+
+    budget bounds the leaves of the search tree, complete candidates plus
+    abandoned partial assignments, which never outnumber len(values) **
+    (free entries); at the bound the search stops and returns the hits found
+    so far, the same on every run.  seed is not read; it stays for callers
+    that pass it.  Hits come back sorted by matrix entries.
     """
     op = OPERATIONS.get(predicate)
     if op is None or op.kind != CHECK or op.takes.count("map") != 1:
@@ -619,7 +637,8 @@ def search_maps(
     field = a.field
     if values is None:
         values = (-1, 0, 1, 2)
-    # distinct values in first-seen order; canon maps a solved entry to its value
+    # distinct values in first-seen order; canon maps a solved entry to its
+    # value, and also a reduced kernel scalar, since equal numbers hash alike
     canon = {}
     for v in values:
         v = field.coerce(v)
@@ -652,32 +671,121 @@ def search_maps(
     # the other arguments before any system is built
     op.call(a, *arguments(candidate((zero,) * len(positions))))
     free, pivots = _solve_linear_part(a, op, positions, candidate, arguments)
-    space = len(values) ** len(free)
-    if space <= budget:
-        choices = iproduct(values, repeat=len(free))
-    else:
-        rng = random.Random(seed)
-        choices = (tuple(rng.choice(values) for _ in free) for _ in range(budget))
-    seen = set()
-    hits = []
+
+    # column i branches over its free positions, then fills the fixed
+    # entries whose last free entry lies in column i
+    entries = [[] for _ in range(n)]
+    for p in free:
+        entries[positions[p][1]].append(p)
+    ready = [[] for _ in range(n)]
+    for p, terms in pivots:
+        ready[max((positions[q][1] for q, _ in terms), default=0)].append((p, terms))
+    in_column = [[] for _ in range(n)]
+    for p, (k, i) in enumerate(positions):
+        in_column[i].append((k, p))
+    reading = _pairs_by_column(a) if op.preserves_products else None
+    reduce = (lambda x: x % field.p) if field.characteristic else (lambda x: x)
+    inverse = cache(lambda c: field.kernel_scalar(field.one / field.coerce(c)))
+
     assignment = [zero] * len(positions)
-    for choice in choices:
-        if choice in seen:
-            continue
-        seen.add(choice)
-        for position, v in zip(free, choice):
-            assignment[position] = v
-        for position, terms in pivots:
-            v = canon.get(sum((c * choice[j] for j, c in terms), zero))
+    # with pairs to check: the sparse kernel column of every set column, and
+    # the set columns in the order they were set
+    columns = [None] * n
+    trail = []
+    hits = []
+    leaves = 0
+
+    def fill(column) -> bool:
+        """Fill the fixed entries column completes; False once one leaves the values."""
+        for p, terms in ready[column]:
+            v = canon.get(sum((c * assignment[q] for q, c in terms), zero))
             if v is None:
-                break
-            assignment[position] = v
-        else:
+                return False
+            assignment[p] = v
+        return True
+
+    def settle(column) -> bool:
+        """Set the branched column and the columns pairs force; False once a pair fails."""
+        columns[column] = {k: kernel[v] for k, p in in_column[column] if (v := assignment[p])}
+        trail.append(column)
+        queue = [column]
+        while queue:
+            for i, j, cell in reading[queue.pop()]:
+                if columns[i] is None or columns[j] is None:
+                    continue
+                unset = [k for k in cell if columns[k] is None]
+                if len(unset) > 1:
+                    continue
+                # f(e_i) f(e_j) minus the cell's terms in set columns
+                rest = sparse_product(a, columns[i], columns[j])
+                for k, c in cell.items():
+                    if columns[k] is not None:
+                        for r, x in columns[k].items():
+                            rest[r] = rest.get(r, 0) - c * x
+                if not unset:
+                    if any(reduce(x) for x in rest.values()):
+                        return False
+                    continue
+                k = unset[0]
+                scale = inverse(cell[k])
+                forced = {}
+                for r, p in in_column[k]:
+                    v = canon.get(reduce(rest.pop(r, 0) * scale))
+                    if v is None:
+                        return False
+                    assignment[p] = v
+                    if v:
+                        forced[r] = kernel[v]
+                if any(reduce(x) for x in rest.values()):  # off the even positions
+                    return False
+                columns[k] = forced
+                trail.append(k)
+                queue.append(k)
+        return True
+
+    def descend(column):
+        nonlocal leaves
+        if column == n:
+            leaves += 1
             m = candidate(assignment)
             if op.call(a, *arguments(m)):
                 hits.append(m)
+            return
+        if columns[column] is not None:  # forced
+            descend(column + 1)
+            return
+        for vals in iproduct(values, repeat=len(entries[column])):
+            if leaves >= budget:
+                return
+            for p, v in zip(entries[column], vals):
+                assignment[p] = v
+            mark = len(trail)
+            if fill(column) and (reading is None or settle(column)):
+                descend(column + 1)
+            else:
+                leaves += 1
+            for k in trail[mark:]:
+                columns[k] = None
+            del trail[mark:]
+
+    descend(0)
     hits.sort(key=lambda m: tuple(field.sort_key(v) for row in m.matrix for v in row))
     return hits
+
+
+def _pairs_by_column(a: ColorHomAlgebra) -> list:
+    """For each column s, the pairs (i, j, e_i e_j) whose product condition reads f(e_s).
+
+    f(e_i e_j) = f(e_i) f(e_j) reads columns i and j and every column in
+    the support of the cell e_i e_j.
+    """
+    rows = a.product_rows
+    out = [[] for _ in range(a.dim)]
+    for i, row in enumerate(rows):
+        for j, cell in enumerate(row):
+            for s in {i, j, *cell}:
+                out[s].append((i, j, cell))
+    return out
 
 
 def _solve_linear_part(a: ColorHomAlgebra, op: Operation, positions, candidate, arguments) -> tuple:
@@ -685,8 +793,8 @@ def _solve_linear_part(a: ColorHomAlgebra, op: Operation, positions, candidate, 
 
     Returns (free, pivots): free lists the positions left free, ascending;
     pivots lists (position, terms) for each fixed one, where the entry at
-    position is the sum of c * choice[j] over (j, c) in terms and choice[j]
-    is the value at free[j].  With no linear part every position is free.
+    position is the sum of c times the entry at q over (q, c) in terms, each
+    q free.  With no linear part every position is free.
     """
     count = len(positions)
     if op.linear is None:
@@ -705,7 +813,7 @@ def _solve_linear_part(a: ColorHomAlgebra, op: Operation, positions, candidate, 
     fixed = set(pivot_columns)
     free = [v for v in range(count) if v not in fixed]
     pivots = [
-        (p, [(j, -row[f]) for j, f in enumerate(free) if row[f]])
+        (p, [(f, -row[f]) for f in free if row[f]])
         for p, row in zip(pivot_columns, reduced)
     ]
     return free, pivots

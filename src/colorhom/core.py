@@ -66,7 +66,6 @@ __all__ = [
     "compose_maps",
     "map_power",
     "invert_map",
-    "map_commutes_with_alpha",
     "eval_product",
     "sparse_vector",
     "dense_vector",
@@ -78,10 +77,6 @@ __all__ = [
     "commutator_tensor",
     "unit_vector",
     "zero_vector",
-    "vec_add",
-    "vec_sub",
-    "vec_scale",
-    "vec_is_zero",
     "homogeneous_components",
     "determinant",
     "matrix_rank",
@@ -703,22 +698,6 @@ def zero_vector(field: ScalarField, dim: int) -> tuple:
     return (field.zero,) * dim
 
 
-def vec_add(x, y) -> tuple:
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def vec_sub(x, y) -> tuple:
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def vec_scale(s, x) -> tuple:
-    return tuple(s * a for a in x)
-
-
-def vec_is_zero(x) -> bool:
-    return all(a == 0 for a in x)
-
-
 def homogeneous_components(basis: GradedBasis, x):
     """Split a vector into its homogeneous parts.
 
@@ -739,7 +718,3 @@ def homogeneous_components(basis: GradedBasis, x):
             parts.append((d, [zero] * n))
         parts[seen[d]][1][i] = x[i]
     return [(d, tuple(v)) for d, v in parts]
-
-
-def map_commutes_with_alpha(a: ColorHomAlgebra, m: GradedLinearMap) -> bool:
-    return compose_maps(a.alpha, m).matrix == compose_maps(m, a.alpha).matrix

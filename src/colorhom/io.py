@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field as dc_field
 
 from .core import (
@@ -103,7 +104,21 @@ def serialize_document(
     forms: dict | None = None,
     provenance: dict | None = None,
 ) -> str:
-    """Canonical text (plus the non-canonical provenance section if given)."""
+    """Canonical text (plus the non-canonical provenance section if given).
+
+    A scalar too long to write in decimal (past sys.get_int_max_str_digits(),
+    4300 digits by default) raises StructureError, as it does in parsing.
+    """
+    try:
+        return _emit(_document(algebra, maps, forms, provenance), 0) + "\n"
+    # an int past the digit limit, turned into text by json.dumps or as "n/d"
+    except ValueError:
+        raise StructureError(
+            f"document not writable: a scalar passes {sys.get_int_max_str_digits()} decimal digits"
+        ) from None
+
+
+def _document(algebra: ColorHomAlgebra, maps, forms, provenance) -> dict:
     f = algebra.field
     doc = {
         "field": _field_to_json(f),
@@ -155,7 +170,7 @@ def serialize_document(
         doc["forms"] = section
     if provenance is not None:
         doc["provenance"] = provenance
-    return _emit(doc, 0) + "\n"
+    return doc
 
 
 def _emit(obj, level: int) -> str:

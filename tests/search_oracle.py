@@ -6,8 +6,8 @@ solving in search_maps, so equal answers pin the search down exactly.
 
 sampled_search is the search as it stood before exact solving: the whole
 space when it fits in the budget, else `budget` seeded draws, one value per
-even position.  Maps without a linear part (weak_morphism) must still get
-exactly its answer.
+even position.  Where the whole space fits, the backtracking search must
+still get exactly its answer.
 """
 
 import random

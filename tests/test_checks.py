@@ -47,7 +47,6 @@ from colorhom.core import (
     make_map,
     scalar_map,
     trivial_basis,
-    vec_is_zero,
 )
 from colorhom.errors import StructureError
 from colorhom.grading import trivial_bicharacter
@@ -55,6 +54,10 @@ from colorhom.scalars import prime_field, rationals
 
 
 Q = rationals()
+
+
+def vec_is_zero(x) -> bool:
+    return all(a == 0 for a in x)
 
 
 def frac(*vals):

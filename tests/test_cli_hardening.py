@@ -203,6 +203,16 @@ def test_power_twist_of_a_huge_power_is_a_structural_error(tmp_path):
     assert_structural_error(run_rows(tmp_path, row))
 
 
+def test_a_recipe_scalar_too_long_to_write_is_a_structural_error(tmp_path):
+    # the entries c^i reach 10^4900, past the 4300 digits int-to-text allows
+    assert_structural_error(run(["catalog", "scaled_polynomial", "--n", "50", "--c", "1e100"]))
+    out = tmp_path / "big.json"
+    assert_structural_error(run(["catalog", "scaled_polynomial", "--n", "50", "--c", "1e-100", f"--out={out}"]))
+    assert not out.exists()
+    with pytest.raises(StructureError, match="decimal digits"):
+        serialize_document(cat.build_entry("scaled_polynomial", rationals(), n=50, c="1e100").algebra)
+
+
 # ---------------------------------------------------------------------------
 # end-to-end fuzz
 

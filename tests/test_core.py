@@ -18,16 +18,11 @@ from colorhom.core import (
     invert_map,
     make_algebra,
     make_map,
-    map_commutes_with_alpha,
     map_power,
     matrix_rank,
     scalar_map,
     trivial_basis,
     unit_vector,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
-    vec_sub,
     zero_vector,
 )
 from colorhom.errors import SingularMapError, StructureError
@@ -36,6 +31,26 @@ from colorhom.scalars import prime_field, rationals
 
 
 Q = rationals()
+
+
+def vec_add(x, y) -> tuple:
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def vec_sub(x, y) -> tuple:
+    return tuple(a - b for a, b in zip(x, y))
+
+
+def vec_scale(s, x) -> tuple:
+    return tuple(s * a for a in x)
+
+
+def vec_is_zero(x) -> bool:
+    return all(a == 0 for a in x)
+
+
+def map_commutes_with_alpha(a, m) -> bool:
+    return compose_maps(a.alpha, m).matrix == compose_maps(m, a.alpha).matrix
 
 
 def super_basis(field, degrees):

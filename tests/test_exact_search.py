@@ -1,15 +1,17 @@
-"""search_maps against brute force, the sampler it replaced, and the linearity of its linear parts.
+"""search_maps against brute force, its budget, and the linearity of its linear parts.
 
 search_maps solves each predicate's linear part (catalog.OPERATIONS) and
-enumerates only the solutions, so its answer must equal running the
+backtracks over the solutions, so its answer must equal running the
 predicate on every even matrix over the value set (tests/search_oracle.py)
-whenever the free choices fit the budget.  A weak morphism has no linear
-part, so its search must still draw exactly the old sampler's candidates.
-The guard at the end makes a condition declared linear by mistake fail a
-test instead of silently losing hits.
+whenever the leaves of its search tree fit the budget.  A weak morphism has
+no linear part, but its search checks each product pair as soon as it can
+and sets the columns the pairs force, so it stays exact far past the budget
+that would cover every matrix.  The guard at the end makes a condition
+declared linear by mistake fail a test instead of silently losing hits.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import product as iproduct
 
 import pytest
@@ -26,6 +28,7 @@ from colorhom.catalog import (
     standard_entries,
     truncated_polynomial,
 )
+from colorhom.checks import is_weak_morphism
 from colorhom.core import GradedBasis, identity_map, make_algebra, make_map
 from colorhom.grading import GradeGroup, make_bicharacter, trivial_bicharacter
 from colorhom.quadratic import BilinearFormStructure
@@ -207,16 +210,86 @@ def test_search_is_brute_force_on_random_algebras(a):
 
 
 # ---------------------------------------------------------------------------
-# the sampler, and the meaning of values
+# the search past its budget, the budget as a bound, and the meaning of values
+
+
+@cache
+def tp3_f5_brute_force():
+    """truncated_polynomial(3, F5) and its (weak) morphisms over (-1, 0, 1), from all 3^9 matrices."""
+    a = truncated_polynomial(3, F5)
+    maps = candidates(a, (-1, 0, 1))
+    return a, {name: [m.matrix for m in brute_force_search(a, name, maps)] for name in ("weak_morphism", "morphism")}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
 @pytest.mark.parametrize("budget", [40, 300, 1000])
-def test_weak_morphism_search_draws_the_sampler_candidates(seed, budget):
-    a = truncated_polynomial(3, F5)  # 4^9 candidates: always sampled
-    expected = sampled_search(a, "weak_morphism", seed=seed, budget=budget)
-    found = search_maps(a, "weak_morphism", seed=seed, budget=budget)
-    assert [m.matrix for m in found] == [m.matrix for m in expected]
+def test_weak_morphism_search_is_brute_force_past_the_budget(seed, budget):
+    # 3^9 matrices, but fewer than 100 leaves in the search tree: budgets 300
+    # and 1000 see them all, 40 cuts the search short; the seed is not read
+    a, expected = tp3_f5_brute_force()
+    expected = expected["weak_morphism"]
+    found = [m.matrix for m in search_maps(a, "weak_morphism", seed=seed, budget=budget, values=(-1, 0, 1))]
+    if budget >= 100:
+        assert found == expected
+    else:
+        assert found == [m.matrix for m in search_maps(a, "weak_morphism", budget=budget, values=(-1, 0, 1))]
+        assert set(found) < set(expected)
+
+
+def test_morphism_search_is_brute_force_at_a_budget_covering_every_matrix():
+    # alpha is the identity, so the linear part fixes nothing: every matrix is a leaf
+    a, expected = tp3_f5_brute_force()
+    found = search_maps(a, "morphism", values=(-1, 0, 1), budget=3 ** 9)
+    assert [m.matrix for m in found] == expected["morphism"]
+
+
+def test_a_budget_below_the_leaf_count_returns_a_deterministic_prefix():
+    # the search tree has fewer than 100 leaves here: complete candidates
+    # plus the partial assignments a failing pair or forced column abandons
+    a, expected = tp3_f5_brute_force()
+    expected = expected["weak_morphism"]
+    previous = []
+    for budget in range(101):
+        found = [m.matrix for m in search_maps(a, "weak_morphism", values=(-1, 0, 1), budget=budget)]
+        again = search_maps(a, "weak_morphism", seed=budget, values=(-1, 0, 1), budget=budget)
+        assert [m.matrix for m in again] == found, budget
+        assert set(previous) <= set(found) <= set(expected), budget
+        assert found == sorted(found, key=lambda m: tuple(F5.sort_key(v) for row in m for v in row))
+        previous = found
+    assert found == expected
+    assert search_maps(a, "weak_morphism", values=(-1, 0, 1), budget=0) == []
+
+
+def test_only_predicates_without_a_linear_part_preserve_products():
+    # the search forces whole columns for them, which a fixed entry could contradict
+    for name, op in OPERATIONS.items():
+        if op.preserves_products:
+            assert name in ONE_MAP_PREDICATES and op.linear is None, name
+    assert OPERATIONS["weak_morphism"].preserves_products
+
+
+# weak morphisms over Q with the default values, identity included
+WEAK_MORPHISM_COUNTS = [
+    ("truncated_polynomial", {"n": 3}, 13),
+    ("euler_novikov", {"n": 3}, 9),
+    ("scaled_polynomial", {"n": 3, "c": 2}, 4),
+    ("scaled_polynomial", {"n": 3, "c": -1}, 4),
+    ("involutive_quadratic_polynomial", {"n": 3}, 4),
+    ("truncated_polynomial", {"n": 4}, 33),
+]
+
+
+@pytest.mark.parametrize(
+    "recipe, params, count", WEAK_MORPHISM_COUNTS,
+    ids=[f"{r}{dict(p)}" for r, p, _ in WEAK_MORPHISM_COUNTS],
+)
+def test_weak_morphism_search_over_q_finds_every_hit_at_the_default_budget(recipe, params, count):
+    a = build_entry(recipe, Q, **params).algebra
+    hits = search_maps(a, "weak_morphism")
+    assert len(hits) == count
+    assert identity_map(a.basis).matrix in [m.matrix for m in hits]
+    for m in hits:
+        assert is_weak_morphism(a, a, m), m.matrix
 
 
 def test_weak_morphism_search_matches_the_sampler_when_exhaustive():
