@@ -19,11 +19,8 @@ from typing import Callable
 from . import constructions as cons
 from . import quadratic as quad
 from .checks import (
+    PREDICATE_CONDITIONS,
     Verdict,
-    _centroid_sides,
-    _leibniz,
-    _twist_commutation,
-    _twist_compatibility,
     check_bracket_operator_conditions,
     check_cyclic_commutator_products,
     check_epsilon_commutative,
@@ -35,12 +32,14 @@ from .checks import (
     check_lie_admissible,
     check_multiplicative,
     check_regular,
+    condition_residual,
     is_averaging,
     is_centroid,
     is_derivation,
     is_morphism,
     is_rota_baxter,
     is_weak_morphism,
+    linear_conditions,
 )
 from .core import (
     ColorHomAlgebra,
@@ -53,7 +52,6 @@ from .core import (
     make_map,
     scalar_map,
     sparse_product,
-    sparse_sub,
     trivial_basis,
 )
 from .errors import StructureError
@@ -129,12 +127,7 @@ def dt_derivation(a: ColorHomAlgebra) -> GradedLinearMap:
     Not a derivation of the truncated product unless the characteristic
     divides the truncation order: the quotient kills t^n but not n*t^(n-1).
     """
-    n = a.dim
-    field = a.field
-    rows = [[field.zero] * n for _ in range(n)]
-    for i in range(1, n):
-        rows[i - 1][i] = field.from_int(i)
-    return make_map(a.basis, rows)
+    return _map_of_entries(a, {(i - 1, i): a.field.from_int(i) for i in range(1, a.dim)})
 
 
 def euler_derivation(a: ColorHomAlgebra) -> GradedLinearMap:
@@ -143,21 +136,12 @@ def euler_derivation(a: ColorHomAlgebra) -> GradedLinearMap:
     A genuine derivation of the truncated product in every characteristic,
     since it scales each monomial by its degree and degrees add.
     """
-    n = a.dim
-    field = a.field
-    rows = [[field.zero] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = field.from_int(i)
-    return make_map(a.basis, rows)
+    return _map_of_entries(a, {(i, i): a.field.from_int(i) for i in range(a.dim)})
 
 
 def unit_projection(a: ColorHomAlgebra) -> GradedLinearMap:
     """Projection onto the span of e_0; an averaging operator when e_0 is a unit."""
-    n = a.dim
-    field = a.field
-    rows = [[field.zero] * n for _ in range(n)]
-    rows[0][0] = field.one
-    return make_map(a.basis, rows)
+    return _map_of_entries(a, {(0, 0): a.field.one})
 
 
 def scaling_morphism(a: ColorHomAlgebra, c, weights=None) -> GradedLinearMap:
@@ -167,17 +151,18 @@ def scaling_morphism(a: ColorHomAlgebra, c, weights=None) -> GradedLinearMap:
     is_weak_morphism / is_morphism to find out.  c = 0 is allowed and gives
     a non-invertible candidate.
     """
-    n = a.dim
-    field = a.field
-    c = field.coerce(c)
+    c = a.field.coerce(c)
     if weights is None:
-        weights = tuple(range(n))
-    if len(weights) != n:
-        raise StructureError(f"need {n} weights")
-    rows = [[field.zero] * n for _ in range(n)]
-    for i, w in enumerate(weights):
-        rows[i][i] = c ** w
-    return make_map(a.basis, rows)
+        weights = tuple(range(a.dim))
+    if len(weights) != a.dim:
+        raise StructureError(f"need {a.dim} weights")
+    return _map_of_entries(a, {(i, i): c ** w for i, w in enumerate(weights)})
+
+
+def _map_of_entries(a: ColorHomAlgebra, entries: dict) -> GradedLinearMap:
+    """The map on a's basis with entry (k, i) = entries[k, i], zero elsewhere."""
+    n, zero = a.dim, a.field.zero
+    return make_map(a.basis, [[entries.get((k, i), zero) for i in range(n)] for k in range(n)])
 
 
 def super_commutative_line(field: ScalarField | None = None) -> ColorHomAlgebra:
@@ -442,22 +427,25 @@ class Operation:
     function up by module-global name when it runs, so rebinding that name
     (as the traced benchmark run does) reaches every caller.
 
-    A one-map check may name its `linear` part: called like `call`, it
-    returns the (tuples, conditions) groups, in the shape checks._first_failure
-    takes, of the conditions that are linear in the map and that every map
-    passing the check meets.  search_maps solves them exactly.
-
-    A one-map check with preserves_products holds only for maps with
-    f(e_i e_j) = f(e_i) f(e_j) at every basis pair, and names no linear
-    part: search_maps checks each pair as soon as the columns it reads are
-    set, and sets any column a pair forces.
+    A one-map check is an operator predicate: its conditions, and the
+    linear part search_maps solves, are read from its declaration in
+    checks.PREDICATE_CONDITIONS under the same name.
     """
 
     kind: str
     takes: tuple
     call: Callable
-    linear: Callable | None = None
-    preserves_products: bool = False
+
+
+def _construction(module, name: str, takes: tuple, gated: bool = True) -> Operation:
+    """module.<name> as a construction; a gated one passes `checked` on, the others ignore it."""
+
+    def call(a, *args):
+        *args, checked = args
+        build = getattr(module, name)
+        return build(a, *args, checked=checked) if gated else build(a, *args)
+
+    return Operation(CONSTRUCTION, takes, call)
 
 
 # arguments an operation may leave out, with the value they then take
@@ -480,97 +468,37 @@ OPERATIONS = {
     "quadratic_structure": Operation(
         CHECK, ("form",), lambda a, f: quad.check_quadratic_structure(a, f)
     ),
-    # operator predicates, each with the linear conditions it implies
-    "weak_morphism": Operation(
-        CHECK, ("map",), lambda a, m: is_weak_morphism(a, a, m), preserves_products=True
-    ),
-    "morphism": Operation(
-        CHECK, ("map",), lambda a, m: is_morphism(a, a, m),
-        lambda a, m: [_twist_compatibility(a, a, m)],
-    ),
-    "derivation": Operation(
-        CHECK, ("map",), lambda a, m: is_derivation(a, m), lambda a, m: [_leibniz(a, m)]
-    ),
-    "averaging": Operation(
-        CHECK, ("map", "side"), lambda a, m, side: is_averaging(a, m, side),
-        lambda a, m, side: [_twist_commutation(a, m)],
-    ),
-    "centroid": Operation(
-        CHECK, ("map", "side"), lambda a, m, side: is_centroid(a, m, side),
-        lambda a, m, side: [_twist_commutation(a, m), _centroid_sides(a, m, side)],
-    ),
-    "rota_baxter": Operation(
-        CHECK, ("map", "weight"), lambda a, m, w: is_rota_baxter(a, m, w),
-        lambda a, m, w: [_twist_commutation(a, m)],
-    ),
+    # operator predicates
+    "weak_morphism": Operation(CHECK, ("map",), lambda a, m: is_weak_morphism(a, a, m)),
+    "morphism": Operation(CHECK, ("map",), lambda a, m: is_morphism(a, a, m)),
+    "derivation": Operation(CHECK, ("map",), lambda a, m: is_derivation(a, m)),
+    "averaging": Operation(CHECK, ("map", "side"), lambda a, m, side: is_averaging(a, m, side)),
+    "centroid": Operation(CHECK, ("map", "side"), lambda a, m, side: is_centroid(a, m, side)),
+    "rota_baxter": Operation(CHECK, ("map", "weight"), lambda a, m, w: is_rota_baxter(a, m, w)),
     "bracket_operator_conditions": Operation(
-        CHECK, ("map",), lambda a, m: check_bracket_operator_conditions(a, m),
-        lambda a, m: [_twist_commutation(a, m)],
+        CHECK, ("map",), lambda a, m: check_bracket_operator_conditions(a, m)
     ),
     "symmetric_automorphism": Operation(
-        CHECK, ("form", "map"), lambda a, f, m: quad.is_symmetric_automorphism(a, f, m),
-        lambda a, f, m: [_twist_compatibility(a, a, m), quad._b_symmetry(f, m, "b-symmetry")],
+        CHECK, ("form", "map"), lambda a, f, m: quad.is_symmetric_automorphism(a, f, m)
     ),
     # constructions
-    "yau_twist": Operation(
-        CONSTRUCTION, ("map",), lambda a, m, checked: cons.yau_twist(a, m, checked=checked)
-    ),
-    "power_twist": Operation(
-        CONSTRUCTION, ("n",), lambda a, n, checked: cons.power_twist(a, n, checked=checked)
-    ),
-    "centroid_twist": Operation(
-        CONSTRUCTION, ("map",), lambda a, m, checked: cons.centroid_twist(a, m, checked=checked)
-    ),
-    "xi_square_twist": Operation(
-        CONSTRUCTION, ("xi",), lambda a, xi, checked: cons.xi_square_twist(a, xi, checked=checked)
-    ),
-    "commutator_algebra": Operation(
-        CONSTRUCTION, (), lambda a, checked: cons.commutator_algebra(a)
-    ),
-    "derivation_product": Operation(
-        CONSTRUCTION, ("map",),
-        lambda a, m, checked: cons.derivation_product(a, m, checked=checked),
-    ),
-    "composed_derivation_product": Operation(
-        CONSTRUCTION, ("map",),
-        lambda a, m, checked: cons.composed_derivation_product(a, m, checked=checked),
-    ),
-    "averaging_product": Operation(
-        CONSTRUCTION, ("map",),
-        lambda a, m, checked: cons.averaging_product(a, m, checked=checked),
-    ),
-    "bracket_operator_product": Operation(
-        CONSTRUCTION, ("map",),
-        lambda a, m, checked: cons.bracket_operator_product(a, m, checked=checked),
-    ),
-    "direct_sum": Operation(
-        CONSTRUCTION, ("with",), lambda a, b, checked: cons.direct_sum(a, b)
-    ),
-    "tensor_product": Operation(
-        CONSTRUCTION, ("with",), lambda a, b, checked: cons.tensor_product(a, b, checked=checked)
-    ),
-    "untwist_involutive": Operation(
-        CONSTRUCTION, (), lambda a, checked: cons.untwist_involutive(a, checked=checked)
-    ),
-    "regular_lie_untwist": Operation(
-        CONSTRUCTION, (), lambda a, checked: cons.regular_lie_untwist(a, checked=checked)
-    ),
-    "quadratic_yau_twist": Operation(
-        CONSTRUCTION, ("form", "map"),
-        lambda a, f, m, checked: quad.quadratic_yau_twist(a, f, m, checked=checked),
-    ),
-    "quadratic_commutator": Operation(
-        CONSTRUCTION, ("form",),
-        lambda a, f, checked: quad.quadratic_commutator(a, f, checked=checked),
-    ),
-    "regular_quadratic_commutator": Operation(
-        CONSTRUCTION, ("form",),
-        lambda a, f, checked: quad.regular_quadratic_commutator(a, f, checked=checked),
-    ),
-    "quadratic_untwist_involutive": Operation(
-        CONSTRUCTION, ("form",),
-        lambda a, f, checked: quad.quadratic_untwist_involutive(a, f, checked=checked),
-    ),
+    "yau_twist": _construction(cons, "yau_twist", ("map",)),
+    "power_twist": _construction(cons, "power_twist", ("n",)),
+    "centroid_twist": _construction(cons, "centroid_twist", ("map",)),
+    "xi_square_twist": _construction(cons, "xi_square_twist", ("xi",)),
+    "commutator_algebra": _construction(cons, "commutator_algebra", (), gated=False),
+    "derivation_product": _construction(cons, "derivation_product", ("map",)),
+    "composed_derivation_product": _construction(cons, "composed_derivation_product", ("map",)),
+    "averaging_product": _construction(cons, "averaging_product", ("map",)),
+    "bracket_operator_product": _construction(cons, "bracket_operator_product", ("map",)),
+    "direct_sum": _construction(cons, "direct_sum", ("with",), gated=False),
+    "tensor_product": _construction(cons, "tensor_product", ("with",)),
+    "untwist_involutive": _construction(cons, "untwist_involutive", ()),
+    "regular_lie_untwist": _construction(cons, "regular_lie_untwist", ()),
+    "quadratic_yau_twist": _construction(quad, "quadratic_yau_twist", ("form", "map")),
+    "quadratic_commutator": _construction(quad, "quadratic_commutator", ("form",)),
+    "regular_quadratic_commutator": _construction(quad, "regular_quadratic_commutator", ("form",)),
+    "quadratic_untwist_involutive": _construction(quad, "quadratic_untwist_involutive", ("form",)),
 }
 
 # the checks that take nothing but the algebra (claims are drawn from these)
@@ -607,13 +535,14 @@ def search_maps(
     entry in a small value set (default -1, 0, 1, 2), that satisfies the
     predicate.
 
-    The predicate's linear part (Operation.linear) is solved exactly, which
-    leaves some entries free and fixes the rest.  A depth-first search sets
-    the columns f(e_0), f(e_1), ... in turn, branching over the values of
-    each column's free entries and filling a fixed entry once the free
-    entries it reads are set; one outside the values abandons the branch.
-    For a predicate that preserves products (Operation.preserves_products)
-    each pair f(e_i e_j) = f(e_i) f(e_j) is checked once columns i, j and
+    The predicate's linear part (checks.linear_conditions: its declared
+    conditions of degree 1 in the map) is solved exactly, which leaves some
+    entries free and fixes the rest.  A depth-first search sets the columns
+    f(e_0), f(e_1), ... in turn, branching over the values of each column's
+    free entries and filling a fixed entry once the free entries it reads
+    are set; one outside the values abandons the branch.  For a predicate
+    with a product-morphism condition and no linear part, each pair
+    f(e_i e_j) = f(e_i) f(e_j) is checked once columns i, j and
     the support of e_i e_j are set, and a pair that reads exactly one unset
     column forces it: the column is set without branching, or the branch is
     abandoned when it leaves the values or the even positions.  Every
@@ -622,12 +551,15 @@ def search_maps(
     budget bounds the leaves of the search tree, complete candidates plus
     abandoned partial assignments, which never outnumber len(values) **
     (free entries); at the bound the search stops and returns the hits found
-    so far, the same on every run.  seed is not read; it stays for callers
-    that pass it.  Hits come back sorted by matrix entries.
+    so far, the same on every run.  budget must be an int (not a bool).
+    seed is not read; it stays for callers that pass it.  Hits come back
+    sorted by matrix entries.
     """
     op = OPERATIONS.get(predicate)
     if op is None or op.kind != CHECK or op.takes.count("map") != 1:
         raise StructureError(f"unknown search predicate {predicate!r}")
+    if type(budget) is not int:
+        raise StructureError(f"search budget must be an integer, got {budget!r}")
     given = {**OPTIONAL_ARGUMENTS, "form": form, "side": side}
     if weight is not None:
         given["weight"] = weight
@@ -647,12 +579,8 @@ def search_maps(
     if not values:
         return []
     kernel = {v: field.kernel_scalar(v) for v in (*values, field.one)}
-    n = a.dim
-    degs = a.degrees
-    positions = [
-        (k, i) for k in range(n) for i in range(n) if degs[k] == degs[i]
-    ]
-    zero = field.zero
+    n, degs, zero = a.dim, a.degrees, field.zero
+    positions = [(k, i) for k in range(n) for i in range(n) if degs[k] == degs[i]]
 
     def candidate(assignment):
         # entries are coerced and on even positions: the map needs no second pass
@@ -670,7 +598,10 @@ def search_maps(
     # the zero map meets every linear condition: the predicate on it checks
     # the other arguments before any system is built
     op.call(a, *arguments(candidate((zero,) * len(positions))))
-    free, pivots = _solve_linear_part(a, op, positions, candidate, arguments)
+    options = {arg: given[arg] for arg in op.takes if arg in ("weight", "form")}
+    side = given["side"] if "side" in op.takes else "both"
+    linear = linear_conditions(predicate, side)
+    free, pivots = _solve_linear_part(a, linear, options, positions, candidate)
 
     # column i branches over its free positions, then fills the fixed
     # entries whose last free entry lies in column i
@@ -683,7 +614,7 @@ def search_maps(
     in_column = [[] for _ in range(n)]
     for p, (k, i) in enumerate(positions):
         in_column[i].append((k, p))
-    reading = _pairs_by_column(a) if op.preserves_products else None
+    reading = _pairs_by_column(a) if _forces_products(predicate, side) else None
     reduce = (lambda x: x % field.p) if field.characteristic else (lambda x: x)
     inverse = cache(lambda c: field.kernel_scalar(field.one / field.coerce(c)))
 
@@ -788,25 +719,31 @@ def _pairs_by_column(a: ColorHomAlgebra) -> list:
     return out
 
 
-def _solve_linear_part(a: ColorHomAlgebra, op: Operation, positions, candidate, arguments) -> tuple:
-    """The solutions of op's linear part, over maps on the given positions.
+def _forces_products(predicate: str, side: str) -> bool:
+    """Whether search_maps forces columns by product pairs: a product morphism, no linear part."""
+    has_products = any("product-morphism" in group for group in PREDICATE_CONDITIONS[predicate])
+    return has_products and not linear_conditions(predicate, side)
+
+
+def _solve_linear_part(a: ColorHomAlgebra, linear, options, positions, candidate) -> tuple:
+    """The solutions of the linear conditions, over maps on the given positions.
 
     Returns (free, pivots): free lists the positions left free, ascending;
     pivots lists (position, terms) for each fixed one, where the entry at
     position is the sum of c times the entry at q over (q, c) in terms, each
-    q free.  With no linear part every position is free.
+    q free.  With no linear condition every position is free.
     """
     count = len(positions)
-    if op.linear is None:
+    if not linear:
         return list(range(count)), []
     field = a.field
     zero, one = field.zero, field.one
-    # one equation per (group, condition, tuple, output key): the residual's
+    # one equation per (condition, tuple, output key): the residual's
     # coefficient there is linear in the entries, read off the unit maps
     equations = {}
     for var in range(count):
         unit = candidate(tuple(one if p == var else zero for p in range(count)))
-        for key, c in _linear_residual(a, op.linear(a, *arguments(unit))).items():
+        for key, c in condition_residual(a, unit, linear, **options).items():
             equations.setdefault(key, {})[var] = c
     rows = dict.fromkeys(tuple(e.get(v, zero) for v in range(count)) for e in equations.values())
     _, _, reduced, pivot_columns = _gauss_rank_inverse(field, list(rows))
@@ -817,20 +754,3 @@ def _solve_linear_part(a: ColorHomAlgebra, op: Operation, positions, candidate, 
         for p, row in zip(pivot_columns, reduced)
     ]
     return free, pivots
-
-
-def _linear_residual(a: ColorHomAlgebra, groups) -> dict:
-    """left - right of every linear condition, {(group, condition, tuple, key): field element}.
-
-    groups is what an Operation's linear part returns; zeros are dropped.
-    """
-    coerce = a.field.coerce
-    out = {}
-    for g, (tuples, conditions) in enumerate(groups):
-        for idx in tuples:
-            for c, (_, sides) in enumerate(conditions):
-                for key, value in sparse_sub(*sides(*idx)).items():
-                    value = coerce(value)
-                    if value:
-                        out[g, c, idx, key] = value
-    return out

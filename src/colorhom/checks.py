@@ -23,6 +23,16 @@ The same term sums back identity_sides and identity_residual_on_vectors,
 which evaluates an identity on arbitrary (non-homogeneous) vectors by
 splitting them into homogeneous components; it is the independent route the
 test-suite compares the basis scans against.
+
+Each operator predicate (weak morphisms and morphisms, derivations,
+averaging and Rota-Baxter operators, centroid elements, twist commutation,
+involution, B-symmetry) is declared once too, as signed terms built from
+f(.), alpha(.), products and the form over the basis arguments, and one
+table, PREDICATE_CONDITIONS, lists each predicate's condition groups in
+the order they run.  A term's degree in f is counted from its declaration;
+a condition whose terms all have degree 1 is linear in f, and those
+conditions are the predicate's linear part (linear_conditions), which
+catalog.search_maps solves exactly.
 """
 
 from __future__ import annotations
@@ -40,7 +50,6 @@ from .core import (
     _require_even_endo,
     dense_vector,
     homogeneous_components,
-    identity_map,
     matrix_rank,
     sparse_add,
     sparse_apply,
@@ -75,6 +84,9 @@ __all__ = [
     "in_alpha_center",
     "commutes_with_twist",
     "check_bracket_operator_conditions",
+    "PREDICATE_CONDITIONS",
+    "linear_conditions",
+    "condition_residual",
     "IDENTITY_ARITY",
     "IDENTITIES_BY_CHECK",
     "identity_sides",
@@ -120,29 +132,12 @@ def _fail(identity: str, indices, left, right) -> Verdict:
 # shapes, each naming every slot once.  A term (sign, pairs, shape) is worth
 # sign times eps(deg s, deg t) for each slot pair (s, t) in pairs, times the
 # shape's product; a bracket [u, v] = u*v - eps(u, v) v*u gives two terms.
+# The shapes, on the arguments in slots p, q, r: C(p, q) = x_p * x_q,
+# L(p, q, r) = (x_p * x_q) * alpha(x_r) and R(p, q, r) = alpha(x_p) * (x_q * x_r).
 
-class C(NamedTuple):
-    """e_p * e_q on the arguments in slots p and q."""
-
-    p: int
-    q: int
-
-
-class L(NamedTuple):
-    """(e_p * e_q) * alpha(e_r)."""
-
-    p: int
-    q: int
-    r: int
-
-
-class R(NamedTuple):
-    """alpha(e_p) * (e_q * e_r)."""
-
-    p: int
-    q: int
-    r: int
-
+C = NamedTuple("C", [("p", int), ("q", int)])
+L = NamedTuple("L", [("p", int), ("q", int), ("r", int)])
+R = NamedTuple("R", [("p", int), ("q", int), ("r", int)])
 
 E01, E12, E20 = (0, 1), (1, 2), (2, 0)
 
@@ -502,87 +497,232 @@ def check_regular(a: ColorHomAlgebra) -> Verdict:
 
 def check_involutive(a: ColorHomAlgebra) -> Verdict:
     """alpha composed with itself is the identity."""
-    ident = identity_map(a.basis)
-    return _first_failure(a, *_composites(a, "involution", (a.alpha, a.alpha), (ident, ident)))
-
-
-def _composites(a: ColorHomAlgebra, name: str, left, right) -> tuple:
-    """left[0] after left[1] equals right[0] after right[1]: one condition per column."""
-    (m, p), (q, r) = left, right
-    pc, rc = p.sparse_columns, r.sparse_columns
-    return _every_tuple(a, 1), [(name, lambda i: (sparse_apply(m, pc[i]), sparse_apply(q, rc[i])))]
+    return _holds(a, a, None, PREDICATE_CONDITIONS["involutive"])
 
 
 # ---------------------------------------------------------------------------
-# operator predicates
+# operator predicates, declared as terms in the map
 #
-# Each condition is a function of basis indices returning sparse sides, run
-# on the shared loop; images of basis vectors are the maps' sparse columns.
-#
-# The conditions that are linear in the map are stated once, by builders
-# returning (tuples, [(name, sides)]) for _first_failure: _twist_commutation,
-# _twist_compatibility, _leibniz, _centroid_sides and quadratic._b_symmetry.
-# Their tuples do not depend on the map, so catalog.search_maps can evaluate
-# them on unit maps and solve them (catalog.OPERATIONS names each
-# predicate's linear part).
+# A condition's terms are built like an identity's, from the basis argument
+# in slot p (the int p) and four nodes: F(x) = f(x), A(x) = alpha(x),
+# P(x, y) = x*y and B(x, y), the form on two sub-terms (a scalar, kept at
+# key 0).  Nodes under an F live in the source algebra and all others in
+# the target.  A coefficient is the sign times its factors: F0 =
+# eps(deg f, deg x_0) and WEIGHT, the Rota-Baxter weight.
 
-def _require_shared_space(a: ColorHomAlgebra, b: ColorHomAlgebra):
-    if a.basis != b.basis:
-        raise StructureError("the two algebras must share a basis")
-    if a.bicharacter != b.bicharacter:
-        raise StructureError("the two algebras must share a bicharacter")
+F = NamedTuple("F", [("x", object)])
+A = NamedTuple("A", [("x", object)])
+P = NamedTuple("P", [("x", object), ("y", object)])
+B = NamedTuple("B", [("x", object), ("y", object)])
+
+# coefficient factors, as Python source (see _source)
+F0, WEIGHT = "_eps_f(source, f, eps_f, k0)", "weight"
+
+# name -> (arity, left terms, right terms)
+_CONDITIONS = {
+    "product-morphism": (2, [(1, (), F(P(0, 1)))], [(1, (), P(F(0), F(1)))]),
+    "twist-commutation": (1, [(1, (), A(F(0)))], [(1, (), F(A(0)))]),
+    "twist-compatibility": (1, [(1, (), F(A(0)))], [(1, (), A(F(0)))]),
+    "involution": (1, [(1, (), A(A(0)))], [(1, (), 0)]),
+    # f(x*y) = f(x)*y + eps(deg f, x) x*f(y)
+    "leibniz": (2, [(1, (), F(P(0, 1)))], [(1, (), P(F(0), 1)), (1, (F0,), P(0, F(1)))]),
+    "left-centroid": (2, [(1, (), F(P(0, 1)))], [(1, (), P(F(0), 1))]),
+    "right-centroid": (2, [(1, (), F(P(0, 1)))], [(1, (), P(0, F(1)))]),
+    "left-averaging": (2, [(1, (), P(F(0), F(1)))], [(1, (), F(P(F(0), 1)))]),
+    "right-averaging": (2, [(1, (), P(F(0), F(1)))], [(1, (), F(P(0, F(1))))]),
+    # f(x)*f(y) = f(f(x)*y + x*f(y) + weight x*y)
+    "rota-baxter": (2, [(1, (), P(F(0), F(1)))], [
+        (1, (), F(P(F(0), 1))), (1, (), F(P(0, F(1)))), (1, (WEIGHT,), F(P(0, 1))),
+    ]),
+    "b-symmetry": (2, [(1, (), B(F(0), 1))], [(1, (), B(0, F(1)))]),
+    "twist-b-symmetry": (2, [(1, (), B(A(0), 1))], [(1, (), B(0, A(1)))]),
+}
+
+# predicate -> its condition groups, run in order; within a group every
+# condition runs at each tuple, and a side keeps the left-/right- ones it names
+PREDICATE_CONDITIONS = {
+    "weak_morphism": (("product-morphism",),),
+    "morphism": (("product-morphism",), ("twist-compatibility",)),
+    "derivation": (("leibniz",),),
+    "averaging": (("twist-commutation",), ("left-averaging", "right-averaging")),
+    "centroid": (("twist-commutation",), ("left-centroid", "right-centroid")),
+    "rota_baxter": (("twist-commutation",), ("rota-baxter",)),
+    "bracket_operator_conditions": (("twist-commutation",),),
+    "commutes_with_twist": (("twist-commutation",),),
+    "symmetric_automorphism": (("product-morphism",), ("twist-compatibility",), ("b-symmetry",)),
+    "involutive": (("involution",),),
+}
+
+_SIDES, _SIDED = ("left", "right", "both"), ("left-", "right-")
 
 
-def _twist_commutation(a: ColorHomAlgebra, f: GradedLinearMap) -> tuple:
-    """alpha.f = f.alpha, column by column."""
-    return _composites(a, "twist-commutation", (a.alpha, f), (f, a.alpha))
+def _groups(groups, side: str) -> tuple:
+    if side not in _SIDES:
+        raise StructureError(f"side must be left/right/both, got {side!r}")
+    return _kept(groups, side)
 
 
-def _twist_compatibility(a: ColorHomAlgebra, b: ColorHomAlgebra, f: GradedLinearMap) -> tuple:
-    """f.alpha_a = alpha_b.f, column by column."""
-    return _composites(a, "twist-compatibility", (f, a.alpha), (b.alpha, f))
+@cache
+def _kept(groups, side: str) -> tuple:
+    """The nonempty groups, each keeping its unsided conditions and the sided ones side names."""
+    keep = _SIDED if side == "both" else (side + "-",)
+    kept = (tuple(c for c in g if c.startswith(keep) or not c.startswith(_SIDED)) for g in groups)
+    return tuple(group for group in kept if group)
+
+
+def _f_degree(node) -> int:
+    """The number of F nodes in a term."""
+    return 0 if type(node) is int else (type(node) is F) + sum(map(_f_degree, node))
+
+
+def linear_conditions(predicate: str, side: str = "both") -> tuple:
+    """The predicate's linear part: the conditions side keeps whose terms all have degree 1 in f."""
+    return tuple(
+        name for group in _groups(PREDICATE_CONDITIONS[predicate], side) for name in group
+        if all(_f_degree(node) == 1 for terms in _CONDITIONS[name][1:] for _, _, node in terms)
+    )
+
+
+class _Scope(NamedTuple):
+    """What a condition's terms read besides their basis indices."""
+
+    target: ColorHomAlgebra
+    source: ColorHomAlgebra
+    f: GradedLinearMap | None
+    eps_f: dict  # degree -> eps(deg f, degree), filled as terms read it
+    weight: object  # a kernel scalar
+    form: object
+
+
+def _eps_f(source: ColorHomAlgebra, f: GradedLinearMap, eps_f: dict, i: int):
+    """eps(deg f, deg e_i), evaluated once per degree and kept in eps_f."""
+    d = source.degrees[i]
+    if d not in eps_f:
+        eps_f[d] = source.field.kernel_scalar(source.eps(f.degree, d))
+    return eps_f[d]
+
+
+def _source(node, under: bool = False) -> str:
+    """Python source for a node's value at the basis indices k0, k1, ...
+
+    It reads the fields of a _Scope by name; under says whether an F
+    encloses the node.
+    """
+    kind = type(node)
+    if kind is int:
+        return f"{{k{node}: 1}}"
+    algebra = "source" if under else "target"
+    if kind is P:
+        x, y = node
+        if type(x) is int and type(y) is int:
+            return f"{algebra}.product_rows[k{x}][k{y}]"
+        return f"sparse_product({algebra}, {_source(x, under)}, {_source(y, under)})"
+    if kind is B:
+        v = f"form.pairing({_source(node.x, under)}, {_source(node.y, under)})"
+        return f"({{0: {algebra}.field.kernel_scalar(v)}} if (v := {v}) else {{}})"
+    m, under = ("f", True) if kind is F else (f"{algebra}.alpha", under)
+    if type(node.x) is int:
+        return f"{m}.sparse_columns[k{node.x}]"
+    return f"sparse_apply({m}, {_source(node.x, under)})"
+
+
+def _side_source(terms) -> str:
+    """Python source for the signed sum of a side's terms."""
+    if len(terms) == 1 and terms[0][:2] == (1, ()):
+        return _source(terms[0][2])
+    parts = (
+        f"({' * '.join([str(sign), *factors])}, {_source(node)})" for sign, factors, node in terms
+    )
+    return f"_sum({', '.join(parts)})"
+
+
+def _sum(*terms) -> dict:
+    """The sum of coefficient * value over the (coefficient, value) terms."""
+    out = {}
+    for coefficient, value in terms:
+        if value:
+            if coefficient != 1:
+                value = sparse_scale(coefficient, value)
+            # value may be a stored cell: sparse_add copies, nothing is mutated
+            out = sparse_add(out, value) if out else value
+    return out
+
+
+def _evaluator(arity: int, *sides):
+    """The sides, compiled once from Python source: a function of a scope's fields.
+
+    It returns the function of the basis indices k0, k1, ... that gives the
+    tuple of the sides' values, so a tuple costs one call plus the sparse
+    products and images its terms name, as a hand-written closure would.
+    """
+    keys, body = ", ".join(f"k{p}" for p in range(arity)), ", ".join(map(_side_source, sides))
+    return eval(f"lambda {', '.join(_Scope._fields)}: lambda {keys}: ({body},)", globals())
+
+
+# name -> (arity, witness width, sides of a scope)
+_COMPILED = {
+    name: (arity, 1 if type(left[0][2]) is B else None, _evaluator(arity, left, right))
+    for name, (arity, left, right) in _CONDITIONS.items()
+}
+
+
+def _holds(source, target, f, groups, side="both", weight=0, form=None) -> Verdict:
+    """Run condition groups on (source, target, f) in order; the first failure wins.
+
+    side is checked before anything runs; weight is a kernel scalar.  A
+    group runs on every tuple of its arity, all its conditions at each tuple.
+    """
+    groups, s = _groups(groups, side), _Scope(target, source, f, {}, weight, form)
+    for group in groups:
+        arity, width, _ = _COMPILED[group[0]]
+        conditions = [(name, _COMPILED[name][2](*s)) for name in group]
+        v = _first_failure(source, _every_tuple(source, arity), conditions, width)
+        if not v:
+            return v
+    return PASS
+
+
+def condition_residual(a: ColorHomAlgebra, f: GradedLinearMap, names, weight=0, form=None) -> dict:
+    """left - right of the named conditions on (a, a, f) at every tuple.
+
+    Returns {(name, indices, key): field element}, zeros dropped.
+    """
+    s = _Scope(a, a, f, {}, a.field.kernel_scalar(weight), form)
+    coerce = a.field.coerce
+    out = {}
+    for name in names:
+        sides = _COMPILED[name][2](*s)
+        for idx in _every_tuple(a, _CONDITIONS[name][0]):
+            for key, value in sparse_sub(*sides(*idx)).items():
+                if value := coerce(value):
+                    out[name, idx, key] = value
+    return out
 
 
 def commutes_with_twist(a: ColorHomAlgebra, f: GradedLinearMap) -> Verdict:
     """f must commute with a's twisting map; witness compares columns."""
     if f.basis != a.basis:
         raise StructureError("composition needs a shared basis")
-    return _first_failure(a, *_twist_commutation(a, f))
+    return _holds(a, a, f, PREDICATE_CONDITIONS["commutes_with_twist"])
 
 
 def is_weak_morphism(a: ColorHomAlgebra, b: ColorHomAlgebra, f: GradedLinearMap) -> Verdict:
     """f(x *_a y) = f(x) *_b f(y); both products live on the shared basis."""
-    _require_shared_space(a, b)
-    _require_even_endo(a.basis, f, "morphism candidate")
-    rows, fc = a.product_rows, f.sparse_columns
-
-    def product_morphism(i, j):
-        return sparse_apply(f, rows[i][j]), sparse_product(b, fc[i], fc[j])
-
-    return _first_failure(a, _every_tuple(a, 2), [("product-morphism", product_morphism)])
+    return _morphism(a, b, f, "weak_morphism")
 
 
 def is_morphism(a: ColorHomAlgebra, b: ColorHomAlgebra, f: GradedLinearMap) -> Verdict:
     """Weak morphism that also intertwines the twisting maps: f.alpha_a = alpha_b.f."""
-    v = is_weak_morphism(a, b, f)
-    if not v:
-        return v
-    return _first_failure(a, *_twist_compatibility(a, b, f))
+    return _morphism(a, b, f, "morphism")
 
 
-def _leibniz(a: ColorHomAlgebra, d: GradedLinearMap) -> tuple:
-    """d(x*y) = d(x)*y + eps(deg d, x) x*d(y) on every basis pair."""
-    rows, dc, units, degs = a.product_rows, d.sparse_columns, _units(a), a.degrees
-    # eps(deg d, deg e_i), evaluated once per basis degree the scan reaches
-    eps_d = cache(lambda degree: a.field.kernel_scalar(a.eps(d.degree, degree)))
-
-    def leibniz(i, j):
-        left = sparse_apply(d, rows[i][j])
-        first = sparse_product(a, dc[i], units[j])
-        second = sparse_scale(eps_d(degs[i]), sparse_product(a, units[i], dc[j]))
-        return left, sparse_add(first, second)
-
-    return _every_tuple(a, 2), [("leibniz", leibniz)]
+def _morphism(a: ColorHomAlgebra, b: ColorHomAlgebra, f: GradedLinearMap, name: str) -> Verdict:
+    if a.basis != b.basis:
+        raise StructureError("the two algebras must share a basis")
+    if a.bicharacter != b.bicharacter:
+        raise StructureError("the two algebras must share a bicharacter")
+    _require_even_endo(a.basis, f, "morphism candidate")
+    return _holds(a, b, f, PREDICATE_CONDITIONS[name])
 
 
 def is_derivation(a: ColorHomAlgebra, d: GradedLinearMap, degree=None) -> Verdict:
@@ -591,38 +731,7 @@ def is_derivation(a: ColorHomAlgebra, d: GradedLinearMap, degree=None) -> Verdic
         raise StructureError("derivation candidate lives on a different basis")
     if degree is not None and degree != d.degree:
         raise StructureError("declared degree disagrees with the map's degree")
-    return _first_failure(a, *_leibniz(a, d))
-
-
-def _sides_chosen(a: ColorHomAlgebra, side: str, left, right) -> tuple:
-    """The left and/or right (name, sides) condition on every basis pair; left first."""
-    if side not in ("left", "right", "both"):
-        raise StructureError(f"side must be left/right/both, got {side!r}")
-    conditions = [c for s, c in (("left", left), ("right", right)) if side in (s, "both")]
-    return _every_tuple(a, 2), conditions
-
-
-def _sided(a: ColorHomAlgebra, f: GradedLinearMap, side: str, role: str, sides) -> Verdict:
-    """An even operator that commutes with alpha and meets its conditions sides(a, f, side)."""
-    _require_even_endo(a.basis, f, role)
-    conditions = sides(a, f, side)
-    v = commutes_with_twist(a, f)
-    if not v:
-        return v
-    return _first_failure(a, *conditions)
-
-
-def _averaging_sides(a: ColorHomAlgebra, f: GradedLinearMap, side: str) -> tuple:
-    """left: f(x)*f(y) = f(f(x)*y); right: f(x)*f(y) = f(x*f(y)).  Quadratic in f."""
-    fc, units = f.sparse_columns, _units(a)
-
-    def left(i, j):
-        return sparse_product(a, fc[i], fc[j]), sparse_apply(f, sparse_product(a, fc[i], units[j]))
-
-    def right(i, j):
-        return sparse_product(a, fc[i], fc[j]), sparse_apply(f, sparse_product(a, units[i], fc[j]))
-
-    return _sides_chosen(a, side, ("left-averaging", left), ("right-averaging", right))
+    return _holds(a, a, d, PREDICATE_CONDITIONS["derivation"])
 
 
 def is_averaging(a: ColorHomAlgebra, f: GradedLinearMap, side: str = "both") -> Verdict:
@@ -630,25 +739,14 @@ def is_averaging(a: ColorHomAlgebra, f: GradedLinearMap, side: str = "both") -> 
 
     left side:  f(x)*f(y) = f(f(x)*y);  right side:  f(x)*f(y) = f(x*f(y)).
     """
-    return _sided(a, f, side, "averaging candidate", _averaging_sides)
-
-
-def _centroid_sides(a: ColorHomAlgebra, f: GradedLinearMap, side: str) -> tuple:
-    """left: f(x*y) = f(x)*y; right: f(x*y) = x*f(y)."""
-    rows, fc, units = a.product_rows, f.sparse_columns, _units(a)
-
-    def left(i, j):
-        return sparse_apply(f, rows[i][j]), sparse_product(a, fc[i], units[j])
-
-    def right(i, j):
-        return sparse_apply(f, rows[i][j]), sparse_product(a, units[i], fc[j])
-
-    return _sides_chosen(a, side, ("left-centroid", left), ("right-centroid", right))
+    _require_even_endo(a.basis, f, "averaging candidate")
+    return _holds(a, a, f, PREDICATE_CONDITIONS["averaging"], side)
 
 
 def is_centroid(a: ColorHomAlgebra, f: GradedLinearMap, side: str = "both") -> Verdict:
     """Centroid element: commutes with alpha and slides out of the product."""
-    return _sided(a, f, side, "centroid candidate", _centroid_sides)
+    _require_even_endo(a.basis, f, "centroid candidate")
+    return _holds(a, a, f, PREDICATE_CONDITIONS["centroid"], side)
 
 
 def is_rota_baxter(l: ColorHomAlgebra, r: GradedLinearMap, weight) -> Verdict:
@@ -659,17 +757,7 @@ def is_rota_baxter(l: ColorHomAlgebra, r: GradedLinearMap, weight) -> Verdict:
     """
     _require_even_endo(l.basis, r, "operator")
     lam = l.field.kernel_scalar(weight)
-    v = commutes_with_twist(l, r)
-    if not v:
-        return v
-    rows, rc, units = l.product_rows, r.sparse_columns, _units(l)
-
-    def rota_baxter(i, j):
-        inner = sparse_add(sparse_product(l, rc[i], units[j]), sparse_product(l, units[i], rc[j]))
-        inner = sparse_add(inner, sparse_scale(lam, rows[i][j]))
-        return sparse_product(l, rc[i], rc[j]), sparse_apply(r, inner)
-
-    return _first_failure(l, _every_tuple(l, 2), [("rota-baxter", rota_baxter)])
+    return _holds(l, l, r, PREDICATE_CONDITIONS["rota_baxter"], weight=lam)
 
 
 def in_alpha_center(l: ColorHomAlgebra, x) -> bool:
@@ -679,6 +767,11 @@ def in_alpha_center(l: ColorHomAlgebra, x) -> bool:
     xs, ac = sparse_vector(l.field, x), l.alpha.sparse_columns
     center = [("alpha-center", lambda j: (sparse_product(l, xs, ac[j]), {}))]
     return bool(_first_failure(l, _every_tuple(l, 1), center))
+
+
+# f([f(x), y]) and the defect f([f(x), y] + [x, f(y)]) - [f(x), f(y)], at (x, y)
+_BRACKET_IMAGE = _evaluator(2, [(1, (), F(P(F(0), 1)))])
+_DEFECT = _evaluator(2, [(1, (), F(P(F(0), 1))), (1, (), F(P(0, F(1)))), (-1, (), P(F(0), F(1)))])
 
 
 def check_bracket_operator_conditions(l: ColorHomAlgebra, f: GradedLinearMap) -> Verdict:
@@ -691,35 +784,19 @@ def check_bracket_operator_conditions(l: ColorHomAlgebra, f: GradedLinearMap) ->
     eps(y,z) [f([f(x),z]), alpha(y)] on basis triples.
     """
     _require_even_endo(l.basis, f, "operator")
-    v = commutes_with_twist(l, f)
+    v = _holds(l, l, f, PREDICATE_CONDITIONS["bracket_operator_conditions"])
     if not v:
         return v
-    n = l.dim
-    fc, ac, units, eps = f.sparse_columns, l.alpha.sparse_columns, _units(l), l.eps_table
-    # fx_y[i][j] = [f(e_i), e_j]
-    fx_y = [[sparse_product(l, fc[i], units[j]) for j in range(n)] for i in range(n)]
-    defect = [
-        [
-            sparse_sub(
-                sparse_apply(f, sparse_add(fx_y[i][j], sparse_product(l, units[i], fc[j]))),
-                sparse_product(l, fc[i], fc[j]),
-            )
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    n, s, ac, eps = l.dim, _Scope(l, l, f, {}, 0, None), l.alpha.sparse_columns, l.eps_table
+    defect_at, image_at = _DEFECT(*s), _BRACKET_IMAGE(*s)
+    defect = [[defect_at(i, j)[0] for j in range(n)] for i in range(n)]
     # both sides vanish where defect[i][j] is empty
-    nonzero_defect = (
-        (i, j, k) for i, row in enumerate(defect) for j, c in enumerate(row) if c for k in range(n)
-    )
-    v = _first_failure(
-        l,
-        nonzero_defect,
-        [("defect-centrality", lambda i, j, k: (sparse_product(l, defect[i][j], ac[k]), {}))],
-    )
+    nonzero_defect = ((i, j, k) for i, j in _every_tuple(l, 2) if defect[i][j] for k in range(n))
+    centrality = ("defect-centrality", lambda i, j, k: (sparse_product(l, defect[i][j], ac[k]), {}))
+    v = _first_failure(l, nonzero_defect, [centrality])
     if not v:
         return v
-    g = [[sparse_apply(f, c) for c in row] for row in fx_y]
+    g = [[image_at(i, j)[0] for j in range(n)] for i in range(n)]
 
     def operator_right_commutativity(i, j, k):
         left = sparse_product(l, g[i][j], ac[k])

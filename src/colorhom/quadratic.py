@@ -19,13 +19,13 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .checks import (
+    PREDICATE_CONDITIONS,
     Verdict,
     _fail,
-    _first_failure,
+    _holds,
     check_hom_novikov,
     check_involutive,
     check_multiplicative,
-    is_morphism,
 )
 from .constructions import _require, commutator_algebra, untwist_involutive, yau_twist
 from .core import (
@@ -85,6 +85,18 @@ class BilinearFormStructure:
                     )
         object.__setattr__(self, "gram", rows)
 
+    def pairing(self, x: dict, y: dict):
+        """B(x, y) for sparse vectors, as a field element."""
+        gram = self.gram
+        acc = self.basis.field.zero
+        for i, xi in x.items():
+            row = gram[i]
+            for j, yj in y.items():
+                g = row[j]
+                if g:
+                    acc = acc + xi * g * yj
+        return acc
+
 
 def form_value(f: BilinearFormStructure, x, y):
     """B(x, y) by bilinear extension of the Gram matrix."""
@@ -92,20 +104,7 @@ def form_value(f: BilinearFormStructure, x, y):
     if len(x) != n or len(y) != n:
         raise StructureError(f"vectors must have length {n}")
     field = f.basis.field
-    return _pairing(f, sparse_vector(field, x), sparse_vector(field, y))
-
-
-def _pairing(f: BilinearFormStructure, x: dict, y: dict):
-    """B(x, y) for sparse vectors, as a field element."""
-    gram = f.gram
-    acc = f.basis.field.zero
-    for i, xi in x.items():
-        row = gram[i]
-        for j, yj in y.items():
-            g = row[j]
-            if g:
-                acc = acc + xi * g * yj
-    return acc
+    return f.pairing(sparse_vector(field, x), sparse_vector(field, y))
 
 
 def check_quadratic_structure(a: ColorHomAlgebra, f: BilinearFormStructure) -> Verdict:
@@ -140,11 +139,11 @@ def check_quadratic_structure(a: ColorHomAlgebra, f: BilinearFormStructure) -> V
         bz = beta_columns[k]
         for j in range(n):
             for i in range(n):
-                left = _pairing(f, rows[i][j], bz)
-                right = _pairing(f, beta_columns[i], rows[j][k])
+                left = f.pairing(rows[i][j], bz)
+                right = f.pairing(beta_columns[i], rows[j][k])
                 if left != right:
                     return _fail("invariance", (i, j, k), (left,), (right,))
-    return _first_failure(a, *_b_symmetry(f, a.alpha, "twist-b-symmetry"), width=1)
+    return _holds(a, a, None, (("twist-b-symmetry",),), form=f)
 
 
 def is_symmetric_automorphism(a: ColorHomAlgebra, f: BilinearFormStructure, phi: GradedLinearMap) -> Verdict:
@@ -157,23 +156,7 @@ def is_symmetric_automorphism(a: ColorHomAlgebra, f: BilinearFormStructure, phi:
     _require_even_endo(a.basis, phi, "map")
     if matrix_rank(a.field, phi.matrix) != a.dim:
         return _fail("invertibility", (), None, None)
-    v = is_morphism(a, a, phi)
-    if not v:
-        return v
-    return _first_failure(a, *_b_symmetry(f, phi, "b-symmetry"), width=1)
-
-
-def _b_symmetry(f: BilinearFormStructure, m: GradedLinearMap, identity: str) -> tuple:
-    """B(m(e_i), e_j) = B(e_i, m(e_j)) on every basis pair, each side a scalar at key 0."""
-    columns, kernel_scalar = m.sparse_columns, f.basis.field.kernel_scalar
-
-    def scalar(x) -> dict:
-        return {0: kernel_scalar(x)} if x else {}
-
-    def sides(i, j):
-        return scalar(_pairing(f, columns[i], {j: 1})), scalar(_pairing(f, {i: 1}, columns[j]))
-
-    return iproduct(range(f.basis.dim), repeat=2), [(identity, sides)]
+    return _holds(a, a, phi, PREDICATE_CONDITIONS["symmetric_automorphism"], form=f)
 
 
 def _require_identity_companion(op: str, f: BilinearFormStructure):
@@ -189,7 +172,7 @@ def _require_alpha_companion(op: str, a: ColorHomAlgebra, f: BilinearFormStructu
 def _gram_of_map(f: BilinearFormStructure, m: GradedLinearMap) -> tuple:
     """The Gram matrix of B(m(x), y): entry (i, j) is B(m(e_i), e_j)."""
     n, columns = f.basis.dim, m.sparse_columns
-    return tuple(tuple(_pairing(f, columns[i], {j: 1}) for j in range(n)) for i in range(n))
+    return tuple(tuple(f.pairing(columns[i], {j: 1}) for j in range(n)) for i in range(n))
 
 
 def quadratic_yau_twist(a: ColorHomAlgebra, f: BilinearFormStructure, beta: GradedLinearMap, *, checked: bool = True):

@@ -1,13 +1,14 @@
 """search_maps against brute force, its budget, and the linearity of its linear parts.
 
-search_maps solves each predicate's linear part (catalog.OPERATIONS) and
+search_maps solves each predicate's linear part (the conditions of degree
+1 in the map among its declarations in checks.PREDICATE_CONDITIONS) and
 backtracks over the solutions, so its answer must equal running the
 predicate on every even matrix over the value set (tests/search_oracle.py)
 whenever the leaves of its search tree fit the budget.  A weak morphism has
 no linear part, but its search checks each product pair as soon as it can
 and sets the columns the pairs force, so it stays exact far past the budget
 that would cover every matrix.  The guard at the end makes a condition
-declared linear by mistake fail a test instead of silently losing hits.
+taken as linear by mistake fail a test instead of silently losing hits.
 """
 
 from fractions import Fraction
@@ -22,14 +23,15 @@ from search_oracle import brute_force_search, candidates, even_positions, sample
 from colorhom.catalog import (
     CHECK,
     OPERATIONS,
-    _linear_residual,
+    _forces_products,
     build_entry,
     search_maps,
     standard_entries,
     truncated_polynomial,
 )
-from colorhom.checks import is_weak_morphism
+from colorhom.checks import condition_residual, is_weak_morphism, linear_conditions
 from colorhom.core import GradedBasis, identity_map, make_algebra, make_map
+from colorhom.errors import StructureError
 from colorhom.grading import GradeGroup, make_bicharacter, trivial_bicharacter
 from colorhom.quadratic import BilinearFormStructure
 from colorhom.scalars import Fp, prime_field, rationals
@@ -81,7 +83,7 @@ def assert_search_is_brute_force(a, values, forms, constrained_only=False):
 
 
 def constrains(a, name, given):
-    if OPERATIONS[name].linear is None:
+    if not linear_conditions(name, given.get("side", "both")):
         return False
     units = []
     for k, i in even_positions(a):
@@ -260,12 +262,44 @@ def test_a_budget_below_the_leaf_count_returns_a_deterministic_prefix():
     assert search_maps(a, "weak_morphism", values=(-1, 0, 1), budget=0) == []
 
 
-def test_only_predicates_without_a_linear_part_preserve_products():
-    # the search forces whole columns for them, which a fixed entry could contradict
-    for name, op in OPERATIONS.items():
-        if op.preserves_products:
-            assert name in ONE_MAP_PREDICATES and op.linear is None, name
-    assert OPERATIONS["weak_morphism"].preserves_products
+# the condition names of each one-map predicate's derived linear part, per side
+LINEAR_PARTS = {
+    ("derivation", "both"): ("leibniz",),
+    ("centroid", "left"): ("twist-commutation", "left-centroid"),
+    ("centroid", "right"): ("twist-commutation", "right-centroid"),
+    ("centroid", "both"): ("twist-commutation", "left-centroid", "right-centroid"),
+    ("averaging", "left"): ("twist-commutation",),
+    ("averaging", "right"): ("twist-commutation",),
+    ("averaging", "both"): ("twist-commutation",),
+    ("rota_baxter", "both"): ("twist-commutation",),
+    ("bracket_operator_conditions", "both"): ("twist-commutation",),
+    ("morphism", "both"): ("twist-compatibility",),
+    ("symmetric_automorphism", "both"): ("twist-compatibility", "b-symmetry"),
+    ("weak_morphism", "both"): (),
+}
+
+
+def test_the_derived_linear_parts_and_which_search_forces_products():
+    assert {name for name, _ in LINEAR_PARTS} == set(ONE_MAP_PREDICATES)
+    sided = {name for name, side in LINEAR_PARTS if side != "both"}
+    assert sided == {name for name in ONE_MAP_PREDICATES if "side" in OPERATIONS[name].takes}
+    for (name, side), expected in LINEAR_PARTS.items():
+        assert linear_conditions(name, side) == expected, (name, side)
+        # the search forces whole columns, which a fixed entry could contradict
+        assert _forces_products(name, side) == (name == "weak_morphism"), (name, side)
+
+
+@pytest.mark.parametrize("budget", [None, 2.5, "10", True, False, Fraction(3)])
+def test_a_budget_that_is_not_an_int_is_a_structure_error(budget):
+    a = truncated_polynomial(2)
+    with pytest.raises(StructureError, match="budget"):
+        search_maps(a, "derivation", budget=budget)
+
+
+def test_a_negative_budget_finds_nothing():
+    a = truncated_polynomial(2)
+    assert search_maps(a, "derivation", budget=-1) == []
+    assert search_maps(a, "weak_morphism", budget=-5) == []
 
 
 # weak morphisms over Q with the default values, identity included
@@ -334,15 +368,16 @@ def test_the_searches_the_old_sampler_missed_are_exact():
 
 
 # ---------------------------------------------------------------------------
-# every declared linear part is linear
+# every derived linear part is linear
 
 
-LINEAR = [name for name in ONE_MAP_PREDICATES if OPERATIONS[name].linear is not None]
+LINEAR = [name for name in ONE_MAP_PREDICATES if linear_conditions(name)]
 
 
 def _residual(a, name, m, given):
-    op = OPERATIONS[name]
-    return _linear_residual(a, op.linear(a, *(m if arg == "map" else given[arg] for arg in op.takes)))
+    takes = OPERATIONS[name].takes
+    options = {arg: given[arg] for arg in takes if arg in ("weight", "form")}
+    return condition_residual(a, m, linear_conditions(name, given.get("side", "both")), **options)
 
 
 def _combined(a, s, f, t, g):

@@ -612,12 +612,26 @@ def _outcome(fn):
     return result
 
 
-def _predicate_pairs(a, f):
-    """(label, code under test, reference) for every operator predicate on (a, f)."""
+def _targets(a):
+    """a and two algebras on a's basis and bicharacter with another product and twist."""
+    doubled = constructions.yau_twist(a, core.scalar_map(a.basis, 2), checked=False)
+    return [("a", a), ("[a]", constructions.commutator_algebra(a)), ("2a", doubled)]
+
+
+def _predicate_pairs(a, f, targets):
+    """(label, code under test, reference) for every operator predicate on (a, f).
+
+    The two-algebra predicates run from a to each (label, b) of targets.
+    """
     pairs = [
         ("commutes_with_twist", lambda: checks.commutes_with_twist(a, f), lambda: ref_commutes_with_twist(a, f)),
-        ("is_weak_morphism", lambda: checks.is_weak_morphism(a, a, f), lambda: ref_is_weak_morphism(a, a, f)),
-        ("is_morphism", lambda: checks.is_morphism(a, a, f), lambda: ref_is_morphism(a, a, f)),
+    ]
+    for to, b in targets:
+        pairs.append((f"is_weak_morphism to {to}", lambda b=b: checks.is_weak_morphism(a, b, f),
+                      lambda b=b: ref_is_weak_morphism(a, b, f)))
+        pairs.append((f"is_morphism to {to}", lambda b=b: checks.is_morphism(a, b, f),
+                      lambda b=b: ref_is_morphism(a, b, f)))
+    pairs += [
         ("is_derivation", lambda: checks.is_derivation(a, f), lambda: ref_is_derivation(a, f)),
         ("bracket_operator_conditions", lambda: checks.check_bracket_operator_conditions(a, f),
          lambda: ref_check_bracket_operator_conditions(a, f)),
@@ -636,8 +650,9 @@ def _predicate_pairs(a, f):
 def assert_predicates_match_reference(a, maps):
     assert checks.check_involutive(a) == ref_check_involutive(a)
     assert checks.check_multiplicative(a) == ref_is_weak_morphism(a, a, a.alpha)
+    targets = _targets(a)
     for f in maps:
-        for label, fn, ref in _predicate_pairs(a, f):
+        for label, fn, ref in _predicate_pairs(a, f, targets):
             assert _outcome(fn) == _outcome(ref), label
         x = f.column(0)
         assert checks.in_alpha_center(a, x) == ref_in_alpha_center(a, x)
