@@ -4,35 +4,35 @@ Every check quantifies an identity over basis tuples (sufficient by
 multilinearity: once degrees are fixed, both sides are linear in each slot).
 A failing check returns the first offending tuple in lexicographic slot
 order together with the exactly evaluated left and right sides, so every
-reported failure can be replayed.  Identity scans and operator predicates
-share one loop (_first_failure) over basis tuples given in lexicographic
-order: each condition maps basis indices to sparse sides, and only a
-witness is made dense.
+reported failure can be replayed.  Identity scans, operator predicates and
+the declared quadratic clauses share one loop (_first_failure) over basis
+tuples given in lexicographic order: each condition maps basis indices to
+sparse sides, and only a witness is made dense.
 
-Each identity is declared once, as the signed terms of its two sides in
-three shapes (C: x*y, L: (x*y)*alpha(z), R: alpha(x)*(y*z)), and _sides
-sums them.  An identity scan visits only the support of those terms: the
-algebra's product index (core.ProductIndex) tells where each term can be
-nonzero on basis vectors.  At a skipped tuple every term is zero, so both
-sides are {} and the tuple passes; the first failing tuple, and its sides,
-are therefore those of a scan over every tuple.  The support is built one
-slot-0 value at a time, so a scan that stops early pays only for the
-slices it reached.
+All of them are declared once, in one term language (signed sums of
+products, alpha(.), f(.) and the form over the arguments, with eps signs),
+and _evaluator compiles each declaration into the function that runs it.
 
-The same term sums back identity_sides and identity_residual_on_vectors,
-which evaluates an identity on arbitrary (non-homogeneous) vectors by
-splitting them into homogeneous components; it is the independent route the
-test-suite compares the basis scans against.
+An identity scan visits only the support of its terms.  Each identity term
+has one of three shapes, x*y, (x*y)*alpha(z) or alpha(x)*(y*z), checked at
+import, and the algebra's product index (core.ProductIndex) tells where each
+can be nonzero on basis vectors.  At a skipped tuple every term is zero, so
+both sides are {} and the tuple passes; the first failing tuple, and its
+sides, are therefore those of a scan over every tuple.  The support is
+built one slot-0 value at a time, so a scan that stops early pays only for
+the slices it reached.
 
-Each operator predicate (weak morphisms and morphisms, derivations,
-averaging and Rota-Baxter operators, centroid elements, twist commutation,
-involution, B-symmetry) is declared once too, as signed terms built from
-f(.), alpha(.), products and the form over the basis arguments, and one
-table, PREDICATE_CONDITIONS, lists each predicate's condition groups in
-the order they run.  A term's degree in f is counted from its declaration;
-a condition whose terms all have degree 1 is linear in f, and those
-conditions are the predicate's linear part (linear_conditions), which
-catalog.search_maps solves exactly.
+identity_sides and identity_residual_on_vectors (on arbitrary vectors, split
+into homogeneous components) run the identities compiled for vector
+arguments, computing every product and image instead of reading stored
+cells: the independent route the test-suite compares the basis scans against.
+
+One table, PREDICATE_CONDITIONS, lists the condition groups of each operator
+predicate (morphisms, derivations, averaging, Rota-Baxter and centroid
+operators, twist commutation, involution, B-symmetry) in the order they run.
+A condition whose terms all have degree 1 in f, counted from its
+declaration, is linear in f; those are the predicate's linear part
+(linear_conditions), which catalog.search_maps solves exactly.
 """
 
 from __future__ import annotations
@@ -126,47 +126,136 @@ def _fail(identity: str, indices, left, right) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# identities as signed sums of terms
+# the term language
 #
-# Every identity is multilinear: each side is a sum of products of three
-# shapes, each naming every slot once.  A term (sign, pairs, shape) is worth
-# sign times eps(deg s, deg t) for each slot pair (s, t) in pairs, times the
-# shape's product; a bracket [u, v] = u*v - eps(u, v) v*u gives two terms.
-# The shapes, on the arguments in slots p, q, r: C(p, q) = x_p * x_q,
-# L(p, q, r) = (x_p * x_q) * alpha(x_r) and R(p, q, r) = alpha(x_p) * (x_q * x_r).
+# A side is a sum of terms (sign, factors, node).  A node is the argument in
+# slot p (the int p) or one of F(x) = f(x), A(x) = alpha(x), P(x, y) = x*y and
+# B(x, y), the form on two sub-terms (a scalar, kept at key 0).  Nodes under an
+# F live in the source algebra and all others in the target.  A coefficient is
+# the sign times its factors: F0 = eps(deg f, deg x_0), WEIGHT, the Rota-Baxter
+# weight, and a slot pair (s, t), eps(deg x_s, deg x_t).  A bracket
+# [u, v] = u*v - eps(u, v) v*u gives two terms.
 
-C = NamedTuple("C", [("p", int), ("q", int)])
-L = NamedTuple("L", [("p", int), ("q", int), ("r", int)])
-R = NamedTuple("R", [("p", int), ("q", int), ("r", int)])
+F = NamedTuple("F", [("x", object)])
+A = NamedTuple("A", [("x", object)])
+P = NamedTuple("P", [("x", object), ("y", object)])
+B = NamedTuple("B", [("x", object), ("y", object)])
 
+# coefficient factors: F0 and WEIGHT as Python source, and slot pairs (see _side_source)
+F0, WEIGHT = "_eps_f(source, f, eps_f, k0)", "weight"
 E01, E12, E20 = (0, 1), (1, 2), (2, 0)
+
+
+class _Scope(NamedTuple):
+    """What a condition's terms read besides their arguments."""
+
+    target: ColorHomAlgebra
+    source: ColorHomAlgebra
+    f: GradedLinearMap | None
+    eps_f: dict  # degree -> eps(deg f, degree), filled as terms read it
+    weight: object  # a kernel scalar
+    form: object
+
+
+def _eps_f(source: ColorHomAlgebra, f: GradedLinearMap, eps_f: dict, i: int):
+    """eps(deg f, deg e_i), evaluated once per degree and kept in eps_f."""
+    d = source.degrees[i]
+    if d not in eps_f:
+        eps_f[d] = source.field.kernel_scalar(source.eps(f.degree, d))
+    return eps_f[d]
+
+
+def _source(node, under: bool = False, basis: bool = True) -> str:
+    """Python source for a node's value at the arguments k0, k1, ...
+
+    It reads the fields of a _Scope by name; under says whether an F
+    encloses the node.  With basis, k_p is a basis index, and a product or
+    image of basis vectors reads the stored cell or column; otherwise k_p is
+    a pair (degree, sparse vector), and every product and image is computed.
+    """
+    kind = type(node)
+    if kind is int:
+        return f"{{k{node}: 1}}" if basis else f"k{node}[1]"
+    algebra = "source" if under else "target"
+    if kind is P:
+        x, y = node
+        if basis and type(x) is int and type(y) is int:
+            return f"{algebra}.product_rows[k{x}][k{y}]"
+        return f"sparse_product({algebra}, {_source(x, under, basis)}, {_source(y, under, basis)})"
+    if kind is B:
+        v = f"form.pairing({_source(node.x, under, basis)}, {_source(node.y, under, basis)})"
+        return f"({{0: {algebra}.field.kernel_scalar(v)}} if (v := {v}) else {{}})"
+    m, under = ("f", True) if kind is F else (f"{algebra}.alpha", under)
+    if basis and type(node.x) is int:
+        return f"{m}.sparse_columns[k{node.x}]"
+    return f"sparse_apply({m}, {_source(node.x, under, basis)})"
+
+
+def _side_source(terms, basis: bool) -> str:
+    """Python source for the signed sum of a side's terms; a slot pair reads its arguments' eps."""
+    if len(terms) == 1 and terms[0][:2] == (1, ()):
+        return _source(terms[0][2], basis=basis)
+    eps = "source.eps_table[k{}][k{}]" if basis else "source.field.kernel_scalar(source.eps(k{}[0], k{}[0]))"
+    parts = []
+    for sign, factors, node in terms:
+        coefficient = [str(sign), *(c if type(c) is str else eps.format(*c) for c in factors)]
+        parts.append(f"({' * '.join(coefficient)}, {_source(node, basis=basis)})")
+    return f"_sum({', '.join(parts)})"
+
+
+def _sum(*terms) -> dict:
+    """The sum of coefficient * value over the (coefficient, value) terms."""
+    out = {}
+    for coefficient, value in terms:
+        if value:
+            if coefficient != 1:
+                value = sparse_scale(coefficient, value)
+            # value may be a stored cell: sparse_add copies, nothing is mutated
+            out = sparse_add(out, value) if out else value
+    return out
+
+
+def _evaluator(arity: int, *sides, basis: bool = True):
+    """The sides, compiled once from Python source: a function of a scope's fields.
+
+    It returns the function of the arguments k0, k1, ... that gives the
+    tuple of the sides' values, so a tuple costs one call plus the sparse
+    products and images its terms name, as a hand-written closure would.
+    """
+    keys = ", ".join(f"k{p}" for p in range(arity))
+    body = ", ".join(_side_source(side, basis) for side in sides)
+    return eval(f"lambda {', '.join(_Scope._fields)}: lambda {keys}: ({body},)", globals())
+
+
+# ---------------------------------------------------------------------------
+# identities
 
 # name -> (arity, left terms, right terms)
 _IDENTITIES = {
-    "epsilon-commutativity": (2, [(1, (), C(0, 1))], [(1, (E01,), C(1, 0))]),
-    "hom-associativity": (3, [(1, (), R(0, 1, 2))], [(1, (), L(0, 1, 2))]),
-    "right-commutativity": (3, [(1, (), L(0, 1, 2))], [(1, (E12,), L(0, 2, 1))]),
+    "epsilon-commutativity": (2, [(1, (), P(0, 1))], [(1, (E01,), P(1, 0))]),
+    "hom-associativity": (3, [(1, (), P(A(0), P(1, 2)))], [(1, (), P(P(0, 1), A(2)))]),
+    "right-commutativity": (3, [(1, (), P(P(0, 1), A(2)))], [(1, (E12,), P(P(0, 2), A(1)))]),
     # the twisted associator is eps-symmetric in its first two slots
     "left-symmetry": (
         3,
-        [(1, (), L(0, 1, 2)), (-1, (), R(0, 1, 2))],
-        [(1, (E01,), L(1, 0, 2)), (-1, (E01,), R(1, 0, 2))],
+        [(1, (), P(P(0, 1), A(2))), (-1, (), P(A(0), P(1, 2)))],
+        [(1, (E01,), P(P(1, 0), A(2))), (-1, (E01,), P(A(1), P(0, 2)))],
     ),
-    "skew-symmetry": (2, [(1, (), C(0, 1))], [(-1, (E01,), C(1, 0))]),
-    "hom-jacobi": (
-        3, [(1, (E20,), R(0, 1, 2)), (1, (E01,), R(1, 2, 0)), (1, (E12,), R(2, 0, 1))], []
-    ),
+    "skew-symmetry": (2, [(1, (), P(0, 1))], [(-1, (E01,), P(1, 0))]),
+    "hom-jacobi": (3, [
+        (1, (E20,), P(A(0), P(1, 2))), (1, (E01,), P(A(1), P(2, 0))), (1, (E12,), P(A(2), P(0, 1))),
+    ], []),
     # eps(z,x) [x,y]*alpha(z) + eps(x,y) [y,z]*alpha(x) + eps(y,z) [z,x]*alpha(y)
     "cyclic-right-products": (3, [
-        (1, (E20,), L(0, 1, 2)), (-1, (E20, E01), L(1, 0, 2)),
-        (1, (E01,), L(1, 2, 0)), (-1, (E01, E12), L(2, 1, 0)),
-        (1, (E12,), L(2, 0, 1)), (-1, (E12, E20), L(0, 2, 1)),
+        (1, (E20,), P(P(0, 1), A(2))), (-1, (E20, E01), P(P(1, 0), A(2))),
+        (1, (E01,), P(P(1, 2), A(0))), (-1, (E01, E12), P(P(2, 1), A(0))),
+        (1, (E12,), P(P(2, 0), A(1))), (-1, (E12, E20), P(P(0, 2), A(1))),
     ], []),
     # eps(z,x) alpha(x)*[y,z] + eps(x,y) alpha(y)*[z,x] + eps(y,z) alpha(z)*[x,y]
     "cyclic-left-products": (3, [
-        (1, (E20,), R(0, 1, 2)), (-1, (E20, E12), R(0, 2, 1)),
-        (1, (E01,), R(1, 2, 0)), (-1, (E01, E20), R(1, 0, 2)),
-        (1, (E12,), R(2, 0, 1)), (-1, (E12, E01), R(2, 1, 0)),
+        (1, (E20,), P(A(0), P(1, 2))), (-1, (E20, E12), P(A(0), P(2, 1))),
+        (1, (E01,), P(A(1), P(2, 0))), (-1, (E01, E20), P(A(1), P(0, 2))),
+        (1, (E12,), P(A(2), P(0, 1))), (-1, (E12, E01), P(A(2), P(1, 0))),
     ], []),
 }
 
@@ -183,75 +272,59 @@ IDENTITIES_BY_CHECK = {
 }
 
 
-def _shapes(name: str) -> list:
-    _, left, right = _IDENTITIES[name]
-    return [shape for _, _, shape in left + right]
+def _slots(term) -> tuple:
+    """The slots of a term with one of the three support shapes, in the order named; else ()."""
+    match term:
+        case P(int(p), int(q)):
+            return p, q
+        case P(P(int(p), int(q)), A(int(r))) | P(A(int(p)), P(int(q), int(r))):
+            return p, q, r
+    return ()
 
 
-def _sides(a: ColorHomAlgebra, terms, keys, eps, products, images) -> tuple:
-    """An identity's (left, right), the signed sums of its (left, right) terms, as sparse vectors.
+def _require_support_shapes(identities) -> None:
+    """Raise unless every term has a support shape naming each slot once: the walk knows no other."""
+    for name, (arity, left, right) in identities.items():
+        for _, _, node in left + right:
+            if sorted(_slots(node)) != list(range(arity)):
+                raise StructureError(f"identity {name!r}: no support walk for the term {node!r}")
 
-    Slot s of the identity is keys[s]: products[keys[s]][keys[t]] is the
-    sparse product of the arguments in slots s and t, images[keys[s]] the
-    image of the argument in slot s under alpha, and eps[keys[s]][keys[t]]
-    the bicharacter on their degrees.
-    """
-    sides = []
-    for side_terms in terms:
-        out = {}
-        for sign, pairs, shape in side_terms:
-            kind = type(shape)
-            if kind is C:
-                value = products[keys[shape.p]][keys[shape.q]]
-            elif kind is L:
-                value = products[keys[shape.p]][keys[shape.q]]
-                if value:
-                    value = sparse_product(a, value, images[keys[shape.r]])
-            else:
-                value = products[keys[shape.q]][keys[shape.r]]
-                if value:
-                    value = sparse_product(a, images[keys[shape.p]], value)
-            if value:
-                coefficient = sign
-                for s, t in pairs:
-                    coefficient *= eps[keys[s]][keys[t]]
-                if coefficient != 1:
-                    value = sparse_scale(coefficient, value)
-                # value may be a stored cell: sparse_add copies, nothing is mutated
-                out = sparse_add(out, value) if out else value
-        sides.append(out)
-    return tuple(sides)
+
+_require_support_shapes(_IDENTITIES)
+
+
+@cache
+def _on_vectors(name: str):
+    """An identity's sides, compiled on first use for arguments (degree, sparse vector)."""
+    return _evaluator(*_IDENTITIES[name], basis=False)
+
+
+def _require_arguments(a: ColorHomAlgebra, name: str, vectors, degrees=None) -> None:
+    """Raise unless name is an identity whose slots vectors (and degrees) fill, each vector of length dim."""
+    if name not in IDENTITY_ARITY:
+        raise StructureError(f"unknown identity {name!r}")
+    arity = IDENTITY_ARITY[name]
+    if len(vectors) != arity or len(vectors if degrees is None else degrees) != arity:
+        raise StructureError(f"identity {name!r} takes {arity} arguments")
+    for v in vectors:
+        if len(v) != a.dim:
+            raise StructureError(f"vector length {len(v)} != dim {a.dim}")
 
 
 def identity_sides(a: ColorHomAlgebra, name: str, degrees, vectors):
     """Evaluate one identity's two sides on homogeneous arguments."""
-    return tuple(_dense(a, side) for side in _sparse_sides(a, name, degrees, vectors))
+    _require_arguments(a, name, vectors, degrees)
+    return tuple(_dense(a, side) for side in _sparse_sides(a, name, zip(degrees, vectors)))
 
 
-def _sparse_sides(a: ColorHomAlgebra, name: str, degrees, vectors):
-    if name not in _IDENTITIES:
-        raise StructureError(f"unknown identity {name!r}")
-    arity = IDENTITY_ARITY[name]
-    if len(degrees) != arity or len(vectors) != arity:
-        raise StructureError(f"identity {name!r} takes {arity} arguments")
-    n = a.dim
-    for v in vectors:
-        if len(v) != n:
-            raise StructureError(f"vector length {len(v)} != dim {n}")
-    field = a.field
-    eps = [[field.kernel_scalar(a.eps(d, e)) for e in degrees] for d in degrees]
-    vecs = [sparse_vector(field, v) for v in vectors]
-    products = [[sparse_product(a, x, y) for y in vecs] for x in vecs]
-    images = [sparse_apply(a.alpha, x) for x in vecs]
-    return _sides(a, _IDENTITIES[name][1:], range(arity), eps, products, images)
+def _sparse_sides(a: ColorHomAlgebra, name: str, arguments):
+    """An identity's sparse sides at homogeneous arguments (degree, vector)."""
+    sides = _on_vectors(name)(*_Scope(a, a, None, {}, 0, None))
+    return sides(*((d, sparse_vector(a.field, v)) for d, v in arguments))
 
 
 def _dense(a: ColorHomAlgebra, x: dict) -> tuple:
     return dense_vector(a.field, a.dim, x)
-
-
-def _units(a: ColorHomAlgebra) -> list:
-    return [{i: 1} for i in range(a.dim)]
 
 
 def _every_tuple(a: ColorHomAlgebra, arity: int):
@@ -287,19 +360,16 @@ def _reduced(x: dict, p: int) -> dict:
 
 
 def _scan(a: ColorHomAlgebra, name: str) -> Verdict:
-    """Quantify one identity over basis tuples, fed as unit vectors.
+    """Quantify one identity over basis tuples.
 
     Only the support of the identity's terms is visited: every other tuple
     has all its terms zero, so both sides are {} and it passes.
     """
-    arity, *terms = _IDENTITIES[name]
-    eps, rows, columns = a.eps_table, a.product_rows, a.alpha.sparse_columns
-    shapes = _shapes(name)
-    support = _support(a, shapes) if arity == 3 else _pair_support(a, shapes)
+    arity, left, right = _IDENTITIES[name]
+    terms = [node for _, _, node in left + right]
+    support = _support(a, terms) if arity == 3 else _pair_support(a, terms)
     # on basis vectors a product is a stored cell and an image a column
-    return _first_failure(
-        a, support, [(name, lambda *idx: _sides(a, terms, idx, eps, rows, columns))]
-    )
+    return _first_failure(a, support, [(name, _COMPILED[name][2](*_Scope(a, a, None, {}, 0, None)))])
 
 
 def _bits(mask: int):
@@ -318,18 +388,18 @@ def _union(masks, keys) -> int:
 
 
 def _pair_support(a: ColorHomAlgebra, terms):
-    """The pairs (i, j) where some C term can be nonzero, in lexicographic order."""
+    """The pairs (i, j) where some x_p * x_q term can be nonzero, in lexicographic order."""
     x = a.product_index
     for i in range(a.dim):
         js = set()
         for term in terms:
-            js.update(x.by_row[i] if term.p == 0 else x.by_col[i])
+            js.update(x.by_row[i] if term.x == 0 else x.by_col[i])
         for j in sorted(js):
             yield i, j
 
 
 def _support(a: ColorHomAlgebra, terms):
-    """The triples where some L or R term can be nonzero, in lexicographic order.
+    """The triples where some three-slot term can be nonzero, in lexicographic order.
 
     Built one slot-0 value at a time, so a scan that stops in slice i has
     paid for slices up to i only.  A slice is a bit set with bit j*n + k
@@ -341,10 +411,8 @@ def _support(a: ColorHomAlgebra, terms):
         for term in terms:
             slot, bits = _term_bits(a, term, i)
             found |= bits if slot == 1 else _transposed(bits, n)
-        while found:
-            low = found & -found
-            found ^= low
-            yield (i, *divmod(low.bit_length() - 1, n))
+        for b in _bits(found):
+            yield (i, *divmod(b, n))
 
 
 def _transposed(bits: int, n: int) -> int:
@@ -357,15 +425,15 @@ def _transposed(bits: int, n: int) -> int:
 
 
 def _term_bits(a: ColorHomAlgebra, term, i: int):
-    """Where an L or R term can be nonzero once slot 0 holds basis index i.
+    """Where a three-slot term can be nonzero once slot 0 holds basis index i.
 
     Returns (slot, bits): bits has bit u*n + v where u is the value of that
     slot and v the value of the term's third slot that goes with it.
     """
     x, n, columns = a.product_index, a.dim, a.alpha.sparse_columns
-    p, q, r = term
-    if type(term) is L:
+    if type(term.x) is P:
         # (e_p e_q) alpha(e_r): a nonempty cell (p, q), and r in aright of one of its keys
+        (p, q), r = term.x, term.y.x
         if p == 0:
             return q, _spread(x.aright, _in_row(a, i), n)
         if q == 0:
@@ -373,6 +441,7 @@ def _term_bits(a: ColorHomAlgebra, term, i: int):
         # the cells with a key m such that e_m * alpha(e_i) can be nonzero
         return p, _union(x.by_key, {m for k in columns[i] for m in x.by_col[k]})
     # alpha(e_p) (e_q e_r): a nonempty cell (q, r), and p in aleft of one of its keys
+    p, (q, r) = term.x.x, term.y
     if p == 0:
         # the cells with a key m such that alpha(e_i) * e_m can be nonzero
         return q, _union(x.by_key, {m for k in columns[i] for m in x.by_row[k]})
@@ -415,17 +484,11 @@ def identity_residual_on_vectors(a: ColorHomAlgebra, name: str, vectors) -> tupl
     bicharacter needs degrees), so each argument is split into components
     and the residual summed over all component combinations.
     """
-    if name not in _IDENTITIES:
-        raise StructureError(f"unknown identity {name!r}")
-    arity = IDENTITY_ARITY[name]
-    if len(vectors) != arity:
-        raise StructureError(f"identity {name!r} takes {arity} arguments")
+    _require_arguments(a, name, vectors)
     split = [homogeneous_components(a.basis, v) for v in vectors]
     total = {}
     for combo in iproduct(*split):
-        degs = tuple(d for d, _ in combo)
-        vecs = tuple(v for _, v in combo)
-        total = sparse_add(total, sparse_sub(*_sparse_sides(a, name, degs, vecs)))
+        total = sparse_add(total, sparse_sub(*_sparse_sides(a, name, combo)))
     return _dense(a, total)
 
 
@@ -501,22 +564,7 @@ def check_involutive(a: ColorHomAlgebra) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# operator predicates, declared as terms in the map
-#
-# A condition's terms are built like an identity's, from the basis argument
-# in slot p (the int p) and four nodes: F(x) = f(x), A(x) = alpha(x),
-# P(x, y) = x*y and B(x, y), the form on two sub-terms (a scalar, kept at
-# key 0).  Nodes under an F live in the source algebra and all others in
-# the target.  A coefficient is the sign times its factors: F0 =
-# eps(deg f, deg x_0) and WEIGHT, the Rota-Baxter weight.
-
-F = NamedTuple("F", [("x", object)])
-A = NamedTuple("A", [("x", object)])
-P = NamedTuple("P", [("x", object), ("y", object)])
-B = NamedTuple("B", [("x", object), ("y", object)])
-
-# coefficient factors, as Python source (see _source)
-F0, WEIGHT = "_eps_f(source, f, eps_f, k0)", "weight"
+# operator predicates and quadratic clauses, declared as terms in the map
 
 # name -> (arity, left terms, right terms)
 _CONDITIONS = {
@@ -536,6 +584,9 @@ _CONDITIONS = {
     ]),
     "b-symmetry": (2, [(1, (), B(F(0), 1))], [(1, (), B(0, F(1)))]),
     "twist-b-symmetry": (2, [(1, (), B(A(0), 1))], [(1, (), B(0, A(1)))]),
+    # the quadratic clauses, with f the form's companion
+    "epsilon-symmetry": (2, [(1, (), B(0, 1))], [(1, (E01,), B(1, 0))]),
+    "invariance": (3, [(1, (), B(P(0, 1), F(2)))], [(1, (), B(F(0), P(1, 2)))]),
 }
 
 # predicate -> its condition groups, run in order; within a group every
@@ -577,92 +628,18 @@ def _f_degree(node) -> int:
 
 def linear_conditions(predicate: str, side: str = "both") -> tuple:
     """The predicate's linear part: the conditions side keeps whose terms all have degree 1 in f."""
+    if predicate not in PREDICATE_CONDITIONS:
+        raise StructureError(f"unknown predicate {predicate!r}")
     return tuple(
         name for group in _groups(PREDICATE_CONDITIONS[predicate], side) for name in group
         if all(_f_degree(node) == 1 for terms in _CONDITIONS[name][1:] for _, _, node in terms)
     )
 
 
-class _Scope(NamedTuple):
-    """What a condition's terms read besides their basis indices."""
-
-    target: ColorHomAlgebra
-    source: ColorHomAlgebra
-    f: GradedLinearMap | None
-    eps_f: dict  # degree -> eps(deg f, degree), filled as terms read it
-    weight: object  # a kernel scalar
-    form: object
-
-
-def _eps_f(source: ColorHomAlgebra, f: GradedLinearMap, eps_f: dict, i: int):
-    """eps(deg f, deg e_i), evaluated once per degree and kept in eps_f."""
-    d = source.degrees[i]
-    if d not in eps_f:
-        eps_f[d] = source.field.kernel_scalar(source.eps(f.degree, d))
-    return eps_f[d]
-
-
-def _source(node, under: bool = False) -> str:
-    """Python source for a node's value at the basis indices k0, k1, ...
-
-    It reads the fields of a _Scope by name; under says whether an F
-    encloses the node.
-    """
-    kind = type(node)
-    if kind is int:
-        return f"{{k{node}: 1}}"
-    algebra = "source" if under else "target"
-    if kind is P:
-        x, y = node
-        if type(x) is int and type(y) is int:
-            return f"{algebra}.product_rows[k{x}][k{y}]"
-        return f"sparse_product({algebra}, {_source(x, under)}, {_source(y, under)})"
-    if kind is B:
-        v = f"form.pairing({_source(node.x, under)}, {_source(node.y, under)})"
-        return f"({{0: {algebra}.field.kernel_scalar(v)}} if (v := {v}) else {{}})"
-    m, under = ("f", True) if kind is F else (f"{algebra}.alpha", under)
-    if type(node.x) is int:
-        return f"{m}.sparse_columns[k{node.x}]"
-    return f"sparse_apply({m}, {_source(node.x, under)})"
-
-
-def _side_source(terms) -> str:
-    """Python source for the signed sum of a side's terms."""
-    if len(terms) == 1 and terms[0][:2] == (1, ()):
-        return _source(terms[0][2])
-    parts = (
-        f"({' * '.join([str(sign), *factors])}, {_source(node)})" for sign, factors, node in terms
-    )
-    return f"_sum({', '.join(parts)})"
-
-
-def _sum(*terms) -> dict:
-    """The sum of coefficient * value over the (coefficient, value) terms."""
-    out = {}
-    for coefficient, value in terms:
-        if value:
-            if coefficient != 1:
-                value = sparse_scale(coefficient, value)
-            # value may be a stored cell: sparse_add copies, nothing is mutated
-            out = sparse_add(out, value) if out else value
-    return out
-
-
-def _evaluator(arity: int, *sides):
-    """The sides, compiled once from Python source: a function of a scope's fields.
-
-    It returns the function of the basis indices k0, k1, ... that gives the
-    tuple of the sides' values, so a tuple costs one call plus the sparse
-    products and images its terms name, as a hand-written closure would.
-    """
-    keys, body = ", ".join(f"k{p}" for p in range(arity)), ", ".join(map(_side_source, sides))
-    return eval(f"lambda {', '.join(_Scope._fields)}: lambda {keys}: ({body},)", globals())
-
-
-# name -> (arity, witness width, sides of a scope)
+# name -> (arity, witness width, sides of a scope), for every identity and condition
 _COMPILED = {
     name: (arity, 1 if type(left[0][2]) is B else None, _evaluator(arity, left, right))
-    for name, (arity, left, right) in _CONDITIONS.items()
+    for name, (arity, left, right) in (_IDENTITIES | _CONDITIONS).items()
 }
 
 

@@ -8,6 +8,9 @@ a companion even map beta satisfying, in the order they are checked:
   invariance         B(x*y, beta(z)) = B(beta(x), y*z)
   twist-b-symmetry   B(alpha(x), y) = B(x, alpha(y))
 
+All but nondegeneracy are declared as terms in checks, with f = beta, and
+run on its compiled evaluator.
+
 Evenness (B(x, y) = 0 unless deg x + deg y = 0) is a property of the form
 object itself and is enforced at construction; require_even=False turns
 that restriction off for experiments.
@@ -19,9 +22,12 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .checks import (
+    _COMPILED,
     PREDICATE_CONDITIONS,
     Verdict,
+    _Scope,
     _fail,
+    _first_failure,
     _holds,
     check_hom_novikov,
     check_involutive,
@@ -117,15 +123,11 @@ def check_quadratic_structure(a: ColorHomAlgebra, f: BilinearFormStructure) -> V
     if f.basis != a.basis:
         raise StructureError("form lives on a different basis")
     n = a.dim
-    gram = f.gram
-    beta = f.companion
-    for i, j in iproduct(range(n), repeat=2):
-        left = gram[i][j]
-        right = a.eps_table[i][j] * gram[j][i]
-        if left != right:
-            return _fail("epsilon-symmetry", (i, j), (left,), (right,))
-    det = determinant(a.field, gram)
-    rank = matrix_rank(a.field, gram)
+    v = _holds(a, a, None, (("epsilon-symmetry",),), form=f)
+    if not v:
+        return v
+    det = determinant(a.field, f.gram)
+    rank = matrix_rank(a.field, f.gram)
     if (det != 0) != (rank == n):
         raise StructureError(
             "internal disagreement between determinant and rank elimination"
@@ -134,15 +136,11 @@ def check_quadratic_structure(a: ColorHomAlgebra, f: BilinearFormStructure) -> V
         return _fail("nondegeneracy", (), None, None)
     # z-major scan: for a fixed z the invariance clause pairs off products
     # against it, and the first reported failure follows that grouping
-    rows, beta_columns = a.product_rows, beta.sparse_columns
-    for k in range(n):
-        bz = beta_columns[k]
-        for j in range(n):
-            for i in range(n):
-                left = f.pairing(rows[i][j], bz)
-                right = f.pairing(beta_columns[i], rows[j][k])
-                if left != right:
-                    return _fail("invariance", (i, j, k), (left,), (right,))
+    z_major = ((i, j, k) for k, j, i in iproduct(range(n), repeat=3))
+    invariance = _COMPILED["invariance"][2](*_Scope(a, a, f.companion, {}, 0, f))
+    v = _first_failure(a, z_major, [("invariance", invariance)], 1)
+    if not v:
+        return v
     return _holds(a, a, None, (("twist-b-symmetry",),), form=f)
 
 

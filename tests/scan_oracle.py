@@ -114,6 +114,11 @@ SIDES = {
 # scans
 
 
+def unit_vectors(a):
+    """The basis vectors of a as sparse vectors."""
+    return [{i: 1} for i in range(a.dim)]
+
+
 def first_failure(a, arity, conditions):
     """The first failing (name, sides) condition over all of range(dim)**arity."""
     p = a.field.p
@@ -127,7 +132,7 @@ def first_failure(a, arity, conditions):
 
 def scan(a, name):
     arity, sides = SIDES[name]
-    eps, units = a.eps_table, checks._units(a)
+    eps, units = a.eps_table, unit_vectors(a)
     return first_failure(
         a, arity, [(name, lambda *idx: sides(a, eps, idx, tuple(units[i] for i in idx)))]
     )
@@ -148,7 +153,7 @@ def bracket_operator_conditions(l, f):
     if not v:
         return v
     n = l.dim
-    fc, ac, units, eps = f.sparse_columns, l.alpha.sparse_columns, checks._units(l), l.eps_table
+    fc, ac, units, eps = f.sparse_columns, l.alpha.sparse_columns, unit_vectors(l), l.eps_table
     fx_y = [[sparse_product(l, fc[i], units[j]) for j in range(n)] for i in range(n)]
     defect = [
         [

@@ -39,6 +39,7 @@ from colorhom.checks import (
     is_morphism,
     is_rota_baxter,
     is_weak_morphism,
+    linear_conditions,
 )
 from colorhom.constructions import derivation_product
 from colorhom.core import (
@@ -219,6 +220,12 @@ def test_identity_sides_validates_name_and_arity():
         identity_sides(a, "hom-associativity", (d, d), (u, u))
     left, right = identity_sides(a, "epsilon-commutativity", (d, d), (u, u))
     assert left == right
+
+
+def test_linear_conditions_rejects_an_unknown_predicate():
+    with pytest.raises(StructureError, match="unknown predicate 'nope'"):
+        linear_conditions("nope")
+    assert linear_conditions("derivation") == ("leibniz",)
 
 
 def test_arity_table_matches_check_groupings():

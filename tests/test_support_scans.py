@@ -5,7 +5,8 @@ identity can be nonzero.  The differential tests compare its verdicts and
 witnesses with tests/scan_oracle.py, which visits every tuple, and check
 the property the skip rests on: off the support every term is zero and both
 sides are {}.  The directed tests pin the witness for one failure reached
-through each term shape alone.
+through each term shape alone, written C(p,q) = x_p*x_q, L(p,q;r) =
+(x_p*x_q)*alpha(x_r) and R(p;q,r) = alpha(x_p)*(x_q*x_r) in their ids.
 """
 
 from fractions import Fraction
@@ -18,8 +19,9 @@ from hypothesis import strategies as st
 import scan_oracle
 from colorhom import checks, core
 from colorhom.catalog import standard_entries
-from colorhom.checks import IDENTITIES_BY_CHECK, C, L, R
+from colorhom.checks import IDENTITIES_BY_CHECK, A, P
 from colorhom.core import GradedBasis, make_algebra, make_map
+from colorhom.errors import StructureError
 from colorhom.grading import GradeGroup, make_bicharacter, trivial_bicharacter
 from colorhom.scalars import prime_field, rationals
 
@@ -41,26 +43,30 @@ def test_the_composites_cover_every_check_with_identities():
 
 
 def term_value(a, term, idx):
-    """The sparse value of one term on the basis vectors of the tuple idx."""
-    e = [{idx[s]: 1} for s in term]
-    if type(term) is C:
-        return core.sparse_product(a, e[0], e[1])
-    if type(term) is L:
-        return core.sparse_product(a, core.sparse_product(a, e[0], e[1]), core.sparse_apply(a.alpha, e[2]))
-    return core.sparse_product(a, core.sparse_apply(a.alpha, e[0]), core.sparse_product(a, e[1], e[2]))
+    """The sparse value of one term, a product and alpha node tree, on the basis vectors of the tuple idx."""
+    if type(term) is int:
+        return {idx[term]: 1}
+    if type(term) is A:
+        return core.sparse_apply(a.alpha, term_value(a, term.x, idx))
+    return core.sparse_product(a, term_value(a, term.x, idx), term_value(a, term.y, idx))
+
+
+def terms(name):
+    """The declared terms of an identity, left side first."""
+    _, left, right = checks._IDENTITIES[name]
+    return [node for _, _, node in left + right]
 
 
 def support(a, name):
-    shapes = checks._shapes(name)
     if checks.IDENTITY_ARITY[name] == 3:
-        return list(checks._support(a, shapes))
-    return list(checks._pair_support(a, shapes))
+        return list(checks._support(a, terms(name)))
+    return list(checks._pair_support(a, terms(name)))
 
 
 def assert_support_scans_match_the_oracle(a, maps=()):
-    eps, units = a.eps_table, checks._units(a)
+    eps, units = a.eps_table, scan_oracle.unit_vectors(a)
     for name, (arity, sides) in scan_oracle.SIDES.items():
-        shapes = checks._shapes(name)
+        shapes = terms(name)
         tuples = support(a, name)
         assert tuples == sorted(set(tuples)), name
         visited = set(tuples)
@@ -194,6 +200,49 @@ def test_identity_sides_sum_the_terms_like_the_oracle(a, data):
 
 
 # ---------------------------------------------------------------------------
+# the support shapes
+
+
+def skeleton(node):
+    """The node tree with its node types named and every slot replaced by 0."""
+    return 0 if type(node) is int else (type(node).__name__, *map(skeleton, node))
+
+
+def slots(node):
+    """The slots a node names, left to right."""
+    return [node] if type(node) is int else [s for x in node for s in slots(x)]
+
+
+# skeleton -> the arity of the identities it may appear in
+SHAPES = {
+    skeleton(P(0, 1)): 2,
+    skeleton(P(P(0, 1), A(2))): 3,
+    skeleton(P(A(0), P(1, 2))): 3,
+}
+
+
+def test_every_identity_term_has_one_of_the_three_support_shapes():
+    for name, arity in checks.IDENTITY_ARITY.items():
+        for term in terms(name):
+            assert SHAPES.get(skeleton(term)) == arity, (name, term)
+            assert sorted(slots(term)) == list(range(arity)), (name, term)
+
+
+@pytest.mark.parametrize("term", [
+    P(P(0, 1), 2),  # (x*y)*z: no alpha
+    P(A(0), A(P(1, 2))),  # alpha(x)*alpha(y*z)
+    P(P(0, 1), A(1)),  # a slot named twice, another never
+    P(0, 1),  # a pair shape among triples
+], ids=repr)
+def test_a_fourth_shape_is_rejected(term):
+    table = dict(checks._IDENTITIES)
+    table["fourth-shape"] = (3, [(1, (), term)], [])
+    with pytest.raises(StructureError, match="no support walk"):
+        checks._require_support_shapes(table)
+    checks._require_support_shapes(checks._IDENTITIES)
+
+
+# ---------------------------------------------------------------------------
 # directed witnesses: one failure, reached through one term
 #
 # Each algebra is over Q with the trivial grading and dimension 3; products
@@ -213,15 +262,17 @@ def _algebra(products, alpha=None):
 E0, ZERO = (Q.one, Q.zero, Q.zero), (Q.zero, Q.zero, Q.zero)
 
 DIRECTED = {
-    "C(0,1)": ({(1, 2): 0}, "epsilon-commutativity", C(0, 1), (1, 2), E0, ZERO),
-    "C(1,0)": ({(2, 1): 0}, "epsilon-commutativity", C(1, 0), (1, 2), ZERO, E0),
-    "L(0,1;2)": ({(1, 1): 2, (2, 1): 0}, "hom-associativity", L(0, 1, 2), (1, 1, 1), ZERO, E0),
-    "R(0;1,2)": ({(1, 1): 2, (1, 2): 0}, "hom-associativity", R(0, 1, 2), (1, 1, 1), E0, ZERO),
-    "L(0,2;1)": ({(1, 1): 2, (2, 0): 0}, "right-commutativity", L(0, 2, 1), (1, 0, 1), ZERO, E0),
-    "L(1,0;2)": ({(2, 0): 1, (1, 1): 0}, "left-symmetry", L(1, 0, 2), (0, 2, 1), ZERO, E0),
-    "R(1;2,0)": ({(2, 0): 1, (1, 1): 0}, "hom-jacobi", R(1, 2, 0), (0, 1, 2), E0, ZERO),
+    "C(0,1)": ({(1, 2): 0}, "epsilon-commutativity", P(0, 1), (1, 2), E0, ZERO),
+    "C(1,0)": ({(2, 1): 0}, "epsilon-commutativity", P(1, 0), (1, 2), ZERO, E0),
+    "L(0,1;2)": ({(1, 1): 2, (2, 1): 0}, "hom-associativity", P(P(0, 1), A(2)), (1, 1, 1), ZERO, E0),
+    "R(0;1,2)": ({(1, 1): 2, (1, 2): 0}, "hom-associativity", P(A(0), P(1, 2)), (1, 1, 1), E0, ZERO),
+    "L(0,2;1)": ({(1, 1): 2, (2, 0): 0}, "right-commutativity", P(P(0, 2), A(1)), (1, 0, 1), ZERO, E0),
+    "L(1,0;2)": ({(2, 0): 1, (1, 1): 0}, "left-symmetry", P(P(1, 0), A(2)), (0, 2, 1), ZERO, E0),
+    "R(1;2,0)": ({(2, 0): 1, (1, 1): 0}, "hom-jacobi", P(A(1), P(2, 0)), (0, 1, 2), E0, ZERO),
     # alpha(e_0) = e_1, so alpha(e_0) * (e_1 * e_1) = e_1 * e_2 = e_0
-    "R(0;1,2) through alpha": ({(1, 1): 2, (1, 2): 0}, "hom-associativity", R(0, 1, 2), (0, 1, 1), E0, ZERO),
+    "R(0;1,2) through alpha": (
+        {(1, 1): 2, (1, 2): 0}, "hom-associativity", P(A(0), P(1, 2)), (0, 1, 1), E0, ZERO
+    ),
 }
 
 # alpha for the cases that do not use the identity, as rows
@@ -235,7 +286,7 @@ def test_the_witness_reached_through_one_term(case):
     verdict = checks._scan(a, name)
     assert verdict == checks.Verdict(False, checks.Witness(name, indices, left, right))
     assert verdict == scan_oracle.scan(a, name)
-    assert [t for t in checks._shapes(name) if term_value(a, t, indices)] == [term]
+    assert [t for t in terms(name) if term_value(a, t, indices)] == [term]
     # every tuple before the witness is off the support, and the witness is its first tuple
     tuples = support(a, name)
     assert tuples[0] == indices
