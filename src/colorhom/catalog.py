@@ -10,6 +10,7 @@ walks its search tree in one fixed order and draws nothing at random.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cache
@@ -198,7 +199,7 @@ def _order3_element(field: ScalarField):
 
 
 # ---------------------------------------------------------------------------
-# recipes
+# recipes: a builder takes the field and parameters, returns (algebra, claims, maps, forms)
 
 # what the truncated polynomials, the super line and the Z3 x Z3 instance pass
 _UNITAL_CLAIMS = (
@@ -207,9 +208,8 @@ _UNITAL_CLAIMS = (
     "regular", "involutive",
 )
 
-def _recipe_truncated_polynomial(field: ScalarField, n: int = 3) -> CatalogEntry:
+def _recipe_truncated_polynomial(field: ScalarField, n: int = 3) -> tuple:
     a = truncated_polynomial(n, field)
-    claims = _UNITAL_CLAIMS
     maps = {
         "dt": dt_derivation(a),
         "euler": euler_derivation(a),
@@ -218,73 +218,43 @@ def _recipe_truncated_polynomial(field: ScalarField, n: int = 3) -> CatalogEntry
         "sign": scaling_morphism(a, -1),
         "half": scalar_map(a.basis, Fraction(1, 2)),
     }
-    forms = {"pairing": pairing_form(a)}
-    return CatalogEntry(
-        InstanceRecipe("truncated_polynomial", str(field), (("n", n),), claims),
-        a, maps, forms,
-    )
+    return a, _UNITAL_CLAIMS, maps, {"pairing": pairing_form(a)}
 
 
-def _recipe_super_commutative_line(field: ScalarField) -> CatalogEntry:
+def _recipe_super_commutative_line(field: ScalarField) -> tuple:
     a = super_commutative_line(field)
-    claims = _UNITAL_CLAIMS
-    sign = make_map(a.basis, ((1, 0), (0, -1)))
-    return CatalogEntry(
-        InstanceRecipe("super_commutative_line", str(field), (), claims),
-        a, {"sign": sign}, {},
-    )
+    return a, _UNITAL_CLAIMS, {"sign": make_map(a.basis, ((1, 0), (0, -1)))}, {}
 
 
-def _recipe_euler_novikov(field: ScalarField, n: int = 3) -> CatalogEntry:
+def _recipe_euler_novikov(field: ScalarField, n: int = 3) -> tuple:
     base = truncated_polynomial(n, field)
     a = cons.derivation_product(base, euler_derivation(base))
     claims = (
         "hom_novikov", "left_symmetric", "lie_admissible",
         "cyclic_commutator_products", "multiplicative", "regular", "involutive",
     )
-    return CatalogEntry(
-        InstanceRecipe("euler_novikov", str(field), (("n", n),), claims),
-        a, {"half": scalar_map(a.basis, Fraction(1, 2))}, {},
-    )
+    return a, claims, {"half": scalar_map(a.basis, Fraction(1, 2))}, {}
 
 
-def _recipe_scaled_polynomial(field: ScalarField, n: int = 3, c=2) -> CatalogEntry:
+def _recipe_scaled_polynomial(field: ScalarField, n: int = 3, c=2) -> tuple:
     base = truncated_polynomial(n, field)
-    c = field.coerce(c)
     a = cons.yau_twist(base, scaling_morphism(base, c))
-    claims = [
+    claims = (
         "epsilon_commutative", "hom_associative", "hom_novikov", "left_symmetric",
         "lie_admissible", "cyclic_commutator_products", "multiplicative",
-    ]
-    if c != 0:
-        claims.append("regular")
-    if c * c == field.one:
-        claims.append("involutive")
-    return CatalogEntry(
-        InstanceRecipe(
-            "scaled_polynomial", str(field),
-            (("c", field.to_json(c)), ("n", n)), tuple(claims),
-        ),
-        a, {}, {},
+        *(("regular",) if c != 0 else ()), *(("involutive",) if c * c == field.one else ()),
     )
+    return a, claims, {}, {}
 
 
-def _recipe_involutive_quadratic_polynomial(field: ScalarField, n: int = 3) -> CatalogEntry:
+def _recipe_involutive_quadratic_polynomial(field: ScalarField, n: int = 3) -> tuple:
     if n % 2 == 0:
         raise StructureError("the sign twist is form-symmetric only for odd n")
-    entry = _recipe_scaled_polynomial(field, n, field.from_int(-1))
-    a = entry.algebra
-    form = pairing_form(a, a.alpha)
-    claims = entry.recipe.claims
-    return CatalogEntry(
-        InstanceRecipe(
-            "involutive_quadratic_polynomial", str(field), (("n", n),), claims
-        ),
-        a, {}, {"pairing": form},
-    )
+    a, claims, _, _ = _recipe_scaled_polynomial(field, n, field.from_int(-1))
+    return a, claims, {}, {"pairing": pairing_form(a, a.alpha)}
 
 
-def _recipe_z3_graded_nilpotent(field: ScalarField) -> CatalogEntry:
+def _recipe_z3_graded_nilpotent(field: ScalarField) -> tuple:
     """Z_3 x Z_3 graded: x*y = eps(x,y) z, y*x = z, everything else zero.
 
     The bicharacter takes a genuine cube root of unity, so this only exists
@@ -298,13 +268,10 @@ def _recipe_z3_graded_nilpotent(field: ScalarField) -> CatalogEntry:
     basis = GradedBasis(field, group, degs)
     cells = {(0, 1): {2: g}, (1, 0): {2: one}}
     a = _algebra_from_cells(basis, bichar, lambda i, j: cells.get((i, j)), identity_map(basis))
-    claims = _UNITAL_CLAIMS
-    return CatalogEntry(
-        InstanceRecipe("z3_graded_nilpotent", str(field), (), claims), a, {}, {}
-    )
+    return a, _UNITAL_CLAIMS, {}, {}
 
 
-def _recipe_solvable_bracket(field: ScalarField) -> CatalogEntry:
+def _recipe_solvable_bracket(field: ScalarField) -> tuple:
     """The 2-dim solvable bracket [e_0, e_1] = e_1 with identity twist.
 
     Comes with rb_proj = projection onto e_0, a weight-0 operator making
@@ -316,18 +283,14 @@ def _recipe_solvable_bracket(field: ScalarField) -> CatalogEntry:
         basis, trivial_bicharacter(field, basis.group), lambda i, j: cells.get((i, j)),
         identity_map(basis),
     )
-    rows = ((1, 0), (0, 0))
     claims = (
         "hom_lie", "lie_admissible", "cyclic_commutator_products",
         "multiplicative", "regular", "involutive",
     )
-    return CatalogEntry(
-        InstanceRecipe("solvable_bracket", str(field), (), claims),
-        a, {"rb_proj": make_map(basis, rows)}, {},
-    )
+    return a, claims, {"rb_proj": make_map(basis, ((1, 0), (0, 0)))}, {}
 
 
-def _recipe_zero_algebra(field: ScalarField, dim: int = 2) -> CatalogEntry:
+def _recipe_zero_algebra(field: ScalarField, dim: int = 2) -> tuple:
     basis = trivial_basis(field, dim)
     a = _algebra_from_cells(
         basis, trivial_bicharacter(field, basis.group), lambda i, j: {}, identity_map(basis)
@@ -337,10 +300,7 @@ def _recipe_zero_algebra(field: ScalarField, dim: int = 2) -> CatalogEntry:
         "hom_lie", "lie_admissible", "cyclic_commutator_products",
         "multiplicative", "regular", "involutive",
     )
-    return CatalogEntry(
-        InstanceRecipe("zero_algebra", str(field), (("dim", dim),), claims),
-        a, {}, {},
-    )
+    return a, claims, {}, {}
 
 
 # the largest n or dim a recipe builds: the gates of scaled_polynomial and
@@ -367,7 +327,8 @@ def build_entry(name: str, field: ScalarField, **params) -> CatalogEntry:
 
     An int parameter (a size: n or dim) must be an int no larger than
     MAX_RECIPE_SIZE; a scalar one is parsed from a string like a document
-    scalar and coerced otherwise.  A bool is neither.
+    scalar and coerced otherwise.  A bool is neither.  A parameter left out
+    takes the builder's default, and the recipe records every parameter.
     """
     if not isinstance(name, str) or name not in RECIPES:
         raise StructureError(f"unknown recipe {name!r}")
@@ -375,17 +336,26 @@ def build_entry(name: str, field: ScalarField, **params) -> CatalogEntry:
     unknown = set(params) - set(spec)
     if unknown:
         raise StructureError(f"recipe {name!r} takes no parameter {sorted(unknown)}")
-    for key, value in params.items():
-        if isinstance(value, bool) or (spec[key] is int and type(value) is not int):
-            kind = "an integer" if spec[key] is int else "a scalar"
-            raise StructureError(f"recipe {name!r} parameter {key!r} must be {kind}, got {value!r}")
-        if spec[key] is int and value > MAX_RECIPE_SIZE:
+    bound = inspect.signature(builder).bind(field, **params)
+    bound.apply_defaults()
+    args = bound.arguments
+    for key, kind in spec.items():
+        value = args[key]
+        if isinstance(value, bool) or (kind is int and type(value) is not int):
+            wanted = "an integer" if kind is int else "a scalar"
+            raise StructureError(f"recipe {name!r} parameter {key!r} must be {wanted}, got {value!r}")
+        if kind is int and value > MAX_RECIPE_SIZE:
             raise StructureError(
                 f"recipe {name!r} parameter {key!r} is {value}, past the size cap {MAX_RECIPE_SIZE}"
             )
-        if spec[key] == "scalar":
-            params[key] = field.parse(value) if isinstance(value, str) else field.coerce(value)
-    return builder(field, **params)
+        if kind == "scalar":
+            args[key] = field.parse(value) if isinstance(value, str) else field.coerce(value)
+    algebra, claims, maps, forms = builder(*bound.args)
+    # scalars print as in a document; sizes stay plain ints, not reduced mod p
+    printable = tuple(
+        (k, field.to_json(args[k]) if spec[k] == "scalar" else args[k]) for k in sorted(spec)
+    )
+    return CatalogEntry(InstanceRecipe(name, str(field), printable, claims), algebra, maps, forms)
 
 
 def standard_entries(field: ScalarField) -> list:
@@ -530,7 +500,8 @@ def search_maps(
     """Deterministic backtracking search for even maps satisfying a named predicate.
 
     The predicate is any check in OPERATIONS that takes exactly one map;
-    form, weight and side supply its other arguments.  The answer is every
+    form, weight and side supply its other arguments, and giving one it
+    does not take is a StructureError.  The answer is every
     matrix supported on the even positions (deg e_k = deg e_i), with each
     entry in a small value set (default -1, 0, 1, 2), that satisfies the
     predicate.
@@ -560,6 +531,10 @@ def search_maps(
         raise StructureError(f"unknown search predicate {predicate!r}")
     if type(budget) is not int:
         raise StructureError(f"search budget must be an integer, got {budget!r}")
+    passed = {"form": form is not None, "weight": weight is not None, "side": side != "both"}
+    for arg, is_passed in passed.items():
+        if is_passed and arg not in op.takes:
+            raise StructureError(f"{predicate} search takes no {arg}")
     given = {**OPTIONAL_ARGUMENTS, "form": form, "side": side}
     if weight is not None:
         given["weight"] = weight
@@ -599,7 +574,6 @@ def search_maps(
     # the other arguments before any system is built
     op.call(a, *arguments(candidate((zero,) * len(positions))))
     options = {arg: given[arg] for arg in op.takes if arg in ("weight", "form")}
-    side = given["side"] if "side" in op.takes else "both"
     linear = linear_conditions(predicate, side)
     free, pivots = _solve_linear_part(a, linear, options, positions, candidate)
 

@@ -11,7 +11,8 @@ sparse sides, and only a witness is made dense.
 
 All of them are declared once, in one term language (signed sums of
 products, alpha(.), f(.) and the form over the arguments, with eps signs),
-and _evaluator compiles each declaration into the function that runs it.
+and _compiled turns each declaration, on first use, into the function that
+runs it.
 
 An identity scan visits only the support of its terms.  Each identity term
 has one of three shapes, x*y, (x*y)*alpha(z) or alpha(x)*(y*z), checked at
@@ -293,12 +294,6 @@ def _require_support_shapes(identities) -> None:
 _require_support_shapes(_IDENTITIES)
 
 
-@cache
-def _on_vectors(name: str):
-    """An identity's sides, compiled on first use for arguments (degree, sparse vector)."""
-    return _evaluator(*_IDENTITIES[name], basis=False)
-
-
 def _require_arguments(a: ColorHomAlgebra, name: str, vectors, degrees=None) -> None:
     """Raise unless name is an identity whose slots vectors (and degrees) fill, each vector of length dim."""
     if name not in IDENTITY_ARITY:
@@ -319,7 +314,7 @@ def identity_sides(a: ColorHomAlgebra, name: str, degrees, vectors):
 
 def _sparse_sides(a: ColorHomAlgebra, name: str, arguments):
     """An identity's sparse sides at homogeneous arguments (degree, vector)."""
-    sides = _on_vectors(name)(*_Scope(a, a, None, {}, 0, None))
+    sides = _compiled(name, basis=False)(*_Scope(a, a, None, {}, 0, None))
     return sides(*((d, sparse_vector(a.field, v)) for d, v in arguments))
 
 
@@ -369,7 +364,7 @@ def _scan(a: ColorHomAlgebra, name: str) -> Verdict:
     terms = [node for _, _, node in left + right]
     support = _support(a, terms) if arity == 3 else _pair_support(a, terms)
     # on basis vectors a product is a stored cell and an image a column
-    return _first_failure(a, support, [(name, _COMPILED[name][2](*_Scope(a, a, None, {}, 0, None)))])
+    return _first_failure(a, support, [(name, _compiled(name)(*_Scope(a, a, None, {}, 0, None)))])
 
 
 def _bits(mask: int):
@@ -587,6 +582,10 @@ _CONDITIONS = {
     # the quadratic clauses, with f the form's companion
     "epsilon-symmetry": (2, [(1, (), B(0, 1))], [(1, (E01,), B(1, 0))]),
     "invariance": (3, [(1, (), B(P(0, 1), F(2)))], [(1, (), B(F(0), P(1, 2)))]),
+    # one side each, for the bracket-operator conditions: f([f(x), y]) and
+    # the defect f([f(x), y] + [x, f(y)]) - [f(x), f(y)]
+    "bracket-image": (2, [(1, (), F(P(F(0), 1)))]),
+    "defect": (2, [(1, (), F(P(F(0), 1))), (1, (), F(P(0, F(1)))), (-1, (), P(F(0), F(1)))]),
 }
 
 # predicate -> its condition groups, run in order; within a group every
@@ -636,11 +635,10 @@ def linear_conditions(predicate: str, side: str = "both") -> tuple:
     )
 
 
-# name -> (arity, witness width, sides of a scope), for every identity and condition
-_COMPILED = {
-    name: (arity, 1 if type(left[0][2]) is B else None, _evaluator(arity, left, right))
-    for name, (arity, left, right) in (_IDENTITIES | _CONDITIONS).items()
-}
+@cache
+def _compiled(name: str, basis: bool = True):
+    """A declaration's sides, compiled on first use: a function of a scope's fields."""
+    return _evaluator(*(_IDENTITIES.get(name) or _CONDITIONS[name]), basis=basis)
 
 
 def _holds(source, target, f, groups, side="both", weight=0, form=None) -> Verdict:
@@ -651,8 +649,9 @@ def _holds(source, target, f, groups, side="both", weight=0, form=None) -> Verdi
     """
     groups, s = _groups(groups, side), _Scope(target, source, f, {}, weight, form)
     for group in groups:
-        arity, width, _ = _COMPILED[group[0]]
-        conditions = [(name, _COMPILED[name][2](*s)) for name in group]
+        arity, left, _ = _CONDITIONS[group[0]]
+        conditions = [(name, _compiled(name)(*s)) for name in group]
+        width = 1 if type(left[0][2]) is B else None  # a form's value is a scalar
         v = _first_failure(source, _every_tuple(source, arity), conditions, width)
         if not v:
             return v
@@ -668,7 +667,7 @@ def condition_residual(a: ColorHomAlgebra, f: GradedLinearMap, names, weight=0, 
     coerce = a.field.coerce
     out = {}
     for name in names:
-        sides = _COMPILED[name][2](*s)
+        sides = _compiled(name)(*s)
         for idx in _every_tuple(a, _CONDITIONS[name][0]):
             for key, value in sparse_sub(*sides(*idx)).items():
                 if value := coerce(value):
@@ -746,11 +745,6 @@ def in_alpha_center(l: ColorHomAlgebra, x) -> bool:
     return bool(_first_failure(l, _every_tuple(l, 1), center))
 
 
-# f([f(x), y]) and the defect f([f(x), y] + [x, f(y)]) - [f(x), f(y)], at (x, y)
-_BRACKET_IMAGE = _evaluator(2, [(1, (), F(P(F(0), 1)))])
-_DEFECT = _evaluator(2, [(1, (), F(P(F(0), 1))), (1, (), F(P(0, F(1)))), (-1, (), P(F(0), F(1)))])
-
-
 def check_bracket_operator_conditions(l: ColorHomAlgebra, f: GradedLinearMap) -> Verdict:
     """The two conditions under which x*y = [f(x), y] is Hom-Novikov.
 
@@ -765,7 +759,7 @@ def check_bracket_operator_conditions(l: ColorHomAlgebra, f: GradedLinearMap) ->
     if not v:
         return v
     n, s, ac, eps = l.dim, _Scope(l, l, f, {}, 0, None), l.alpha.sparse_columns, l.eps_table
-    defect_at, image_at = _DEFECT(*s), _BRACKET_IMAGE(*s)
+    defect_at, image_at = _compiled("defect")(*s), _compiled("bracket-image")(*s)
     defect = [[defect_at(i, j)[0] for j in range(n)] for i in range(n)]
     # both sides vanish where defect[i][j] is empty
     nonzero_defect = ((i, j, k) for i, j in _every_tuple(l, 2) if defect[i][j] for k in range(n))

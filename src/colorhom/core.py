@@ -26,12 +26,14 @@ tensor.
 The rows, the views and sparse vectors hold kernel scalars, not field
 elements (see ScalarField.kernel_scalar): over Q an int for an integral
 value and a Fraction only for a true fraction, over F_p an int residue.
-Every value enters the kernel through kernel_scalar.  No modulus enters the
-kernel: it only multiplies, adds and drops exact zeros, so over F_p its
-results are correct mod p but unreduced.  Reduction happens in exactly two
-places: checks._first_failure reduces two sides mod p only when they differ
-as ints, and dense_vector boxes every value through field.coerce, so tuples,
-matrices, witnesses and documents hold Fraction or Fp elements only.
+Every value enters the kernel through kernel_scalar, which reduces it into
+[0, p) over F_p.  No modulus enters the kernel itself: it only multiplies,
+adds and drops exact zeros, so over F_p its results are correct mod p but
+unreduced.  They are reduced only where they leave it:
+checks._first_failure reduces two sides mod p only when they differ as
+ints, catalog.search_maps reduces the residuals of its product pairs, and
+dense_vector boxes every value through field.coerce, so tuples, matrices,
+witnesses and documents hold Fraction or Fp elements only.
 """
 
 from __future__ import annotations

@@ -302,11 +302,13 @@ def parse_document(text: str) -> ParsedDocument:
                 f"forms.{name}: companion {companion_name!r} is not id, alpha, "
                 "or a map defined in this document"
             )
+        require_even = fsec2.get("require_even", True)
+        _expect(type(require_even) is bool, f"forms.{name}: require_even must be true or false")
         forms[name] = BilinearFormStructure(
             basis,
             _matrix_from_json(field, fsec2["gram"], f"forms.{name}"),
             companion,
-            require_even=fsec2.get("require_even", True),
+            require_even=require_even,
         )
 
     provenance = doc.get("provenance")

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .checks import (
-    _COMPILED,
     PREDICATE_CONDITIONS,
     Verdict,
     _Scope,
+    _compiled,
     _fail,
     _first_failure,
     _holds,
@@ -137,7 +137,7 @@ def check_quadratic_structure(a: ColorHomAlgebra, f: BilinearFormStructure) -> V
     # z-major scan: for a fixed z the invariance clause pairs off products
     # against it, and the first reported failure follows that grouping
     z_major = ((i, j, k) for k, j, i in iproduct(range(n), repeat=3))
-    invariance = _COMPILED["invariance"][2](*_Scope(a, a, f.companion, {}, 0, f))
+    invariance = _compiled("invariance")(*_Scope(a, a, f.companion, {}, 0, f))
     v = _first_failure(a, z_major, [("invariance", invariance)], 1)
     if not v:
         return v

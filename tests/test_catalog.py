@@ -66,6 +66,31 @@ def test_every_recipe_name_is_buildable_somewhere():
             assert check in CHECKS_BY_NAME
 
 
+# the parameters each recipe records when built with none given: its builder's defaults
+DEFAULT_PARAMS = {
+    "truncated_polynomial": (("n", 3),),
+    "super_commutative_line": (),
+    "euler_novikov": (("n", 3),),
+    "scaled_polynomial": (("c", 2), ("n", 3)),
+    "involutive_quadratic_polynomial": (("n", 3),),
+    "z3_graded_nilpotent": (),
+    "solvable_bracket": (),
+    "zero_algebra": (("dim", 2),),
+}
+
+
+# over F3 a size sent through the field would read n = 0
+@pytest.mark.parametrize("field", [Q, prime_field(3), F7], ids=str)
+def test_a_recipe_built_without_parameters_records_its_defaults(field):
+    assert set(DEFAULT_PARAMS) == set(RECIPES)
+    for name, params in DEFAULT_PARAMS.items():
+        if name == "z3_graded_nilpotent" and field is not F7:
+            continue
+        entry = build_entry(name, field)
+        assert entry.recipe.params == params, name
+        assert entry == build_entry(name, field, **dict(params)), name
+
+
 def test_involutive_quadratic_recipe_rejects_even_truncation():
     with pytest.raises(StructureError):
         build_entry("involutive_quadratic_polynomial", Q, n=4)

@@ -175,6 +175,28 @@ def test_cli_check_on_an_integer_past_the_digit_limit_exits_2(tmp_path):
     assert "Traceback" not in proc.stderr and "error:" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "name, section, value, message",
+    [
+        ("poly2.json", "forms", {"pairing": {"gram": [[0, 1], [1, 0]], "require_even": "no"}}, "require_even"),
+        ("poly2.json", "forms", {"pairing": {"gram": [[0, 1], [1, 0]], "require_even": 0}}, "require_even"),
+        ("poly2.json", "group", {"free_rank": True, "torsion_orders": []}, "free rank"),
+    ],
+    ids=["require-even-string", "require-even-int", "free-rank-bool"],
+)
+def test_cli_check_on_a_wrongly_typed_field_exits_2(tmp_path, name, section, value, message):
+    doc = json.loads(dict(INSTANCES)[name])
+    doc[section] = value
+    if section == "group":  # a consistent Z-graded document, but for the type of free_rank
+        doc["basis"]["degrees"] = [[0], [0]]
+        doc["bicharacter"] = {"gen_table": [[1]]}
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    proc = _run_cli("check", str(path), "hom_novikov")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and message in proc.stderr
+
+
 def test_cli_check_on_a_document_that_is_not_utf8_exits_2(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes(dict(INSTANCES)["poly2.json"].encode("utf-8") + b"\xff\xfe")

@@ -296,6 +296,32 @@ def test_a_budget_that_is_not_an_int_is_a_structure_error(budget):
         search_maps(a, "derivation", budget=budget)
 
 
+@pytest.mark.parametrize(
+    "predicate, given",
+    [
+        ("derivation", {"weight": "junk"}),
+        ("derivation", {"side": "nonsense"}),
+        ("derivation", {"form": object()}),
+        ("derivation", {"side": "left"}),
+        ("weak_morphism", {"weight": 0}),
+        ("averaging", {"weight": 1}),
+        ("rota_baxter", {"side": "right"}),
+        ("rota_baxter", {"form": object()}),
+    ],
+    ids=lambda x: x if isinstance(x, str) else ",".join(x),
+)
+def test_an_argument_the_predicate_does_not_take_is_a_structure_error(predicate, given):
+    a = truncated_polynomial(2)
+    arg = next(iter(given))
+    with pytest.raises(StructureError, match=f"{predicate} search takes no {arg}"):
+        search_maps(a, predicate, **given)
+
+
+def test_the_default_arguments_are_accepted_by_every_predicate():
+    a = truncated_polynomial(2)
+    assert len(search_maps(a, "derivation", side="both", weight=None, form=None)) == 4
+
+
 def test_a_negative_budget_finds_nothing():
     a = truncated_polynomial(2)
     assert search_maps(a, "derivation", budget=-1) == []

@@ -62,6 +62,10 @@ def test_bicharacter_rejects_wrong_torsion_order():
     report = validate_bicharacter(Bicharacter(q, g, ((q.from_int(-1),),)))
     assert not report.ok
     assert report.axiom == "torsion"
+    # Z_2 x Z_3: the Z_2 row passes; the Z_3 row fails first at E[1][0] = -1
+    minus = q.from_int(-1)
+    report = validate_bicharacter(Bicharacter(q, GradeGroup(0, (2, 3)), ((q.one, minus), (minus, q.one))))
+    assert (report.ok, report.axiom, report.pair) == (False, "torsion", (1, 0))
 
 
 def test_bicharacter_rejects_zero_entry():

@@ -94,7 +94,8 @@ def test_search_accepts_exactly_the_one_map_checks():
     ident = identity_map(a.basis).matrix
     for name, op in OPERATIONS.items():
         if op.kind == CHECK and op.takes.count("map") == 1:
-            hits = search_maps(a, name, values=(0, 1), form=form)
+            given = {"form": form} if "form" in op.takes else {}
+            hits = search_maps(a, name, values=(0, 1), **given)
             if name in ("weak_morphism", "morphism", "symmetric_automorphism"):
                 assert ident in [m.matrix for m in hits], name
         else:
