@@ -511,13 +511,14 @@ def search_maps(
     entries free and fixes the rest.  A depth-first search sets the columns
     f(e_0), f(e_1), ... in turn, branching over the values of each column's
     free entries and filling a fixed entry once the free entries it reads
-    are set; one outside the values abandons the branch.  For a predicate
-    with a product-morphism condition and no linear part, each pair
-    f(e_i e_j) = f(e_i) f(e_j) is checked once columns i, j and
-    the support of e_i e_j are set, and a pair that reads exactly one unset
-    column forces it: the column is set without branching, or the branch is
-    abandoned when it leaves the values or the even positions.  Every
-    complete candidate is re-checked by the predicate itself.
+    are set; one outside the values abandons the branch.  If the predicate
+    declares a product-morphism condition, each pair f(e_i e_j) =
+    f(e_i) f(e_j) is checked once all entries of columns i, j and of the
+    support of e_i e_j are set, and a pair that reads exactly one unset
+    column forces it unless that column holds or fills a fixed entry: the
+    column is set without branching, or the branch is abandoned when it
+    leaves the values or the even positions.  Every complete candidate is
+    re-checked by the predicate itself.
 
     budget bounds the leaves of the search tree, complete candidates plus
     abandoned partial assignments, which never outnumber len(values) **
@@ -588,7 +589,16 @@ def search_maps(
     in_column = [[] for _ in range(n)]
     for p, (k, i) in enumerate(positions):
         in_column[i].append((k, p))
-    reading = _pairs_by_column(a) if _forces_products(predicate, side) else None
+    # completed_at[b]: the columns whose last entry branch b sets; a forced
+    # column skips its branch, so it must hold and fill no fixed entry
+    last, forceable = list(range(n)), [not filled for filled in ready]
+    for b, filled in enumerate(ready):
+        for p, _ in filled:
+            i = positions[p][1]
+            last[i], forceable[i] = max(last[i], b), False
+    completed_at = [[i for i in range(n) if last[i] == b] for b in range(n)]
+    products = any("product-morphism" in group for group in PREDICATE_CONDITIONS[predicate])
+    reading = _pairs_by_column(a) if products else None
     reduce = (lambda x: x % field.p) if field.characteristic else (lambda x: x)
     inverse = cache(lambda c: field.kernel_scalar(field.one / field.coerce(c)))
 
@@ -600,26 +610,26 @@ def search_maps(
     hits = []
     leaves = 0
 
-    def fill(column) -> bool:
-        """Fill the fixed entries column completes; False once one leaves the values."""
-        for p, terms in ready[column]:
+    def settle(branch) -> bool:
+        """Fill and set what the branch completes, then the columns pairs force; False on a failure."""
+        for p, terms in ready[branch]:
             v = canon.get(sum((c * assignment[q] for q, c in terms), zero))
             if v is None:
                 return False
             assignment[p] = v
-        return True
-
-    def settle(column) -> bool:
-        """Set the branched column and the columns pairs force; False once a pair fails."""
-        columns[column] = {k: kernel[v] for k, p in in_column[column] if (v := assignment[p])}
-        trail.append(column)
-        queue = [column]
+        if reading is None:
+            return True
+        queue = list(completed_at[branch])
+        for i in queue:
+            columns[i] = {k: kernel[v] for k, p in in_column[i] if (v := assignment[p])}
+        trail.extend(queue)
         while queue:
             for i, j, cell in reading[queue.pop()]:
                 if columns[i] is None or columns[j] is None:
                     continue
                 unset = [k for k in cell if columns[k] is None]
-                if len(unset) > 1:
+                # a column that cannot be forced is checked once it is complete
+                if len(unset) > 1 or unset and not forceable[unset[0]]:
                     continue
                 # f(e_i) f(e_j) minus the cell's terms in set columns
                 rest = sparse_product(a, columns[i], columns[j])
@@ -665,7 +675,7 @@ def search_maps(
             for p, v in zip(entries[column], vals):
                 assignment[p] = v
             mark = len(trail)
-            if fill(column) and (reading is None or settle(column)):
+            if settle(column):
                 descend(column + 1)
             else:
                 leaves += 1
@@ -691,12 +701,6 @@ def _pairs_by_column(a: ColorHomAlgebra) -> list:
             for s in {i, j, *cell}:
                 out[s].append((i, j, cell))
     return out
-
-
-def _forces_products(predicate: str, side: str) -> bool:
-    """Whether search_maps forces columns by product pairs: a product morphism, no linear part."""
-    has_products = any("product-morphism" in group for group in PREDICATE_CONDITIONS[predicate])
-    return has_products and not linear_conditions(predicate, side)
 
 
 def _solve_linear_part(a: ColorHomAlgebra, linear, options, positions, candidate) -> tuple:

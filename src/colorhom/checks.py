@@ -38,7 +38,7 @@ declaration, is linear in f; those are the predicate's linear part
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from itertools import product as iproduct
 from typing import NamedTuple
@@ -48,6 +48,7 @@ from .core import (
     GradedLinearMap,
     _algebra_from_cells,
     _bracket_cell,
+    _operator_cell,
     _require_even_endo,
     dense_vector,
     homogeneous_components,
@@ -582,9 +583,7 @@ _CONDITIONS = {
     # the quadratic clauses, with f the form's companion
     "epsilon-symmetry": (2, [(1, (), B(0, 1))], [(1, (E01,), B(1, 0))]),
     "invariance": (3, [(1, (), B(P(0, 1), F(2)))], [(1, (), B(F(0), P(1, 2)))]),
-    # one side each, for the bracket-operator conditions: f([f(x), y]) and
-    # the defect f([f(x), y] + [x, f(y)]) - [f(x), f(y)]
-    "bracket-image": (2, [(1, (), F(P(F(0), 1)))]),
+    # one side: the bracket-operator defect f([f(x), y] + [x, f(y)]) - [f(x), f(y)]
     "defect": (2, [(1, (), F(P(F(0), 1))), (1, (), F(P(0, F(1)))), (-1, (), P(F(0), F(1)))]),
 }
 
@@ -746,41 +745,26 @@ def in_alpha_center(l: ColorHomAlgebra, x) -> bool:
 
 
 def check_bracket_operator_conditions(l: ColorHomAlgebra, f: GradedLinearMap) -> Verdict:
-    """The two conditions under which x*y = [f(x), y] is Hom-Novikov.
+    """The two conditions under which x∘y = [f(x), y] is Hom-Novikov.
 
     defect-centrality: f([f(x),y] + [x,f(y)]) - [f(x),f(y)] lies in the
     alpha-center of l for all basis x, y; the witness, when one exists,
     names (x, y, z) with [defect, alpha(z)] != 0.
     operator-right-commutativity: [f([f(x),y]), alpha(z)] =
-    eps(y,z) [f([f(x),z]), alpha(y)] on basis triples.
+    eps(y,z) [f([f(x),z]), alpha(y)], the right-commutativity of x∘y.
     """
     _require_even_endo(l.basis, f, "operator")
     v = _holds(l, l, f, PREDICATE_CONDITIONS["bracket_operator_conditions"])
     if not v:
         return v
-    n, s, ac, eps = l.dim, _Scope(l, l, f, {}, 0, None), l.alpha.sparse_columns, l.eps_table
-    defect_at, image_at = _compiled("defect")(*s), _compiled("bracket-image")(*s)
-    defect = [[defect_at(i, j)[0] for j in range(n)] for i in range(n)]
-    # both sides vanish where defect[i][j] is empty
-    nonzero_defect = ((i, j, k) for i, j in _every_tuple(l, 2) if defect[i][j] for k in range(n))
-    centrality = ("defect-centrality", lambda i, j, k: (sparse_product(l, defect[i][j], ac[k]), {}))
+    defect_at, ac = _compiled("defect")(*_Scope(l, l, f, {}, 0, None)), l.alpha.sparse_columns
+    defect = cache(lambda i, j: defect_at(i, j)[0])
+    # both sides vanish where the defect of (i, j) is empty
+    nonzero_defect = ((i, j, k) for i, j in _every_tuple(l, 2) if defect(i, j) for k in range(l.dim))
+    centrality = ("defect-centrality", lambda i, j, k: (sparse_product(l, defect(i, j), ac[k]), {}))
     v = _first_failure(l, nonzero_defect, [centrality])
     if not v:
         return v
-    g = [[image_at(i, j)[0] for j in range(n)] for i in range(n)]
-
-    def operator_right_commutativity(i, j, k):
-        left = sparse_product(l, g[i][j], ac[k])
-        return left, sparse_scale(eps[j][k], sparse_product(l, g[i][k], ac[j]))
-
-    def nonzero_g():
-        # both sides vanish where g[i][j] and g[i][k] are empty
-        for i, row in enumerate(g):
-            some = [k for k, c in enumerate(row) if c]
-            for j, c in enumerate(row):
-                for k in range(n) if c else some:
-                    yield i, j, k
-
-    return _first_failure(
-        l, nonzero_g(), [("operator-right-commutativity", operator_right_commutativity)]
-    )
+    product = _algebra_from_cells(l.basis, l.bicharacter, _operator_cell(l, f), l.alpha)
+    v = _scan(product, "right-commutativity")
+    return v or Verdict(False, replace(v.witness, identity="operator-right-commutativity"))

@@ -29,6 +29,7 @@ from .core import (
     GradedLinearMap,
     _algebra_from_cells,
     _bracket_cell,
+    _operator_cell,
     _require_even_endo,
     compose_maps,
     homogeneous_components,
@@ -237,10 +238,7 @@ def bracket_operator_product(l: ColorHomAlgebra, f: GradedLinearMap, *, checked:
         _require(
             "bracket_operator_product", "twist-commutation", commutes_with_twist(l, f)
         )
-    fc = f.sparse_columns
-    return _algebra_from_cells(
-        l.basis, l.bicharacter, lambda i, j: sparse_product(l, fc[i], {j: 1}), l.alpha
-    )
+    return _algebra_from_cells(l.basis, l.bicharacter, _operator_cell(l, f), l.alpha)
 
 
 def direct_sum(a: ColorHomAlgebra, b: ColorHomAlgebra) -> ColorHomAlgebra:

@@ -692,6 +692,11 @@ def _bracket_cell(a: ColorHomAlgebra):
     return lambda i, j: sparse_sub(rows[i][j], sparse_scale(eps[i][j], rows[j][i]))
 
 
+def _operator_cell(l: ColorHomAlgebra, f: GradedLinearMap):
+    """The operator product x∘y = [f(x), y] as a sparse cell: (i, j) -> f(e_i) * e_j in l."""
+    return lambda i, j: sparse_product(l, f.sparse_columns[i], {j: 1})
+
+
 def unit_vector(field: ScalarField, dim: int, i: int) -> tuple:
     return tuple(field.one if k == i else field.zero for k in range(dim))
 

@@ -113,6 +113,14 @@ def form_value(f: BilinearFormStructure, x, y):
     return f.pairing(sparse_vector(field, x), sparse_vector(field, y))
 
 
+def _require_form(a: ColorHomAlgebra, f) -> None:
+    """The one guard for "f is a form on a's basis"; every entry point taking a form runs it first."""
+    if not isinstance(f, BilinearFormStructure):
+        raise StructureError(f"expected a BilinearFormStructure, got {type(f).__name__}")
+    if f.basis != a.basis:
+        raise StructureError("form lives on a different basis")
+
+
 def check_quadratic_structure(a: ColorHomAlgebra, f: BilinearFormStructure) -> Verdict:
     """Run the quadratic clauses in order; the witness names the failed one.
 
@@ -120,8 +128,7 @@ def check_quadratic_structure(a: ColorHomAlgebra, f: BilinearFormStructure) -> V
     nondegeneracy clause computes the determinant (Bareiss) and the rank
     (Gauss-Jordan) independently and insists that they agree.
     """
-    if f.basis != a.basis:
-        raise StructureError("form lives on a different basis")
+    _require_form(a, f)
     n = a.dim
     v = _holds(a, a, None, (("epsilon-symmetry",),), form=f)
     if not v:
@@ -149,20 +156,21 @@ def is_symmetric_automorphism(a: ColorHomAlgebra, f: BilinearFormStructure, phi:
 
     B-symmetry means B(phi(x), y) = B(x, phi(y)) on all basis pairs.
     """
-    if f.basis != a.basis:
-        raise StructureError("form lives on a different basis")
+    _require_form(a, f)
     _require_even_endo(a.basis, phi, "map")
     if matrix_rank(a.field, phi.matrix) != a.dim:
         return _fail("invertibility", (), None, None)
     return _holds(a, a, phi, PREDICATE_CONDITIONS["symmetric_automorphism"], form=f)
 
 
-def _require_identity_companion(op: str, f: BilinearFormStructure):
-    if f.companion.matrix != identity_map(f.basis).matrix:
+def _require_identity_companion(op: str, a: ColorHomAlgebra, f: BilinearFormStructure):
+    _require_form(a, f)
+    if f.companion.matrix != identity_map(a.basis).matrix:
         raise StructureError(f"{op} expects a form with identity companion")
 
 
 def _require_alpha_companion(op: str, a: ColorHomAlgebra, f: BilinearFormStructure):
+    _require_form(a, f)
     if f.companion.matrix != a.alpha.matrix:
         raise StructureError(f"{op} expects the twisting map as companion")
 
@@ -180,7 +188,7 @@ def quadratic_yau_twist(a: ColorHomAlgebra, f: BilinearFormStructure, beta: Grad
     B'(x, y) = B(beta(x), y) whose companion is again the identity.
     Returns (algebra, form).
     """
-    _require_identity_companion("quadratic_yau_twist", f)
+    _require_identity_companion("quadratic_yau_twist", a, f)
     if checked:
         _require("quadratic_yau_twist", "hom-novikov", check_hom_novikov(a))
         _require(
@@ -204,7 +212,7 @@ def quadratic_commutator(a: ColorHomAlgebra, f: BilinearFormStructure, *, checke
 
     The form stays invariant for the bracket; returns (algebra, form).
     """
-    _require_identity_companion("quadratic_commutator", f)
+    _require_identity_companion("quadratic_commutator", a, f)
     if checked:
         _require("quadratic_commutator", "hom-novikov", check_hom_novikov(a))
         _require(

@@ -4,10 +4,11 @@ search_maps solves each predicate's linear part (the conditions of degree
 1 in the map among its declarations in checks.PREDICATE_CONDITIONS) and
 backtracks over the solutions, so its answer must equal running the
 predicate on every even matrix over the value set (tests/search_oracle.py)
-whenever the leaves of its search tree fit the budget.  A weak morphism has
-no linear part, but its search checks each product pair as soon as it can
-and sets the columns the pairs force, so it stays exact far past the budget
-that would cover every matrix.  The guard at the end makes a condition
+whenever the leaves of its search tree fit the budget.  The search of a
+predicate that declares a product-morphism condition (weak morphisms,
+morphisms, symmetric automorphisms) checks each product pair as soon as it
+can and sets the columns the pairs force, so it stays exact far past the
+budget that would cover every matrix.  The guard at the end makes a condition
 taken as linear by mistake fail a test instead of silently losing hits.
 """
 
@@ -23,13 +24,12 @@ from search_oracle import brute_force_search, candidates, even_positions, sample
 from colorhom.catalog import (
     CHECK,
     OPERATIONS,
-    _forces_products,
     build_entry,
     search_maps,
     standard_entries,
     truncated_polynomial,
 )
-from colorhom.checks import condition_residual, is_weak_morphism, linear_conditions
+from colorhom.checks import PREDICATE_CONDITIONS, condition_residual, is_weak_morphism, linear_conditions
 from colorhom.core import GradedBasis, identity_map, make_algebra, make_map
 from colorhom.errors import StructureError
 from colorhom.grading import GradeGroup, make_bicharacter, trivial_bicharacter
@@ -239,10 +239,41 @@ def test_weak_morphism_search_is_brute_force_past_the_budget(seed, budget):
 
 
 def test_morphism_search_is_brute_force_at_a_budget_covering_every_matrix():
-    # alpha is the identity, so the linear part fixes nothing: every matrix is a leaf
+    # alpha is the identity, so the linear part fixes nothing
     a, expected = tp3_f5_brute_force()
     found = search_maps(a, "morphism", values=(-1, 0, 1), budget=3 ** 9)
     assert [m.matrix for m in found] == expected["morphism"]
+
+
+def test_morphism_search_is_brute_force_at_the_default_budget():
+    # the linear part fixes nothing, and the product pairs prune and force as
+    # for weak morphisms; a search that only checks leaves stops after 10^4 of
+    # the 3^9 matrices
+    a, expected = tp3_f5_brute_force()
+    found = search_maps(a, "morphism", values=(-1, 0, 1))
+    assert len(expected["morphism"]) == 10
+    assert [m.matrix for m in found] == expected["morphism"]
+
+
+# 3-dimensional algebras over F_p: (p, {(i, j): {k: c}}, alpha's rows).  alpha
+# mixes columns, so twist compatibility fixes an entry of one column by free
+# entries of a later one; a pair that forced that later column would skip the
+# branch that fills the fixed entry and lose hits
+MIXING_ALPHA_CASES = [
+    (3, {(1, 0): {0: 1}, (1, 1): {1: 1, 2: -1}}, ((1, 0, 1), (0, 1, 2), (0, 0, -1))),
+    (5, {(0, 0): {2: -1}, (0, 1): {0: 1, 1: 1}, (1, 1): {1: -1, 2: 2}, (1, 2): {1: 1}}, ((0, 0, 2), (0, 0, 0), (0, 0, -1))),
+]
+
+
+@pytest.mark.parametrize("p, cells, alpha", MIXING_ALPHA_CASES, ids=["F3", "F5"])
+def test_morphism_search_forces_no_column_whose_branch_fills_a_fixed_entry(p, cells, alpha):
+    field = prime_field(p)
+    basis = GradedBasis(field, GradeGroup(0), (GradeGroup(0).zero(),) * 3)
+    structure = [[[cells.get((i, j), {}).get(k, 0) for k in range(3)] for j in range(3)] for i in range(3)]
+    a = make_algebra(basis, trivial_bicharacter(field, basis.group), structure, make_map(basis, alpha))
+    expected = [m.matrix for m in brute_force_search(a, "morphism", candidates(a, (-1, 0, 1)))]
+    found = search_maps(a, "morphism", values=(-1, 0, 1), budget=3 ** 9)
+    assert [m.matrix for m in found] == expected
 
 
 def test_a_budget_below_the_leaf_count_returns_a_deterministic_prefix():
@@ -285,8 +316,11 @@ def test_the_derived_linear_parts_and_which_search_forces_products():
     assert sided == {name for name in ONE_MAP_PREDICATES if "side" in OPERATIONS[name].takes}
     for (name, side), expected in LINEAR_PARTS.items():
         assert linear_conditions(name, side) == expected, (name, side)
-        # the search forces whole columns, which a fixed entry could contradict
-        assert _forces_products(name, side) == (name == "weak_morphism"), (name, side)
+    # the searches that check and force product pairs
+    declares_products = {
+        name for name, groups in PREDICATE_CONDITIONS.items() if any("product-morphism" in g for g in groups)
+    }
+    assert declares_products == {"weak_morphism", "morphism", "symmetric_automorphism"}
 
 
 @pytest.mark.parametrize("budget", [None, 2.5, "10", True, False, Fraction(3)])

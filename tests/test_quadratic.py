@@ -8,6 +8,7 @@ from colorhom.catalog import (
     build_entry,
     pairing_form,
     scaling_morphism,
+    search_maps,
     truncated_polynomial,
 )
 from colorhom.checks import Witness, check_hom_novikov
@@ -24,7 +25,7 @@ from colorhom.quadratic import (
     quadratic_yau_twist,
     regular_quadratic_commutator,
 )
-from colorhom.scalars import rationals
+from colorhom.scalars import prime_field, rationals
 
 
 Q = rationals()
@@ -200,3 +201,33 @@ def test_form_constructor_validation():
                 trivial_basis(Q, 2), ((1, 0), (0, 1)), identity_map(trivial_basis(Q, 2))
             ),
         )
+
+
+def _entry_points(a, form):
+    """Every quadratic entry point that takes a form, called with form."""
+    m = identity_map(a.basis)
+    return {
+        "search_maps": lambda: search_maps(a, "symmetric_automorphism", form=form),
+        "check_quadratic_structure": lambda: check_quadratic_structure(a, form),
+        "is_symmetric_automorphism": lambda: is_symmetric_automorphism(a, form, m),
+        "quadratic_yau_twist": lambda: quadratic_yau_twist(a, form, m),
+        "quadratic_commutator": lambda: quadratic_commutator(a, form),
+        "regular_quadratic_commutator": lambda: regular_quadratic_commutator(a, form),
+        "quadratic_untwist_involutive": lambda: quadratic_untwist_involutive(a, form),
+    }
+
+
+@pytest.mark.parametrize("form", ["x", object(), 0, ((1, 0), (0, 1))], ids=["str", "object", "int", "gram"])
+@pytest.mark.parametrize("name", list(_entry_points(truncated_polynomial(2), None)))
+def test_a_form_argument_that_is_not_a_form_is_a_structure_error(name, form):
+    call = _entry_points(truncated_polynomial(2), form)[name]
+    with pytest.raises(StructureError, match="BilinearFormStructure"):
+        call()
+
+
+@pytest.mark.parametrize("name", list(_entry_points(truncated_polynomial(2), None)))
+def test_a_form_on_another_basis_is_a_structure_error(name):
+    a = truncated_polynomial(2)
+    other = pairing_form(truncated_polynomial(2, prime_field(5)))
+    with pytest.raises(StructureError, match="different basis"):
+        _entry_points(a, other)[name]()

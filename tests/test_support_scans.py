@@ -9,6 +9,7 @@ through each term shape alone, written C(p,q) = x_p*x_q, L(p,q;r) =
 (x_p*x_q)*alpha(x_r) and R(p;q,r) = alpha(x_p)*(x_q*x_r) in their ids.
 """
 
+import random
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -197,6 +198,56 @@ def test_identity_sides_sum_the_terms_like_the_oracle(a, data):
         expected = sides(a, eps, range(arity), [core.sparse_vector(field, v) for v in vectors])
         got = checks.identity_sides(a, name, degrees, vectors)
         assert repr(got) == repr(tuple(core.dense_vector(field, n, x) for x in expected)), name
+
+
+# ---------------------------------------------------------------------------
+# bracket operators with a vanishing defect
+#
+# With f = diag(d), the defect of (e_i, e_j) is the sum over the terms c e_m of
+# e_i * e_j of (d_m (d_i + d_j) - d_i d_j) c e_m.  Cells keep only the terms
+# where that factor is zero, so defect-centrality holds and every case reaches
+# operator-right-commutativity.
+
+OPERATOR_DIAGONAL = (0, 1, 2, Fraction(1, 2), Fraction(2, 3), -1)
+
+
+def defect_free_case(seed):
+    """A seeded (l, f) with a vanishing defect: f = diag(d), alpha diagonal of 0s and 1s."""
+    rng = random.Random(seed)
+    field = rng.choice((Q, prime_field(5), prime_field(7)))
+    group, bichar = rng.choice((_trivial, _z2_sign))(field)
+    n = rng.randint(2, 6)
+    degrees = tuple(group.element((rng.randrange(2),) if group.torsion_orders else ()) for _ in range(n))
+    basis = GradedBasis(field, group, degrees)
+    d = [field.coerce(rng.choice(OPERATOR_DIAGONAL)) for _ in range(n)]
+    structure = [[[field.zero] * n for _ in range(n)] for _ in range(n)]
+    for i, j in iproduct(range(n), repeat=2):
+        targets = [
+            m for m in range(n)
+            if degrees[m] == degrees[i] + degrees[j] and d[m] * (d[i] + d[j]) == d[i] * d[j]
+        ]
+        if targets and rng.random() < 0.5:
+            for m in rng.sample(targets, rng.randint(1, min(2, len(targets)))):
+                structure[i][j][m] = field.coerce(rng.choice((1, -1, 2)))
+
+    def diagonal(values):
+        return make_map(basis, [[values[k] if k == i else 0 for i in range(n)] for k in range(n)])
+
+    alpha = diagonal([rng.randrange(2) for _ in range(n)])
+    return make_algebra(basis, bichar, structure, alpha), diagonal(d)
+
+
+def test_bracket_operator_conditions_match_the_oracle_past_defect_centrality():
+    reached = {}
+    for seed in range(1200):
+        l, f = defect_free_case(seed)
+        verdict = checks.check_bracket_operator_conditions(l, f)
+        assert repr(verdict) == repr(scan_oracle.bracket_operator_conditions(l, f)), seed
+        stage = verdict.witness.identity if verdict.witness else "pass"
+        reached[stage] = reached.get(stage, 0) + 1
+    # the corpus passes and fails the last stage, and no earlier stage fails
+    assert set(reached) == {"pass", "operator-right-commutativity"}, reached
+    assert min(reached.values()) >= 100, reached
 
 
 # ---------------------------------------------------------------------------
