@@ -46,8 +46,8 @@ from .core import (
     ColorHomAlgebra,
     GradedBasis,
     GradedLinearMap,
+    _Columns,
     _algebra_from_cells,
-    _even_map_of_parts,
     _gauss_rank_inverse,
     identity_map,
     make_map,
@@ -162,8 +162,10 @@ def scaling_morphism(a: ColorHomAlgebra, c, weights=None) -> GradedLinearMap:
 
 def _map_of_entries(a: ColorHomAlgebra, entries: dict) -> GradedLinearMap:
     """The map on a's basis with entry (k, i) = entries[k, i], zero elsewhere."""
-    n, zero = a.dim, a.field.zero
-    return make_map(a.basis, [[entries.get((k, i), zero) for i in range(n)] for k in range(n)])
+    columns = tuple({} for _ in range(a.dim))
+    for (k, i), v in entries.items():
+        columns[i][k] = v
+    return GradedLinearMap(a.basis, _Columns(columns))
 
 
 def super_commutative_line(field: ScalarField | None = None) -> ColorHomAlgebra:
@@ -559,14 +561,11 @@ def search_maps(
     positions = [(k, i) for k in range(n) for i in range(n) if degs[k] == degs[i]]
 
     def candidate(assignment):
-        # entries are coerced and on even positions: the map needs no second pass
-        rows = [[zero] * n for _ in range(n)]
-        columns = [{} for _ in range(n)]
+        columns = tuple({} for _ in range(n))
         for (k, i), v in zip(positions, assignment):
-            rows[k][i] = v
             if v:
                 columns[i][k] = kernel[v]
-        return _even_map_of_parts(a.basis, tuple(tuple(r) for r in rows), columns)
+        return GradedLinearMap(a.basis, _Columns(columns))
 
     def arguments(m):
         return [m if arg == "map" else given[arg] for arg in op.takes]
@@ -664,7 +663,7 @@ def search_maps(
             leaves += 1
             m = candidate(assignment)
             if op.call(a, *arguments(m)):
-                hits.append(m)
+                hits.append((tuple(map(field.sort_key, assignment)), m))
             return
         if columns[column] is not None:  # forced
             descend(column + 1)
@@ -684,8 +683,10 @@ def search_maps(
             del trail[mark:]
 
     descend(0)
-    hits.sort(key=lambda m: tuple(field.sort_key(v) for row in m.matrix for v in row))
-    return hits
+    # positions are row-major and every other entry is zero, so this is the
+    # order of the hits' matrices
+    hits.sort(key=lambda hit: hit[0])
+    return [m for _, m in hits]
 
 
 def _pairs_by_column(a: ColorHomAlgebra) -> list:

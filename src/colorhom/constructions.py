@@ -27,6 +27,7 @@ from .core import (
     ColorHomAlgebra,
     GradedBasis,
     GradedLinearMap,
+    _Columns,
     _algebra_from_cells,
     _bracket_cell,
     _operator_cell,
@@ -201,7 +202,7 @@ def composed_derivation_product(a: ColorHomAlgebra, d: GradedLinearMap, *, check
         if not d.is_even:
             raise HypothesisError(op, "even-derivation", detail="derivation has nonzero degree")
         _require(op, "derivation", is_derivation(plain, d))
-        if compose_maps(d, m).matrix != compose_maps(m, d).matrix:
+        if compose_maps(d, m) != compose_maps(m, d):
             raise HypothesisError(
                 op, "twist-commutation", detail="derivation does not commute with the morphism"
             )
@@ -248,7 +249,7 @@ def direct_sum(a: ColorHomAlgebra, b: ColorHomAlgebra) -> ColorHomAlgebra:
     summands are (a conclusion, checked by callers).
     """
     _require_shared_grading(a, b, "direct sum")
-    na, nb = a.dim, b.dim
+    na = a.dim
     basis = GradedBasis(a.field, a.group, a.degrees + b.degrees)
     ra, rb = a.product_rows, b.product_rows
 
@@ -259,12 +260,8 @@ def direct_sum(a: ColorHomAlgebra, b: ColorHomAlgebra) -> ColorHomAlgebra:
             return {na + k: c for k, c in rb[i - na][j - na].items()}
         return {}
 
-    zero = a.field.zero
-    alpha = GradedLinearMap(
-        basis,
-        tuple(row + (zero,) * nb for row in a.alpha.matrix)
-        + tuple((zero,) * na + row for row in b.alpha.matrix),
-    )
+    shifted = tuple({na + k: c for k, c in column.items()} for column in b.alpha.sparse_columns)
+    alpha = GradedLinearMap(basis, _Columns(a.alpha.sparse_columns + shifted))
     return _algebra_from_cells(basis, a.bicharacter, cell, alpha)
 
 
@@ -306,11 +303,11 @@ def tensor_product(s: ColorHomAlgebra, a: ColorHomAlgebra, *, checked: bool = Tr
             for r, ar in ra[p][q].items()
         }
 
-    sm, am = s.alpha.matrix, a.alpha.matrix
-    alpha = GradedLinearMap(basis, tuple(
-        tuple(sm[k][i] * am[r][p] for i in range(ns) for p in range(na))
-        for k in range(ns) for r in range(na)
-    ))
+    # alpha(e_i ⊗ e_p) = alpha(e_i) ⊗ alpha(e_p): the Kronecker product of the columns
+    alpha = GradedLinearMap(basis, _Columns(tuple(
+        {k * na + r: sk * ar for k, sk in sc.items() for r, ar in ac.items()}
+        for sc in s.alpha.sparse_columns for ac in a.alpha.sparse_columns
+    )))
     return _algebra_from_cells(basis, s.bicharacter, cell, alpha)
 
 

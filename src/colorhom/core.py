@@ -2,28 +2,28 @@
 
 Conventions used everywhere in the package:
   * vectors are coordinate tuples over the basis, tuple index = basis index;
-  * a map's matrix is stored row-major, matrix[k][i] = coefficient of e_k in
-    the image of e_i (so columns are images of basis vectors);
+  * a map's matrix is row-major, matrix[k][i] = coefficient of e_k in the
+    image of e_i (so columns are images of basis vectors);
   * the product tensor is structure[i][j][k] = coefficient of e_k in e_i * e_j.
 
 All containers are tuples and all dataclasses frozen; operations return new
 objects and never mutate their inputs.
 
 An algebra stores its product sparsely, as product_rows[i][j] = {k: c} over
-the nonzero coefficients of e_i * e_j; the dense structure tensor is built
-from the rows only when something reads it, so an algebra, and the load of
-a document, costs what its nonzeros, alpha and eps table cost.  Maps carry
-their nonzero columns and algebras their eps value per pair of basis
-indices, as views excluded from equality and repr; product_index, which
-says where products with alpha can be nonzero, is built on first read.
-The kernel (sparse_product, sparse_apply) on sparse vectors, {index:
-nonzero coefficient}, is the only way the package evaluates products and
-maps.
+the nonzero coefficients of e_i * e_j, and a map its sparse_columns[i] =
+{k: c} over the nonzero coefficients of the image of e_i; the dense
+structure tensor and matrix are built only when something reads them, so
+an algebra, and the load of a document, costs what its nonzeros and eps
+table cost.  Algebras carry their eps value per pair of basis indices as a
+view excluded from equality and repr; product_index, which says where
+products with alpha can be nonzero, is built on first read.  The kernel
+(sparse_product, sparse_apply) on sparse vectors, {index: nonzero
+coefficient}, is the only way the package evaluates products and maps.
 Coordinate tuples appear only at the boundary: eval_product, eval_map,
-commutator_tensor and structure convert, and make_algebra accepts a dense
-tensor.
+commutator_tensor, structure and matrix convert, and make_algebra and
+GradedLinearMap accept dense input.
 
-The rows, the views and sparse vectors hold kernel scalars, not field
+The rows, columns, views and sparse vectors hold kernel scalars, not field
 elements (see ScalarField.kernel_scalar): over Q an int for an integral
 value and a Fraction only for a true fraction, over F_p an int residue.
 Every value enters the kernel through kernel_scalar, which reduces it into
@@ -89,11 +89,6 @@ __all__ = [
 _EMPTY: dict = {}
 
 
-def _derived():
-    """A field computed at construction, invisible to equality, hashing and repr."""
-    return dataclasses.field(init=False, compare=False, repr=False)
-
-
 @dataclass(frozen=True)
 class GradedBasis:
     """An ordered basis with a degree per index, over a fixed scalar field."""
@@ -122,48 +117,73 @@ def trivial_basis(field: ScalarField, dim: int) -> GradedBasis:
     return GradedBasis(field, g, tuple(g.zero() for _ in range(dim)))
 
 
-@dataclass(frozen=True)
+class _Columns(NamedTuple):
+    """A map as computed columns, i -> {k: coefficient of e_k in the image of e_i}, in place of a matrix."""
+
+    columns: tuple
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class GradedLinearMap:
     """A homogeneous linear endomap of a graded basis.
 
     Homogeneity of degree d means matrix[k][i] != 0 forces
     deg(e_k) = deg(e_i) + d; maps of degree 0 are called even.
+    GradedLinearMap(basis, matrix, degree) coerces a dense matrix and checks
+    its shape, or takes _Columns in its place; either way every nonzero entry
+    is checked for homogeneity, and the first offending (k, i) in row-major
+    order is named.
+
+    Stored: sparse_columns[i] = {k: c} over the nonzero entries, as kernel
+    scalars with k ascending and one shared empty column, so equal columns
+    mean equal matrices; equality and hashing read them.  matrix is built
+    from the columns on first read and cached.
     """
 
     basis: GradedBasis
-    matrix: tuple
-    degree: GroupElement | None = None
-    # sparse_columns[i] = {k: matrix[k][i]} over the nonzero entries
-    sparse_columns: tuple = _derived()
+    sparse_columns: tuple
+    degree: GroupElement
 
-    def __post_init__(self):
-        basis = self.basis
-        n = basis.dim
-        deg = self.degree if self.degree is not None else basis.group.zero()
+    def __init__(self, basis: GradedBasis, matrix, degree: GroupElement | None = None):
+        n, degs, field = basis.dim, basis.degrees, basis.field
+        deg = degree if degree is not None else basis.group.zero()
         if not isinstance(deg, GroupElement) or deg.group != basis.group:
             raise StructureError("map degree not in the grading group")
-        field = basis.field
-        rows = tuple(tuple(field.coerce(v) for v in row) for row in self.matrix)
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise StructureError(f"matrix must be {n}x{n}")
-        degs = basis.degrees
-        # targets[i]: the one degree a nonzero entry of column i may land in
-        targets = degs if deg.is_zero else tuple(d + deg for d in degs)
+        if isinstance(matrix, _Columns):
+            columns = matrix.columns
+        else:
+            rows = tuple(tuple(map(field.coerce, row)) for row in matrix)
+            if len(rows) != n or any(len(r) != n for r in rows):
+                raise StructureError(f"matrix must be {n}x{n}")
+            columns = [{k: row[i] for k, row in enumerate(rows) if row[i]} for i in range(n)]
         kernel_scalar = field.kernel_scalar
-        columns = [{} for _ in range(n)]
-        for k, row in enumerate(rows):
-            dk = degs[k]
-            for i, v in enumerate(row):
-                if v:
-                    if dk != targets[i]:
-                        raise StructureError(
-                            f"entry ({k},{i}) breaks homogeneity of degree {deg}",
-                            indices=(k, i),
-                        )
-                    columns[i][k] = kernel_scalar(v)
-        object.__setattr__(self, "matrix", rows)
+        stored = tuple({k: v for k in sorted(c) if (v := kernel_scalar(c[k]))} or _EMPTY for c in columns)
+        # targets[i]: the coordinates of the one degree a nonzero entry of column i may land in
+        coords = [d.coords for d in degs]
+        targets = coords if deg.is_zero else [(d + deg).coords for d in degs]
+        offending = [(k, i) for i, c in enumerate(stored) for k in c if coords[k] != targets[i]]
+        if offending:
+            k, i = min(offending)
+            raise StructureError(f"entry ({k},{i}) breaks homogeneity of degree {deg}", indices=(k, i))
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "sparse_columns", stored)
         object.__setattr__(self, "degree", deg)
-        object.__setattr__(self, "sparse_columns", tuple(c or _EMPTY for c in columns))
+
+    @cached_property
+    def matrix(self) -> tuple:
+        """The dense matrix, matrix[k][i] the e_k coefficient of the image of e_i, built on first read."""
+        field, n = self.basis.field, self.basis.dim
+        return tuple(zip(*(dense_vector(field, n, c) for c in self.sparse_columns)))
+
+    def __hash__(self):
+        # columns keep their keys in ascending order, so items() is canonical
+        return hash((self.basis, tuple(tuple(c.items()) for c in self.sparse_columns), self.degree))
+
+    def __repr__(self):
+        return (
+            f"{type(self).__qualname__}(basis={self.basis!r}, matrix={self.matrix!r}, "
+            f"degree={self.degree!r})"
+        )
 
     @property
     def is_even(self) -> bool:
@@ -173,38 +193,17 @@ class GradedLinearMap:
         return tuple(row[i] for row in self.matrix)
 
 
-def _even_map_of_parts(basis: GradedBasis, matrix: tuple, columns: list) -> GradedLinearMap:
-    """An even map from coerced rows, nonzero on even positions only, and their sparse columns.
-
-    Nothing is coerced or checked again: for a caller that built both parts.
-    """
-    m = object.__new__(GradedLinearMap)
-    object.__setattr__(m, "basis", basis)
-    object.__setattr__(m, "matrix", matrix)
-    object.__setattr__(m, "degree", basis.group.zero())
-    object.__setattr__(m, "sparse_columns", tuple(c or _EMPTY for c in columns))
-    return m
-
-
 def make_map(basis: GradedBasis, rows, degree: GroupElement | None = None) -> GradedLinearMap:
     return GradedLinearMap(basis, tuple(tuple(r) for r in rows), degree)
 
 
 def identity_map(basis: GradedBasis) -> GradedLinearMap:
-    one, zero = basis.field.one, basis.field.zero
-    n = basis.dim
-    return GradedLinearMap(
-        basis, tuple(tuple(one if k == i else zero for i in range(n)) for k in range(n))
-    )
+    return GradedLinearMap(basis, _Columns(tuple({i: 1} for i in range(basis.dim))))
 
 
 def scalar_map(basis: GradedBasis, s) -> GradedLinearMap:
     s = basis.field.coerce(s)
-    zero = basis.field.zero
-    n = basis.dim
-    return GradedLinearMap(
-        basis, tuple(tuple(s if k == i else zero for i in range(n)) for k in range(n))
-    )
+    return GradedLinearMap(basis, _Columns(tuple({i: s} for i in range(basis.dim))))
 
 
 def eval_map(m: GradedLinearMap, x) -> tuple:
@@ -234,9 +233,8 @@ def compose_maps(m: GradedLinearMap, n: GradedLinearMap) -> GradedLinearMap:
     """m after n; degrees add."""
     if m.basis != n.basis:
         raise StructureError("composition needs a shared basis")
-    field, dim = m.basis.field, m.basis.dim
-    columns = [dense_vector(field, dim, sparse_apply(m, column)) for column in n.sparse_columns]
-    return GradedLinearMap(m.basis, tuple(zip(*columns)), m.degree + n.degree)
+    columns = tuple(sparse_apply(m, column) for column in n.sparse_columns)
+    return GradedLinearMap(m.basis, _Columns(columns), m.degree + n.degree)
 
 
 def map_power(m: GradedLinearMap, n: int) -> GradedLinearMap:
@@ -375,7 +373,7 @@ class ColorHomAlgebra:
     bicharacter: Bicharacter
     product_rows: tuple
     alpha: GradedLinearMap
-    eps_table: tuple = _derived()
+    eps_table: tuple = dataclasses.field(compare=False)
 
     def __init__(self, basis: GradedBasis, bicharacter: Bicharacter, structure, alpha: GradedLinearMap):
         cell = structure.cell if isinstance(structure, _Cells) else _dense_cell(basis, structure)

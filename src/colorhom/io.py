@@ -144,19 +144,19 @@ def _document(algebra: ColorHomAlgebra, maps, forms, provenance) -> dict:
             name: _map_to_json(f, maps[name]) for name in sorted(maps)
         }
     if forms:
-        alpha_matrix = algebra.alpha.matrix
-        ident_matrix = identity_map(algebra.basis).matrix
+        ident = identity_map(algebra.basis)
         section = {}
         for name in sorted(forms):
             form = forms[name]
-            if form.companion.matrix == ident_matrix:
+            # maps compare with their degree: an odd map may share the companion's matrix
+            if form.companion == ident:
                 companion = "id"
-            elif form.companion.matrix == alpha_matrix:
+            elif form.companion == algebra.alpha:
                 companion = "alpha"
             else:
                 companion = None
                 for mname in sorted(maps or {}):
-                    if maps[mname].matrix == form.companion.matrix:
+                    if maps[mname] == form.companion:
                         companion = mname
                         break
                 if companion is None:

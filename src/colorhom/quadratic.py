@@ -165,13 +165,13 @@ def is_symmetric_automorphism(a: ColorHomAlgebra, f: BilinearFormStructure, phi:
 
 def _require_identity_companion(op: str, a: ColorHomAlgebra, f: BilinearFormStructure):
     _require_form(a, f)
-    if f.companion.matrix != identity_map(a.basis).matrix:
+    if f.companion != identity_map(a.basis):
         raise StructureError(f"{op} expects a form with identity companion")
 
 
 def _require_alpha_companion(op: str, a: ColorHomAlgebra, f: BilinearFormStructure):
     _require_form(a, f)
-    if f.companion.matrix != a.alpha.matrix:
+    if f.companion != a.alpha:
         raise StructureError(f"{op} expects the twisting map as companion")
 
 

@@ -1,13 +1,16 @@
 """Bases, graded maps, exact linear algebra, and the algebra container."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colorhom.catalog import build_entry, scaling_morphism, truncated_polynomial
+from colorhom.catalog import build_entry, scaling_morphism, standard_entries, truncated_polynomial
 from colorhom.core import (
     GradedBasis,
+    GradedLinearMap,
+    _Columns,
     commutator_tensor,
     compose_maps,
     determinant,
@@ -91,6 +94,49 @@ def test_odd_map_is_allowed_with_matching_degree():
     # the same matrix without the degree annotation is rejected
     with pytest.raises(StructureError):
         make_map(b, ((0, 0), (1, 0)))
+
+
+def test_columns_name_the_same_first_offending_entry_as_the_matrix():
+    b = super_basis(Q, (0, 1))
+    # (1, 0) comes first by column, (0, 1) first by row
+    with pytest.raises(StructureError) as dense:
+        make_map(b, ((0, 1), (1, 0)))
+    with pytest.raises(StructureError) as sparse:
+        GradedLinearMap(b, _Columns(({1: 1}, {0: 1})))
+    assert dense.value.indices == sparse.value.indices == (0, 1)
+    with pytest.raises(StructureError) as info:
+        GradedLinearMap(b, _Columns(({}, {0: Fraction(1, 2)})))
+    assert info.value.indices == (0, 1)
+
+
+def test_columns_reduce_unreduced_ints_and_drop_zeros_mod_p():
+    f5 = prime_field(5)
+    b = trivial_basis(f5, 2)
+    m = GradedLinearMap(b, _Columns(({1: 7, 0: 6}, {1: -1, 0: 5})))
+    assert m.sparse_columns == ({0: 1, 1: 2}, {1: 4})
+    assert list(m.sparse_columns[0]) == [0, 1]
+    assert m == make_map(b, ((1, 0), (2, 4)))
+    # column 0 of the product is 2 e_0 + 3 e_0 = 5 e_0 = 0 over F5
+    both = compose_maps(make_map(b, ((1, 1), (0, 0))), make_map(b, ((2, 0), (3, 0))))
+    assert both.sparse_columns == ({}, {})
+    assert both == make_map(b, ((0, 0), (0, 0)))
+
+
+def test_map_state_is_basis_columns_and_degree():
+    assert [f.name for f in dataclasses.fields(GradedLinearMap)] == ["basis", "sparse_columns", "degree"]
+    m = make_map(trivial_basis(Q, 2), ((1, 2), (0, 3)))
+    assert m.matrix is m.matrix
+    assert repr(m).startswith("GradedLinearMap(basis=") and ", matrix=((Fraction(1, 1)," in repr(m)
+
+
+@pytest.mark.parametrize("field", [Q, prime_field(3), prime_field(5), prime_field(7)], ids=str)
+def test_every_catalog_map_rebuilds_from_its_matrix(field):
+    for entry in standard_entries(field):
+        maps = (entry.algebra.alpha, *entry.maps.values(), *(f.companion for f in entry.forms.values()))
+        for m in (*maps, *(compose_maps(m, m) for m in maps)):
+            again = GradedLinearMap(m.basis, m.matrix, m.degree)
+            assert again == m and hash(again) == hash(m), entry.recipe
+            assert all(list(c) == sorted(c) for c in m.sparse_columns), entry.recipe
 
 
 def test_compose_order_and_degree_addition():

@@ -152,6 +152,19 @@ def test_odd_maps_round_trip_with_their_degree():
     assert parsed.maps["raise"].matrix == raising.matrix
 
 
+def test_an_odd_map_with_the_companion_matrix_is_not_named_as_companion():
+    sl = build_entry("super_commutative_line", Q).algebra
+    zeros = ((0, 0), (0, 0))
+    odd_zero = make_map(sl.basis, zeros, degree=GroupElement(sl.group, (1,)))
+    even_zero = make_map(sl.basis, zeros)
+    form = BilinearFormStructure(sl.basis, ((1, 0), (0, 0)), even_zero)
+    text = serialize_document(sl, {"a": odd_zero, "b": even_zero}, {"f": form})
+    assert json.loads(text)["forms"]["f"]["companion"] == "b"
+    parsed = parse_document(text)
+    assert parsed.forms["f"].companion == even_zero
+    assert parsed.maps["a"] == odd_zero
+
+
 def test_digest_is_stable_and_prefixed():
     text = serialize_document(truncated_polynomial(2))
     d = document_digest(text)

@@ -10,7 +10,9 @@ unnoticed.
 An algebra is built from sparse cells through core._algebra_from_cells;
 only core takes a dense tensor (make_algebra, ColorHomAlgebra(...)), and an
 algebra's dense structure tensor is built on demand, at n^3 cost, so no
-module but core reads it either.  __init__.py only re-exports.
+module but core reads it either.  A map's dense matrix is built on demand
+too; outside core only a few boundary reads take it: the document writer
+and the two rank tests.  __init__.py only re-exports.
 """
 
 import ast
@@ -113,3 +115,31 @@ def test_the_structure_guard_sees_a_read():
     assert _reads_structure(ast.parse("t = algebra.structure[0][1]\n"))
     assert _reads_structure(ast.parse("make_algebra(a.basis, a.bicharacter, a.structure, m)\n"))
     assert not _reads_structure(ast.parse("structure = a.product_rows\nb.structure_constants\n"))
+
+
+# (module, top-level function) of every read of a map's dense .matrix outside core
+MATRIX_READS = {
+    ("io.py", "_document"),
+    ("io.py", "_map_to_json"),
+    ("checks.py", "check_regular"),
+    ("quadratic.py", "is_symmetric_automorphism"),
+}
+
+
+def _matrix_reads(module, tree):
+    """(module, top-level definition) for every .matrix attribute; "<module>" outside any."""
+    for top in tree.body:
+        if any(isinstance(node, ast.Attribute) and node.attr == "matrix" for node in ast.walk(top)):
+            yield module, getattr(top, "name", "<module>")
+
+
+def test_only_the_boundary_reads_a_dense_map_matrix():
+    reads = {read for module in GUARDED for read in _matrix_reads(module, _tree(module))}
+    assert reads == MATRIX_READS
+
+
+def test_the_matrix_guard_sees_a_read():
+    tree = ast.parse("def f(m):\n    return m.matrix[0]\nrows = a.alpha.matrix\n")
+    assert set(_matrix_reads("x.py", tree)) == {("x.py", "f"), ("x.py", "<module>")}
+    tree = ast.parse("def f(doc):\n    matrix = doc['matrix']\n    return m.sparse_columns, matrix\n")
+    assert not set(_matrix_reads("x.py", tree))
