@@ -117,9 +117,8 @@ def truncated_polynomial(n: int, field: ScalarField | None = None) -> ColorHomAl
 def _monomial_algebra(basis: GradedBasis, bichar) -> ColorHomAlgebra:
     """e_i * e_j = e_(i+j), truncated at the dimension; identity twist."""
     n = basis.dim
-    return _algebra_from_cells(
-        basis, bichar, lambda i, j: {i + j: 1} if i + j < n else {}, identity_map(basis)
-    )
+    cells = (((i, j), {i + j: 1}) for i in range(n) for j in range(n - i))
+    return _algebra_from_cells(basis, bichar, cells, identity_map(basis))
 
 
 def dt_derivation(a: ColorHomAlgebra) -> GradedLinearMap:
@@ -269,7 +268,7 @@ def _recipe_z3_graded_nilpotent(field: ScalarField) -> tuple:
     degs = (group.element((1, 0)), group.element((0, 1)), group.element((1, 1)))
     basis = GradedBasis(field, group, degs)
     cells = {(0, 1): {2: g}, (1, 0): {2: one}}
-    a = _algebra_from_cells(basis, bichar, lambda i, j: cells.get((i, j)), identity_map(basis))
+    a = _algebra_from_cells(basis, bichar, cells.items(), identity_map(basis))
     return a, _UNITAL_CLAIMS, {}, {}
 
 
@@ -281,10 +280,7 @@ def _recipe_solvable_bracket(field: ScalarField) -> tuple:
     """
     basis = trivial_basis(field, 2)
     cells = {(0, 1): {1: 1}, (1, 0): {1: -1}}
-    a = _algebra_from_cells(
-        basis, trivial_bicharacter(field, basis.group), lambda i, j: cells.get((i, j)),
-        identity_map(basis),
-    )
+    a = _algebra_from_cells(basis, trivial_bicharacter(field, basis.group), cells.items(), identity_map(basis))
     claims = (
         "hom_lie", "lie_admissible", "cyclic_commutator_products",
         "multiplicative", "regular", "involutive",
@@ -294,9 +290,7 @@ def _recipe_solvable_bracket(field: ScalarField) -> tuple:
 
 def _recipe_zero_algebra(field: ScalarField, dim: int = 2) -> tuple:
     basis = trivial_basis(field, dim)
-    a = _algebra_from_cells(
-        basis, trivial_bicharacter(field, basis.group), lambda i, j: {}, identity_map(basis)
-    )
+    a = _algebra_from_cells(basis, trivial_bicharacter(field, basis.group), (), identity_map(basis))
     claims = (
         "epsilon_commutative", "hom_associative", "hom_novikov", "left_symmetric",
         "hom_lie", "lie_admissible", "cyclic_commutator_products",

@@ -46,9 +46,8 @@ from typing import NamedTuple
 from .core import (
     ColorHomAlgebra,
     GradedLinearMap,
-    _algebra_from_cells,
-    _bracket_cell,
-    _operator_cell,
+    _bracket,
+    _operator_product,
     _require_even_endo,
     dense_vector,
     homogeneous_components,
@@ -532,8 +531,7 @@ def check_cyclic_commutator_products(a: ColorHomAlgebra) -> Verdict:
 
 def check_lie_admissible(a: ColorHomAlgebra) -> Verdict:
     """The commutator bracket of a satisfies the Hom-Lie axioms."""
-    bracket = _algebra_from_cells(a.basis, a.bicharacter, _bracket_cell(a), a.alpha)
-    return check_hom_lie(bracket)
+    return check_hom_lie(_bracket(a))
 
 
 # ---------------------------------------------------------------------------
@@ -765,6 +763,5 @@ def check_bracket_operator_conditions(l: ColorHomAlgebra, f: GradedLinearMap) ->
     v = _first_failure(l, nonzero_defect, [centrality])
     if not v:
         return v
-    product = _algebra_from_cells(l.basis, l.bicharacter, _operator_cell(l, f), l.alpha)
-    v = _scan(product, "right-commutativity")
+    v = _scan(_operator_product(l, f), "right-commutativity")
     return v or Verdict(False, replace(v.witness, identity="operator-right-commutativity"))

@@ -14,14 +14,17 @@ the nonzero coefficients of e_i * e_j, and a map its sparse_columns[i] =
 {k: c} over the nonzero coefficients of the image of e_i; the dense
 structure tensor and matrix are built only when something reads them, so
 an algebra, and the load of a document, costs what its nonzeros and eps
-table cost.  Algebras carry their eps value per pair of basis indices as a
-view excluded from equality and repr; product_index, which says where
-products with alpha can be nonzero, is built on first read.  The kernel
-(sparse_product, sparse_apply) on sparse vectors, {index: nonzero
-coefficient}, is the only way the package evaluates products and maps.
-Coordinate tuples appear only at the boundary: eval_product, eval_map,
-commutator_tensor, structure and matrix convert, and make_algebra and
-GradedLinearMap accept dense input.
+table cost.  Products enter as data: _algebra_from_cells reads the cells
+((i, j), e_i * e_j) row-major over the pairs that can be nonzero, as the
+dense path reads a tensor's, and _cells yields an algebra's nonempty ones,
+so a construction costs its nonzeros rather than n^2 calls.  Algebras
+carry their eps value per pair of basis indices as a view excluded from
+equality and repr; product_index, which says where products with alpha can
+be nonzero, is built on first read.  The kernel (sparse_product,
+sparse_apply) on sparse vectors, {index: nonzero coefficient}, is the only
+way the package evaluates products and maps.  Coordinate tuples appear
+only at the boundary: eval_product, eval_map, commutator_tensor, structure
+and matrix convert, and make_algebra and GradedLinearMap accept dense input.
 
 The rows, columns, views and sparse vectors hold kernel scalars, not field
 elements (see ScalarField.kernel_scalar): over Q an int for an integral
@@ -42,7 +45,7 @@ import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import SingularMapError, StructureError
 from .grading import (
@@ -50,8 +53,8 @@ from .grading import (
     Bicharacter,
     GradeGroup,
     GroupElement,
+    _require_bicharacter,
     bicharacter_eval,
-    validate_bicharacter,
 )
 from .scalars import ScalarField
 
@@ -348,9 +351,9 @@ def invert_map(m: GradedLinearMap) -> GradedLinearMap:
 
 
 class _Cells(NamedTuple):
-    """Products as a sparse cell function, (i, j) -> e_i * e_j, in place of a dense tensor."""
+    """Products as data, ((i, j), e_i * e_j) in row-major order, in place of a dense tensor."""
 
-    cell: Callable
+    cells: Iterable
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -358,8 +361,8 @@ class ColorHomAlgebra:
     """A graded algebra (A, *, eps, alpha) given by structure constants.
 
     ColorHomAlgebra(basis, bicharacter, structure, alpha) takes the dense
-    tensor structure[i][j][k], the e_k coefficient of e_i * e_j, coerces it
-    and checks its shape and the evenness of the product; alpha is the even
+    tensor structure[i][j][k], the e_k coefficient of e_i * e_j, or _Cells,
+    and checks shape and evenness cell by cell, row-major; alpha is the even
     twisting endomap.  make_algebra also validates the bicharacter and alpha.
 
     Stored: product_rows[i][j] = {k: c} over the nonzero coefficients, as
@@ -376,10 +379,10 @@ class ColorHomAlgebra:
     eps_table: tuple = dataclasses.field(compare=False)
 
     def __init__(self, basis: GradedBasis, bicharacter: Bicharacter, structure, alpha: GradedLinearMap):
-        cell = structure.cell if isinstance(structure, _Cells) else _dense_cell(basis, structure)
+        cells = structure.cells if isinstance(structure, _Cells) else _tensor_cells(basis, structure)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "bicharacter", bicharacter)
-        object.__setattr__(self, "product_rows", _stored_rows(basis, cell))
+        object.__setattr__(self, "product_rows", _stored_rows(basis, cells))
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "eps_table", _eps_table(basis.field, bicharacter, basis.degrees))
 
@@ -390,9 +393,12 @@ class ColorHomAlgebra:
 
     @cached_property
     def structure(self) -> tuple:
-        """The dense tensor structure[i][j][k], built from the rows on first read."""
-        rows = self.product_rows
-        return _dense_cells(self.basis, lambda i, j: rows[i][j])
+        """The dense tensor structure[i][j][k], built from the rows on first read; zero cells share a tuple."""
+        field, n = self.basis.field, self.basis.dim
+        zero_cell = (field.zero,) * n
+        return tuple(
+            tuple(dense_vector(field, n, c) if c else zero_cell for c in row) for row in self.product_rows
+        )
 
     def __hash__(self):
         # cells keep their keys in ascending order, so items() is canonical
@@ -473,25 +479,25 @@ def _product_index(rows: tuple, columns: tuple) -> ProductIndex:
     )
 
 
-def _dense_cell(basis: GradedBasis, structure):
-    """A dense tensor read as a cell function; each cell is shape-checked and coerced when read."""
+def _tensor_cells(basis: GradedBasis, structure):
+    """A dense tensor's cells, row-major over every pair; each is shape-checked and coerced when reached."""
     n, coerce = basis.dim, basis.field.coerce
-
-    def cell(i, j):
-        planes_fit = len(structure) == n and len(structure[i]) == n
-        values = tuple(map(coerce, structure[i][j])) if planes_fit else ()
-        if len(values) != n:
-            raise StructureError(f"product tensor must be {n}x{n}x{n}")
-        return {k: c for k, c in enumerate(values) if c}
-
-    return cell
+    for i in range(n):
+        for j in range(n):
+            planes_fit = len(structure) == n and len(structure[i]) == n
+            values = tuple(map(coerce, structure[i][j])) if planes_fit else ()
+            if len(values) != n:
+                raise StructureError(f"product tensor must be {n}x{n}x{n}")
+            yield (i, j), {k: c for k, c in enumerate(values) if c}
 
 
-def _stored_rows(basis: GradedBasis, cell) -> tuple:
-    """The canonical rows of the products cell(i, j) = e_i * e_j, validated in cell order.
+def _stored_rows(basis: GradedBasis, cells) -> tuple:
+    """The canonical rows of the products ((i, j), e_i * e_j), given row-major, validated in cell order.
 
     Each nonempty cell keeps its nonzero coefficients as kernel scalars, keys
-    ascending; an uneven product names its first offending (i, j, k).
+    ascending; an uneven product names its first offending (i, j, k), the
+    row-major first only if the cells come in that order, so a pair out of
+    order or range raises StructureError.  A pair left out is an empty cell.
     """
     n = basis.dim
     kernel_scalar = basis.field.kernel_scalar
@@ -500,28 +506,33 @@ def _stored_rows(basis: GradedBasis, cell) -> tuple:
     # (class of e_i, class of e_j) -> the class of their degree sum, -1 if no
     # basis vector has it; filled only for pairs with a nonempty cell
     sum_class: dict = {}
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            c = cell(i, j)
-            nonzero = {k: v for k in sorted(c) if (v := kernel_scalar(c[k]))} if c else None
-            if not nonzero:
-                row.append(_EMPTY)
-                continue
-            pair = (classes[i], classes[j])
-            target = sum_class.get(pair)
-            if target is None:
-                target = sum_class[pair] = position.get(distinct[pair[0]] + distinct[pair[1]], -1)
-            for k in nonzero:
-                if classes[k] != target:
-                    raise StructureError(
-                        f"product not even: c[{i}][{j}][{k}] != 0 but "
-                        f"deg(e_{k}) != deg(e_{i}) + deg(e_{j})",
-                        indices=(i, j, k),
-                    )
-            row.append(nonzero)
-        rows.append(tuple(row))
+    # rows with no nonempty cell share one tuple; a row with one is a list while it fills
+    empty_row = (_EMPTY,) * n
+    rows = [empty_row] * n
+    last = -1
+    for (i, j), c in cells:
+        if not (0 <= j < n and last < i * n + j < n * n):
+            raise StructureError(f"product cell ({i}, {j}) is out of row-major order or range")
+        last = i * n + j
+        nonzero = {k: v for k in sorted(c) if (v := kernel_scalar(c[k]))} if c else None
+        if not nonzero:
+            continue
+        pair = (classes[i], classes[j])
+        target = sum_class.get(pair)
+        if target is None:
+            target = sum_class[pair] = position.get(distinct[pair[0]] + distinct[pair[1]], -1)
+        for k in nonzero:
+            if classes[k] != target:
+                raise StructureError(
+                    f"product not even: c[{i}][{j}][{k}] != 0 but "
+                    f"deg(e_{k}) != deg(e_{i}) + deg(e_{j})",
+                    indices=(i, j, k),
+                )
+        if rows[i] is empty_row:
+            rows[i] = [_EMPTY] * n
+        rows[i][j] = nonzero
+    for i, row in enumerate(rows):
+        rows[i] = tuple(row)
     return tuple(rows)
 
 
@@ -563,12 +574,7 @@ def make_algebra(basis: GradedBasis, bichar: Bicharacter, structure, alpha: Grad
         raise StructureError("bicharacter and basis use different grading groups")
     if bichar.field != basis.field:
         raise StructureError("bicharacter and basis use different scalar fields")
-    report = validate_bicharacter(bichar)
-    if not report.ok:
-        raise StructureError(
-            f"bicharacter axiom '{report.axiom}' fails at generator pair "
-            f"{report.pair}: {report.detail}"
-        )
+    _require_bicharacter(bichar)
     algebra = ColorHomAlgebra(basis, bichar, structure, alpha)
     _require_even_endo(basis, alpha, "alpha")
     return algebra
@@ -582,24 +588,20 @@ def _require_even_endo(basis: GradedBasis, f: GradedLinearMap, role: str):
         raise StructureError(f"{role} must be even (degree 0)")
 
 
-def _algebra_from_cells(basis: GradedBasis, bicharacter: Bicharacter, cell, alpha: GradedLinearMap) -> ColorHomAlgebra:
-    """make_algebra on the products cell(i, j) = e_i * e_j, given as sparse vectors.
+def _algebra_from_cells(basis: GradedBasis, bicharacter: Bicharacter, cells, alpha: GradedLinearMap) -> ColorHomAlgebra:
+    """make_algebra on the products as data, ((i, j), e_i * e_j) with sparse vectors.
 
-    The one way an algebra is built from computed products: make_algebra
-    validates the cells and stores them as the algebra's rows, with no
-    dense tensor in between.
+    The one way an algebra is built from computed products: the cells come
+    row-major over the pairs that can be nonzero, so a producer costs its
+    nonempty cells, not n^2 calls, and make_algebra validates them and
+    stores them as the algebra's rows, with no dense tensor in between.
     """
-    return make_algebra(basis, bicharacter, _Cells(cell), alpha)
+    return make_algebra(basis, bicharacter, _Cells(cells), alpha)
 
 
-def _dense_cells(basis: GradedBasis, cell) -> tuple:
-    """The dense tensor of sparse cells; every empty cell is one shared zero tuple."""
-    n, field = basis.dim, basis.field
-    zero_cell = (field.zero,) * n
-    return tuple(
-        tuple(dense_vector(field, n, c) if (c := cell(i, j)) else zero_cell for j in range(n))
-        for i in range(n)
-    )
+def _cells(a: ColorHomAlgebra):
+    """The nonempty cells of a, ((i, j), e_i * e_j), in row-major order."""
+    return (((i, j), cell) for i, row in enumerate(a.product_rows) for j, cell in enumerate(row) if cell)
 
 
 def eval_product(a: ColorHomAlgebra, x, y) -> tuple:
@@ -681,18 +683,24 @@ def sparse_scale(s, x: dict) -> dict:
 
 def commutator_tensor(a: ColorHomAlgebra) -> tuple:
     """b[i][j][k] = c[i][j][k] - eps(deg_i, deg_j) * c[j][i][k]."""
-    return _dense_cells(a.basis, _bracket_cell(a))
+    return _bracket(a).structure
 
 
-def _bracket_cell(a: ColorHomAlgebra):
-    """The commutator as a sparse cell: (i, j) -> e_i*e_j - eps(e_i, e_j) e_j*e_i."""
+def _bracket(a: ColorHomAlgebra) -> ColorHomAlgebra:
+    """The commutator algebra [x, y] = x*y - eps(x, y) y*x, with a's alpha."""
     rows, eps = a.product_rows, a.eps_table
-    return lambda i, j: sparse_sub(rows[i][j], sparse_scale(eps[i][j], rows[j][i]))
+    cells = (
+        ((i, j), sparse_sub(cell, sparse_scale(eps[i][j], rows[j][i])))
+        for i, row in enumerate(rows) for j, cell in enumerate(row) if cell or rows[j][i]
+    )
+    return _algebra_from_cells(a.basis, a.bicharacter, cells, a.alpha)
 
 
-def _operator_cell(l: ColorHomAlgebra, f: GradedLinearMap):
-    """The operator product x∘y = [f(x), y] as a sparse cell: (i, j) -> f(e_i) * e_j in l."""
-    return lambda i, j: sparse_product(l, f.sparse_columns[i], {j: 1})
+def _operator_product(l: ColorHomAlgebra, f: GradedLinearMap) -> ColorHomAlgebra:
+    """The product x∘y = [f(x), y] on l's basis, with l's alpha: the cells f(e_i) * e_j in l."""
+    n, fc = l.dim, f.sparse_columns
+    cells = (((i, j), sparse_product(l, fc[i], {j: 1})) for i in range(n) if fc[i] for j in range(n))
+    return _algebra_from_cells(l.basis, l.bicharacter, cells, l.alpha)
 
 
 def unit_vector(field: ScalarField, dim: int, i: int) -> tuple:

@@ -56,7 +56,10 @@ class GradeGroup:
         return GroupElement(self, tuple(coords))
 
     def zero(self) -> "GroupElement":
-        return GroupElement(self, (0,) * self.ngen)
+        # one shared zero per group, made on first use; elements are immutable
+        if "_zero" not in vars(self):
+            object.__setattr__(self, "_zero", GroupElement(self, (0,) * self.ngen))
+        return self._zero
 
 
 @dataclass(frozen=True)
@@ -185,12 +188,15 @@ def _root_of_unity(v, order: int, one) -> bool:
 
 def make_bicharacter(field: ScalarField, group: GradeGroup, rows) -> Bicharacter:
     """Build and validate; raises StructureError on any axiom violation."""
-    b = Bicharacter(field, group, tuple(tuple(r) for r in rows))
+    return _require_bicharacter(Bicharacter(field, group, tuple(tuple(r) for r in rows)))
+
+
+def _require_bicharacter(b: Bicharacter) -> Bicharacter:
+    """The one guard for "b passes its axioms": b, or StructureError naming the first violation."""
     report = validate_bicharacter(b)
     if not report.ok:
         raise StructureError(
-            f"bicharacter axiom '{report.axiom}' fails at generator pair "
-            f"{report.pair}: {report.detail}"
+            f"bicharacter axiom '{report.axiom}' fails at generator pair {report.pair}: {report.detail}"
         )
     return b
 

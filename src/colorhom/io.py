@@ -276,7 +276,7 @@ def parse_document(text: str) -> ParsedDocument:
     _expect(isinstance(asec, dict) and "matrix" in asec, "alpha: need matrix")
     alpha = GradedLinearMap(basis, _matrix_from_json(field, asec["matrix"], "alpha"))
 
-    algebra = _algebra_from_cells(basis, bichar, lambda i, j: cells.get((i, j), {}), alpha)
+    algebra = _algebra_from_cells(basis, bichar, ((ij, cells[ij]) for ij in sorted(cells)), alpha)
 
     maps = {}
     for name, msec in _object_from_json(doc.get("maps"), "maps").items():

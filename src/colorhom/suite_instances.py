@@ -13,7 +13,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .catalog import build_entry, euler_derivation, scaling_morphism, truncated_polynomial
-from .core import _algebra_from_cells
+from .core import _algebra_from_cells, _cells
 from .io import serialize_document
 from .scalars import prime_field, rationals
 
@@ -28,8 +28,7 @@ def _poly3_scaled():
     morphism the composed derivation product composes with."""
     plain = truncated_polynomial(3, rationals())
     alpha = scaling_morphism(plain, 2)
-    rows = plain.product_rows
-    a = _algebra_from_cells(plain.basis, plain.bicharacter, lambda i, j: rows[i][j], alpha)
+    a = _algebra_from_cells(plain.basis, plain.bicharacter, _cells(plain), alpha)
     return a, {"euler": euler_derivation(a)}, {}
 
 

@@ -126,6 +126,22 @@ def test_other_names_that_are_not_strings_exit_2(tmp_path, row):
     assert_structural_error(run_rows(tmp_path, row))
 
 
+def test_a_tensor_product_row_past_its_bounds_exits_2(tmp_path):
+    entry = cat.build_entry("truncated_polynomial", rationals(), n=64)
+    (tmp_path / "tp64.json").write_text(serialize_document(entry.algebra, maps=entry.maps), encoding="utf-8")
+    row = {
+        "name": "too large",
+        "algebra": {"recipe": "euler_novikov", "params": {"n": 64}},
+        "construction": {"name": "tensor_product", "with": "tp64.json"},
+        "conclusion_checks": ["hom_novikov"],
+    }
+    start = time.perf_counter()
+    code, out, err = run_rows(tmp_path, row)
+    assert time.perf_counter() - start < 5
+    assert_structural_error((code, out, err))
+    assert err.startswith("error: tensor product too large: dimension 4096"), err
+
+
 # ---------------------------------------------------------------------------
 # suite values decode like catalog flags and document scalars
 

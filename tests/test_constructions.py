@@ -322,6 +322,25 @@ def test_tensor_product_hypothesis_failures():
         tensor_product(e2, sl)  # different grading groups
 
 
+def test_tensor_product_past_its_dimension_bound_fails_before_its_gates():
+    # euler_novikov(64) is no eps-commutative second factor, but the 4096-dim output is refused first
+    with pytest.raises(StructureError, match=r"tensor product too large: dimension 4096 \(at most 2048\)"):
+        tensor_product(truncated_polynomial(64), euler_novikov(64))
+
+
+def test_tensor_product_past_its_constant_bound_fails_before_its_gates():
+    # dimension 1024 is inside its bound; 2016 * 136 = 274,176 nonzero constants are not
+    with pytest.raises(StructureError, match=r"274176 nonzero structure constants \(at most 262144\)"):
+        tensor_product(truncated_polynomial(16), euler_novikov(64))
+
+
+def test_tensor_product_inside_its_bounds_is_built():
+    # 496 * 528 = 261,888 nonzero constants, just under the bound
+    t = tensor_product(euler_novikov(32), truncated_polynomial(32), checked=False)
+    assert t.dim == 1024
+    assert sum(len(cell) for row in t.product_rows for cell in row) == 261888
+
+
 def test_untwist_involutive_recovers_plain_product():
     iq = build_entry("involutive_quadratic_polynomial", Q, n=3).algebra
     u = untwist_involutive(iq)

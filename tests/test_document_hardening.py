@@ -18,10 +18,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from colorhom.catalog import build_entry
 from colorhom.core import GradedBasis, identity_map, make_algebra
 from colorhom.errors import StructureError
-from colorhom.grading import GradeGroup, make_bicharacter
-from colorhom.io import parse_document
+from colorhom.grading import Bicharacter, GradeGroup, make_bicharacter
+from colorhom.io import parse_document, serialize_document
 from colorhom.scalars import prime_field, rationals
 
 # the text of a huge integer is spliced in after json.dumps, which refuses
@@ -218,6 +219,19 @@ def test_cli_suite_on_a_hostile_manifest_exits_2(tmp_path, payload):
     assert "Traceback" not in proc.stderr and "error:" in proc.stderr
 
 
+def test_make_bicharacter_and_make_algebra_raise_one_message_for_a_bad_table():
+    # E[0][1] = 2 is no square root of unity, so the torsion axiom fails
+    g = GradeGroup(0, (2, 2))
+    table = ((1, 2), (Fraction(1, 2), 1))
+    message = "bicharacter axiom 'torsion' fails at generator pair (0, 1): E[0][1] has no order dividing 2"
+    with pytest.raises(StructureError) as direct:
+        make_bicharacter(rationals(), g, table)
+    basis = GradedBasis(rationals(), g, (g.zero(),))
+    with pytest.raises(StructureError) as assembled:
+        make_algebra(basis, Bicharacter(rationals(), g, table), [[[0]]], identity_map(basis))
+    assert str(direct.value) == str(assembled.value) == message
+
+
 def _product_free_document(n):
     """Dimension n, trivial grading, empty product, identity alpha: about n*n*3 bytes."""
     alpha = [[1 if k == i else 0 for i in range(n)] for k in range(n)]
@@ -251,6 +265,37 @@ def test_cli_check_on_a_product_free_dim_600_document_is_fast_and_small(tmp_path
     assert proc.returncode == 0, proc.stderr
     assert elapsed < 30
     assert peak_mb < 300
+
+
+def _catalog_document(recipe, n):
+    entry = build_entry(recipe, rationals(), n=n)
+    return serialize_document(entry.algebra, maps=entry.maps, forms=entry.forms)
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        # 74 and 152 KB; the unbounded build took 12 s and 1.2 GB, then failed writing its output
+        (lambda: _catalog_document("euler_novikov", 64), lambda: _catalog_document("truncated_polynomial", 64)),
+        # 1.3e11 row slots if built
+        (lambda: _product_free_document(600), lambda: _product_free_document(600)),
+    ],
+    ids=["euler64-tensor-poly64", "product-free-600-tensor-600"],
+)
+def test_cli_construct_of_a_tensor_product_past_its_bounds_exits_2_quickly(tmp_path, first, second):
+    paths = tmp_path / "first.json", tmp_path / "second.json"
+    for path, text in zip(paths, (first(), second())):
+        path.write_text(text, encoding="utf-8")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "colorhom", "construct", str(paths[0]), "tensor_product", "--with", str(paths[1])],
+        capture_output=True, text=True, timeout=30, preexec_fn=_limit_address_space,
+    )
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: tensor product too large"), proc.stderr
+    assert proc.stdout == ""
 
 
 def _two_dim_parts(field):

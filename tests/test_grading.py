@@ -24,6 +24,14 @@ def test_group_element_canonicalization():
     assert g.zero().is_zero
 
 
+@pytest.mark.parametrize("g", [GradeGroup(0), GradeGroup(1, (3,)), GradeGroup(2, (2, 3))], ids=str)
+def test_a_group_shares_one_zero(g):
+    zero, built = g.zero(), g.element((0,) * g.ngen)
+    assert zero is g.zero()
+    assert zero == built and hash(zero) == hash(built)
+    assert zero.is_zero and zero.group == g
+
+
 def test_group_element_validation():
     g = GradeGroup(1, (3,))
     with pytest.raises(StructureError):

@@ -7,8 +7,10 @@ package every product and map image goes through sparse_product /
 sparse_apply, so a dense round-trip per call cannot creep back in
 unnoticed.
 
-An algebra is built from sparse cells through core._algebra_from_cells;
-only core takes a dense tensor (make_algebra, ColorHomAlgebra(...)), and an
+An algebra is built from sparse cells through core._algebra_from_cells,
+which reads them as data, ((i, j), e_i * e_j) in row-major order over the
+pairs that can be nonzero, so no module passes it a cell function (a
+lambda); only core takes a dense tensor (make_algebra, ColorHomAlgebra(...)), and an
 algebra's dense structure tensor is built on demand, at n^3 cost, so no
 module but core reads it either.  A map's dense matrix is built on demand
 too; outside core only a few boundary reads take it: the document writer
@@ -98,6 +100,35 @@ def test_the_builder_guard_sees_a_call_and_not_an_annotation():
     assert DENSE_BUILDERS <= set(_called(tree))
     tree = ast.parse("def f(a: ColorHomAlgebra) -> ColorHomAlgebra:\n    return _algebra_from_cells(b, e, c, m)\n")
     assert not DENSE_BUILDERS & set(_called(tree))
+
+
+def _lambda_cells(tree):
+    """The line of every call of _algebra_from_cells whose cells, third or by keyword, is a lambda."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_algebra_from_cells":
+            cells = node.args[2:3] + [kw.value for kw in node.keywords if kw.arg == "cells"]
+            if any(isinstance(arg, ast.Lambda) for arg in cells):
+                yield node.lineno
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_module_passes_a_lambda_as_the_cells(module):
+    assert list(_lambda_cells(_tree(module))) == [], module
+
+
+def test_the_cells_guard_sees_a_lambda_bare_by_attribute_and_by_keyword():
+    tree = ast.parse(
+        "_algebra_from_cells(b, e, lambda i, j: {}, m)\n"
+        "core._algebra_from_cells(b, e, lambda i, j: rows[i][j], m)\n"
+        "_algebra_from_cells(b, e, alpha=m, cells=lambda i, j: {})\n"
+    )
+    assert list(_lambda_cells(tree)) == [1, 2, 3]
+    tree = ast.parse(
+        "_algebra_from_cells(b, e, ((ij, c) for ij, c in _cells(a)), m)\n"
+        "_algebra_from_cells(b, e, cells.items(), m)\n"
+        "make_algebra(b, e, lambda i, j: {}, m)\n"
+    )
+    assert list(_lambda_cells(tree)) == []
 
 
 def _reads_structure(tree) -> bool:

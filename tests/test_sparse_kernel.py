@@ -22,6 +22,7 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_document_hardening import _two_dim_parts
 
 from colorhom import checks, constructions, core
 from colorhom import quadratic as quad
@@ -1210,9 +1211,13 @@ def assert_stored_form(a, tensor):
 def assert_builds_agree(basis, bichar, tensor, alpha):
     """Dense tensor, sparse cells (keys descending) and a parsed document give one algebra."""
     dense = make_algebra(basis, bichar, tensor, alpha)
+    n = basis.dim
     cells = core._algebra_from_cells(
         basis, bichar,
-        lambda i, j: {k: c for k, c in reversed(list(enumerate(tensor[i][j]))) if c},
+        [
+            ((i, j), {k: c for k, c in reversed(list(enumerate(tensor[i][j]))) if c})
+            for i in range(n) for j in range(n)
+        ],
         alpha,
     )
     text = serialize_document(dense)
@@ -1222,6 +1227,35 @@ def assert_builds_agree(basis, bichar, tensor, alpha):
     assert serialize_document(cells) == serialize_document(parsed) == text
     assert _unbuilt(dense) and _unbuilt(cells) and _unbuilt(parsed)
     return dense
+
+
+def test_cells_may_leave_out_empty_pairs():
+    basis, bichar, alpha = _two_dim_parts(Q)
+    tensor = (((1, 0), (0, 0)), ((0, 2), (3, 0)))
+    a = assert_builds_agree(basis, bichar, tensor, alpha)
+    cells = [((0, 0), {0: 1}), ((1, 0), {1: 2}), ((1, 1), {0: 3})]
+    assert core._algebra_from_cells(basis, bichar, cells, alpha) == a
+    assert core._algebra_from_cells(basis, bichar, (), alpha).product_rows == ((core._EMPTY,) * 2,) * 2
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        [((1, 0), {1: 1}), ((0, 1), {1: 1})],
+        [((0, 1), {1: 1}), ((0, 1), {1: 1})],
+        # an empty cell out of order is rejected too: it moves the row-major first uneven (i, j, k)
+        [((1, 1), {}), ((0, 0), {1: 1})],
+        [((0, 2), {0: 1})],
+        [((2, 0), {0: 1})],
+        [((0, -1), {0: 1})],
+        [((-1, 1), {0: 1})],
+    ],
+    ids=["rows-swapped", "repeated", "empty-then-uneven", "column-past-n", "row-past-n", "negative-column", "negative-row"],
+)
+def test_cells_out_of_row_major_order_or_range_are_rejected(cells):
+    basis, bichar, alpha = _two_dim_parts(Q)
+    with pytest.raises(StructureError, match=r"out of row-major order or range"):
+        core._algebra_from_cells(basis, bichar, cells, alpha)
 
 
 def _perturbed(tensor, degrees, field):
