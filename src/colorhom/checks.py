@@ -4,10 +4,12 @@ Every check quantifies an identity over basis tuples (sufficient by
 multilinearity: once degrees are fixed, both sides are linear in each slot).
 A failing check returns the first offending tuple in lexicographic slot
 order together with the exactly evaluated left and right sides, so every
-reported failure can be replayed.  Identity scans, operator predicates and
-the declared quadratic clauses share one loop (_first_failure) over basis
-tuples given in lexicographic order: each condition maps basis indices to
-sparse sides, and only a witness is made dense.
+reported failure can be replayed.  Operator predicates and the declared
+quadratic clauses run on one loop (_first_failure) over basis tuples given in
+lexicographic order: each condition maps basis indices to sparse sides, and
+only a witness is made dense.  An identity scan tests each tuple with its
+fused residual instead (_residual: left - right in one dict, tested mod p
+over F_p) and hands its first failing tuple alone to that loop, for the witness.
 
 All of them are declared once, in one term language (signed sums of
 products, alpha(.), f(.) and the form over the arguments, with eps signs),
@@ -228,6 +230,38 @@ def _evaluator(arity: int, *sides, basis: bool = True):
     return eval(f"lambda {', '.join(_Scope._fields)}: lambda {keys}: ({body},)", globals())
 
 
+@cache
+def _residual(name: str):
+    """An identity's residual test, compiled once from Python source: a function of the algebra.
+
+    Its value is the function of a basis tuple (k0, k1, ...) that adds every
+    left term and subtracts every right term into one dict r, each term a
+    loop over the cells and alpha columns of its support shape, and tells
+    whether some value of r is nonzero (mod p over F_p).
+    """
+    arity, left, right = _IDENTITIES[name]
+    lines = ["rows, columns, eps, p = a.product_rows, a.alpha.sparse_columns, a.eps_table, a.field.p",
+             "def residual(idx):", f" {', '.join(f'k{p}' for p in range(arity))}, = idx", " r = {}"]
+    for sign, factors, node in left + [(-sign, factors, node) for sign, factors, node in right]:
+        w = "".join(f"{c} * " for c in [sign] * (sign != 1) + [f"eps[k{s}][k{t}]" for s, t in factors])
+        match node:
+            case P(int(p), int(q)):
+                loops, w = [f"k, z in rows[k{p}][k{q}]"], w + "z"
+            case P(P(int(p), int(q)), A(int(s))):
+                loops = [f"m, x in rows[k{p}][k{q}]", f"t, y in columns[k{s}]", "k, z in rows[m][t]"]
+            case P(A(int(p)), P(int(q), int(s))):
+                loops = [f"t, y in columns[k{p}]", f"m, x in rows[k{q}][k{s}]", "k, z in rows[t][m]"]
+        lines += [f"{' ' * depth}for {loop}.items():" for depth, loop in enumerate(loops, 1)]
+        if len(loops) == 3:  # the coefficient of the cell and column, once per pair of their keys
+            lines.insert(-1, f"   w = {w}x * y")
+            w = "w * z"
+        lines.append(f"{' ' * len(loops)} r[k] = r.get(k, 0) + {w}")
+    lines += [" return any(r.values()) if p is None else any(v % p for v in r.values())", "return residual"]
+    scope: dict = {}
+    exec("def scan_residual(a):\n" + "\n".join(" " + line for line in lines), scope)
+    return scope["scan_residual"]
+
+
 # ---------------------------------------------------------------------------
 # identities
 
@@ -358,13 +392,16 @@ def _scan(a: ColorHomAlgebra, name: str) -> Verdict:
     """Quantify one identity over basis tuples.
 
     Only the support of the identity's terms is visited: every other tuple
-    has all its terms zero, so both sides are {} and it passes.
+    has all its terms zero, so both sides are {} and it passes.  The fused
+    residual tests each tuple, and only the first that fails it reaches the
+    sides, for the witness.
     """
     arity, left, right = _IDENTITIES[name]
     terms = [node for _, _, node in left + right]
     support = _support(a, terms) if arity == 3 else _pair_support(a, terms)
     # on basis vectors a product is a stored cell and an image a column
-    return _first_failure(a, support, [(name, _compiled(name)(*_Scope(a, a, None, {}, 0, None)))])
+    sides = _compiled(name)(*_Scope(a, a, None, {}, 0, None))
+    return _first_failure(a, filter(_residual(name)(a), support), [(name, sides)])
 
 
 def _bits(mask: int):

@@ -6,8 +6,9 @@ product evenness are still enforced by make_algebra on the way out).  Each
 construction states its product as data, the cells ((i, j), e_i * e_j) in
 row-major order over the pairs that can be nonzero, read from its inputs'
 nonempty cells (core._cells) by generator expressions, and
-core._algebra_from_cells assembles them through make_algebra, so no
-construction can emit an ill-formed algebra.
+core._algebra_from_cells assembles them through make_algebra (or
+core._algebra_like, on the input's own validated parts), so no construction
+can emit an ill-formed algebra.
 """
 
 from __future__ import annotations

@@ -33,10 +33,11 @@ Every value enters the kernel through kernel_scalar, which reduces it into
 [0, p) over F_p.  No modulus enters the kernel itself: it only multiplies,
 adds and drops exact zeros, so over F_p its results are correct mod p but
 unreduced.  They are reduced only where they leave it:
-checks._first_failure reduces two sides mod p only when they differ as
-ints, catalog.search_maps reduces the residuals of its product pairs, and
-dense_vector boxes every value through field.coerce, so tuples, matrices,
-witnesses and documents hold Fraction or Fp elements only.
+checks._residual tests an identity's residual mod p, checks._first_failure
+reduces two sides mod p only when they differ as ints, catalog.search_maps
+reduces the residuals of its product pairs, and dense_vector boxes every
+value through field.coerce, so tuples, matrices, witnesses and documents
+hold Fraction or Fp elements only.
 """
 
 from __future__ import annotations
@@ -599,6 +600,14 @@ def _algebra_from_cells(basis: GradedBasis, bicharacter: Bicharacter, cells, alp
     return make_algebra(basis, bicharacter, _Cells(cells), alpha)
 
 
+def _algebra_like(a: ColorHomAlgebra, cells) -> ColorHomAlgebra:
+    """_algebra_from_cells on a's basis, bicharacter and alpha, reusing them and a's eps_table; each cell is still checked."""
+    out, rows = object.__new__(ColorHomAlgebra), _stored_rows(a.basis, cells)
+    for field, value in zip(dataclasses.fields(out), (a.basis, a.bicharacter, rows, a.alpha, a.eps_table)):
+        object.__setattr__(out, field.name, value)
+    return out
+
+
 def _cells(a: ColorHomAlgebra):
     """The nonempty cells of a, ((i, j), e_i * e_j), in row-major order."""
     return (((i, j), cell) for i, row in enumerate(a.product_rows) for j, cell in enumerate(row) if cell)
@@ -693,14 +702,14 @@ def _bracket(a: ColorHomAlgebra) -> ColorHomAlgebra:
         ((i, j), sparse_sub(cell, sparse_scale(eps[i][j], rows[j][i])))
         for i, row in enumerate(rows) for j, cell in enumerate(row) if cell or rows[j][i]
     )
-    return _algebra_from_cells(a.basis, a.bicharacter, cells, a.alpha)
+    return _algebra_like(a, cells)
 
 
 def _operator_product(l: ColorHomAlgebra, f: GradedLinearMap) -> ColorHomAlgebra:
-    """The product x∘y = [f(x), y] on l's basis, with l's alpha: the cells f(e_i) * e_j in l."""
-    n, fc = l.dim, f.sparse_columns
-    cells = (((i, j), sparse_product(l, fc[i], {j: 1})) for i in range(n) if fc[i] for j in range(n))
-    return _algebra_from_cells(l.basis, l.bicharacter, cells, l.alpha)
+    """The product x∘y = [f(x), y] on l's basis, with l's alpha: the cells f(e_i) * e_j for the j that meet f(e_i)."""
+    fc, by_row = f.sparse_columns, l.product_index.by_row
+    js = [sorted({j for k in c for j in by_row[k]}) for c in fc]
+    return _algebra_like(l, (((i, j), sparse_product(l, c, {j: 1})) for i, c in enumerate(fc) for j in js[i]))
 
 
 def unit_vector(field: ScalarField, dim: int, i: int) -> tuple:
