@@ -7,23 +7,25 @@ order together with the exactly evaluated left and right sides, so every
 reported failure can be replayed.  Operator predicates and the declared
 quadratic clauses run on one loop (_first_failure) over basis tuples given in
 lexicographic order: each condition maps basis indices to sparse sides, and
-only a witness is made dense.  An identity scan tests each tuple with its
-fused residual instead (_residual: left - right in one dict, tested mod p
-over F_p) and hands its first failing tuple alone to that loop, for the witness.
+only a witness is made dense.  An identity scan instead computes one slot-0
+slice at a time (_slice: left - right of every tuple (i, ...) in one dict)
+and hands the first tuple with a nonzero value (mod p over F_p) alone to
+that loop, for the witness.
 
 All of them are declared once, in one term language (signed sums of
 products, alpha(.), f(.) and the form over the arguments, with eps signs),
-and _compiled turns each declaration, on first use, into the function that
-runs it.
+and _compiled and _slice turn each declaration, on first use, into the
+function that runs it.
 
-An identity scan visits only the support of its terms.  Each identity term
-has one of three shapes, x*y, (x*y)*alpha(z) or alpha(x)*(y*z), checked at
-import, and the algebra's product index (core.ProductIndex) tells where each
-can be nonzero on basis vectors.  At a skipped tuple every term is zero, so
-both sides are {} and the tuple passes; the first failing tuple, and its
-sides, are therefore those of a scan over every tuple.  The support is
-built one slot-0 value at a time, so a scan that stops early pays only for
-the slices it reached.
+A slice reads only the nonzero contributions of its terms.  Each identity
+term has one of three shapes, x*y, (x*y)*alpha(z) or alpha(x)*(y*z),
+checked at import, and each shape, with the position of slot 0, is one
+loop nest over nonempty cells, nonzero alpha entries and the lists of the
+algebra's product index (core.ProductIndex), so no loop reads an empty
+cell.  A tuple the slice never reaches has every term zero, so both sides
+are {} and it passes; the first failing tuple, and its sides, are therefore
+those of a scan over every tuple.  A scan that fails in slice i computes
+slices 0..i only.
 
 identity_sides and identity_residual_on_vectors (on arbitrary vectors, split
 into homogeneous components) run the identities compiled for vector
@@ -230,36 +232,58 @@ def _evaluator(arity: int, *sides, basis: bool = True):
     return eval(f"lambda {', '.join(_Scope._fields)}: lambda {keys}: ({body},)", globals())
 
 
-@cache
-def _residual(name: str):
-    """An identity's residual test, compiled once from Python source: a function of the algebra.
+# (type of the term's first factor, position of slot 0) -> the loops over
+# the term's nonzero contributions in one slot-0 slice.  k{0}, k{1}, k{2} are
+# the slots at the shape's positions (p, q) or (p, q, s), and z is the value
+# at the output key k.  x_p*x_q (first factor an int): z in the cell (p, q).
+# (x_p*x_q)*alpha(x_s) (a P): x at key m of the cell (p, q), y at key t of
+# alpha's column s, z in the cell (m, t).  alpha(x_p)*(x_q*x_s) (an A): y at
+# key t of alpha's column p, x at key m of the cell (q, s), z in the cell (t, m).
+_NESTS = {
+    (int, 0): ("k{1} in by_row[k0]", "k, z in rows[k0][k{1}].items()"),
+    (int, 1): ("k{0} in by_col[k0]", "k, z in rows[k{0}][k0].items()"),
+    (P, 0): ("k{1} in by_row[k0]", "m, x in rows[k0][k{1}].items()", "t in by_row[m]",
+            "k{2}, y in alpha_rows[t]", "k, z in rows[m][t].items()"),
+    (P, 1): ("k{0} in by_col[k0]", "m, x in rows[k{0}][k0].items()", "t in by_row[m]",
+            "k{2}, y in alpha_rows[t]", "k, z in rows[m][t].items()"),
+    (P, 2): ("t, y in columns[k0].items()", "m in by_col[t]", "k{0}, k{1}, x in by_key[m]",
+            "k, z in rows[m][t].items()"),
+    (A, 0): ("t, y in columns[k0].items()", "m in by_row[t]", "k{1}, k{2}, x in by_key[m]",
+            "k, z in rows[t][m].items()"),
+    (A, 1): ("k{2} in by_row[k0]", "m, x in rows[k0][k{2}].items()", "t in by_col[m]",
+            "k{0}, y in alpha_rows[t]", "k, z in rows[t][m].items()"),
+    (A, 2): ("k{1} in by_col[k0]", "m, x in rows[k{1}][k0].items()", "t in by_col[m]",
+            "k{0}, y in alpha_rows[t]", "k, z in rows[t][m].items()"),
+}
 
-    Its value is the function of a basis tuple (k0, k1, ...) that adds every
-    left term and subtracts every right term into one dict r, each term a
-    loop over the cells and alpha columns of its support shape, and tells
-    whether some value of r is nonzero (mod p over F_p).
+
+@cache
+def _slice(name: str):
+    """An identity's slice function, compiled once from Python source: a function of the algebra.
+
+    Its value maps a slot-0 index k0 to one dict r holding, at the key
+    (k1*n + k2)*n + k (k1*n + k for a pair), left - right at the output key
+    k of the tuple (k0, k1, k2): every left term is added and every right
+    term subtracted, each as the loop nest of _NESTS that its shape and the
+    position of slot 0 select, so no loop reads an empty cell.  A key a
+    contribution reached holds a value, possibly zero.
     """
     arity, left, right = _IDENTITIES[name]
-    lines = ["rows, columns, eps, p = a.product_rows, a.alpha.sparse_columns, a.eps_table, a.field.p",
-             "def residual(idx):", f" {', '.join(f'k{p}' for p in range(arity))}, = idx", " r = {}"]
+    base = "(k1 * n + k2) * n" if arity == 3 else "k1 * n"
+    lines = ["rows, columns, eps, n = a.product_rows, a.alpha.sparse_columns, a.eps_table, a.dim",
+             "by_row, by_col, by_key, alpha_rows = a.product_index", "def scan_slice(k0):", " r = {}"]
     for sign, factors, node in left + [(-sign, factors, node) for sign, factors, node in right]:
-        w = "".join(f"{c} * " for c in [sign] * (sign != 1) + [f"eps[k{s}][k{t}]" for s, t in factors])
-        match node:
-            case P(int(p), int(q)):
-                loops, w = [f"k, z in rows[k{p}][k{q}]"], w + "z"
-            case P(P(int(p), int(q)), A(int(s))):
-                loops = [f"m, x in rows[k{p}][k{q}]", f"t, y in columns[k{s}]", "k, z in rows[m][t]"]
-            case P(A(int(p)), P(int(q), int(s))):
-                loops = [f"t, y in columns[k{p}]", f"m, x in rows[k{q}][k{s}]", "k, z in rows[t][m]"]
-        lines += [f"{' ' * depth}for {loop}.items():" for depth, loop in enumerate(loops, 1)]
-        if len(loops) == 3:  # the coefficient of the cell and column, once per pair of their keys
-            lines.insert(-1, f"   w = {w}x * y")
-            w = "w * z"
-        lines.append(f"{' ' * len(loops)} r[k] = r.get(k, 0) + {w}")
-    lines += [" return any(r.values()) if p is None else any(v % p for v in r.values())", "return residual"]
+        slots = _slots(node)
+        loops = [loop.format(*slots) for loop in _NESTS[type(node.x), slots.index(0)]]
+        w = " * ".join([str(sign)] * (sign != 1) + [f"eps[k{s}][k{t}]" for s, t in factors]
+                       + ["x", "y"] * (len(loops) > 2)) or "1"
+        lines += [f"{' ' * depth}for {loop}:" for depth, loop in enumerate(loops, 1)]
+        lines.insert(-1, f"{' ' * len(loops)}b, w = {base}, {w}")
+        lines.append(f"{' ' * (len(loops) + 1)}r[b + k] = r.get(b + k, 0) + w * z")
+    lines += [" return r", "return scan_slice"]
     scope: dict = {}
-    exec("def scan_residual(a):\n" + "\n".join(" " + line for line in lines), scope)
-    return scope["scan_residual"]
+    exec("def slice_of(a):\n" + "\n".join(" " + line for line in lines), scope)
+    return scope["slice_of"]
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +342,7 @@ def _slots(term) -> tuple:
 
 
 def _require_support_shapes(identities) -> None:
-    """Raise unless every term has a support shape naming each slot once: the walk knows no other."""
+    """Raise unless every term has a support shape naming each slot once: the slice nests know no other."""
     for name, (arity, left, right) in identities.items():
         for _, _, node in left + right:
             if sorted(_slots(node)) != list(range(arity)):
@@ -389,115 +413,32 @@ def _reduced(x: dict, p: int) -> dict:
 
 
 def _scan(a: ColorHomAlgebra, name: str) -> Verdict:
-    """Quantify one identity over basis tuples.
+    """Quantify one identity over basis tuples, one slot-0 slice at a time.
 
-    Only the support of the identity's terms is visited: every other tuple
-    has all its terms zero, so both sides are {} and it passes.  The fused
-    residual tests each tuple, and only the first that fails it reaches the
-    sides, for the witness.
+    The slice function gives left - right at every tuple of a slice where
+    some term is nonzero; every other tuple has all its terms zero, so both
+    sides are {} and it passes.  Only the first tuple with a nonzero value
+    reaches the sides, for the witness, and a scan that fails in slice i
+    computes slices 0..i only.
     """
-    arity, left, right = _IDENTITIES[name]
-    terms = [node for _, _, node in left + right]
-    support = _support(a, terms) if arity == 3 else _pair_support(a, terms)
     # on basis vectors a product is a stored cell and an image a column
     sides = _compiled(name)(*_Scope(a, a, None, {}, 0, None))
-    return _first_failure(a, filter(_residual(name)(a), support), [(name, sides)])
+    return _first_failure(a, _failing(a, _slice(name)(a), IDENTITY_ARITY[name]), [(name, sides)])
 
 
-def _bits(mask: int):
-    """The positions of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _failing(a: ColorHomAlgebra, scan_slice, arity: int):
+    """In each slice with a nonzero value (mod p over F_p), in order, the tuple of its least nonzero key.
 
-
-def _union(masks, keys) -> int:
-    out = 0
-    for k in keys:
-        out |= masks[k]
-    return out
-
-
-def _pair_support(a: ColorHomAlgebra, terms):
-    """The pairs (i, j) where some x_p * x_q term can be nonzero, in lexicographic order."""
-    x = a.product_index
-    for i in range(a.dim):
-        js = set()
-        for term in terms:
-            js.update(x.by_row[i] if term.x == 0 else x.by_col[i])
-        for j in sorted(js):
-            yield i, j
-
-
-def _support(a: ColorHomAlgebra, terms):
-    """The triples where some three-slot term can be nonzero, in lexicographic order.
-
-    Built one slot-0 value at a time, so a scan that stops in slice i has
-    paid for slices up to i only.  A slice is a bit set with bit j*n + k
-    for the candidate (i, j, k).
+    The least nonzero key, not the least key reached: the contributions at
+    a key can cancel.
     """
-    n = a.dim
+    n, p = a.dim, a.field.p
     for i in range(n):
-        found = 0
-        for term in terms:
-            slot, bits = _term_bits(a, term, i)
-            found |= bits if slot == 1 else _transposed(bits, n)
-        for b in _bits(found):
-            yield (i, *divmod(b, n))
-
-
-def _transposed(bits: int, n: int) -> int:
-    """The bit set with bit v*n + u for each bit u*n + v of bits."""
-    out = 0
-    for b in _bits(bits):
-        u, v = divmod(b, n)
-        out |= 1 << v * n + u
-    return out
-
-
-def _term_bits(a: ColorHomAlgebra, term, i: int):
-    """Where a three-slot term can be nonzero once slot 0 holds basis index i.
-
-    Returns (slot, bits): bits has bit u*n + v where u is the value of that
-    slot and v the value of the term's third slot that goes with it.
-    """
-    x, n, columns = a.product_index, a.dim, a.alpha.sparse_columns
-    if type(term.x) is P:
-        # (e_p e_q) alpha(e_r): a nonempty cell (p, q), and r in aright of one of its keys
-        (p, q), r = term.x, term.y.x
-        if p == 0:
-            return q, _spread(x.aright, _in_row(a, i), n)
-        if q == 0:
-            return p, _spread(x.aright, _in_column(a, i), n)
-        # the cells with a key m such that e_m * alpha(e_i) can be nonzero
-        return p, _union(x.by_key, {m for k in columns[i] for m in x.by_col[k]})
-    # alpha(e_p) (e_q e_r): a nonempty cell (q, r), and p in aleft of one of its keys
-    p, (q, r) = term.x.x, term.y
-    if p == 0:
-        # the cells with a key m such that alpha(e_i) * e_m can be nonzero
-        return q, _union(x.by_key, {m for k in columns[i] for m in x.by_row[k]})
-    if q == 0:
-        return r, _spread(x.aleft, _in_row(a, i), n)
-    return q, _spread(x.aleft, _in_column(a, i), n)
-
-
-def _in_row(a: ColorHomAlgebra, i: int):
-    """(j, e_i * e_j) over the nonempty cells of row i."""
-    return ((j, a.product_rows[i][j]) for j in a.product_index.by_row[i])
-
-
-def _in_column(a: ColorHomAlgebra, j: int):
-    """(i, e_i * e_j) over the nonempty cells of column j."""
-    return ((i, a.product_rows[i][j]) for i in a.product_index.by_col[j])
-
-
-def _spread(masks, cells, n: int) -> int:
-    """Bit u*n + v for each (u, cell) of cells and each v in masks[m] of a key m of the cell."""
-    bits = 0
-    for u, cell in cells:
-        bits |= _union(masks, cell) << u * n
-    return bits
+        r = scan_slice(i)
+        nonzero = [k for k, v in r.items() if v] if p is None else [k for k, v in r.items() if v % p]
+        if nonzero:
+            j = min(nonzero) // n
+            yield (i, *divmod(j, n)) if arity == 3 else (i, j)
 
 
 def _scan_check(a: ColorHomAlgebra, check: str) -> Verdict:

@@ -19,12 +19,13 @@ table cost.  Products enter as data: _algebra_from_cells reads the cells
 dense path reads a tensor's, and _cells yields an algebra's nonempty ones,
 so a construction costs its nonzeros rather than n^2 calls.  Algebras
 carry their eps value per pair of basis indices as a view excluded from
-equality and repr; product_index, which says where products with alpha can
-be nonzero, is built on first read.  The kernel (sparse_product,
-sparse_apply) on sparse vectors, {index: nonzero coefficient}, is the only
-way the package evaluates products and maps.  Coordinate tuples appear
-only at the boundary: eval_product, eval_map, commutator_tensor, structure
-and matrix convert, and make_algebra and GradedLinearMap accept dense input.
+equality and repr; product_index, which lists the nonempty cells and
+alpha's nonzero entries for the identity scans, is built on first read.
+The kernel (sparse_product, sparse_apply) on sparse vectors, {index:
+nonzero coefficient}, is the only way the package evaluates products and
+maps.  Coordinate tuples appear only at the boundary: eval_product,
+eval_map, commutator_tensor, structure and matrix convert, and
+make_algebra and GradedLinearMap accept dense input.
 
 The rows, columns, views and sparse vectors hold kernel scalars, not field
 elements (see ScalarField.kernel_scalar): over Q an int for an integral
@@ -32,9 +33,9 @@ value and a Fraction only for a true fraction, over F_p an int residue.
 Every value enters the kernel through kernel_scalar, which reduces it into
 [0, p) over F_p.  No modulus enters the kernel itself: it only multiplies,
 adds and drops exact zeros, so over F_p its results are correct mod p but
-unreduced.  They are reduced only where they leave it:
-checks._residual tests an identity's residual mod p, checks._first_failure
-reduces two sides mod p only when they differ as ints, catalog.search_maps
+unreduced.  They are reduced only where they leave it: checks._failing
+tests an identity's slice residuals mod p, checks._first_failure reduces
+two sides mod p only when they differ as ints, catalog.search_maps
 reduces the residuals of its product pairs, and dense_vector boxes every
 value through field.coerce, so tuples, matrices, witnesses and documents
 hold Fraction or Fp elements only.
@@ -389,7 +390,7 @@ class ColorHomAlgebra:
 
     @cached_property
     def product_index(self) -> ProductIndex:
-        """Where products with alpha can be nonzero, built from the rows on first read and cached."""
+        """The nonempty cells and alpha's nonzero entries as lists, built on first read and cached."""
         return _product_index(self.product_rows, self.alpha.sparse_columns)
 
     @cached_property
@@ -433,51 +434,33 @@ class ColorHomAlgebra:
 
 
 class ProductIndex(NamedTuple):
-    """The nonempty cells of an algebra, and where alpha meets them.
+    """The nonempty cells of an algebra, and alpha's nonzero entries by row.
 
     by_row[i] / by_col[j]: the j / the i with e_i * e_j != 0, ascending;
-    by_key[m]: the cells whose product has an e_m term, as a bit set with
-    bit i*n + j for the cell (i, j); aright[m] / aleft[m]: bit set of the r
-    with e_m * alpha(e_r) / of the p with alpha(e_p) * e_m able to be
-    nonzero, that is, some term of alpha's column meets a nonempty cell.
-    A product outside these sets is zero by construction.
+    by_key[m]: (i, j, c) for each cell (i, j) whose product has the term
+    c e_m, row-major; alpha_rows[t]: (r, c) for each r whose image alpha(e_r)
+    has the term c e_t, ascending.  A product outside these lists is zero.
     """
 
     by_row: tuple
     by_col: tuple
     by_key: tuple
-    aright: tuple
-    aleft: tuple
+    alpha_rows: tuple
 
 
 def _product_index(rows: tuple, columns: tuple) -> ProductIndex:
     n = len(rows)
     by_row = [[j for j, cell in enumerate(row) if cell] for row in rows]
-    by_col = [[] for _ in range(n)]
-    by_key = [0] * n
+    by_col, by_key, alpha_rows = ([[] for _ in range(n)] for _ in range(3))
     for i, js in enumerate(by_row):
-        row, base = rows[i], i * n
         for j in js:
             by_col[j].append(i)
-            bit = 1 << base + j
-            for m in row[j]:
-                by_key[m] |= bit
-    # alpha_rows[k]: bit set of the r whose image alpha(e_r) has an e_k term
-    alpha_rows = [0] * n
+            for m, c in rows[i][j].items():
+                by_key[m].append((i, j, c))
     for r, column in enumerate(columns):
-        for k in column:
-            alpha_rows[k] |= 1 << r
-
-    def meets(ks):
-        mask = 0
-        for k in ks:
-            mask |= alpha_rows[k]
-        return mask
-
-    return ProductIndex(
-        tuple(by_row), tuple(by_col), tuple(by_key),
-        tuple(map(meets, by_row)), tuple(map(meets, by_col)),
-    )
+        for t, c in column.items():
+            alpha_rows[t].append((r, c))
+    return ProductIndex(*map(tuple, (by_row, by_col, by_key, alpha_rows)))
 
 
 def _tensor_cells(basis: GradedBasis, structure):
