@@ -22,6 +22,7 @@ from . import quadratic as quad
 from .checks import (
     PREDICATE_CONDITIONS,
     Verdict,
+    _linear_equations,
     check_bracket_operator_conditions,
     check_cyclic_commutator_products,
     check_epsilon_commutative,
@@ -33,7 +34,6 @@ from .checks import (
     check_lie_admissible,
     check_multiplicative,
     check_regular,
-    condition_residual,
     is_averaging,
     is_centroid,
     is_derivation,
@@ -48,7 +48,7 @@ from .core import (
     GradedLinearMap,
     _Columns,
     _algebra_from_cells,
-    _gauss_rank_inverse,
+    _row_reduce,
     identity_map,
     make_map,
     scalar_map,
@@ -503,8 +503,10 @@ def search_maps(
     predicate.
 
     The predicate's linear part (checks.linear_conditions: its declared
-    conditions of degree 1 in the map) is solved exactly, which leaves some
-    entries free and fixes the rest.  A depth-first search sets the columns
+    conditions of degree 1 in the map) is solved exactly, its equations
+    scattered from the nonzero contributions of each term and reduced by
+    one sparse elimination, which leaves some entries free and fixes the
+    rest.  A depth-first search sets the columns
     f(e_0), f(e_1), ... in turn, branching over the values of each column's
     free entries and filling a fixed entry once the free entries it reads
     are set; one outside the values abandons the branch.  If the predicate
@@ -567,9 +569,7 @@ def search_maps(
     # the zero map meets every linear condition: the predicate on it checks
     # the other arguments before any system is built
     op.call(a, *arguments(candidate((zero,) * len(positions))))
-    options = {arg: given[arg] for arg in op.takes if arg in ("weight", "form")}
-    linear = linear_conditions(predicate, side)
-    free, pivots = _solve_linear_part(a, linear, options, positions, candidate)
+    free, pivots = _solve_linear_part(a, linear_conditions(predicate, side), positions, given["form"])
 
     # column i branches over its free positions, then fills the fixed
     # entries whose last free entry lies in column i
@@ -698,7 +698,7 @@ def _pairs_by_column(a: ColorHomAlgebra) -> list:
     return out
 
 
-def _solve_linear_part(a: ColorHomAlgebra, linear, options, positions, candidate) -> tuple:
+def _solve_linear_part(a: ColorHomAlgebra, linear, positions, form) -> tuple:
     """The solutions of the linear conditions, over maps on the given positions.
 
     Returns (free, pivots): free lists the positions left free, ascending;
@@ -706,24 +706,12 @@ def _solve_linear_part(a: ColorHomAlgebra, linear, options, positions, candidate
     position is the sum of c times the entry at q over (q, c) in terms, each
     q free.  With no linear condition every position is free.
     """
-    count = len(positions)
-    if not linear:
-        return list(range(count)), []
     field = a.field
-    zero, one = field.zero, field.one
-    # one equation per (condition, tuple, output key): the residual's
-    # coefficient there is linear in the entries, read off the unit maps
-    equations = {}
-    for var in range(count):
-        unit = candidate(tuple(one if p == var else zero for p in range(count)))
-        for key, c in condition_residual(a, unit, linear, **options).items():
-            equations.setdefault(key, {})[var] = c
-    rows = dict.fromkeys(tuple(e.get(v, zero) for v in range(count)) for e in equations.values())
-    _, _, reduced, pivot_columns = _gauss_rank_inverse(field, list(rows))
+    reduced, pivot_columns = _row_reduce(field, _linear_equations(a, linear, positions, form))
     fixed = set(pivot_columns)
-    free = [v for v in range(count) if v not in fixed]
+    free = [v for v in range(len(positions)) if v not in fixed]
     pivots = [
-        (p, [(f, -row[f]) for f in free if row[f]])
+        (p, [(f, field.coerce(-row[f])) for f in free if f in row])
         for p, row in zip(pivot_columns, reduced)
     ]
     return free, pivots

@@ -37,7 +37,9 @@ predicate (morphisms, derivations, averaging, Rota-Baxter and centroid
 operators, twist commutation, involution, B-symmetry) in the order they run.
 A condition whose terms all have degree 1 in f, counted from its
 declaration, is linear in f; those are the predicate's linear part
-(linear_conditions), which catalog.search_maps solves exactly.
+(linear_conditions), which catalog.search_maps solves exactly from the
+equations _linear_equations scatters out of the terms' nonzero
+contributions.
 """
 
 from __future__ import annotations
@@ -636,7 +638,9 @@ def _holds(source, target, f, groups, side="both", weight=0, form=None) -> Verdi
 def condition_residual(a: ColorHomAlgebra, f: GradedLinearMap, names, weight=0, form=None) -> dict:
     """left - right of the named conditions on (a, a, f) at every tuple.
 
-    Returns {(name, indices, key): field element}, zeros dropped.
+    Returns {(name, indices, key): field element}, zeros dropped.  The
+    reference route for the linear parts: on the unit maps it gives the
+    equations _linear_equations scatters without building them.
     """
     s = _Scope(a, a, f, {}, a.field.kernel_scalar(weight), form)
     coerce = a.field.coerce
@@ -648,6 +652,81 @@ def condition_residual(a: ColorHomAlgebra, f: GradedLinearMap, names, weight=0, 
                 if value := coerce(value):
                     out[name, idx, key] = value
     return out
+
+
+def _linear_equations(a: ColorHomAlgebra, names, positions, form=None) -> list:
+    """The equations the named linear conditions put on the entries of an even map, as sparse rows.
+
+    Variable v is the entry at positions[v] = (k, m), the e_k coefficient of
+    f(e_m).  Each row belongs to one tuple and output key of one condition
+    and holds, at v, the value there of left - right on the unit map
+    E_(k,m), so the rows are what condition_residual gives on the unit maps,
+    but unreduced: over F_p a value may be a multiple of p, which the
+    elimination drops.  They are scattered from the nonzero contributions
+    of each term (_unit_parts): no map is built and no side is evaluated.
+    """
+    n = a.dim
+    by_column = [[] for _ in range(n)]
+    for v, (k, m) in enumerate(positions):
+        by_column[m].append((k, v))
+    gram = form and [[a.field.kernel_scalar(g) for g in row] for row in form.gram]
+    rows = []
+    for name in names:
+        arity, left, right = _CONDITIONS[name]
+        weights = [n ** (arity - s) for s in range(arity)]
+        equations: dict = {}
+        for sign, factors, node in left + [(-sign, factors, node) for sign, factors, node in right]:
+            inner, outer = _unit_parts(a, node, factors, weights, gram)
+            for m, variables in enumerate(by_column):
+                for code, y in inner[m]:
+                    for k, v in variables:
+                        for key, z in outer[k]:
+                            row = equations.setdefault(code + key, {})
+                            row[v] = row.get(v, 0) + sign * y * z
+        rows += equations.values()
+    return rows
+
+
+def _unit_parts(a: ColorHomAlgebra, node, factors, w, gram) -> tuple:
+    """A linear term as (inner, outer): on the unit map f(e_m) = e_k its contributions are inner[m] x outer[k].
+
+    The term is a context around its one F(Y), Y free of f, so on that map
+    it is Y[m] times the context at e_k.  inner[m] lists (code, Y[m]) over
+    the tuples with Y[m] != 0, outer[k] (code, z) over the nonzero
+    coefficients z of the context at e_k, read from the product index, alpha
+    or the Gram rows; a code sums each slot's index times its weight, and
+    outer's adds the output key (0 for a form).  The maps are even, so the
+    factor F0 = eps(0, deg x_0) is 1, and a term with another factor is refused.
+    """
+    if set(factors) - {F0}:
+        raise StructureError(f"no unit scatter for the factors {factors!r}")
+    ns, rows, columns = range(a.dim), a.product_rows, a.alpha.sparse_columns
+    by_row, by_col, by_key, alpha_rows = a.product_index
+    match node:
+        case F(y):
+            outer = [[(k, 1)] for k in ns]
+        case P(F(y), int(q)):
+            outer = [[(j * w[q] + t, z) for j in by_row[k] for t, z in rows[k][j].items()] for k in ns]
+        case P(int(q), F(y)):
+            outer = [[(i * w[q] + t, z) for i in by_col[k] for t, z in rows[i][k].items()] for k in ns]
+        case A(F(y)):
+            outer = [list(columns[k].items()) for k in ns]
+        case B(F(y), int(q)):
+            outer = [[(j * w[q], g) for j, g in enumerate(gram[k]) if g] for k in ns]
+        case B(int(q), F(y)):
+            outer = [[(i * w[q], row[k]) for i, row in enumerate(gram) if row[k]] for k in ns]
+        case _:
+            raise StructureError(f"no unit scatter for the term {node!r}")
+    match y:
+        case int(p):
+            inner = [[(m * w[p], 1)] for m in ns]
+        case P(int(p), int(q)):
+            inner = [[(i * w[p] + j * w[q], c) for i, j, c in by_key[m]] for m in ns]
+        case A(int(p)):
+            inner = [[(r * w[p], c) for r, c in alpha_rows[m]] for m in ns]
+        case _:
+            raise StructureError(f"no unit scatter for the term {node!r}")
+    return inner, outer
 
 
 def commutes_with_twist(a: ColorHomAlgebra, f: GradedLinearMap) -> Verdict:

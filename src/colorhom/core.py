@@ -36,7 +36,9 @@ adds and drops exact zeros, so over F_p its results are correct mod p but
 unreduced.  They are reduced only where they leave it: checks._failing
 tests an identity's slice residuals mod p, checks._first_failure reduces
 two sides mod p only when they differ as ints, catalog.search_maps
-reduces the residuals of its product pairs, and dense_vector boxes every
+reduces the residuals of its product pairs, the one exact elimination
+(_row_reduce, behind matrix_rank, invert_map and search_maps's linear
+part) reduces every value it keeps, and dense_vector boxes every
 value through field.coerce, so tuples, matrices, witnesses and documents
 hold Fraction or Fp elements only.
 """
@@ -266,54 +268,48 @@ def _bounded(m: GradedLinearMap) -> GradedLinearMap:
     return m
 
 
-def _gauss_rank_inverse(field: ScalarField, rows):
-    """Exact Gauss-Jordan: (rank, inverse-or-None for square input, reduced rows, pivot columns).
+def _row_reduce(field: ScalarField, rows) -> tuple:
+    """The reduced row echelon form of sparse rows {column: kernel scalar}: (reduced rows, pivot columns).
 
-    The reduced rows are the rank nonzero rows of the reduced row echelon
-    form: reduced[r] has 1 in column pivots[r] and 0 in every other pivot
-    column.
+    Exact: over F_p every value is reduced into [0, p), over Q the values are
+    ints and Fractions.  reduced[r] is 1 at pivots[r], ascending, and 0 at
+    every other pivot column.  Each row is reduced by the rows kept so far;
+    a nonzero remainder is kept with its least column as pivot, once that
+    column is cleared from the other kept rows.  The RREF of a row space is
+    unique, so the order of the rows does not matter.
     """
-    n = len(rows)
-    m = [list(r) for r in rows]
-    square = all(len(r) == n for r in m)
-    aug = None
-    if square:
-        one, zero = field.one, field.zero
-        aug = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    pivots = []
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, n):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        if aug is not None:
-            aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = field.one / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
-        if aug is not None:
-            aug[rank] = [v * inv for v in aug[rank]]
-        for r in range(n):
-            if r == rank or m[r][col] == 0:
-                continue
-            f = m[r][col]
-            m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-            if aug is not None:
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    inverse = tuple(tuple(r) for r in aug) if square and rank == n else None
-    return rank, inverse, m[:rank], pivots
+    p = field.p
+    reduce = (lambda x: x % p) if p else (lambda x: x)
+    kept: dict = {}  # pivot column -> its row
+
+    def subtract(row, s, other):
+        for c, v in other.items():
+            if x := reduce(row.get(c, 0) - s * v):
+                row[c] = x
+            else:
+                del row[c]
+
+    for row in rows:
+        row = {c: x for c, v in row.items() if (x := reduce(v))}
+        for c in [c for c in row if c in kept]:
+            subtract(row, row[c], kept[c])
+        if row:
+            pivot = min(row)
+            inverse = pow(row[pivot], -1, p) if p else 1 / Fraction(row[pivot])
+            row = {c: reduce(v * inverse) for c, v in row.items()}
+            for other in kept.values():
+                if pivot in other:
+                    subtract(other, other[pivot], row)
+            kept[pivot] = row
+    pivots = sorted(kept)
+    return [kept[c] for c in pivots], pivots
 
 
 def matrix_rank(field: ScalarField, rows) -> int:
-    coerced = [[field.coerce(v) for v in r] for r in rows]
-    return _gauss_rank_inverse(field, coerced)[0]
+    rows = tuple(rows)
+    if len({len(r) for r in rows}) > 1:
+        raise StructureError("matrix rank needs rows of one length")
+    return len(_row_reduce(field, [sparse_vector(field, r) for r in rows])[1])
 
 
 def determinant(field: ScalarField, rows):
@@ -343,13 +339,18 @@ def determinant(field: ScalarField, rows):
 
 
 def invert_map(m: GradedLinearMap) -> GradedLinearMap:
-    """Exact inverse of an even map; raises SingularMapError if not regular."""
+    """Exact inverse of an even map; raises SingularMapError if not regular.
+
+    The reduced [M^T | I] is [I | (M^-1)^T], so its rows, past column n, are
+    the columns of the inverse.
+    """
     if not m.is_even:
         raise StructureError("only even maps are inverted here")
-    inv = _gauss_rank_inverse(m.basis.field, m.matrix)[1]
-    if inv is None:
+    n = m.basis.dim
+    reduced, pivots = _row_reduce(m.basis.field, ({**c, n + i: 1} for i, c in enumerate(m.sparse_columns)))
+    if pivots[-1] >= n:
         raise SingularMapError("map is singular: not regular")
-    return GradedLinearMap(m.basis, inv, m.basis.group.zero())
+    return GradedLinearMap(m.basis, _Columns(tuple({c - n: v for c, v in r.items() if c >= n} for r in reduced)))
 
 
 class _Cells(NamedTuple):

@@ -126,7 +126,7 @@ def check_quadratic_structure(a: ColorHomAlgebra, f: BilinearFormStructure) -> V
 
     Scalar-valued comparisons carry length-1 tuples as witness values.  The
     nondegeneracy clause computes the determinant (Bareiss) and the rank
-    (Gauss-Jordan) independently and insists that they agree.
+    (core's sparse row reduction) independently and insists that they agree.
     """
     _require_form(a, f)
     n = a.dim

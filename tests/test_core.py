@@ -207,19 +207,27 @@ def test_matrix_rank_frozen_values():
     assert matrix_rank(Q, ((0, 0), (0, 0))) == 0
 
 
-@settings(max_examples=60, deadline=None)
+@pytest.mark.parametrize("rows", [((1, 2), (3,)), ((1,), (2, 3))], ids=str)
+def test_matrix_rank_rejects_ragged_rows(rows):
+    with pytest.raises(StructureError, match="rows of one length"):
+        matrix_rank(Q, rows)
+
+
+@settings(max_examples=150, deadline=None)
 @given(
-    st.lists(
-        st.lists(st.integers(min_value=-4, max_value=4), min_size=3, max_size=3),
-        min_size=3,
-        max_size=3,
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=-4, max_value=8), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
     )
 )
 def test_determinant_and_rank_agree(rows):
-    for field in (Q, prime_field(7)):
+    for field in (Q, prime_field(3), prime_field(5), prime_field(7)):
         det = determinant(field, rows)
         rank = matrix_rank(field, rows)
-        assert (det != 0) == (rank == 3)
+        assert (det != 0) == (rank == len(rows))
 
 
 def test_make_algebra_names_first_lex_evenness_violation():
