@@ -15,33 +15,9 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
-from typing import Callable
 
 from . import constructions as cons
-from . import quadratic as quad
-from .checks import (
-    PREDICATE_CONDITIONS,
-    Verdict,
-    _linear_equations,
-    check_bracket_operator_conditions,
-    check_cyclic_commutator_products,
-    check_epsilon_commutative,
-    check_hom_associative,
-    check_hom_lie,
-    check_hom_novikov,
-    check_involutive,
-    check_left_symmetric,
-    check_lie_admissible,
-    check_multiplicative,
-    check_regular,
-    is_averaging,
-    is_centroid,
-    is_derivation,
-    is_morphism,
-    is_rota_baxter,
-    is_weak_morphism,
-    linear_conditions,
-)
+from .checks import PREDICATE_CONDITIONS, _linear_equations, linear_conditions
 from .core import (
     ColorHomAlgebra,
     GradedBasis,
@@ -57,6 +33,15 @@ from .core import (
 )
 from .errors import StructureError
 from .grading import GradeGroup, make_bicharacter, trivial_bicharacter
+from .operations import (
+    CHECK,
+    CHECKS_BY_NAME,
+    CONSTRUCTION,
+    OPERATIONS,
+    OPTIONAL_ARGUMENTS,
+    Operation,
+    run_named_check,
+)
 from .quadratic import BilinearFormStructure
 from .scalars import ScalarField, rationals
 
@@ -376,110 +361,6 @@ def standard_entries(field: ScalarField) -> list:
 
 
 # ---------------------------------------------------------------------------
-# named operations: the one table behind the CLI, suites, claims and search
-
-CHECK = "check"
-CONSTRUCTION = "construction"
-
-
-@dataclass(frozen=True)
-class Operation:
-    """A check or construction addressable by name.
-
-    `takes` names the arguments that follow the algebra, in the order
-    `call` receives them, out of "map", "form", "with" (a second algebra),
-    "n", "xi", "weight" and "side"; constructions receive `checked` last,
-    and those that take a form return (algebra, form).  Each call looks its
-    function up by module-global name when it runs, so rebinding that name
-    (as the traced benchmark run does) reaches every caller.
-
-    A one-map check is an operator predicate: its conditions, and the
-    linear part search_maps solves, are read from its declaration in
-    checks.PREDICATE_CONDITIONS under the same name.
-    """
-
-    kind: str
-    takes: tuple
-    call: Callable
-
-
-def _construction(module, name: str, takes: tuple, gated: bool = True) -> Operation:
-    """module.<name> as a construction; a gated one passes `checked` on, the others ignore it."""
-
-    def call(a, *args):
-        *args, checked = args
-        build = getattr(module, name)
-        return build(a, *args, checked=checked) if gated else build(a, *args)
-
-    return Operation(CONSTRUCTION, takes, call)
-
-
-# arguments an operation may leave out, with the value they then take
-OPTIONAL_ARGUMENTS = {"side": "both", "weight": 0}
-
-OPERATIONS = {
-    # algebra checks
-    "epsilon_commutative": Operation(CHECK, (), lambda a: check_epsilon_commutative(a)),
-    "hom_associative": Operation(CHECK, (), lambda a: check_hom_associative(a)),
-    "hom_novikov": Operation(CHECK, (), lambda a: check_hom_novikov(a)),
-    "left_symmetric": Operation(CHECK, (), lambda a: check_left_symmetric(a)),
-    "hom_lie": Operation(CHECK, (), lambda a: check_hom_lie(a)),
-    "lie_admissible": Operation(CHECK, (), lambda a: check_lie_admissible(a)),
-    "cyclic_commutator_products": Operation(
-        CHECK, (), lambda a: check_cyclic_commutator_products(a)
-    ),
-    "multiplicative": Operation(CHECK, (), lambda a: check_multiplicative(a)),
-    "regular": Operation(CHECK, (), lambda a: check_regular(a)),
-    "involutive": Operation(CHECK, (), lambda a: check_involutive(a)),
-    "quadratic_structure": Operation(
-        CHECK, ("form",), lambda a, f: quad.check_quadratic_structure(a, f)
-    ),
-    # operator predicates
-    "weak_morphism": Operation(CHECK, ("map",), lambda a, m: is_weak_morphism(a, a, m)),
-    "morphism": Operation(CHECK, ("map",), lambda a, m: is_morphism(a, a, m)),
-    "derivation": Operation(CHECK, ("map",), lambda a, m: is_derivation(a, m)),
-    "averaging": Operation(CHECK, ("map", "side"), lambda a, m, side: is_averaging(a, m, side)),
-    "centroid": Operation(CHECK, ("map", "side"), lambda a, m, side: is_centroid(a, m, side)),
-    "rota_baxter": Operation(CHECK, ("map", "weight"), lambda a, m, w: is_rota_baxter(a, m, w)),
-    "bracket_operator_conditions": Operation(
-        CHECK, ("map",), lambda a, m: check_bracket_operator_conditions(a, m)
-    ),
-    "symmetric_automorphism": Operation(
-        CHECK, ("form", "map"), lambda a, f, m: quad.is_symmetric_automorphism(a, f, m)
-    ),
-    # constructions
-    "yau_twist": _construction(cons, "yau_twist", ("map",)),
-    "power_twist": _construction(cons, "power_twist", ("n",)),
-    "centroid_twist": _construction(cons, "centroid_twist", ("map",)),
-    "xi_square_twist": _construction(cons, "xi_square_twist", ("xi",)),
-    "commutator_algebra": _construction(cons, "commutator_algebra", (), gated=False),
-    "derivation_product": _construction(cons, "derivation_product", ("map",)),
-    "composed_derivation_product": _construction(cons, "composed_derivation_product", ("map",)),
-    "averaging_product": _construction(cons, "averaging_product", ("map",)),
-    "bracket_operator_product": _construction(cons, "bracket_operator_product", ("map",)),
-    "direct_sum": _construction(cons, "direct_sum", ("with",), gated=False),
-    "tensor_product": _construction(cons, "tensor_product", ("with",)),
-    "untwist_involutive": _construction(cons, "untwist_involutive", ()),
-    "regular_lie_untwist": _construction(cons, "regular_lie_untwist", ()),
-    "quadratic_yau_twist": _construction(quad, "quadratic_yau_twist", ("form", "map")),
-    "quadratic_commutator": _construction(quad, "quadratic_commutator", ("form",)),
-    "regular_quadratic_commutator": _construction(quad, "regular_quadratic_commutator", ("form",)),
-    "quadratic_untwist_involutive": _construction(quad, "quadratic_untwist_involutive", ("form",)),
-}
-
-# the checks that take nothing but the algebra (claims are drawn from these)
-CHECKS_BY_NAME = {
-    name: op.call for name, op in OPERATIONS.items() if op.kind == CHECK and not op.takes
-}
-
-
-def run_named_check(a: ColorHomAlgebra, name: str) -> Verdict:
-    if name not in CHECKS_BY_NAME:
-        raise StructureError(f"unknown check {name!r}")
-    return CHECKS_BY_NAME[name](a)
-
-
-# ---------------------------------------------------------------------------
 # structure search
 
 def search_maps(
@@ -566,9 +447,10 @@ def search_maps(
     def arguments(m):
         return [m if arg == "map" else given[arg] for arg in op.takes]
 
+    check = op.resolve()
     # the zero map meets every linear condition: the predicate on it checks
     # the other arguments before any system is built
-    op.call(a, *arguments(candidate((zero,) * len(positions))))
+    check(a, *arguments(candidate((zero,) * len(positions))))
     free, pivots = _solve_linear_part(a, linear_conditions(predicate, side), positions, given["form"])
 
     # column i branches over its free positions, then fills the fixed
@@ -656,7 +538,7 @@ def search_maps(
         if column == n:
             leaves += 1
             m = candidate(assignment)
-            if op.call(a, *arguments(m)):
+            if check(a, *arguments(m)):
                 hits.append((tuple(map(field.sort_key, assignment)), m))
             return
         if columns[column] is not None:  # forced

@@ -55,9 +55,9 @@ from .core import (
     _bracket,
     _operator_product,
     _require_even_endo,
+    _row_reduce,
     dense_vector,
     homogeneous_components,
-    matrix_rank,
     sparse_add,
     sparse_apply,
     sparse_product,
@@ -165,7 +165,9 @@ class _Scope(NamedTuple):
 
 
 def _eps_f(source: ColorHomAlgebra, f: GradedLinearMap, eps_f: dict, i: int):
-    """eps(deg f, deg e_i), evaluated once per degree and kept in eps_f."""
+    """eps(deg f, deg e_i): 1 for an even f, else evaluated once per degree and kept in eps_f."""
+    if f.degree.is_zero:
+        return 1
     d = source.degrees[i]
     if d not in eps_f:
         eps_f[d] = source.field.kernel_scalar(source.eps(f.degree, d))
@@ -527,7 +529,7 @@ def check_regular(a: ColorHomAlgebra) -> Verdict:
     v = check_multiplicative(a)
     if not v:
         return v
-    if matrix_rank(a.field, a.alpha.matrix) != a.dim:
+    if len(_row_reduce(a.field, a.alpha.sparse_columns)[1]) != a.dim:
         return _fail("invertibility", (), None, None)
     return PASS
 

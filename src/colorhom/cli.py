@@ -4,6 +4,11 @@ Exit status discipline: 0 = everything passed; 1 = a mathematical failure
 (a check failed or a construction hypothesis was violated; the report
 carries the witness); 2 = usage or structural error (bad file, unknown
 name, ill-formed document).  The two failure kinds are never conflated.
+
+A child process imports what its verb runs: the document format and the
+table of named operations always, a check's or construction's module when
+the verb binds it, and the catalog only for suite recipe rows and the
+catalog verb.
 """
 
 from __future__ import annotations
@@ -11,13 +16,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
 from pathlib import Path
 
-from . import catalog as cat
-from .checks import Verdict
 from .errors import HypothesisError, StructureError
 from .io import ParsedDocument, document_digest, parse_document, serialize_document
+from .operations import CHECK, CONSTRUCTION, OPERATIONS, OPTIONAL_ARGUMENTS
 from .scalars import ScalarField, prime_field, rationals
 
 __all__ = ["main"]
@@ -84,7 +87,7 @@ def _bind(kind: str, name: str, doc: ParsedDocument, raw: dict, base_dir: Path =
     Scalars are decoded by the field's parser, and with-paths resolve
     against base_dir.
     """
-    op = cat.OPERATIONS.get(name) if isinstance(name, str) else None
+    op = OPERATIONS.get(name) if isinstance(name, str) else None
     if op is None or op.kind != kind:
         raise StructureError(f"unknown {kind} {name!r}")
     names = list(raw.get("maps", ()))
@@ -98,9 +101,9 @@ def _bind(kind: str, name: str, doc: ParsedDocument, raw: dict, base_dir: Path =
         if arg == "map":
             args.append(_named_map(doc, names.pop(0)))
             continue
-        if arg not in raw and arg not in cat.OPTIONAL_ARGUMENTS:
+        if arg not in raw and arg not in OPTIONAL_ARGUMENTS:
             raise StructureError(f"{kind} {name!r} needs {arg}")
-        value = raw.get(arg, cat.OPTIONAL_ARGUMENTS.get(arg))
+        value = raw.get(arg, OPTIONAL_ARGUMENTS.get(arg))
         if arg == "form":
             if not isinstance(value, str) or value not in doc.forms:
                 raise StructureError(f"document defines no form {value!r}")
@@ -121,14 +124,15 @@ def _bind(kind: str, name: str, doc: ParsedDocument, raw: dict, base_dir: Path =
     return op, args
 
 
-def _check(doc: ParsedDocument, name: str, raw: dict) -> Verdict:
-    op, args = _bind(cat.CHECK, name, doc, raw)
+def _check(doc: ParsedDocument, name: str, raw: dict):
+    """The named check's Verdict on the document."""
+    op, args = _bind(CHECK, name, doc, raw)
     return op.call(doc.algebra, *args)
 
 
 def _construct(doc: ParsedDocument, name: str, raw: dict, checked: bool, base_dir: Path = Path()):
     """Returns (algebra, output forms by name)."""
-    op, args = _bind(cat.CONSTRUCTION, name, doc, raw, base_dir)
+    op, args = _bind(CONSTRUCTION, name, doc, raw, base_dir)
     out = op.call(doc.algebra, *args, checked)
     if "form" in op.takes:
         out, form = out
@@ -204,7 +208,7 @@ def cmd_construct(args) -> int:
         if v is not None:
             arguments[key] = v
     inputs = [args.algebra]
-    if "with" in cat.OPERATIONS[args.op].takes:
+    if "with" in OPERATIONS[args.op].takes:
         inputs.append(vars(args)["with"])
     provenance = {
         "construction": args.op,
@@ -255,11 +259,12 @@ def _row_document(row, base_dir: Path) -> ParsedDocument:
     if isinstance(src, str):
         return _load_document(str(base_dir / src))
     if isinstance(src, dict) and "recipe" in src:
+        from .catalog import build_entry
         field = _parse_field_label(src.get("field", "Q"))
         params = src.get("params", {})
         if not isinstance(params, dict):
             raise StructureError(f"recipe params must be an object, got {params!r}")
-        entry = cat.build_entry(src["recipe"], field, **params)
+        entry = build_entry(src["recipe"], field, **params)
         return ParsedDocument(entry.algebra, entry.maps, entry.forms)
     raise StructureError(f"row needs an algebra path or recipe, got {src!r}")
 
@@ -309,6 +314,7 @@ def _run_suite_row(row, base_dir: Path, unchecked: bool):
 
 
 def builtin_suite_path(name: str) -> Path:
+    from importlib import resources
     ref = resources.files("colorhom") / "suites" / f"{name}.json"
     p = Path(str(ref))
     if not p.is_file():
@@ -366,10 +372,11 @@ def cmd_suite(args) -> int:
 # catalog
 
 def cmd_catalog(args) -> int:
+    from .catalog import build_entry
     field = _parse_field_label(args.field)
     # build_entry decodes each parameter by its declared type
     params = {key: value for key in ("n", "dim", "c") if (value := vars(args)[key]) is not None}
-    entry = cat.build_entry(args.recipe, field, **params)
+    entry = build_entry(args.recipe, field, **params)
     text = serialize_document(entry.algebra, maps=entry.maps, forms=entry.forms)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

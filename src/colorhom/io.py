@@ -9,11 +9,16 @@ parse accepts non-canonical spellings (unsorted triples, "6/8") and
 re-serialization canonicalizes them.  The provenance section records how a
 document was constructed; it is ignored by parsing and never part of the
 canonical form.
+
+Scalars are read and written as kernel scalars (ScalarField.kernel_scalar):
+a JSON int is taken as it is, mod p over F_p, and only an "n/d" string goes
+through field.parse; alpha and the maps are read into and written from
+their sparse columns.  Forms load colorhom.quadratic, and only a document
+that has them does.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 from dataclasses import dataclass, field as dc_field
@@ -23,11 +28,11 @@ from .core import (
     GradedBasis,
     GradedLinearMap,
     _algebra_from_cells,
+    _Columns,
     identity_map,
 )
 from .errors import StructureError
 from .grading import Bicharacter, GradeGroup
-from .quadratic import BilinearFormStructure
 from .scalars import ScalarField, prime_field, rationals
 
 __all__ = [
@@ -53,12 +58,13 @@ def _field_to_json(f: ScalarField):
 
 
 def _scalar_from_json(f: ScalarField, v, where: str):
+    """The JSON scalar v as a kernel scalar: an int as it is (mod p over F_p), "n/d" through f.parse."""
+    if type(v) is int:
+        return v % f.p if f.p else v
     if isinstance(v, bool) or isinstance(v, float):
         raise StructureError(f"{where}: scalar must be an integer or \"n/d\" string")
-    if isinstance(v, int):
-        return f.from_int(v)
     if isinstance(v, str):
-        return f.parse(v)
+        return f.kernel_scalar(f.parse(v))
     raise StructureError(f"{where}: bad scalar {v!r}")
 
 
@@ -68,6 +74,13 @@ def _matrix_from_json(f: ScalarField, rows, where: str) -> tuple:
         f"{where}: matrix must be a list of rows",
     )
     return tuple(tuple(_scalar_from_json(f, v, where) for v in row) for row in rows)
+
+
+def _columns_from_json(f: ScalarField, rows, n: int, where: str) -> _Columns:
+    """An n x n matrix's sparse columns; its scalars are read before its shape is checked."""
+    rows = _matrix_from_json(f, rows, where)
+    _expect(len(rows) == n and all(len(row) == n for row in rows), f"matrix must be {n}x{n}")
+    return _Columns(tuple({k: row[i] for k, row in enumerate(rows) if row[i]} for i in range(n)))
 
 
 def _degree_from_json(group: GradeGroup, coords, where: str):
@@ -86,15 +99,29 @@ def _object_from_json(section, where: str) -> dict:
     return section
 
 
+class _Rows(list):
+    """A list of rows of ints and "n/d" strings, which _emit writes in one pass."""
+
+
 def _matrix_to_json(f: ScalarField, rows):
-    return [[f.to_json(v) for v in row] for row in rows]
+    return _Rows([f.to_json(v) for v in row] for row in rows)
+
+
+def _columns_to_json(f: ScalarField, m: GradedLinearMap):
+    """m's dense matrix as JSON rows, written from its sparse columns."""
+    n = m.basis.dim
+    rows = [[0] * n for _ in range(n)]
+    for i, column in enumerate(m.sparse_columns):
+        for k, v in column.items():
+            rows[k][i] = f.to_json(v)
+    return _Rows(rows)
 
 
 def _map_to_json(f: ScalarField, m: GradedLinearMap):
     out = {}
     if not m.is_even:
         out["degree"] = list(m.degree.coords)
-    out["matrix"] = _matrix_to_json(f, m.matrix)
+    out["matrix"] = _columns_to_json(f, m)
     return out
 
 
@@ -129,16 +156,16 @@ def _document(algebra: ColorHomAlgebra, maps, forms, provenance) -> dict:
         "bicharacter": {
             "gen_table": _matrix_to_json(f, algebra.bicharacter.gen_table)
         },
-        "basis": {"degrees": [list(d.coords) for d in algebra.degrees]},
+        "basis": {"degrees": _Rows(list(d.coords) for d in algebra.degrees)},
     }
-    triples = [
+    triples = _Rows(
         [i, j, k, f.to_json(v)]
         for i, plane in enumerate(algebra.product_rows)
         for j, cell in enumerate(plane)
         for k, v in cell.items()
-    ]
+    )
     doc["product"] = {"triples": triples}
-    doc["alpha"] = {"matrix": _matrix_to_json(f, algebra.alpha.matrix)}
+    doc["alpha"] = {"matrix": _columns_to_json(f, algebra.alpha)}
     if maps:
         doc["maps"] = {
             name: _map_to_json(f, maps[name]) for name in sorted(maps)
@@ -181,6 +208,10 @@ def _emit(obj, level: int) -> str:
     """
     pad = "  " * level
     inner = "  " * (level + 1)
+    if type(obj) is _Rows and obj:
+        # no row holds a "], [", so the rows split there
+        rows = json.dumps(obj)[1:-1].replace("], [", f"],\n{inner}[")
+        return f"[\n{inner}{rows}\n{pad}]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -198,6 +229,7 @@ def _emit(obj, level: int) -> str:
 
 
 def document_digest(text: str) -> str:
+    import hashlib
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -257,24 +289,21 @@ def parse_document(text: str) -> ParsedDocument:
     _expect(isinstance(psec["triples"], list), "product: triples must be a list")
     cells: dict = {}
     for entry in psec["triples"]:
-        _expect(
-            isinstance(entry, list) and len(entry) == 4,
-            f"product: triple {entry!r} must be [i, j, k, value]",
-        )
+        # JSON gives exact types: an int here is never a bool
+        if type(entry) is not list or len(entry) != 4:
+            raise StructureError(f"product: triple {entry!r} must be [i, j, k, value]")
         i, j, k, v = entry
-        for x in (i, j, k):
-            _expect(
-                isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n,
-                f"product: index out of range in {entry!r}",
-            )
-        value = _scalar_from_json(field, v, f"product[{i},{j},{k}]")
+        if not (type(i) is type(j) is type(k) is int and 0 <= i < n and 0 <= j < n and 0 <= k < n):
+            raise StructureError(f"product: index out of range in {entry!r}")
+        # an int is stored as it is: storing the rows reduces it mod p
+        value = v if type(v) is int else _scalar_from_json(field, v, f"product[{i},{j},{k}]")
         cell = cells.setdefault((i, j), {})
         # a repeated (i, j, k) sums; zeros, given or summed, drop when the rows are stored
         cell[k] = cell[k] + value if k in cell else value
 
     asec = doc["alpha"]
     _expect(isinstance(asec, dict) and "matrix" in asec, "alpha: need matrix")
-    alpha = GradedLinearMap(basis, _matrix_from_json(field, asec["matrix"], "alpha"))
+    alpha = GradedLinearMap(basis, _columns_from_json(field, asec["matrix"], n, "alpha"))
 
     algebra = _algebra_from_cells(basis, bichar, ((ij, cells[ij]) for ij in sorted(cells)), alpha)
 
@@ -284,11 +313,12 @@ def parse_document(text: str) -> ParsedDocument:
         deg = None
         if "degree" in msec:
             deg = _degree_from_json(group, msec["degree"], f"maps.{name}: degree")
-        rows = _matrix_from_json(field, msec["matrix"], f"maps.{name}")
-        maps[name] = GradedLinearMap(basis, rows, deg)
+        columns = _columns_from_json(field, msec["matrix"], n, f"maps.{name}")
+        maps[name] = GradedLinearMap(basis, columns, deg)
 
     forms = {}
     for name, fsec2 in _object_from_json(doc.get("forms"), "forms").items():
+        from .quadratic import BilinearFormStructure
         _expect(isinstance(fsec2, dict) and "gram" in fsec2, f"forms.{name}: need gram")
         companion_name = fsec2.get("companion", "id")
         if companion_name == "id":

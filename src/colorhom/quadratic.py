@@ -13,7 +13,8 @@ run on its compiled evaluator.
 
 Evenness (B(x, y) = 0 unless deg x + deg y = 0) is a property of the form
 object itself and is enforced at construction; require_even=False turns
-that restriction off for experiments.
+that restriction off for experiments.  The constructions import
+colorhom.constructions when they run, so reading a form loads none.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .checks import (
     check_involutive,
     check_multiplicative,
 )
-from .constructions import _require, commutator_algebra, untwist_involutive, yau_twist
 from .core import (
     ColorHomAlgebra,
     GradedBasis,
@@ -188,6 +188,7 @@ def quadratic_yau_twist(a: ColorHomAlgebra, f: BilinearFormStructure, beta: Grad
     B'(x, y) = B(beta(x), y) whose companion is again the identity.
     Returns (algebra, form).
     """
+    from .constructions import _require, yau_twist
     _require_identity_companion("quadratic_yau_twist", a, f)
     if checked:
         _require("quadratic_yau_twist", "hom-novikov", check_hom_novikov(a))
@@ -212,6 +213,7 @@ def quadratic_commutator(a: ColorHomAlgebra, f: BilinearFormStructure, *, checke
 
     The form stays invariant for the bracket; returns (algebra, form).
     """
+    from .constructions import _require, commutator_algebra
     _require_identity_companion("quadratic_commutator", a, f)
     if checked:
         _require("quadratic_commutator", "hom-novikov", check_hom_novikov(a))
@@ -227,6 +229,7 @@ def regular_quadratic_commutator(a: ColorHomAlgebra, f: BilinearFormStructure, *
     Output form B'(x, y) = B(alpha(x), y), companion alpha; returns
     (algebra, form).  Requires alpha invertible.
     """
+    from .constructions import _require, commutator_algebra
     _require_alpha_companion("regular_quadratic_commutator", a, f)
     if checked:
         _require("regular_quadratic_commutator", "hom-novikov", check_hom_novikov(a))
@@ -255,6 +258,7 @@ def quadratic_untwist_involutive(a: ColorHomAlgebra, f: BilinearFormStructure, *
     identity map) with the same Gram matrix and identity companion.
     Returns (algebra, form).
     """
+    from .constructions import _require, untwist_involutive
     _require_alpha_companion("quadratic_untwist_involutive", a, f)
     if checked:
         _require("quadratic_untwist_involutive", "involutive", check_involutive(a))

@@ -13,8 +13,8 @@ pairs that can be nonzero, so no module passes it a cell function (a
 lambda); only core takes a dense tensor (make_algebra, ColorHomAlgebra(...)), and an
 algebra's dense structure tensor is built on demand, at n^3 cost, so no
 module but core reads it either.  A map's dense matrix is built on demand
-too; outside core only a few boundary reads take it: the document writer
-and the two rank tests.  __init__.py only re-exports.
+too; outside core only one boundary read takes it: the rank test of
+is_symmetric_automorphism.  __init__.py only re-exports.
 """
 
 import ast
@@ -150,9 +150,6 @@ def test_the_structure_guard_sees_a_read():
 
 # (module, top-level function) of every read of a map's dense .matrix outside core
 MATRIX_READS = {
-    ("io.py", "_document"),
-    ("io.py", "_map_to_json"),
-    ("checks.py", "check_regular"),
     ("quadratic.py", "is_symmetric_automorphism"),
 }
 
