@@ -1,45 +1,33 @@
-"""Identity checks with exact witnesses.
+"""Identity checks, operator predicates and quadratic clauses, with exact witnesses.
 
-Every check quantifies an identity over basis tuples (sufficient by
+Every check quantifies a declared condition over basis tuples (sufficient by
 multilinearity: once degrees are fixed, both sides are linear in each slot).
 A failing check returns the first offending tuple in lexicographic slot
-order together with the exactly evaluated left and right sides, so every
-reported failure can be replayed.  Operator predicates and the declared
-quadratic clauses run on one loop (_first_failure) over basis tuples given in
-lexicographic order: each condition maps basis indices to sparse sides, and
-only a witness is made dense.  An identity scan instead computes one slot-0
-slice at a time (_slice: left - right of every tuple (i, ...) in one dict)
-and hands the first tuple with a nonzero value (mod p over F_p) alone to
-that loop, for the witness.
+order (z-major for invariance) with the exactly evaluated left and right
+sides, so every reported failure can be replayed.
 
-All of them are declared once, in one term language (signed sums of
+Every condition is declared once, in one term language (signed sums of
 products, alpha(.), f(.) and the form over the arguments, with eps signs),
-and _compiled and _slice turn each declaration, on first use, into the
-function that runs it.
+and one compiler, _slice, turns each declaration into slices: for each
+index of the first slot, one dict of left - right at every later tuple and
+output key.  Each term is one loop nest over the nonzero contributions it
+names (_nest): nonempty cells and nonzero alpha entries through the
+algebra's product index (core.ProductIndex), f through its columns and
+inverse lists, the form through its sparse Gram rows; a term of degree 2 in
+f is one chained nest.  A tuple no slice reaches has every term zero, so
+the first tuple with a nonzero value (mod p over F_p) is the first failing
+tuple of a scan over every tuple, and the sides, compiled per tuple
+(_compiled), run there alone for the witness (_first_failure).
 
-A slice reads only the nonzero contributions of its terms.  Each identity
-term has one of three shapes, x*y, (x*y)*alpha(z) or alpha(x)*(y*z),
-checked at import, and each shape, with the position of slot 0, is one
-loop nest over nonempty cells, nonzero alpha entries and the lists of the
-algebra's product index (core.ProductIndex), so no loop reads an empty
-cell.  A tuple the slice never reaches has every term zero, so both sides
-are {} and it passes; the first failing tuple, and its sides, are therefore
-those of a scan over every tuple.  A scan that fails in slice i computes
-slices 0..i only.
+identity_sides and identity_residual_on_vectors run the identities compiled
+for vector arguments, computing every product and image instead of reading
+stored cells: the independent route the tests compare the scans against.
 
-identity_sides and identity_residual_on_vectors (on arbitrary vectors, split
-into homogeneous components) run the identities compiled for vector
-arguments, computing every product and image instead of reading stored
-cells: the independent route the test-suite compares the basis scans against.
-
-One table, PREDICATE_CONDITIONS, lists the condition groups of each operator
-predicate (morphisms, derivations, averaging, Rota-Baxter and centroid
-operators, twist commutation, involution, B-symmetry) in the order they run.
-A condition whose terms all have degree 1 in f, counted from its
-declaration, is linear in f; those are the predicate's linear part
-(linear_conditions), which catalog.search_maps solves exactly from the
-equations _linear_equations scatters out of the terms' nonzero
-contributions.
+PREDICATE_CONDITIONS lists each operator predicate's condition groups in
+the order they run.  The conditions whose terms all have degree 1 in f are
+its linear part (linear_conditions); catalog.search_maps solves their
+equations, read off their slices with the entry of f in each key
+(_linear_equations).
 """
 
 from __future__ import annotations
@@ -53,6 +41,7 @@ from .core import (
     ColorHomAlgebra,
     GradedLinearMap,
     _bracket,
+    _column_rows,
     _operator_product,
     _require_even_endo,
     _row_reduce,
@@ -236,57 +225,116 @@ def _evaluator(arity: int, *sides, basis: bool = True):
     return eval(f"lambda {', '.join(_Scope._fields)}: lambda {keys}: ({body},)", globals())
 
 
-# (type of the term's first factor, position of slot 0) -> the loops over
-# the term's nonzero contributions in one slot-0 slice.  k{0}, k{1}, k{2} are
-# the slots at the shape's positions (p, q) or (p, q, s), and z is the value
-# at the output key k.  x_p*x_q (first factor an int): z in the cell (p, q).
-# (x_p*x_q)*alpha(x_s) (a P): x at key m of the cell (p, q), y at key t of
-# alpha's column s, z in the cell (m, t).  alpha(x_p)*(x_q*x_s) (an A): y at
-# key t of alpha's column p, x at key m of the cell (q, s), z in the cell (t, m).
-_NESTS = {
-    (int, 0): ("k{1} in by_row[k0]", "k, z in rows[k0][k{1}].items()"),
-    (int, 1): ("k{0} in by_col[k0]", "k, z in rows[k{0}][k0].items()"),
-    (P, 0): ("k{1} in by_row[k0]", "m, x in rows[k0][k{1}].items()", "t in by_row[m]",
-            "k{2}, y in alpha_rows[t]", "k, z in rows[m][t].items()"),
-    (P, 1): ("k{0} in by_col[k0]", "m, x in rows[k{0}][k0].items()", "t in by_row[m]",
-            "k{2}, y in alpha_rows[t]", "k, z in rows[m][t].items()"),
-    (P, 2): ("t, y in columns[k0].items()", "m in by_col[t]", "k{0}, k{1}, x in by_key[m]",
-            "k, z in rows[m][t].items()"),
-    (A, 0): ("t, y in columns[k0].items()", "m in by_row[t]", "k{1}, k{2}, x in by_key[m]",
-            "k, z in rows[t][m].items()"),
-    (A, 1): ("k{2} in by_row[k0]", "m, x in rows[k0][k{2}].items()", "t in by_col[m]",
-            "k{0}, y in alpha_rows[t]", "k, z in rows[t][m].items()"),
-    (A, 2): ("k{1} in by_col[k0]", "m, x in rows[k{1}][k0].items()", "t in by_col[m]",
-            "k{0}, y in alpha_rows[t]", "k, z in rows[t][m].items()"),
+def _path(node, slot: int, under: bool = False):
+    """(node, position of the child holding slot, under an F) from the leaf's parent up to the root; None without slot."""
+    if type(node) is int:
+        return [] if node == slot else None
+    for position, child in enumerate(node):
+        if (below := _path(child, slot, under or type(node) is F)) is not None:
+            return [*below, (node, position, under)]
+
+
+def _nest(node, slot: int) -> tuple:
+    """The loops of one term with slot fixed, each (source, coefficient or None), the output key and f's coefficients.
+
+    Climbing from the fixed leaf, each node loops over its other input (by_row
+    or by_col, a Gram row or column), binds that subtree from its output down
+    (by_key, an inverse list), then loops over its own output (a cell, a
+    column).  Names with s_ read the source algebra (under an F).
+    """
+    loops, names, read = [], (f"m{i}" for i in range(64)), []
+
+    def name(x):
+        return f"k{x}" if type(x) is int else next(names)
+
+    def add(source, of_f=False):  # a loop binding the coefficient c<i> as its last name
+        loops.append((source.format(c := f"c{len(loops)}"), c))
+        read.extend([c] * of_f)
+
+    def down(x, w, under):  # bind x's subtree from its output w; a slot binds nothing
+        s = "s_" * under
+        if type(x) is P:
+            u, v = name(x.x), name(x.y)
+            add(f"{u}, {v}, {{}} in {s}by_key[{w}]")
+            down(x.x, u, under)
+            down(x.y, v, under)
+        elif type(x) is not int:
+            u = name(x.x)
+            add(f"{u}, {{}} in {'f_rows' if type(x) is F else s + 'alpha_rows'}[{w}]", type(x) is F)
+            down(x.x, u, under or type(x) is F)
+
+    u = f"k{slot}"
+    for x, position, under in _path(node, slot):
+        s, other = "s_" * under, x[1 - position] if len(x) == 2 else None
+        if type(x) is P:
+            loops.append((f"{(v := name(other))} in {s}by_{'col' if position else 'row'}[{u}]", None))
+            down(other, v, under)
+            cell, u = f"{s}rows[{v}][{u}]" if position else f"{s}rows[{u}][{v}]", name(x)
+            add(f"{u}, {{}} in {cell}.items()")
+        elif type(x) is B:  # a form's value is a scalar, at key 0
+            v = name(other)
+            add(f"{v}, {{}} in g_columns[{u}]" if position else f"{v}, {{}} in g_rows[{u}].items()")
+            down(other, v, under)
+            u = "0"
+        else:
+            w = name(x)
+            add(f"{w}, {{}} in {'f_columns' if type(x) is F else s + 'columns'}[{u}].items()", type(x) is F)
+            u = w
+    return loops, u, read
+
+
+# the lists a slice reads, bound once per call: the target's always, the others where the body names them
+_LISTS = {
+    "": "rows, columns, eps, n = target.product_rows, target.alpha.sparse_columns, target.eps_table, target.dim\n"
+        " by_row, by_col, by_key, alpha_rows = target.product_index",
+    "s_": "s_rows, s_columns = source.product_rows, source.alpha.sparse_columns\n"
+          " s_by_row, s_by_col, s_by_key, s_alpha_rows = source.product_index",
+    "f_": "f_columns, f_rows = f.sparse_columns, f.inverse_lists",
+    "g_": "g_rows, g_columns = form.gram_rows, _column_rows(form.gram_rows)",
 }
+
+# slot orders other than the lexicographic one: for a fixed z the invariance clause
+# pairs off products against it, and the first reported failure follows that grouping
+_ORDERS = {"invariance": (2, 1, 0)}
 
 
 @cache
-def _slice(name: str):
-    """An identity's slice function, compiled once from Python source: a function of the algebra.
+def _slice(name: str, entry_in_key: bool = False):
+    """A declaration's slice function, compiled once from Python source: a function of a scope's fields.
 
-    Its value maps a slot-0 index k0 to one dict r holding, at the key
-    (k1*n + k2)*n + k (k1*n + k for a pair), left - right at the output key
-    k of the tuple (k0, k1, k2): every left term is added and every right
-    term subtracted, each as the loop nest of _NESTS that its shape and the
-    position of slot 0 select, so no loop reads an empty cell.  A key a
-    contribution reached holds a value, possibly zero.
+    Its value maps an index of the first slot in the declaration's order to
+    one dict r holding, at the key (k1*n + k2)*n + k (k1*n + k for a pair, k
+    for one slot; the later slots in that order, k = 0 for a form), left -
+    right at output key k: each term added or subtracted as its nest, so no
+    loop reads a zero.  A key reached holds a value, possibly zero.  F0
+    depends on slot 0 alone, so it is computed once per slice.  With
+    entry_in_key, for terms reading f once, the entry of f a contribution
+    reads is not multiplied in but added to its key times n*n.
     """
-    arity, left, right = _IDENTITIES[name]
-    base = "(k1 * n + k2) * n" if arity == 3 else "k1 * n"
-    lines = ["rows, columns, eps, n = a.product_rows, a.alpha.sparse_columns, a.eps_table, a.dim",
-             "by_row, by_col, by_key, alpha_rows = a.product_index", "def scan_slice(k0):", " r = {}"]
+    arity, left, right = _IDENTITIES.get(name) or _CONDITIONS[name]
+    order = _ORDERS.get(name, range(arity))
+    base = ("0", "k{} * n", "(k{} * n + k{}) * n")[arity - 1].format(*order[1:])
+    lines = [f"def scan_slice(k{order[0]}):", " r = {}"]
     for sign, factors, node in left + [(-sign, factors, node) for sign, factors, node in right]:
-        slots = _slots(node)
-        loops = [loop.format(*slots) for loop in _NESTS[type(node.x), slots.index(0)]]
-        w = " * ".join([str(sign)] * (sign != 1) + [f"eps[k{s}][k{t}]" for s, t in factors]
-                       + ["x", "y"] * (len(loops) > 2)) or "1"
-        lines += [f"{' ' * depth}for {loop}:" for depth, loop in enumerate(loops, 1)]
-        lines.insert(-1, f"{' ' * len(loops)}b, w = {base}, {w}")
-        lines.append(f"{' ' * (len(loops) + 1)}r[b + k] = r.get(b + k, 0) + w * z")
+        loops, k, read = _nest(node, order[0])
+        if F0 in factors and " f0 = " + F0 not in lines:
+            lines.insert(2, " f0 = " + F0)
+        w = [str(sign)] * (sign != 1) + [{F0: "f0"}.get(c, c) if type(c) is str else "eps[k{}][k{}]".format(*c)
+                                         for c in factors] + [c for _, c in loops if c and not (entry_in_key and c in read)]
+        lines += [f"{' ' * depth}for {loop}:" for depth, (loop, _) in enumerate(loops, 1)]
+        # the weight is taken before the last loop unless that loop binds slots (a form) or the key needs f's entry
+        if loops and k != "0" and not entry_in_key:
+            lines.insert(-1, f"{' ' * len(loops)}b, w = {base}, {' * '.join(w[:-1]) or 1}")
+            key, value = f"b + {k}", f"w * {w[-1]}"
+        else:
+            key, value = base if k == "0" else f"{base} + {k}" if base != "0" else k, " * ".join(w) or "1"
+            key = f"({key}) * n * n + {read[0]}" if entry_in_key else key
+        lines.append(f"{' ' * (len(loops) + 1)}r[{key}] = r.get({key}, 0) + {value}")
     lines += [" return r", "return scan_slice"]
+    body = "\n".join(" " + line for line in lines)
+    prelude = "".join(f" {lists}\n" for prefix, lists in _LISTS.items() if prefix in body)
     scope: dict = {}
-    exec("def slice_of(a):\n" + "\n".join(" " + line for line in lines), scope)
+    exec(f"def slice_of(target, source=None, f=None, eps_f=None, weight=0, form=None):\n{prelude}{body}", globals(), scope)
     return scope["slice_of"]
 
 
@@ -388,26 +436,36 @@ def _every_tuple(a: ColorHomAlgebra, arity: int):
     return iproduct(range(a.dim), repeat=arity)
 
 
-def _first_failure(a: ColorHomAlgebra, tuples, conditions, width: int | None = None) -> Verdict:
-    """Check (name, sides) conditions on basis tuples, given in lexicographic slot order.
+def _first_failure(a: ColorHomAlgebra, slices, order, names, scope, width: int | None = None) -> Verdict:
+    """The first tuple where the named declarations fail, from their slices, with the first failing one there.
 
-    The caller passes every tuple, or only those where some condition can
-    fail.  At each tuple the conditions run in the order given.  sides(*indices)
-    returns (left, right) as sparse vectors of kernel scalars; only a
-    failing pair is made dense, for the witness, with width coordinates
-    (a.dim unless given; a scalar condition keeps its value at key 0 and
-    passes width=1).  Over F_p the sides are unreduced: equal ones are
-    equal mod p, and only unequal ones are reduced and compared again.
+    The slices fix the first slot of order, one index at a time.  The witness
+    is the tuple of the least key with a nonzero value (mod p over F_p) in
+    one of them, not the least key reached, since contributions can cancel;
+    once it is the index's first tuple, no later slice is computed.  There
+    alone the sides, compiled per tuple, run for the names in order, and the
+    first pair that differs, reduced over F_p, is made dense with width
+    coordinates (a.dim unless given; a scalar keeps its value at key 0).
     """
-    field = a.field
-    p, width = field.p, width or a.dim
-    for idx in tuples:
-        for name, sides in conditions:
-            left, right = sides(*idx)
-            if left != right and (p is None or _reduced(left, p) != _reduced(right, p)):
-                return _fail(
-                    name, idx, dense_vector(field, width, left), dense_vector(field, width, right)
-                )
+    n, field = a.dim, a.field
+    p, top = field.p, n ** 3
+    for i in range(n):
+        least = top
+        for scan_slice in slices:
+            r = scan_slice(i)
+            nonzero = [k for k, v in r.items() if v] if p is None else [k for k, v in r.items() if v % p]
+            if nonzero:
+                least = min(least, *nonzero)
+                if least < n:
+                    break
+        if least < top:
+            j = least // n
+            digits = (i, *divmod(j, n)) if len(order) == 3 else (i, j)[:len(order)]
+            idx = digits if order[0] == 0 else tuple(digits[order.index(s)] for s in range(len(order)))
+            for name in names:
+                left, right = _compiled(name)(*scope)(*idx)
+                if left != right and (p is None or _reduced(left, p) != _reduced(right, p)):
+                    return _fail(name, idx, dense_vector(field, width or n, left), dense_vector(field, width or n, right))
     return PASS
 
 
@@ -417,32 +475,9 @@ def _reduced(x: dict, p: int) -> dict:
 
 
 def _scan(a: ColorHomAlgebra, name: str) -> Verdict:
-    """Quantify one identity over basis tuples, one slot-0 slice at a time.
-
-    The slice function gives left - right at every tuple of a slice where
-    some term is nonzero; every other tuple has all its terms zero, so both
-    sides are {} and it passes.  Only the first tuple with a nonzero value
-    reaches the sides, for the witness, and a scan that fails in slice i
-    computes slices 0..i only.
-    """
-    # on basis vectors a product is a stored cell and an image a column
-    sides = _compiled(name)(*_Scope(a, a, None, {}, 0, None))
-    return _first_failure(a, _failing(a, _slice(name)(a), IDENTITY_ARITY[name]), [(name, sides)])
-
-
-def _failing(a: ColorHomAlgebra, scan_slice, arity: int):
-    """In each slice with a nonzero value (mod p over F_p), in order, the tuple of its least nonzero key.
-
-    The least nonzero key, not the least key reached: the contributions at
-    a key can cancel.
-    """
-    n, p = a.dim, a.field.p
-    for i in range(n):
-        r = scan_slice(i)
-        nonzero = [k for k, v in r.items() if v] if p is None else [k for k, v in r.items() if v % p]
-        if nonzero:
-            j = min(nonzero) // n
-            yield (i, *divmod(j, n)) if arity == 3 else (i, j)
+    """Quantify one identity over basis tuples, one slot-0 slice at a time."""
+    scope = _Scope(a, a, None, {}, 0, None)
+    return _first_failure(a, [_slice(name)(a)], range(IDENTITY_ARITY[name]), [name], scope)
 
 
 def _scan_check(a: ColorHomAlgebra, check: str) -> Verdict:
@@ -563,8 +598,12 @@ _CONDITIONS = {
     # the quadratic clauses, with f the form's companion
     "epsilon-symmetry": (2, [(1, (), B(0, 1))], [(1, (E01,), B(1, 0))]),
     "invariance": (3, [(1, (), B(P(0, 1), F(2)))], [(1, (), B(F(0), P(1, 2)))]),
-    # one side: the bracket-operator defect f([f(x), y] + [x, f(y)]) - [f(x), f(y)]
-    "defect": (2, [(1, (), F(P(F(0), 1))), (1, (), F(P(0, F(1)))), (-1, (), P(F(0), F(1)))]),
+    # the defect f([f(x), y] + [x, f(y)]) - [f(x), f(y)] times alpha(z) vanishes
+    "defect-centrality": (3, [
+        (1, (), P(F(P(F(0), 1)), A(2))), (1, (), P(F(P(0, F(1))), A(2))), (-1, (), P(P(F(0), F(1)), A(2))),
+    ], []),
+    # with f(e_0) = x and every other image zero: x*alpha(y) = 0
+    "alpha-center": (2, [(1, (), P(F(0), A(1)))], []),
 }
 
 # predicate -> its condition groups, run in order; within a group every
@@ -576,7 +615,7 @@ PREDICATE_CONDITIONS = {
     "averaging": (("twist-commutation",), ("left-averaging", "right-averaging")),
     "centroid": (("twist-commutation",), ("left-centroid", "right-centroid")),
     "rota_baxter": (("twist-commutation",), ("rota-baxter",)),
-    "bracket_operator_conditions": (("twist-commutation",),),
+    "bracket_operator_conditions": (("twist-commutation",), ("defect-centrality",)),
     "commutes_with_twist": (("twist-commutation",),),
     "symmetric_automorphism": (("product-morphism",), ("twist-compatibility",), ("b-symmetry",)),
     "involutive": (("involution",),),
@@ -624,14 +663,15 @@ def _holds(source, target, f, groups, side="both", weight=0, form=None) -> Verdi
     """Run condition groups on (source, target, f) in order; the first failure wins.
 
     side is checked before anything runs; weight is a kernel scalar.  A
-    group runs on every tuple of its arity, all its conditions at each tuple.
+    group computes the slices of all its conditions together, and the first
+    tuple where one is nonzero runs every condition, in order, for the witness.
     """
     groups, s = _groups(groups, side), _Scope(target, source, f, {}, weight, form)
     for group in groups:
         arity, left, _ = _CONDITIONS[group[0]]
-        conditions = [(name, _compiled(name)(*s)) for name in group]
+        slices = [_slice(name)(*s) for name in group]
         width = 1 if type(left[0][2]) is B else None  # a form's value is a scalar
-        v = _first_failure(source, _every_tuple(source, arity), conditions, width)
+        v = _first_failure(source, slices, _ORDERS.get(group[0], range(arity)), group, s, width)
         if not v:
             return v
     return PASS
@@ -642,7 +682,7 @@ def condition_residual(a: ColorHomAlgebra, f: GradedLinearMap, names, weight=0, 
 
     Returns {(name, indices, key): field element}, zeros dropped.  The
     reference route for the linear parts: on the unit maps it gives the
-    equations _linear_equations scatters without building them.
+    equations _linear_equations reads off the slices.
     """
     s = _Scope(a, a, f, {}, a.field.kernel_scalar(weight), form)
     coerce = a.field.coerce
@@ -660,75 +700,26 @@ def _linear_equations(a: ColorHomAlgebra, names, positions, form=None) -> list:
     """The equations the named linear conditions put on the entries of an even map, as sparse rows.
 
     Variable v is the entry at positions[v] = (k, m), the e_k coefficient of
-    f(e_m).  Each row belongs to one tuple and output key of one condition
-    and holds, at v, the value there of left - right on the unit map
-    E_(k,m), so the rows are what condition_residual gives on the unit maps,
-    but unreduced: over F_p a value may be a multiple of p, which the
-    elimination drops.  They are scattered from the nonzero contributions
-    of each term (_unit_parts): no map is built and no side is evaluated.
+    f(e_m).  The slices run with v in each key (_slice(name, True)) on the
+    map whose entry there is v, so a key codes a tuple, an output key and
+    the variable: each (tuple, output key) is one row, unreduced (over F_p a
+    value may be a multiple of p, which the elimination drops).  No map is
+    built and no side is evaluated.
     """
-    n = a.dim
-    by_column = [[] for _ in range(n)]
+    n, rows, columns = a.dim, {}, [{} for _ in range(a.dim)]
     for v, (k, m) in enumerate(positions):
-        by_column[m].append((k, v))
-    gram = form and [[a.field.kernel_scalar(g) for g in row] for row in form.gram]
-    rows = []
+        columns[m][k] = v
+    entries = _Images(tuple(columns), _column_rows(columns), a.group.zero())
     for name in names:
-        arity, left, right = _CONDITIONS[name]
-        weights = [n ** (arity - s) for s in range(arity)]
-        equations: dict = {}
-        for sign, factors, node in left + [(-sign, factors, node) for sign, factors, node in right]:
-            inner, outer = _unit_parts(a, node, factors, weights, gram)
-            for m, variables in enumerate(by_column):
-                for code, y in inner[m]:
-                    for k, v in variables:
-                        for key, z in outer[k]:
-                            row = equations.setdefault(code + key, {})
-                            row[v] = row.get(v, 0) + sign * y * z
-        rows += equations.values()
-    return rows
+        scan_slice = _slice(name, True)(*_Scope(a, a, entries, {}, 0, form))
+        for i in range(n):
+            for key, value in scan_slice(i).items():
+                rows.setdefault((name, i, key // (n * n)), {})[key % (n * n)] = value
+    return list(rows.values())
 
 
-def _unit_parts(a: ColorHomAlgebra, node, factors, w, gram) -> tuple:
-    """A linear term as (inner, outer): on the unit map f(e_m) = e_k its contributions are inner[m] x outer[k].
-
-    The term is a context around its one F(Y), Y free of f, so on that map
-    it is Y[m] times the context at e_k.  inner[m] lists (code, Y[m]) over
-    the tuples with Y[m] != 0, outer[k] (code, z) over the nonzero
-    coefficients z of the context at e_k, read from the product index, alpha
-    or the Gram rows; a code sums each slot's index times its weight, and
-    outer's adds the output key (0 for a form).  The maps are even, so the
-    factor F0 = eps(0, deg x_0) is 1, and a term with another factor is refused.
-    """
-    if set(factors) - {F0}:
-        raise StructureError(f"no unit scatter for the factors {factors!r}")
-    ns, rows, columns = range(a.dim), a.product_rows, a.alpha.sparse_columns
-    by_row, by_col, by_key, alpha_rows = a.product_index
-    match node:
-        case F(y):
-            outer = [[(k, 1)] for k in ns]
-        case P(F(y), int(q)):
-            outer = [[(j * w[q] + t, z) for j in by_row[k] for t, z in rows[k][j].items()] for k in ns]
-        case P(int(q), F(y)):
-            outer = [[(i * w[q] + t, z) for i in by_col[k] for t, z in rows[i][k].items()] for k in ns]
-        case A(F(y)):
-            outer = [list(columns[k].items()) for k in ns]
-        case B(F(y), int(q)):
-            outer = [[(j * w[q], g) for j, g in enumerate(gram[k]) if g] for k in ns]
-        case B(int(q), F(y)):
-            outer = [[(i * w[q], row[k]) for i, row in enumerate(gram) if row[k]] for k in ns]
-        case _:
-            raise StructureError(f"no unit scatter for the term {node!r}")
-    match y:
-        case int(p):
-            inner = [[(m * w[p], 1)] for m in ns]
-        case P(int(p), int(q)):
-            inner = [[(i * w[p] + j * w[q], c) for i, j, c in by_key[m]] for m in ns]
-        case A(int(p)):
-            inner = [[(r * w[p], c) for r, c in alpha_rows[m]] for m in ns]
-        case _:
-            raise StructureError(f"no unit scatter for the term {node!r}")
-    return inner, outer
+# a map as its columns, their inverse lists and its degree, whatever its entries
+_Images = NamedTuple("_Images", [("sparse_columns", tuple), ("inverse_lists", tuple), ("degree", object)])
 
 
 def commutes_with_twist(a: ColorHomAlgebra, f: GradedLinearMap) -> Verdict:
@@ -796,9 +787,9 @@ def in_alpha_center(l: ColorHomAlgebra, x) -> bool:
     """True when [x, alpha(y)] = 0 for every y (checked on basis images)."""
     if len(x) != l.dim:
         raise StructureError(f"vectors must have length {l.dim}")
-    xs, ac = sparse_vector(l.field, x), l.alpha.sparse_columns
-    center = [("alpha-center", lambda j: (sparse_product(l, xs, ac[j]), {}))]
-    return bool(_first_failure(l, _every_tuple(l, 1), center))
+    # x need not be homogeneous, so the map e_0 -> x is its columns alone
+    images = _Images((sparse_vector(l.field, x),) + ({},) * (l.dim - 1), None, None)
+    return bool(_holds(l, l, images, (("alpha-center",),)))
 
 
 def check_bracket_operator_conditions(l: ColorHomAlgebra, f: GradedLinearMap) -> Verdict:
@@ -812,14 +803,6 @@ def check_bracket_operator_conditions(l: ColorHomAlgebra, f: GradedLinearMap) ->
     """
     _require_even_endo(l.basis, f, "operator")
     v = _holds(l, l, f, PREDICATE_CONDITIONS["bracket_operator_conditions"])
-    if not v:
-        return v
-    defect_at, ac = _compiled("defect")(*_Scope(l, l, f, {}, 0, None)), l.alpha.sparse_columns
-    defect = cache(lambda i, j: defect_at(i, j)[0])
-    # both sides vanish where the defect of (i, j) is empty
-    nonzero_defect = ((i, j, k) for i, j in _every_tuple(l, 2) if defect(i, j) for k in range(l.dim))
-    centrality = ("defect-centrality", lambda i, j, k: (sparse_product(l, defect(i, j), ac[k]), {}))
-    v = _first_failure(l, nonzero_defect, [centrality])
     if not v:
         return v
     v = _scan(_operator_product(l, f), "right-commutativity")

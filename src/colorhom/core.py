@@ -177,6 +177,11 @@ class GradedLinearMap:
         object.__setattr__(self, "degree", deg)
 
     @cached_property
+    def inverse_lists(self) -> tuple:
+        """For each t, the (i, c) with c the e_t coefficient of the image of e_i, i ascending; built on first read."""
+        return _column_rows(self.sparse_columns)
+
+    @cached_property
     def matrix(self) -> tuple:
         """The dense matrix, matrix[k][i] the e_k coefficient of the image of e_i, built on first read."""
         field, n = self.basis.field, self.basis.dim
@@ -392,7 +397,7 @@ class ColorHomAlgebra:
     @cached_property
     def product_index(self) -> ProductIndex:
         """The nonempty cells and alpha's nonzero entries as lists, built on first read and cached."""
-        return _product_index(self.product_rows, self.alpha.sparse_columns)
+        return _product_index(self.product_rows, self.alpha.inverse_lists)
 
     @cached_property
     def structure(self) -> tuple:
@@ -449,19 +454,25 @@ class ProductIndex(NamedTuple):
     alpha_rows: tuple
 
 
-def _product_index(rows: tuple, columns: tuple) -> ProductIndex:
+def _product_index(rows: tuple, alpha_rows: tuple) -> ProductIndex:
     n = len(rows)
     by_row = [[j for j, cell in enumerate(row) if cell] for row in rows]
-    by_col, by_key, alpha_rows = ([[] for _ in range(n)] for _ in range(3))
+    by_col, by_key = ([[] for _ in range(n)] for _ in range(2))
     for i, js in enumerate(by_row):
         for j in js:
             by_col[j].append(i)
             for m, c in rows[i][j].items():
                 by_key[m].append((i, j, c))
+    return ProductIndex(tuple(by_row), tuple(by_col), tuple(by_key), alpha_rows)
+
+
+def _column_rows(columns) -> tuple:
+    """The inverse lists of n sparse columns: for each t, the (r, c) with columns[r][t] = c, r ascending."""
+    rows = [[] for _ in columns]
     for r, column in enumerate(columns):
         for t, c in column.items():
-            alpha_rows[t].append((r, c))
-    return ProductIndex(*map(tuple, (by_row, by_col, by_key, alpha_rows)))
+            rows[t].append((r, c))
+    return tuple(rows)
 
 
 def _tensor_cells(basis: GradedBasis, structure):
@@ -499,7 +510,11 @@ def _stored_rows(basis: GradedBasis, cells) -> tuple:
         if not (0 <= j < n and last < i * n + j < n * n):
             raise StructureError(f"product cell ({i}, {j}) is out of row-major order or range")
         last = i * n + j
-        nonzero = {k: v for k in sorted(c) if (v := kernel_scalar(c[k]))} if c else None
+        if len(c) == 1:  # most cells: no sorting, one conversion
+            [(k, v)] = c.items()
+            nonzero = {k: v} if (v := kernel_scalar(v)) else None
+        else:
+            nonzero = {k: v for k in sorted(c) if (v := kernel_scalar(c[k]))} if c else None
         if not nonzero:
             continue
         pair = (classes[i], classes[j])

@@ -9,7 +9,7 @@ a companion even map beta satisfying, in the order they are checked:
   twist-b-symmetry   B(alpha(x), y) = B(x, alpha(y))
 
 All but nondegeneracy are declared as terms in checks, with f = beta, and
-run on its compiled evaluator.
+run on their compiled slices, which read the form's sparse Gram rows.
 
 Evenness (B(x, y) = 0 unless deg x + deg y = 0) is a property of the form
 object itself and is enforced at construction; require_even=False turns
@@ -20,15 +20,13 @@ colorhom.constructions when they run, so reading a form loads none.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iproduct
 
 from .checks import (
     PREDICATE_CONDITIONS,
     Verdict,
-    _Scope,
-    _compiled,
     _fail,
-    _first_failure,
     _holds,
     check_hom_novikov,
     check_involutive,
@@ -39,10 +37,10 @@ from .core import (
     GradedBasis,
     GradedLinearMap,
     _require_even_endo,
+    _row_reduce,
     determinant,
     identity_map,
     invert_map,
-    matrix_rank,
     sparse_vector,
 )
 from .errors import HypothesisError, SingularMapError, StructureError
@@ -65,7 +63,8 @@ class BilinearFormStructure:
 
     gram[i][j] = B(e_i, e_j).  The companion is the even map appearing in
     the invariance clause; identity for the plain quadratic case, the
-    twisting map itself for the twisted one.
+    twisting map itself for the twisted one.  gram_rows, the nonzero
+    entries of each row as kernel scalars, is built on first read.
     """
 
     basis: GradedBasis
@@ -91,16 +90,19 @@ class BilinearFormStructure:
                     )
         object.__setattr__(self, "gram", rows)
 
+    @cached_property
+    def gram_rows(self) -> tuple:
+        return tuple(sparse_vector(self.basis.field, row) for row in self.gram)
+
     def pairing(self, x: dict, y: dict):
         """B(x, y) for sparse vectors, as a field element."""
-        gram = self.gram
+        rows = self.gram_rows
         acc = self.basis.field.zero
         for i, xi in x.items():
-            row = gram[i]
+            row = rows[i]
             for j, yj in y.items():
-                g = row[j]
-                if g:
-                    acc = acc + xi * g * yj
+                if j in row:
+                    acc = acc + xi * row[j] * yj
         return acc
 
 
@@ -129,26 +131,17 @@ def check_quadratic_structure(a: ColorHomAlgebra, f: BilinearFormStructure) -> V
     (core's sparse row reduction) independently and insists that they agree.
     """
     _require_form(a, f)
-    n = a.dim
     v = _holds(a, a, None, (("epsilon-symmetry",),), form=f)
     if not v:
         return v
-    det = determinant(a.field, f.gram)
-    rank = matrix_rank(a.field, f.gram)
-    if (det != 0) != (rank == n):
+    det, rank = determinant(a.field, f.gram), len(_row_reduce(a.field, f.gram_rows)[1])
+    if (det != 0) != (rank == a.dim):
         raise StructureError(
             "internal disagreement between determinant and rank elimination"
         )
     if det == 0:
         return _fail("nondegeneracy", (), None, None)
-    # z-major scan: for a fixed z the invariance clause pairs off products
-    # against it, and the first reported failure follows that grouping
-    z_major = ((i, j, k) for k, j, i in iproduct(range(n), repeat=3))
-    invariance = _compiled("invariance")(*_Scope(a, a, f.companion, {}, 0, f))
-    v = _first_failure(a, z_major, [("invariance", invariance)], 1)
-    if not v:
-        return v
-    return _holds(a, a, None, (("twist-b-symmetry",),), form=f)
+    return _holds(a, a, f.companion, (("invariance",), ("twist-b-symmetry",)), form=f)
 
 
 def is_symmetric_automorphism(a: ColorHomAlgebra, f: BilinearFormStructure, phi: GradedLinearMap) -> Verdict:
@@ -158,7 +151,7 @@ def is_symmetric_automorphism(a: ColorHomAlgebra, f: BilinearFormStructure, phi:
     """
     _require_form(a, f)
     _require_even_endo(a.basis, phi, "map")
-    if matrix_rank(a.field, phi.matrix) != a.dim:
+    if len(_row_reduce(a.field, phi.sparse_columns)[1]) != a.dim:
         return _fail("invertibility", (), None, None)
     return _holds(a, a, phi, PREDICATE_CONDITIONS["symmetric_automorphism"], form=f)
 

@@ -188,7 +188,9 @@ class ScalarField:
             if isinstance(x, int):
                 return Fp(x, self.p)
             if isinstance(x, Fraction):
-                # exact: n/d -> n * d^{-1} mod p
+                # exact: n/d -> n * d^{-1} mod p, which needs d prime to p
+                if x.denominator % self.p == 0:
+                    raise StructureError(f"{x} has no value over {self}: its denominator is a multiple of {self.p}")
                 return Fp(x.numerator, self.p) / Fp(x.denominator, self.p)
         raise StructureError(f"not a scalar over {self}: {x!r}")
 

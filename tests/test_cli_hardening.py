@@ -27,7 +27,7 @@ from colorhom import catalog as cat
 from colorhom import cli
 from colorhom.errors import StructureError
 from colorhom.io import serialize_document
-from colorhom.scalars import rationals
+from colorhom.scalars import prime_field, rationals
 
 SUITES = Path(str(resources.files("colorhom") / "suites"))
 THEOREMS = json.loads((SUITES / "theorems.json").read_text(encoding="utf-8"))
@@ -208,6 +208,21 @@ def test_a_field_label_that_is_no_prime_field_literal_exits_2(tmp_path, label):
     assert_structural_error(run_rows(tmp_path, row))
     if isinstance(label, str):
         assert_structural_error(run(["catalog", "truncated_polynomial", f"--field={label}"]))
+
+
+@pytest.mark.parametrize("scalar", ["1/7", "1/14", "-3/49", "-2/21"])
+def test_a_scalar_whose_denominator_p_divides_exits_2(tmp_path, scalar):
+    # n/d has no value over F_p when p divides d: the document is malformed, not a traceback
+    entry = cat.build_entry("truncated_polynomial", prime_field(7), n=2)
+    doc = json.loads(serialize_document(entry.algebra))
+    doc["alpha"]["matrix"][0][0] = scalar
+    path = tmp_path / "f7.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(["check", str(path), "hom_novikov"])
+    assert_structural_error((code, out, err))
+    assert "multiple of 7" in err and "Traceback" not in out + err
+    with pytest.raises(StructureError, match="multiple of 7"):
+        prime_field(7).parse(scalar)
 
 
 def test_power_twist_of_a_huge_power_is_a_structural_error(tmp_path):

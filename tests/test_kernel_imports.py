@@ -148,10 +148,8 @@ def test_the_structure_guard_sees_a_read():
     assert not _reads_structure(ast.parse("structure = a.product_rows\nb.structure_constants\n"))
 
 
-# (module, top-level function) of every read of a map's dense .matrix outside core
-MATRIX_READS = {
-    ("quadratic.py", "is_symmetric_automorphism"),
-}
+# (module, top-level function) of every read of a map's dense .matrix outside core: none
+MATRIX_READS = set()
 
 
 def _matrix_reads(module, tree):

@@ -56,7 +56,8 @@ def test_coerce_fraction_into_prime_field():
     f = prime_field(7)
     # 1/2 = 4 mod 7
     assert f.coerce(Fraction(1, 2)) == 4
-    with pytest.raises(ZeroDivisionError):
+    # 1/5 has no value mod 5: a malformed scalar, refused like any other
+    with pytest.raises(StructureError, match="multiple of 5"):
         prime_field(5).coerce(Fraction(1, 5))
 
 
