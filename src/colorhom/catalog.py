@@ -17,7 +17,7 @@ from functools import cache
 from itertools import product as iproduct
 
 from . import constructions as cons
-from .checks import PREDICATE_CONDITIONS, _linear_equations, linear_conditions
+from .checks import _linear_equations, linear_conditions, search_instances
 from .core import (
     ColorHomAlgebra,
     GradedBasis,
@@ -28,7 +28,6 @@ from .core import (
     identity_map,
     make_map,
     scalar_map,
-    sparse_product,
     trivial_basis,
 )
 from .errors import StructureError
@@ -387,17 +386,18 @@ def search_maps(
     conditions of degree 1 in the map) is solved exactly, its equations
     scattered from the nonzero contributions of each term and reduced by
     one sparse elimination, which leaves some entries free and fixes the
-    rest.  A depth-first search sets the columns
-    f(e_0), f(e_1), ... in turn, branching over the values of each column's
-    free entries and filling a fixed entry once the free entries it reads
-    are set; one outside the values abandons the branch.  If the predicate
-    declares a product-morphism condition, each pair f(e_i e_j) =
-    f(e_i) f(e_j) is checked once all entries of columns i, j and of the
-    support of e_i e_j are set, and a pair that reads exactly one unset
-    column forces it unless that column holds or fills a fixed entry: the
-    column is set without branching, or the branch is abandoned when it
-    leaves the values or the even positions.  Every complete candidate is
-    re-checked by the predicate itself.
+    rest.  A depth-first search sets the columns f(e_0), f(e_1), ... in
+    turn, branching over the values of each column's free entries and
+    filling a fixed entry once the free entries it reads are set; one
+    outside the values abandons the branch.  Each other declared condition
+    is checked at each tuple (an instance) at the first node where every
+    column it reads is set: the instance waits on the first unset column it
+    reads (checks.search_instances).  An instance that reads one unset
+    column, and that only through terms f(y) at the top of a side with y
+    not reading it, is affine in the column and forces it unless the column
+    holds or fills a fixed entry: the column is set without branching, or
+    the branch is abandoned when it leaves the values or the even positions.
+    Every complete candidate is re-checked by the predicate itself.
 
     budget bounds the leaves of the search tree, complete candidates plus
     abandoned partial assignments, which never outnumber len(values) **
@@ -472,66 +472,78 @@ def search_maps(
             i = positions[p][1]
             last[i], forceable[i] = max(last[i], b), False
     completed_at = [[i for i in range(n) if last[i] == b] for b in range(n)]
-    products = any("product-morphism" in group for group in PREDICATE_CONDITIONS[predicate])
-    reading = _pairs_by_column(a) if products else None
+    # columns: the sparse kernel column of each set column (reading an unset one
+    # raises KeyError); waiting[k]: the instances that next read column k, once
+    # it is set; log: how to undo each change to columns and waiting, in order
+    columns, waiting, log = {}, [[] for _ in range(n)], []
+    instances = search_instances(predicate, side, a, columns, field.kernel_scalar(given["weight"]), given["form"])
     reduce = (lambda x: x % field.p) if field.characteristic else (lambda x: x)
     inverse = cache(lambda c: field.kernel_scalar(field.one / field.coerce(c)))
 
     assignment = [zero] * len(positions)
-    # with pairs to check: the sparse kernel column of every set column, and
-    # the set columns in the order they were set
-    columns = [None] * n
-    trail = []
-    hits = []
-    leaves = 0
+    hits, leaves = [], 0
+
+    def wait(instance, *ks) -> bool:
+        for k in ks:
+            waiting[k].append(instance)
+            log.append(waiting[k].pop)
+        return True
+
+    def set_column(k, column) -> bool:
+        """Set column k and visit the instances waiting on it, which stay filed there; False on a failure."""
+        columns[k] = column
+        log.append(columns.popitem)  # columns are set and unset last in, first out
+        for instance in waiting[k]:
+            if not visit(instance):
+                return False
+        return True
+
+    def visit(instance) -> bool:
+        """Check the instance, force the one unset column it reads, or file it to wait; False on a failure."""
+        sides, idx = instance
+        try:
+            left, right, *top = sides(*idx)
+        except KeyError as unset:  # only columns is a dict the sides index
+            return wait(instance, unset.args[0])
+        # left - right = r + the sum over unset k of slope[k] f(e_k)
+        r, slope = dict(left), {}
+        for t, x in right.items():
+            r[t] = r.get(t, 0) - x
+        for y in top:
+            for j, c in y.items():
+                if j not in columns:
+                    slope[j] = slope.get(j, 0) + c
+                else:
+                    for t, x in columns[j].items():
+                        r[t] = r.get(t, 0) + c * x
+        unset = list(slope)
+        if len(unset) > 1 or unset and not forceable[unset[0]]:
+            # two watches: all but one of these columns are set only once one of the two is
+            return wait(instance, *unset[:2])
+        if unset and (g := reduce(slope[unset[0]])):
+            k, scale, column = unset[0], inverse(-g), {}
+            for t, p in in_column[k]:
+                v = canon.get(reduce(r.pop(t, 0) * scale))
+                if v is None:
+                    return False
+                assignment[p] = v
+                if v:
+                    column[t] = kernel[v]
+            # what is left of r lies off the even positions
+            return not any(map(reduce, r.values())) and set_column(k, column)
+        return not any(map(reduce, r.values()))
 
     def settle(branch) -> bool:
-        """Fill and set what the branch completes, then the columns pairs force; False on a failure."""
+        """Fill and set what the branch completes; False on a failure."""
         for p, terms in ready[branch]:
             v = canon.get(sum((c * assignment[q] for q, c in terms), zero))
             if v is None:
                 return False
             assignment[p] = v
-        if reading is None:
-            return True
-        queue = list(completed_at[branch])
-        for i in queue:
-            columns[i] = {k: kernel[v] for k, p in in_column[i] if (v := assignment[p])}
-        trail.extend(queue)
-        while queue:
-            for i, j, cell in reading[queue.pop()]:
-                if columns[i] is None or columns[j] is None:
-                    continue
-                unset = [k for k in cell if columns[k] is None]
-                # a column that cannot be forced is checked once it is complete
-                if len(unset) > 1 or unset and not forceable[unset[0]]:
-                    continue
-                # f(e_i) f(e_j) minus the cell's terms in set columns
-                rest = sparse_product(a, columns[i], columns[j])
-                for k, c in cell.items():
-                    if columns[k] is not None:
-                        for r, x in columns[k].items():
-                            rest[r] = rest.get(r, 0) - c * x
-                if not unset:
-                    if any(reduce(x) for x in rest.values()):
-                        return False
-                    continue
-                k = unset[0]
-                scale = inverse(cell[k])
-                forced = {}
-                for r, p in in_column[k]:
-                    v = canon.get(reduce(rest.pop(r, 0) * scale))
-                    if v is None:
-                        return False
-                    assignment[p] = v
-                    if v:
-                        forced[r] = kernel[v]
-                if any(reduce(x) for x in rest.values()):  # off the even positions
-                    return False
-                columns[k] = forced
-                trail.append(k)
-                queue.append(k)
-        return True
+        return not instances or all(
+            set_column(i, {k: kernel[v] for k, p in in_column[i] if (v := assignment[p])})
+            for i in completed_at[branch]
+        )
 
     def descend(column):
         nonlocal leaves
@@ -541,43 +553,29 @@ def search_maps(
             if check(a, *arguments(m)):
                 hits.append((tuple(map(field.sort_key, assignment)), m))
             return
-        if columns[column] is not None:  # forced
-            descend(column + 1)
-            return
+        if column in columns:  # forced
+            return descend(column + 1)
         for vals in iproduct(values, repeat=len(entries[column])):
             if leaves >= budget:
                 return
             for p, v in zip(entries[column], vals):
                 assignment[p] = v
-            mark = len(trail)
+            mark = len(log)
             if settle(column):
                 descend(column + 1)
             else:
                 leaves += 1
-            for k in trail[mark:]:
-                columns[k] = None
-            del trail[mark:]
+            while len(log) > mark:
+                log.pop()()
 
-    descend(0)
+    # at the root no column is set: each instance is filed under one it reads
+    if all(visit(instance) for instance in instances):
+        log.clear()  # the root is never undone
+        descend(0)
     # positions are row-major and every other entry is zero, so this is the
     # order of the hits' matrices
     hits.sort(key=lambda hit: hit[0])
     return [m for _, m in hits]
-
-
-def _pairs_by_column(a: ColorHomAlgebra) -> list:
-    """For each column s, the pairs (i, j, e_i e_j) whose product condition reads f(e_s).
-
-    f(e_i e_j) = f(e_i) f(e_j) reads columns i and j and every column in
-    the support of the cell e_i e_j.
-    """
-    rows = a.product_rows
-    out = [[] for _ in range(a.dim)]
-    for i, row in enumerate(rows):
-        for j, cell in enumerate(row):
-            for s in {i, j, *cell}:
-                out[s].append((i, j, cell))
-    return out
 
 
 def _solve_linear_part(a: ColorHomAlgebra, linear, positions, form) -> tuple:
@@ -592,8 +590,4 @@ def _solve_linear_part(a: ColorHomAlgebra, linear, positions, form) -> tuple:
     reduced, pivot_columns = _row_reduce(field, _linear_equations(a, linear, positions, form))
     fixed = set(pivot_columns)
     free = [v for v in range(len(positions)) if v not in fixed]
-    pivots = [
-        (p, [(f, field.coerce(-row[f])) for f in free if f in row])
-        for p, row in zip(pivot_columns, reduced)
-    ]
-    return free, pivots
+    return free, [(p, [(f, field.coerce(-row[f])) for f in free if f in row]) for p, row in zip(pivot_columns, reduced)]

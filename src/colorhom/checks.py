@@ -27,12 +27,13 @@ PREDICATE_CONDITIONS lists each operator predicate's condition groups in
 the order they run.  The conditions whose terms all have degree 1 in f are
 its linear part (linear_conditions); catalog.search_maps solves their
 equations, read off their slices with the entry of f in each key
-(_linear_equations).
+(_linear_equations), and checks the others per tuple on the columns it has
+set, with each term f(y) at the top of a side kept apart (search_instances).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from itertools import product as iproduct
 from typing import NamedTuple
@@ -42,7 +43,6 @@ from .core import (
     GradedLinearMap,
     _bracket,
     _column_rows,
-    _operator_product,
     _require_even_endo,
     _row_reduce,
     dense_vector,
@@ -82,7 +82,7 @@ __all__ = [
     "check_bracket_operator_conditions",
     "PREDICATE_CONDITIONS",
     "linear_conditions",
-    "condition_residual",
+    "search_instances",
     "IDENTITY_ARITY",
     "IDENTITIES_BY_CHECK",
     "identity_sides",
@@ -432,10 +432,6 @@ def _dense(a: ColorHomAlgebra, x: dict) -> tuple:
     return dense_vector(a.field, a.dim, x)
 
 
-def _every_tuple(a: ColorHomAlgebra, arity: int):
-    return iproduct(range(a.dim), repeat=arity)
-
-
 def _first_failure(a: ColorHomAlgebra, slices, order, names, scope, width: int | None = None) -> Verdict:
     """The first tuple where the named declarations fail, from their slices, with the first failing one there.
 
@@ -602,6 +598,8 @@ _CONDITIONS = {
     "defect-centrality": (3, [
         (1, (), P(F(P(F(0), 1)), A(2))), (1, (), P(F(P(0, F(1))), A(2))), (-1, (), P(P(F(0), F(1)), A(2))),
     ], []),
+    # x∘y = [f(x), y] is right-commutative: (x∘y)∘alpha(z) = eps(y,z) (x∘z)∘alpha(y)
+    "operator-right-commutativity": (3, [(1, (), P(F(P(F(0), 1)), A(2)))], [(1, (E12,), P(F(P(F(0), 2)), A(1)))]),
     # with f(e_0) = x and every other image zero: x*alpha(y) = 0
     "alpha-center": (2, [(1, (), P(F(0), A(1)))], []),
 }
@@ -615,7 +613,7 @@ PREDICATE_CONDITIONS = {
     "averaging": (("twist-commutation",), ("left-averaging", "right-averaging")),
     "centroid": (("twist-commutation",), ("left-centroid", "right-centroid")),
     "rota_baxter": (("twist-commutation",), ("rota-baxter",)),
-    "bracket_operator_conditions": (("twist-commutation",), ("defect-centrality",)),
+    "bracket_operator_conditions": (("twist-commutation",), ("defect-centrality",), ("operator-right-commutativity",)),
     "commutes_with_twist": (("twist-commutation",),),
     "symmetric_automorphism": (("product-morphism",), ("twist-compatibility",), ("b-symmetry",)),
     "involutive": (("involution",),),
@@ -677,25 +675,6 @@ def _holds(source, target, f, groups, side="both", weight=0, form=None) -> Verdi
     return PASS
 
 
-def condition_residual(a: ColorHomAlgebra, f: GradedLinearMap, names, weight=0, form=None) -> dict:
-    """left - right of the named conditions on (a, a, f) at every tuple.
-
-    Returns {(name, indices, key): field element}, zeros dropped.  The
-    reference route for the linear parts: on the unit maps it gives the
-    equations _linear_equations reads off the slices.
-    """
-    s = _Scope(a, a, f, {}, a.field.kernel_scalar(weight), form)
-    coerce = a.field.coerce
-    out = {}
-    for name in names:
-        sides = _compiled(name)(*s)
-        for idx in _every_tuple(a, _CONDITIONS[name][0]):
-            for key, value in sparse_sub(*sides(*idx)).items():
-                if value := coerce(value):
-                    out[name, idx, key] = value
-    return out
-
-
 def _linear_equations(a: ColorHomAlgebra, names, positions, form=None) -> list:
     """The equations the named linear conditions put on the entries of an even map, as sparse rows.
 
@@ -720,6 +699,36 @@ def _linear_equations(a: ColorHomAlgebra, names, positions, form=None) -> list:
 
 # a map as its columns, their inverse lists and its degree, whatever its entries
 _Images = NamedTuple("_Images", [("sparse_columns", tuple), ("inverse_lists", tuple), ("degree", object)])
+
+
+def _split(name: str) -> tuple:
+    """A condition's sides less their terms f(y) at the top, and (sign, factors, y) for each, signed as in left - right."""
+    _, left, right = _CONDITIONS[name]
+    top = [(s, c, t.x) for s, c, t in left if type(t) is F] + [(-s, c, t.x) for s, c, t in right if type(t) is F]
+    return [t for t in left if type(t[2]) is not F], [t for t in right if type(t[2]) is not F], top
+
+
+@cache
+def _forcing(name: str):
+    """A condition's sides and the y of each top term f(y) (_split), compiled once: a function of a scope's fields."""
+    left, right, top = _split(name)
+    return _evaluator(_CONDITIONS[name][0], left, right, *([term] for term in top))
+
+
+def search_instances(predicate: str, side: str, a: ColorHomAlgebra, columns, weight=0, form=None) -> list:
+    """(sides, idx) at each tuple idx of each condition side keeps beyond the predicate's linear part, on (a, a, f).
+
+    f is the even map with the given columns, only ever indexed: a search
+    passes the columns it has set and learns which unset one an instance
+    reads from what indexing raises.  sides(*idx) is (l, r, y_1, ..., y_m),
+    left - right = l - r + f(y_1) + ... + f(y_m): each term f(y) at the top
+    of a side is kept unapplied, its coefficient in y.  weight is a kernel scalar.
+    """
+    linear = linear_conditions(predicate, side)
+    scope = _Scope(a, a, _Images(columns, None, a.group.zero()), {}, weight, form)
+    names = [name for group in _groups(PREDICATE_CONDITIONS[predicate], side) for name in group if name not in linear]
+    return [(sides, idx) for name in names for sides in [_forcing(name)(*scope)]
+            for idx in iproduct(range(a.dim), repeat=_CONDITIONS[name][0])]
 
 
 def commutes_with_twist(a: ColorHomAlgebra, f: GradedLinearMap) -> Verdict:
@@ -793,7 +802,7 @@ def in_alpha_center(l: ColorHomAlgebra, x) -> bool:
 
 
 def check_bracket_operator_conditions(l: ColorHomAlgebra, f: GradedLinearMap) -> Verdict:
-    """The two conditions under which x∘y = [f(x), y] is Hom-Novikov.
+    """The two conditions under which x∘y = [f(x), y] is Hom-Novikov, after twist-commutation.
 
     defect-centrality: f([f(x),y] + [x,f(y)]) - [f(x),f(y)] lies in the
     alpha-center of l for all basis x, y; the witness, when one exists,
@@ -802,8 +811,4 @@ def check_bracket_operator_conditions(l: ColorHomAlgebra, f: GradedLinearMap) ->
     eps(y,z) [f([f(x),z]), alpha(y)], the right-commutativity of x∘y.
     """
     _require_even_endo(l.basis, f, "operator")
-    v = _holds(l, l, f, PREDICATE_CONDITIONS["bracket_operator_conditions"])
-    if not v:
-        return v
-    v = _scan(_operator_product(l, f), "right-commutativity")
-    return v or Verdict(False, replace(v.witness, identity="operator-right-commutativity"))
+    return _holds(l, l, f, PREDICATE_CONDITIONS["bracket_operator_conditions"])

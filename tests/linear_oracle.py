@@ -1,7 +1,7 @@
 """The linear solving of search_maps as it stood before the scattered equations, kept as a test oracle.
 
 solve_linear_part builds one unit map E_(k,m) per even position, runs
-checks.condition_residual on it over every tuple, and reduces the dense
+condition_residual on it over every tuple, and reduces the dense
 coefficient rows by the Gauss-Jordan below.  gauss_jordan also gives the
 rank and, for a square matrix of full rank, the inverse, so matrix_rank and
 invert_map are compared with it too.  It shares no code with the sparse
@@ -9,8 +9,34 @@ elimination in core or the scatter in checks: the RREF of a row space is
 unique, so equal answers pin both down.
 """
 
-from colorhom.checks import condition_residual
-from colorhom.core import GradedLinearMap, make_map
+from itertools import product as iproduct
+
+from colorhom import checks
+from colorhom.core import GradedLinearMap, make_map, sparse_sub
+
+
+def _every_tuple(a, arity):
+    return iproduct(range(a.dim), repeat=arity)
+
+
+def condition_residual(a, f, names, weight=0, form=None) -> dict:
+    """left - right of the named conditions on (a, a, f) at every tuple.
+
+    Returns {(name, indices, key): field element}, zeros dropped: the sides
+    compiled per tuple (checks._compiled) at each tuple of the condition's
+    arity.  On the unit maps it gives the equations checks._linear_equations
+    reads off the slices.
+    """
+    s = checks._Scope(a, a, f, {}, a.field.kernel_scalar(weight), form)
+    coerce = a.field.coerce
+    out = {}
+    for name in names:
+        sides = checks._compiled(name)(*s)
+        for idx in _every_tuple(a, checks._CONDITIONS[name][0]):
+            for key, value in sparse_sub(*sides(*idx)).items():
+                if value := coerce(value):
+                    out[name, idx, key] = value
+    return out
 
 
 def gauss_jordan(field, rows):

@@ -4,12 +4,14 @@ search_maps solves each predicate's linear part (the conditions of degree
 1 in the map among its declarations in checks.PREDICATE_CONDITIONS) and
 backtracks over the solutions, so its answer must equal running the
 predicate on every even matrix over the value set (tests/search_oracle.py)
-whenever the leaves of its search tree fit the budget.  The search of a
-predicate that declares a product-morphism condition (weak morphisms,
-morphisms, symmetric automorphisms) checks each product pair as soon as it
-can and sets the columns the pairs force, so it stays exact far past the
-budget that would cover every matrix.  The guard at the end makes a condition
-taken as linear by mistake fail a test instead of silently losing hits.
+whenever the leaves of its search tree fit the budget.  Every other
+declared condition is checked at each tuple as soon as the columns it reads
+are set, and forces the one unset column it reads when it reads it only
+through terms f(y) at the top of a side, so the searches of weak morphisms,
+morphisms, averaging and Rota-Baxter operators and the bracket operator
+conditions stay exact far past the budget that would cover every matrix.
+The guard at the end makes a condition taken as linear by mistake fail a
+test instead of silently losing hits.
 """
 
 from fractions import Fraction
@@ -19,8 +21,10 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from linear_oracle import condition_residual
 from search_oracle import brute_force_search, candidates, even_positions, sampled_search
 
+from colorhom import checks
 from colorhom.catalog import (
     CHECK,
     OPERATIONS,
@@ -29,7 +33,7 @@ from colorhom.catalog import (
     standard_entries,
     truncated_polynomial,
 )
-from colorhom.checks import PREDICATE_CONDITIONS, condition_residual, is_weak_morphism, linear_conditions
+from colorhom.checks import PREDICATE_CONDITIONS, is_weak_morphism, linear_conditions
 from colorhom.core import GradedBasis, identity_map, make_algebra, make_map
 from colorhom.errors import StructureError
 from colorhom.grading import GradeGroup, make_bicharacter, trivial_bicharacter
@@ -69,8 +73,11 @@ def assert_search_is_brute_force(a, values, forms, constrained_only=False):
     """search_maps equals brute force for every variant, at a budget that lets both see every matrix.
 
     With constrained_only, only side "both" runs, and variants whose linear
-    part constrains no entry on this algebra are left out: their search
-    runs the predicate on every matrix, as brute force does.
+    part constrains no entry on this algebra are left out, to bound the time
+    of a 3^9 brute force: test_search_is_brute_force_at_the_default_budget
+    covers those of truncated_polynomial(3) over Q, the smaller entries cover
+    the rest, and weak_morphism and morphism run against brute force on
+    truncated_polynomial(3) over F5 below.
     """
     raw = len(set(a.field.coerce(v) for v in values)) ** len(even_positions(a))
     maps = candidates(a, values)
@@ -255,25 +262,80 @@ def test_morphism_search_is_brute_force_at_the_default_budget():
     assert [m.matrix for m in found] == expected["morphism"]
 
 
-# 3-dimensional algebras over F_p: (p, {(i, j): {k: c}}, alpha's rows).  alpha
-# mixes columns, so twist compatibility fixes an entry of one column by free
-# entries of a later one; a pair that forced that later column would skip the
-# branch that fills the fixed entry and lose hits
+# 3-dimensional algebras over F_p: (p, {(i, j): {k: c}}, alpha's rows,
+# predicate, arguments).  alpha mixes columns, so twist compatibility (twist
+# commutation for Rota-Baxter, here of weight -1) fixes an entry of one
+# column by free entries of a later one; an instance that forced that later
+# column would skip the branch that fills the fixed entry and lose hits
 MIXING_ALPHA_CASES = [
-    (3, {(1, 0): {0: 1}, (1, 1): {1: 1, 2: -1}}, ((1, 0, 1), (0, 1, 2), (0, 0, -1))),
-    (5, {(0, 0): {2: -1}, (0, 1): {0: 1, 1: 1}, (1, 1): {1: -1, 2: 2}, (1, 2): {1: 1}}, ((0, 0, 2), (0, 0, 0), (0, 0, -1))),
+    (3, {(1, 0): {0: 1}, (1, 1): {1: 1, 2: -1}}, ((1, 0, 1), (0, 1, 2), (0, 0, -1)), "morphism", {}),
+    (5, {(0, 0): {2: -1}, (0, 1): {0: 1, 1: 1}, (1, 1): {1: -1, 2: 2}, (1, 2): {1: 1}}, ((0, 0, 2), (0, 0, 0), (0, 0, -1)),
+     "morphism", {}),
+    (3, {(0, 0): {1: -1, 0: 1}, (1, 1): {0: -1}, (1, 2): {0: 1, 2: 2}, (2, 0): {1: -1}, (2, 2): {1: 2, 0: 2}},
+     ((0, 0, 0), (0, 1, 1), (0, 2, 2)), "rota_baxter", {"weight": -1}),
 ]
 
 
-@pytest.mark.parametrize("p, cells, alpha", MIXING_ALPHA_CASES, ids=["F3", "F5"])
-def test_morphism_search_forces_no_column_whose_branch_fills_a_fixed_entry(p, cells, alpha):
+@pytest.mark.parametrize(
+    "p, cells, alpha, predicate, given", MIXING_ALPHA_CASES, ids=["F3", "F5", "F3-rota_baxter-weight-1"]
+)
+def test_morphism_search_forces_no_column_whose_branch_fills_a_fixed_entry(p, cells, alpha, predicate, given):
     field = prime_field(p)
     basis = GradedBasis(field, GradeGroup(0), (GradeGroup(0).zero(),) * 3)
     structure = [[[cells.get((i, j), {}).get(k, 0) for k in range(3)] for j in range(3)] for i in range(3)]
     a = make_algebra(basis, trivial_bicharacter(field, basis.group), structure, make_map(basis, alpha))
-    expected = [m.matrix for m in brute_force_search(a, "morphism", candidates(a, (-1, 0, 1)))]
-    found = search_maps(a, "morphism", values=(-1, 0, 1), budget=3 ** 9)
+    expected = [m.matrix for m in brute_force_search(a, predicate, candidates(a, (-1, 0, 1)), **given)]
+    found = search_maps(a, predicate, values=(-1, 0, 1), budget=3 ** 9, **given)
+    assert expected  # a forced column that skipped a fixed entry's branch would lose these
     assert [m.matrix for m in found] == expected
+
+
+# the predicates with a condition beyond the linear part that the linear part
+# leaves wholly to the search when alpha is the identity
+OPERATOR_VARIANTS = [
+    ("averaging", {"side": "left"}), ("averaging", {"side": "right"}), ("averaging", {"side": "both"}),
+    ("rota_baxter", {"weight": 0}), ("rota_baxter", {"weight": 1}), ("rota_baxter", {"weight": -1}),
+    ("bracket_operator_conditions", {}),
+]
+
+
+@cache
+def tp3_q_candidates():
+    a = truncated_polynomial(3)
+    return a, candidates(a, (-1, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "predicate, given", OPERATOR_VARIANTS, ids=[f"{p}{list(g.values())}" for p, g in OPERATOR_VARIANTS]
+)
+def test_search_is_brute_force_at_the_default_budget(predicate, given):
+    # alpha is the identity, so twist commutation fixes nothing: 3^9 matrices
+    # against a budget of 10^4 leaves, which checking only complete
+    # candidates would exhaust after a lexicographic prefix
+    a, maps = tp3_q_candidates()
+    expected = [m.matrix for m in brute_force_search(a, predicate, maps, **given)]
+    assert [m.matrix for m in search_maps(a, predicate, values=(-1, 0, 1), **given)] == expected
+
+
+def test_operator_searches_over_q_find_every_hit_with_the_default_values():
+    # the counts of an exhaustive search (budget 4^9) of truncated_polynomial(3) over Q
+    a = truncated_polynomial(3)
+    assert len(search_maps(a, "averaging")) == 187
+    assert len(search_maps(a, "rota_baxter", weight=0)) == 20
+
+
+# which searched conditions may force a column: those with a term f(y) at the top of a side
+MAY_FORCE = {
+    "product-morphism": True, "left-averaging": True, "right-averaging": True, "rota-baxter": True,
+    "defect-centrality": False, "operator-right-commutativity": False,
+}
+
+
+def test_which_conditions_may_force_is_read_off_their_declarations():
+    searched = {name for p in ONE_MAP_PREDICATES for group in PREDICATE_CONDITIONS[p] for name in group}
+    searched -= {name for p in ONE_MAP_PREDICATES for name in linear_conditions(p)}
+    assert searched == set(MAY_FORCE)
+    assert {name: bool(checks._split(name)[2]) for name in MAY_FORCE} == MAY_FORCE
 
 
 def test_a_budget_below_the_leaf_count_returns_a_deterministic_prefix():
@@ -316,7 +378,7 @@ def test_the_derived_linear_parts_and_which_search_forces_products():
     assert sided == {name for name in ONE_MAP_PREDICATES if "side" in OPERATIONS[name].takes}
     for (name, side), expected in LINEAR_PARTS.items():
         assert linear_conditions(name, side) == expected, (name, side)
-    # the searches that check and force product pairs
+    # the predicates that declare a product-morphism condition
     declares_products = {
         name for name, groups in PREDICATE_CONDITIONS.items() if any("product-morphism" in g for g in groups)
     }

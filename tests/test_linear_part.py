@@ -3,7 +3,7 @@
 catalog._solve_linear_part scatters each linear condition's equations from
 the nonzero contributions of its terms (checks._linear_equations) and
 reduces them with core._row_reduce.  tests/linear_oracle.py keeps the route
-it replaced: unit maps, checks.condition_residual over every tuple and a
+it replaced: unit maps, its condition_residual over every tuple and a
 dense Gauss-Jordan.  The RREF of a row space is unique, so (free, pivots)
 must equal the oracle's exactly, on the catalog, on random algebras and where
 the kernel's ints sum to nonzero multiples of p.  The elimination is checked
@@ -140,7 +140,7 @@ def test_the_solve_builds_no_map_and_evaluates_no_side(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("the linear solve evaluated a side")
 
-    for name in ("condition_residual", "_compiled", "_evaluator", "_first_failure"):
+    for name in ("_compiled", "_evaluator", "_first_failure"):
         monkeypatch.setattr(checks, name, refused)
     for a, linear, at, form, expected in cases:
         assert catalog._solve_linear_part(a, linear, at, form) == expected
