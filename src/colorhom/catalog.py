@@ -366,7 +366,6 @@ def search_maps(
     a: ColorHomAlgebra,
     predicate: str,
     *,
-    seed: int = 0,
     budget: int = 10000,
     values=None,
     form: BilinearFormStructure | None = None,
@@ -376,11 +375,10 @@ def search_maps(
     """Deterministic backtracking search for even maps satisfying a named predicate.
 
     The predicate is any check in OPERATIONS that takes exactly one map;
-    form, weight and side supply its other arguments, and giving one it
-    does not take is a StructureError.  The answer is every
-    matrix supported on the even positions (deg e_k = deg e_i), with each
-    entry in a small value set (default -1, 0, 1, 2), that satisfies the
-    predicate.
+    form, weight and side supply its other arguments, and giving one it does
+    not take is a StructureError.  The answer is every matrix supported on
+    the even positions (deg e_k = deg e_i), with each entry in a small value
+    set (default -1, 0, 1, 2), that satisfies the predicate.
 
     The predicate's linear part (checks.linear_conditions: its declared
     conditions of degree 1 in the map) is solved exactly, its equations
@@ -389,22 +387,21 @@ def search_maps(
     rest.  A depth-first search sets the columns f(e_0), f(e_1), ... in
     turn, branching over the values of each column's free entries and
     filling a fixed entry once the free entries it reads are set; one
-    outside the values abandons the branch.  Each other declared condition
-    is checked at each tuple (an instance) at the first node where every
-    column it reads is set: the instance waits on the first unset column it
-    reads (checks.search_instances).  An instance that reads one unset
-    column, and that only through terms f(y) at the top of a side with y
-    not reading it, is affine in the column and forces it unless the column
-    holds or fills a fixed entry: the column is set without branching, or
-    the branch is abandoned when it leaves the values or the even positions.
-    Every complete candidate is re-checked by the predicate itself.
+    outside the values abandons the branch.  Every other declared condition
+    reads f(x_0) first (checks.search_instances): setting column k visits
+    it at each tuple with x_0 = e_k, and a tuple that reads another unset
+    column waits on it.  A tuple that reads one unset column, and only
+    through terms f(y) at the top of a side with y not reading it, is affine
+    in the column and forces it unless the column holds or fills a fixed
+    entry: the column is set without branching, or the branch is abandoned
+    when it leaves the values or the even positions.  Every complete
+    candidate is re-checked by the predicate itself.
 
     budget bounds the leaves of the search tree, complete candidates plus
     abandoned partial assignments, which never outnumber len(values) **
     (free entries); at the bound the search stops and returns the hits found
     so far, the same on every run.  budget must be an int (not a bool).
-    seed is not read; it stays for callers that pass it.  Hits come back
-    sorted by matrix entries.
+    Hits come back sorted by matrix entries.
     """
     op = OPERATIONS.get(predicate)
     if op is None or op.kind != CHECK or op.takes.count("map") != 1:
@@ -437,20 +434,13 @@ def search_maps(
     n, degs, zero = a.dim, a.degrees, field.zero
     positions = [(k, i) for k in range(n) for i in range(n) if degs[k] == degs[i]]
 
-    def candidate(assignment):
-        columns = tuple({} for _ in range(n))
-        for (k, i), v in zip(positions, assignment):
-            if v:
-                columns[i][k] = kernel[v]
-        return GradedLinearMap(a.basis, _Columns(columns))
-
     def arguments(m):
         return [m if arg == "map" else given[arg] for arg in op.takes]
 
     check = op.resolve()
     # the zero map meets every linear condition: the predicate on it checks
     # the other arguments before any system is built
-    check(a, *arguments(candidate((zero,) * len(positions))))
+    check(a, *arguments(GradedLinearMap(a.basis, _Columns(tuple({} for _ in range(n))))))
     free, pivots = _solve_linear_part(a, linear_conditions(predicate, side), positions, given["form"])
 
     # column i branches over its free positions, then fills the fixed
@@ -473,42 +463,44 @@ def search_maps(
             last[i], forceable[i] = max(last[i], b), False
     completed_at = [[i for i in range(n) if last[i] == b] for b in range(n)]
     # columns: the sparse kernel column of each set column (reading an unset one
-    # raises KeyError); waiting[k]: the instances that next read column k, once
-    # it is set; log: how to undo each change to columns and waiting, in order
+    # raises KeyError); waiting[k]: what the branch filed to visit once column k
+    # is set; log: how to undo each change to columns and waiting, in order
     columns, waiting, log = {}, [[] for _ in range(n)], []
-    instances = search_instances(predicate, side, a, columns, field.kernel_scalar(given["weight"]), given["form"])
+    kept = search_instances(predicate, side, a, columns, field.kernel_scalar(given["weight"]), given["form"])
+    conditions = [(sides, tuple(iproduct(range(n), repeat=arity - 1))) for sides, arity in kept]
     reduce = (lambda x: x % field.p) if field.characteristic else (lambda x: x)
     inverse = cache(lambda c: field.kernel_scalar(field.one / field.coerce(c)))
 
     assignment = [zero] * len(positions)
     hits, leaves = [], 0
 
-    def wait(instance, *ks) -> bool:
+    def wait(sides, idx, *ks) -> bool:
         for k in ks:
-            waiting[k].append(instance)
+            waiting[k].append((sides, idx))
             log.append(waiting[k].pop)
         return True
 
     def set_column(k, column) -> bool:
-        """Set column k and visit the instances waiting on it, which stay filed there; False on a failure."""
+        """Set column k and visit each condition at x_0 = e_k, then what waits on k; False on a failure."""
         columns[k] = column
         log.append(columns.popitem)  # columns are set and unset last in, first out
-        for instance in waiting[k]:
-            if not visit(instance):
+        for sides, tails in conditions:
+            for tail in tails:
+                if not visit(sides, (k, *tail)):
+                    return False
+        for sides, idx in waiting[k]:
+            if not visit(sides, idx):
                 return False
         return True
 
-    def visit(instance) -> bool:
-        """Check the instance, force the one unset column it reads, or file it to wait; False on a failure."""
-        sides, idx = instance
+    def visit(sides, idx) -> bool:
+        """Check the tuple, force the one unset column it reads, or file it to wait; False on a failure."""
         try:
-            left, right, *top = sides(*idx)
+            rest, *top = sides(*idx)
         except KeyError as unset:  # only columns is a dict the sides index
-            return wait(instance, unset.args[0])
+            return wait(sides, idx, unset.args[0])
         # left - right = r + the sum over unset k of slope[k] f(e_k)
-        r, slope = dict(left), {}
-        for t, x in right.items():
-            r[t] = r.get(t, 0) - x
+        r, slope = dict(rest), {}
         for y in top:
             for j, c in y.items():
                 if j not in columns:
@@ -519,7 +511,7 @@ def search_maps(
         unset = list(slope)
         if len(unset) > 1 or unset and not forceable[unset[0]]:
             # two watches: all but one of these columns are set only once one of the two is
-            return wait(instance, *unset[:2])
+            return wait(sides, idx, *unset[:2])
         if unset and (g := reduce(slope[unset[0]])):
             k, scale, column = unset[0], inverse(-g), {}
             for t, p in in_column[k]:
@@ -540,16 +532,16 @@ def search_maps(
             if v is None:
                 return False
             assignment[p] = v
-        return not instances or all(
-            set_column(i, {k: kernel[v] for k, p in in_column[i] if (v := assignment[p])})
-            for i in completed_at[branch]
-        )
+        for i in completed_at[branch]:
+            if not set_column(i, {k: kernel[v] for k, p in in_column[i] if (v := assignment[p])}):
+                return False
+        return True
 
     def descend(column):
         nonlocal leaves
         if column == n:
             leaves += 1
-            m = candidate(assignment)
+            m = GradedLinearMap(a.basis, _Columns(tuple(columns[i] for i in range(n))))
             if check(a, *arguments(m)):
                 hits.append((tuple(map(field.sort_key, assignment)), m))
             return
@@ -568,10 +560,7 @@ def search_maps(
             while len(log) > mark:
                 log.pop()()
 
-    # at the root no column is set: each instance is filed under one it reads
-    if all(visit(instance) for instance in instances):
-        log.clear()  # the root is never undone
-        descend(0)
+    descend(0)
     # positions are row-major and every other entry is zero, so this is the
     # order of the hits' matrices
     hits.sort(key=lambda hit: hit[0])

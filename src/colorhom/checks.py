@@ -27,8 +27,9 @@ PREDICATE_CONDITIONS lists each operator predicate's condition groups in
 the order they run.  The conditions whose terms all have degree 1 in f are
 its linear part (linear_conditions); catalog.search_maps solves their
 equations, read off their slices with the entry of f in each key
-(_linear_equations), and checks the others per tuple on the columns it has
-set, with each term f(y) at the top of a side kept apart (search_instances).
+(_linear_equations), and visits each other condition at the tuples with
+x_0 = e_k once it sets column k, each term f(y) at the top of a side kept
+apart (search_instances).
 """
 
 from __future__ import annotations
@@ -702,33 +703,34 @@ _Images = NamedTuple("_Images", [("sparse_columns", tuple), ("inverse_lists", tu
 
 
 def _split(name: str) -> tuple:
-    """A condition's sides less their terms f(y) at the top, and (sign, factors, y) for each, signed as in left - right."""
+    """A condition's left - right less its terms f(y) at the top, and (sign, factors, y) for each, signed likewise."""
     _, left, right = _CONDITIONS[name]
-    top = [(s, c, t.x) for s, c, t in left if type(t) is F] + [(-s, c, t.x) for s, c, t in right if type(t) is F]
-    return [t for t in left if type(t[2]) is not F], [t for t in right if type(t[2]) is not F], top
+    signed = [*left, *((-s, c, t) for s, c, t in right)]
+    return [t for t in signed if type(t[2]) is not F], [(s, c, t.x) for s, c, t in signed if type(t) is F]
 
 
 @cache
 def _forcing(name: str):
-    """A condition's sides and the y of each top term f(y) (_split), compiled once: a function of a scope's fields."""
-    left, right, top = _split(name)
-    return _evaluator(_CONDITIONS[name][0], left, right, *([term] for term in top))
+    """A condition's rest and the y of each top term f(y) (_split), compiled once: a function of a scope's fields."""
+    rest, top = _split(name)
+    return _evaluator(_CONDITIONS[name][0], rest, *([term] for term in top))
 
 
 def search_instances(predicate: str, side: str, a: ColorHomAlgebra, columns, weight=0, form=None) -> list:
-    """(sides, idx) at each tuple idx of each condition side keeps beyond the predicate's linear part, on (a, a, f).
+    """(sides, arity) for each condition side keeps beyond the predicate's linear part, in order, on (a, a, f).
 
     f is the even map with the given columns, only ever indexed: a search
-    passes the columns it has set and learns which unset one an instance
-    reads from what indexing raises.  sides(*idx) is (l, r, y_1, ..., y_m),
-    left - right = l - r + f(y_1) + ... + f(y_m): each term f(y) at the top
-    of a side is kept unapplied, its coefficient in y.  weight is a kernel scalar.
+    passes the columns it has set and learns which unset one a tuple reads
+    from what indexing raises.  Every such condition reads f(x_0) before any
+    other column, so a search visits its tuples with x_0 = e_k once column k
+    is set.  sides(*idx) is (rest, y_1, ..., y_m), left - right = rest +
+    f(y_1) + ... + f(y_m): each term f(y) at the top of a side is kept
+    unapplied, its coefficient in y.  weight is a kernel scalar.
     """
     linear = linear_conditions(predicate, side)
     scope = _Scope(a, a, _Images(columns, None, a.group.zero()), {}, weight, form)
     names = [name for group in _groups(PREDICATE_CONDITIONS[predicate], side) for name in group if name not in linear]
-    return [(sides, idx) for name in names for sides in [_forcing(name)(*scope)]
-            for idx in iproduct(range(a.dim), repeat=_CONDITIONS[name][0])]
+    return [(_forcing(name)(*scope), _CONDITIONS[name][0]) for name in names]
 
 
 def commutes_with_twist(a: ColorHomAlgebra, f: GradedLinearMap) -> Verdict:

@@ -33,10 +33,10 @@ value and a Fraction only for a true fraction, over F_p an int residue.
 Every value enters the kernel through kernel_scalar, which reduces it into
 [0, p) over F_p.  No modulus enters the kernel itself: it only multiplies,
 adds and drops exact zeros, so over F_p its results are correct mod p but
-unreduced.  They are reduced only where they leave it: checks._failing
-tests an identity's slice residuals mod p, checks._first_failure reduces
-two sides mod p only when they differ as ints, catalog.search_maps
-reduces the residuals of its product pairs, the one exact elimination
+unreduced.  They are reduced only where they leave it: checks._first_failure
+tests a slice's values mod p and reduces two sides mod p only when they
+differ as ints, catalog.search_maps reduces the residual of each condition
+it visits at a tuple and the forced entries, the one exact elimination
 (_row_reduce, behind matrix_rank, invert_map and search_maps's linear
 part) reduces every value it keeps, and dense_vector boxes every
 value through field.coerce, so tuples, matrices, witnesses and documents

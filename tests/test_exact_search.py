@@ -14,6 +14,8 @@ The guard at the end makes a condition taken as linear by mistake fail a
 test instead of silently losing hits.
 """
 
+import random
+import tracemalloc
 from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
@@ -234,14 +236,16 @@ def tp3_f5_brute_force():
 @pytest.mark.parametrize("budget", [40, 300, 1000])
 def test_weak_morphism_search_is_brute_force_past_the_budget(seed, budget):
     # 3^9 matrices, but fewer than 100 leaves in the search tree: budgets 300
-    # and 1000 see them all, 40 cuts the search short; the seed is not read
+    # and 1000 see them all, 40 cuts the search short.  The seed shuffles the
+    # order of the values, which sets the branch order but not the sorted hits
     a, expected = tp3_f5_brute_force()
     expected = expected["weak_morphism"]
-    found = [m.matrix for m in search_maps(a, "weak_morphism", seed=seed, budget=budget, values=(-1, 0, 1))]
+    values = tuple(random.Random(seed).sample((-1, 0, 1), 3))
+    found = [m.matrix for m in search_maps(a, "weak_morphism", budget=budget, values=values)]
     if budget >= 100:
         assert found == expected
     else:
-        assert found == [m.matrix for m in search_maps(a, "weak_morphism", budget=budget, values=(-1, 0, 1))]
+        assert found == [m.matrix for m in search_maps(a, "weak_morphism", budget=budget, values=values)]
         assert set(found) < set(expected)
 
 
@@ -335,7 +339,49 @@ def test_which_conditions_may_force_is_read_off_their_declarations():
     searched = {name for p in ONE_MAP_PREDICATES for group in PREDICATE_CONDITIONS[p] for name in group}
     searched -= {name for p in ONE_MAP_PREDICATES for name in linear_conditions(p)}
     assert searched == set(MAY_FORCE)
-    assert {name: bool(checks._split(name)[2]) for name in MAY_FORCE} == MAY_FORCE
+    assert {name: bool(checks._split(name)[1]) for name in MAY_FORCE} == MAY_FORCE
+
+
+def _reads_f0(node) -> bool:
+    if type(node) is checks.F and node.x == 0:
+        return True
+    return type(node) is not int and any(map(_reads_f0, node))
+
+
+def test_every_searched_condition_reads_f_of_x0_first():
+    # search_maps visits a condition's tuples with x_0 = e_k once it sets
+    # column k, so each one it searches must read f(x_0) before any other column
+    entry = build_entry("involutive_quadratic_polynomial", Q, n=3)
+    a, form = entry.algebra, next(iter(entry.forms.values()))
+    for p in ONE_MAP_PREDICATES:
+        for side in ("left", "right", "both"):
+            linear = linear_conditions(p, side)
+            searched = [name for group in checks._groups(PREDICATE_CONDITIONS[p], side)
+                        for name in group if name not in linear]
+            for name in searched:
+                _, left, right = checks._CONDITIONS[name]
+                assert any(_reads_f0(node) for _, _, node in left + right), (p, side, name)
+            instances = checks.search_instances(p, side, a, {}, 1, form)
+            assert [arity for _, arity in instances] == [checks._CONDITIONS[name][0] for name in searched]
+            for sides, arity in instances:
+                for idx in iproduct(range(a.dim), repeat=arity):
+                    with pytest.raises(KeyError) as unset:
+                        sides(*idx)
+                    assert unset.value.args == (idx[0],), (p, side, idx)
+
+
+def test_a_budget_zero_search_at_dimension_64_builds_nothing_per_tuple():
+    # the bracket operator search has two 3-slot conditions, 2 * 64^3 tuples
+    # at dimension 64; none is built or visited before the first branch
+    a = truncated_polynomial(64)
+    tracemalloc.start()
+    try:
+        found = search_maps(a, "bracket_operator_conditions", budget=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == []
+    assert peak < 16 * 2 ** 20
 
 
 def test_a_budget_below_the_leaf_count_returns_a_deterministic_prefix():
@@ -346,7 +392,7 @@ def test_a_budget_below_the_leaf_count_returns_a_deterministic_prefix():
     previous = []
     for budget in range(101):
         found = [m.matrix for m in search_maps(a, "weak_morphism", values=(-1, 0, 1), budget=budget)]
-        again = search_maps(a, "weak_morphism", seed=budget, values=(-1, 0, 1), budget=budget)
+        again = search_maps(a, "weak_morphism", values=(-1, 0, 1), budget=budget)
         assert [m.matrix for m in again] == found, budget
         assert set(previous) <= set(found) <= set(expected), budget
         assert found == sorted(found, key=lambda m: tuple(F5.sort_key(v) for row in m for v in row))
