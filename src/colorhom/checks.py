@@ -11,10 +11,13 @@ products, alpha(.), f(.) and the form over the arguments, with eps signs),
 and one compiler, _slice, turns each declaration into slices: for each
 index of the first slot, one dict of left - right at every later tuple and
 output key.  Each term is one loop nest over the nonzero contributions it
-names (_nest): nonempty cells and nonzero alpha entries through the
-algebra's product index (core.ProductIndex), f through its columns and
-inverse lists, the form through its sparse Gram rows; a term of degree 2 in
-f is one chained nest.  A tuple no slice reaches has every term zero, so
+names (_nest): a product step is one loop over the flat entries of the
+algebra's product index (core.ProductIndex), or, beside an alpha, of its
+twisted products x*alpha(y) and alpha(x)*y (core.TwistedIndex, built only
+for the slices that read it), so each identity term is two loops; alpha
+elsewhere through its columns, f through its columns and inverse lists,
+the form through its sparse Gram rows; a term of degree 2 in f is one
+chained nest.  A tuple no slice reaches has every term zero, so
 the first tuple with a nonzero value (mod p over F_p) is the first failing
 tuple of a scan over every tuple, and the sides, compiled per tuple
 (_compiled), run there alone for the witness (_first_failure).
@@ -34,6 +37,7 @@ apart (search_instances).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cache
 from itertools import product as iproduct
@@ -238,10 +242,15 @@ def _path(node, slot: int, under: bool = False):
 def _nest(node, slot: int) -> tuple:
     """The loops of one term with slot fixed, each (source, coefficient or None), the output key and f's coefficients.
 
-    Climbing from the fixed leaf, each node loops over its other input (by_row
-    or by_col, a Gram row or column), binds that subtree from its output down
-    (by_key, an inverse list), then loops over its own output (a cell, a
-    column).  Names with s_ read the source algebra (under an F).
+    Climbing from the fixed leaf, a product loops once over the entries
+    (other input, output key, coefficient) of its climbed input's row or
+    column, then binds the other input's subtree from its index down (by_key,
+    an inverse list).  In the target an alpha on either input of a product
+    is read with it from the twisted products (core.TwistedIndex): a climbed
+    alpha(e_u) from ax_row or xa_col at u, another input alpha(y) from xa_row
+    or ax_col at u, y then bound from its index; so each identity term is
+    two loops.  An alpha or f elsewhere loops over its column, a form over a
+    Gram row or column.  Names with s_ read the source algebra (under an F).
     """
     loops, names, read = [], (f"m{i}" for i in range(64)), []
 
@@ -264,14 +273,22 @@ def _nest(node, slot: int) -> tuple:
             add(f"{u}, {{}} in {'f_rows' if type(x) is F else s + 'alpha_rows'}[{w}]", type(x) is F)
             down(x.x, u, under or type(x) is F)
 
-    u = f"k{slot}"
-    for x, position, under in _path(node, slot):
+    u, path = f"k{slot}", _path(node, slot)
+    for (x, position, under), above in zip(path, [x for x, _, _ in path[1:]] + [None]):
         s, other = "s_" * under, x[1 - position] if len(x) == 2 else None
+        if type(x) is A and type(above) is P and not under:
+            continue  # the product above reads alpha(e_u) from a twisted table
         if type(x) is P:
-            loops.append((f"{(v := name(other))} in {s}by_{'col' if position else 'row'}[{u}]", None))
+            if type(x[position]) is A and not under:
+                entries = ("ax_row", "xa_col")[position]
+            elif type(other) is A and not under:
+                entries, other = ("xa_row", "ax_col")[position], other.x
+            else:
+                entries = f"{s}{('row', 'col')[position]}_entries"
+            v, w = name(other), name(x)
+            add(f"{v}, {w}, {{}} in {entries}[{u}]")
             down(other, v, under)
-            cell, u = f"{s}rows[{v}][{u}]" if position else f"{s}rows[{u}][{v}]", name(x)
-            add(f"{u}, {{}} in {cell}.items()")
+            u = w
         elif type(x) is B:  # a form's value is a scalar, at key 0
             v = name(other)
             add(f"{v}, {{}} in g_columns[{u}]" if position else f"{v}, {{}} in g_rows[{u}].items()")
@@ -284,12 +301,14 @@ def _nest(node, slot: int) -> tuple:
     return loops, u, read
 
 
-# the lists a slice reads, bound once per call: the target's always, the others where the body names them
+# the lists a slice reads, bound once per call: the target's always, the others
+# where a name in the body starts with their prefix
 _LISTS = {
-    "": "rows, columns, eps, n = target.product_rows, target.alpha.sparse_columns, target.eps_table, target.dim\n"
-        " by_row, by_col, by_key, alpha_rows = target.product_index",
-    "s_": "s_rows, s_columns = source.product_rows, source.alpha.sparse_columns\n"
-          " s_by_row, s_by_col, s_by_key, s_alpha_rows = source.product_index",
+    "": "columns, eps, n, nn = target.alpha.sparse_columns, target.eps_table, target.dim, target.dim ** 2\n"
+        " _, _, by_key, alpha_rows, row_entries, col_entries = target.product_index",
+    "s_": "s_columns = source.alpha.sparse_columns\n"
+          " _, _, s_by_key, s_alpha_rows, s_row_entries, s_col_entries = source.product_index",
+    "xa_|ax_": "xa_row, xa_col, ax_row, ax_col = target.twisted_index",
     "f_": "f_columns, f_rows = f.sparse_columns, f.inverse_lists",
     "g_": "g_rows, g_columns = form.gram_rows, _column_rows(form.gram_rows)",
 }
@@ -301,42 +320,54 @@ _ORDERS = {"invariance": (2, 1, 0)}
 
 @cache
 def _slice(name: str, entry_in_key: bool = False):
-    """A declaration's slice function, compiled once from Python source: a function of a scope's fields.
+    """A declaration's slice function, compiled once from _slice_source: a function of a scope's fields."""
+    scope: dict = {}
+    exec(_slice_source(name, entry_in_key), globals(), scope)
+    return scope["slice_of"]
+
+
+def _slice_source(name: str, entry_in_key: bool = False) -> str:
+    """The Python source of a declaration's slice function.
 
     Its value maps an index of the first slot in the declaration's order to
     one dict r holding, at the key (k1*n + k2)*n + k (k1*n + k for a pair, k
     for one slot; the later slots in that order, k = 0 for a form), left -
     right at output key k: each term added or subtracted as its nest, so no
     loop reads a zero.  A key reached holds a value, possibly zero.  F0
-    depends on slot 0 alone, so it is computed once per slice.  With
-    entry_in_key, for terms reading f once, the entry of f a contribution
-    reads is not multiplied in but added to its key times n*n.
+    depends on slot 0 alone, so it is computed once per slice, and the parts
+    of a term's key (b) and coefficient (w) that its last loop does not bind
+    are taken before that loop.  With entry_in_key, for terms reading f
+    once, the entry of f a contribution reads is not multiplied in but added
+    to its key times n*n.
     """
     arity, left, right = _IDENTITIES.get(name) or _CONDITIONS[name]
     order = _ORDERS.get(name, range(arity))
-    base = ("0", "k{} * n", "(k{} * n + k{}) * n")[arity - 1].format(*order[1:])
+    later = [f"k{order[p]} * {'n' * (arity - p)}" for p in range(1, arity)]  # k1 * nn + k2 * n for a triple
     lines = [f"def scan_slice(k{order[0]}):", " r = {}"]
     for sign, factors, node in left + [(-sign, factors, node) for sign, factors, node in right]:
         loops, k, read = _nest(node, order[0])
         if F0 in factors and " f0 = " + F0 not in lines:
             lines.insert(2, " f0 = " + F0)
-        w = [str(sign)] * (sign != 1) + [{F0: "f0"}.get(c, c) if type(c) is str else "eps[k{}][k{}]".format(*c)
-                                         for c in factors] + [c for _, c in loops if c and not (entry_in_key and c in read)]
+        value = [str(sign)] * (sign != 1) + [{F0: "f0"}.get(c, c) if type(c) is str else "eps[k{}][k{}]".format(*c)
+                                             for c in factors] + [c for _, c in loops if c and not (entry_in_key and c in read)]
+        key = later + [k] * (k != "0")
+        if entry_in_key:
+            key = [f"({' + '.join(key) or 0}) * nn", read[0]]
+        bound = set(re.findall(r"\w+", loops[-1][0].split(" in ")[0])) if loops else set()
+        key_out, value_out = ([x for x in parts if loops and not bound & set(re.findall(r"\w+", x))]
+                              for parts in (key, value))
+        taken = [(b, e) for b, e in (("b", " + ".join(key_out)), ("w", " * ".join(value_out))) if e]
         lines += [f"{' ' * depth}for {loop}:" for depth, (loop, _) in enumerate(loops, 1)]
-        # the weight is taken before the last loop unless that loop binds slots (a form) or the key needs f's entry
-        if loops and k != "0" and not entry_in_key:
-            lines.insert(-1, f"{' ' * len(loops)}b, w = {base}, {' * '.join(w[:-1]) or 1}")
-            key, value = f"b + {k}", f"w * {w[-1]}"
-        else:
-            key, value = base if k == "0" else f"{base} + {k}" if base != "0" else k, " * ".join(w) or "1"
-            key = f"({key}) * n * n + {read[0]}" if entry_in_key else key
-        lines.append(f"{' ' * (len(loops) + 1)}r[{key}] = r.get({key}, 0) + {value}")
+        if taken:
+            lines.insert(-1, f"{' ' * len(loops)}{', '.join(b for b, _ in taken)} = {', '.join(e for _, e in taken)}")
+        key = " + ".join(["b"] * bool(key_out) + [x for x in key if x not in key_out]) or "0"
+        value = " * ".join(["w"] * bool(value_out) + [x for x in value if x not in value_out]) or "1"
+        q = key if key.isidentifier() or key == "0" else "q"  # the key computed once: the right side runs first
+        lines.append(f"{' ' * (len(loops) + 1)}r[{q}] = r.get({key if q == key else f'q := {key}'}, 0) + {value}")
     lines += [" return r", "return scan_slice"]
     body = "\n".join(" " + line for line in lines)
-    prelude = "".join(f" {lists}\n" for prefix, lists in _LISTS.items() if prefix in body)
-    scope: dict = {}
-    exec(f"def slice_of(target, source=None, f=None, eps_f=None, weight=0, form=None):\n{prelude}{body}", globals(), scope)
-    return scope["slice_of"]
+    prelude = "".join(f" {lists}\n" for prefix, lists in _LISTS.items() if re.search(rf"\b(?:{prefix})", body))
+    return f"def slice_of(target, source=None, f=None, eps_f=None, weight=0, form=None):\n{prelude}{body}"
 
 
 # ---------------------------------------------------------------------------

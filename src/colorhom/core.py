@@ -20,7 +20,8 @@ dense path reads a tensor's, and _cells yields an algebra's nonempty ones,
 so a construction costs its nonzeros rather than n^2 calls.  Algebras
 carry their eps value per pair of basis indices as a view excluded from
 equality and repr; product_index, which lists the nonempty cells and
-alpha's nonzero entries for the identity scans, is built on first read.
+alpha's nonzero entries for the scans, and twisted_index, which lists the
+products e_i * alpha(e_j) and alpha(e_i) * e_j, are built on first read.
 The kernel (sparse_product, sparse_apply) on sparse vectors, {index:
 nonzero coefficient}, is the only way the package evaluates products and
 maps.  Coordinate tuples appear only at the boundary: eval_product,
@@ -116,6 +117,14 @@ class GradedBasis:
     @property
     def dim(self) -> int:
         return len(self.degrees)
+
+    @cached_property
+    def degree_classes(self) -> tuple:
+        """The distinct degrees in order of first occurrence, and each index's position among them; computed once."""
+        position: dict = {}
+        for d in self.degrees:
+            position.setdefault(d, len(position))
+        return tuple(position), tuple(position[d] for d in self.degrees)
 
 
 def trivial_basis(field: ScalarField, dim: int) -> GradedBasis:
@@ -392,12 +401,17 @@ class ColorHomAlgebra:
         object.__setattr__(self, "bicharacter", bicharacter)
         object.__setattr__(self, "product_rows", _stored_rows(basis, cells))
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "eps_table", _eps_table(basis.field, bicharacter, basis.degrees))
+        object.__setattr__(self, "eps_table", _eps_table(basis, bicharacter))
 
     @cached_property
     def product_index(self) -> ProductIndex:
         """The nonempty cells and alpha's nonzero entries as lists, built on first read and cached."""
         return _product_index(self.product_rows, self.alpha.inverse_lists)
+
+    @cached_property
+    def twisted_index(self) -> TwistedIndex:
+        """The entries of the products e_i * alpha(e_j) and alpha(e_i) * e_j, each list built on first read and cached."""
+        return _twisted_index(self.product_index, self.alpha.sparse_columns)
 
     @cached_property
     def structure(self) -> tuple:
@@ -445,25 +459,85 @@ class ProductIndex(NamedTuple):
     by_row[i] / by_col[j]: the j / the i with e_i * e_j != 0, ascending;
     by_key[m]: (i, j, c) for each cell (i, j) whose product has the term
     c e_m, row-major; alpha_rows[t]: (r, c) for each r whose image alpha(e_r)
-    has the term c e_t, ascending.  A product outside these lists is zero.
+    has the term c e_t, ascending; row_entries[i] / col_entries[j]: (j, m, c)
+    / (i, m, c) for each term c e_m of e_i * e_j, the other index ascending,
+    so a scan steps through a product in one flat loop.  A product outside
+    these lists is zero.
     """
 
     by_row: tuple
     by_col: tuple
     by_key: tuple
     alpha_rows: tuple
+    row_entries: tuple
+    col_entries: tuple
+
+
+class TwistedIndex(NamedTuple):
+    """The entries of the twisted products, as ProductIndex lists those of the product.
+
+    xa_row[i] / xa_col[j]: (j, m, c) / (i, m, c) for each term c e_m of
+    e_i * alpha(e_j); ax_row and ax_col likewise for alpha(e_i) * e_j.  Each
+    product is summed exactly as the kernel sums, unreduced over F_p, with
+    its zero sums dropped, so a product outside these lists is zero, as
+    sparse_product would compute it.  Each list is built on its first read
+    and kept, so a scan that stops early builds the few it read; when alpha
+    is the identity they are the lists of the product itself.
+    """
+
+    xa_row: object
+    xa_col: object
+    ax_row: object
+    ax_col: object
+
+
+class _Lists(dict):
+    """lists[u] = build(u), built on the first read of u and kept."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, u):
+        self[u] = entries = self.build(u)
+        return entries
 
 
 def _product_index(rows: tuple, alpha_rows: tuple) -> ProductIndex:
-    n = len(rows)
     by_row = [[j for j, cell in enumerate(row) if cell] for row in rows]
-    by_col, by_key = ([[] for _ in range(n)] for _ in range(2))
+    by_col, by_key, row_entries, col_entries = ([[] for _ in rows] for _ in range(4))
     for i, js in enumerate(by_row):
         for j in js:
             by_col[j].append(i)
             for m, c in rows[i][j].items():
                 by_key[m].append((i, j, c))
-    return ProductIndex(tuple(by_row), tuple(by_col), tuple(by_key), alpha_rows)
+                row_entries[i].append((j, m, c))
+                col_entries[j].append((i, m, c))
+    return ProductIndex(*map(tuple, (by_row, by_col, by_key)), alpha_rows, tuple(row_entries), tuple(col_entries))
+
+
+def _twisted_index(index: ProductIndex, alpha_columns: tuple) -> TwistedIndex:
+    """The four lists of TwistedIndex, each entry the sum of alpha's entries times the product's."""
+    rows, columns, alpha_rows = index.row_entries, index.col_entries, index.alpha_rows
+    if alpha_columns == tuple({t: 1} for t in range(len(rows))):  # alpha = id: the product's own lists
+        return TwistedIndex(rows, columns, rows, columns)
+    return TwistedIndex(
+        # e_i * alpha(e_j) = the sum of alpha(e_j)_t e_i * e_t over t, and likewise
+        _Lists(lambda i: _summed((j, m, a * c) for t, m, c in rows[i] for j, a in alpha_rows[t])),
+        _Lists(lambda j: _summed((i, m, a * c) for t, a in alpha_columns[j].items() for i, m, c in columns[t])),
+        _Lists(lambda i: _summed((j, m, a * c) for t, a in alpha_columns[i].items() for j, m, c in rows[t])),
+        _Lists(lambda j: _summed((i, m, a * c) for t, m, c in columns[j] for i, a in alpha_rows[t])),
+    )
+
+
+def _summed(contributions) -> list:
+    """The (v, m, sum of c) over the contributions (v, m, c), (v, m) ascending, zero sums dropped."""
+    sums: dict = {}
+    for v, m, c in contributions:
+        sums[v, m] = sums.get((v, m), 0) + c
+    return [(v, m, c) for (v, m), c in sorted(sums.items()) if c]
 
 
 def _column_rows(columns) -> tuple:
@@ -497,7 +571,7 @@ def _stored_rows(basis: GradedBasis, cells) -> tuple:
     """
     n = basis.dim
     kernel_scalar = basis.field.kernel_scalar
-    distinct, classes = _degree_classes(basis.degrees)
+    distinct, classes = basis.degree_classes
     position = {d: p for p, d in enumerate(distinct)}
     # (class of e_i, class of e_j) -> the class of their degree sum, -1 if no
     # basis vector has it; filled only for pairs with a nonempty cell
@@ -536,13 +610,13 @@ def _stored_rows(basis: GradedBasis, cells) -> tuple:
     return tuple(rows)
 
 
-def _eps_table(field: ScalarField, b: Bicharacter, degrees) -> tuple:
+def _eps_table(basis: GradedBasis, b: Bicharacter) -> tuple:
     """eps for every pair of basis indices, as kernel scalars.
 
     One evaluation per pair of distinct degrees; indices of equal degree
     share one row tuple.
     """
-    distinct, classes = _degree_classes(degrees)
+    field, (distinct, classes) = basis.field, basis.degree_classes
     rows = [
         tuple(values[q] for q in classes)
         for values in (
@@ -550,14 +624,6 @@ def _eps_table(field: ScalarField, b: Bicharacter, degrees) -> tuple:
         )
     ]
     return tuple(rows[p] for p in classes)
-
-
-def _degree_classes(degrees) -> tuple:
-    """The distinct degrees in order of first occurrence, and each index's position among them."""
-    position: dict = {}
-    for d in degrees:
-        position.setdefault(d, len(position))
-    return list(position), [position[d] for d in degrees]
 
 
 def make_algebra(basis: GradedBasis, bichar: Bicharacter, structure, alpha: GradedLinearMap) -> ColorHomAlgebra:

@@ -1,0 +1,128 @@
+"""The flat entry lists and the twisted products a slice reads, and the two-loop nests.
+
+core.ProductIndex lists each product e_i * e_j as flat entries by row and by
+column, and core.TwistedIndex lists the products e_i * alpha(e_j) and
+alpha(e_i) * e_j the same way, each summed as the kernel sums (unreduced
+over F_p) with its zero sums dropped.  The
+tests compare both with the kernel on basis vectors, check that only the
+slices of a term with a product beside an alpha build the twisted tables,
+and that every identity term compiles to a nest of at most two loops.
+"""
+
+import ast
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from test_support_scans import ALPHA, COMPOSITES, DIRECTED, FIELDS, _algebra, sparse_algebras
+
+from colorhom import catalog, checks, core
+from colorhom.catalog import standard_entries
+
+
+def unit(i):
+    return {i: 1}
+
+
+def nonzeros(a, x):
+    """A kernel value with its keys ascending, as the tables keep it."""
+    return dict(sorted(x.items()))
+
+
+def entries(products, n):
+    """The (j, m, c) of each row and the (i, m, c) of each column of products[i][j] = {m: c}."""
+    by_row = tuple([(j, m, c) for j in range(n) for m, c in products[i][j].items()] for i in range(n))
+    by_col = tuple([(i, m, c) for i in range(n) for m, c in products[i][j].items()] for j in range(n))
+    return by_row, by_col
+
+
+def listed(by_row, by_col, n):
+    """Twisted lists, built on first read, as the tuples of their rows and of their columns."""
+    return tuple(by_row[u] for u in range(n)), tuple(by_col[u] for u in range(n))
+
+
+def assert_entries_list_the_nonzeros(a):
+    n, alpha = a.dim, a.alpha
+    x, t = a.product_index, a.twisted_index
+    plain = [[nonzeros(a, core.sparse_product(a, unit(i), unit(j))) for j in range(n)] for i in range(n)]
+    assert (x.row_entries, x.col_entries) == entries(plain, n)
+    right = [[nonzeros(a, core.sparse_product(a, unit(i), core.sparse_apply(alpha, unit(j)))) for j in range(n)]
+             for i in range(n)]
+    assert listed(t.xa_row, t.xa_col, n) == entries(right, n)
+    left = [[nonzeros(a, core.sparse_product(a, core.sparse_apply(alpha, unit(i)), unit(j))) for j in range(n)]
+            for i in range(n)]
+    assert listed(t.ax_row, t.ax_col, n) == entries(left, n)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_the_entry_lists_and_twisted_tables_list_every_nonzero_on_the_catalog(field):
+    for entry in standard_entries(field):
+        assert_entries_list_the_nonzeros(entry.algebra)
+
+
+@pytest.mark.parametrize("case", ALPHA)
+def test_the_twisted_tables_list_every_nonzero_through_alpha(case):
+    assert_entries_list_the_nonzeros(_algebra(DIRECTED[case][0], ALPHA[case]))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(sparse_algebras().filter(lambda a: a.alpha != core.identity_map(a.basis)))
+def test_the_entry_lists_and_twisted_tables_list_every_nonzero_on_random_algebras(a):
+    assert_entries_list_the_nonzeros(a)
+
+
+# ---------------------------------------------------------------------------
+# the twisted tables are built only by the slices that read them
+
+
+def fresh(a):
+    """An algebra equal to a with no list built yet."""
+    return core._algebra_like(a, core._cells(a))
+
+
+def test_operator_predicates_and_derivation_searches_leave_the_twisted_tables_unbuilt():
+    a = catalog.build_entry("euler_novikov", FIELDS[0], n=5).algebra
+    for run in (
+        lambda b: checks.is_weak_morphism(b, b, b.alpha),
+        lambda b: checks.is_derivation(b, core.scalar_map(b.basis, 2)),
+        lambda b: catalog.search_maps(b, "derivation"),
+    ):
+        b = fresh(a)
+        run(b)
+        assert "twisted_index" not in b.__dict__
+    b = fresh(a)
+    checks.check_hom_novikov(b)
+    assert "twisted_index" in b.__dict__
+
+
+IDENTITY_CHECKS = [*COMPOSITES.values(), checks.check_right_commutative, checks.check_lie_admissible]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_identity_checks_give_one_verdict_on_fresh_and_cached_tables(field):
+    for entry in standard_entries(field):
+        warm = entry.algebra
+        warm.twisted_index
+        for check in IDENTITY_CHECKS:
+            assert repr(check(fresh(warm))) == repr(check(warm)), (entry.recipe, check.__name__)
+
+
+# ---------------------------------------------------------------------------
+# the shape of the compiled nests
+
+
+def loop_depth(node) -> int:
+    """The deepest nesting of for loops under node."""
+    below = max((loop_depth(child) for child in ast.iter_child_nodes(node)), default=0)
+    return below + isinstance(node, ast.For)
+
+
+@pytest.mark.parametrize("name", checks.IDENTITY_ARITY)
+def test_every_identity_term_is_a_nest_of_at_most_two_loops(name):
+    scan_slice = next(
+        node for node in ast.walk(ast.parse(checks._slice_source(name)))
+        if isinstance(node, ast.FunctionDef) and node.name == "scan_slice"
+    )
+    loops = [node for node in scan_slice.body if isinstance(node, ast.For)]
+    _, left, right = checks._IDENTITIES[name]
+    assert len(loops) == len(left + right)
+    assert max(map(loop_depth, loops)) <= 2
