@@ -22,6 +22,10 @@ the first tuple with a nonzero value (mod p over F_p) is the first failing
 tuple of a scan over every tuple, and the sides, compiled per tuple
 (_compiled), run there alone for the witness (_first_failure).
 
+The constructions' products are declared in the same language, with two
+slots and no right side (_PRODUCTS), and _product_algebra builds each from
+its slices, which hold the rows of the product.
+
 identity_sides and identity_residual_on_vectors run the identities compiled
 for vector arguments, computing every product and image instead of reading
 stored cells: the independent route the tests compare the scans against.
@@ -46,7 +50,8 @@ from typing import NamedTuple
 from .core import (
     ColorHomAlgebra,
     GradedLinearMap,
-    _bracket,
+    _algebra_from_cells,
+    _algebra_like,
     _column_rows,
     _require_even_endo,
     _row_reduce,
@@ -305,9 +310,9 @@ def _nest(node, slot: int) -> tuple:
 # where a name in the body starts with their prefix
 _LISTS = {
     "": "columns, eps, n, nn = target.alpha.sparse_columns, target.eps_table, target.dim, target.dim ** 2\n"
-        " _, _, by_key, alpha_rows, row_entries, col_entries = target.product_index",
+        " by_key, alpha_rows, row_entries, col_entries = target.product_index",
     "s_": "s_columns = source.alpha.sparse_columns\n"
-          " _, _, s_by_key, s_alpha_rows, s_row_entries, s_col_entries = source.product_index",
+          " s_by_key, s_alpha_rows, s_row_entries, s_col_entries = source.product_index",
     "xa_|ax_": "xa_row, xa_col, ax_row, ax_col = target.twisted_index",
     "f_": "f_columns, f_rows = f.sparse_columns, f.inverse_lists",
     "g_": "g_rows, g_columns = form.gram_rows, _column_rows(form.gram_rows)",
@@ -340,7 +345,7 @@ def _slice_source(name: str, entry_in_key: bool = False) -> str:
     once, the entry of f a contribution reads is not multiplied in but added
     to its key times n*n.
     """
-    arity, left, right = _IDENTITIES.get(name) or _CONDITIONS[name]
+    arity, left, right = _IDENTITIES.get(name) or _CONDITIONS.get(name) or _PRODUCTS[name]
     order = _ORDERS.get(name, range(arity))
     later = [f"k{order[p]} * {'n' * (arity - p)}" for p in range(1, arity)]  # k1 * nn + k2 * n for a triple
     lines = [f"def scan_slice(k{order[0]}):", " r = {}"]
@@ -576,7 +581,7 @@ def check_cyclic_commutator_products(a: ColorHomAlgebra) -> Verdict:
 
 def check_lie_admissible(a: ColorHomAlgebra) -> Verdict:
     """The commutator bracket of a satisfies the Hom-Lie axioms."""
-    return check_hom_lie(_bracket(a))
+    return check_hom_lie(_product_algebra("bracket", a))
 
 
 # ---------------------------------------------------------------------------
@@ -650,6 +655,42 @@ PREDICATE_CONDITIONS = {
     "symmetric_automorphism": (("product-morphism",), ("twist-compatibility",), ("b-symmetry",)),
     "involutive": (("involution",),),
 }
+
+# the constructions' products, name -> (2, terms, []): slice i holds e_i ∘ e_j at the keys j*n + m
+_PRODUCTS = {
+    "mapped": (2, [(1, (), F(P(0, 1)))], []),
+    "times-image": (2, [(1, (), P(0, F(1)))], []),
+    "twisted-times-image": (2, [(1, (), A(P(0, F(1))))], []),
+    "image-times": (2, [(1, (), P(F(0), 1))], []),
+    "bracket": (2, [(1, (), P(0, 1)), (-1, (E01,), P(1, 0))], []),  # x*y - eps(x, y) y*x
+    "mapped-bracket": (2, [(1, (), F(P(0, 1))), (-1, (E01,), F(P(1, 0)))], []),
+}
+
+
+def _require_dim(a: ColorHomAlgebra, f) -> None:
+    if f is not None and len(f.sparse_columns) != a.dim:  # unchecked, no predicate has rejected f's basis
+        raise StructureError(f"map has dimension {len(f.sparse_columns)}, the algebra {a.dim}")
+
+
+def _product_algebra(name: str, a: ColorHomAlgebra, f=None, alpha: GradedLinearMap | None = None) -> ColorHomAlgebra:
+    """The algebra on a's basis with the declared product on (a, f), and alpha, or a's own if None.
+
+    Slice i's keys j*n + m are the cells ((i, j), {m: value}), zeros dropped, j ascending, so
+    row-major, each validated as any product is (_algebra_from_cells, _algebra_like if alpha is kept).
+    """
+    _require_dim(a, f)
+    n, scan_slice = a.dim, _slice(name)(a, a, f)
+
+    def cells():
+        for i in range(n):
+            row: dict = {}
+            for key, v in scan_slice(i).items():
+                if v:
+                    row.setdefault(key // n, {})[key % n] = v
+            yield from (((i, j), row[j]) for j in sorted(row))
+
+    return _algebra_like(a, cells()) if alpha is None else _algebra_from_cells(a.basis, a.bicharacter, cells(), alpha)
+
 
 _SIDES, _SIDED = ("left", "right", "both"), ("left-", "right-")
 

@@ -2,13 +2,12 @@
 
 Every construction validates its stated hypotheses before computing
 (checked=False skips that validation for experiments; structural sanity and
-product evenness are still enforced by make_algebra on the way out).  Each
-construction states its product as data, the cells ((i, j), e_i * e_j) in
-row-major order over the pairs that can be nonzero, read from its inputs'
-nonempty cells (core._cells) by generator expressions, and
-core._algebra_from_cells assembles them through make_algebra (or
-core._algebra_like, on the input's own validated parts), so no construction
-can emit an ill-formed algebra.
+product evenness are still enforced by make_algebra on the way out).  All
+but direct_sum and tensor_product build a product declared as one term in
+checks._PRODUCTS (beta(x*y), x*d(y), [f(x), y], the commutator, ...) with
+checks._product_algebra, which stores it cell by cell like any product, so
+no construction can emit an ill-formed algebra.  The two that change the
+basis state their cells ((i, j), e_i * e_j), row-major, from their factors'.
 """
 
 from __future__ import annotations
@@ -17,6 +16,9 @@ from itertools import chain
 from math import prod
 
 from .checks import (
+    _Images,
+    _product_algebra,
+    _require_dim,
     check_epsilon_commutative,
     check_hom_associative,
     check_hom_lie,
@@ -35,16 +37,13 @@ from .core import (
     GradedLinearMap,
     _Columns,
     _algebra_from_cells,
-    _bracket,
     _cells,
-    _operator_product,
     _require_even_endo,
     compose_maps,
     homogeneous_components,
     identity_map,
     invert_map,
     map_power,
-    sparse_apply,
     sparse_product,
     sparse_vector,
 )
@@ -79,25 +78,6 @@ def _require(op: str, requirement: str, verdict):
         raise HypothesisError(op, requirement, verdict)
 
 
-def _require_dim(a: ColorHomAlgebra, f: GradedLinearMap):
-    # unchecked mode skips the predicates that would reject f's basis
-    if f.basis.dim != a.dim:
-        raise StructureError(f"map has dimension {f.basis.dim}, the algebra {a.dim}")
-
-
-def _mapped(f: GradedLinearMap, a: ColorHomAlgebra):
-    """The cells of f applied to every product: ((i, j), f(e_i * e_j))."""
-    _require_dim(a, f)
-    return ((ij, sparse_apply(f, cell)) for ij, cell in _cells(a))
-
-
-def _times_column(a: ColorHomAlgebra, f: GradedLinearMap):
-    """The cells ((i, j), e_i * f(e_j)), over the pairs with f(e_j) != 0."""
-    _require_dim(a, f)
-    n, fc = a.dim, f.sparse_columns
-    return (((i, j), sparse_product(a, {i: 1}, fc[j])) for i in range(n) for j in range(n) if fc[j])
-
-
 def _require_shared_grading(a: ColorHomAlgebra, b: ColorHomAlgebra, what: str):
     if a.field != b.field:
         raise StructureError(f"{what} needs a shared scalar field")
@@ -116,9 +96,8 @@ def yau_twist(a: ColorHomAlgebra, beta: GradedLinearMap, *, checked: bool = True
     if checked:
         _require("yau_twist", "weak-morphism", is_weak_morphism(a, a, beta))
         _require("yau_twist", "hom-novikov", check_hom_novikov(a))
-    return _algebra_from_cells(
-        a.basis, a.bicharacter, _mapped(beta, a), compose_maps(beta, a.alpha)
-    )
+    _require_dim(a, beta)  # before compose_maps names the other basis
+    return _product_algebra("mapped", a, beta, compose_maps(beta, a.alpha))
 
 
 def power_twist(a: ColorHomAlgebra, n: int, *, checked: bool = True) -> ColorHomAlgebra:
@@ -128,10 +107,7 @@ def power_twist(a: ColorHomAlgebra, n: int, *, checked: bool = True) -> ColorHom
     if checked:
         _require("power_twist", "multiplicative", check_multiplicative(a))
         _require("power_twist", "hom-novikov", check_hom_novikov(a))
-    an = map_power(a.alpha, n)
-    return _algebra_from_cells(
-        a.basis, a.bicharacter, _mapped(an, a), map_power(a.alpha, n + 1)
-    )
+    return _product_algebra("mapped", a, map_power(a.alpha, n), map_power(a.alpha, n + 1))
 
 
 def centroid_twist(a: ColorHomAlgebra, beta: GradedLinearMap, *, checked: bool = True) -> ColorHomAlgebra:
@@ -139,7 +115,7 @@ def centroid_twist(a: ColorHomAlgebra, beta: GradedLinearMap, *, checked: bool =
     if checked:
         _require("centroid_twist", "centroid", is_centroid(a, beta, "both"))
         _require("centroid_twist", "hom-novikov", check_hom_novikov(a))
-    return _algebra_from_cells(a.basis, a.bicharacter, _mapped(beta, a), a.alpha)
+    return _product_algebra("mapped", a, beta)
 
 
 def xi_square_twist(a: ColorHomAlgebra, xi, *, checked: bool = True) -> ColorHomAlgebra:
@@ -162,9 +138,10 @@ def xi_square_twist(a: ColorHomAlgebra, xi, *, checked: bool = True) -> ColorHom
             "xi_square_twist", "epsilon-commutative", check_epsilon_commutative(a)
         )
         _require("xi_square_twist", "hom-associative", check_hom_associative(a))
+    # left multiplication by xi, whatever its degrees
     xs = sparse_vector(a.field, xi)
-    cells = ((ij, sparse_product(a, xs, cell)) for ij, cell in _cells(a))
-    return _algebra_from_cells(a.basis, a.bicharacter, cells, map_power(a.alpha, 2))
+    times_xi = tuple(sparse_product(a, xs, {t: 1}) for t in range(a.dim))
+    return _product_algebra("mapped", a, _Images(times_xi, None, None), map_power(a.alpha, 2))
 
 
 def commutator_algebra(a: ColorHomAlgebra) -> ColorHomAlgebra:
@@ -173,7 +150,7 @@ def commutator_algebra(a: ColorHomAlgebra) -> ColorHomAlgebra:
     Total: no hypotheses.  The bracket of a Hom-Novikov algebra is Hom-Lie;
     that conclusion is a check on the output, not a precondition here.
     """
-    return _bracket(a)
+    return _product_algebra("bracket", a)
 
 
 def derivation_product(a: ColorHomAlgebra, d: GradedLinearMap, *, checked: bool = True) -> ColorHomAlgebra:
@@ -190,7 +167,7 @@ def derivation_product(a: ColorHomAlgebra, d: GradedLinearMap, *, checked: bool 
             raise HypothesisError(op, "even-derivation", detail="derivation has nonzero degree")
         _require(op, "derivation", is_derivation(a, d))
         _require(op, "twist-commutation", commutes_with_twist(a, d))
-    return _algebra_from_cells(a.basis, a.bicharacter, _times_column(a, d), a.alpha)
+    return _product_algebra("times-image", a, d)
 
 
 def composed_derivation_product(a: ColorHomAlgebra, d: GradedLinearMap, *, checked: bool = True) -> ColorHomAlgebra:
@@ -216,8 +193,7 @@ def composed_derivation_product(a: ColorHomAlgebra, d: GradedLinearMap, *, check
             raise HypothesisError(
                 op, "twist-commutation", detail="derivation does not commute with the morphism"
             )
-    cells = ((ij, sparse_apply(m, cell)) for ij, cell in _times_column(a, d))
-    return _algebra_from_cells(a.basis, a.bicharacter, cells, m)
+    return _product_algebra("twisted-times-image", a, d)
 
 
 def averaging_product(a: ColorHomAlgebra, f: GradedLinearMap, *, checked: bool = True) -> ColorHomAlgebra:
@@ -231,7 +207,7 @@ def averaging_product(a: ColorHomAlgebra, f: GradedLinearMap, *, checked: bool =
         )
         _require("averaging_product", "hom-novikov", check_hom_novikov(a))
         _require("averaging_product", "averaging", is_averaging(a, f, "both"))
-    return _algebra_from_cells(a.basis, a.bicharacter, _times_column(a, f), a.alpha)
+    return _product_algebra("times-image", a, f)
 
 
 def bracket_operator_product(l: ColorHomAlgebra, f: GradedLinearMap, *, checked: bool = True) -> ColorHomAlgebra:
@@ -247,7 +223,7 @@ def bracket_operator_product(l: ColorHomAlgebra, f: GradedLinearMap, *, checked:
         _require(
             "bracket_operator_product", "twist-commutation", commutes_with_twist(l, f)
         )
-    return _operator_product(l, f)
+    return _product_algebra("image-times", l, f)
 
 
 def direct_sum(a: ColorHomAlgebra, b: ColorHomAlgebra) -> ColorHomAlgebra:
@@ -294,14 +270,14 @@ def tensor_product(s: ColorHomAlgebra, a: ColorHomAlgebra, *, checked: bool = Tr
         [s.field.kernel_scalar(s.eps(a.degrees[p], s.degrees[j])) for j in range(ns)]
         for p in range(na)
     ]
-    rs, ra = s.product_rows, a.product_rows
-    by_row_s, by_row_a = s.product_index.by_row, a.product_index.by_row
+    # each factor's nonempty cells (j, e_i * e_j) by row i
+    rs, ra = ([[(j, cell) for j, cell in enumerate(row) if cell] for row in x.product_rows] for x in (s, a))
     # row (i, p), then the nonempty (j, q) ascending within it: row-major in the output
     cells = (
         ((i * na + p, j * na + q), {
-            k * na + r: signs[p][j] * sk * ar for k, sk in rs[i][j].items() for r, ar in ra[p][q].items()
+            k * na + r: signs[p][j] * sk * ar for k, sk in s_cell.items() for r, ar in a_cell.items()
         })
-        for i in range(ns) for p in range(na) for j in by_row_s[i] for q in by_row_a[p]
+        for i in range(ns) for p in range(na) for j, s_cell in rs[i] for q, a_cell in ra[p]
     )
     # alpha(e_i ⊗ e_p) = alpha(e_i) ⊗ alpha(e_p): the Kronecker product of the columns
     alpha = GradedLinearMap(basis, _Columns(tuple(
@@ -322,9 +298,7 @@ def untwist_involutive(a: ColorHomAlgebra, *, checked: bool = True) -> ColorHomA
         _require("untwist_involutive", "involutive", check_involutive(a))
         _require("untwist_involutive", "multiplicative", check_multiplicative(a))
         _require("untwist_involutive", "hom-novikov", check_hom_novikov(a))
-    return _algebra_from_cells(
-        a.basis, a.bicharacter, _mapped(a.alpha, a), identity_map(a.basis)
-    )
+    return _product_algebra("mapped", a, a.alpha, identity_map(a.basis))
 
 
 def regular_lie_untwist(a: ColorHomAlgebra, *, checked: bool = True) -> ColorHomAlgebra:
@@ -341,4 +315,4 @@ def regular_lie_untwist(a: ColorHomAlgebra, *, checked: bool = True) -> ColorHom
             "regular_lie_untwist", "invertible-twist",
             detail="alpha is singular",
         ) from None
-    return _algebra_from_cells(a.basis, a.bicharacter, _mapped(inv, _bracket(a)), identity_map(a.basis))
+    return _product_algebra("mapped-bracket", a, inv, identity_map(a.basis))

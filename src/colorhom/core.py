@@ -17,11 +17,13 @@ an algebra, and the load of a document, costs what its nonzeros and eps
 table cost.  Products enter as data: _algebra_from_cells reads the cells
 ((i, j), e_i * e_j) row-major over the pairs that can be nonzero, as the
 dense path reads a tensor's, and _cells yields an algebra's nonempty ones,
-so a construction costs its nonzeros rather than n^2 calls.  Algebras
-carry their eps value per pair of basis indices as a view excluded from
-equality and repr; product_index, which lists the nonempty cells and
-alpha's nonzero entries for the scans, and twisted_index, which lists the
-products e_i * alpha(e_j) and alpha(e_i) * e_j, are built on first read.
+so a producer costs its nonzeros rather than n^2 calls; the constructions'
+products are declared and built in checks (checks._product_algebra), and
+no construction code lives here.  Algebras carry their eps value per pair
+of basis indices as a view excluded from equality and repr; product_index,
+which lists the products' nonzero terms and alpha's nonzero entries for the
+scans, and twisted_index, which lists the products e_i * alpha(e_j) and
+alpha(e_i) * e_j, are built on first read.
 The kernel (sparse_product, sparse_apply) on sparse vectors, {index:
 nonzero coefficient}, is the only way the package evaluates products and
 maps.  Coordinate tuples appear only at the boundary: eval_product,
@@ -454,9 +456,8 @@ class ColorHomAlgebra:
 
 
 class ProductIndex(NamedTuple):
-    """The nonempty cells of an algebra, and alpha's nonzero entries by row.
+    """The nonzero terms of an algebra's products, and alpha's nonzero entries by row.
 
-    by_row[i] / by_col[j]: the j / the i with e_i * e_j != 0, ascending;
     by_key[m]: (i, j, c) for each cell (i, j) whose product has the term
     c e_m, row-major; alpha_rows[t]: (r, c) for each r whose image alpha(e_r)
     has the term c e_t, ascending; row_entries[i] / col_entries[j]: (j, m, c)
@@ -465,8 +466,6 @@ class ProductIndex(NamedTuple):
     these lists is zero.
     """
 
-    by_row: tuple
-    by_col: tuple
     by_key: tuple
     alpha_rows: tuple
     row_entries: tuple
@@ -506,16 +505,15 @@ class _Lists(dict):
 
 
 def _product_index(rows: tuple, alpha_rows: tuple) -> ProductIndex:
-    by_row = [[j for j, cell in enumerate(row) if cell] for row in rows]
-    by_col, by_key, row_entries, col_entries = ([[] for _ in rows] for _ in range(4))
-    for i, js in enumerate(by_row):
-        for j in js:
-            by_col[j].append(i)
-            for m, c in rows[i][j].items():
-                by_key[m].append((i, j, c))
-                row_entries[i].append((j, m, c))
-                col_entries[j].append((i, m, c))
-    return ProductIndex(*map(tuple, (by_row, by_col, by_key)), alpha_rows, tuple(row_entries), tuple(col_entries))
+    by_key, row_entries, col_entries = ([[] for _ in rows] for _ in range(3))
+    for i, row in enumerate(rows):
+        for j, cell in enumerate(row):
+            if cell:  # most cells are empty
+                for m, c in cell.items():
+                    by_key[m].append((i, j, c))
+                    row_entries[i].append((j, m, c))
+                    col_entries[j].append((i, m, c))
+    return ProductIndex(tuple(by_key), alpha_rows, tuple(row_entries), tuple(col_entries))
 
 
 def _twisted_index(index: ProductIndex, alpha_columns: tuple) -> TwistedIndex:
@@ -757,24 +755,9 @@ def sparse_scale(s, x: dict) -> dict:
 
 def commutator_tensor(a: ColorHomAlgebra) -> tuple:
     """b[i][j][k] = c[i][j][k] - eps(deg_i, deg_j) * c[j][i][k]."""
-    return _bracket(a).structure
+    from .checks import _product_algebra  # here, as checks imports core
 
-
-def _bracket(a: ColorHomAlgebra) -> ColorHomAlgebra:
-    """The commutator algebra [x, y] = x*y - eps(x, y) y*x, with a's alpha."""
-    rows, eps = a.product_rows, a.eps_table
-    cells = (
-        ((i, j), sparse_sub(cell, sparse_scale(eps[i][j], rows[j][i])))
-        for i, row in enumerate(rows) for j, cell in enumerate(row) if cell or rows[j][i]
-    )
-    return _algebra_like(a, cells)
-
-
-def _operator_product(l: ColorHomAlgebra, f: GradedLinearMap) -> ColorHomAlgebra:
-    """The product x∘y = [f(x), y] on l's basis, with l's alpha: the cells f(e_i) * e_j for the j that meet f(e_i)."""
-    fc, by_row = f.sparse_columns, l.product_index.by_row
-    js = [sorted({j for k in c for j in by_row[k]}) for c in fc]
-    return _algebra_like(l, (((i, j), sparse_product(l, c, {j: 1})) for i, c in enumerate(fc) for j in js[i]))
+    return _product_algebra("bracket", a).structure
 
 
 def unit_vector(field: ScalarField, dim: int, i: int) -> tuple:

@@ -75,7 +75,7 @@ def bracket_operator_conditions(l, f):
     v = first_failure(l, nonzero, [("defect-centrality", lambda i, j, k: (sparse_product(l, defect[i, j], ac[k]), {}))])
     if not v:
         return v
-    v = checks._scan(core._operator_product(l, f), "right-commutativity")
+    v = checks._scan(checks._product_algebra("image-times", l, f), "right-commutativity")
     return v or checks.Verdict(False, replace(v.witness, identity="operator-right-commutativity"))
 
 

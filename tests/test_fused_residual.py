@@ -9,9 +9,9 @@ sides at the witness alone, and that near-p constants, whose sums are
 nonzero multiples of p as ints, neither fail a true identity nor hide a
 false one.
 
-core._algebra_like builds the commutator and operator products on the
-parent's basis, bicharacter, alpha and eps table; it must give what
-_algebra_from_cells gives.
+checks._product_algebra builds the commutator and operator products on the
+parent's basis, bicharacter, alpha and eps table (core._algebra_like); it
+must give what _algebra_from_cells gives on the cells computed one by one.
 """
 
 from functools import cache
@@ -196,14 +196,14 @@ def test_products_on_a_parents_parts_equal_the_validated_build(field):
             for i, j in iproduct(range(n), repeat=2)
         )
         expected = core._algebra_from_cells(a.basis, a.bicharacter, bracket_cells, a.alpha)
-        assert_built_like_from_cells(core._bracket(a), expected)
+        assert_built_like_from_cells(checks._product_algebra("bracket", a), expected)
         for f in _operators(a) + [m for m in entry.maps.values() if m.is_even]:
             fc = f.sparse_columns
             operator_cells = (
                 ((i, j), core.sparse_product(a, fc[i], {j: 1})) for i, j in iproduct(range(n), repeat=2)
             )
             expected = core._algebra_from_cells(a.basis, a.bicharacter, operator_cells, a.alpha)
-            assert_built_like_from_cells(core._operator_product(a, f), expected)
+            assert_built_like_from_cells(checks._product_algebra("image-times", a, f), expected)
 
 
 def test_a_product_on_a_parents_parts_still_checks_evenness():

@@ -1,7 +1,7 @@
 """The product index a slice scan reads, and the witness a slice yields.
 
-core.ProductIndex lists the nonempty cells by row, by column and by output
-key, and alpha's nonzero entries by row; the slice functions (checks._slice)
+core.ProductIndex lists the nonzero terms of the products by output key,
+and alpha's nonzero entries by row; the slice functions (checks._slice)
 loop over these lists only.  A slice holds left - right at every key a
 contribution reached, and contributions can cancel, so the witness is the
 tuple of the least nonzero key (mod p over F_p), not of the least key.
@@ -27,8 +27,6 @@ from colorhom.scalars import prime_field, rationals
 def assert_index_lists_the_nonzeros(a):
     rows, n = a.product_rows, a.dim
     x = a.product_index
-    assert x.by_row == tuple([j for j in range(n) if rows[i][j]] for i in range(n))
-    assert x.by_col == tuple([i for i in range(n) if rows[i][j]] for j in range(n))
     assert x.by_key == tuple(
         [(p, q, rows[p][q][m]) for p, q in iproduct(range(n), repeat=2) if m in rows[p][q]] for m in range(n)
     )

@@ -920,7 +920,7 @@ def test_operator_predicates_match_the_dense_reference_on_the_catalog(field):
         assert_predicates_match_reference(entry.algebra, _map_pool(entry.algebra, entry.maps.values()))
 
 
-@pytest.mark.parametrize("field", [Q, F7], ids=str)
+@pytest.mark.parametrize("field", [Q, prime_field(3), prime_field(5), F7], ids=str)
 def test_constructions_match_the_dense_reference_on_the_catalog(field):
     entries = standard_entries(field)
     for entry in entries:
