@@ -22,6 +22,20 @@ the first tuple with a nonzero value (mod p over F_p) is the first failing
 tuple of a scan over every tuple, and the sides, compiled per tuple
 (_compiled), run there alone for the witness (_first_failure).
 
+An identity scan visits canonical tuples only (_canonical).  Where a
+declaration's right side is +-eps(x_s, x_t) times its left side with slots s
+and t swapped, the residual at the swap of a tuple is a unit times the
+residual there, as long as eps(d, e) eps(e, d) = 1 on the algebra's degrees;
+where a one-sided declaration is unchanged by rotating its slots, it takes
+one value on the rotations of a tuple.  Failures thus come in whole orbits,
+the first failing tuple is the least of its orbit, and the least keeps x_s
+<= x_t for each such pair, so a slice compiled to skip the other tuples
+(_slice_source with canonical) yields the witness a scan of every tuple
+yields.  A swap on an eps table failing that equation is not used.  A scan
+that passes is recorded on the algebra, and on an algebra where
+skew-symmetry has passed, the hom-Jacobi sum is also eps-alternating in its
+last two slots (_GAINED).
+
 The constructions' products are declared in the same language, with two
 slots and no right side (_PRODUCTS), and _product_algebra builds each from
 its slices, which hold the rows of the product.
@@ -42,8 +56,10 @@ apart (search_instances).
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
+from itertools import combinations
 from itertools import product as iproduct
 from typing import NamedTuple
 
@@ -307,15 +323,18 @@ def _nest(node, slot: int) -> tuple:
 
 
 # the lists a slice reads, bound once per call: the target's always, the others
-# where a name in the body starts with their prefix
+# where a name in the body starts with their prefix (f's inverse lists, say, only
+# where the body reads f_rows)
 _LISTS = {
     "": "columns, eps, n, nn = target.alpha.sparse_columns, target.eps_table, target.dim, target.dim ** 2\n"
         " by_key, alpha_rows, row_entries, col_entries = target.product_index",
     "s_": "s_columns = source.alpha.sparse_columns\n"
           " s_by_key, s_alpha_rows, s_row_entries, s_col_entries = source.product_index",
     "xa_|ax_": "xa_row, xa_col, ax_row, ax_col = target.twisted_index",
-    "f_": "f_columns, f_rows = f.sparse_columns, f.inverse_lists",
-    "g_": "g_rows, g_columns = form.gram_rows, _column_rows(form.gram_rows)",
+    "f_columns": "f_columns = f.sparse_columns",
+    "f_rows": "f_rows = f.inverse_lists",
+    "g_rows": "g_rows = form.gram_rows",
+    "g_columns": "g_columns = _column_rows(form.gram_rows)",
 }
 
 # slot orders other than the lexicographic one: for a fixed z the invariance clause
@@ -324,14 +343,19 @@ _ORDERS = {"invariance": (2, 1, 0)}
 
 
 @cache
-def _slice(name: str, entry_in_key: bool = False):
-    """A declaration's slice function, compiled once from _slice_source: a function of a scope's fields."""
+def _slice(key, entry_in_key: bool = False):
+    """A declaration's slice function, compiled once from _slice_source: a function of a scope's fields.
+
+    key is a declaration's name, or (name, canonical) for an identity's slice
+    over the tuples canonical keeps (_canonical).
+    """
+    name, canonical = (key, ()) if type(key) is str else key
     scope: dict = {}
-    exec(_slice_source(name, entry_in_key), globals(), scope)
+    exec(_slice_source(name, entry_in_key, canonical), globals(), scope)
     return scope["slice_of"]
 
 
-def _slice_source(name: str, entry_in_key: bool = False) -> str:
+def _slice_source(name: str, entry_in_key: bool = False, canonical: tuple = ()) -> str:
     """The Python source of a declaration's slice function.
 
     Its value maps an index of the first slot in the declaration's order to
@@ -343,7 +367,9 @@ def _slice_source(name: str, entry_in_key: bool = False) -> str:
     of a term's key (b) and coefficient (w) that its last loop does not bind
     are taken before that loop.  With entry_in_key, for terms reading f
     once, the entry of f a contribution reads is not multiplied in but added
-    to its key times n*n.
+    to its key times n*n.  canonical is slot pairs (s, t) of an identity: a
+    nest skips k_s > k_t in the outermost loop that binds both, and breaks
+    there when that loop binds k_s first, as its entry list ascends in it.
     """
     arity, left, right = _IDENTITIES.get(name) or _CONDITIONS.get(name) or _PRODUCTS[name]
     order = _ORDERS.get(name, range(arity))
@@ -362,9 +388,17 @@ def _slice_source(name: str, entry_in_key: bool = False) -> str:
         key_out, value_out = ([x for x in parts if loops and not bound & set(re.findall(r"\w+", x))]
                               for parts in (key, value))
         taken = [(b, e) for b, e in (("b", " + ".join(key_out)), ("w", " * ".join(value_out))) if e]
-        lines += [f"{' ' * depth}for {loop}:" for depth, (loop, _) in enumerate(loops, 1)]
-        if taken:
-            lines.insert(-1, f"{' ' * len(loops)}{', '.join(b for b, _ in taken)} = {', '.join(e for _, e in taken)}")
+        known = {f"k{order[0]}"}
+        for depth, (loop, _) in enumerate(loops, 1):
+            if depth == len(loops) and taken:
+                lines.append(f"{' ' * depth}{', '.join(b for b, _ in taken)} = {', '.join(e for _, e in taken)}")
+            lines.append(f"{' ' * depth}for {loop}:")
+            names = loop.split(" in ")[0].split(", ")
+            before, known = known, known | set(names)
+            for u, v in ((f"k{s}", f"k{t}") for s, t in canonical):
+                if {u, v} <= known and not {u, v} <= before:
+                    stop = "break" if names[0] == u and v in before else "continue"
+                    lines.append(f"{' ' * (depth + 1)}if {u} > {v}: {stop}")
         key = " + ".join(["b"] * bool(key_out) + [x for x in key if x not in key_out]) or "0"
         value = " * ".join(["w"] * bool(value_out) + [x for x in value if x not in value_out]) or "1"
         q = key if key.isidentifier() or key == "0" else "q"  # the key computed once: the right side runs first
@@ -441,6 +475,70 @@ def _require_support_shapes(identities) -> None:
 _require_support_shapes(_IDENTITIES)
 
 
+def _relabel(x, slots):
+    """A node or coefficient factors with each slot p renamed slots[p]."""
+    if type(x) is int:
+        return slots[x]
+    parts = [c if type(c) is str else _relabel(c, slots) for c in x]
+    return tuple(parts) if type(x) is tuple else type(x)(*parts)
+
+
+def _symmetries(name: str) -> tuple:
+    """(swaps, rotations): the slot pairs (s, t) with x_s <= x_t at the least tuple of each orbit, read off a declaration.
+
+    A right side equal to +-eps(x_s, x_t) times the left with slots s and t
+    swapped puts (s, t) among the swaps: the residual at the swap of a tuple
+    is then -+eps(x_t, x_s) times the residual there, a unit where eps(d, e)
+    eps(e, d) = 1 (_eps_skew).  A one-sided declaration that rotating its
+    three slots leaves unchanged takes one value at a tuple and at its
+    rotations, whatever eps: (0, 1) and (0, 2).
+    """
+    arity, left, right = _IDENTITIES[name]
+    if not right:
+        rotated = [(sign, _relabel(c, (1, 2, 0)), _relabel(node, (1, 2, 0))) for sign, c, node in left]
+        return (), (((0, 1), (0, 2)) if arity == 3 and Counter(rotated) == Counter(left) else ())
+    for s, t in combinations(range(arity), 2):
+        slots = [*range(arity)]
+        slots[s], slots[t] = t, s
+        swapped = [(sign, (*_relabel(c, slots), (s, t)), _relabel(node, slots)) for sign, c, node in left]
+        if right in ([(sign * g, c, node) for sign, c, node in swapped] for g in (1, -1)):
+            return ((s, t),), ()
+    return (), ()
+
+
+_SYMMETRIES = {name: _symmetries(name) for name in _IDENTITIES}
+
+# name -> (an identity, a swap): the swap the named identity gains on an algebra where
+# that one has passed; with skew-symmetry, the hom-Jacobi sum is eps-alternating in y, z
+_GAINED = {"hom-jacobi": ("skew-symmetry", (1, 2))}
+
+# the key, in an algebra's instance dict beside its cached indexes, of the set of
+# identities a scan has found to hold on it
+_PASSED = "passed_identities"
+
+
+def _eps_skew(a: ColorHomAlgebra) -> bool:
+    """Whether eps(d, e) eps(e, d) = 1 (mod p over F_p) for every two degrees of a's basis, one pair of degree classes at a time."""
+    eps, (distinct, classes), p = a.eps_table, a.basis.degree_classes, a.field.p
+    first = [classes.index(q) for q in range(len(distinct))]
+    units = [eps[i][j] * eps[j][i] - 1 for i in first for j in first]
+    return not any(units) if p is None else not any(u % p for u in units)
+
+
+def _canonical(a: ColorHomAlgebra, name: str) -> tuple:
+    """The slot pairs (s, t) of the tuples x_s <= x_t an identity's scan visits on a, given the identities passed on a.
+
+    Each orbit's least tuple keeps them, and a residual nonzero at one tuple
+    is nonzero on its whole orbit, so the first failing tuple is still the
+    first failing one of every tuple.  A swap holds only on an eps table
+    that passes _eps_skew; without one, only the rotations are kept.
+    """
+    swaps, rotations = _SYMMETRIES[name]
+    if name in _GAINED and _GAINED[name][0] in vars(a).get(_PASSED, ()):
+        swaps += (_GAINED[name][1],)
+    return tuple(sorted({*rotations, *(swaps if swaps and _eps_skew(a) else ())}))
+
+
 def _require_arguments(a: ColorHomAlgebra, name: str, vectors, degrees=None) -> None:
     """Raise unless name is an identity whose slots vectors (and degrees) fill, each vector of length dim."""
     if name not in IDENTITY_ARITY:
@@ -508,9 +606,16 @@ def _reduced(x: dict, p: int) -> dict:
 
 
 def _scan(a: ColorHomAlgebra, name: str) -> Verdict:
-    """Quantify one identity over basis tuples, one slot-0 slice at a time."""
-    scope = _Scope(a, a, None, {}, 0, None)
-    return _first_failure(a, [_slice(name)(a)], range(IDENTITY_ARITY[name]), [name], scope)
+    """Quantify one identity over its canonical basis tuples (_canonical), one slot-0 slice at a time.
+
+    A pass is recorded on a (_PASSED), for the swaps another identity gains from it.
+    """
+    scope, canonical = _Scope(a, a, None, {}, 0, None), _canonical(a, name)
+    scan_slice = _slice((name, canonical) if canonical else name)(a)
+    verdict = _first_failure(a, [scan_slice], range(IDENTITY_ARITY[name]), [name], scope)
+    if verdict:
+        vars(a).setdefault(_PASSED, set()).add(name)
+    return verdict
 
 
 def _scan_check(a: ColorHomAlgebra, check: str) -> Verdict:

@@ -519,7 +519,7 @@ def _product_index(rows: tuple, alpha_rows: tuple) -> ProductIndex:
 def _twisted_index(index: ProductIndex, alpha_columns: tuple) -> TwistedIndex:
     """The four lists of TwistedIndex, each entry the sum of alpha's entries times the product's."""
     rows, columns, alpha_rows = index.row_entries, index.col_entries, index.alpha_rows
-    if alpha_columns == tuple({t: 1} for t in range(len(rows))):  # alpha = id: the product's own lists
+    if all(len(c) == 1 and c.get(t) == 1 for t, c in enumerate(alpha_columns)):  # alpha = id: the product's own lists
         return TwistedIndex(rows, columns, rows, columns)
     return TwistedIndex(
         # e_i * alpha(e_j) = the sum of alpha(e_j)_t e_i * e_t over t, and likewise
@@ -666,8 +666,7 @@ def _algebra_from_cells(basis: GradedBasis, bicharacter: Bicharacter, cells, alp
 def _algebra_like(a: ColorHomAlgebra, cells) -> ColorHomAlgebra:
     """_algebra_from_cells on a's basis, bicharacter and alpha, reusing them and a's eps_table; each cell is still checked."""
     out, rows = object.__new__(ColorHomAlgebra), _stored_rows(a.basis, cells)
-    for field, value in zip(dataclasses.fields(out), (a.basis, a.bicharacter, rows, a.alpha, a.eps_table)):
-        object.__setattr__(out, field.name, value)
+    vars(out).update(basis=a.basis, bicharacter=a.bicharacter, product_rows=rows, alpha=a.alpha, eps_table=a.eps_table)
     return out
 
 
