@@ -12,9 +12,9 @@ and one compiler, _slice, turns each declaration into slices: for each
 index of the first slot, one dict of left - right at every later tuple and
 output key.  Each term is one loop nest over the nonzero contributions it
 names (_nest): a product step is one loop over the flat entries of the
-algebra's product index (core.ProductIndex), or, beside an alpha, of its
-twisted products x*alpha(y) and alpha(x)*y (core.TwistedIndex, built only
-for the slices that read it), so each identity term is two loops; alpha
+algebra's product index (core.ProductIndex), or, beside an alpha, of the
+declared product x*alpha(y) or alpha(x)*y (_twisted, built only for the
+slices that read it), so each identity term is two loops; alpha
 elsewhere through its columns, f through its columns and inverse lists,
 the form through its sparse Gram rows; a term of degree 2 in f is one
 chained nest.  A tuple no slice reaches has every term zero, so
@@ -66,9 +66,11 @@ from typing import NamedTuple
 from .core import (
     ColorHomAlgebra,
     GradedLinearMap,
+    ProductIndex,
     _algebra_from_cells,
     _algebra_like,
     _column_rows,
+    _product_index,
     _require_even_endo,
     _row_reduce,
     dense_vector,
@@ -267,11 +269,11 @@ def _nest(node, slot: int) -> tuple:
     (other input, output key, coefficient) of its climbed input's row or
     column, then binds the other input's subtree from its index down (by_key,
     an inverse list).  In the target an alpha on either input of a product
-    is read with it from the twisted products (core.TwistedIndex): a climbed
-    alpha(e_u) from ax_row or xa_col at u, another input alpha(y) from xa_row
-    or ax_col at u, y then bound from its index; so each identity term is
-    two loops.  An alpha or f elsewhere loops over its column, a form over a
-    Gram row or column.  Names with s_ read the source algebra (under an F).
+    is read with it from a twisted product (_twisted), xa_ x*alpha(y) and
+    ax_ alpha(x)*y: a climbed alpha(e_u) from ax_row or xa_col at u, another
+    input alpha(y) from xa_row or ax_col at u, y then bound from its index;
+    so each identity term is two loops.  An alpha or f elsewhere loops over
+    its column, a form over a Gram row or column.  Names with s_ read the source algebra (under an F).
     """
     loops, names, read = [], (f"m{i}" for i in range(64)), []
 
@@ -327,10 +329,13 @@ def _nest(node, slot: int) -> tuple:
 # where the body reads f_rows)
 _LISTS = {
     "": "columns, eps, n, nn = target.alpha.sparse_columns, target.eps_table, target.dim, target.dim ** 2\n"
-        " by_key, alpha_rows, row_entries, col_entries = target.product_index",
+        " by_key, row_entries, col_entries = target.product_index",
+    "alpha_rows": "alpha_rows = target.alpha.inverse_lists",
     "s_": "s_columns = source.alpha.sparse_columns\n"
-          " s_by_key, s_alpha_rows, s_row_entries, s_col_entries = source.product_index",
-    "xa_|ax_": "xa_row, xa_col, ax_row, ax_col = target.twisted_index",
+          " s_by_key, s_row_entries, s_col_entries = source.product_index",
+    "s_alpha_rows": "s_alpha_rows = source.alpha.inverse_lists",
+    "xa_": '_, xa_row, xa_col = _twisted(target, "times-image")',
+    "ax_": '_, ax_row, ax_col = _twisted(target, "image-times")',
     "f_columns": "f_columns = f.sparse_columns",
     "f_rows": "f_rows = f.inverse_lists",
     "g_rows": "g_rows = form.gram_rows",
@@ -784,17 +789,38 @@ def _product_algebra(name: str, a: ColorHomAlgebra, f=None, alpha: GradedLinearM
     row-major, each validated as any product is (_algebra_from_cells, _algebra_like if alpha is kept).
     """
     _require_dim(a, f)
-    n, scan_slice = a.dim, _slice(name)(a, a, f)
+    cells = _cells_of(_slice(name)(a, a, f), a.dim)
+    return _algebra_like(a, cells) if alpha is None else _algebra_from_cells(a.basis, a.bicharacter, cells, alpha)
 
-    def cells():
-        for i in range(n):
-            row: dict = {}
-            for key, v in scan_slice(i).items():
-                if v:
-                    row.setdefault(key // n, {})[key % n] = v
-            yield from (((i, j), row[j]) for j in sorted(row))
 
-    return _algebra_like(a, cells()) if alpha is None else _algebra_from_cells(a.basis, a.bicharacter, cells(), alpha)
+def _cells_of(scan_slice, n: int):
+    """The nonempty cells ((i, j), {m: value}) of a product's slices, zeros dropped, row-major."""
+    for i in range(n):
+        row: dict = {}
+        for key, v in scan_slice(i).items():
+            if v:
+                row.setdefault(key // n, {})[key % n] = v
+        yield from (((i, j), row[j]) for j in sorted(row))
+
+
+def _twisted(a: ColorHomAlgebra, name: str) -> ProductIndex:
+    """The index of the declared product name on (a, alpha), times-image x*alpha(y) or image-times alpha(x)*y.
+
+    Kept in a's instance dict under name; a's product_index when alpha is the identity.  Keys
+    ascend in each cell, summed as the kernel sums, unreduced over F_p, zero sums dropped.
+    """
+    index = vars(a).get(name)
+    if index is None:
+        n, alpha = a.dim, a.alpha.sparse_columns
+        if all(len(c) == 1 and c.get(t) == 1 for t, c in enumerate(alpha)):
+            index = a.product_index
+        else:
+            rows = [[{}] * n for _ in range(n)]
+            for (i, j), cell in _cells_of(_slice(name)(a, a, a.alpha), n):
+                rows[i][j] = cell if len(cell) == 1 else dict(sorted(cell.items()))
+            index = _product_index(rows)
+        vars(a)[name] = index
+    return index
 
 
 _SIDES, _SIDED = ("left", "right", "both"), ("left-", "right-")

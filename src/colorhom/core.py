@@ -21,9 +21,8 @@ so a producer costs its nonzeros rather than n^2 calls; the constructions'
 products are declared and built in checks (checks._product_algebra), and
 no construction code lives here.  Algebras carry their eps value per pair
 of basis indices as a view excluded from equality and repr; product_index,
-which lists the products' nonzero terms and alpha's nonzero entries for the
-scans, and twisted_index, which lists the products e_i * alpha(e_j) and
-alpha(e_i) * e_j, are built on first read.
+which lists the products' nonzero terms for the scans, is built on first
+read.
 The kernel (sparse_product, sparse_apply) on sparse vectors, {index:
 nonzero coefficient}, is the only way the package evaluates products and
 maps.  Coordinate tuples appear only at the boundary: eval_product,
@@ -407,13 +406,8 @@ class ColorHomAlgebra:
 
     @cached_property
     def product_index(self) -> ProductIndex:
-        """The nonempty cells and alpha's nonzero entries as lists, built on first read and cached."""
-        return _product_index(self.product_rows, self.alpha.inverse_lists)
-
-    @cached_property
-    def twisted_index(self) -> TwistedIndex:
-        """The entries of the products e_i * alpha(e_j) and alpha(e_i) * e_j, each list built on first read and cached."""
-        return _twisted_index(self.product_index, self.alpha.sparse_columns)
+        """The nonzero terms of the products as lists, built on first read and cached."""
+        return _product_index(self.product_rows)
 
     @cached_property
     def structure(self) -> tuple:
@@ -456,55 +450,21 @@ class ColorHomAlgebra:
 
 
 class ProductIndex(NamedTuple):
-    """The nonzero terms of an algebra's products, and alpha's nonzero entries by row.
+    """The nonzero terms of a product, by output key, by row and by column.
 
     by_key[m]: (i, j, c) for each cell (i, j) whose product has the term
-    c e_m, row-major; alpha_rows[t]: (r, c) for each r whose image alpha(e_r)
-    has the term c e_t, ascending; row_entries[i] / col_entries[j]: (j, m, c)
-    / (i, m, c) for each term c e_m of e_i * e_j, the other index ascending,
-    so a scan steps through a product in one flat loop.  A product outside
-    these lists is zero.
+    c e_m, row-major; row_entries[i] / col_entries[j]: (j, m, c) / (i, m, c)
+    for each term c e_m of e_i * e_j, the other index ascending, so a scan
+    steps through a product in one flat loop.  A product outside these lists
+    is zero.
     """
 
     by_key: tuple
-    alpha_rows: tuple
     row_entries: tuple
     col_entries: tuple
 
 
-class TwistedIndex(NamedTuple):
-    """The entries of the twisted products, as ProductIndex lists those of the product.
-
-    xa_row[i] / xa_col[j]: (j, m, c) / (i, m, c) for each term c e_m of
-    e_i * alpha(e_j); ax_row and ax_col likewise for alpha(e_i) * e_j.  Each
-    product is summed exactly as the kernel sums, unreduced over F_p, with
-    its zero sums dropped, so a product outside these lists is zero, as
-    sparse_product would compute it.  Each list is built on its first read
-    and kept, so a scan that stops early builds the few it read; when alpha
-    is the identity they are the lists of the product itself.
-    """
-
-    xa_row: object
-    xa_col: object
-    ax_row: object
-    ax_col: object
-
-
-class _Lists(dict):
-    """lists[u] = build(u), built on the first read of u and kept."""
-
-    __slots__ = ("build",)
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, u):
-        self[u] = entries = self.build(u)
-        return entries
-
-
-def _product_index(rows: tuple, alpha_rows: tuple) -> ProductIndex:
+def _product_index(rows) -> ProductIndex:
     by_key, row_entries, col_entries = ([[] for _ in rows] for _ in range(3))
     for i, row in enumerate(rows):
         for j, cell in enumerate(row):
@@ -513,29 +473,7 @@ def _product_index(rows: tuple, alpha_rows: tuple) -> ProductIndex:
                     by_key[m].append((i, j, c))
                     row_entries[i].append((j, m, c))
                     col_entries[j].append((i, m, c))
-    return ProductIndex(tuple(by_key), alpha_rows, tuple(row_entries), tuple(col_entries))
-
-
-def _twisted_index(index: ProductIndex, alpha_columns: tuple) -> TwistedIndex:
-    """The four lists of TwistedIndex, each entry the sum of alpha's entries times the product's."""
-    rows, columns, alpha_rows = index.row_entries, index.col_entries, index.alpha_rows
-    if all(len(c) == 1 and c.get(t) == 1 for t, c in enumerate(alpha_columns)):  # alpha = id: the product's own lists
-        return TwistedIndex(rows, columns, rows, columns)
-    return TwistedIndex(
-        # e_i * alpha(e_j) = the sum of alpha(e_j)_t e_i * e_t over t, and likewise
-        _Lists(lambda i: _summed((j, m, a * c) for t, m, c in rows[i] for j, a in alpha_rows[t])),
-        _Lists(lambda j: _summed((i, m, a * c) for t, a in alpha_columns[j].items() for i, m, c in columns[t])),
-        _Lists(lambda i: _summed((j, m, a * c) for t, a in alpha_columns[i].items() for j, m, c in rows[t])),
-        _Lists(lambda j: _summed((i, m, a * c) for t, m, c in columns[j] for i, a in alpha_rows[t])),
-    )
-
-
-def _summed(contributions) -> list:
-    """The (v, m, sum of c) over the contributions (v, m, c), (v, m) ascending, zero sums dropped."""
-    sums: dict = {}
-    for v, m, c in contributions:
-        sums[v, m] = sums.get((v, m), 0) + c
-    return [(v, m, c) for (v, m), c in sorted(sums.items()) if c]
+    return ProductIndex(tuple(by_key), tuple(row_entries), tuple(col_entries))
 
 
 def _column_rows(columns) -> tuple:

@@ -229,9 +229,9 @@ def test_the_mapped_product_binds_the_lists_it_reads():
     assert checks._slice_source("mapped") == "\n".join([
         "def slice_of(target, source=None, f=None, eps_f=None, weight=0, form=None):",
         " columns, eps, n, nn = target.alpha.sparse_columns, target.eps_table, target.dim, target.dim ** 2",
-        " by_key, alpha_rows, row_entries, col_entries = target.product_index",
+        " by_key, row_entries, col_entries = target.product_index",
         " s_columns = source.alpha.sparse_columns",
-        " s_by_key, s_alpha_rows, s_row_entries, s_col_entries = source.product_index",
+        " s_by_key, s_row_entries, s_col_entries = source.product_index",
         " f_columns = f.sparse_columns",
         " def scan_slice(k0):",
         "  r = {}",

@@ -169,3 +169,63 @@ def test_the_matrix_guard_sees_a_read():
     assert set(_matrix_reads("x.py", tree)) == {("x.py", "f"), ("x.py", "<module>")}
     tree = ast.parse("def f(doc):\n    matrix = doc['matrix']\n    return m.sparse_columns, matrix\n")
     assert not set(_matrix_reads("x.py", tree))
+
+
+# The twisted products x*alpha(y) and alpha(x)*y are the declared products
+# times-image and image-times on (a, alpha): checks builds their index with the
+# one index builder core has, so core holds nothing named after them, and
+# core._product_index has one caller there and one in checks.
+PRODUCT_INDEX_CALLERS = {("core.py", "ColorHomAlgebra.product_index"), ("checks.py", "_twisted")}
+
+
+def _defined(tree):
+    """Every name a module defines: classes, functions, methods and assigned names."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+
+
+def _twisted_names(tree):
+    return sorted({name for name in _defined(tree) if "twist" in name.lower()})
+
+
+def _callers(module, tree, callee):
+    """(module, dotted name of the enclosing definitions) of every call of callee, bare or as an attribute."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "id", getattr(child.func, "attr", None)) == callee:
+                yield module, ".".join(scope) or "<module>"
+            yield from visit(child, scope)
+
+    return visit(tree, [])
+
+
+def test_core_defines_nothing_named_after_the_twisted_products():
+    assert _twisted_names(_tree("core.py")) == []
+
+
+def test_only_the_product_index_and_the_twisted_builder_call_the_index_builder():
+    calls = [call for p in PACKAGE.glob("*.py") for call in _callers(p.name, _tree(p.name), "_product_index")]
+    assert sorted(calls) == sorted(PRODUCT_INDEX_CALLERS)
+
+
+def test_the_twisted_guards_see_definitions_and_callers():
+    tree = ast.parse(
+        "class TwistedIndex: pass\n"
+        "def _twisted_index(i): return core._product_index(i)\n"
+        "class A:\n    @property\n    def twisted_index(self): return _product_index(self.rows)\n"
+        "_xa_twist = 1\n"
+        "_product_index(rows)\n"
+    )
+    assert _twisted_names(tree) == ["TwistedIndex", "_twisted_index", "_xa_twist", "twisted_index"]
+    assert sorted(_callers("x.py", tree, "_product_index")) == [
+        ("x.py", "<module>"), ("x.py", "A.twisted_index"), ("x.py", "_twisted_index"),
+    ]
+    tree = ast.parse("def product_index(a): return a._product_index\nalpha = _row_reduce(f, rows)\n")
+    assert _twisted_names(tree) == []
+    assert list(_callers("x.py", tree, "_product_index")) == []

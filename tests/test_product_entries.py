@@ -1,15 +1,16 @@
 """The flat entry lists and the twisted products a slice reads, and the two-loop nests.
 
 core.ProductIndex lists each product e_i * e_j as flat entries by row and by
-column, and core.TwistedIndex lists the products e_i * alpha(e_j) and
-alpha(e_i) * e_j the same way, each summed as the kernel sums (unreduced
-over F_p) with its zero sums dropped.  The
-tests compare both with the kernel on basis vectors, check that only the
-slices of a term with a product beside an alpha build the twisted tables,
-and that every identity term compiles to a nest of at most two loops.
+column, and checks._twisted gives the index of the declared products
+times-image and image-times with f = alpha, e_i * alpha(e_j) and
+alpha(e_i) * e_j, each summed as the kernel sums (unreduced over F_p) with
+its zero sums dropped.  The tests compare them with the kernel on basis
+vectors, pin which twisted product each declaration's slices build, and
+check that every identity term compiles to a nest of at most two loops.
 """
 
 import ast
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -35,22 +36,17 @@ def entries(products, n):
     return by_row, by_col
 
 
-def listed(by_row, by_col, n):
-    """Twisted lists, built on first read, as the tuples of their rows and of their columns."""
-    return tuple(by_row[u] for u in range(n)), tuple(by_col[u] for u in range(n))
-
-
 def assert_entries_list_the_nonzeros(a):
     n, alpha = a.dim, a.alpha
-    x, t = a.product_index, a.twisted_index
+    x, xa, ax = a.product_index, checks._twisted(a, "times-image"), checks._twisted(a, "image-times")
     plain = [[nonzeros(a, core.sparse_product(a, unit(i), unit(j))) for j in range(n)] for i in range(n)]
     assert (x.row_entries, x.col_entries) == entries(plain, n)
     right = [[nonzeros(a, core.sparse_product(a, unit(i), core.sparse_apply(alpha, unit(j)))) for j in range(n)]
              for i in range(n)]
-    assert listed(t.xa_row, t.xa_col, n) == entries(right, n)
+    assert (xa.row_entries, xa.col_entries) == entries(right, n)
     left = [[nonzeros(a, core.sparse_product(a, core.sparse_apply(alpha, unit(i)), unit(j))) for j in range(n)]
             for i in range(n)]
-    assert listed(t.ax_row, t.ax_col, n) == entries(left, n)
+    assert (ax.row_entries, ax.col_entries) == entries(left, n)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -73,10 +69,66 @@ def test_the_entry_lists_and_twisted_tables_list_every_nonzero_on_random_algebra
 # ---------------------------------------------------------------------------
 # the twisted tables are built only by the slices that read them
 
+TWISTED = ("times-image", "image-times")  # x*alpha(y) and alpha(x)*y
+
+# the twisted products each declaration's slices read; every other declaration reads none
+BUILDS = {
+    "right-commutativity": {"times-image"},
+    "cyclic-right-products": {"times-image"},
+    "defect-centrality": {"times-image"},
+    "operator-right-commutativity": {"times-image"},
+    "alpha-center": {"times-image"},
+    "hom-jacobi": {"image-times"},
+    "cyclic-left-products": {"image-times"},
+    "hom-associativity": {"times-image", "image-times"},
+    "left-symmetry": {"times-image", "image-times"},
+}
+
 
 def fresh(a):
     """An algebra equal to a with no list built yet."""
     return core._algebra_like(a, core._cells(a))
+
+
+def built(b):
+    """The twisted products built on b."""
+    return {name for name in TWISTED if name in vars(b)}
+
+
+def scaled():
+    """A Hom-Novikov algebra with alpha not the identity, on which every identity check passes."""
+    return catalog.build_entry("scaled_polynomial", FIELDS[0], n=3, c=2).algebra
+
+
+@pytest.mark.parametrize("name", [*checks._IDENTITIES, *checks._CONDITIONS, *checks._PRODUCTS])
+def test_each_declaration_builds_exactly_the_twisted_products_it_reads(name):
+    b = fresh(scaled())
+    assert b.alpha != core.identity_map(b.basis)
+    form = SimpleNamespace(gram_rows=({},) * b.dim)
+    checks._slice(name)(b, b, b.alpha, {}, 0, form)
+    assert built(b) == BUILDS.get(name, set())
+
+
+def test_each_check_builds_exactly_the_twisted_products_of_its_identities():
+    a = scaled()
+    x = core.unit_vector(a.field, a.dim, 1)
+    for run, expected in (
+        (checks.check_epsilon_commutative, set()),
+        (checks.check_right_commutative, {"times-image"}),
+        (checks.check_hom_associative, set(TWISTED)),
+        (checks.check_left_symmetric, set(TWISTED)),
+        (checks.check_hom_novikov, set(TWISTED)),
+        (checks.check_cyclic_commutator_products, set(TWISTED)),
+        (checks.check_lie_admissible, set()),  # the bracket algebra builds its own
+        (lambda b: checks.in_alpha_center(b, x), {"times-image"}),
+        (lambda b: checks.check_bracket_operator_conditions(b, core.identity_map(b.basis)), {"times-image"}),
+    ):
+        b = fresh(a)
+        run(b)
+        assert built(b) == expected, run
+    bracket = fresh(checks._product_algebra("bracket", a))
+    assert checks.check_hom_lie(bracket)
+    assert built(bracket) == {"image-times"}
 
 
 def test_operator_predicates_and_derivation_searches_leave_the_twisted_tables_unbuilt():
@@ -88,10 +140,12 @@ def test_operator_predicates_and_derivation_searches_leave_the_twisted_tables_un
     ):
         b = fresh(a)
         run(b)
-        assert "twisted_index" not in b.__dict__
+        assert built(b) == set()
     b = fresh(a)
     checks.check_hom_novikov(b)
-    assert "twisted_index" in b.__dict__
+    assert built(b) == set(TWISTED)
+    assert b.alpha == core.identity_map(b.basis)  # so both are the product's own index
+    assert all(checks._twisted(b, name) is b.product_index for name in TWISTED)
 
 
 IDENTITY_CHECKS = [*COMPOSITES.values(), checks.check_right_commutative, checks.check_lie_admissible]
@@ -101,7 +155,8 @@ IDENTITY_CHECKS = [*COMPOSITES.values(), checks.check_right_commutative, checks.
 def test_identity_checks_give_one_verdict_on_fresh_and_cached_tables(field):
     for entry in standard_entries(field):
         warm = entry.algebra
-        warm.twisted_index
+        for name in TWISTED:
+            checks._twisted(warm, name)
         for check in IDENTITY_CHECKS:
             assert repr(check(fresh(warm))) == repr(check(warm)), (entry.recipe, check.__name__)
 

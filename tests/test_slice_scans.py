@@ -1,10 +1,11 @@
 """The product index a slice scan reads, and the witness a slice yields.
 
 core.ProductIndex lists the nonzero terms of the products by output key,
-and alpha's nonzero entries by row; the slice functions (checks._slice)
-loop over these lists only.  A slice holds left - right at every key a
-contribution reached, and contributions can cancel, so the witness is the
-tuple of the least nonzero key (mod p over F_p), not of the least key.
+and alpha's inverse lists its nonzero entries by row; the slice functions
+(checks._slice) loop over these lists only.  A slice holds left - right
+at every key a contribution reached, and contributions can cancel, so the
+witness is the tuple of the least nonzero key (mod p over F_p), not of the
+least key.
 """
 
 from itertools import product as iproduct
@@ -31,7 +32,7 @@ def assert_index_lists_the_nonzeros(a):
         [(p, q, rows[p][q][m]) for p, q in iproduct(range(n), repeat=2) if m in rows[p][q]] for m in range(n)
     )
     columns = a.alpha.sparse_columns
-    assert x.alpha_rows == tuple([(r, columns[r][t]) for r in range(n) if t in columns[r]] for t in range(n))
+    assert a.alpha.inverse_lists == tuple([(r, columns[r][t]) for r in range(n) if t in columns[r]] for t in range(n))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
