@@ -384,18 +384,19 @@ def search_maps(
     conditions of degree 1 in the map) is solved exactly, its equations
     scattered from the nonzero contributions of each term and reduced by
     one sparse elimination, which leaves some entries free and fixes the
-    rest.  A depth-first search sets the columns f(e_0), f(e_1), ... in
-    turn, branching over the values of each column's free entries and
-    filling a fixed entry once the free entries it reads are set; one
-    outside the values abandons the branch.  Every other declared condition
-    reads f(x_0) first (checks.search_instances): setting column k visits
-    it at each tuple with x_0 = e_k, and a tuple that reads another unset
-    column waits on it.  A tuple that reads one unset column, and only
-    through terms f(y) at the top of a side with y not reading it, is affine
-    in the column and forces it unless the column holds or fills a fixed
-    entry: the column is set without branching, or the branch is abandoned
-    when it leaves the values or the even positions.  Every complete
-    candidate is re-checked by the predicate itself.
+    rest; numbered latest column first, a fixed entry reads free entries of
+    its own column or earlier ones.  A depth-first search sets the columns
+    f(e_0), f(e_1), ... in turn: column i branches over the values of its
+    free entries, fills its fixed entries and is set, all at branch i; a
+    fixed entry outside the values abandons the branch.  Every other
+    declared condition reads f(x_0) first (checks.search_instances):
+    setting column k visits it at each tuple with x_0 = e_k, and a tuple
+    that reads another unset column waits on it.  A tuple that reads one
+    unset column, and only through terms f(y) at the top of a side with y
+    not reading it, is affine in the column and forces it: the column is
+    set without branching, or the branch is abandoned when it leaves the
+    values or the even positions.  Every complete candidate is re-checked
+    by the predicate itself.
 
     budget bounds the leaves of the search tree, complete candidates plus
     abandoned partial assignments, which never outnumber len(values) **
@@ -421,18 +422,21 @@ def search_maps(
     field = a.field
     if values is None:
         values = (-1, 0, 1, 2)
-    # distinct values in first-seen order; canon maps a solved entry to its
-    # value, and also a reduced kernel scalar, since equal numbers hash alike
+    # distinct kernel scalars in first-seen order; canon maps a solved entry to
+    # its value, also a Fraction equal to an int, since equal numbers hash alike
     canon = {}
     for v in values:
-        v = field.coerce(v)
+        v = field.kernel_scalar(v)
         canon.setdefault(v, v)
     values = tuple(canon)
     if not values:
         return []
-    kernel = {v: field.kernel_scalar(v) for v in (*values, field.one)}
-    n, degs, zero = a.dim, a.degrees, field.zero
-    positions = [(k, i) for k in range(n) for i in range(n) if degs[k] == degs[i]]
+    n, degs = a.dim, a.degrees
+    rows = [[k for k in range(n) if degs[k] == degs[i]] for i in range(n)]
+    # the latest column first: each equation's pivot is its entry in its latest
+    # column, so a fixed entry reads free entries of its own column or earlier ones
+    positions = [(k, i) for i in reversed(range(n)) for k in rows[i]]
+    row_major = sorted(positions)
 
     def arguments(m):
         return [m if arg == "map" else given[arg] for arg in op.takes]
@@ -443,25 +447,15 @@ def search_maps(
     check(a, *arguments(GradedLinearMap(a.basis, _Columns(tuple({} for _ in range(n))))))
     free, pivots = _solve_linear_part(a, linear_conditions(predicate, side), positions, given["form"])
 
-    # column i branches over its free positions, then fills the fixed
-    # entries whose last free entry lies in column i
-    entries = [[] for _ in range(n)]
+    # column i branches over its free rows, then fills its fixed entries:
+    # fixed[i] holds (row, [(row, column, kernel coefficient)]) for each
+    branching, fixed = [[] for _ in range(n)], [[] for _ in range(n)]
     for p in free:
-        entries[positions[p][1]].append(p)
-    ready = [[] for _ in range(n)]
+        k, i = positions[p]
+        branching[i].append(k)
     for p, terms in pivots:
-        ready[max((positions[q][1] for q, _ in terms), default=0)].append((p, terms))
-    in_column = [[] for _ in range(n)]
-    for p, (k, i) in enumerate(positions):
-        in_column[i].append((k, p))
-    # completed_at[b]: the columns whose last entry branch b sets; a forced
-    # column skips its branch, so it must hold and fill no fixed entry
-    last, forceable = list(range(n)), [not filled for filled in ready]
-    for b, filled in enumerate(ready):
-        for p, _ in filled:
-            i = positions[p][1]
-            last[i], forceable[i] = max(last[i], b), False
-    completed_at = [[i for i in range(n) if last[i] == b] for b in range(n)]
+        k, i = positions[p]
+        fixed[i].append((k, [(*positions[q], field.kernel_scalar(c)) for q, c in terms]))
     # columns: the sparse kernel column of each set column (reading an unset one
     # raises KeyError); waiting[k]: what the branch filed to visit once column k
     # is set; log: how to undo each change to columns and waiting, in order
@@ -470,8 +464,6 @@ def search_maps(
     conditions = [(sides, tuple(iproduct(range(n), repeat=arity - 1))) for sides, arity in kept]
     reduce = (lambda x: x % field.p) if field.characteristic else (lambda x: x)
     inverse = cache(lambda c: field.kernel_scalar(field.one / field.coerce(c)))
-
-    assignment = [zero] * len(positions)
     hits, leaves = [], 0
 
     def wait(sides, idx, *ks) -> bool:
@@ -509,60 +501,55 @@ def search_maps(
                     for t, x in columns[j].items():
                         r[t] = r.get(t, 0) + c * x
         unset = list(slope)
-        if len(unset) > 1 or unset and not forceable[unset[0]]:
+        if len(unset) > 1:
             # two watches: all but one of these columns are set only once one of the two is
             return wait(sides, idx, *unset[:2])
         if unset and (g := reduce(slope[unset[0]])):
             k, scale, column = unset[0], inverse(-g), {}
-            for t, p in in_column[k]:
+            for t in rows[k]:
                 v = canon.get(reduce(r.pop(t, 0) * scale))
                 if v is None:
                     return False
-                assignment[p] = v
                 if v:
-                    column[t] = kernel[v]
+                    column[t] = v
             # what is left of r lies off the even positions
             return not any(map(reduce, r.values())) and set_column(k, column)
         return not any(map(reduce, r.values()))
 
-    def settle(branch) -> bool:
-        """Fill and set what the branch completes; False on a failure."""
-        for p, terms in ready[branch]:
-            v = canon.get(sum((c * assignment[q] for q, c in terms), zero))
+    def settle(i, column) -> bool:
+        """Fill column i's fixed entries from it and the columns before it, then set it; False on a failure."""
+        for k, terms in fixed[i]:
+            v = canon.get(reduce(sum(c * (column if j == i else columns[j]).get(t, 0) for t, j, c in terms)))
             if v is None:
                 return False
-            assignment[p] = v
-        for i in completed_at[branch]:
-            if not set_column(i, {k: kernel[v] for k, p in in_column[i] if (v := assignment[p])}):
-                return False
-        return True
+            if v:
+                column[k] = v
+        return set_column(i, column)
 
-    def descend(column):
+    def descend(i):
         nonlocal leaves
-        if column == n:
+        if i == n:
             leaves += 1
-            m = GradedLinearMap(a.basis, _Columns(tuple(columns[i] for i in range(n))))
+            m = GradedLinearMap(a.basis, _Columns(tuple(columns[j] for j in range(n))))
             if check(a, *arguments(m)):
-                hits.append((tuple(map(field.sort_key, assignment)), m))
+                hits.append((tuple(field.sort_key(columns[j].get(k, 0)) for k, j in row_major), m))
             return
-        if column in columns:  # forced
-            return descend(column + 1)
-        for vals in iproduct(values, repeat=len(entries[column])):
+        if i in columns:  # forced
+            return descend(i + 1)
+        for vals in iproduct(values, repeat=len(branching[i])):
             if leaves >= budget:
                 return
-            for p, v in zip(entries[column], vals):
-                assignment[p] = v
             mark = len(log)
-            if settle(column):
-                descend(column + 1)
+            if settle(i, {k: v for k, v in zip(branching[i], vals) if v}):
+                descend(i + 1)
             else:
                 leaves += 1
             while len(log) > mark:
                 log.pop()()
 
     descend(0)
-    # positions are row-major and every other entry is zero, so this is the
-    # order of the hits' matrices
+    # every entry off the even positions is zero, so this is the order of the
+    # hits' matrices
     hits.sort(key=lambda hit: hit[0])
     return [m for _, m in hits]
 

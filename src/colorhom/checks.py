@@ -22,12 +22,12 @@ the first tuple with a nonzero value (mod p over F_p) is the first failing
 tuple of a scan over every tuple, and the sides, compiled per tuple
 (_compiled), run there alone for the witness (_first_failure).
 
-An identity scan visits canonical tuples only (_canonical).  Where a
-declaration's right side is +-eps(x_s, x_t) times its left side with slots s
-and t swapped, the residual at the swap of a tuple is a unit times the
-residual there, as long as eps(d, e) eps(e, d) = 1 on the algebra's degrees;
-where a one-sided declaration is unchanged by rotating its slots, it takes
-one value on the rotations of a tuple.  Failures thus come in whole orbits,
+An identity scan visits canonical tuples only (_canonical, _SYMMETRIES).
+Where a right side is +-eps(x_s, x_t) times the left with slots s and t
+swapped, and in every slot pair of the cyclic sums, the residual at the swap
+of a tuple is a unit times the residual there, as long as eps(d, e) eps(e,
+d) = 1 on the algebra's degrees; the hom-Jacobi and cyclic sums take one
+value on the rotations of a tuple.  Failures thus come in whole orbits,
 the first failing tuple is the least of its orbit, and the least keeps x_s
 <= x_t for each such pair, so a slice compiled to skip the other tuples
 (_slice_source with canonical) yields the witness a scan of every tuple
@@ -56,10 +56,8 @@ apart (search_instances).
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
 from itertools import product as iproduct
 from typing import NamedTuple
 
@@ -480,38 +478,23 @@ def _require_support_shapes(identities) -> None:
 _require_support_shapes(_IDENTITIES)
 
 
-def _relabel(x, slots):
-    """A node or coefficient factors with each slot p renamed slots[p]."""
-    if type(x) is int:
-        return slots[x]
-    parts = [c if type(c) is str else _relabel(c, slots) for c in x]
-    return tuple(parts) if type(x) is tuple else type(x)(*parts)
-
-
-def _symmetries(name: str) -> tuple:
-    """(swaps, rotations): the slot pairs (s, t) with x_s <= x_t at the least tuple of each orbit, read off a declaration.
-
-    A right side equal to +-eps(x_s, x_t) times the left with slots s and t
-    swapped puts (s, t) among the swaps: the residual at the swap of a tuple
-    is then -+eps(x_t, x_s) times the residual there, a unit where eps(d, e)
-    eps(e, d) = 1 (_eps_skew).  A one-sided declaration that rotating its
-    three slots leaves unchanged takes one value at a tuple and at its
-    rotations, whatever eps: (0, 1) and (0, 2).
-    """
-    arity, left, right = _IDENTITIES[name]
-    if not right:
-        rotated = [(sign, _relabel(c, (1, 2, 0)), _relabel(node, (1, 2, 0))) for sign, c, node in left]
-        return (), (((0, 1), (0, 2)) if arity == 3 and Counter(rotated) == Counter(left) else ())
-    for s, t in combinations(range(arity), 2):
-        slots = [*range(arity)]
-        slots[s], slots[t] = t, s
-        swapped = [(sign, (*_relabel(c, slots), (s, t)), _relabel(node, slots)) for sign, c, node in left]
-        if right in ([(sign * g, c, node) for sign, c, node in swapped] for g in (1, -1)):
-            return ((s, t),), ()
-    return (), ()
-
-
-_SYMMETRIES = {name: _symmetries(name) for name in _IDENTITIES}
+# name -> (swaps, rotations): the slot pairs (s, t) with x_s <= x_t at the least
+# tuple of each orbit.  Where eps(d, e) eps(e, d) = 1 (_eps_skew), the residual
+# at the swap of a tuple in slots s and t is a unit times the residual there:
+# the right side is +-eps(x_s, x_t) times the left with s and t swapped, or, for
+# the cyclic sums, their brackets, written out as products, are eps-skew, so
+# C(y, x, z) = -eps(y, x) eps(z, y) eps(x, z) C(x, y, z).  The one-sided sums
+# take one value at a tuple and at its rotations, (0, 1) and (0, 2), whatever eps
+_SYMMETRIES = {
+    "epsilon-commutativity": (((0, 1),), ()),
+    "hom-associativity": ((), ()),
+    "right-commutativity": (((1, 2),), ()),
+    "left-symmetry": (((0, 1),), ()),
+    "skew-symmetry": (((0, 1),), ()),
+    "hom-jacobi": ((), ((0, 1), (0, 2))),
+    "cyclic-right-products": (((1, 2),), ((0, 1), (0, 2))),
+    "cyclic-left-products": (((1, 2),), ((0, 1), (0, 2))),
+}
 
 # name -> (an identity, a swap): the swap the named identity gains on an algebra where
 # that one has passed; with skew-symmetry, the hom-Jacobi sum is eps-alternating in y, z

@@ -1,10 +1,10 @@
 """Identity scans over canonical tuples (checks._canonical).
 
-An identity whose declaration is symmetric under a swap or a rotation of its
-slots is nonzero at a tuple exactly when it is nonzero at the tuple's swap or
-rotations, so the first failing tuple is the least of its orbit, and a scan
-visits only the tuples with x_s <= x_t for the slot pairs (s, t) the
-symmetries give.  A swap carries failures to failures only where eps(d, e)
+An identity symmetric under a swap or a rotation of its slots
+(checks._SYMMETRIES) is nonzero at a tuple exactly when it is nonzero at the
+tuple's swap or rotations, so the first failing tuple is the least of its
+orbit, and a scan visits only the tuples with x_s <= x_t for the slot pairs
+(s, t) the symmetries give.  A swap carries failures to failures only where eps(d, e)
 eps(e, d) = 1; without it a scan keeps the rotations alone.  The tests compare
 the slices over canonical tuples with the full slices at the canonical keys,
 and the verdicts with the dense reference of tests/test_sparse_kernel.py.
@@ -27,10 +27,17 @@ Q, F7 = rationals(), prime_field(7)
 FIELDS = (Q, prime_field(3), prime_field(5), F7)
 
 # ---------------------------------------------------------------------------
-# the symmetries read off the declarations
+# the symmetries listed beside the declarations
 
 
 def test_the_symmetries_are_read_off_the_declarations():
+    """The swaps and rotations of checks._SYMMETRIES, one row per declaration.
+
+    Under the skew axiom the two cyclic sums, their brackets written out as
+    products, are eps-alternating in every slot pair, so with their rotations
+    the swap (1, 2) leaves x <= y <= z; the directed cases below and the
+    oracle comparisons of tests/test_support_scans.py check each row.
+    """
     rotation = ((0, 1), (0, 2))
     assert checks._SYMMETRIES == {
         "epsilon-commutativity": (((0, 1),), ()),
@@ -39,8 +46,8 @@ def test_the_symmetries_are_read_off_the_declarations():
         "left-symmetry": (((0, 1),), ()),
         "skew-symmetry": (((0, 1),), ()),
         "hom-jacobi": ((), rotation),
-        "cyclic-right-products": ((), rotation),
-        "cyclic-left-products": ((), rotation),
+        "cyclic-right-products": (((1, 2),), rotation),
+        "cyclic-left-products": (((1, 2),), rotation),
     }
     assert checks._GAINED == {"hom-jacobi": ("skew-symmetry", (1, 2))}
 

@@ -268,9 +268,10 @@ def test_morphism_search_is_brute_force_at_the_default_budget():
 
 # 3-dimensional algebras over F_p: (p, {(i, j): {k: c}}, alpha's rows,
 # predicate, arguments).  alpha mixes columns, so twist compatibility (twist
-# commutation for Rota-Baxter, here of weight -1) fixes an entry of one
-# column by free entries of a later one; an instance that forced that later
-# column would skip the branch that fills the fixed entry and lose hits
+# commutation for Rota-Baxter, here of weight -1) ties entries of two
+# columns; numbered latest column first, the linear part fixes the later
+# column's entry, and the search forces columns that hold a fixed entry
+# (15, 9 and 4 times), which must lose no hit
 MIXING_ALPHA_CASES = [
     (3, {(1, 0): {0: 1}, (1, 1): {1: 1, 2: -1}}, ((1, 0, 1), (0, 1, 2), (0, 0, -1)), "morphism", {}),
     (5, {(0, 0): {2: -1}, (0, 1): {0: 1, 1: 1}, (1, 1): {1: -1, 2: 2}, (1, 2): {1: 1}}, ((0, 0, 2), (0, 0, 0), (0, 0, -1)),
@@ -290,7 +291,7 @@ def test_morphism_search_forces_no_column_whose_branch_fills_a_fixed_entry(p, ce
     a = make_algebra(basis, trivial_bicharacter(field, basis.group), structure, make_map(basis, alpha))
     expected = [m.matrix for m in brute_force_search(a, predicate, candidates(a, (-1, 0, 1)), **given)]
     found = search_maps(a, predicate, values=(-1, 0, 1), budget=3 ** 9, **given)
-    assert expected  # a forced column that skipped a fixed entry's branch would lose these
+    assert expected  # a forced column that lost a hit would show against these
     assert [m.matrix for m in found] == expected
 
 
