@@ -402,7 +402,8 @@ def search_maps(
     abandoned partial assignments, which never outnumber len(values) **
     (free entries); at the bound the search stops and returns the hits found
     so far, the same on every run.  budget must be an int (not a bool).
-    Hits come back sorted by matrix entries.
+    Hits come back sorted by their row-major matrix entries, each read as the
+    (numerator, denominator) of its kernel scalar.
     """
     op = OPERATIONS.get(predicate)
     if op is None or op.kind != CHECK or op.takes.count("map") != 1:
@@ -455,7 +456,7 @@ def search_maps(
         branching[i].append(k)
     for p, terms in pivots:
         k, i = positions[p]
-        fixed[i].append((k, [(*positions[q], field.kernel_scalar(c)) for q, c in terms]))
+        fixed[i].append((k, [(*positions[q], c) for q, c in terms]))
     # columns: the sparse kernel column of each set column (reading an unset one
     # raises KeyError); waiting[k]: what the branch filed to visit once column k
     # is set; log: how to undo each change to columns and waiting, in order
@@ -463,7 +464,7 @@ def search_maps(
     kept = search_instances(predicate, side, a, columns, field.kernel_scalar(given["weight"]), given["form"])
     conditions = [(sides, tuple(iproduct(range(n), repeat=arity - 1))) for sides, arity in kept]
     reduce = (lambda x: x % field.p) if field.characteristic else (lambda x: x)
-    inverse = cache(lambda c: field.kernel_scalar(field.one / field.coerce(c)))
+    inverse = cache(lambda c: pow(c, -1, field.p) if field.characteristic else field.kernel_scalar(Fraction(1, c)))
     hits, leaves = [], 0
 
     def wait(sides, idx, *ks) -> bool:
@@ -532,7 +533,7 @@ def search_maps(
             leaves += 1
             m = GradedLinearMap(a.basis, _Columns(tuple(columns[j] for j in range(n))))
             if check(a, *arguments(m)):
-                hits.append((tuple(field.sort_key(columns[j].get(k, 0)) for k, j in row_major), m))
+                hits.append((tuple(columns[j].get(k, 0) for k, j in row_major), m))
             return
         if i in columns:  # forced
             return descend(i + 1)
@@ -550,7 +551,7 @@ def search_maps(
     descend(0)
     # every entry off the even positions is zero, so this is the order of the
     # hits' matrices
-    hits.sort(key=lambda hit: hit[0])
+    hits.sort(key=lambda hit: [(v.numerator, v.denominator) for v in hit[0]])
     return [m for _, m in hits]
 
 
@@ -560,10 +561,11 @@ def _solve_linear_part(a: ColorHomAlgebra, linear, positions, form) -> tuple:
     Returns (free, pivots): free lists the positions left free, ascending;
     pivots lists (position, terms) for each fixed one, where the entry at
     position is the sum of c times the entry at q over (q, c) in terms, each
-    q free.  With no linear condition every position is free.
+    q free and each c a kernel scalar (field.kernel_scalar), as search_maps
+    multiplies them.  With no linear condition every position is free.
     """
     field = a.field
     reduced, pivot_columns = _row_reduce(field, _linear_equations(a, linear, positions, form))
     fixed = set(pivot_columns)
     free = [v for v in range(len(positions)) if v not in fixed]
-    return free, [(p, [(f, field.coerce(-row[f])) for f in free if f in row]) for p, row in zip(pivot_columns, reduced)]
+    return free, [(p, [(f, field.kernel_scalar(-row[f])) for f in free if f in row]) for p, row in zip(pivot_columns, reduced)]

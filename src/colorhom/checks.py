@@ -457,27 +457,6 @@ IDENTITIES_BY_CHECK = {
 }
 
 
-def _slots(term) -> tuple:
-    """The slots of a term with one of the three support shapes, in the order named; else ()."""
-    match term:
-        case P(int(p), int(q)):
-            return p, q
-        case P(P(int(p), int(q)), A(int(r))) | P(A(int(p)), P(int(q), int(r))):
-            return p, q, r
-    return ()
-
-
-def _require_support_shapes(identities) -> None:
-    """Raise unless every term has a support shape naming each slot once: the slice nests know no other."""
-    for name, (arity, left, right) in identities.items():
-        for _, _, node in left + right:
-            if sorted(_slots(node)) != list(range(arity)):
-                raise StructureError(f"identity {name!r}: no support walk for the term {node!r}")
-
-
-_require_support_shapes(_IDENTITIES)
-
-
 # name -> (swaps, rotations): the slot pairs (s, t) with x_s <= x_t at the least
 # tuple of each orbit.  Where eps(d, e) eps(e, d) = 1 (_eps_skew), the residual
 # at the swap of a tuple in slots s and t is a unit times the residual there:

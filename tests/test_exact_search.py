@@ -284,7 +284,7 @@ MIXING_ALPHA_CASES = [
 @pytest.mark.parametrize(
     "p, cells, alpha, predicate, given", MIXING_ALPHA_CASES, ids=["F3", "F5", "F3-rota_baxter-weight-1"]
 )
-def test_morphism_search_forces_no_column_whose_branch_fills_a_fixed_entry(p, cells, alpha, predicate, given):
+def test_the_search_matches_brute_force_where_forced_columns_hold_fixed_entries(p, cells, alpha, predicate, given):
     field = prime_field(p)
     basis = GradedBasis(field, GradeGroup(0), (GradeGroup(0).zero(),) * 3)
     structure = [[[cells.get((i, j), {}).get(k, 0) for k in range(3)] for j in range(3)] for i in range(3)]

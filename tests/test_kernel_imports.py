@@ -229,3 +229,40 @@ def test_the_twisted_guards_see_definitions_and_callers():
     tree = ast.parse("def product_index(a): return a._product_index\nalpha = _row_reduce(f, rows)\n")
     assert _twisted_names(tree) == []
     assert list(_callers("x.py", tree, "_product_index")) == []
+
+
+# search_maps keeps kernel scalars from its values to its hits: neither it nor
+# its linear solve boxes a scalar into a field element (coerce) or keys one by
+# field.sort_key, in its own body, a nested function or a lambda.
+SCALAR_SEARCH = {"search_maps", "_solve_linear_part"}
+BOXING = ("coerce", "sort_key")
+
+
+def _boxing_calls(module, tree):
+    """(callee, enclosing top-level definition) of each call of coerce or sort_key inside SCALAR_SEARCH."""
+    calls = ((callee, scope.split(".")[0]) for callee in BOXING for _, scope in _callers(module, tree, callee))
+    return sorted(call for call in calls if call[1] in SCALAR_SEARCH)
+
+
+def test_the_search_boxes_no_scalar():
+    tree = _tree("catalog.py")
+    assert SCALAR_SEARCH <= {top.name for top in tree.body if isinstance(top, ast.FunctionDef)}
+    assert _boxing_calls("catalog.py", tree) == []
+
+
+def test_the_boxing_guard_sees_nested_and_lambda_calls():
+    tree = ast.parse(
+        "def search_maps(a, field):\n"
+        "    inverse = cache(lambda c: field.one / field.coerce(c))\n"
+        "    def descend(i):\n"
+        "        return field.sort_key(i)\n"
+        "def _solve_linear_part(a):\n"
+        "    return coerce(1)\n"
+        "def build_entry(field):\n"
+        "    return field.coerce(1), field.sort_key(2)\n"
+    )
+    assert _boxing_calls("x.py", tree) == [
+        ("coerce", "_solve_linear_part"), ("coerce", "search_maps"), ("sort_key", "search_maps"),
+    ]
+    tree = ast.parse("def search_maps(a, field):\n    return field.kernel_scalar(1), sort_keys\n")
+    assert _boxing_calls("x.py", tree) == []

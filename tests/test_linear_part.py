@@ -5,13 +5,16 @@ the nonzero contributions of its terms (checks._linear_equations) and
 reduces them with core._row_reduce.  tests/linear_oracle.py keeps the route
 it replaced: unit maps, its condition_residual over every tuple and a
 dense Gauss-Jordan.  The RREF of a row space is unique, so (free, pivots)
-must equal the oracle's exactly, on the catalog, on random algebras and where
-the kernel's ints sum to nonzero multiples of p.  The elimination is checked
+must equal the oracle's exactly, its field elements converted to kernel
+scalars, on the catalog, on random algebras and where the kernel's ints sum
+to nonzero multiples of p; every coefficient the solve returns is a
+canonical kernel scalar, as search_maps multiplies it.  The elimination is checked
 against a brute-force count of row spaces and the dense inverse;
 tests/test_core.py checks matrix_rank against determinants.
 """
 
 import random
+from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
@@ -58,11 +61,17 @@ def linear_parts(forms):
     return out
 
 
+def kernel_scalars(field, solved):
+    """(free, pivots) with every coefficient converted by field.kernel_scalar."""
+    free, pivots = solved
+    return free, [(p, [(q, field.kernel_scalar(c)) for q, c in terms]) for p, terms in pivots]
+
+
 def assert_solved_like_the_oracle(a, forms):
-    """(free, pivots) equal the oracle's, values and their types included; the weight is read by neither."""
+    """(free, pivots) equal the oracle's in kernel scalars, types included; the weight is read by neither."""
     at = positions(a)
     for label, linear, form, weight in linear_parts(forms):
-        expected = solve_linear_part(a, linear, at, form, weight)
+        expected = kernel_scalars(a.field, solve_linear_part(a, linear, at, form, weight))
         got = catalog._solve_linear_part(a, linear, at, form)
         assert got == expected, label
         assert repr(got) == repr(expected), label
@@ -78,6 +87,40 @@ def test_the_linear_part_is_the_oracles_on_the_catalog(field):
 @given(sparse_algebras())
 def test_the_linear_part_is_the_oracles_on_random_algebras(a):
     assert_solved_like_the_oracle(a, [even_form(a)])
+
+
+def canonical(field, c) -> bool:
+    """c as field.kernel_scalar gives it: over F_p an int in [0, p); over Q an int or a non-integral Fraction."""
+    if field.characteristic:
+        return type(c) is int and 0 <= c < field.p
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+def coefficients(a, forms):
+    """(label, c) for every coefficient of every linear part the solve returns."""
+    for label, linear, form, _ in linear_parts(forms):
+        for _, terms in catalog._solve_linear_part(a, linear, positions(a), form)[1]:
+            yield from ((label, c) for _, c in terms)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_the_coefficients_are_canonical_kernel_scalars_on_the_catalog(field):
+    found = [lc for entry in standard_entries(field) for lc in coefficients(entry.algebra, list(entry.forms.values()))]
+    assert found  # some fixed entry reads a free one
+    assert [(label, c) for label, c in found if not canonical(field, c)] == []
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(sparse_algebras())
+def test_the_coefficients_are_canonical_kernel_scalars_on_random_algebras(a):
+    assert [(label, c) for label, c in coefficients(a, [even_form(a)]) if not canonical(a.field, c)] == []
+
+
+def test_the_canonical_test_rejects_boxed_and_unreduced_scalars():
+    F5 = prime_field(5)
+    assert canonical(Q, 3) and canonical(Q, Fraction(-1, 2)) and canonical(F5, 0) and canonical(F5, 4)
+    assert not canonical(Q, Fraction(3)) and not canonical(Q, Q.coerce(-1))
+    assert not canonical(F5, F5.coerce(2)) and not canonical(F5, 5) and not canonical(F5, -1)
 
 
 def test_no_linear_condition_leaves_every_position_free():

@@ -22,7 +22,6 @@ from colorhom import checks, core
 from colorhom.catalog import standard_entries
 from colorhom.checks import IDENTITIES_BY_CHECK, A, P
 from colorhom.core import GradedBasis, make_algebra, make_map
-from colorhom.errors import StructureError
 from colorhom.grading import GradeGroup, make_bicharacter, trivial_bicharacter
 from colorhom.scalars import prime_field, rationals
 
@@ -278,20 +277,6 @@ def test_every_identity_term_has_one_of_the_three_support_shapes():
         for term in terms(name):
             assert SHAPES.get(skeleton(term)) == arity, (name, term)
             assert sorted(slots(term)) == list(range(arity)), (name, term)
-
-
-@pytest.mark.parametrize("term", [
-    P(P(0, 1), 2),  # (x*y)*z: no alpha
-    P(A(0), A(P(1, 2))),  # alpha(x)*alpha(y*z)
-    P(P(0, 1), A(1)),  # a slot named twice, another never
-    P(0, 1),  # a pair shape among triples
-], ids=repr)
-def test_a_fourth_shape_is_rejected(term):
-    table = dict(checks._IDENTITIES)
-    table["fourth-shape"] = (3, [(1, (), term)], [])
-    with pytest.raises(StructureError, match="no support walk"):
-        checks._require_support_shapes(table)
-    checks._require_support_shapes(checks._IDENTITIES)
 
 
 # ---------------------------------------------------------------------------
