@@ -34,11 +34,14 @@ the first failing tuple is the least of its orbit, and the least keeps x_s
 yields.  A swap on an eps table failing that equation is not used.  A scan
 that passes is recorded on the algebra, and on an algebra where
 skew-symmetry has passed, the hom-Jacobi sum is also eps-alternating in its
-last two slots (_GAINED).
+last two slots (_GAINED).  The eps test and each slice bound to the algebra
+are kept on it too, so a repeated scan of one algebra costs its slices alone.
 
 The constructions' products are declared in the same language, with two
-slots and no right side (_PRODUCTS), and _product_algebra builds each from
-its slices, which hold the rows of the product.
+slots and no right side (_PRODUCTS): slice i holds row i.  One pass over
+the slices (_product_table) gives the rows, stored for an output
+(_product_algebra) or kept as the kernel sums them for the index of a
+twisted product (_twisted); an output lists its own index on first read.
 
 identity_sides and identity_residual_on_vectors run the identities compiled
 for vector arguments, computing every product and image instead of reading
@@ -65,12 +68,14 @@ from .core import (
     ColorHomAlgebra,
     GradedLinearMap,
     ProductIndex,
-    _algebra_from_cells,
-    _algebra_like,
+    _EMPTY,
+    _SumClasses,
     _column_rows,
     _product_index,
     _require_even_endo,
+    _require_grading,
     _row_reduce,
+    _uneven,
     dense_vector,
     homogeneous_components,
     sparse_add,
@@ -479,17 +484,18 @@ _SYMMETRIES = {
 # that one has passed; with skew-symmetry, the hom-Jacobi sum is eps-alternating in y, z
 _GAINED = {"hom-jacobi": ("skew-symmetry", (1, 2))}
 
-# the key, in an algebra's instance dict beside its cached indexes, of the set of
-# identities a scan has found to hold on it
-_PASSED = "passed_identities"
+# what scans keep in an algebra's instance dict: identities passed, _eps_skew, slices bound by _slice key
+_PASSED, _SKEW, _BOUND = "passed_identities", "eps_skew", "bound_slices"
 
 
 def _eps_skew(a: ColorHomAlgebra) -> bool:
-    """Whether eps(d, e) eps(e, d) = 1 (mod p over F_p) for every two degrees of a's basis, one pair of degree classes at a time."""
-    eps, (distinct, classes), p = a.eps_table, a.basis.degree_classes, a.field.p
-    first = [classes.index(q) for q in range(len(distinct))]
-    units = [eps[i][j] * eps[j][i] - 1 for i in first for j in first]
-    return not any(units) if p is None else not any(u % p for u in units)
+    """Whether eps(d, e) eps(e, d) = 1 (mod p over F_p) on every two degrees of a's basis, by classes; kept on a."""
+    if _SKEW not in vars(a):
+        eps, (distinct, classes), p = a.eps_table, a.basis.degree_classes, a.field.p
+        first = [classes.index(q) for q in range(len(distinct))]
+        units = [eps[i][j] * eps[j][i] - 1 for i in first for j in first]
+        vars(a)[_SKEW] = not any(units) if p is None else not any(u % p for u in units)
+    return vars(a)[_SKEW]
 
 
 def _canonical(a: ColorHomAlgebra, name: str) -> tuple:
@@ -539,11 +545,12 @@ def _first_failure(a: ColorHomAlgebra, slices, order, names, scope, width: int |
 
     The slices fix the first slot of order, one index at a time.  The witness
     is the tuple of the least key with a nonzero value (mod p over F_p) in
-    one of them, not the least key reached, since contributions can cancel;
-    once it is the index's first tuple, no later slice is computed.  There
-    alone the sides, compiled per tuple, run for the names in order, and the
-    first pair that differs, reduced over F_p, is made dense with width
-    coordinates (a.dim unless given; a scalar keeps its value at key 0).
+    one of them, not the least key reached, since contributions can cancel; a
+    slice of exact zeros is passed over with one test, and once the witness
+    is the index's first tuple, no later slice is computed.  There alone the
+    sides, compiled per tuple, run for the names in order, and the first pair
+    that differs, reduced over F_p, is made dense with width coordinates
+    (a.dim unless given; a scalar keeps its value at key 0).
     """
     n, field = a.dim, a.field
     p, top = field.p, n ** 3
@@ -551,11 +558,11 @@ def _first_failure(a: ColorHomAlgebra, slices, order, names, scope, width: int |
         least = top
         for scan_slice in slices:
             r = scan_slice(i)
-            nonzero = [k for k, v in r.items() if v] if p is None else [k for k, v in r.items() if v % p]
-            if nonzero:
-                least = min(least, *nonzero)
-                if least < n:
-                    break
+            if not any(r.values()):  # most slices of a scan
+                continue
+            least = min([least, *(filter(r.get, r) if p is None else [k for k, v in r.items() if v % p])])
+            if least < n:
+                break
         if least < top:
             j = least // n
             digits = (i, *divmod(j, n)) if len(order) == 3 else (i, j)[:len(order)]
@@ -573,13 +580,12 @@ def _reduced(x: dict, p: int) -> dict:
 
 
 def _scan(a: ColorHomAlgebra, name: str) -> Verdict:
-    """Quantify one identity over its canonical basis tuples (_canonical), one slot-0 slice at a time.
-
-    A pass is recorded on a (_PASSED), for the swaps another identity gains from it.
-    """
+    """Quantify one identity over its canonical tuples (_canonical) by slot-0 slices, bound and kept on a, as a pass is."""
     scope, canonical = _Scope(a, a, None, {}, 0, None), _canonical(a, name)
-    scan_slice = _slice((name, canonical) if canonical else name)(a)
-    verdict = _first_failure(a, [scan_slice], range(IDENTITY_ARITY[name]), [name], scope)
+    key, bound = (name, canonical) if canonical else name, vars(a).setdefault(_BOUND, {})
+    if key not in bound:
+        bound[key] = _slice(key)(a)
+    verdict = _first_failure(a, [bound[key]], range(IDENTITY_ARITY[name]), [name], scope)
     if verdict:
         vars(a).setdefault(_PASSED, set()).add(name)
     return verdict
@@ -745,44 +751,60 @@ def _require_dim(a: ColorHomAlgebra, f) -> None:
 
 
 def _product_algebra(name: str, a: ColorHomAlgebra, f=None, alpha: GradedLinearMap | None = None) -> ColorHomAlgebra:
-    """The algebra on a's basis with the declared product on (a, f), and alpha, or a's own if None.
+    """The algebra on a's basis, bicharacter and eps table with the declared product on (a, f), and alpha, or a's own.
 
-    Slice i's keys j*n + m are the cells ((i, j), {m: value}), zeros dropped, j ascending, so
-    row-major, each validated as any product is (_algebra_from_cells, _algebra_like if alpha is kept).
+    Its rows come from _product_table and its product_index on first read; a new alpha is checked
+    with a's basis and bicharacter before the rows and by itself after them, as make_algebra checks it.
     """
     _require_dim(a, f)
-    cells = _cells_of(_slice(name)(a, a, f), a.dim)
-    return _algebra_like(a, cells) if alpha is None else _algebra_from_cells(a.basis, a.bicharacter, cells, alpha)
+    if alpha is not None:
+        _require_grading(a.basis, a.bicharacter)
+    out, rows = object.__new__(ColorHomAlgebra), _product_table(name, a, f)
+    vars(out).update(basis=a.basis, bicharacter=a.bicharacter, product_rows=rows,
+                     alpha=a.alpha if alpha is None else alpha, eps_table=a.eps_table)
+    if alpha is not None:
+        _require_even_endo(a.basis, alpha, "alpha")
+    return out
 
 
-def _cells_of(scan_slice, n: int):
-    """The nonempty cells ((i, j), {m: value}) of a product's slices, zeros dropped, row-major."""
+def _product_table(name: str, a: ColorHomAlgebra, f, stored: bool = True) -> tuple:
+    """The rows of the declared product name on (a, f), in one pass over its slices.
+
+    Slice i's keys j*n + m with a nonzero value, sorted once, are row i's terms c e_m of e_i * e_j,
+    row-major.  Stored, c is a kernel scalar, zeros dropped, checked even as core._stored_rows checks
+    it; else the kernel's sum, unreduced over F_p, as the scans read it.
+    """
+    n, kernel_scalar, classes, sum_class = a.dim, a.field.kernel_scalar, a.basis.degree_classes[1], _SumClasses(a.basis)
+    rows, scan_slice = [(_EMPTY,) * n] * n, _slice(name)(a, a, f)
     for i in range(n):
-        row: dict = {}
-        for key, v in scan_slice(i).items():
-            if v:
-                row.setdefault(key // n, {})[key % n] = v
-        yield from (((i, j), row[j]) for j in sorted(row))
+        r = scan_slice(i)
+        if not (keys := sorted(filter(r.get, r))):  # the keys with a nonzero value
+            continue
+        row, c = [_EMPTY] * n, classes[i]
+        for key in keys:
+            (j, m), v = divmod(key, n), r[key]
+            if stored:
+                if not (v := kernel_scalar(v)):
+                    continue
+                if classes[m] != sum_class[c, classes[j]]:
+                    raise _uneven(i, j, m)
+            if (cell := row[j]) is _EMPTY:
+                cell = row[j] = {}
+            cell[m] = v
+        rows[i] = tuple(row)
+    return tuple(rows)
 
 
 def _twisted(a: ColorHomAlgebra, name: str) -> ProductIndex:
     """The index of the declared product name on (a, alpha), times-image x*alpha(y) or image-times alpha(x)*y.
 
-    Kept in a's instance dict under name; a's product_index when alpha is the identity.  Keys
-    ascend in each cell, summed as the kernel sums, unreduced over F_p, zero sums dropped.
+    Kept in a's instance dict under name: a's product_index if alpha is the identity, else that of
+    the unreduced rows (_product_table).
     """
-    index = vars(a).get(name)
-    if index is None:
-        n, alpha = a.dim, a.alpha.sparse_columns
-        if all(len(c) == 1 and c.get(t) == 1 for t, c in enumerate(alpha)):
-            index = a.product_index
-        else:
-            rows = [[{}] * n for _ in range(n)]
-            for (i, j), cell in _cells_of(_slice(name)(a, a, a.alpha), n):
-                rows[i][j] = cell if len(cell) == 1 else dict(sorted(cell.items()))
-            index = _product_index(rows)
-        vars(a)[name] = index
-    return index
+    if name not in vars(a):
+        identity = all(len(c) == 1 and c.get(t) == 1 for t, c in enumerate(a.alpha.sparse_columns))
+        vars(a)[name] = a.product_index if identity else _product_index(_product_table(name, a, a.alpha, False))
+    return vars(a)[name]
 
 
 _SIDES, _SIDED = ("left", "right", "both"), ("left-", "right-")

@@ -5,9 +5,9 @@ Every construction validates its stated hypotheses before computing
 product evenness are still enforced by make_algebra on the way out).  All
 but direct_sum and tensor_product build a product declared as one term in
 checks._PRODUCTS (beta(x*y), x*d(y), [f(x), y], the commutator, ...) with
-checks._product_algebra, which stores it cell by cell like any product, so
-no construction can emit an ill-formed algebra.  The two that change the
-basis state their cells ((i, j), e_i * e_j), row-major, from their factors'.
+checks._product_algebra, which checks each entry's evenness as it stores
+it, so no construction can emit an ill-formed algebra.  The two that change
+the basis state their cells ((i, j), e_i * e_j), row-major, from the factors'.
 """
 
 from __future__ import annotations

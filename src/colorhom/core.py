@@ -18,11 +18,12 @@ table cost.  Products enter as data: _algebra_from_cells reads the cells
 ((i, j), e_i * e_j) row-major over the pairs that can be nonzero, as the
 dense path reads a tensor's, and _cells yields an algebra's nonempty ones,
 so a producer costs its nonzeros rather than n^2 calls; the constructions'
-products are declared and built in checks (checks._product_algebra), and
-no construction code lives here.  Algebras carry their eps value per pair
-of basis indices as a view excluded from equality and repr; product_index,
-which lists the products' nonzero terms for the scans, is built on first
-read.
+products are declared in checks, which stores their rows straight from
+their slices (checks._product_table), checking evenness as _stored_rows
+does (_SumClasses, _uneven); no construction code lives here.  Algebras
+carry their eps value per pair of basis indices as a view excluded from
+equality and repr; product_index, which lists the products' nonzero terms
+for the scans, is built on first read.
 The kernel (sparse_product, sparse_apply) on sparse vectors, {index:
 nonzero coefficient}, is the only way the package evaluates products and
 maps.  Coordinate tuples appear only at the boundary: eval_product,
@@ -507,11 +508,7 @@ def _stored_rows(basis: GradedBasis, cells) -> tuple:
     """
     n = basis.dim
     kernel_scalar = basis.field.kernel_scalar
-    distinct, classes = basis.degree_classes
-    position = {d: p for p, d in enumerate(distinct)}
-    # (class of e_i, class of e_j) -> the class of their degree sum, -1 if no
-    # basis vector has it; filled only for pairs with a nonempty cell
-    sum_class: dict = {}
+    classes, sum_class = basis.degree_classes[1], _SumClasses(basis)
     # rows with no nonempty cell share one tuple; a row with one is a list while it fills
     empty_row = (_EMPTY,) * n
     rows = [empty_row] * n
@@ -527,23 +524,33 @@ def _stored_rows(basis: GradedBasis, cells) -> tuple:
             nonzero = {k: v for k in sorted(c) if (v := kernel_scalar(c[k]))} if c else None
         if not nonzero:
             continue
-        pair = (classes[i], classes[j])
-        target = sum_class.get(pair)
-        if target is None:
-            target = sum_class[pair] = position.get(distinct[pair[0]] + distinct[pair[1]], -1)
+        target = sum_class[classes[i], classes[j]]
         for k in nonzero:
             if classes[k] != target:
-                raise StructureError(
-                    f"product not even: c[{i}][{j}][{k}] != 0 but "
-                    f"deg(e_{k}) != deg(e_{i}) + deg(e_{j})",
-                    indices=(i, j, k),
-                )
+                raise _uneven(i, j, k)
         if rows[i] is empty_row:
             rows[i] = [_EMPTY] * n
         rows[i][j] = nonzero
     for i, row in enumerate(rows):
         rows[i] = tuple(row)
     return tuple(rows)
+
+
+class _SumClasses(dict):
+    """(class of e_i, class of e_j) -> the class of their degree sum, -1 if no basis vector has it; each pair filled on first read."""
+
+    def __init__(self, basis: GradedBasis):
+        self.distinct = basis.degree_classes[0]
+        self.position = {d: p for p, d in enumerate(self.distinct)}
+
+    def __missing__(self, pair: tuple) -> int:
+        self[pair] = t = self.position.get(self.distinct[pair[0]] + self.distinct[pair[1]], -1)
+        return t
+
+
+def _uneven(i: int, j: int, k: int) -> StructureError:
+    text = f"product not even: c[{i}][{j}][{k}] != 0 but deg(e_{k}) != deg(e_{i}) + deg(e_{j})"
+    return StructureError(text, indices=(i, j, k))
 
 
 def _eps_table(basis: GradedBasis, b: Bicharacter) -> tuple:
@@ -572,14 +579,19 @@ def make_algebra(basis: GradedBasis, bichar: Bicharacter, structure, alpha: Grad
       * an eps value too large to compute (see grading.EPS_MAX_BITS),
       * alpha on the wrong basis or of nonzero degree.
     """
+    _require_grading(basis, bichar)
+    algebra = ColorHomAlgebra(basis, bichar, structure, alpha)
+    _require_even_endo(basis, alpha, "alpha")
+    return algebra
+
+
+def _require_grading(basis: GradedBasis, bichar: Bicharacter):
+    """The one guard for "bichar grades this basis": the same group and field, and the bicharacter axioms."""
     if bichar.group != basis.group:
         raise StructureError("bicharacter and basis use different grading groups")
     if bichar.field != basis.field:
         raise StructureError("bicharacter and basis use different scalar fields")
     _require_bicharacter(bichar)
-    algebra = ColorHomAlgebra(basis, bichar, structure, alpha)
-    _require_even_endo(basis, alpha, "alpha")
-    return algebra
 
 
 def _require_even_endo(basis: GradedBasis, f: GradedLinearMap, role: str):
@@ -591,21 +603,11 @@ def _require_even_endo(basis: GradedBasis, f: GradedLinearMap, role: str):
 
 
 def _algebra_from_cells(basis: GradedBasis, bicharacter: Bicharacter, cells, alpha: GradedLinearMap) -> ColorHomAlgebra:
-    """make_algebra on the products as data, ((i, j), e_i * e_j) with sparse vectors.
+    """make_algebra on the products as data, ((i, j), e_i * e_j) with sparse vectors, row-major.
 
-    The one way an algebra is built from computed products: the cells come
-    row-major over the pairs that can be nonzero, so a producer costs its
-    nonempty cells, not n^2 calls, and make_algebra validates them and
-    stores them as the algebra's rows, with no dense tensor in between.
+    A producer on a new basis costs its nonempty cells, not n^2 calls, and no dense tensor is built.
     """
     return make_algebra(basis, bicharacter, _Cells(cells), alpha)
-
-
-def _algebra_like(a: ColorHomAlgebra, cells) -> ColorHomAlgebra:
-    """_algebra_from_cells on a's basis, bicharacter and alpha, reusing them and a's eps_table; each cell is still checked."""
-    out, rows = object.__new__(ColorHomAlgebra), _stored_rows(a.basis, cells)
-    vars(out).update(basis=a.basis, bicharacter=a.bicharacter, product_rows=rows, alpha=a.alpha, eps_table=a.eps_table)
-    return out
 
 
 def _cells(a: ColorHomAlgebra):

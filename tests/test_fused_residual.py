@@ -10,8 +10,9 @@ nonzero multiples of p as ints, neither fail a true identity nor hide a
 false one.
 
 checks._product_algebra builds the commutator and operator products on the
-parent's basis, bicharacter, alpha and eps table (core._algebra_like); it
-must give what _algebra_from_cells gives on the cells computed one by one.
+parent's basis, bicharacter, alpha and eps table (checks._product_table
+checks their evenness); it must give what _algebra_from_cells gives on the
+cells computed one by one.
 """
 
 from functools import cache
@@ -209,7 +210,10 @@ def test_products_on_a_parents_parts_equal_the_validated_build(field):
 def test_a_product_on_a_parents_parts_still_checks_evenness():
     entry = standard_entries(prime_field(7))[-1]  # z3_graded_nilpotent, graded
     a = entry.algebra
-    i, j = next((i, j) for i, j in iproduct(range(a.dim), repeat=2) if a.degrees[i] != a.degrees[j])
-    uneven = [((i, j), {k: 1}) for k in range(a.dim) if a.degrees[k] != a.degrees[i] + a.degrees[j]][:1]
+    # f sends the first output e_t of a nonzero product e_i * e_j to an e_k of another degree
+    (i, j), cell = next(core._cells(a))
+    t = next(iter(cell))
+    k = next(k for k in range(a.dim) if a.degrees[k] != a.degrees[t])
+    uneven = checks._Images(tuple({k: 1} if s == t else {} for s in range(a.dim)), None, None)
     with pytest.raises(StructureError, match="product not even"):
-        core._algebra_like(a, uneven)
+        checks._product_algebra("mapped", a, uneven)

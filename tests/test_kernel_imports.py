@@ -231,6 +231,46 @@ def test_the_twisted_guards_see_definitions_and_callers():
     assert list(_callers("x.py", tree, "_product_index")) == []
 
 
+# A declared product is built in one pass over its slices, by one builder that
+# _product_algebra and _twisted share: checks defines no cell generator between
+# the slices and the rows (_cells_of), and core no second way to assemble an
+# algebra on a parent's parts (_algebra_like).
+GONE = (("checks.py", "_cells_of"), ("core.py", "_algebra_like"))
+
+
+def _local_callees(tree, name):
+    """The functions defined at the top of a module that its top-level function name calls."""
+    tops = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+    return set(_called(tops[name])) & set(tops)
+
+
+@pytest.mark.parametrize("module, name", GONE)
+def test_the_replaced_product_passes_are_gone(module, name):
+    assert name not in set(_defined(_tree(module)))
+
+
+def test_the_declared_products_and_the_twisted_tables_share_one_builder():
+    tree = _tree("checks.py")
+    shared = _local_callees(tree, "_product_algebra") & _local_callees(tree, "_twisted")
+    assert len(shared) == 1
+    assert "_slice" in _local_callees(tree, *shared)
+
+
+def test_the_builder_guards_see_definitions_and_shared_callees():
+    tree = ast.parse(
+        "def _cells_of(s, n): pass\n"
+        "def _slice(k): pass\n"
+        "def _table(a): return _slice(a)\n"
+        "def _product_algebra(a): return _table(a), len(a)\n"
+        "def _twisted(a): return x._table(a)\n"
+    )
+    assert "_cells_of" in set(_defined(tree))
+    assert _local_callees(tree, "_product_algebra") & _local_callees(tree, "_twisted") == {"_table"}
+    assert _local_callees(tree, "_table") == {"_slice"}
+    tree = ast.parse("def _rows(a): pass\ndef _product_algebra(a): return _rows(a)\ndef _twisted(a): return _cells(a)\n")
+    assert _local_callees(tree, "_product_algebra") & _local_callees(tree, "_twisted") == set()
+
+
 # search_maps keeps kernel scalars from its values to its hits: neither it nor
 # its linear solve boxes a scalar into a field element (coerce) or keys one by
 # field.sort_key, in its own body, a nested function or a lambda.

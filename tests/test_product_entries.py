@@ -86,8 +86,8 @@ BUILDS = {
 
 
 def fresh(a):
-    """An algebra equal to a with no list built yet."""
-    return core._algebra_like(a, core._cells(a))
+    """An algebra equal to a with no list built yet: the declared product identity(x*y)."""
+    return checks._product_algebra("mapped", a, core.identity_map(a.basis))
 
 
 def built(b):
