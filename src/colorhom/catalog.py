@@ -432,8 +432,8 @@ def search_maps(
     values = tuple(canon)
     if not values:
         return []
-    n, degs = a.dim, a.degrees
-    rows = [[k for k in range(n) if degs[k] == degs[i]] for i in range(n)]
+    n, classes = a.dim, a.basis.degree_classes[1]
+    rows = [[k for k in range(n) if classes[k] == classes[i]] for i in range(n)]
     # the latest column first: each equation's pivot is its entry in its latest
     # column, so a fixed entry reads free entries of its own column or earlier ones
     positions = [(k, i) for i in reversed(range(n)) for k in rows[i]]

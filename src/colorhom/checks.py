@@ -69,7 +69,6 @@ from .core import (
     GradedLinearMap,
     ProductIndex,
     _EMPTY,
-    _SumClasses,
     _column_rows,
     _product_index,
     _require_even_endo,
@@ -86,6 +85,7 @@ from .core import (
     sparse_vector,
 )
 from .errors import StructureError
+from .grading import _validated
 
 __all__ = [
     "Witness",
@@ -489,11 +489,15 @@ _PASSED, _SKEW, _BOUND = "passed_identities", "eps_skew", "bound_slices"
 
 
 def _eps_skew(a: ColorHomAlgebra) -> bool:
-    """Whether eps(d, e) eps(e, d) = 1 (mod p over F_p) on every two degrees of a's basis, by classes; kept on a."""
+    """Whether eps(d, e) eps(e, d) = 1 (mod p over F_p) on every two degrees of a's basis; kept on a.
+
+    It holds for a bicharacter that has passed its axioms, as E[i][j] E[j][i] = 1
+    on the generators; another is tested on its eps table, one index of each class.
+    """
     if _SKEW not in vars(a):
-        eps, (distinct, classes), p = a.eps_table, a.basis.degree_classes, a.field.p
-        first = [classes.index(q) for q in range(len(distinct))]
-        units = [eps[i][j] * eps[j][i] - 1 for i in first for j in first]
+        eps, classes, p = a.eps_table, a.basis.degree_classes[1], a.field.p
+        each = {c: i for i, c in enumerate(classes)}.values()
+        units = () if _validated(a.bicharacter) else [eps[i][j] * eps[j][i] - 1 for i in each for j in each]
         vars(a)[_SKEW] = not any(units) if p is None else not any(u % p for u in units)
     return vars(a)[_SKEW]
 
@@ -774,19 +778,19 @@ def _product_table(name: str, a: ColorHomAlgebra, f, stored: bool = True) -> tup
     row-major.  Stored, c is a kernel scalar, zeros dropped, checked even as core._stored_rows checks
     it; else the kernel's sum, unreduced over F_p, as the scans read it.
     """
-    n, kernel_scalar, classes, sum_class = a.dim, a.field.kernel_scalar, a.basis.degree_classes[1], _SumClasses(a.basis)
+    n, kernel_scalar, classes, class_sums = a.dim, a.field.kernel_scalar, a.basis.degree_classes[1], a.basis.class_sums
     rows, scan_slice = [(_EMPTY,) * n] * n, _slice(name)(a, a, f)
     for i in range(n):
         r = scan_slice(i)
         if not (keys := sorted(filter(r.get, r))):  # the keys with a nonzero value
             continue
-        row, c = [_EMPTY] * n, classes[i]
+        row, sums = [_EMPTY] * n, class_sums[classes[i]]
         for key in keys:
             (j, m), v = divmod(key, n), r[key]
             if stored:
                 if not (v := kernel_scalar(v)):
                     continue
-                if classes[m] != sum_class[c, classes[j]]:
+                if classes[m] != sums[classes[j]]:
                     raise _uneven(i, j, m)
             if (cell := row[j]) is _EMPTY:
                 cell = row[j] = {}

@@ -33,10 +33,10 @@ from .checks import (
 )
 from .core import (
     ColorHomAlgebra,
-    GradedBasis,
     GradedLinearMap,
     _Columns,
     _algebra_from_cells,
+    _basis_of_classes,
     _cells,
     _require_even_endo,
     compose_maps,
@@ -48,6 +48,7 @@ from .core import (
     sparse_vector,
 )
 from .errors import HypothesisError, SingularMapError, StructureError
+from .grading import _eps_rows
 
 __all__ = [
     "yau_twist",
@@ -234,7 +235,11 @@ def direct_sum(a: ColorHomAlgebra, b: ColorHomAlgebra) -> ColorHomAlgebra:
     """
     _require_shared_grading(a, b, "direct sum")
     na = a.dim
-    basis = GradedBasis(a.field, a.group, a.degrees + b.degrees)
+    # b's classes continue a's: its degrees already in a keep a's class
+    (distinct, a_classes), (b_distinct, b_classes) = a.basis.degree_classes, b.basis.degree_classes
+    position = {d: c for c, d in enumerate(distinct)}
+    b_class = [position.setdefault(d, len(position)) for d in b_distinct]
+    basis = _basis_of_classes(a.field, a.group, tuple(position), a_classes + tuple(map(b_class.__getitem__, b_classes)))
     # mixed products vanish: a's cells, then b's shifted past them
     shifted_cells = (((na + i, na + j), {na + k: c for k, c in cell.items()}) for (i, j), cell in _cells(b))
     shifted = tuple({na + k: c for k, c in column.items()} for column in b.alpha.sparse_columns)
@@ -264,12 +269,17 @@ def tensor_product(s: ColorHomAlgebra, a: ColorHomAlgebra, *, checked: bool = Tr
         _require("tensor_product", "hom-novikov(first factor)", check_hom_novikov(s))
         _require("tensor_product", "epsilon-commutative(second factor)", check_epsilon_commutative(a))
         _require("tensor_product", "hom-associative(second factor)", check_hom_associative(a))
-    degrees = tuple(s.degrees[i] + a.degrees[p] for i in range(ns) for p in range(na))
-    basis = GradedBasis(s.field, s.group, degrees)
-    signs = [
-        [s.field.kernel_scalar(s.eps(a.degrees[p], s.degrees[j])) for j in range(ns)]
-        for p in range(na)
-    ]
+    # one degree sum per pair of classes; index (i, p) first reaches the pair (class of i, class of p)
+    # in lexicographic order of the pairs, so setdefault numbers the output's classes by first occurrence
+    (s_distinct, s_classes), (a_distinct, a_classes) = s.basis.degree_classes, a.basis.degree_classes
+    position: dict = {}
+    pair_class = [[position.setdefault(x + y, len(position)) for y in a_distinct] for x in s_distinct]
+    classes = tuple(pair_class[c][q] for c in s_classes for q in a_classes)
+    basis = _basis_of_classes(s.field, s.group, tuple(position), classes)
+    # signs[p][j] = eps(deg e_p, deg e_j), one value per pair of classes
+    a_coords, s_coords = [d.coords for d in a_distinct], [d.coords for d in s_distinct]
+    sign_rows = [tuple(map(row.__getitem__, s_classes)) for row in _eps_rows(s.bicharacter, a_coords, s_coords)]
+    signs = [sign_rows[q] for q in a_classes]
     # each factor's nonempty cells (j, e_i * e_j) by row i
     rs, ra = ([[(j, cell) for j, cell in enumerate(row) if cell] for row in x.product_rows] for x in (s, a))
     # row (i, p), then the nonempty (j, q) ascending within it: row-major in the output

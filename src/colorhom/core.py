@@ -20,7 +20,7 @@ dense path reads a tensor's, and _cells yields an algebra's nonempty ones,
 so a producer costs its nonzeros rather than n^2 calls; the constructions'
 products are declared in checks, which stores their rows straight from
 their slices (checks._product_table), checking evenness as _stored_rows
-does (_SumClasses, _uneven); no construction code lives here.  Algebras
+does (GradedBasis.class_sums, _uneven); no construction code lives here.  Algebras
 carry their eps value per pair of basis indices as a view excluded from
 equality and repr; product_index, which lists the products' nonzero terms
 for the scans, is built on first read.
@@ -52,6 +52,7 @@ import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add, mod
 from typing import Iterable, NamedTuple
 
 from .errors import SingularMapError, StructureError
@@ -60,6 +61,7 @@ from .grading import (
     Bicharacter,
     GradeGroup,
     GroupElement,
+    _eps_rows,
     _require_bicharacter,
     bicharacter_eval,
 )
@@ -128,6 +130,21 @@ class GradedBasis:
             position.setdefault(d, len(position))
         return tuple(position), tuple(position[d] for d in self.degrees)
 
+    @cached_property
+    def class_sums(self) -> "_ClassSums":
+        """class_sums[c][d]: the class of the sum of classes c and d, -1 if no basis vector has it; a row filled on first read."""
+        return _ClassSums(self)
+
+
+def _basis_of_classes(field: ScalarField, group: GradeGroup, distinct: tuple, classes: tuple) -> GradedBasis:
+    """The basis whose e_i has degree distinct[classes[i]], with (distinct, classes) as its degree_classes.
+
+    distinct must list the degrees in order of first occurrence along classes, as degree_classes does.
+    """
+    basis = GradedBasis(field, group, tuple(map(distinct.__getitem__, classes)))
+    vars(basis)["degree_classes"] = distinct, classes
+    return basis
+
 
 def trivial_basis(field: ScalarField, dim: int) -> GradedBasis:
     """Everything in degree 0 of the trivial group."""
@@ -163,7 +180,7 @@ class GradedLinearMap:
     degree: GroupElement
 
     def __init__(self, basis: GradedBasis, matrix, degree: GroupElement | None = None):
-        n, degs, field = basis.dim, basis.degrees, basis.field
+        n, field = basis.dim, basis.field
         deg = degree if degree is not None else basis.group.zero()
         if not isinstance(deg, GroupElement) or deg.group != basis.group:
             raise StructureError("map degree not in the grading group")
@@ -176,10 +193,10 @@ class GradedLinearMap:
             columns = [{k: row[i] for k, row in enumerate(rows) if row[i]} for i in range(n)]
         kernel_scalar = field.kernel_scalar
         stored = tuple({k: v for k in sorted(c) if (v := kernel_scalar(c[k]))} or _EMPTY for c in columns)
-        # targets[i]: the coordinates of the one degree a nonzero entry of column i may land in
-        coords = [d.coords for d in degs]
-        targets = coords if deg.is_zero else [(d + deg).coords for d in degs]
-        offending = [(k, i) for i, c in enumerate(stored) for k in c if coords[k] != targets[i]]
+        # targets[i]: the class of the one degree a nonzero entry of column i may land in, -1 if none
+        classes = basis.degree_classes[1]
+        targets = classes if deg.is_zero else [*map(basis.class_sums.shifted(deg.coords).__getitem__, classes)]
+        offending = [(k, i) for i, c in enumerate(stored) for k in c if classes[k] != targets[i]]
         if offending:
             k, i = min(offending)
             raise StructureError(f"entry ({k},{i}) breaks homogeneity of degree {deg}", indices=(k, i))
@@ -508,7 +525,7 @@ def _stored_rows(basis: GradedBasis, cells) -> tuple:
     """
     n = basis.dim
     kernel_scalar = basis.field.kernel_scalar
-    classes, sum_class = basis.degree_classes[1], _SumClasses(basis)
+    classes, class_sums = basis.degree_classes[1], basis.class_sums
     # rows with no nonempty cell share one tuple; a row with one is a list while it fills
     empty_row = (_EMPTY,) * n
     rows = [empty_row] * n
@@ -524,7 +541,7 @@ def _stored_rows(basis: GradedBasis, cells) -> tuple:
             nonzero = {k: v for k in sorted(c) if (v := kernel_scalar(c[k]))} if c else None
         if not nonzero:
             continue
-        target = sum_class[classes[i], classes[j]]
+        target = class_sums[classes[i]][classes[j]]
         for k in nonzero:
             if classes[k] != target:
                 raise _uneven(i, j, k)
@@ -536,16 +553,27 @@ def _stored_rows(basis: GradedBasis, cells) -> tuple:
     return tuple(rows)
 
 
-class _SumClasses(dict):
-    """(class of e_i, class of e_j) -> the class of their degree sum, -1 if no basis vector has it; each pair filled on first read."""
+class _ClassSums(dict):
+    """Class c -> the class of its degree plus each class's, -1 where no basis vector has it; a row filled on first read.
+
+    Sums are taken on class coordinates with the torsion reduced, no GroupElement is formed.
+    """
 
     def __init__(self, basis: GradedBasis):
-        self.distinct = basis.degree_classes[0]
-        self.position = {d: p for p, d in enumerate(self.distinct)}
+        self.coords = [d.coords for d in basis.degree_classes[0]]
+        self.position = {x: c for c, x in enumerate(self.coords)}
+        self.free_rank, self.orders = basis.group.free_rank, basis.group.torsion_orders
 
-    def __missing__(self, pair: tuple) -> int:
-        self[pair] = t = self.position.get(self.distinct[pair[0]] + self.distinct[pair[1]], -1)
-        return t
+    def shifted(self, x: tuple) -> list:
+        """The class of each class's degree plus the canonical coordinates x, -1 where no basis vector has it."""
+        position, r, orders = self.position, self.free_rank, self.orders
+        return [
+            position.get((z := tuple(map(add, x, y)))[:r] + tuple(map(mod, z[r:], orders)), -1) for y in self.coords
+        ]
+
+    def __missing__(self, c: int) -> list:
+        self[c] = row = self.shifted(self.coords[c])
+        return row
 
 
 def _uneven(i: int, j: int, k: int) -> StructureError:
@@ -556,16 +584,12 @@ def _uneven(i: int, j: int, k: int) -> StructureError:
 def _eps_table(basis: GradedBasis, b: Bicharacter) -> tuple:
     """eps for every pair of basis indices, as kernel scalars.
 
-    One evaluation per pair of distinct degrees; indices of equal degree
-    share one row tuple.
+    One value per pair of classes, from b's generator values
+    (grading._eps_rows); indices of one class share one row tuple.
     """
-    field, (distinct, classes) = basis.field, basis.degree_classes
-    rows = [
-        tuple(values[q] for q in classes)
-        for values in (
-            [field.kernel_scalar(bicharacter_eval(b, d, e)) for e in distinct] for d in distinct
-        )
-    ]
+    distinct, classes = basis.degree_classes
+    coords = [d.coords for d in distinct]
+    rows = [tuple(map(values.__getitem__, classes)) for values in _eps_rows(b, coords, coords)]
     return tuple(rows[p] for p in classes)
 
 

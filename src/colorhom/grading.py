@@ -192,13 +192,20 @@ def make_bicharacter(field: ScalarField, group: GradeGroup, rows) -> Bicharacter
 
 
 def _require_bicharacter(b: Bicharacter) -> Bicharacter:
-    """The one guard for "b passes its axioms": b, or StructureError naming the first violation."""
-    report = validate_bicharacter(b)
-    if not report.ok:
-        raise StructureError(
-            f"bicharacter axiom '{report.axiom}' fails at generator pair {report.pair}: {report.detail}"
-        )
+    """The one guard for "b passes its axioms": b, or StructureError naming the first violation; a pass is kept on b."""
+    if not _validated(b):
+        report = validate_bicharacter(b)
+        if not report.ok:
+            raise StructureError(
+                f"bicharacter axiom '{report.axiom}' fails at generator pair {report.pair}: {report.detail}"
+            )
+        vars(b)["valid"] = True
     return b
+
+
+def _validated(b: Bicharacter) -> bool:
+    """Whether b has passed _require_bicharacter."""
+    return "valid" in vars(b)
 
 
 def trivial_bicharacter(field: ScalarField, group: GradeGroup) -> Bicharacter:
@@ -249,3 +256,58 @@ def bicharacter_eval(b: Bicharacter, a: GroupElement, c: GroupElement):
                         )
             out = out * v ** e
     return out
+
+
+def _eps_rows(b: Bicharacter, rows, cols) -> list:
+    """eps(x, y) as kernel scalars, a list over y in cols for each x in rows, all canonical coordinate tuples.
+
+    bicharacter_eval's product over generator pairs, exponents reduced by
+    torsion, on the generator values as kernel scalars (listed once per b,
+    the pairs whose value is 1 left out): pow(v, e, p) over F_p, int powers
+    over Q.  A rational value other than +-1 counts its bits as
+    bicharacter_eval does, so the same pair raises the same StructureError.
+    """
+    p = b.field.p
+    if "eps_terms" not in vars(b):
+        g, kernel_scalar, table = b.group, b.field.kernel_scalar, b.gen_table
+        r, orders, terms = g.free_rank, g.torsion_orders, []
+        for s, t in product(range(g.ngen), repeat=2):
+            if (v := kernel_scalar(table[s][t])) != 1:
+                height = max(abs(v.numerator), v.denominator) if p is None else 1
+                order = orders[s - r] if s >= r else orders[t - r] if t >= r else 0
+                terms.append((s, t, order, v, height.bit_length() if height > 1 else 0))
+        vars(b)["eps_terms"] = terms
+    value = _fp_eps if p else _q_eps
+    out = []
+    for x in rows:
+        live = [(s, x[s], t, order, v, h) for s, t, order, v, h in vars(b)["eps_terms"] if x[s]]
+        out.append([value(live, y, p) for y in cols])
+    return out
+
+
+def _fp_eps(live, y, p) -> int:
+    out = 1
+    for _, xs, t, order, v, _ in live:
+        if e := xs * y[t] % order if order else xs * y[t]:
+            # a zero value (a table failing invertibility) has no negative power, as in Fp
+            out = out * (pow(v, e, p) if v else 0**e) % p
+    return out
+
+
+def _q_eps(live, y, p):
+    num = den = 1
+    bits = 0
+    for s, xs, t, order, v, h in live:
+        if e := xs * y[t] % order if order else xs * y[t]:
+            if h:
+                bits += abs(e) * h
+                if bits > EPS_MAX_BITS:
+                    raise StructureError(
+                        f"eps value too large: generator pair ({s}, {t}) raises {v} past {EPS_MAX_BITS} bits"
+                    )
+            n, d = (v.numerator, v.denominator) if e > 0 else (v.denominator, v.numerator)
+            num, den = num * n ** abs(e), den * d ** abs(e)
+    if den == 1:
+        return num
+    q = Fraction(num, den)
+    return q.numerator if q.denominator == 1 else q

@@ -158,6 +158,10 @@ class ScalarField:
         else:
             raise StructureError(f"unknown field kind {self.kind!r}")
 
+    def __hash__(self):
+        # the generated hash would read p = None, and hash(None) is not the same in two processes
+        return hash((self.kind, self.characteristic))
+
     @property
     def characteristic(self) -> int:
         return 0 if self.kind == RATIONALS else self.p

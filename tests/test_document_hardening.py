@@ -267,6 +267,45 @@ def test_cli_check_on_a_product_free_dim_600_document_is_fast_and_small(tmp_path
     assert peak_mb < 300
 
 
+def _many_degree_document(group, table, degrees):
+    """Product-free, identity alpha, one basis vector per degree: about 1 MB at 600 degrees."""
+    n = len(degrees)
+    return json.dumps({
+        "field": {"kind": "rationals"},
+        "group": group,
+        "bicharacter": {"gen_table": table},
+        "basis": {"degrees": degrees},
+        "product": {"triples": []},
+        "alpha": {"matrix": [[1 if k == i else 0 for i in range(n)] for k in range(n)]},
+    })
+
+
+@pytest.mark.parametrize(
+    "group, table, degrees, bound",
+    [
+        # eps = (-1)^(de): 4.0 s before eps was taken per pair of classes from the generator values, 0.5 s after (2 cores)
+        ({"free_rank": 1, "torsion_orders": []}, [[-1]], [[k] for k in range(600)], 2),
+        # eps = 2^(d0 e1 - d1 e0), up to 552 bits: 10.8 s before, 1.3 s after (2 cores)
+        ({"free_rank": 2, "torsion_orders": []}, [[1, 2], ["1/2", 1]], [[k % 25, k // 25] for k in range(600)], 6),
+    ],
+    ids=["Z-signs", "Z2-rationals"],
+)
+def test_cli_check_on_a_product_free_600_degree_document_is_fast_and_small(tmp_path, group, table, degrees, bound):
+    path = tmp_path / "degrees600.json"
+    path.write_text(_many_degree_document(group, table, degrees), encoding="utf-8")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "colorhom", "check", str(path), "epsilon_commutative"],
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space,
+    )
+    elapsed = time.perf_counter() - start
+    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < bound
+    assert peak_mb < 300
+
+
 def _catalog_document(recipe, n):
     entry = build_entry(recipe, rationals(), n=n)
     return serialize_document(entry.algebra, maps=entry.maps, forms=entry.forms)

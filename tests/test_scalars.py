@@ -1,5 +1,8 @@
 """Exactness and field-law tests for the scalar layer."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -119,3 +122,22 @@ def test_sort_key_orders_both_fields():
 def test_field_labels():
     assert str(rationals()) == "Q"
     assert str(prime_field(11)) == "F11"
+
+
+_HASHES = (
+    "from colorhom.catalog import build_entry\n"
+    "from colorhom.scalars import prime_field, rationals\n"
+    "print(hash(rationals()), hash(prime_field(7)), hash(build_entry('euler_novikov', rationals(), n=4).algebra))\n"
+)
+
+
+def test_field_and_algebra_hashes_agree_between_processes():
+    # string hashes are fixed by the seed; nothing else a field hashes may depend on the process
+    env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": os.pathsep.join(sys.path)}
+    runs = [
+        subprocess.run([sys.executable, "-c", _HASHES], capture_output=True, text=True, env=env, timeout=60)
+        for _ in range(2)
+    ]
+    assert all(run.returncode == 0 for run in runs), [run.stderr for run in runs]
+    assert runs[0].stdout == runs[1].stdout
+    assert len(runs[0].stdout.split()) == 3
