@@ -34,8 +34,9 @@ the first failing tuple is the least of its orbit, and the least keeps x_s
 yields.  A swap on an eps table failing that equation is not used.  A scan
 that passes is recorded on the algebra, and on an algebra where
 skew-symmetry has passed, the hom-Jacobi sum is also eps-alternating in its
-last two slots (_GAINED).  The eps test and each slice bound to the algebra
-are kept on it too, so a repeated scan of one algebra costs its slices alone.
+last two slots (_GAINED).  The eps test, the bound slices, each scan's
+slice and witness sides (_SCANS) and check_lie_admissible's commutator are
+kept on it too, so a repeated check of one algebra object costs its slices.
 
 The constructions' products are declared in the same language, with two
 slots and no right side (_PRODUCTS): slice i holds row i.  One pass over
@@ -182,6 +183,10 @@ class _Scope(NamedTuple):
     eps_f: dict  # degree -> eps(deg f, degree), filled as terms read it
     weight: object  # a kernel scalar
     form: object
+
+    def sides(self, name: str):
+        """A declaration's sides compiled on this scope (_compiled)."""
+        return _compiled(name)(*self)
 
 
 def _eps_f(source: ColorHomAlgebra, f: GradedLinearMap, eps_f: dict, i: int):
@@ -484,8 +489,9 @@ _SYMMETRIES = {
 # that one has passed; with skew-symmetry, the hom-Jacobi sum is eps-alternating in y, z
 _GAINED = {"hom-jacobi": ("skew-symmetry", (1, 2))}
 
-# what scans keep in an algebra's instance dict: identities passed, _eps_skew, slices bound by _slice key
-_PASSED, _SKEW, _BOUND = "passed_identities", "eps_skew", "bound_slices"
+# what checks keep in an algebra's instance dict: identities passed, _eps_skew, slices bound by _slice key, each
+# scan's slice and sides by (identity, whether _GAINED's identity has passed), check_lie_admissible's commutator
+_PASSED, _SKEW, _BOUND, _SCANS, _COMMUTATOR = "passed_identities", "eps_skew", "bound_slices", "scans", "commutator"
 
 
 def _eps_skew(a: ColorHomAlgebra) -> bool:
@@ -544,7 +550,7 @@ def _dense(a: ColorHomAlgebra, x: dict) -> tuple:
     return dense_vector(a.field, a.dim, x)
 
 
-def _first_failure(a: ColorHomAlgebra, slices, order, names, scope, width: int | None = None) -> Verdict:
+def _first_failure(a: ColorHomAlgebra, slices, order, names, sides, width: int | None = None) -> Verdict:
     """The first tuple where the named declarations fail, from their slices, with the first failing one there.
 
     The slices fix the first slot of order, one index at a time.  The witness
@@ -552,9 +558,9 @@ def _first_failure(a: ColorHomAlgebra, slices, order, names, scope, width: int |
     one of them, not the least key reached, since contributions can cancel; a
     slice of exact zeros is passed over with one test, and once the witness
     is the index's first tuple, no later slice is computed.  There alone the
-    sides, compiled per tuple, run for the names in order, and the first pair
-    that differs, reduced over F_p, is made dense with width coordinates
-    (a.dim unless given; a scalar keeps its value at key 0).
+    sides of each name, compiled per tuple (sides(name)), run in order, and
+    the first pair that differs, reduced over F_p, is made dense with width
+    coordinates (a.dim unless given; a scalar keeps its value at key 0).
     """
     n, field = a.dim, a.field
     p, top = field.p, n ** 3
@@ -572,7 +578,7 @@ def _first_failure(a: ColorHomAlgebra, slices, order, names, scope, width: int |
             digits = (i, *divmod(j, n)) if len(order) == 3 else (i, j)[:len(order)]
             idx = digits if order[0] == 0 else tuple(digits[order.index(s)] for s in range(len(order)))
             for name in names:
-                left, right = _compiled(name)(*scope)(*idx)
+                left, right = sides(name)(*idx)
                 if left != right and (p is None or _reduced(left, p) != _reduced(right, p)):
                     return _fail(name, idx, dense_vector(field, width or n, left), dense_vector(field, width or n, right))
     return PASS
@@ -584,14 +590,18 @@ def _reduced(x: dict, p: int) -> dict:
 
 
 def _scan(a: ColorHomAlgebra, name: str) -> Verdict:
-    """Quantify one identity over its canonical tuples (_canonical) by slot-0 slices, bound and kept on a, as a pass is."""
-    scope, canonical = _Scope(a, a, None, {}, 0, None), _canonical(a, name)
-    key, bound = (name, canonical) if canonical else name, vars(a).setdefault(_BOUND, {})
-    if key not in bound:
-        bound[key] = _slice(key)(a)
-    verdict = _first_failure(a, [bound[key]], range(IDENTITY_ARITY[name]), [name], scope)
+    """Quantify one identity over its canonical tuples (_canonical) by slot-0 slices, kept on a (_SCANS), as a pass is."""
+    kept = vars(a)
+    key = name, name in _GAINED and _GAINED[name][0] in kept.get(_PASSED, ())
+    if key not in (scans := kept.setdefault(_SCANS, {})):
+        canonical, bound = _canonical(a, name), kept.setdefault(_BOUND, {})
+        if (slice_key := (name, canonical) if canonical else name) not in bound:
+            bound[slice_key] = _slice(slice_key)(a)
+        sides = {name: _Scope(a, a, None, {}, 0, None).sides(name)}
+        scans[key] = [bound[slice_key]], range(IDENTITY_ARITY[name]), (name,), sides.get
+    verdict = _first_failure(a, *scans[key])
     if verdict:
-        vars(a).setdefault(_PASSED, set()).add(name)
+        kept.setdefault(_PASSED, set()).add(name)
     return verdict
 
 
@@ -662,8 +672,13 @@ def check_cyclic_commutator_products(a: ColorHomAlgebra) -> Verdict:
 
 
 def check_lie_admissible(a: ColorHomAlgebra) -> Verdict:
-    """The commutator bracket of a satisfies the Hom-Lie axioms."""
-    return check_hom_lie(_product_algebra("bracket", a))
+    """The commutator bracket of a satisfies the Hom-Lie axioms.
+
+    The commutator is built on first need and kept on a, so a repeated call costs its Hom-Lie scans alone.
+    """
+    if _COMMUTATOR not in vars(a):
+        vars(a)[_COMMUTATOR] = _product_algebra("bracket", a)
+    return check_hom_lie(vars(a)[_COMMUTATOR])
 
 
 # ---------------------------------------------------------------------------
@@ -861,7 +876,7 @@ def _holds(source, target, f, groups, side="both", weight=0, form=None) -> Verdi
         arity, left, _ = _CONDITIONS[group[0]]
         slices = [_slice(name)(*s) for name in group]
         width = 1 if type(left[0][2]) is B else None  # a form's value is a scalar
-        v = _first_failure(source, slices, _ORDERS.get(group[0], range(arity)), group, s, width)
+        v = _first_failure(source, slices, _ORDERS.get(group[0], range(arity)), group, s.sides, width)
         if not v:
             return v
     return PASS

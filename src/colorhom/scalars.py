@@ -9,6 +9,7 @@ prime field with p = 1 (mod n).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import StructureError
@@ -166,8 +167,9 @@ class ScalarField:
     def characteristic(self) -> int:
         return 0 if self.kind == RATIONALS else self.p
 
-    @property
+    @cached_property
     def zero(self):
+        # one shared zero per field, made on first read; no Fraction or Fp is changed in place
         return Fraction(0) if self.kind == RATIONALS else Fp(0, self.p)
 
     @property
