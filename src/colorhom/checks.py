@@ -34,9 +34,9 @@ the first failing tuple is the least of its orbit, and the least keeps x_s
 yields.  A swap on an eps table failing that equation is not used.  A scan
 that passes is recorded on the algebra, and on an algebra where
 skew-symmetry has passed, the hom-Jacobi sum is also eps-alternating in its
-last two slots (_GAINED).  The eps test, the bound slices, each scan's
-slice and witness sides (_SCANS) and check_lie_admissible's commutator are
-kept on it too, so a repeated check of one algebra object costs its slices.
+last two slots (_GAINED).  Each scan's slice (_SCANS) and the commutator
+check_lie_admissible builds are kept on it too, and nothing kept refers
+back to it; a repeated check of one algebra object costs its slices.
 
 The constructions' products are declared in the same language, with two
 slots and no right side (_PRODUCTS): slice i holds row i.  One pass over
@@ -183,10 +183,6 @@ class _Scope(NamedTuple):
     eps_f: dict  # degree -> eps(deg f, degree), filled as terms read it
     weight: object  # a kernel scalar
     form: object
-
-    def sides(self, name: str):
-        """A declaration's sides compiled on this scope (_compiled)."""
-        return _compiled(name)(*self)
 
 
 def _eps_f(source: ColorHomAlgebra, f: GradedLinearMap, eps_f: dict, i: int):
@@ -489,23 +485,23 @@ _SYMMETRIES = {
 # that one has passed; with skew-symmetry, the hom-Jacobi sum is eps-alternating in y, z
 _GAINED = {"hom-jacobi": ("skew-symmetry", (1, 2))}
 
-# what checks keep in an algebra's instance dict: identities passed, _eps_skew, slices bound by _slice key, each
-# scan's slice and sides by (identity, whether _GAINED's identity has passed), check_lie_admissible's commutator
-_PASSED, _SKEW, _BOUND, _SCANS, _COMMUTATOR = "passed_identities", "eps_skew", "bound_slices", "scans", "commutator"
+# what checks keep in an algebra's instance dict: identities passed, each scan's bound slice by (identity,
+# whether _GAINED's identity has passed), check_lie_admissible's commutator
+_PASSED, _SCANS, _COMMUTATOR = "passed_identities", "scans", "commutator"
 
 
 def _eps_skew(a: ColorHomAlgebra) -> bool:
-    """Whether eps(d, e) eps(e, d) = 1 (mod p over F_p) on every two degrees of a's basis; kept on a.
+    """Whether eps(d, e) eps(e, d) = 1 (mod p over F_p) on every two degrees of a's basis.
 
     It holds for a bicharacter that has passed its axioms, as E[i][j] E[j][i] = 1
     on the generators; another is tested on its eps table, one index of each class.
     """
-    if _SKEW not in vars(a):
-        eps, classes, p = a.eps_table, a.basis.degree_classes[1], a.field.p
-        each = {c: i for i, c in enumerate(classes)}.values()
-        units = () if _validated(a.bicharacter) else [eps[i][j] * eps[j][i] - 1 for i in each for j in each]
-        vars(a)[_SKEW] = not any(units) if p is None else not any(u % p for u in units)
-    return vars(a)[_SKEW]
+    if _validated(a.bicharacter):
+        return True
+    eps, classes, p = a.eps_table, a.basis.degree_classes[1], a.field.p
+    each = {c: i for i, c in enumerate(classes)}.values()
+    units = [eps[i][j] * eps[j][i] - 1 for i in each for j in each]
+    return not any(units) if p is None else not any(u % p for u in units)
 
 
 def _canonical(a: ColorHomAlgebra, name: str) -> tuple:
@@ -550,7 +546,7 @@ def _dense(a: ColorHomAlgebra, x: dict) -> tuple:
     return dense_vector(a.field, a.dim, x)
 
 
-def _first_failure(a: ColorHomAlgebra, slices, order, names, sides, width: int | None = None) -> Verdict:
+def _first_failure(a: ColorHomAlgebra, slices, order, names, scope=None, width: int | None = None) -> Verdict:
     """The first tuple where the named declarations fail, from their slices, with the first failing one there.
 
     The slices fix the first slot of order, one index at a time.  The witness
@@ -558,9 +554,9 @@ def _first_failure(a: ColorHomAlgebra, slices, order, names, sides, width: int |
     one of them, not the least key reached, since contributions can cancel; a
     slice of exact zeros is passed over with one test, and once the witness
     is the index's first tuple, no later slice is computed.  There alone the
-    sides of each name, compiled per tuple (sides(name)), run in order, and
-    the first pair that differs, reduced over F_p, is made dense with width
-    coordinates (a.dim unless given; a scalar keeps its value at key 0).
+    sides of each name, compiled on scope (a's own _Scope unless given), run
+    in order, and the first pair that differs, reduced over F_p, is made
+    dense with width coordinates (a.dim unless given; a scalar at key 0).
     """
     n, field = a.dim, a.field
     p, top = field.p, n ** 3
@@ -577,8 +573,9 @@ def _first_failure(a: ColorHomAlgebra, slices, order, names, sides, width: int |
             j = least // n
             digits = (i, *divmod(j, n)) if len(order) == 3 else (i, j)[:len(order)]
             idx = digits if order[0] == 0 else tuple(digits[order.index(s)] for s in range(len(order)))
+            scope = scope or _Scope(a, a, None, {}, 0, None)
             for name in names:
-                left, right = sides(name)(*idx)
+                left, right = _compiled(name)(*scope)(*idx)
                 if left != right and (p is None or _reduced(left, p) != _reduced(right, p)):
                     return _fail(name, idx, dense_vector(field, width or n, left), dense_vector(field, width or n, right))
     return PASS
@@ -594,11 +591,8 @@ def _scan(a: ColorHomAlgebra, name: str) -> Verdict:
     kept = vars(a)
     key = name, name in _GAINED and _GAINED[name][0] in kept.get(_PASSED, ())
     if key not in (scans := kept.setdefault(_SCANS, {})):
-        canonical, bound = _canonical(a, name), kept.setdefault(_BOUND, {})
-        if (slice_key := (name, canonical) if canonical else name) not in bound:
-            bound[slice_key] = _slice(slice_key)(a)
-        sides = {name: _Scope(a, a, None, {}, 0, None).sides(name)}
-        scans[key] = [bound[slice_key]], range(IDENTITY_ARITY[name]), (name,), sides.get
+        canonical = _canonical(a, name)
+        scans[key] = [_slice((name, canonical) if canonical else name)(a)], range(IDENTITY_ARITY[name]), (name,)
     verdict = _first_failure(a, *scans[key])
     if verdict:
         kept.setdefault(_PASSED, set()).add(name)
@@ -876,7 +870,7 @@ def _holds(source, target, f, groups, side="both", weight=0, form=None) -> Verdi
         arity, left, _ = _CONDITIONS[group[0]]
         slices = [_slice(name)(*s) for name in group]
         width = 1 if type(left[0][2]) is B else None  # a form's value is a scalar
-        v = _first_failure(source, slices, _ORDERS.get(group[0], range(arity)), group, s.sides, width)
+        v = _first_failure(source, slices, _ORDERS.get(group[0], range(arity)), group, s, width)
         if not v:
             return v
     return PASS

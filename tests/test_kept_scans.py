@@ -1,15 +1,19 @@
-"""What a check keeps on its algebra: the commutator, each scan's slice and witness sides.
+"""What a check keeps on its algebra: the commutator and each scan's slice, and nothing that refers back to it.
 
 check_lie_admissible builds the commutator of an algebra once and keeps it in
-the algebra's instance dict, where the commutator keeps its own index, bound
-slices and passed identities; each identity scan keeps its slice and the
-witness sides, compiled on the algebra, by (identity, whether the identity
-its _GAINED swap rests on has passed).  A repeated call must give the
-verdict of a fresh copy and of the full-tuple oracle, build nothing twice,
-and leave equality, hashing and repr as they were.
+the algebra's instance dict, where the commutator keeps its own index, scans
+and passed identities; each identity scan keeps its bound slice by (identity,
+whether the identity its _GAINED swap rests on has passed).  A repeated call
+must give the verdict of a fresh copy and of the full-tuple oracle, build
+nothing twice, and leave equality, hashing and repr as they were.  The
+witness sides are compiled at a witness only, so a check that passes
+compiles none, and an algebra and its commutator are freed as soon as the
+last reference goes, with no help from the cycle collector.
 """
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 import scan_oracle
@@ -25,7 +29,7 @@ from colorhom.scalars import Fp, prime_field, rationals
 Q = rationals()
 FIELD_NAMES = ("basis", "bicharacter", "product_rows", "alpha", "eps_table")
 KEPT = {
-    checks._PASSED, checks._SKEW, checks._BOUND, checks._SCANS, checks._COMMUTATOR,
+    checks._PASSED, checks._SCANS, checks._COMMUTATOR,
     "times-image", "image-times", "product_index", "structure",
 }
 
@@ -88,19 +92,35 @@ def test_an_algebra_keeps_only_the_named_keys_and_none_is_a_field():
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_a_repeated_scan_compiles_no_witness_sides(monkeypatch, field):
-    def refused(*args):
-        raise AssertionError("a repeated scan compiled its sides")
-
-    witnesses = 0
+def test_a_check_compiles_the_sides_of_its_witness_identity_only(monkeypatch, field):
+    compiled, names = checks._compiled, []
+    monkeypatch.setattr(checks, "_compiled", lambda name, *rest: names.append(name) or compiled(name, *rest))
+    outcomes = set()
     for entry in standard_entries(field):
         b = fresh(entry.algebra)
-        first = [repr(check(b)) for check in IDENTITY_CHECKS]
-        with monkeypatch.context() as m:
-            m.setattr(checks, "_compiled", refused)
-            assert [repr(check(b)) for check in IDENTITY_CHECKS] == first, entry.recipe.name
-        witnesses += sum("Witness" in verdict for verdict in first)
-    assert witnesses
+        for _ in range(2):  # the second round reads the scans kept on b
+            for check in IDENTITY_CHECKS:
+                names.clear()
+                verdict = check(b)
+                assert names == ([] if verdict else [verdict.witness.identity]), (entry.recipe.name, check.__name__)
+                outcomes.add(verdict.passes)
+    assert outcomes == {True, False}
+
+
+def test_a_checked_algebra_and_its_commutator_are_freed_with_their_last_reference():
+    gc.disable()
+    try:
+        for field in FIELDS:
+            for entry in standard_entries(field):
+                b = fresh(entry.algebra)
+                for name in checks.IDENTITY_ARITY:
+                    checks._scan(b, name)
+                checks.check_lie_admissible(b)
+                kept = weakref.ref(b), weakref.ref(vars(b)[checks._COMMUTATOR])
+                del b
+                assert [ref() for ref in kept] == [None, None], (field, entry.recipe.name)
+    finally:
+        gc.enable()
 
 
 def test_dense_vector_boxes_no_new_zero(monkeypatch):

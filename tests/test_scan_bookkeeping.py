@@ -1,9 +1,10 @@
 """What an identity scan keeps on an algebra, and the zero-slice skip, hide nothing.
 
 A scan keeps in the algebra's instance dict, beside the identities found to
-hold and the twisted indexes, whether its eps table passes checks._eps_skew
-and the slices bound to it by their _slice key (identity, canonical slot
-pairs); checks._first_failure skips a slice whose values are all exact
+hold and the twisted indexes, its slice bound to the algebra by (identity,
+whether the identity its _GAINED swap rests on has passed), compiled over
+the canonical slot pairs, which read checks._eps_skew on the algebra's eps
+table; checks._first_failure skips a slice whose values are all exact
 zeros before it lists the nonzero keys, mod p over F_p.  So a slice of
 nonzero multiples of p must still pass, and a check run twice, or hom-Lie
 after skew-symmetry has passed (a new canonical key, with the swap the
@@ -50,7 +51,7 @@ def test_a_slice_of_nonzero_multiples_of_p_passes():
     r = checks._slice(key)(a)(0)
     assert r and all(v and v % 3 == 0 for v in r.values())
     assert checks._scan(a, "hom-jacobi") == scan_oracle.scan(a, "hom-jacobi") == checks.PASS
-    assert vars(a)[checks._BOUND][key](0) == r
+    assert vars(a)[checks._SCANS][("hom-jacobi", False)][0][0](0) == r
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -73,7 +74,12 @@ def test_hom_lie_after_skew_symmetry_gives_the_verdict_of_a_fresh_copy(field):
                 continue
             after = repr(checks._scan(b, "hom-jacobi"))
             assert before == after == repr(checks.check_hom_lie(fresh(a))) == repr(scan_oracle.scan(a, "hom-jacobi"))
-            keys = [key for key in vars(b)[checks._BOUND] if key[0] == "hom-jacobi"]
-            assert [(1, 2) in canonical for _, canonical in keys] == [False, True]
+            scans = vars(b)[checks._SCANS]
+            assert [key for key in scans if key[0] == "hom-jacobi"] == [("hom-jacobi", False), ("hom-jacobi", True)]
+            canonical = checks._canonical(b, "hom-jacobi")
+            assert (1, 2) in canonical
+            for passed, c in ((False, tuple(x for x in canonical if x != (1, 2))), (True, canonical)):
+                kept, compiled = scans["hom-jacobi", passed][0][0], checks._slice(("hom-jacobi", c))(b)
+                assert all(kept(i) == compiled(i) for i in range(b.dim))
             gained += 1
     assert gained
