@@ -10,8 +10,6 @@ walks its search tree in one fixed order and draws nothing at random.
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
@@ -30,7 +28,7 @@ from .core import (
     scalar_map,
     trivial_basis,
 )
-from .errors import StructureError
+from .errors import StructureError, _Record
 from .grading import GradeGroup, make_bicharacter, trivial_bicharacter
 from .operations import (
     CHECK,
@@ -69,22 +67,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class InstanceRecipe:
-    """Reproducible identity of a catalog instance."""
+class InstanceRecipe(_Record):
+    """Reproducible identity of a catalog instance.
 
-    name: str
-    field_label: str
-    params: tuple  # sorted (key, value) pairs, values already printable
-    claims: tuple  # check names the instance passes
+    params holds sorted (key, value) pairs, values already printable;
+    claims names the checks the instance passes.
+    """
+
+    __match_args__ = ("name", "field_label", "params", "claims")
+
+    def __init__(self, name: str, field_label: str, params: tuple, claims: tuple):
+        vars(self).update(name=name, field_label=field_label, params=params, claims=claims)
 
 
-@dataclass
-class CatalogEntry:
-    recipe: InstanceRecipe
-    algebra: ColorHomAlgebra
-    maps: dict = dc_field(default_factory=dict)
-    forms: dict = dc_field(default_factory=dict)
+class CatalogEntry(_Record):
+    """A recipe's instance: its algebra with named maps and forms.  Mutable and unhashable."""
+
+    __match_args__ = ("recipe", "algebra", "maps", "forms")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, recipe: InstanceRecipe, algebra: ColorHomAlgebra, maps: dict | None = None,
+                 forms: dict | None = None):
+        self.recipe = recipe
+        self.algebra = algebra
+        self.maps = {} if maps is None else maps
+        self.forms = {} if forms is None else forms
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +200,7 @@ _UNITAL_CLAIMS = (
     "regular", "involutive",
 )
 
-def _recipe_truncated_polynomial(field: ScalarField, n: int = 3) -> tuple:
+def _recipe_truncated_polynomial(field: ScalarField, *, n: int = 3) -> tuple:
     a = truncated_polynomial(n, field)
     maps = {
         "dt": dt_derivation(a),
@@ -211,7 +218,7 @@ def _recipe_super_commutative_line(field: ScalarField) -> tuple:
     return a, _UNITAL_CLAIMS, {"sign": make_map(a.basis, ((1, 0), (0, -1)))}, {}
 
 
-def _recipe_euler_novikov(field: ScalarField, n: int = 3) -> tuple:
+def _recipe_euler_novikov(field: ScalarField, *, n: int = 3) -> tuple:
     base = truncated_polynomial(n, field)
     a = cons.derivation_product(base, euler_derivation(base))
     claims = (
@@ -221,7 +228,7 @@ def _recipe_euler_novikov(field: ScalarField, n: int = 3) -> tuple:
     return a, claims, {"half": scalar_map(a.basis, Fraction(1, 2))}, {}
 
 
-def _recipe_scaled_polynomial(field: ScalarField, n: int = 3, c=2) -> tuple:
+def _recipe_scaled_polynomial(field: ScalarField, *, n: int = 3, c=2) -> tuple:
     base = truncated_polynomial(n, field)
     a = cons.yau_twist(base, scaling_morphism(base, c))
     claims = (
@@ -232,10 +239,10 @@ def _recipe_scaled_polynomial(field: ScalarField, n: int = 3, c=2) -> tuple:
     return a, claims, {}, {}
 
 
-def _recipe_involutive_quadratic_polynomial(field: ScalarField, n: int = 3) -> tuple:
+def _recipe_involutive_quadratic_polynomial(field: ScalarField, *, n: int = 3) -> tuple:
     if n % 2 == 0:
         raise StructureError("the sign twist is form-symmetric only for odd n")
-    a, claims, _, _ = _recipe_scaled_polynomial(field, n, field.from_int(-1))
+    a, claims, _, _ = _recipe_scaled_polynomial(field, n=n, c=field.from_int(-1))
     return a, claims, {}, {"pairing": pairing_form(a, a.alpha)}
 
 
@@ -272,7 +279,7 @@ def _recipe_solvable_bracket(field: ScalarField) -> tuple:
     return a, claims, {"rb_proj": make_map(basis, ((1, 0), (0, 0)))}, {}
 
 
-def _recipe_zero_algebra(field: ScalarField, dim: int = 2) -> tuple:
+def _recipe_zero_algebra(field: ScalarField, *, dim: int = 2) -> tuple:
     basis = trivial_basis(field, dim)
     a = _algebra_from_cells(basis, trivial_bicharacter(field, basis.group), (), identity_map(basis))
     claims = (
@@ -308,7 +315,9 @@ def build_entry(name: str, field: ScalarField, **params) -> CatalogEntry:
     An int parameter (a size: n or dim) must be an int no larger than
     MAX_RECIPE_SIZE; a scalar one is parsed from a string like a document
     scalar and coerced otherwise.  A bool is neither.  A parameter left out
-    takes the builder's default, and the recipe records every parameter.
+    takes the default of the builder's keyword parameter (every builder
+    takes its parameters by keyword after the field), and the recipe
+    records every parameter.
     """
     if not isinstance(name, str) or name not in RECIPES:
         raise StructureError(f"unknown recipe {name!r}")
@@ -316,9 +325,7 @@ def build_entry(name: str, field: ScalarField, **params) -> CatalogEntry:
     unknown = set(params) - set(spec)
     if unknown:
         raise StructureError(f"recipe {name!r} takes no parameter {sorted(unknown)}")
-    bound = inspect.signature(builder).bind(field, **params)
-    bound.apply_defaults()
-    args = bound.arguments
+    args = {**(builder.__kwdefaults__ or {}), **params}
     for key, kind in spec.items():
         value = args[key]
         if isinstance(value, bool) or (kind is int and type(value) is not int):
@@ -330,7 +337,7 @@ def build_entry(name: str, field: ScalarField, **params) -> CatalogEntry:
             )
         if kind == "scalar":
             args[key] = field.parse(value) if isinstance(value, str) else field.coerce(value)
-    algebra, claims, maps, forms = builder(*bound.args)
+    algebra, claims, maps, forms = builder(field, **args)
     # scalars print as in a document; sizes stay plain ints, not reduced mod p
     printable = tuple(
         (k, field.to_json(args[k]) if spec[k] == "scalar" else args[k]) for k in sorted(spec)

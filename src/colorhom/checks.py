@@ -60,7 +60,6 @@ apart (search_instances).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache
 from itertools import product as iproduct
 from typing import NamedTuple
@@ -85,7 +84,7 @@ from .core import (
     sparse_sub,
     sparse_vector,
 )
-from .errors import StructureError
+from .errors import StructureError, _Record
 from .grading import _validated
 
 __all__ = [
@@ -122,8 +121,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Record):
     """A replayable counterexample: which identity, where, and both sides.
 
     left/right are coordinate tuples (scalar comparisons use length-1
@@ -131,16 +129,24 @@ class Witness:
     carry left = right = None.
     """
 
-    identity: str
-    indices: tuple[int, ...]
-    left: tuple | None
-    right: tuple | None
+    __match_args__ = ("identity", "indices", "left", "right")
+
+    def __init__(self, identity: str, indices: tuple[int, ...], left: tuple | None, right: tuple | None):
+        # object.__setattr__ keeps the fields in the instance's compact storage: vars(self) would build a dict
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    passes: bool
-    witness: Witness | None = None
+class Verdict(_Record):
+    """A check's outcome: a pass, with no witness, or a failure with its witness; truthy when it passes."""
+
+    __match_args__ = ("passes", "witness")
+
+    def __init__(self, passes: bool, witness: Witness | None = None):
+        object.__setattr__(self, "passes", passes)
+        object.__setattr__(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.passes

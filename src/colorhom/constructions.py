@@ -2,12 +2,15 @@
 
 Every construction validates its stated hypotheses before computing
 (checked=False skips that validation for experiments; structural sanity and
-product evenness are still enforced by make_algebra on the way out).  All
-but direct_sum and tensor_product build a product declared as one term in
-checks._PRODUCTS (beta(x*y), x*d(y), [f(x), y], the commutator, ...) with
+product evenness are still enforced on the way out).  All but direct_sum
+and tensor_product build a product declared as one term in checks._PRODUCTS
+(beta(x*y), x*d(y), [f(x), y], the commutator, ...) with
 checks._product_algebra, which checks each entry's evenness as it stores
 it, so no construction can emit an ill-formed algebra.  The two that change
-the basis state their cells ((i, j), e_i * e_j), row-major, from the factors'.
+the basis build on the factors' cells: direct_sum states its cells
+((i, j), e_i * e_j), row-major, for make_algebra to check, and
+tensor_product stores its rows as they are, even by construction on the
+basis that sums the factors' degree classes.
 """
 
 from __future__ import annotations
@@ -34,8 +37,10 @@ from .checks import (
 from .core import (
     ColorHomAlgebra,
     GradedLinearMap,
+    _EMPTY,
     _Columns,
     _algebra_from_cells,
+    _algebra_of_rows,
     _basis_of_classes,
     _cells,
     _require_even_endo,
@@ -282,19 +287,29 @@ def tensor_product(s: ColorHomAlgebra, a: ColorHomAlgebra, *, checked: bool = Tr
     signs = [sign_rows[q] for q in a_classes]
     # each factor's nonempty cells (j, e_i * e_j) by row i
     rs, ra = ([[(j, cell) for j, cell in enumerate(row) if cell] for row in x.product_rows] for x in (s, a))
-    # row (i, p), then the nonempty (j, q) ascending within it: row-major in the output
-    cells = (
-        ((i * na + p, j * na + q), {
-            k * na + r: signs[p][j] * sk * ar for k, sk in s_cell.items() for r, ar in a_cell.items()
-        })
-        for i in range(ns) for p in range(na) for j, s_cell in rs[i] for q, a_cell in ra[p]
-    )
+    # row (i, p) holds cell (j, q) for each nonempty (j, q), key k * na + r for each term of each factor's
+    # cell: ascending as generated, nonzero (eps and both factors' values are), and even, since the
+    # factors' products are even and the basis sums their classes
+    kernel_scalar, n = s.field.kernel_scalar, ns * na
+    empty_row = (_EMPTY,) * n
+    rows = [empty_row] * n
+    for i in range(ns):
+        for p in range(na):
+            if rs[i] and ra[p]:
+                row, sign = [_EMPTY] * n, signs[p]
+                for j, s_cell in rs[i]:
+                    for q, a_cell in ra[p]:
+                        row[j * na + q] = {
+                            k * na + r: kernel_scalar(sign[j] * sk * ar)
+                            for k, sk in s_cell.items() for r, ar in a_cell.items()
+                        }
+                rows[i * na + p] = tuple(row)
     # alpha(e_i ⊗ e_p) = alpha(e_i) ⊗ alpha(e_p): the Kronecker product of the columns
     alpha = GradedLinearMap(basis, _Columns(tuple(
         {k * na + r: sk * ar for k, sk in sc.items() for r, ar in ac.items()}
         for sc in s.alpha.sparse_columns for ac in a.alpha.sparse_columns
     )))
-    return _algebra_from_cells(basis, s.bicharacter, cells, alpha)
+    return _algebra_of_rows(basis, s.bicharacter, tuple(rows), alpha)
 
 
 def untwist_involutive(a: ColorHomAlgebra, *, checked: bool = True) -> ColorHomAlgebra:

@@ -6,7 +6,7 @@ Conventions used everywhere in the package:
     image of e_i (so columns are images of basis vectors);
   * the product tensor is structure[i][j][k] = coefficient of e_k in e_i * e_j.
 
-All containers are tuples and all dataclasses frozen; operations return new
+All containers are tuples and all value classes frozen; operations return new
 objects and never mutate their inputs.
 
 An algebra stores its product sparsely, as product_rows[i][j] = {k: c} over
@@ -48,14 +48,12 @@ hold Fraction or Fp elements only.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add, mod
 from typing import Iterable, NamedTuple
 
-from .errors import SingularMapError, StructureError
+from .errors import SingularMapError, StructureError, _Record
 from .grading import (
     EPS_MAX_BITS,
     Bicharacter,
@@ -101,22 +99,19 @@ __all__ = [
 _EMPTY: dict = {}
 
 
-@dataclass(frozen=True)
-class GradedBasis:
+class GradedBasis(_Record):
     """An ordered basis with a degree per index, over a fixed scalar field."""
 
-    field: ScalarField
-    group: GradeGroup
-    degrees: tuple[GroupElement, ...]
+    __match_args__ = ("field", "group", "degrees")
 
-    def __post_init__(self):
-        degrees = tuple(self.degrees)
+    def __init__(self, field: ScalarField, group: GradeGroup, degrees: tuple[GroupElement, ...]):
+        degrees = tuple(degrees)
         if not degrees:
             raise StructureError("basis dimension must be at least 1")
         for d in degrees:
-            if not isinstance(d, GroupElement) or d.group != self.group:
+            if not isinstance(d, GroupElement) or d.group != group:
                 raise StructureError(f"degree {d!r} not in the grading group")
-        object.__setattr__(self, "degrees", degrees)
+        vars(self).update(field=field, group=group, degrees=degrees)
 
     @property
     def dim(self) -> int:
@@ -158,8 +153,7 @@ class _Columns(NamedTuple):
     columns: tuple
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class GradedLinearMap:
+class GradedLinearMap(_Record):
     """A homogeneous linear endomap of a graded basis.
 
     Homogeneity of degree d means matrix[k][i] != 0 forces
@@ -175,9 +169,7 @@ class GradedLinearMap:
     from the columns on first read and cached.
     """
 
-    basis: GradedBasis
-    sparse_columns: tuple
-    degree: GroupElement
+    __match_args__ = ("basis", "sparse_columns", "degree")
 
     def __init__(self, basis: GradedBasis, matrix, degree: GroupElement | None = None):
         n, field = basis.dim, basis.field
@@ -200,9 +192,7 @@ class GradedLinearMap:
         if offending:
             k, i = min(offending)
             raise StructureError(f"entry ({k},{i}) breaks homogeneity of degree {deg}", indices=(k, i))
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "sparse_columns", stored)
-        object.__setattr__(self, "degree", deg)
+        vars(self).update(basis=basis, sparse_columns=stored, degree=deg)
 
     @cached_property
     def inverse_lists(self) -> tuple:
@@ -392,8 +382,7 @@ class _Cells(NamedTuple):
     cells: Iterable
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class ColorHomAlgebra:
+class ColorHomAlgebra(_Record):
     """A graded algebra (A, *, eps, alpha) given by structure constants.
 
     ColorHomAlgebra(basis, bicharacter, structure, alpha) takes the dense
@@ -408,19 +397,14 @@ class ColorHomAlgebra:
     rows on first read and cached, with one shared all-zero cell.
     """
 
-    basis: GradedBasis
-    bicharacter: Bicharacter
-    product_rows: tuple
-    alpha: GradedLinearMap
-    eps_table: tuple = dataclasses.field(compare=False)
+    __match_args__ = ("basis", "bicharacter", "product_rows", "alpha", "eps_table")
 
     def __init__(self, basis: GradedBasis, bicharacter: Bicharacter, structure, alpha: GradedLinearMap):
         cells = structure.cells if isinstance(structure, _Cells) else _tensor_cells(basis, structure)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "bicharacter", bicharacter)
-        object.__setattr__(self, "product_rows", _stored_rows(basis, cells))
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "eps_table", _eps_table(basis, bicharacter))
+        rows = _stored_rows(basis, cells)
+        vars(self).update(
+            basis=basis, bicharacter=bicharacter, product_rows=rows, alpha=alpha, eps_table=_eps_table(basis, bicharacter)
+        )
 
     @cached_property
     def product_index(self) -> ProductIndex:
@@ -435,6 +419,14 @@ class ColorHomAlgebra:
         return tuple(
             tuple(dense_vector(field, n, c) if c else zero_cell for c in row) for row in self.product_rows
         )
+
+    def __eq__(self, other):
+        # eps_table follows from the basis and bicharacter, so it is not compared
+        if other.__class__ is self.__class__:
+            return (self.basis, self.bicharacter, self.product_rows, self.alpha) == (
+                other.basis, other.bicharacter, other.product_rows, other.alpha
+            )
+        return NotImplemented
 
     def __hash__(self):
         # cells keep their keys in ascending order, so items() is canonical
@@ -632,6 +624,20 @@ def _algebra_from_cells(basis: GradedBasis, bicharacter: Bicharacter, cells, alp
     A producer on a new basis costs its nonempty cells, not n^2 calls, and no dense tensor is built.
     """
     return make_algebra(basis, bicharacter, _Cells(cells), alpha)
+
+
+def _algebra_of_rows(basis: GradedBasis, bicharacter: Bicharacter, rows: tuple, alpha: GradedLinearMap) -> ColorHomAlgebra:
+    """The algebra with these product rows, stored as given: for a producer whose rows are canonical by construction.
+
+    rows must be as _stored_rows returns them: nonzero kernel scalars, keys ascending, every
+    product even.  The grading is checked as make_algebra checks it; alpha must be an even map on basis.
+    """
+    _require_grading(basis, bicharacter)
+    out = object.__new__(ColorHomAlgebra)
+    vars(out).update(
+        basis=basis, bicharacter=bicharacter, product_rows=rows, alpha=alpha, eps_table=_eps_table(basis, bicharacter)
+    )
+    return out
 
 
 def _cells(a: ColorHomAlgebra):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 __all__ = ["StructureError", "SingularMapError", "HypothesisError"]
 
 
@@ -40,3 +42,38 @@ class HypothesisError(Exception):
         if witness is not None:
             msg += f" [witness: {witness.identity} at {witness.indices}]"
         super().__init__(msg)
+
+
+class _Record:
+    """Equality, hash, repr and frozen fields for a value class, read off its __match_args__.
+
+    A subclass names its fields in __match_args__ and writes its own
+    __init__, which stores each field as an instance attribute through
+    object.__setattr__ or vars(self).  Two instances of
+    one class are equal when their field tuples are, the hash is the hash of
+    that tuple, and the repr lists the fields by name, as a frozen dataclass
+    gives them.  Assignment and deletion raise AttributeError; cached_property
+    and vars(x) write the instance dict and keep working.
+    """
+
+    def __init_subclass__(cls):
+        cls._fields = attrgetter(*cls.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            fields = self._fields
+            return fields(self) == fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        values = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self._fields(self)))
+        return f"{type(self).__qualname__}({values})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -8,11 +8,10 @@ eps(a, c) = prod_{i,j} E[i][j]^(a_i * c_j).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .errors import StructureError
+from .errors import StructureError, _Record
 from .scalars import ScalarField
 
 __all__ = [
@@ -33,18 +32,17 @@ __all__ = [
 EPS_MAX_BITS = 1 << 16
 
 
-@dataclass(frozen=True)
-class GradeGroup:
+class GradeGroup(_Record):
     """Z^free_rank x Z_{n_1} x ... x Z_{n_t}, orders listed after the free part."""
 
-    free_rank: int
-    torsion_orders: tuple[int, ...] = ()
+    __match_args__ = ("free_rank", "torsion_orders")
 
-    def __post_init__(self):
-        if type(self.free_rank) is not int or self.free_rank < 0:
-            raise StructureError(f"bad free rank {self.free_rank!r}")
-        object.__setattr__(self, "torsion_orders", tuple(self.torsion_orders))
-        for n in self.torsion_orders:
+    def __init__(self, free_rank: int, torsion_orders: tuple[int, ...] = ()):
+        if type(free_rank) is not int or free_rank < 0:
+            raise StructureError(f"bad free rank {free_rank!r}")
+        torsion_orders = tuple(torsion_orders)
+        vars(self).update(free_rank=free_rank, torsion_orders=torsion_orders)
+        for n in torsion_orders:
             if not isinstance(n, int) or n < 2:
                 raise StructureError(f"bad torsion order {n!r}")
 
@@ -62,27 +60,26 @@ class GradeGroup:
         return self._zero
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(_Record):
     """Element in canonical form: torsion coordinates reduced into [0, n_i)."""
 
-    group: GradeGroup
-    coords: tuple[int, ...]
+    __match_args__ = ("group", "coords")
 
-    def __post_init__(self):
-        g = self.group
-        coords = tuple(self.coords)
-        if len(coords) != g.ngen:
+    def __init__(self, group: GradeGroup, coords: tuple[int, ...]):
+        coords = tuple(coords)
+        if len(coords) != group.ngen:
             raise StructureError(
-                f"element needs {g.ngen} coordinates, got {len(coords)}"
+                f"element needs {group.ngen} coordinates, got {len(coords)}"
             )
         canon = []
         for i, c in enumerate(coords):
             if not isinstance(c, int):
                 raise StructureError(f"coordinate {c!r} is not an integer")
-            if i >= g.free_rank:
-                c %= g.torsion_orders[i - g.free_rank]
+            if i >= group.free_rank:
+                c %= group.torsion_orders[i - group.free_rank]
             canon.append(c)
+        # object.__setattr__ keeps the fields in the instance's compact storage: vars(self) would build a dict
+        object.__setattr__(self, "group", group)
         object.__setattr__(self, "coords", tuple(canon))
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
@@ -105,37 +102,31 @@ class GroupElement:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
 
 
-@dataclass(frozen=True)
-class Bicharacter:
+class Bicharacter(_Record):
     """Generator value table E; entry E[i][j] is the value on (g_i, g_j).
 
     Construction normalizes entries into the field but does not check the
     axioms; run validate_bicharacter, or build through make_bicharacter.
     """
 
-    field: ScalarField
-    group: GradeGroup
-    gen_table: tuple
+    __match_args__ = ("field", "group", "gen_table")
 
-    def __post_init__(self):
-        rows = tuple(
-            tuple(self.field.coerce(v) for v in row) for row in self.gen_table
-        )
-        object.__setattr__(self, "gen_table", rows)
+    def __init__(self, field: ScalarField, group: GradeGroup, gen_table: tuple):
+        rows = tuple(tuple(field.coerce(v) for v in row) for row in gen_table)
+        vars(self).update(field=field, group=group, gen_table=rows)
 
 
-@dataclass(frozen=True)
-class BicharacterReport:
+class BicharacterReport(_Record):
     """Outcome of validate_bicharacter: pass, or the first violated axiom.
 
     axiom is one of "invertibility", "skew", "torsion"; pair names the
     generator indices whose table entry witnesses the violation.
     """
 
-    ok: bool
-    axiom: str | None = None
-    pair: tuple[int, int] | None = None
-    detail: str = ""
+    __match_args__ = ("ok", "axiom", "pair", "detail")
+
+    def __init__(self, ok: bool, axiom: str | None = None, pair: tuple[int, int] | None = None, detail: str = ""):
+        vars(self).update(ok=ok, axiom=axiom, pair=pair, detail=detail)
 
 
 def validate_bicharacter(b: Bicharacter) -> BicharacterReport:

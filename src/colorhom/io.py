@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field as dc_field
 
 from .core import (
     ColorHomAlgebra,
@@ -31,7 +30,7 @@ from .core import (
     _Columns,
     identity_map,
 )
-from .errors import StructureError
+from .errors import StructureError, _Record
 from .grading import Bicharacter, GradeGroup
 from .scalars import ScalarField, prime_field, rationals
 
@@ -43,12 +42,18 @@ __all__ = [
 ]
 
 
-@dataclass
-class ParsedDocument:
-    algebra: ColorHomAlgebra
-    maps: dict = dc_field(default_factory=dict)
-    forms: dict = dc_field(default_factory=dict)
-    provenance: dict | None = None
+class ParsedDocument(_Record):
+    """A loaded document: its algebra, named maps and forms, and provenance if any.  Mutable and unhashable."""
+
+    __match_args__ = ("algebra", "maps", "forms", "provenance")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, algebra: ColorHomAlgebra, maps: dict | None = None, forms: dict | None = None,
+                 provenance: dict | None = None):
+        self.algebra = algebra
+        self.maps = {} if maps is None else maps
+        self.forms = {} if forms is None else forms
+        self.provenance = provenance
 
 
 def _field_to_json(f: ScalarField):

@@ -8,11 +8,10 @@ benchmark run does) reaches every caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import import_module
 from typing import Callable
 
-from .errors import StructureError
+from .errors import StructureError, _Record
 
 __all__ = ["CHECK", "CONSTRUCTION", "Operation", "OPERATIONS", "OPTIONAL_ARGUMENTS", "CHECKS_BY_NAME", "run_named_check"]
 
@@ -20,8 +19,7 @@ CHECK = "check"
 CONSTRUCTION = "construction"
 
 
-@dataclass(frozen=True)
-class Operation:
+class Operation(_Record):
     """A check or construction addressable by name.
 
     `takes` names the arguments that follow the algebra, in the order
@@ -35,11 +33,10 @@ class Operation:
     checks.PREDICATE_CONDITIONS under the same name.
     """
 
-    kind: str
-    takes: tuple
-    module: str
-    function: str
-    adapt: Callable | None = None
+    __match_args__ = ("kind", "takes", "module", "function", "adapt")
+
+    def __init__(self, kind: str, takes: tuple, module: str, function: str, adapt: Callable | None = None):
+        vars(self).update(kind=kind, takes=takes, module=module, function=function, adapt=adapt)
 
     def resolve(self) -> Callable:
         """The function as its module binds it now, taking (a, *arguments) in the order of takes."""

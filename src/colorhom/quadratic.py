@@ -19,7 +19,6 @@ colorhom.constructions when they run, so reading a form loads none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iproduct
 
@@ -42,7 +41,7 @@ from .core import (
     identity_map,
     sparse_vector,
 )
-from .errors import HypothesisError, StructureError
+from .errors import HypothesisError, StructureError, _Record
 
 __all__ = [
     "BilinearFormStructure",
@@ -56,8 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BilinearFormStructure:
+class BilinearFormStructure(_Record):
     """An even bilinear form given by its Gram matrix, plus a companion map.
 
     gram[i][j] = B(e_i, e_j).  The companion is the even map appearing in
@@ -66,20 +64,17 @@ class BilinearFormStructure:
     entries of each row as kernel scalars, is built on first read.
     """
 
-    basis: GradedBasis
-    gram: tuple
-    companion: GradedLinearMap
-    require_even: bool = True
+    __match_args__ = ("basis", "gram", "companion", "require_even")
 
-    def __post_init__(self):
-        n = self.basis.dim
-        field = self.basis.field
-        rows = tuple(tuple(field.coerce(v) for v in row) for row in self.gram)
+    def __init__(self, basis: GradedBasis, gram: tuple, companion: GradedLinearMap, require_even: bool = True):
+        n = basis.dim
+        field = basis.field
+        rows = tuple(tuple(field.coerce(v) for v in row) for row in gram)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise StructureError(f"Gram matrix must be {n}x{n}")
-        _require_even_endo(self.basis, self.companion, "companion")
-        if self.require_even:
-            degs = self.basis.degrees
+        _require_even_endo(basis, companion, "companion")
+        if require_even:
+            degs = basis.degrees
             for i, j in iproduct(range(n), repeat=2):
                 if rows[i][j] != 0 and not (degs[i] + degs[j]).is_zero:
                     raise StructureError(
@@ -87,7 +82,7 @@ class BilinearFormStructure:
                         f"deg(e_{i}) + deg(e_{j}) != 0",
                         indices=(i, j),
                     )
-        object.__setattr__(self, "gram", rows)
+        vars(self).update(basis=basis, gram=rows, companion=companion, require_even=require_even)
 
     @cached_property
     def gram_rows(self) -> tuple:

@@ -8,11 +8,10 @@ prime field with p = 1 (mod n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .errors import StructureError
+from .errors import StructureError, _Record
 
 __all__ = ["Fp", "ScalarField", "rationals", "prime_field", "is_prime"]
 
@@ -130,8 +129,7 @@ class Fp:
         return str(self.val)
 
 
-@dataclass(frozen=True)
-class ScalarField:
+class ScalarField(_Record):
     """One of the two supported exact coefficient fields.
 
     kind is "rationals" (elements: fractions.Fraction) or "prime-field"
@@ -140,15 +138,14 @@ class ScalarField:
     1/2 and -1 distinct from +1.
     """
 
-    kind: str
-    p: int | None = None
+    __match_args__ = ("kind", "p")
 
-    def __post_init__(self):
-        if self.kind == RATIONALS:
-            if self.p is not None:
+    def __init__(self, kind: str, p: int | None = None):
+        vars(self).update(kind=kind, p=p)
+        if kind == RATIONALS:
+            if p is not None:
                 raise StructureError("rationals take no modulus")
-        elif self.kind == PRIME_FIELD:
-            p = self.p
+        elif kind == PRIME_FIELD:
             # the cap comes first: it bounds the trial division in is_prime
             if isinstance(p, int) and p >= _MAX_MODULUS:
                 raise StructureError(f"modulus {p} too large (cap 2**31)")
@@ -157,10 +154,10 @@ class ScalarField:
             if p == 2:
                 raise StructureError("characteristic 2 is not supported")
         else:
-            raise StructureError(f"unknown field kind {self.kind!r}")
+            raise StructureError(f"unknown field kind {kind!r}")
 
     def __hash__(self):
-        # the generated hash would read p = None, and hash(None) is not the same in two processes
+        # a hash of the fields would read p = None, and hash(None) is not the same in two processes
         return hash((self.kind, self.characteristic))
 
     @property

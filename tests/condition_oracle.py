@@ -9,7 +9,6 @@ skipped a failing tuple, read a wrong list or forgot a reduction would give
 a different verdict or witness.
 """
 
-from dataclasses import replace
 from itertools import product as iproduct
 
 from colorhom import checks, core
@@ -76,7 +75,10 @@ def bracket_operator_conditions(l, f):
     if not v:
         return v
     v = checks._scan(checks._product_algebra("image-times", l, f), "right-commutativity")
-    return v or checks.Verdict(False, replace(v.witness, identity="operator-right-commutativity"))
+    if v:
+        return v
+    _, *rest = (getattr(v.witness, name) for name in checks.Witness.__match_args__)
+    return checks.Verdict(False, checks.Witness("operator-right-commutativity", *rest))
 
 
 def quadratic_structure(a, form):

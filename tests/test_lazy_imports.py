@@ -5,8 +5,12 @@ the colorhom modules in sys.modules.  A check on a form-free document loads
 no catalog, construction or quadratic module; a document with forms loads
 quadratic, and no verb but suite and catalog loads the catalog.  A bare
 import colorhom loads no submodule but the operation table and errors.
+No verb loads dataclasses or inspect (with their ast, dis and tokenize):
+the value classes are written out, and no module of the package imports
+either one.
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -22,6 +26,8 @@ from colorhom.scalars import rationals
 
 SRC = Path(colorhom.__file__).resolve().parents[1]
 ENV = {"PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+# standard modules no process of the package loads
+UNLOADED = ("dataclasses", "inspect")
 
 # the exports of colorhom before they resolved lazily
 EXPORTS = {
@@ -53,17 +59,19 @@ import contextlib, io, json, sys
 from colorhom.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("colorhom."))]))
-"""
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("colorhom.") or m in %r)]))
+""" % (UNLOADED,)
 
 
 def run_probe(*argv, cwd):
+    """The verb's exit code and the colorhom modules it loaded; asserts it loaded none of UNLOADED."""
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, *map(str, argv)], cwd=cwd, capture_output=True, text=True,
         env=ENV, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     code, modules = json.loads(proc.stdout)
+    assert not set(modules) & set(UNLOADED), modules
     return code, set(modules)
 
 
@@ -123,6 +131,8 @@ def test_the_catalog_verb_and_suite_recipes_load_the_catalog(documents):
     manifest.write_text(json.dumps({"rows": [{"name": "r", "algebra": {"recipe": "zero_algebra"}}]}))
     code, modules = run_probe("suite", "recipe.json", cwd=documents)
     assert code == 0 and "colorhom.catalog" in modules
+    code, modules = run_probe("suite", "builtin:theorems", cwd=documents)
+    assert code == 0
 
 
 def test_a_bare_import_loads_only_the_table_and_errors(tmp_path):
@@ -131,8 +141,22 @@ def test_a_bare_import_loads_only_the_table_and_errors(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, env=ENV, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = {m for m in json.loads(proc.stdout) if m.startswith("colorhom.")}
+    modules = set(json.loads(proc.stdout))
+    loaded = {m for m in modules if m.startswith("colorhom.")}
     assert loaded <= {"colorhom.operations", "colorhom.errors"}
+    assert not modules & set(UNLOADED)
+
+
+def test_no_module_of_the_package_imports_dataclasses_or_inspect():
+    for path in sorted((SRC / "colorhom").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            assert not {name.partition(".")[0] for name in names} & set(UNLOADED), (path.name, node.lineno)
 
 
 def test_every_export_is_the_object_its_module_defines():
