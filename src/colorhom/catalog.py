@@ -4,25 +4,21 @@ Each entry carries a recipe (name + parameters) and a tuple of claims: the
 checks the instance is asserted to pass.  Claims are re-verified by the test
 suite, so the catalog certifies itself instead of citing anything.
 
-Everything here is reproducible bit for bit, search_maps included: it
-walks its search tree in one fixed order and draws nothing at random.
+Everything here is reproducible bit for bit.  search_maps resolves here
+from colorhom.search on first use, so no catalog child loads the search.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
-from itertools import product as iproduct
 
 from . import constructions as cons
-from .checks import _linear_equations, linear_conditions, search_instances
 from .core import (
     ColorHomAlgebra,
     GradedBasis,
     GradedLinearMap,
     _Columns,
     _algebra_from_cells,
-    _row_reduce,
     identity_map,
     make_map,
     scalar_map,
@@ -39,7 +35,6 @@ from .operations import (
     Operation,
     run_named_check,
 )
-from .quadratic import BilinearFormStructure
 from .scalars import ScalarField, rationals
 
 __all__ = [
@@ -168,6 +163,7 @@ def super_commutative_line(field: ScalarField | None = None) -> ColorHomAlgebra:
 
 def pairing_form(a: ColorHomAlgebra, companion: GradedLinearMap | None = None) -> BilinearFormStructure:
     """Anti-diagonal pairing B(e_i, e_j) = [i + j = dim - 1] on a trivially graded basis."""
+    from .quadratic import BilinearFormStructure
     n = a.dim
     gram = [[int(i + j == n - 1) for j in range(n)] for i in range(n)]
     return BilinearFormStructure(
@@ -366,213 +362,9 @@ def standard_entries(field: ScalarField) -> list:
     return entries
 
 
-# ---------------------------------------------------------------------------
-# structure search
-
-def search_maps(
-    a: ColorHomAlgebra,
-    predicate: str,
-    *,
-    budget: int = 10000,
-    values=None,
-    form: BilinearFormStructure | None = None,
-    weight=None,
-    side: str = "both",
-) -> list:
-    """Deterministic backtracking search for even maps satisfying a named predicate.
-
-    The predicate is any check in OPERATIONS that takes exactly one map;
-    form, weight and side supply its other arguments, and giving one it does
-    not take is a StructureError.  The answer is every matrix supported on
-    the even positions (deg e_k = deg e_i), with each entry in a small value
-    set (default -1, 0, 1, 2), that satisfies the predicate.
-
-    The predicate's linear part (checks.linear_conditions: its declared
-    conditions of degree 1 in the map) is solved exactly, its equations
-    scattered from the nonzero contributions of each term and reduced by
-    one sparse elimination, which leaves some entries free and fixes the
-    rest; numbered latest column first, a fixed entry reads free entries of
-    its own column or earlier ones.  A depth-first search sets the columns
-    f(e_0), f(e_1), ... in turn: column i branches over the values of its
-    free entries, fills its fixed entries and is set, all at branch i; a
-    fixed entry outside the values abandons the branch.  Every other
-    declared condition reads f(x_0) first (checks.search_instances):
-    setting column k visits it at each tuple with x_0 = e_k, and a tuple
-    that reads another unset column waits on it.  A tuple that reads one
-    unset column, and only through terms f(y) at the top of a side with y
-    not reading it, is affine in the column and forces it: the column is
-    set without branching, or the branch is abandoned when it leaves the
-    values or the even positions.  Every complete candidate is re-checked
-    by the predicate itself.
-
-    budget bounds the leaves of the search tree, complete candidates plus
-    abandoned partial assignments, which never outnumber len(values) **
-    (free entries); at the bound the search stops and returns the hits found
-    so far, the same on every run.  budget must be an int (not a bool).
-    Hits come back sorted by their row-major matrix entries, each read as the
-    (numerator, denominator) of its kernel scalar.
-    """
-    op = OPERATIONS.get(predicate)
-    if op is None or op.kind != CHECK or op.takes.count("map") != 1:
-        raise StructureError(f"unknown search predicate {predicate!r}")
-    if type(budget) is not int:
-        raise StructureError(f"search budget must be an integer, got {budget!r}")
-    passed = {"form": form is not None, "weight": weight is not None, "side": side != "both"}
-    for arg, is_passed in passed.items():
-        if is_passed and arg not in op.takes:
-            raise StructureError(f"{predicate} search takes no {arg}")
-    given = {**OPTIONAL_ARGUMENTS, "form": form, "side": side}
-    if weight is not None:
-        given["weight"] = weight
-    for arg in op.takes:
-        if arg != "map" and given.get(arg) is None:
-            raise StructureError(f"{predicate} search needs {arg}=...")
-    field = a.field
-    if values is None:
-        values = (-1, 0, 1, 2)
-    # distinct kernel scalars in first-seen order; canon maps a solved entry to
-    # its value, also a Fraction equal to an int, since equal numbers hash alike
-    canon = {}
-    for v in values:
-        v = field.kernel_scalar(v)
-        canon.setdefault(v, v)
-    values = tuple(canon)
-    if not values:
-        return []
-    n, classes = a.dim, a.basis.degree_classes[1]
-    rows = [[k for k in range(n) if classes[k] == classes[i]] for i in range(n)]
-    # the latest column first: each equation's pivot is its entry in its latest
-    # column, so a fixed entry reads free entries of its own column or earlier ones
-    positions = [(k, i) for i in reversed(range(n)) for k in rows[i]]
-    row_major = sorted(positions)
-
-    def arguments(m):
-        return [m if arg == "map" else given[arg] for arg in op.takes]
-
-    check = op.resolve()
-    # the zero map meets every linear condition: the predicate on it checks
-    # the other arguments before any system is built
-    check(a, *arguments(GradedLinearMap(a.basis, _Columns(tuple({} for _ in range(n))))))
-    free, pivots = _solve_linear_part(a, linear_conditions(predicate, side), positions, given["form"])
-
-    # column i branches over its free rows, then fills its fixed entries:
-    # fixed[i] holds (row, [(row, column, kernel coefficient)]) for each
-    branching, fixed = [[] for _ in range(n)], [[] for _ in range(n)]
-    for p in free:
-        k, i = positions[p]
-        branching[i].append(k)
-    for p, terms in pivots:
-        k, i = positions[p]
-        fixed[i].append((k, [(*positions[q], c) for q, c in terms]))
-    # columns: the sparse kernel column of each set column (reading an unset one
-    # raises KeyError); waiting[k]: what the branch filed to visit once column k
-    # is set; log: how to undo each change to columns and waiting, in order
-    columns, waiting, log = {}, [[] for _ in range(n)], []
-    kept = search_instances(predicate, side, a, columns, field.kernel_scalar(given["weight"]), given["form"])
-    conditions = [(sides, tuple(iproduct(range(n), repeat=arity - 1))) for sides, arity in kept]
-    reduce = (lambda x: x % field.p) if field.characteristic else (lambda x: x)
-    inverse = cache(lambda c: pow(c, -1, field.p) if field.characteristic else field.kernel_scalar(Fraction(1, c)))
-    hits, leaves = [], 0
-
-    def wait(sides, idx, *ks) -> bool:
-        for k in ks:
-            waiting[k].append((sides, idx))
-            log.append(waiting[k].pop)
-        return True
-
-    def set_column(k, column) -> bool:
-        """Set column k and visit each condition at x_0 = e_k, then what waits on k; False on a failure."""
-        columns[k] = column
-        log.append(columns.popitem)  # columns are set and unset last in, first out
-        for sides, tails in conditions:
-            for tail in tails:
-                if not visit(sides, (k, *tail)):
-                    return False
-        for sides, idx in waiting[k]:
-            if not visit(sides, idx):
-                return False
-        return True
-
-    def visit(sides, idx) -> bool:
-        """Check the tuple, force the one unset column it reads, or file it to wait; False on a failure."""
-        try:
-            rest, *top = sides(*idx)
-        except KeyError as unset:  # only columns is a dict the sides index
-            return wait(sides, idx, unset.args[0])
-        # left - right = r + the sum over unset k of slope[k] f(e_k)
-        r, slope = dict(rest), {}
-        for y in top:
-            for j, c in y.items():
-                if j not in columns:
-                    slope[j] = slope.get(j, 0) + c
-                else:
-                    for t, x in columns[j].items():
-                        r[t] = r.get(t, 0) + c * x
-        unset = list(slope)
-        if len(unset) > 1:
-            # two watches: all but one of these columns are set only once one of the two is
-            return wait(sides, idx, *unset[:2])
-        if unset and (g := reduce(slope[unset[0]])):
-            k, scale, column = unset[0], inverse(-g), {}
-            for t in rows[k]:
-                v = canon.get(reduce(r.pop(t, 0) * scale))
-                if v is None:
-                    return False
-                if v:
-                    column[t] = v
-            # what is left of r lies off the even positions
-            return not any(map(reduce, r.values())) and set_column(k, column)
-        return not any(map(reduce, r.values()))
-
-    def settle(i, column) -> bool:
-        """Fill column i's fixed entries from it and the columns before it, then set it; False on a failure."""
-        for k, terms in fixed[i]:
-            v = canon.get(reduce(sum(c * (column if j == i else columns[j]).get(t, 0) for t, j, c in terms)))
-            if v is None:
-                return False
-            if v:
-                column[k] = v
-        return set_column(i, column)
-
-    def descend(i):
-        nonlocal leaves
-        if i == n:
-            leaves += 1
-            m = GradedLinearMap(a.basis, _Columns(tuple(columns[j] for j in range(n))))
-            if check(a, *arguments(m)):
-                hits.append((tuple(columns[j].get(k, 0) for k, j in row_major), m))
-            return
-        if i in columns:  # forced
-            return descend(i + 1)
-        for vals in iproduct(values, repeat=len(branching[i])):
-            if leaves >= budget:
-                return
-            mark = len(log)
-            if settle(i, {k: v for k, v in zip(branching[i], vals) if v}):
-                descend(i + 1)
-            else:
-                leaves += 1
-            while len(log) > mark:
-                log.pop()()
-
-    descend(0)
-    # every entry off the even positions is zero, so this is the order of the
-    # hits' matrices
-    hits.sort(key=lambda hit: [(v.numerator, v.denominator) for v in hit[0]])
-    return [m for _, m in hits]
-
-
-def _solve_linear_part(a: ColorHomAlgebra, linear, positions, form) -> tuple:
-    """The solutions of the linear conditions, over maps on the given positions.
-
-    Returns (free, pivots): free lists the positions left free, ascending;
-    pivots lists (position, terms) for each fixed one, where the entry at
-    position is the sum of c times the entry at q over (q, c) in terms, each
-    q free and each c a kernel scalar (field.kernel_scalar), as search_maps
-    multiplies them.  With no linear condition every position is free.
-    """
-    field = a.field
-    reduced, pivot_columns = _row_reduce(field, _linear_equations(a, linear, positions, form))
-    fixed = set(pivot_columns)
-    free = [v for v in range(len(positions)) if v not in fixed]
-    return free, [(p, [(f, field.kernel_scalar(-row[f])) for f in free if f in row]) for p, row in zip(pivot_columns, reduced)]
+def __getattr__(name):
+    if name != "search_maps":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import search
+    value = globals()[name] = search.search_maps
+    return value

@@ -49,12 +49,9 @@ for vector arguments, computing every product and image instead of reading
 stored cells: the independent route the tests compare the scans against.
 
 PREDICATE_CONDITIONS lists each operator predicate's condition groups in
-the order they run.  The conditions whose terms all have degree 1 in f are
-its linear part (linear_conditions); catalog.search_maps solves their
-equations, read off their slices with the entry of f in each key
-(_linear_equations), and visits each other condition at the tuples with
-x_0 = e_k once it sets column k, each term f(y) at the top of a side kept
-apart (search_instances).
+the order they run; colorhom.search reads them to search for the maps a
+predicate accepts, and linear_conditions and search_instances, named here,
+resolve to its functions on first use.
 """
 
 from __future__ import annotations
@@ -69,6 +66,7 @@ from .core import (
     GradedLinearMap,
     ProductIndex,
     _EMPTY,
+    _algebra_of_fields,
     _column_rows,
     _product_index,
     _require_even_endo,
@@ -112,8 +110,6 @@ __all__ = [
     "commutes_with_twist",
     "check_bracket_operator_conditions",
     "PREDICATE_CONDITIONS",
-    "linear_conditions",
-    "search_instances",
     "IDENTITY_ARITY",
     "IDENTITIES_BY_CHECK",
     "identity_sides",
@@ -778,9 +774,7 @@ def _product_algebra(name: str, a: ColorHomAlgebra, f=None, alpha: GradedLinearM
     _require_dim(a, f)
     if alpha is not None:
         _require_grading(a.basis, a.bicharacter)
-    out, rows = object.__new__(ColorHomAlgebra), _product_table(name, a, f)
-    vars(out).update(basis=a.basis, bicharacter=a.bicharacter, product_rows=rows,
-                     alpha=a.alpha if alpha is None else alpha, eps_table=a.eps_table)
+    out = _algebra_of_fields(a.basis, a.bicharacter, _product_table(name, a, f), a.alpha if alpha is None else alpha, a.eps_table)
     if alpha is not None:
         _require_even_endo(a.basis, alpha, "alpha")
     return out
@@ -843,21 +837,6 @@ def _kept(groups, side: str) -> tuple:
     return tuple(group for group in kept if group)
 
 
-def _f_degree(node) -> int:
-    """The number of F nodes in a term."""
-    return 0 if type(node) is int else (type(node) is F) + sum(map(_f_degree, node))
-
-
-def linear_conditions(predicate: str, side: str = "both") -> tuple:
-    """The predicate's linear part: the conditions side keeps whose terms all have degree 1 in f."""
-    if predicate not in PREDICATE_CONDITIONS:
-        raise StructureError(f"unknown predicate {predicate!r}")
-    return tuple(
-        name for group in _groups(PREDICATE_CONDITIONS[predicate], side) for name in group
-        if all(_f_degree(node) == 1 for terms in _CONDITIONS[name][1:] for _, _, node in terms)
-    )
-
-
 @cache
 def _compiled(name: str, basis: bool = True):
     """A declaration's sides, compiled on first use: a function of a scope's fields."""
@@ -882,61 +861,8 @@ def _holds(source, target, f, groups, side="both", weight=0, form=None) -> Verdi
     return PASS
 
 
-def _linear_equations(a: ColorHomAlgebra, names, positions, form=None) -> list:
-    """The equations the named linear conditions put on the entries of an even map, as sparse rows.
-
-    Variable v is the entry at positions[v] = (k, m), the e_k coefficient of
-    f(e_m).  The slices run with v in each key (_slice(name, True)) on the
-    map whose entry there is v, so a key codes a tuple, an output key and
-    the variable: each (tuple, output key) is one row, unreduced (over F_p a
-    value may be a multiple of p, which the elimination drops).  No map is
-    built and no side is evaluated.
-    """
-    n, rows, columns = a.dim, {}, [{} for _ in range(a.dim)]
-    for v, (k, m) in enumerate(positions):
-        columns[m][k] = v
-    entries = _Images(tuple(columns), _column_rows(columns), a.group.zero())
-    for name in names:
-        scan_slice = _slice(name, True)(*_Scope(a, a, entries, {}, 0, form))
-        for i in range(n):
-            for key, value in scan_slice(i).items():
-                rows.setdefault((name, i, key // (n * n)), {})[key % (n * n)] = value
-    return list(rows.values())
-
-
 # a map as its columns, their inverse lists and its degree, whatever its entries
 _Images = NamedTuple("_Images", [("sparse_columns", tuple), ("inverse_lists", tuple), ("degree", object)])
-
-
-def _split(name: str) -> tuple:
-    """A condition's left - right less its terms f(y) at the top, and (sign, factors, y) for each, signed likewise."""
-    _, left, right = _CONDITIONS[name]
-    signed = [*left, *((-s, c, t) for s, c, t in right)]
-    return [t for t in signed if type(t[2]) is not F], [(s, c, t.x) for s, c, t in signed if type(t) is F]
-
-
-@cache
-def _forcing(name: str):
-    """A condition's rest and the y of each top term f(y) (_split), compiled once: a function of a scope's fields."""
-    rest, top = _split(name)
-    return _evaluator(_CONDITIONS[name][0], rest, *([term] for term in top))
-
-
-def search_instances(predicate: str, side: str, a: ColorHomAlgebra, columns, weight=0, form=None) -> list:
-    """(sides, arity) for each condition side keeps beyond the predicate's linear part, in order, on (a, a, f).
-
-    f is the even map with the given columns, only ever indexed: a search
-    passes the columns it has set and learns which unset one a tuple reads
-    from what indexing raises.  Every such condition reads f(x_0) before any
-    other column, so a search visits its tuples with x_0 = e_k once column k
-    is set.  sides(*idx) is (rest, y_1, ..., y_m), left - right = rest +
-    f(y_1) + ... + f(y_m): each term f(y) at the top of a side is kept
-    unapplied, its coefficient in y.  weight is a kernel scalar.
-    """
-    linear = linear_conditions(predicate, side)
-    scope = _Scope(a, a, _Images(columns, None, a.group.zero()), {}, weight, form)
-    names = [name for group in _groups(PREDICATE_CONDITIONS[predicate], side) for name in group if name not in linear]
-    return [(_forcing(name)(*scope), _CONDITIONS[name][0]) for name in names]
 
 
 def commutes_with_twist(a: ColorHomAlgebra, f: GradedLinearMap) -> Verdict:
@@ -1020,3 +946,11 @@ def check_bracket_operator_conditions(l: ColorHomAlgebra, f: GradedLinearMap) ->
     """
     _require_even_endo(l.basis, f, "operator")
     return _holds(l, l, f, PREDICATE_CONDITIONS["bracket_operator_conditions"])
+
+
+def __getattr__(name):
+    if name not in ("linear_conditions", "search_instances"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import search
+    value = globals()[name] = getattr(search, name)
+    return value

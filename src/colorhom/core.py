@@ -38,7 +38,7 @@ Every value enters the kernel through kernel_scalar, which reduces it into
 adds and drops exact zeros, so over F_p its results are correct mod p but
 unreduced.  They are reduced only where they leave it: checks._first_failure
 tests a slice's values mod p and reduces two sides mod p only when they
-differ as ints, catalog.search_maps reduces the residual of each condition
+differ as ints, search.search_maps reduces the residual of each condition
 it visits at a tuple and the forced entries, the one exact elimination
 (_row_reduce, behind matrix_rank, invert_map and search_maps's linear
 part) reduces every value it keeps, and dense_vector boxes every
@@ -433,6 +433,10 @@ class ColorHomAlgebra(_Record):
         cells = tuple(tuple(cell.items()) for row in self.product_rows for cell in row)
         return hash((self.basis, self.bicharacter, cells, self.alpha))
 
+    def __reduce__(self):
+        # copy and pickle carry the fields alone: the rest of the instance dict is a cache of them
+        return _algebra_of_fields, self._fields(self)
+
     def __repr__(self):
         return (
             f"{type(self).__qualname__}(basis={self.basis!r}, bicharacter={self.bicharacter!r}, "
@@ -633,10 +637,13 @@ def _algebra_of_rows(basis: GradedBasis, bicharacter: Bicharacter, rows: tuple, 
     product even.  The grading is checked as make_algebra checks it; alpha must be an even map on basis.
     """
     _require_grading(basis, bicharacter)
+    return _algebra_of_fields(basis, bicharacter, rows, alpha, _eps_table(basis, bicharacter))
+
+
+def _algebra_of_fields(basis, bicharacter, product_rows, alpha, eps_table) -> ColorHomAlgebra:
+    """The algebra with these fields, stored as given and unchecked, as a copy or pickle of one restores it."""
     out = object.__new__(ColorHomAlgebra)
-    vars(out).update(
-        basis=basis, bicharacter=bicharacter, product_rows=rows, alpha=alpha, eps_table=_eps_table(basis, bicharacter)
-    )
+    vars(out).update(basis=basis, bicharacter=bicharacter, product_rows=product_rows, alpha=alpha, eps_table=eps_table)
     return out
 
 

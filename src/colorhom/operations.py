@@ -29,7 +29,7 @@ class Operation(_Record):
     turns the function into one taking that order.
 
     A one-map check is an operator predicate: its conditions, and the
-    linear part search_maps solves, are read from its declaration in
+    linear part colorhom.search solves, are read from its declaration in
     checks.PREDICATE_CONDITIONS under the same name.
     """
 

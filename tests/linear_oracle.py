@@ -5,7 +5,7 @@ condition_residual on it over every tuple, and reduces the dense
 coefficient rows by the Gauss-Jordan below.  gauss_jordan also gives the
 rank and, for a square matrix of full rank, the inverse, so matrix_rank and
 invert_map are compared with it too.  It shares no code with the sparse
-elimination in core or the scatter in checks: the RREF of a row space is
+elimination in core or the scatter in search: the RREF of a row space is
 unique, so equal answers pin both down.
 """
 
@@ -24,7 +24,7 @@ def condition_residual(a, f, names, weight=0, form=None) -> dict:
 
     Returns {(name, indices, key): field element}, zeros dropped: the sides
     compiled per tuple (checks._compiled) at each tuple of the condition's
-    arity.  On the unit maps it gives the equations checks._linear_equations
+    arity.  On the unit maps it gives the equations search._linear_equations
     reads off the slices.
     """
     s = checks._Scope(a, a, f, {}, a.field.kernel_scalar(weight), form)
@@ -94,7 +94,7 @@ def unit_maps(a, positions):
 
 
 def solve_linear_part(a, linear, positions, form=None, weight=0):
-    """(free, pivots) as catalog._solve_linear_part returns them, from the residuals on the unit maps."""
+    """(free, pivots) as search._solve_linear_part returns them, from the residuals on the unit maps."""
     count = len(positions)
     if not linear:
         return list(range(count)), []

@@ -1,4 +1,4 @@
-"""References for catalog.search_maps.
+"""References for search.search_maps.
 
 brute_force_search runs the predicate on every even matrix over the value
 set, built by the public make_map; it shares no code with the linear

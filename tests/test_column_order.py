@@ -5,14 +5,14 @@ linear part is reduced, so each equation's pivot is its entry in its latest
 column, and a fixed entry reads only free entries of its own column or of
 earlier ones.  The search fills column i's fixed entries at branch i from
 the columns already set, which holds only while that is so.  The tests
-record the positions search_maps hands catalog._solve_linear_part and check
+record the positions search_maps hands search._solve_linear_part and check
 every pivot's terms against them.
 """
 
 import pytest
 from test_exact_search import FIELDS, MIXING_ALPHA_CASES, variants
 
-from colorhom import catalog
+from colorhom import search
 from colorhom.catalog import search_maps, standard_entries
 from colorhom.core import GradedBasis, make_algebra, make_map
 from colorhom.grading import GradeGroup, trivial_bicharacter
@@ -21,14 +21,14 @@ from colorhom.scalars import prime_field
 
 def solved_parts(monkeypatch, a, name, given):
     """(positions, free, pivots) of each linear part search_maps solves for the variant."""
-    solved, solve = [], catalog._solve_linear_part
+    solved, solve = [], search._solve_linear_part
 
     def recording(a, linear, positions, form):
         free, pivots = solve(a, linear, positions, form)
         solved.append((list(positions), free, pivots))
         return free, pivots
 
-    monkeypatch.setattr(catalog, "_solve_linear_part", recording)
+    monkeypatch.setattr(search, "_solve_linear_part", recording)
     search_maps(a, name, budget=0, **given)
     return solved
 

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from linear_oracle import condition_residual
 from search_oracle import brute_force_search, candidates, even_positions, sampled_search
 
-from colorhom import checks
+from colorhom import checks, search
 from colorhom.catalog import (
     CHECK,
     OPERATIONS,
@@ -340,7 +340,7 @@ def test_which_conditions_may_force_is_read_off_their_declarations():
     searched = {name for p in ONE_MAP_PREDICATES for group in PREDICATE_CONDITIONS[p] for name in group}
     searched -= {name for p in ONE_MAP_PREDICATES for name in linear_conditions(p)}
     assert searched == set(MAY_FORCE)
-    assert {name: bool(checks._split(name)[1]) for name in MAY_FORCE} == MAY_FORCE
+    assert {name: bool(search._split(name)[1]) for name in MAY_FORCE} == MAY_FORCE
 
 
 def _reads_f0(node) -> bool:
@@ -362,7 +362,7 @@ def test_every_searched_condition_reads_f_of_x0_first():
             for name in searched:
                 _, left, right = checks._CONDITIONS[name]
                 assert any(_reads_f0(node) for _, _, node in left + right), (p, side, name)
-            instances = checks.search_instances(p, side, a, {}, 1, form)
+            instances = search.search_instances(p, side, a, {}, 1, form)
             assert [arity for _, arity in instances] == [checks._CONDITIONS[name][0] for name in searched]
             for sides, arity in instances:
                 for idx in iproduct(range(a.dim), repeat=arity):

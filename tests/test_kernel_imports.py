@@ -271,10 +271,11 @@ def test_the_builder_guards_see_definitions_and_shared_callees():
     assert _local_callees(tree, "_product_algebra") & _local_callees(tree, "_twisted") == set()
 
 
-# search_maps keeps kernel scalars from its values to its hits: neither it nor
-# its linear solve boxes a scalar into a field element (coerce) or keys one by
-# field.sort_key, in its own body, a nested function or a lambda.
-SCALAR_SEARCH = {"search_maps", "_solve_linear_part"}
+# search_maps keeps kernel scalars from its values to its hits: neither it, its
+# state object's methods nor its linear solve boxes a scalar into a field element
+# (coerce) or keys one by field.sort_key, in its own body, a nested function, a
+# method or a lambda.
+SCALAR_SEARCH = {"search_maps", "_Search", "_solve_linear_part"}
 BOXING = ("coerce", "sort_key")
 
 
@@ -285,9 +286,9 @@ def _boxing_calls(module, tree):
 
 
 def test_the_search_boxes_no_scalar():
-    tree = _tree("catalog.py")
-    assert SCALAR_SEARCH <= {top.name for top in tree.body if isinstance(top, ast.FunctionDef)}
-    assert _boxing_calls("catalog.py", tree) == []
+    tree = _tree("search.py")
+    assert SCALAR_SEARCH <= {top.name for top in tree.body if isinstance(top, (ast.FunctionDef, ast.ClassDef))}
+    assert _boxing_calls("search.py", tree) == []
 
 
 def test_the_boxing_guard_sees_nested_and_lambda_calls():
@@ -298,11 +299,15 @@ def test_the_boxing_guard_sees_nested_and_lambda_calls():
         "        return field.sort_key(i)\n"
         "def _solve_linear_part(a):\n"
         "    return coerce(1)\n"
+        "class _Search:\n"
+        "    def visit(self, field):\n"
+        "        return field.coerce(2)\n"
         "def build_entry(field):\n"
         "    return field.coerce(1), field.sort_key(2)\n"
     )
     assert _boxing_calls("x.py", tree) == [
-        ("coerce", "_solve_linear_part"), ("coerce", "search_maps"), ("sort_key", "search_maps"),
+        ("coerce", "_Search"), ("coerce", "_solve_linear_part"), ("coerce", "search_maps"),
+        ("sort_key", "search_maps"),
     ]
     tree = ast.parse("def search_maps(a, field):\n    return field.kernel_scalar(1), sort_keys\n")
     assert _boxing_calls("x.py", tree) == []

@@ -3,8 +3,10 @@
 Each verb runs in a fresh interpreter through cli.main, which then reports
 the colorhom modules in sys.modules.  A check on a form-free document loads
 no catalog, construction or quadratic module; a document with forms loads
-quadratic, and no verb but suite and catalog loads the catalog.  A bare
-import colorhom loads no submodule but the operation table and errors.
+quadratic, and no verb but suite and catalog loads the catalog, which
+loads quadratic only for a recipe with a form.  No verb loads the search,
+which only a call of search_maps needs.  A bare import colorhom loads no
+submodule but the operation table and errors.
 No verb loads dataclasses or inspect (with their ast, dis and tokenize):
 the value classes are written out, and no module of the package imports
 either one.
@@ -64,7 +66,7 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("colorhom.
 
 
 def run_probe(*argv, cwd):
-    """The verb's exit code and the colorhom modules it loaded; asserts it loaded none of UNLOADED."""
+    """The verb's exit code and the colorhom modules it loaded; asserts it loaded none of UNLOADED, nor the search."""
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, *map(str, argv)], cwd=cwd, capture_output=True, text=True,
         env=ENV, timeout=60,
@@ -72,6 +74,7 @@ def run_probe(*argv, cwd):
     assert proc.returncode == 0, proc.stderr
     code, modules = json.loads(proc.stdout)
     assert not set(modules) & set(UNLOADED), modules
+    assert "colorhom.search" not in modules, argv
     return code, set(modules)
 
 
@@ -127,6 +130,8 @@ def test_a_construction_loads_no_catalog(documents, name):
 def test_the_catalog_verb_and_suite_recipes_load_the_catalog(documents):
     _, modules = run_probe("catalog", "zero_algebra", cwd=documents)
     assert "colorhom.catalog" in modules
+    code, modules = run_probe("catalog", "euler_novikov", "--n", "3", cwd=documents)
+    assert code == 0 and "colorhom.catalog" in modules and "colorhom.quadratic" not in modules
     manifest = documents / "recipe.json"
     manifest.write_text(json.dumps({"rows": [{"name": "r", "algebra": {"recipe": "zero_algebra"}}]}))
     code, modules = run_probe("suite", "recipe.json", cwd=documents)

@@ -1,7 +1,7 @@
 """The linear part of search_maps, and the one sparse elimination behind it, matrix_rank and invert_map.
 
-catalog._solve_linear_part scatters each linear condition's equations from
-the nonzero contributions of its terms (checks._linear_equations) and
+search._solve_linear_part scatters each linear condition's equations from
+the nonzero contributions of its terms (search._linear_equations) and
 reduces them with core._row_reduce.  tests/linear_oracle.py keeps the route
 it replaced: unit maps, its condition_residual over every tuple and a
 dense Gauss-Jordan.  The RREF of a row space is unique, so (free, pivots)
@@ -24,7 +24,7 @@ from linear_oracle import dense_inverse, gauss_jordan, solve_linear_part
 from test_exact_search import even_form, random_even
 from test_support_scans import FIELDS, sparse_algebras
 
-from colorhom import catalog, checks, core
+from colorhom import checks, core, search
 from colorhom.catalog import standard_entries
 from colorhom.checks import linear_conditions
 from colorhom.core import (
@@ -72,7 +72,7 @@ def assert_solved_like_the_oracle(a, forms):
     at = positions(a)
     for label, linear, form, weight in linear_parts(forms):
         expected = kernel_scalars(a.field, solve_linear_part(a, linear, at, form, weight))
-        got = catalog._solve_linear_part(a, linear, at, form)
+        got = search._solve_linear_part(a, linear, at, form)
         assert got == expected, label
         assert repr(got) == repr(expected), label
 
@@ -99,7 +99,7 @@ def canonical(field, c) -> bool:
 def coefficients(a, forms):
     """(label, c) for every coefficient of every linear part the solve returns."""
     for label, linear, form, _ in linear_parts(forms):
-        for _, terms in catalog._solve_linear_part(a, linear, positions(a), form)[1]:
+        for _, terms in search._solve_linear_part(a, linear, positions(a), form)[1]:
             yield from ((label, c) for _, c in terms)
 
 
@@ -126,7 +126,7 @@ def test_the_canonical_test_rejects_boxed_and_unreduced_scalars():
 def test_no_linear_condition_leaves_every_position_free():
     a = standard_entries(Q)[0].algebra
     at = positions(a)
-    assert catalog._solve_linear_part(a, (), at, None) == (list(range(len(at))), [])
+    assert search._solve_linear_part(a, (), at, None) == (list(range(len(at))), [])
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +158,7 @@ def test_coefficients_summing_to_multiples_of_p_are_zero(p):
     assert_solved_like_the_oracle(a, [form])
     multiples = [
         c for _, linear, f, _ in linear_parts([form])
-        for row in checks._linear_equations(a, linear, positions(a), f) for c in row.values() if c % p == 0
+        for row in search._linear_equations(a, linear, positions(a), f) for c in row.values() if c % p == 0
     ]
     assert any(multiples)  # the case is reached: some raw coefficient is a nonzero multiple of p
 
@@ -186,7 +186,7 @@ def test_the_solve_builds_no_map_and_evaluates_no_side(monkeypatch):
     for name in ("_compiled", "_evaluator", "_first_failure"):
         monkeypatch.setattr(checks, name, refused)
     for a, linear, at, form, expected in cases:
-        assert catalog._solve_linear_part(a, linear, at, form) == expected
+        assert search._solve_linear_part(a, linear, at, form) == expected
     assert built == []
 
 
