@@ -6,11 +6,15 @@ suite, so the catalog certifies itself instead of citing anything.
 
 Everything here is reproducible bit for bit.  search_maps resolves here
 from colorhom.search on first use, so no catalog child loads the search.
+The catalog verb, which writes one entry as a document, is cmd_catalog.
 """
 
 from __future__ import annotations
 
+import json
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from . import constructions as cons
 from .core import (
@@ -26,6 +30,7 @@ from .core import (
 )
 from .errors import StructureError, _Record
 from .grading import GradeGroup, make_bicharacter, trivial_bicharacter
+from .io import serialize_document
 from .operations import (
     CHECK,
     CHECKS_BY_NAME,
@@ -35,7 +40,7 @@ from .operations import (
     Operation,
     run_named_check,
 )
-from .scalars import ScalarField, rationals
+from .scalars import ScalarField, prime_field, rationals
 
 __all__ = [
     "InstanceRecipe",
@@ -360,6 +365,36 @@ def standard_entries(field: ScalarField) -> list:
     if field.characteristic != 0 and (field.p - 1) % 3 == 0:
         entries.append(build_entry("z3_graded_nilpotent", field))
     return entries
+
+
+def _parse_field_label(label) -> ScalarField:
+    """The field a label names, Q (or rationals) or F<p>, as the catalog verb and suite recipe rows spell it."""
+    if label in ("Q", "rationals"):
+        return rationals()
+    digits = label[1:] if isinstance(label, str) and label.startswith("F") else ""
+    # ten digits already pass the modulus cap; int() raises on a string past 4300 digits
+    if digits.isascii() and digits.isdigit() and len(digits) <= 10:
+        return prime_field(int(digits))
+    raise StructureError(f"unknown field label {label!r} (use Q or F<p>)")
+
+
+def cmd_catalog(args) -> int:
+    """Write the named recipe's entry as a document, to --out or stdout."""
+    field = _parse_field_label(args.field)
+    # build_entry decodes each parameter by its declared type
+    params = {key: value for key in ("n", "dim", "c") if (value := vars(args)[key]) is not None}
+    entry = build_entry(args.recipe, field, **params)
+    text = serialize_document(entry.algebra, maps=entry.maps, forms=entry.forms)
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+        if args.format == "machine":
+            claims = list(entry.recipe.claims)
+            print(json.dumps({"command": "catalog", "recipe": args.recipe, "claims": claims, "out": args.out}, indent=2))
+        else:
+            print(f"catalog {args.recipe}: OK -> {args.out}")
+    else:
+        sys.stdout.write(text)
+    return 0
 
 
 def __getattr__(name):

@@ -44,21 +44,19 @@ the slices (_product_table) gives the rows, stored for an output
 (_product_algebra) or kept as the kernel sums them for the index of a
 twisted product (_twisted); an output lists its own index on first read.
 
-identity_sides and identity_residual_on_vectors run the identities compiled
-for vector arguments, computing every product and image instead of reading
-stored cells: the independent route the tests compare the scans against.
-
 PREDICATE_CONDITIONS lists each operator predicate's condition groups in
 the order they run; colorhom.search reads them to search for the maps a
-predicate accepts, and linear_conditions and search_instances, named here,
-resolve to its functions on first use.
+predicate accepts.  Named here, linear_conditions and search_instances
+resolve to its functions on first use, and identity_sides and
+identity_residual_on_vectors, the route on vectors the tests compare the
+scans against, to colorhom.linalg's.
 """
 
 from __future__ import annotations
 
 import re
 from functools import cache
-from itertools import product as iproduct
+from importlib import import_module
 from typing import NamedTuple
 
 from .core import (
@@ -71,15 +69,12 @@ from .core import (
     _product_index,
     _require_even_endo,
     _require_grading,
-    _row_reduce,
     _uneven,
     dense_vector,
-    homogeneous_components,
     sparse_add,
     sparse_apply,
     sparse_product,
     sparse_scale,
-    sparse_sub,
     sparse_vector,
 )
 from .errors import StructureError, _Record
@@ -416,7 +411,8 @@ def _slice_source(name: str, entry_in_key: bool = False, canonical: tuple = ()) 
         lines.append(f"{' ' * (len(loops) + 1)}r[{q}] = r.get({key if q == key else f'q := {key}'}, 0) + {value}")
     lines += [" return r", "return scan_slice"]
     body = "\n".join(" " + line for line in lines)
-    prelude = "".join(f" {lists}\n" for prefix, lists in _LISTS.items() if re.search(rf"\b(?:{prefix})", body))
+    names = set(re.findall(r"\w+", body))
+    prelude = "".join(f" {lists}\n" for prefix, lists in _LISTS.items() if any(x.startswith(prefix) for x in names))
     return f"def slice_of(target, source=None, f=None, eps_f=None, weight=0, form=None):\n{prelude}{body}"
 
 
@@ -520,30 +516,6 @@ def _canonical(a: ColorHomAlgebra, name: str) -> tuple:
     return tuple(sorted({*rotations, *(swaps if swaps and _eps_skew(a) else ())}))
 
 
-def _require_arguments(a: ColorHomAlgebra, name: str, vectors, degrees=None) -> None:
-    """Raise unless name is an identity whose slots vectors (and degrees) fill, each vector of length dim."""
-    if name not in IDENTITY_ARITY:
-        raise StructureError(f"unknown identity {name!r}")
-    arity = IDENTITY_ARITY[name]
-    if len(vectors) != arity or len(vectors if degrees is None else degrees) != arity:
-        raise StructureError(f"identity {name!r} takes {arity} arguments")
-    for v in vectors:
-        if len(v) != a.dim:
-            raise StructureError(f"vector length {len(v)} != dim {a.dim}")
-
-
-def identity_sides(a: ColorHomAlgebra, name: str, degrees, vectors):
-    """Evaluate one identity's two sides on homogeneous arguments."""
-    _require_arguments(a, name, vectors, degrees)
-    return tuple(_dense(a, side) for side in _sparse_sides(a, name, zip(degrees, vectors)))
-
-
-def _sparse_sides(a: ColorHomAlgebra, name: str, arguments):
-    """An identity's sparse sides at homogeneous arguments (degree, vector)."""
-    sides = _compiled(name, basis=False)(*_Scope(a, a, None, {}, 0, None))
-    return sides(*((d, sparse_vector(a.field, v)) for d, v in arguments))
-
-
 def _dense(a: ColorHomAlgebra, x: dict) -> tuple:
     return dense_vector(a.field, a.dim, x)
 
@@ -610,21 +582,6 @@ def _scan_check(a: ColorHomAlgebra, check: str) -> Verdict:
     return PASS
 
 
-def identity_residual_on_vectors(a: ColorHomAlgebra, name: str, vectors) -> tuple:
-    """left - right on arbitrary vectors, via homogeneous decomposition.
-
-    The identity only makes sense slotwise on homogeneous elements (the
-    bicharacter needs degrees), so each argument is split into components
-    and the residual summed over all component combinations.
-    """
-    _require_arguments(a, name, vectors)
-    split = [homogeneous_components(a.basis, v) for v in vectors]
-    total = {}
-    for combo in iproduct(*split):
-        total = sparse_add(total, sparse_sub(*_sparse_sides(a, name, combo)))
-    return _dense(a, total)
-
-
 # ---------------------------------------------------------------------------
 # algebra-level checks
 
@@ -687,6 +644,7 @@ def check_multiplicative(a: ColorHomAlgebra) -> Verdict:
 
 def check_regular(a: ColorHomAlgebra) -> Verdict:
     """alpha is an algebra automorphism: multiplicative and invertible."""
+    from .linalg import _row_reduce
     v = check_multiplicative(a)
     if not v:
         return v
@@ -949,8 +907,10 @@ def check_bracket_operator_conditions(l: ColorHomAlgebra, f: GradedLinearMap) ->
 
 
 def __getattr__(name):
-    if name not in ("linear_conditions", "search_instances"):
+    # names defined in another module, resolved on first read and kept here
+    module = {"linear_conditions": "search", "search_instances": "search", "identity_sides": "linalg",
+              "identity_residual_on_vectors": "linalg"}.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import search
-    value = globals()[name] = getattr(search, name)
+    value = globals()[name] = getattr(import_module(f"{__package__}.{module}"), name)
     return value

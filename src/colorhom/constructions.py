@@ -40,15 +40,10 @@ from .core import (
     _EMPTY,
     _Columns,
     _algebra_from_cells,
-    _algebra_of_rows,
-    _basis_of_classes,
     _cells,
     _require_even_endo,
     compose_maps,
-    homogeneous_components,
     identity_map,
-    invert_map,
-    map_power,
     sparse_product,
     sparse_vector,
 )
@@ -108,6 +103,7 @@ def yau_twist(a: ColorHomAlgebra, beta: GradedLinearMap, *, checked: bool = True
 
 def power_twist(a: ColorHomAlgebra, n: int, *, checked: bool = True) -> ColorHomAlgebra:
     """n-th self-twist of a multiplicative algebra: alpha^n(x*y), map alpha^(n+1)."""
+    from .linalg import map_power
     if not isinstance(n, int) or n < 0:
         raise StructureError(f"power_twist wants n >= 0, got {n!r}")
     if checked:
@@ -130,6 +126,7 @@ def xi_square_twist(a: ColorHomAlgebra, xi, *, checked: bool = True) -> ColorHom
     Hypotheses: a is eps-commutative Hom-associative and xi is homogeneous
     of degree 0.
     """
+    from .linalg import homogeneous_components, map_power
     if len(xi) != a.dim:
         raise StructureError(f"xi must have length {a.dim}")
     xi = tuple(a.field.coerce(v) for v in xi)
@@ -238,6 +235,7 @@ def direct_sum(a: ColorHomAlgebra, b: ColorHomAlgebra) -> ColorHomAlgebra:
     mixed products vanish, alpha acts blockwise; Hom-Novikov when both
     summands are (a conclusion, checked by callers).
     """
+    from .linalg import _basis_of_classes
     _require_shared_grading(a, b, "direct sum")
     na = a.dim
     # b's classes continue a's: its degrees already in a keep a's class
@@ -261,6 +259,7 @@ def tensor_product(s: ColorHomAlgebra, a: ColorHomAlgebra, *, checked: bool = Tr
     past TENSOR_MAX_DIM basis vectors or TENSOR_MAX_CONSTANTS nonzero
     structure constants raises StructureError before the gates run.
     """
+    from .linalg import _algebra_of_rows, _basis_of_classes
     _require_shared_grading(s, a, "tensor product")
     ns, na = s.dim, a.dim
     # each nonzero constant of s times each of a is one of the output
@@ -331,6 +330,7 @@ def regular_lie_untwist(a: ColorHomAlgebra, *, checked: bool = True) -> ColorHom
 
     Requires alpha invertible; output carries the identity twisting map.
     """
+    from .linalg import invert_map
     if checked:
         _require("regular_lie_untwist", "hom-novikov", check_hom_novikov(a))
     try:

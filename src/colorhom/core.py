@@ -27,8 +27,10 @@ for the scans, is built on first read.
 The kernel (sparse_product, sparse_apply) on sparse vectors, {index:
 nonzero coefficient}, is the only way the package evaluates products and
 maps.  Coordinate tuples appear only at the boundary: eval_product,
-eval_map, commutator_tensor, structure and matrix convert, and
+eval_map, structure and matrix convert (commutator_tensor too), and
 make_algebra and GradedLinearMap accept dense input.
+The exact linear algebra and what only constructions call live in
+colorhom.linalg (_LINALG names them); each resolves here on first read.
 
 The rows, columns, views and sparse vectors hold kernel scalars, not field
 elements (see ScalarField.kernel_scalar): over Q an int for an integral
@@ -40,22 +42,20 @@ unreduced.  They are reduced only where they leave it: checks._first_failure
 tests a slice's values mod p and reduces two sides mod p only when they
 differ as ints, search.search_maps reduces the residual of each condition
 it visits at a tuple and the forced entries, the one exact elimination
-(_row_reduce, behind matrix_rank, invert_map and search_maps's linear
-part) reduces every value it keeps, and dense_vector boxes every
+(linalg._row_reduce, behind matrix_rank, invert_map and search_maps's
+linear part) reduces every value it keeps, and dense_vector boxes every
 value through field.coerce, so tuples, matrices, witnesses and documents
 hold Fraction or Fp elements only.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from operator import add, mod
 from typing import Iterable, NamedTuple
 
-from .errors import SingularMapError, StructureError, _Record
+from .errors import StructureError, _Record
 from .grading import (
-    EPS_MAX_BITS,
     Bicharacter,
     GradeGroup,
     GroupElement,
@@ -129,16 +129,6 @@ class GradedBasis(_Record):
     def class_sums(self) -> "_ClassSums":
         """class_sums[c][d]: the class of the sum of classes c and d, -1 if no basis vector has it; a row filled on first read."""
         return _ClassSums(self)
-
-
-def _basis_of_classes(field: ScalarField, group: GradeGroup, distinct: tuple, classes: tuple) -> GradedBasis:
-    """The basis whose e_i has degree distinct[classes[i]], with (distinct, classes) as its degree_classes.
-
-    distinct must list the degrees in order of first occurrence along classes, as degree_classes does.
-    """
-    basis = GradedBasis(field, group, tuple(map(distinct.__getitem__, classes)))
-    vars(basis)["degree_classes"] = distinct, classes
-    return basis
 
 
 def trivial_basis(field: ScalarField, dim: int) -> GradedBasis:
@@ -265,115 +255,6 @@ def compose_maps(m: GradedLinearMap, n: GradedLinearMap) -> GradedLinearMap:
         raise StructureError("composition needs a shared basis")
     columns = tuple(sparse_apply(m, column) for column in n.sparse_columns)
     return GradedLinearMap(m.basis, _Columns(columns), m.degree + n.degree)
-
-
-def map_power(m: GradedLinearMap, n: int) -> GradedLinearMap:
-    """m^n by repeated squaring: about log2(n) compositions.
-
-    Over Q entries grow with n; a square with an entry past
-    grading.EPS_MAX_BITS bits raises StructureError rather than exhaust memory.
-    """
-    if not isinstance(n, int) or n < 0:
-        raise StructureError(f"map power wants n >= 0, got {n!r}")
-    out, square = identity_map(m.basis), m
-    while n:
-        if n & 1:
-            out = compose_maps(square, out)
-        n >>= 1
-        square = _bounded(compose_maps(square, square)) if n else square
-    return out
-
-
-def _bounded(m: GradedLinearMap) -> GradedLinearMap:
-    for q in (Fraction(c) for column in m.sparse_columns for c in column.values()):
-        if max(abs(q.numerator), q.denominator).bit_length() > EPS_MAX_BITS:
-            raise StructureError(f"map power too large: an entry passes {EPS_MAX_BITS} bits")
-    return m
-
-
-def _row_reduce(field: ScalarField, rows) -> tuple:
-    """The reduced row echelon form of sparse rows {column: kernel scalar}: (reduced rows, pivot columns).
-
-    Exact: over F_p every value is reduced into [0, p), over Q the values are
-    ints and Fractions.  reduced[r] is 1 at pivots[r], ascending, and 0 at
-    every other pivot column.  Each row is reduced by the rows kept so far;
-    a nonzero remainder is kept with its least column as pivot, once that
-    column is cleared from the other kept rows.  The RREF of a row space is
-    unique, so the order of the rows does not matter.
-    """
-    p = field.p
-    reduce = (lambda x: x % p) if p else (lambda x: x)
-    kept: dict = {}  # pivot column -> its row
-
-    def subtract(row, s, other):
-        for c, v in other.items():
-            if x := reduce(row.get(c, 0) - s * v):
-                row[c] = x
-            else:
-                del row[c]
-
-    for row in rows:
-        row = {c: x for c, v in row.items() if (x := reduce(v))}
-        for c in [c for c in row if c in kept]:
-            subtract(row, row[c], kept[c])
-        if row:
-            pivot = min(row)
-            inverse = pow(row[pivot], -1, p) if p else 1 / Fraction(row[pivot])
-            row = {c: reduce(v * inverse) for c, v in row.items()}
-            for other in kept.values():
-                if pivot in other:
-                    subtract(other, other[pivot], row)
-            kept[pivot] = row
-    pivots = sorted(kept)
-    return [kept[c] for c in pivots], pivots
-
-
-def matrix_rank(field: ScalarField, rows) -> int:
-    rows = tuple(rows)
-    if len({len(r) for r in rows}) > 1:
-        raise StructureError("matrix rank needs rows of one length")
-    return len(_row_reduce(field, [sparse_vector(field, r) for r in rows])[1])
-
-
-def determinant(field: ScalarField, rows):
-    """Bareiss fraction-free elimination; every intermediate division is exact."""
-    n = len(rows)
-    if n == 0:
-        return field.one
-    m = [[field.coerce(v) for v in r] for r in rows]
-    if any(len(r) != n for r in m):
-        raise StructureError("determinant needs a square matrix")
-    sign = 1
-    prev = field.one
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if swap is None:
-                return field.zero
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = field.zero
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
-
-
-def invert_map(m: GradedLinearMap) -> GradedLinearMap:
-    """Exact inverse of an even map; raises SingularMapError if not regular.
-
-    The reduced [M^T | I] is [I | (M^-1)^T], so its rows, past column n, are
-    the columns of the inverse.
-    """
-    if not m.is_even:
-        raise StructureError("only even maps are inverted here")
-    n = m.basis.dim
-    reduced, pivots = _row_reduce(m.basis.field, ({**c, n + i: 1} for i, c in enumerate(m.sparse_columns)))
-    if pivots[-1] >= n:
-        raise SingularMapError("map is singular: not regular")
-    return GradedLinearMap(m.basis, _Columns(tuple({c - n: v for c, v in r.items() if c >= n} for r in reduced)))
 
 
 class _Cells(NamedTuple):
@@ -630,16 +511,6 @@ def _algebra_from_cells(basis: GradedBasis, bicharacter: Bicharacter, cells, alp
     return make_algebra(basis, bicharacter, _Cells(cells), alpha)
 
 
-def _algebra_of_rows(basis: GradedBasis, bicharacter: Bicharacter, rows: tuple, alpha: GradedLinearMap) -> ColorHomAlgebra:
-    """The algebra with these product rows, stored as given: for a producer whose rows are canonical by construction.
-
-    rows must be as _stored_rows returns them: nonzero kernel scalars, keys ascending, every
-    product even.  The grading is checked as make_algebra checks it; alpha must be an even map on basis.
-    """
-    _require_grading(basis, bicharacter)
-    return _algebra_of_fields(basis, bicharacter, rows, alpha, _eps_table(basis, bicharacter))
-
-
 def _algebra_of_fields(basis, bicharacter, product_rows, alpha, eps_table) -> ColorHomAlgebra:
     """The algebra with these fields, stored as given and unchecked, as a copy or pickle of one restores it."""
     out = object.__new__(ColorHomAlgebra)
@@ -729,38 +600,14 @@ def sparse_scale(s, x: dict) -> dict:
     return {k: s * c for k, c in x.items()} if s else {}
 
 
-def commutator_tensor(a: ColorHomAlgebra) -> tuple:
-    """b[i][j][k] = c[i][j][k] - eps(deg_i, deg_j) * c[j][i][k]."""
-    from .checks import _product_algebra  # here, as checks imports core
-
-    return _product_algebra("bracket", a).structure
+# core's names that live in colorhom.linalg, which no identity scan reads
+_LINALG = frozenset({"_row_reduce", "matrix_rank", "determinant", "invert_map", "map_power", "unit_vector", "zero_vector",
+                     "commutator_tensor", "homogeneous_components", "_basis_of_classes", "_algebra_of_rows"})
 
 
-def unit_vector(field: ScalarField, dim: int, i: int) -> tuple:
-    return tuple(field.one if k == i else field.zero for k in range(dim))
-
-
-def zero_vector(field: ScalarField, dim: int) -> tuple:
-    return (field.zero,) * dim
-
-
-def homogeneous_components(basis: GradedBasis, x):
-    """Split a vector into its homogeneous parts.
-
-    Returns (degree, vector) pairs ordered by first occurrence of the degree
-    along the basis; parts that vanish are dropped.
-    """
-    n = basis.dim
-    if len(x) != n:
-        raise StructureError(f"vector length {len(x)} != dim {n}")
-    zero = basis.field.zero
-    parts: list = []
-    seen: dict = {}
-    for i, d in enumerate(basis.degrees):
-        if x[i] == 0:
-            continue
-        if d not in seen:
-            seen[d] = len(parts)
-            parts.append((d, [zero] * n))
-        parts[seen[d]][1][i] = x[i]
-    return [(d, tuple(v)) for d, v in parts]
+def __getattr__(name):
+    if name not in _LINALG:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import linalg
+    value = globals()[name] = getattr(linalg, name)
+    return value

@@ -36,8 +36,6 @@ from .core import (
     GradedBasis,
     GradedLinearMap,
     _require_even_endo,
-    _row_reduce,
-    determinant,
     identity_map,
     sparse_vector,
 )
@@ -122,8 +120,9 @@ def check_quadratic_structure(a: ColorHomAlgebra, f: BilinearFormStructure) -> V
 
     Scalar-valued comparisons carry length-1 tuples as witness values.  The
     nondegeneracy clause computes the determinant (Bareiss) and the rank
-    (core's sparse row reduction) independently and insists that they agree.
+    (linalg's sparse row reduction) independently and insists that they agree.
     """
+    from .linalg import _row_reduce, determinant
     _require_form(a, f)
     v = _holds(a, a, None, (("epsilon-symmetry",),), form=f)
     if not v:
@@ -143,6 +142,7 @@ def is_symmetric_automorphism(a: ColorHomAlgebra, f: BilinearFormStructure, phi:
 
     B-symmetry means B(phi(x), y) = B(x, phi(y)) on all basis pairs.
     """
+    from .linalg import _row_reduce
     _require_form(a, f)
     _require_even_endo(a.basis, phi, "map")
     if len(_row_reduce(a.field, phi.sparse_columns)[1]) != a.dim:
@@ -217,6 +217,7 @@ def regular_quadratic_commutator(a: ColorHomAlgebra, f: BilinearFormStructure, *
     (algebra, form).  Requires alpha invertible.
     """
     from .constructions import _require, commutator_algebra
+    from .linalg import _row_reduce
     _require_alpha_companion("regular_quadratic_commutator", a, f)
     if checked:
         _require("regular_quadratic_commutator", "hom-novikov", check_hom_novikov(a))

@@ -13,8 +13,9 @@ from functools import cache
 from itertools import product as iproduct
 
 from .checks import _CONDITIONS, PREDICATE_CONDITIONS, F, _evaluator, _groups, _Images, _Scope, _slice
-from .core import ColorHomAlgebra, GradedLinearMap, _Columns, _column_rows, _row_reduce
+from .core import ColorHomAlgebra, GradedLinearMap, _Columns, _column_rows
 from .errors import StructureError
+from .linalg import _row_reduce
 from .operations import CHECK, OPERATIONS, OPTIONAL_ARGUMENTS
 
 __all__ = ["search_maps", "linear_conditions", "search_instances"]

@@ -10,6 +10,7 @@ the slices over canonical tuples with the full slices at the canonical keys,
 and the verdicts with the dense reference of tests/test_sparse_kernel.py.
 """
 
+import hashlib
 from itertools import permutations
 from itertools import product as iproduct
 
@@ -256,3 +257,33 @@ def test_a_slice_builds_the_inverse_lists_only_where_it_reads_them(name):
     prelude, body = checks._slice_source(name).split(" def scan_slice")
     assert ("f.inverse_lists" in prelude) == ("f_rows" in body)
     assert ("_column_rows(form.gram_rows)" in prelude) == ("g_columns" in body)
+
+
+# sha256 over every slice source of _slice_keys, each after its key, as one regular-expression
+# search per list prefix chose the lists a source binds
+SLICE_SOURCES_SHA256 = "e9ec9b2382a638e88548765f9d758491598e80d6a5a080b7e62bed62822d2695"
+
+
+def _reads_f(node) -> bool:
+    return type(node) is checks.F or (isinstance(node, tuple) and any(map(_reads_f, node)))
+
+
+def _slice_keys():
+    """(name, entry_in_key, canonical) for every declaration: at each slot-pair tuple _canonical can return
+    for it, and () for all, and with entry_in_key where each of its terms reads f."""
+    for name, (_, left, right) in {**checks._IDENTITIES, **checks._CONDITIONS, **checks._PRODUCTS}.items():
+        swaps, rotations = checks._SYMMETRIES.get(name, ((), ()))
+        gained = (checks._GAINED[name][1],) if name in checks._GAINED else ()
+        kept = {(), tuple(sorted({*rotations})), tuple(sorted({*rotations, *swaps})),
+                tuple(sorted({*rotations, *swaps, *gained}))}
+        yield from ((name, False, canonical) for canonical in sorted(kept))
+        if all(_reads_f(node) for _, _, node in left + right):
+            yield name, True, ()
+
+
+def test_every_slice_source_is_the_one_the_per_prefix_search_generated():
+    digest, keys = hashlib.sha256(), list(_slice_keys())
+    for key in keys:
+        digest.update(repr(key).encode() + b"\0" + checks._slice_source(*key).encode() + b"\0")
+    assert len(keys) == 60
+    assert digest.hexdigest() == SLICE_SOURCES_SHA256

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from test_document_hardening import INSTANCES, _parent, _paths, hostile_documents, junk
 
 from colorhom import catalog as cat
-from colorhom import cli
+from colorhom import cli, suite
 from colorhom.errors import StructureError
 from colorhom.io import serialize_document
 from colorhom.scalars import prime_field, rationals
@@ -149,7 +149,7 @@ def test_a_tensor_product_row_past_its_bounds_exits_2(tmp_path):
 def test_a_scalar_recipe_parameter_parses_like_the_catalog_flag(tmp_path):
     algebra = {"recipe": "scaled_polynomial", "params": {"n": 3, "c": "1/2"}}
     assert run_rows(tmp_path, {"name": "half", "algebra": algebra, "conclusion_checks": ["hom_novikov"]})[0] == 0
-    doc = cli._row_document({"algebra": algebra}, tmp_path)
+    doc = suite._row_document({"algebra": algebra}, cli._load_document)
     code, flags_out, _ = run(["catalog", "scaled_polynomial", "--n", "3", "--c", "1/2"])
     assert code == 0
     assert serialize_document(doc.algebra, maps=doc.maps, forms=doc.forms) == flags_out

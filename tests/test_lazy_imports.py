@@ -1,12 +1,17 @@
 """A CLI process imports what its verb runs, and the package exports resolve lazily.
 
 Each verb runs in a fresh interpreter through cli.main, which then reports
-the colorhom modules in sys.modules.  A check on a form-free document loads
-no catalog, construction or quadratic module; a document with forms loads
-quadratic, and no verb but suite and catalog loads the catalog, which
-loads quadratic only for a recipe with a form.  No verb loads the search,
-which only a call of search_maps needs.  A bare import colorhom loads no
-submodule but the operation table and errors.
+the colorhom modules in sys.modules and the functions they define.  A check
+on a form-free document loads no catalog, construction or quadratic module;
+a document with forms loads quadratic, and no verb but suite and catalog
+loads the catalog, which loads quadratic only for a recipe with a form.
+No verb loads the search, which only a call of search_maps needs.  Each
+verb defines its own command and cli's check verb alone: construct lives
+in colorhom.construct, suite in colorhom.suite and catalog in
+colorhom.catalog, and none of them loads another's.  Only check_regular
+among the checks loads colorhom.linalg, core's exact linear algebra, and a
+check of a malformed document loads no checks module.  A bare import
+colorhom loads no submodule but the operation table and errors.
 No verb loads dataclasses or inspect (with their ast, dis and tokenize):
 the value classes are written out, and no module of the package imports
 either one.
@@ -57,25 +62,45 @@ EXPORTS = {
 }
 
 PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, types
 from colorhom.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("colorhom.") or m in %r)]))
+modules = sorted(m for m in sys.modules if m.startswith("colorhom.") or m in %r)
+defined = sorted(
+    f"{m}.{name}" for m in modules if m.startswith("colorhom.") for name, value in vars(sys.modules[m]).items()
+    if type(value) is types.FunctionType and value.__module__ == m
+)
+print(json.dumps([code, modules, defined]))
 """ % (UNLOADED,)
+
+# the verbs' commands, and the names of colorhom.linalg, as cli.main reaches them
+COMMANDS = {"cmd_check", "cmd_construct", "cmd_suite", "cmd_catalog"}
+VERB_MODULES = {"check": "colorhom.cli", "construct": "colorhom.construct", "suite": "colorhom.suite",
+                "catalog": "colorhom.catalog"}
+LINALG = {"_row_reduce", "matrix_rank", "determinant", "invert_map", "map_power", "unit_vector", "zero_vector",
+          "commutator_tensor", "homogeneous_components", "_basis_of_classes", "_algebra_of_rows"}
 
 
 def run_probe(*argv, cwd):
-    """The verb's exit code and the colorhom modules it loaded; asserts it loaded none of UNLOADED, nor the search."""
+    """The verb's exit code, the colorhom modules it loaded and the functions they define, as "module.function".
+
+    Asserts it loaded none of UNLOADED, nor the search.
+    """
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, *map(str, argv)], cwd=cwd, capture_output=True, text=True,
         env=ENV, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    code, modules = json.loads(proc.stdout)
+    code, modules, defined = json.loads(proc.stdout)
     assert not set(modules) & set(UNLOADED), modules
     assert "colorhom.search" not in modules, argv
-    return code, set(modules)
+    return code, set(modules), set(defined)
+
+
+def named(defined, names) -> set:
+    """The definitions "module.function" whose function is one of names."""
+    return {d for d in defined if d.rpartition(".")[2] in names}
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +111,12 @@ def documents(tmp_path_factory):
         entry = build_entry(name, rationals(), n=n)
         text = serialize_document(entry.algebra, entry.maps, entry.forms)
         (directory / filename).write_text(text, encoding="utf-8")
+    # a product index out of range: a structural error, exit 2
+    malformed = (directory / "plain.json").read_text(encoding="utf-8").replace("[0, 1, 1, 1]", "[0, 1, 3, 1]", 1)
+    assert malformed.count("[0, 1, 3, 1]") == 1
+    (directory / "malformed.json").write_text(malformed, encoding="utf-8")
+    rows = [{"name": "p", "algebra": "plain.json", "conclusion_checks": ["hom_novikov"]}]
+    (directory / "paths.json").write_text(json.dumps({"rows": rows}), encoding="utf-8")
     return directory
 
 
@@ -104,15 +135,40 @@ FORM_FREE_CHECKS = sorted(
 @pytest.mark.parametrize("name", FORM_FREE_CHECKS)
 def test_a_check_on_a_form_free_document_loads_no_catalog_construction_or_form(documents, name):
     op = OPERATIONS[name]
-    code, modules = run_probe("check", "plain.json", name, *arguments(op, "half"), cwd=documents)
+    code, modules, defined = run_probe("check", "plain.json", name, *arguments(op, "half"), cwd=documents)
     assert code in (0, 1)
     assert f"colorhom.{op.module}" in modules
     assert not modules & {"colorhom.catalog", "colorhom.constructions", "colorhom.quadratic"}
+    assert named(defined, COMMANDS) == {"colorhom.cli.cmd_check"}
+    assert not modules & {"colorhom.construct", "colorhom.suite"}
+    # check_regular alone reads the exact elimination
+    assert ("colorhom.linalg" in modules) == bool(named(defined, LINALG)) == (name == "regular")
+
+
+def test_a_check_of_a_malformed_document_loads_no_checks(documents):
+    code, modules, defined = run_probe("check", "malformed.json", "hom_novikov", cwd=documents)
+    assert code == 2
+    assert not modules & {"colorhom.checks", "colorhom.linalg"}
+    assert named(defined, COMMANDS) == {"colorhom.cli.cmd_check"} and not named(defined, LINALG)
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "plain.json", "hom_novikov"),
+    ("construct", "plain.json", "commutator_algebra"),
+    ("suite", "paths.json"),
+    ("catalog", "euler_novikov", "--n", "3"),
+], ids=lambda argv: argv[0])
+def test_each_verb_loads_its_own_module_alone(documents, argv):
+    code, modules, defined = run_probe(*argv, cwd=documents)
+    assert code == 0
+    own = VERB_MODULES[argv[0]]
+    assert modules & set(VERB_MODULES.values()) == {"colorhom.cli", own}
+    assert named(defined, COMMANDS) == {"colorhom.cli.cmd_check", f"{own}.cmd_{argv[0]}"}
 
 
 @pytest.mark.parametrize("name", ["hom_novikov", "quadratic_structure", "symmetric_automorphism"])
 def test_a_check_on_a_document_with_forms_loads_no_catalog(documents, name):
-    code, modules = run_probe("check", "forms.json", name, *arguments(OPERATIONS[name], "sign"), cwd=documents)
+    code, modules, _ = run_probe("check", "forms.json", name, *arguments(OPERATIONS[name], "sign"), cwd=documents)
     assert code in (0, 1)
     assert "colorhom.quadratic" in modules
     assert not modules & {"colorhom.catalog", "colorhom.constructions"}
@@ -121,22 +177,22 @@ def test_a_check_on_a_document_with_forms_loads_no_catalog(documents, name):
 @pytest.mark.parametrize("name", sorted(n for n, op in OPERATIONS.items() if op.kind == CONSTRUCTION))
 def test_a_construction_loads_no_catalog(documents, name):
     op = OPERATIONS[name]
-    code, modules = run_probe("construct", "forms.json", name, *arguments(op, "scale2"), cwd=documents)
+    code, modules, _ = run_probe("construct", "forms.json", name, *arguments(op, "scale2"), cwd=documents)
     assert code in (0, 1, 2)
     assert f"colorhom.{op.module}" in modules
     assert "colorhom.catalog" not in modules
 
 
 def test_the_catalog_verb_and_suite_recipes_load_the_catalog(documents):
-    _, modules = run_probe("catalog", "zero_algebra", cwd=documents)
+    _, modules, _ = run_probe("catalog", "zero_algebra", cwd=documents)
     assert "colorhom.catalog" in modules
-    code, modules = run_probe("catalog", "euler_novikov", "--n", "3", cwd=documents)
+    code, modules, _ = run_probe("catalog", "euler_novikov", "--n", "3", cwd=documents)
     assert code == 0 and "colorhom.catalog" in modules and "colorhom.quadratic" not in modules
     manifest = documents / "recipe.json"
     manifest.write_text(json.dumps({"rows": [{"name": "r", "algebra": {"recipe": "zero_algebra"}}]}))
-    code, modules = run_probe("suite", "recipe.json", cwd=documents)
+    code, modules, _ = run_probe("suite", "recipe.json", cwd=documents)
     assert code == 0 and "colorhom.catalog" in modules
-    code, modules = run_probe("suite", "builtin:theorems", cwd=documents)
+    code, modules, _ = run_probe("suite", "builtin:theorems", cwd=documents)
     assert code == 0
 
 
