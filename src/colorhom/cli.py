@@ -28,7 +28,8 @@ from .scalars import ScalarField
 __all__ = ["main"]
 
 
-def _load_document(path: str | Path) -> ParsedDocument:
+def _load_document(path: str | Path, texts: list | None = None) -> ParsedDocument:
+    """The parsed document at path; texts, when given, gets the text read."""
     p = Path(path)
     if not p.is_file():
         raise StructureError(f"no such file: {path}")
@@ -36,6 +37,8 @@ def _load_document(path: str | Path) -> ParsedDocument:
         text = p.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise StructureError(f"{path}: not UTF-8 text: {exc}") from None
+    if texts is not None:
+        texts.append(text)
     return parse_document(text)
 
 

@@ -6,22 +6,24 @@ rebinding of io's names (as the traced benchmark run makes) reaches them.
 
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import io
 from .cli import _cli_arguments, _construct, _load_document, _print_witness_text, _witness_json
 from .errors import HypothesisError
-from .operations import OPERATIONS
 
 __all__ = ["cmd_construct"]
 
 
 def cmd_construct(args) -> int:
     """Build the named construction on the document; exit 1 with the witness of a failed hypothesis."""
-    doc = _load_document(args.algebra)
+    texts = []  # each input document's text as parsed, in order: the provenance digests them
+    load = partial(_load_document, texts=texts)
+    doc = load(args.algebra)
     field = doc.algebra.field
     try:
-        out, forms_out = _construct(doc, args.op, _cli_arguments(args), not args.unchecked)
+        out, forms_out = _construct(doc, args.op, _cli_arguments(args), not args.unchecked, load)
     except HypothesisError as exc:
         w = getattr(exc.verdict, "witness", None)
         if args.format == "machine":
@@ -37,9 +39,7 @@ def cmd_construct(args) -> int:
         return 1
     arguments = {"maps": list(args.maps)} if args.maps else {}
     arguments.update((key, v) for key in ("n", "xi", "form", "with") if (v := vars(args)[key]) is not None)
-    inputs = [args.algebra] + ([vars(args)["with"]] if "with" in OPERATIONS[args.op].takes else [])
-    digests = [io.document_digest(Path(p).read_text(encoding="utf-8")) for p in inputs]
-    provenance = {"construction": args.op, "arguments": arguments, "inputs": digests}
+    provenance = {"construction": args.op, "arguments": arguments, "inputs": [io.document_digest(t) for t in texts]}
     text = io.serialize_document(out, forms=forms_out, provenance=provenance)
     if not args.out:
         sys.stdout.write(text)

@@ -2,8 +2,10 @@
 
 The predicate's linear part is solved (linear_conditions, _solve_linear_part),
 its other conditions visited as the walk sets columns (search_instances), and
-one _Search object holds the walk's state.  catalog.search_maps and
-checks.linear_conditions and search_instances resolve here on first use.
+one _Search object holds the walk's state.  The solved linear part is kept in
+the algebra's instance dict (_SOLVED), as checks keep their scans there.
+catalog.search_maps and checks.linear_conditions and search_instances
+resolve here on first use.
 """
 
 from __future__ import annotations
@@ -17,8 +19,13 @@ from .core import ColorHomAlgebra, GradedLinearMap, _Columns, _column_rows
 from .errors import StructureError
 from .linalg import _row_reduce
 from .operations import CHECK, OPERATIONS, OPTIONAL_ARGUMENTS
+from .quadratic import BilinearFormStructure
 
 __all__ = ["search_maps", "linear_conditions", "search_instances"]
+
+# what a search keeps in an algebra's instance dict, beside checks._SCANS: each solved
+# linear part laid out by column (_solved_layout), by (linear_conditions, form)
+_SOLVED = "solved_linear_parts"
 
 
 def search_maps(a: ColorHomAlgebra, predicate: str, *, budget: int = 10000, values=None,
@@ -36,11 +43,13 @@ def search_maps(a: ColorHomAlgebra, predicate: str, *, budget: int = 10000, valu
     scattered from the nonzero contributions of each term and reduced by
     one sparse elimination, which leaves some entries free and fixes the
     rest; numbered latest column first, a fixed entry reads free entries of
-    its own column or earlier ones.  A depth-first search sets the columns
-    f(e_0), f(e_1), ... in turn: column i branches over the values of its
-    free entries, fills its fixed entries and is set, all at branch i; a
-    fixed entry outside the values abandons the branch.  Every other
-    declared condition reads f(x_0) first (search_instances):
+    its own column or earlier ones.  The solution is kept on a by (linear
+    part, form), so a repeated search of the same algebra object, or one of
+    a predicate with the same linear part, solves nothing.  A depth-first
+    search sets the columns f(e_0), f(e_1), ... in turn: column i branches
+    over the values of its free entries, fills its fixed entries and is set,
+    all at branch i; a fixed entry outside the values abandons the branch.
+    Every other declared condition reads f(x_0) first (search_instances):
     setting column k visits it at each tuple with x_0 = e_k, and a tuple
     that reads another unset column waits on it.  A tuple that reads one
     unset column, and only through terms f(y) at the top of a side with y
@@ -87,26 +96,16 @@ class _Search:
     """A search's state, set up from search_maps's arguments; its methods are the steps of its walk."""
 
     def __init__(self, a: ColorHomAlgebra, predicate: str, op, given: dict, canon: dict, budget: int):
-        field, n, classes = a.field, a.dim, a.basis.degree_classes[1]
-        rows = [[k for k in range(n) if classes[k] == classes[i]] for i in range(n)]
-        # the latest column first: each equation's pivot is its entry in its latest
-        # column, so a fixed entry reads free entries of its own column or earlier ones
-        positions = [(k, i) for i in reversed(range(n)) for k in rows[i]]
+        field, n = a.field, a.dim
         check = op.resolve()
         self.accepts = lambda m: check(a, *[m if arg == "map" else given[arg] for arg in op.takes])
         # the zero map meets every linear condition: the predicate on it checks
-        # the other arguments before any system is built
+        # the other arguments before any system is built or any key hashed
         self.accepts(GradedLinearMap(a.basis, _Columns(tuple({} for _ in range(n)))))
-        free, pivots = _solve_linear_part(a, linear_conditions(predicate, given["side"]), positions, given["form"])
-        # column i branches over its free rows, then fills its fixed entries:
-        # fixed[i] holds (row, [(row, column, kernel coefficient)]) for each
-        self.branching, self.fixed = [[] for _ in range(n)], [[] for _ in range(n)]
-        for p in free:
-            k, i = positions[p]
-            self.branching[i].append(k)
-        for p, terms in pivots:
-            k, i = positions[p]
-            self.fixed[i].append((k, [(*positions[q], c) for q, c in terms]))
+        key = linear_conditions(predicate, given["side"]), given["form"]
+        if key not in (solved := vars(a).setdefault(_SOLVED, {})):
+            solved[key] = _solved_layout(a, *key)
+        self.rows, self.row_major, self.branching, self.fixed = solved[key]
         # columns: the sparse kernel column of each set column (reading an unset one
         # raises KeyError); waiting[k]: what the branch filed to visit once column k
         # is set; log: how to undo each change to columns and waiting, in order
@@ -115,7 +114,7 @@ class _Search:
         self.conditions = [(sides, tuple(iproduct(range(n), repeat=arity - 1))) for sides, arity in kept]
         self.reduce = (lambda x: x % field.p) if field.characteristic else (lambda x: x)
         self.inverse = cache(lambda c: pow(c, -1, field.p) if field.characteristic else field.kernel_scalar(Fraction(1, c)))
-        self.basis, self.n, self.rows, self.row_major, self.budget = a.basis, n, rows, sorted(positions), budget
+        self.basis, self.n, self.budget = a.basis, n, budget
         self.canon, self.values, self.hits, self.leaves = canon, tuple(canon), [], 0
 
     def wait(self, sides, idx, *ks) -> bool:
@@ -270,6 +269,33 @@ def search_instances(predicate: str, side: str, a: ColorHomAlgebra, columns, wei
     scope = _Scope(a, a, _Images(columns, None, a.group.zero()), {}, weight, form)
     names = [name for group in _groups(PREDICATE_CONDITIONS[predicate], side) for name in group if name not in linear]
     return [(_forcing(name)(*scope), _CONDITIONS[name][0]) for name in names]
+
+
+def _solved_layout(a: ColorHomAlgebra, linear, form) -> tuple:
+    """The linear part solved on a's even positions, laid out by column, as a search walks it.
+
+    Returns (rows, row_major, branching, fixed): rows[i], the rows k with
+    deg e_k = deg e_i; row_major, the even positions (k, i) in row-major
+    order; branching[i], the free rows of column i; fixed[i], (row, terms)
+    for each fixed entry of column i, terms holding (row, column, kernel
+    coefficient).  The positions are numbered latest column first, so each
+    equation's pivot is its entry in its latest column and a fixed entry
+    reads free entries of its own column or earlier ones.  Lists and tuples
+    of ints and kernel scalars alone, kept on a under _SOLVED and read, never
+    changed, by each search.
+    """
+    n, classes = a.dim, a.basis.degree_classes[1]
+    rows = [[k for k in range(n) if classes[k] == classes[i]] for i in range(n)]
+    positions = [(k, i) for i in reversed(range(n)) for k in rows[i]]
+    free, pivots = _solve_linear_part(a, linear, positions, form)
+    branching, fixed = [[] for _ in range(n)], [[] for _ in range(n)]
+    for p in free:
+        k, i = positions[p]
+        branching[i].append(k)
+    for p, terms in pivots:
+        k, i = positions[p]
+        fixed[i].append((k, [(*positions[q], c) for q, c in terms]))
+    return rows, sorted(positions), branching, fixed
 
 
 def _solve_linear_part(a: ColorHomAlgebra, linear, positions, form) -> tuple:

@@ -6,8 +6,12 @@ column, and a fixed entry reads only free entries of its own column or of
 earlier ones.  The search fills column i's fixed entries at branch i from
 the columns already set, which holds only while that is so.  The tests
 record the positions search_maps hands search._solve_linear_part and check
-every pivot's terms against them.
+every pivot's terms against them.  A search keeps the linear part it solves
+on the algebra object, so each variant searches a cold copy, which solves
+its own.
 """
+
+import copy
 
 import pytest
 from test_exact_search import FIELDS, MIXING_ALPHA_CASES, variants
@@ -20,7 +24,7 @@ from colorhom.scalars import prime_field
 
 
 def solved_parts(monkeypatch, a, name, given):
-    """(positions, free, pivots) of each linear part search_maps solves for the variant."""
+    """(positions, free, pivots) of each linear part search_maps solves for the variant, on a cold copy of a."""
     solved, solve = [], search._solve_linear_part
 
     def recording(a, linear, positions, form):
@@ -29,7 +33,7 @@ def solved_parts(monkeypatch, a, name, given):
         return free, pivots
 
     monkeypatch.setattr(search, "_solve_linear_part", recording)
-    search_maps(a, name, budget=0, **given)
+    search_maps(copy.copy(a), name, budget=0, **given)
     return solved
 
 

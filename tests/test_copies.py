@@ -1,11 +1,12 @@
 """Copy and pickle give an algebra its fields, and not what its checks keep.
 
 A check keeps the product index, the twisted indexes, the passed identities,
-each scan's slice and the commutator in the algebra's instance dict, and a
-slice is a closure, which does not pickle.  ColorHomAlgebra.__reduce__
-carries the five fields alone, so pickle, copy.copy and copy.deepcopy give an
-equal, hash-equal algebra whose instance dict holds those fields and nothing
-else, and a check of it gives the original's verdict and witness.  The
+each scan's slice and the commutator in the algebra's instance dict, a
+search keeps its solved linear parts there, and a slice is a closure, which
+does not pickle.  ColorHomAlgebra.__reduce__ carries the five fields alone,
+so pickle, copy.copy and copy.deepcopy give an equal, hash-equal algebra
+whose instance dict holds those fields and nothing else, and a check or a
+search of it gives the original's verdict, witness or hits.  The
 caches a basis, a bicharacter and a map keep are plain data, and a copy of
 one carries them as before; the last test pins which.
 """
@@ -14,10 +15,11 @@ import copy
 import pickle
 
 import pytest
+from test_exact_search import variants
 from test_support_scans import FIELDS
 
-from colorhom import checks
-from colorhom.catalog import build_entry, standard_entries
+from colorhom import checks, search
+from colorhom.catalog import build_entry, search_maps, standard_entries
 from colorhom.core import ColorHomAlgebra
 from colorhom.operations import CHECKS_BY_NAME, run_named_check
 from colorhom.scalars import prime_field
@@ -48,6 +50,15 @@ def test_a_checked_algebra_copies_and_pickles_as_its_fields(field):
             assert_round_trips_give_the_fields(a, lambda x: run_named_check(x, name))
         assert_round_trips_give_the_fields(a, checks.check_lie_admissible)
         assert checks._SCANS in vars(a) and checks._COMMUTATOR in vars(a)  # the original keeps what it kept
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_a_searched_algebra_copies_and_pickles_as_its_fields(field):
+    for entry in standard_entries(field):
+        a = copy.copy(entry.algebra)
+        for name, given in variants(list(entry.forms.values())):
+            assert_round_trips_give_the_fields(a, lambda x: search_maps(x, name, budget=200, **given))
+        assert search._SOLVED in vars(a)  # the original keeps what it kept
 
 
 def test_a_basis_bicharacter_and_map_copy_with_their_caches():
