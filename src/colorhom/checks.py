@@ -326,8 +326,7 @@ def _nest(node, slot: int) -> tuple:
 
 
 # the lists a slice reads, bound once per call: the target's always, the others
-# where a name in the body starts with their prefix (f's inverse lists, say, only
-# where the body reads f_rows)
+# where a name in the body starts with their prefix
 _LISTS = {
     "": "columns, eps, n, nn = target.alpha.sparse_columns, target.eps_table, target.dim, target.dim ** 2\n"
         " by_key, row_entries, col_entries = target.product_index",
@@ -532,7 +531,7 @@ def _first_failure(a: ColorHomAlgebra, slices, order, names, scope=None, width: 
     in order, and the first pair that differs, reduced over F_p, is made
     dense with width coordinates (a.dim unless given; a scalar at key 0).
     """
-    n, field = a.dim, a.field
+    n, field = len(a.product_rows), a.basis.field
     p, top = field.p, n ** 3
     for i in range(n):
         least = top
@@ -808,7 +807,7 @@ def _holds(source, target, f, groups, side="both", weight=0, form=None) -> Verdi
     group computes the slices of all its conditions together, and the first
     tuple where one is nonzero runs every condition, in order, for the witness.
     """
-    groups, s = _groups(groups, side), _Scope(target, source, f, {}, weight, form)
+    groups, s = _groups(groups, side), (target, source, f, {}, weight, form)  # a _Scope's fields
     for group in groups:
         arity, left, _ = _CONDITIONS[group[0]]
         slices = [_slice(name)(*s) for name in group]

@@ -27,8 +27,8 @@ for the scans, is built on first read.
 The kernel (sparse_product, sparse_apply) on sparse vectors, {index:
 nonzero coefficient}, is the only way the package evaluates products and
 maps.  Coordinate tuples appear only at the boundary: eval_product,
-eval_map, structure and matrix convert (commutator_tensor too), and
-make_algebra and GradedLinearMap accept dense input.
+eval_map, structure and matrix convert, and make_algebra and
+GradedLinearMap take dense input.
 The exact linear algebra and what only constructions call live in
 colorhom.linalg (_LINALG names them); each resolves here on first read.
 

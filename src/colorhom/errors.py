@@ -60,6 +60,8 @@ class _Record:
         cls._fields = attrgetter(*cls.__match_args__)
 
     def __eq__(self, other):
+        if other is self:  # a guard's usual case, a basis or bicharacter against itself: no field is read
+            return True
         if other.__class__ is self.__class__:
             fields = self._fields
             return fields(self) == fields(other)

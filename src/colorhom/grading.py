@@ -96,7 +96,7 @@ class GroupElement(_Record):
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def __str__(self):
         return "(" + ",".join(str(c) for c in self.coords) + ")"

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import count
 from itertools import product as iproduct
 
-from .checks import _CONDITIONS, PREDICATE_CONDITIONS, F, _evaluator, _groups, _Images, _Scope, _slice
-from .core import ColorHomAlgebra, GradedLinearMap, _Columns, _column_rows
+from . import checks
+from .checks import _CONDITIONS, PREDICATE_CONDITIONS, A, B, F, P, _groups, _Images, _kept, _Scope, _slice, _source
+from .core import _EMPTY, ColorHomAlgebra, GradedLinearMap, _column_rows
 from .errors import StructureError
 from .linalg import _row_reduce
 from .operations import CHECK, OPERATIONS, OPTIONAL_ARGUMENTS
@@ -80,40 +82,55 @@ def search_maps(a: ColorHomAlgebra, predicate: str, *, budget: int = 10000, valu
     for arg in op.takes:
         if arg != "map" and given.get(arg) is None:
             raise StructureError(f"{predicate} search needs {arg}=...")
+    check, at, basis = op.resolve(), op.takes.index("map"), a.basis
+    before, after = [given[arg] for arg in op.takes[:at]], [given[arg] for arg in op.takes[at + 1:]]
+
+    def accepts(m):
+        return check(a, *before, m, *after)
+
     # distinct kernel scalars in first-seen order; canon maps a solved entry to
     # its value, also a Fraction equal to an int, since equal numbers hash alike
-    canon = {v: v for v in map(a.field.kernel_scalar, (-1, 0, 1, 2) if values is None else values)}
+    canon = {v: v for v in map(basis.field.kernel_scalar, (-1, 0, 1, 2) if values is None else values)}
+    # the zero map meets every linear condition: the predicate on it checks
+    # the other arguments before any system is built or any key hashed
+    accepts(_even_map(basis, (_EMPTY,) * basis.dim))
     if not canon:
         return []
-    search = _Search(a, predicate, op, given, canon, budget)
+    search = _Search(a, predicate, given, canon, budget, accepts)
     search.descend(0)
     # every entry off the even positions is zero: this is the order of the hits' matrices
     search.hits.sort(key=lambda hit: [(v.numerator, v.denominator) for v in hit[0]])
     return [m for _, m in search.hits]
 
 
+def _even_map(basis, columns: tuple) -> GradedLinearMap:
+    """The even map with these canonical columns, stored unchecked, as core._algebra_of_fields restores an algebra.
+
+    Each column must be as GradedLinearMap stores one: kernel scalars on rows
+    of its column's degree, keys ascending, _EMPTY if it has no entry.  The
+    walk builds its columns so, and the predicate re-checks each candidate.
+    """
+    out = object.__new__(GradedLinearMap)
+    vars(out).update(basis=basis, sparse_columns=columns, degree=basis.group.zero(), inverse_lists=_column_rows(columns))
+    return out
+
+
 class _Search:
     """A search's state, set up from search_maps's arguments; its methods are the steps of its walk."""
 
-    def __init__(self, a: ColorHomAlgebra, predicate: str, op, given: dict, canon: dict, budget: int):
-        field, n = a.field, a.dim
-        check = op.resolve()
-        self.accepts = lambda m: check(a, *[m if arg == "map" else given[arg] for arg in op.takes])
-        # the zero map meets every linear condition: the predicate on it checks
-        # the other arguments before any system is built or any key hashed
-        self.accepts(GradedLinearMap(a.basis, _Columns(tuple({} for _ in range(n)))))
+    def __init__(self, a: ColorHomAlgebra, predicate: str, given: dict, canon: dict, budget: int, accepts):
+        field, n = a.basis.field, a.basis.dim
         key = linear_conditions(predicate, given["side"]), given["form"]
         if key not in (solved := vars(a).setdefault(_SOLVED, {})):
             solved[key] = _solved_layout(a, *key)
-        self.rows, self.row_major, self.branching, self.fixed = solved[key]
+        self.rows, self.row_major, self.branching, self.plan = solved[key]
         # columns: the sparse kernel column of each set column (reading an unset one
         # raises KeyError); waiting[k]: what the branch filed to visit once column k
         # is set; log: how to undo each change to columns and waiting, in order
         self.columns, self.waiting, self.log = {}, [[] for _ in range(n)], []
         kept = search_instances(predicate, given["side"], a, self.columns, field.kernel_scalar(given["weight"]), given["form"])
         self.conditions = [(sides, tuple(iproduct(range(n), repeat=arity - 1))) for sides, arity in kept]
-        self.reduce = (lambda x: x % field.p) if field.characteristic else (lambda x: x)
-        self.inverse = cache(lambda c: pow(c, -1, field.p) if field.characteristic else field.kernel_scalar(Fraction(1, c)))
+        self.p, self.kernel_scalar, self.accepts = field.p, field.kernel_scalar, accepts
         self.basis, self.n, self.budget = a.basis, n, budget
         self.canon, self.values, self.hits, self.leaves = canon, tuple(canon), [], 0
 
@@ -140,62 +157,73 @@ class _Search:
     def visit(self, sides, idx) -> bool:
         """Check the tuple, force the one unset column it reads, or file it to wait; False on a failure."""
         try:
-            rest, *top = sides(*idx)
+            r, *top = sides(*idx)
         except KeyError as unset:  # only columns is a dict the sides index
             return self.wait(sides, idx, unset.args[0])
-        columns, reduce = self.columns, self.reduce
+        columns, p = self.columns, self.p
         # left - right = r + the sum over unset k of slope[k] f(e_k)
-        r, slope = dict(rest), {}
+        slope = {}
         for y in top:
             for j, c in y.items():
-                if j not in columns:
-                    slope[j] = slope.get(j, 0) + c
-                else:
+                if j in columns:
                     for t, x in columns[j].items():
                         r[t] = r.get(t, 0) + c * x
-        unset = list(slope)
+                elif c:
+                    slope[j] = slope.get(j, 0) + c
+        unset, column = list(slope), None
         if len(unset) > 1:
             # two watches: all but one of these columns are set only once one of the two is
             return self.wait(sides, idx, *unset[:2])
-        if unset and (g := reduce(slope[unset[0]])):
-            k, scale, column, canon = unset[0], self.inverse(-g), {}, self.canon
+        if unset and (g := slope[unset[0]] % p if p else slope[unset[0]]):
+            k, canon, column = unset[0], self.canon, {}
+            scale = pow(-g, -1, p) if p else self.kernel_scalar(Fraction(-1, g))
             for t in self.rows[k]:
-                v = canon.get(reduce(r.pop(t, 0) * scale))
+                v = canon.get(r.pop(t, 0) * scale % p if p else r.pop(t, 0) * scale)
                 if v is None:
                     return False
                 if v:
                     column[t] = v
-            # what is left of r lies off the even positions
-            return not any(map(reduce, r.values())) and self.set_column(k, column)
-        return not any(map(reduce, r.values()))
+        # with a column forced, what is left of r lies off the even positions
+        if any(r.values() if p is None else map(p.__rmod__, r.values())):
+            return False
+        return column is None or self.set_column(k, column or _EMPTY)
 
-    def settle(self, i, column) -> bool:
-        """Fill column i's fixed entries from it and the columns before it, then set it; False on a failure."""
-        columns, canon, reduce = self.columns, self.canon, self.reduce
-        for k, terms in self.fixed[i]:
-            v = canon.get(reduce(sum(c * (column if j == i else columns[j]).get(t, 0) for t, j, c in terms)))
-            if v is None:
-                return False
+    def settle(self, i, vals) -> bool:
+        """Fill column i from its free entries' values and the columns before it, then set it; False on a failure.
+
+        plan[i] holds each row of column i, ascending, with the index of its
+        value in vals if the entry is free, else the (source, column, kernel
+        coefficient) terms of its fixed value, source an index into vals for
+        column i and a row for an earlier column.
+        """
+        columns, canon, p, column = self.columns, self.canon, self.p, {}
+        for k, entry in self.plan[i]:
+            if type(entry) is int:
+                v = vals[entry]
+            else:
+                v = sum(c * (vals[t] if j == i else columns[j].get(t, 0)) for t, j, c in entry)
+                if (v := canon.get(v % p if p else v)) is None:
+                    return False
             if v:
                 column[k] = v
-        return self.set_column(i, column)
+        return self.set_column(i, column or _EMPTY)
 
     def descend(self, i):
         columns, n = self.columns, self.n
         if i == n:
             self.leaves += 1
-            m = GradedLinearMap(self.basis, _Columns(tuple(columns[j] for j in range(n))))
+            m = _even_map(self.basis, tuple(map(columns.__getitem__, range(n))))
             if self.accepts(m):
                 self.hits.append((tuple(columns[j].get(k, 0) for k, j in self.row_major), m))
             return
         if i in columns:  # forced
             return self.descend(i + 1)
-        branching, log = self.branching[i], self.log
-        for vals in iproduct(self.values, repeat=len(branching)):
+        log = self.log
+        for vals in iproduct(self.values, repeat=self.branching[i]):
             if self.leaves >= self.budget:
                 return
             mark = len(log)
-            if self.settle(i, {k: v for k, v in zip(branching, vals) if v}):
+            if self.settle(i, vals):
                 self.descend(i + 1)
             else:
                 self.leaves += 1
@@ -210,12 +238,24 @@ def _f_degree(node) -> int:
 
 def linear_conditions(predicate: str, side: str = "both") -> tuple:
     """The predicate's linear part: the conditions side keeps whose terms all have degree 1 in f."""
+    return _parts(predicate, side)[0]
+
+
+def _parts(predicate: str, side: str) -> tuple:
+    """(linear_conditions, the names of the other conditions side keeps), in order, found once per (predicate, side)."""
     if predicate not in PREDICATE_CONDITIONS:
         raise StructureError(f"unknown predicate {predicate!r}")
-    return tuple(
-        name for group in _groups(PREDICATE_CONDITIONS[predicate], side) for name in group
-        if all(_f_degree(node) == 1 for terms in _CONDITIONS[name][1:] for _, _, node in terms)
+    _groups((), side)  # a side that is not left, right or both raises here, before it is hashed
+    return _parted(predicate, side)
+
+
+@cache
+def _parted(predicate: str, side: str) -> tuple:
+    names = [name for group in _kept(PREDICATE_CONDITIONS[predicate], side) for name in group]
+    linear = tuple(
+        name for name in names if all(_f_degree(node) == 1 for terms in _CONDITIONS[name][1:] for _, _, node in terms)
     )
+    return linear, tuple(name for name in names if name not in linear)
 
 
 def _linear_equations(a: ColorHomAlgebra, names, positions, form=None) -> list:
@@ -249,9 +289,90 @@ def _split(name: str) -> tuple:
 
 @cache
 def _forcing(name: str):
-    """A condition's rest and the y of each top term f(y) (_split), compiled once: a function of a scope's fields."""
+    """A condition's rest and the y of each top term f(y) (_split), compiled once: a function of a scope's fields.
+
+    Its value is the function of the arguments k0, k1, ... that returns
+    (r, y_1, ..., y_m), r a new dict holding the rest.  It first binds each
+    value the sides read, in the order they read them, so indexing the first
+    unset column of f raises KeyError before any sum is formed; then each
+    rest term adds its contributions, coefficient times the values they
+    read, into r, as a slice adds a term's.  A y is the stored cell or
+    column where it is one, else its own sum; a sum may hold a zero where
+    contributions cancel.  No kernel function is called.
+    """
+    scope: dict = {}
+    exec(_forcing_source(name), vars(checks), scope)
+    return scope["forcing_of"]
+
+
+def _forcing_source(name: str) -> str:
+    """The Python source of a condition's forcing function (_forcing)."""
     rest, top = _split(name)
-    return _evaluator(_CONDITIONS[name][0], rest, *([term] for term in top))
+    reads, sums, fresh = [], [], count()
+
+    def bound(node, under: bool) -> tuple:
+        """(a name bound in reads to node's value, False), or (k<p>, True) for slot p, whose value is e_p."""
+        kind, s = type(node), "s_" * under
+        if kind is int:
+            return f"k{node}", True
+        value = "{}"
+        if kind is P and type(node.x) is int and type(node.y) is int:
+            value = f"{s}rows[k{node.x}][k{node.y}]"
+        elif kind in (F, A) and type(node.x) is int:
+            value = f"f_columns[k{node.x}]" if kind is F else f"{s}columns[k{node.x}]"
+        elif kind is B:
+            value = _source(node, under)
+        reads.append(f"{(v := f'v{next(fresh)}')} = {value}")
+        if value == "{}":
+            add(node, under, v, [], reads)
+        return v, False
+
+    def add(node, under: bool, out: str, factors: list, body: list):
+        """Append to body the loops adding the product of factors and node's value into out; its operands go to reads."""
+        kind, s, i = type(node), "s_" * under, next(fresh)
+        if kind is P and not (type(node.x) is int and type(node.y) is int):
+            (x, x_slot), (y, y_slot) = bound(node.x, under), bound(node.y, under)
+            loops = [f"for a{i}, x{i} in {x}.items():"] * (not x_slot) + [f"for b{i}, y{i} in {y}.items():"] * (not y_slot)
+            factors = [*factors, *[f"x{i}"] * (not x_slot), *[f"y{i}"] * (not y_slot)]
+            loops.append(f"for t{i}, c{i} in {s}rows[{x if x_slot else f'a{i}'}][{y if y_slot else f'b{i}'}].items():")
+        elif kind in (F, A) and type(node.x) is not int:
+            x, _ = bound(node.x, under or kind is F)
+            loops = [f"for a{i}, x{i} in {x}.items():", *[f"if x{i}:"] * (kind is F),  # f reads a nonzero's column alone
+                     f"for t{i}, c{i} in {'f_columns' if kind is F else s + 'columns'}[a{i}].items():"]
+            factors = [*factors, f"x{i}"]
+        else:
+            v, slot = bound(node, under)
+            if slot:
+                body.append(f"{out}[{v}] = {out}.get({v}, 0) + {' * '.join(factors) or 1}")
+                return
+            loops = [f"for t{i}, c{i} in {v}.items():"]
+        *outer, inner = loops
+        body += [" " * depth + line for depth, line in enumerate(outer)]
+        if outer and len(factors) > 1:  # the factors the last loop does not bind, multiplied before it
+            body.append(" " * len(outer) + f"w{i} = {' * '.join(factors)}")
+            factors = [f"w{i}"]
+        body += [" " * len(outer) + inner, " " * len(loops) + f"{out}[t{i}] = {out}.get(t{i}, 0) + {' * '.join([*factors, f'c{i}'])}"]
+
+    def coefficient(sign, factors) -> list:
+        return [str(sign)] * (sign != 1) + [c if type(c) is str else "eps[k{}][k{}]".format(*c) for c in factors]
+
+    for sign, factors, node in rest:
+        add(node, False, "r", coefficient(sign, factors), sums)
+    ys = []
+    for sign, factors, node in top:  # y lives in the source: it sits under an F
+        if sign == 1 and not factors and type(node) is not int:
+            ys.append(bound(node, True)[0])
+        else:
+            reads.append(f"{ys.append(y := f'v{next(fresh)}') or y} = {{}}")
+            add(node, True, y, coefficient(sign, factors), reads)
+    keys = ", ".join(f"k{p}" for p in range(_CONDITIONS[name][0]))
+    body = [*reads, "r = {}", *sums, f"return r, {', '.join(ys)}"]
+    return (
+        "def forcing_of(target, source=None, f=None, eps_f=None, weight=0, form=None):\n"
+        " rows, columns, eps = target.product_rows, target.alpha.sparse_columns, source.eps_table\n"
+        " s_rows, s_columns, f_columns = source.product_rows, source.alpha.sparse_columns, f.sparse_columns\n"
+        f" def sides({keys}):\n" + "".join(f"  {line}\n" for line in body) + " return sides\n"
+    )
 
 
 def search_instances(predicate: str, side: str, a: ColorHomAlgebra, columns, weight=0, form=None) -> list:
@@ -261,41 +382,42 @@ def search_instances(predicate: str, side: str, a: ColorHomAlgebra, columns, wei
     passes the columns it has set and learns which unset one a tuple reads
     from what indexing raises.  Every such condition reads f(x_0) before any
     other column, so a search visits its tuples with x_0 = e_k once column k
-    is set.  sides(*idx) is (rest, y_1, ..., y_m), left - right = rest +
-    f(y_1) + ... + f(y_m): each term f(y) at the top of a side is kept
-    unapplied, its coefficient in y.  weight is a kernel scalar.
+    is set.  sides(*idx) is (r, y_1, ..., y_m), left - right = r + f(y_1) +
+    ... + f(y_m), r a new dict the caller may change (_forcing): each term
+    f(y) at the top of a side is kept unapplied, its coefficient in y.
+    weight is a kernel scalar.
     """
-    linear = linear_conditions(predicate, side)
-    scope = _Scope(a, a, _Images(columns, None, a.group.zero()), {}, weight, form)
-    names = [name for group in _groups(PREDICATE_CONDITIONS[predicate], side) for name in group if name not in linear]
-    return [(_forcing(name)(*scope), _CONDITIONS[name][0]) for name in names]
+    scope = a, a, _Images(columns, None, a.basis.group.zero()), {}, weight, form
+    return [(_forcing(name)(*scope), _CONDITIONS[name][0]) for name in _parts(predicate, side)[1]]
 
 
 def _solved_layout(a: ColorHomAlgebra, linear, form) -> tuple:
     """The linear part solved on a's even positions, laid out by column, as a search walks it.
 
-    Returns (rows, row_major, branching, fixed): rows[i], the rows k with
+    Returns (rows, row_major, branching, plan): rows[i], the rows k with
     deg e_k = deg e_i; row_major, the even positions (k, i) in row-major
-    order; branching[i], the free rows of column i; fixed[i], (row, terms)
-    for each fixed entry of column i, terms holding (row, column, kernel
-    coefficient).  The positions are numbered latest column first, so each
-    equation's pivot is its entry in its latest column and a fixed entry
-    reads free entries of its own column or earlier ones.  Lists and tuples
-    of ints and kernel scalars alone, kept on a under _SOLVED and read, never
-    changed, by each search.
+    order; branching[i], the number of free entries of column i; plan[i],
+    (k, entry) for each row k of column i, ascending, entry the index of the
+    value among column i's free entries, ascending, or for a fixed one its
+    terms (source, column, kernel coefficient), source such an index in
+    column i and the row in an earlier one.  The positions are numbered
+    latest column first, so each equation's pivot is its entry in its latest
+    column and a fixed entry reads free entries of its own column or earlier
+    ones.  Lists and tuples of ints and kernel scalars alone, kept on a under
+    _SOLVED and read, never changed, by each search.
     """
     n, classes = a.dim, a.basis.degree_classes[1]
     rows = [[k for k in range(n) if classes[k] == classes[i]] for i in range(n)]
     positions = [(k, i) for i in reversed(range(n)) for k in rows[i]]
     free, pivots = _solve_linear_part(a, linear, positions, form)
-    branching, fixed = [[] for _ in range(n)], [[] for _ in range(n)]
-    for p in free:
-        k, i = positions[p]
-        branching[i].append(k)
+    entry, branching = {}, [0] * n
+    for p in free:  # ascending, so by row within a column
+        i = positions[p][1]
+        entry[positions[p]], branching[i] = branching[i], branching[i] + 1
     for p, terms in pivots:
-        k, i = positions[p]
-        fixed[i].append((k, [(*positions[q], c) for q, c in terms]))
-    return rows, sorted(positions), branching, fixed
+        i = positions[p][1]
+        entry[positions[p]] = [(entry[k, j] if j == i else k, j, c) for (k, j), c in ((positions[q], c) for q, c in terms)]
+    return rows, sorted(positions), branching, [[(k, entry[k, i]) for k in rows[i]] for i in range(n)]
 
 
 def _solve_linear_part(a: ColorHomAlgebra, linear, positions, form) -> tuple:
