@@ -20,7 +20,10 @@ the form through its sparse Gram rows; a term of degree 2 in f is one
 chained nest.  A tuple no slice reaches has every term zero, so
 the first tuple with a nonzero value (mod p over F_p) is the first failing
 tuple of a scan over every tuple, and the sides, compiled per tuple
-(_compiled), run there alone for the witness (_first_failure).
+(_compiled), run there alone for the witness (_first_failure).  One
+generator, _tuple_source, compiles a declaration's sides at a basis tuple
+as accumulations that call no kernel function: a witness's (left, right),
+and the (r, slope) of a condition a search visits (colorhom.search).
 
 An identity scan visits canonical tuples only (_canonical, _SYMMETRIES).
 Where a right side is +-eps(x_s, x_t) times the left with slots s and t
@@ -57,6 +60,7 @@ from __future__ import annotations
 import re
 from functools import cache
 from importlib import import_module
+from itertools import count
 from typing import NamedTuple
 
 from .core import (
@@ -66,15 +70,12 @@ from .core import (
     _EMPTY,
     _algebra_of_fields,
     _column_rows,
+    _nonzero,
     _product_index,
     _require_even_endo,
     _require_grading,
     _uneven,
     dense_vector,
-    sparse_add,
-    sparse_apply,
-    sparse_product,
-    sparse_scale,
     sparse_vector,
 )
 from .errors import StructureError, _Record
@@ -166,7 +167,7 @@ A = NamedTuple("A", [("x", object)])
 P = NamedTuple("P", [("x", object), ("y", object)])
 B = NamedTuple("B", [("x", object), ("y", object)])
 
-# coefficient factors: F0 and WEIGHT as Python source, and slot pairs (see _side_source)
+# coefficient factors: F0 and WEIGHT as Python source, and slot pairs (see _slice_source, _tuple_source)
 F0, WEIGHT = "_eps_f(source, f, eps_f, k0)", "weight"
 E01, E12, E20 = (0, 1), (1, 2), (2, 0)
 
@@ -190,68 +191,6 @@ def _eps_f(source: ColorHomAlgebra, f: GradedLinearMap, eps_f: dict, i: int):
     if d not in eps_f:
         eps_f[d] = source.field.kernel_scalar(source.eps(f.degree, d))
     return eps_f[d]
-
-
-def _source(node, under: bool = False, basis: bool = True) -> str:
-    """Python source for a node's value at the arguments k0, k1, ...
-
-    It reads the fields of a _Scope by name; under says whether an F
-    encloses the node.  With basis, k_p is a basis index, and a product or
-    image of basis vectors reads the stored cell or column; otherwise k_p is
-    a pair (degree, sparse vector), and every product and image is computed.
-    """
-    kind = type(node)
-    if kind is int:
-        return f"{{k{node}: 1}}" if basis else f"k{node}[1]"
-    algebra = "source" if under else "target"
-    if kind is P:
-        x, y = node
-        if basis and type(x) is int and type(y) is int:
-            return f"{algebra}.product_rows[k{x}][k{y}]"
-        return f"sparse_product({algebra}, {_source(x, under, basis)}, {_source(y, under, basis)})"
-    if kind is B:
-        v = f"form.pairing({_source(node.x, under, basis)}, {_source(node.y, under, basis)})"
-        return f"({{0: {algebra}.field.kernel_scalar(v)}} if (v := {v}) else {{}})"
-    m, under = ("f", True) if kind is F else (f"{algebra}.alpha", under)
-    if basis and type(node.x) is int:
-        return f"{m}.sparse_columns[k{node.x}]"
-    return f"sparse_apply({m}, {_source(node.x, under, basis)})"
-
-
-def _side_source(terms, basis: bool) -> str:
-    """Python source for the signed sum of a side's terms; a slot pair reads its arguments' eps."""
-    if len(terms) == 1 and terms[0][:2] == (1, ()):
-        return _source(terms[0][2], basis=basis)
-    eps = "source.eps_table[k{}][k{}]" if basis else "source.field.kernel_scalar(source.eps(k{}[0], k{}[0]))"
-    parts = []
-    for sign, factors, node in terms:
-        coefficient = [str(sign), *(c if type(c) is str else eps.format(*c) for c in factors)]
-        parts.append(f"({' * '.join(coefficient)}, {_source(node, basis=basis)})")
-    return f"_sum({', '.join(parts)})"
-
-
-def _sum(*terms) -> dict:
-    """The sum of coefficient * value over the (coefficient, value) terms."""
-    out = {}
-    for coefficient, value in terms:
-        if value:
-            if coefficient != 1:
-                value = sparse_scale(coefficient, value)
-            # value may be a stored cell: sparse_add copies, nothing is mutated
-            out = sparse_add(out, value) if out else value
-    return out
-
-
-def _evaluator(arity: int, *sides, basis: bool = True):
-    """The sides, compiled once from Python source: a function of a scope's fields.
-
-    It returns the function of the arguments k0, k1, ... that gives the
-    tuple of the sides' values, so a tuple costs one call plus the sparse
-    products and images its terms name, as a hand-written closure would.
-    """
-    keys = ", ".join(f"k{p}" for p in range(arity))
-    body = ", ".join(_side_source(side, basis) for side in sides)
-    return eval(f"lambda {', '.join(_Scope._fields)}: lambda {keys}: ({body},)", globals())
 
 
 def _path(node, slot: int, under: bool = False):
@@ -413,6 +352,125 @@ def _slice_source(name: str, entry_in_key: bool = False, canonical: tuple = ()) 
     names = set(re.findall(r"\w+", body))
     prelude = "".join(f" {lists}\n" for prefix, lists in _LISTS.items() if any(x.startswith(prefix) for x in names))
     return f"def slice_of(target, source=None, f=None, eps_f=None, weight=0, form=None):\n{prelude}{body}"
+
+
+# what a tuple's sides read besides their arguments, bound once per call where the body names them
+_READS = {
+    "rows": "target.product_rows", "columns": "target.alpha.sparse_columns", "eps": "source.eps_table",
+    "s_rows": "source.product_rows", "s_columns": "source.alpha.sparse_columns", "f_columns": "f.sparse_columns",
+    "g_rows": "form.gram_rows", "kernel_scalar": "source.field.kernel_scalar",
+}
+
+
+@cache
+def _compiled(name: str, witness: bool = True):
+    """A declaration's sides at a basis tuple, compiled once from _tuple_source: a function of a scope's fields."""
+    scope: dict = {}
+    exec(_tuple_source(name, witness), globals(), scope)
+    return scope["sides_of"]
+
+
+def _split(name: str) -> tuple:
+    """A condition's left - right less its terms f(y) at the top, and (sign, factors, y) for each, signed likewise."""
+    _, left, right = _CONDITIONS[name]
+    signed = [*left, *((-s, c, t) for s, c, t in right)]
+    return [t for t in signed if type(t[2]) is not F], [(s, c, t.x) for s, c, t in signed if type(t) is F]
+
+
+def _tuple_source(name: str, witness: bool = True) -> str:
+    """The Python source of a declaration's sides at a basis tuple (_compiled).
+
+    Its value maps a scope's fields to the function of the arguments k0, k1,
+    ... that gives, for a witness, (left, right): each side's terms added
+    into a new dict, exact zeros dropped.  Otherwise it gives a search's visit
+    of a condition (r, slope), left - right = r + the sum of slope[k] f(e_k)
+    over the columns k that f lacks: r is a new dict holding the terms below
+    the top (_split), and each top term f(y) is walked over y in turn, a set
+    column's image times its coefficient added into r, an unset one's
+    coefficient into slope, where k enters at its first nonzero coefficient
+    in a y.  The function first binds each value the sides read, in the order
+    they read them, so indexing the first unset column of f raises KeyError
+    before any sum is formed; then each term adds its contributions,
+    coefficient times the values they read, as a slice adds a term's.  A value
+    is the stored cell or column where it is one, else its own sum, which may
+    hold a zero where contributions cancel; the form's is a kernel scalar at
+    key 0.  No kernel function is called, and only what the body reads is
+    bound (_READS; f is None for an identity).
+    """
+    arity, left, right = _IDENTITIES.get(name) or _CONDITIONS[name]
+    rest, top = ([], []) if witness else _split(name)
+    reads, sums, walk, fresh = [], [], [], count()
+
+    def bound(node, under: bool) -> tuple:
+        """(a name bound in reads to node's value, False), or (k<p>, True) for slot p, whose value is e_p."""
+        kind, s = type(node), "s_" * under
+        if kind is int:
+            return f"k{node}", True
+        value = "{}"
+        if kind is P and type(node.x) is int and type(node.y) is int:
+            value = f"{s}rows[k{node.x}][k{node.y}]"
+        elif kind in (F, A) and type(node.x) is int:
+            value = f"f_columns[k{node.x}]" if kind is F else f"{s}columns[k{node.x}]"
+        reads.append(f"{(v := f'v{next(fresh)}')} = {value}")
+        if value == "{}":
+            add(node, under, v, [], reads)
+        return v, False
+
+    def add(node, under: bool, out: str, factors: list, body: list):
+        """Append to body the loops adding the product of factors and node's value into out; its operands go to reads."""
+        kind, s, i = type(node), "s_" * under, next(fresh)
+        if kind is B or (kind is P and not (type(node.x) is int and type(node.y) is int)):
+            (x, x_slot), (y, y_slot) = bound(node.x, under), bound(node.y, under)
+            loops = [f"for a{i}, x{i} in {x}.items():"] * (not x_slot) + [f"for b{i}, y{i} in {y}.items():"] * (not y_slot)
+            operands = [f"x{i}"] * (not x_slot) + [f"y{i}"] * (not y_slot)
+            u, w = x if x_slot else f"a{i}", y if y_slot else f"b{i}"
+            if kind is B:  # the form's value: its sum, as a kernel scalar, at key 0
+                body += [f"g{i} = 0", *(" " * depth + line for depth, line in enumerate(loops)),
+                         " " * len(loops) + f"g{i} += {' * '.join([*operands, f'g_rows[{u}].get({w}, 0)'])}",
+                         f"{out}[0] = {out}.get(0, 0) + {' * '.join([*factors, f'kernel_scalar(g{i})'])}"]
+                return
+            factors = [*factors, *operands]
+            loops.append(f"for t{i}, c{i} in {s}rows[{u}][{w}].items():")
+        elif kind in (F, A) and type(node.x) is not int:
+            x, _ = bound(node.x, under or kind is F)
+            loops = [f"for a{i}, x{i} in {x}.items():", *[f"if x{i}:"] * (kind is F),  # f reads a nonzero's column alone
+                     f"for t{i}, c{i} in {'f_columns' if kind is F else s + 'columns'}[a{i}].items():"]
+            factors = [*factors, f"x{i}"]
+        else:
+            v, slot = bound(node, under)
+            if slot:
+                body.append(f"{out}[{v}] = {out}.get({v}, 0) + {' * '.join(factors) or 1}")
+                return
+            loops = [f"for t{i}, c{i} in {v}.items():"]
+        *outer, inner = loops
+        body += [" " * depth + line for depth, line in enumerate(outer)]
+        if outer and len(factors) > 1:  # the factors the last loop does not bind, multiplied before it
+            body.append(" " * len(outer) + f"w{i} = {' * '.join(factors)}")
+            factors = [f"w{i}"]
+        body += [" " * len(outer) + inner, " " * len(loops) + f"{out}[t{i}] = {out}.get(t{i}, 0) + {' * '.join([*factors, f'c{i}'])}"]
+
+    def coefficient(sign, factors) -> list:
+        return [str(sign)] * (sign != 1) + [c if type(c) is str else "eps[k{}][k{}]".format(*c) for c in factors]
+
+    for out, terms in [("l", left), ("r", right)] if witness else [("r", rest)]:
+        sums.append(f"{out} = {{}}")
+        for sign, factors, node in terms:
+            add(node, False, out, coefficient(sign, factors), sums)
+    for sign, factors, node in top:  # y lives in the source: it sits under an F
+        if sign == 1 and not factors and type(node) is not int:
+            y = bound(node, True)[0]
+        else:
+            reads.append(f"{(y := f'v{next(fresh)}')} = {{}}")
+            add(node, True, y, coefficient(sign, factors), reads)
+        walk += [f"for j, c in {y}.items():", " if j in f_columns:", "  for t, x in f_columns[j].items():",
+                 "   r[t] = r.get(t, 0) + c * x", " elif c:", "  slope[j] = slope.get(j, 0) + c"]
+    end = ["return _nonzero(l), _nonzero(r)"] if witness else ["slope = {}", *walk, "return r, slope"]
+    body = "".join(f"  {line}\n" for line in [*reads, *sums, *end])
+    names = [name for name in _READS if name in set(re.findall(r"\w+", body))]
+    prelude = f" {', '.join(names)} = {', '.join(map(_READS.get, names))}\n" * bool(names)
+    keys = ", ".join(f"k{p}" for p in range(arity))
+    return (f"def sides_of(target, source=None, f=None, eps_f=None, weight=0, form=None):\n{prelude}"
+            f" def sides({keys}):\n{body} return sides\n")
 
 
 # ---------------------------------------------------------------------------
@@ -792,12 +850,6 @@ def _kept(groups, side: str) -> tuple:
     keep = _SIDED if side == "both" else (side + "-",)
     kept = (tuple(c for c in g if c.startswith(keep) or not c.startswith(_SIDED)) for g in groups)
     return tuple(group for group in kept if group)
-
-
-@cache
-def _compiled(name: str, basis: bool = True):
-    """A declaration's sides, compiled on first use: a function of a scope's fields."""
-    return _evaluator(*(_IDENTITIES.get(name) or _CONDITIONS[name]), basis=basis)
 
 
 def _holds(source, target, f, groups, side="both", weight=0, form=None) -> Verdict:

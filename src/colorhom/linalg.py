@@ -13,11 +13,12 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from . import core
-from .checks import IDENTITY_ARITY, _compiled, _dense, _Scope
+from .checks import _IDENTITIES, IDENTITY_ARITY, P, _dense
 from .core import ColorHomAlgebra, GradedBasis, GradedLinearMap, _algebra_of_fields, _Columns, _eps_table
-from .core import _require_grading, identity_map, sparse_add, sparse_sub, sparse_vector
+from .core import _require_grading, identity_map, sparse_add, sparse_apply, sparse_product, sparse_scale, sparse_sub
+from .core import sparse_vector
 from .errors import SingularMapError, StructureError
-from .grading import EPS_MAX_BITS, Bicharacter, GradeGroup
+from .grading import EPS_MAX_BITS, Bicharacter, GradeGroup, GroupElement
 from .scalars import ScalarField
 
 __all__ = ["map_power", "invert_map", "matrix_rank", "determinant", "commutator_tensor", "unit_vector", "zero_vector",
@@ -192,7 +193,7 @@ def homogeneous_components(basis: GradedBasis, x):
 
 
 def _require_arguments(a: ColorHomAlgebra, name: str, vectors, degrees=None) -> None:
-    """Raise unless name is an identity whose slots vectors (and degrees) fill, each vector of length dim."""
+    """Raise unless name is an identity whose slots vectors (and degrees of a's group) fill, each vector of length dim."""
     if name not in IDENTITY_ARITY:
         raise StructureError(f"unknown identity {name!r}")
     arity = IDENTITY_ARITY[name]
@@ -201,18 +202,41 @@ def _require_arguments(a: ColorHomAlgebra, name: str, vectors, degrees=None) -> 
     for v in vectors:
         if len(v) != a.dim:
             raise StructureError(f"vector length {len(v)} != dim {a.dim}")
+    for d in degrees or ():
+        if not isinstance(d, GroupElement) or d.group != a.group:
+            raise StructureError(f"degree {d!r} is not an element of the algebra's grading group")
 
 
 def identity_sides(a: ColorHomAlgebra, name: str, degrees, vectors):
-    """Evaluate one identity's two sides on homogeneous arguments."""
+    """Evaluate one identity's two sides on homogeneous arguments, each vector of its stated degree (or zero)."""
     _require_arguments(a, name, vectors, degrees)
-    return tuple(_dense(a, side) for side in _sparse_sides(a, name, zip(degrees, vectors)))
+    arguments = [(d, sparse_vector(a.field, v)) for d, v in zip(degrees, vectors)]
+    for d, x in arguments:
+        if any(a.degrees[k] != d for k in x):
+            raise StructureError(f"vector is not homogeneous of degree {d}")
+    return tuple(_dense(a, side) for side in _vector_sides(a, name, arguments))
 
 
-def _sparse_sides(a: ColorHomAlgebra, name: str, arguments):
-    """An identity's sparse sides at homogeneous arguments (degree, vector)."""
-    sides = _compiled(name, basis=False)(*_Scope(a, a, None, {}, 0, None))
-    return sides(*((d, sparse_vector(a.field, v)) for d, v in arguments))
+def _vector_sides(a: ColorHomAlgebra, name: str, arguments) -> list:
+    """An identity's two sides at homogeneous arguments (degree, sparse vector), every product and image computed."""
+    kernel_scalar = a.field.kernel_scalar
+
+    def value(node):  # an identity's nodes are slots, products and alpha
+        if type(node) is int:
+            return arguments[node][1]
+        if type(node) is P:
+            return sparse_product(a, value(node.x), value(node.y))
+        return sparse_apply(a.alpha, value(node.x))
+
+    sides = []
+    for terms in _IDENTITIES[name][1:]:
+        total = {}
+        for sign, pairs, node in terms:
+            for s, t in pairs:  # eps(deg x_s, deg x_t)
+                sign *= kernel_scalar(a.eps(arguments[s][0], arguments[t][0]))
+            total = sparse_add(total, sparse_scale(sign, value(node)))
+        sides.append(total)
+    return sides
 
 
 def identity_residual_on_vectors(a: ColorHomAlgebra, name: str, vectors) -> tuple:
@@ -226,5 +250,5 @@ def identity_residual_on_vectors(a: ColorHomAlgebra, name: str, vectors) -> tupl
     split = [homogeneous_components(a.basis, v) for v in vectors]
     total = {}
     for combo in iproduct(*split):
-        total = sparse_add(total, sparse_sub(*_sparse_sides(a, name, combo)))
+        total = sparse_add(total, sparse_sub(*_vector_sides(a, name, [(d, sparse_vector(a.field, v)) for d, v in combo])))
     return _dense(a, total)

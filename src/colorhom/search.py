@@ -1,7 +1,8 @@
 """search_maps: the even maps a named predicate accepts, found by one deterministic walk.
 
 The predicate's linear part is solved (linear_conditions, _solve_linear_part),
-its other conditions visited as the walk sets columns (search_instances), and
+its other conditions visited as the walk sets columns (search_instances), their
+sides at a tuple compiled by checks' one per-tuple generator (_forcing), and
 one _Search object holds the walk's state.  The solved linear part is kept in
 the algebra's instance dict (_SOLVED), as checks keep their scans there.
 catalog.search_maps and checks.linear_conditions and search_instances
@@ -12,11 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import count
 from itertools import product as iproduct
 
-from . import checks
-from .checks import _CONDITIONS, PREDICATE_CONDITIONS, A, B, F, P, _groups, _Images, _kept, _Scope, _slice, _source
+from .checks import _CONDITIONS, PREDICATE_CONDITIONS, F, _compiled, _groups, _Images, _kept, _Scope, _slice, _split
 from .core import _EMPTY, ColorHomAlgebra, GradedLinearMap, _column_rows
 from .errors import StructureError
 from .linalg import _row_reduce
@@ -157,19 +156,11 @@ class _Search:
     def visit(self, sides, idx) -> bool:
         """Check the tuple, force the one unset column it reads, or file it to wait; False on a failure."""
         try:
-            r, *top = sides(*idx)
+            # left - right = r + the sum over unset k of slope[k] f(e_k)
+            r, slope = sides(*idx)
         except KeyError as unset:  # only columns is a dict the sides index
             return self.wait(sides, idx, unset.args[0])
-        columns, p = self.columns, self.p
-        # left - right = r + the sum over unset k of slope[k] f(e_k)
-        slope = {}
-        for y in top:
-            for j, c in y.items():
-                if j in columns:
-                    for t, x in columns[j].items():
-                        r[t] = r.get(t, 0) + c * x
-                elif c:
-                    slope[j] = slope.get(j, 0) + c
+        p = self.p
         unset, column = list(slope), None
         if len(unset) > 1:
             # two watches: all but one of these columns are set only once one of the two is
@@ -280,99 +271,9 @@ def _linear_equations(a: ColorHomAlgebra, names, positions, form=None) -> list:
     return list(rows.values())
 
 
-def _split(name: str) -> tuple:
-    """A condition's left - right less its terms f(y) at the top, and (sign, factors, y) for each, signed likewise."""
-    _, left, right = _CONDITIONS[name]
-    signed = [*left, *((-s, c, t) for s, c, t in right)]
-    return [t for t in signed if type(t[2]) is not F], [(s, c, t.x) for s, c, t in signed if type(t) is F]
-
-
-@cache
 def _forcing(name: str):
-    """A condition's rest and the y of each top term f(y) (_split), compiled once: a function of a scope's fields.
-
-    Its value is the function of the arguments k0, k1, ... that returns
-    (r, y_1, ..., y_m), r a new dict holding the rest.  It first binds each
-    value the sides read, in the order they read them, so indexing the first
-    unset column of f raises KeyError before any sum is formed; then each
-    rest term adds its contributions, coefficient times the values they
-    read, into r, as a slice adds a term's.  A y is the stored cell or
-    column where it is one, else its own sum; a sum may hold a zero where
-    contributions cancel.  No kernel function is called.
-    """
-    scope: dict = {}
-    exec(_forcing_source(name), vars(checks), scope)
-    return scope["forcing_of"]
-
-
-def _forcing_source(name: str) -> str:
-    """The Python source of a condition's forcing function (_forcing)."""
-    rest, top = _split(name)
-    reads, sums, fresh = [], [], count()
-
-    def bound(node, under: bool) -> tuple:
-        """(a name bound in reads to node's value, False), or (k<p>, True) for slot p, whose value is e_p."""
-        kind, s = type(node), "s_" * under
-        if kind is int:
-            return f"k{node}", True
-        value = "{}"
-        if kind is P and type(node.x) is int and type(node.y) is int:
-            value = f"{s}rows[k{node.x}][k{node.y}]"
-        elif kind in (F, A) and type(node.x) is int:
-            value = f"f_columns[k{node.x}]" if kind is F else f"{s}columns[k{node.x}]"
-        elif kind is B:
-            value = _source(node, under)
-        reads.append(f"{(v := f'v{next(fresh)}')} = {value}")
-        if value == "{}":
-            add(node, under, v, [], reads)
-        return v, False
-
-    def add(node, under: bool, out: str, factors: list, body: list):
-        """Append to body the loops adding the product of factors and node's value into out; its operands go to reads."""
-        kind, s, i = type(node), "s_" * under, next(fresh)
-        if kind is P and not (type(node.x) is int and type(node.y) is int):
-            (x, x_slot), (y, y_slot) = bound(node.x, under), bound(node.y, under)
-            loops = [f"for a{i}, x{i} in {x}.items():"] * (not x_slot) + [f"for b{i}, y{i} in {y}.items():"] * (not y_slot)
-            factors = [*factors, *[f"x{i}"] * (not x_slot), *[f"y{i}"] * (not y_slot)]
-            loops.append(f"for t{i}, c{i} in {s}rows[{x if x_slot else f'a{i}'}][{y if y_slot else f'b{i}'}].items():")
-        elif kind in (F, A) and type(node.x) is not int:
-            x, _ = bound(node.x, under or kind is F)
-            loops = [f"for a{i}, x{i} in {x}.items():", *[f"if x{i}:"] * (kind is F),  # f reads a nonzero's column alone
-                     f"for t{i}, c{i} in {'f_columns' if kind is F else s + 'columns'}[a{i}].items():"]
-            factors = [*factors, f"x{i}"]
-        else:
-            v, slot = bound(node, under)
-            if slot:
-                body.append(f"{out}[{v}] = {out}.get({v}, 0) + {' * '.join(factors) or 1}")
-                return
-            loops = [f"for t{i}, c{i} in {v}.items():"]
-        *outer, inner = loops
-        body += [" " * depth + line for depth, line in enumerate(outer)]
-        if outer and len(factors) > 1:  # the factors the last loop does not bind, multiplied before it
-            body.append(" " * len(outer) + f"w{i} = {' * '.join(factors)}")
-            factors = [f"w{i}"]
-        body += [" " * len(outer) + inner, " " * len(loops) + f"{out}[t{i}] = {out}.get(t{i}, 0) + {' * '.join([*factors, f'c{i}'])}"]
-
-    def coefficient(sign, factors) -> list:
-        return [str(sign)] * (sign != 1) + [c if type(c) is str else "eps[k{}][k{}]".format(*c) for c in factors]
-
-    for sign, factors, node in rest:
-        add(node, False, "r", coefficient(sign, factors), sums)
-    ys = []
-    for sign, factors, node in top:  # y lives in the source: it sits under an F
-        if sign == 1 and not factors and type(node) is not int:
-            ys.append(bound(node, True)[0])
-        else:
-            reads.append(f"{ys.append(y := f'v{next(fresh)}') or y} = {{}}")
-            add(node, True, y, coefficient(sign, factors), reads)
-    keys = ", ".join(f"k{p}" for p in range(_CONDITIONS[name][0]))
-    body = [*reads, "r = {}", *sums, f"return r, {', '.join(ys)}"]
-    return (
-        "def forcing_of(target, source=None, f=None, eps_f=None, weight=0, form=None):\n"
-        " rows, columns, eps = target.product_rows, target.alpha.sparse_columns, source.eps_table\n"
-        " s_rows, s_columns, f_columns = source.product_rows, source.alpha.sparse_columns, f.sparse_columns\n"
-        f" def sides({keys}):\n" + "".join(f"  {line}\n" for line in body) + " return sides\n"
-    )
+    """A condition's sides at a basis tuple as a search visits them, (r, slope) (checks._tuple_source)."""
+    return _compiled(name, False)
 
 
 def search_instances(predicate: str, side: str, a: ColorHomAlgebra, columns, weight=0, form=None) -> list:
@@ -382,10 +283,11 @@ def search_instances(predicate: str, side: str, a: ColorHomAlgebra, columns, wei
     passes the columns it has set and learns which unset one a tuple reads
     from what indexing raises.  Every such condition reads f(x_0) before any
     other column, so a search visits its tuples with x_0 = e_k once column k
-    is set.  sides(*idx) is (r, y_1, ..., y_m), left - right = r + f(y_1) +
-    ... + f(y_m), r a new dict the caller may change (_forcing): each term
-    f(y) at the top of a side is kept unapplied, its coefficient in y.
-    weight is a kernel scalar.
+    is set.  sides(*idx) is (r, slope), left - right = r + the sum of
+    slope[k] f(e_k) over the unset columns k, r a new dict the caller may
+    change (_forcing): each term f(y) at the top of a side is applied to the
+    set columns y reads and its coefficients on the unset ones kept in slope,
+    each in the order y first reads it nonzero.  weight is a kernel scalar.
     """
     scope = a, a, _Images(columns, None, a.basis.group.zero()), {}, weight, form
     return [(_forcing(name)(*scope), _CONDITIONS[name][0]) for name in _parts(predicate, side)[1]]

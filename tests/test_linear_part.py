@@ -24,7 +24,7 @@ from linear_oracle import dense_inverse, gauss_jordan, solve_linear_part
 from test_exact_search import even_form, random_even
 from test_support_scans import FIELDS, sparse_algebras
 
-from colorhom import checks, core, search
+from colorhom import checks, core, linalg, search
 from colorhom.catalog import standard_entries
 from colorhom.checks import linear_conditions
 from colorhom.core import (
@@ -183,8 +183,8 @@ def test_the_solve_builds_no_map_and_evaluates_no_side(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("the linear solve evaluated a side")
 
-    for name in ("_compiled", "_evaluator", "_first_failure"):
-        monkeypatch.setattr(checks, name, refused)
+    for module, name in ((checks, "_compiled"), (linalg, "_vector_sides"), (checks, "_first_failure")):
+        monkeypatch.setattr(module, name, refused)
     for a, linear, at, form, expected in cases:
         assert search._solve_linear_part(a, linear, at, form) == expected
     assert built == []

@@ -1048,7 +1048,9 @@ def assert_boundary_boxed(a, maps, forms=(), others=(), search=False):
         _assert_verdict_boxed(field, checks._scan(a, name), name)
         vectors = [x, ints, x][:arity]
         _assert_boxed(field, checks.identity_residual_on_vectors(a, name, vectors), name)
-        degrees, units = [a.degrees[0]] * arity, [_d_unit(a, 0), ints, _d_unit(a, 0)][:arity]
+        # identity_sides takes each vector homogeneous of its stated degree: ints on the rows of deg e_0 alone
+        homogeneous = tuple(v if a.degrees[k] == a.degrees[0] else 0 for k, v in enumerate(ints))
+        degrees, units = [a.degrees[0]] * arity, [_d_unit(a, 0), homogeneous, _d_unit(a, 0)][:arity]
         for side in checks.identity_sides(a, name, degrees, units):
             _assert_boxed(field, side, name)
     _assert_boxed(field, core.eval_product(a, x, ints) + core.eval_product(a, ints, ints), "eval_product")
