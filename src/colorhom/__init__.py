@@ -21,9 +21,9 @@ _EXPORTS = {
         "check_cyclic_commutator_products", "check_epsilon_commutative",
         "check_hom_associative", "check_hom_lie", "check_hom_novikov", "check_involutive",
         "check_left_symmetric", "check_lie_admissible", "check_multiplicative",
-        "check_regular", "check_right_commutative", "commutes_with_twist",
-        "identity_residual_on_vectors", "in_alpha_center", "is_averaging", "is_centroid",
-        "is_derivation", "is_morphism", "is_rota_baxter", "is_weak_morphism",
+        "check_regular", "check_right_commutative", "commutes_with_twist", "in_alpha_center",
+        "is_averaging", "is_centroid", "is_derivation", "is_morphism", "is_rota_baxter",
+        "is_weak_morphism",
     ),
     "constructions": (
         "averaging_product", "bracket_operator_product", "centroid_twist",
@@ -32,10 +32,8 @@ _EXPORTS = {
         "untwist_involutive", "xi_square_twist", "yau_twist",
     ),
     "core": (
-        "ColorHomAlgebra", "GradedBasis", "GradedLinearMap", "commutator_tensor",
-        "compose_maps", "determinant", "eval_map", "eval_product", "identity_map",
-        "invert_map", "make_algebra", "make_map", "map_power", "matrix_rank", "scalar_map",
-        "trivial_basis", "unit_vector", "zero_vector",
+        "ColorHomAlgebra", "GradedBasis", "GradedLinearMap", "compose_maps", "eval_map",
+        "eval_product", "identity_map", "make_algebra", "make_map", "scalar_map", "trivial_basis",
     ),
     "errors": ("HypothesisError", "SingularMapError", "StructureError"),
     "grading": (
@@ -43,6 +41,10 @@ _EXPORTS = {
         "trivial_bicharacter", "validate_bicharacter",
     ),
     "io": ("ParsedDocument", "document_digest", "parse_document", "serialize_document"),
+    "linalg": (
+        "commutator_tensor", "determinant", "identity_residual_on_vectors", "invert_map",
+        "map_power", "matrix_rank", "unit_vector", "zero_vector",
+    ),
     "quadratic": (
         "BilinearFormStructure", "check_quadratic_structure", "form_value",
         "is_symmetric_automorphism", "quadratic_commutator", "quadratic_untwist_involutive",

@@ -49,17 +49,13 @@ twisted product (_twisted); an output lists its own index on first read.
 
 PREDICATE_CONDITIONS lists each operator predicate's condition groups in
 the order they run; colorhom.search reads them to search for the maps a
-predicate accepts.  Named here, linear_conditions and search_instances
-resolve to its functions on first use, and identity_sides and
-identity_residual_on_vectors, the route on vectors the tests compare the
-scans against, to colorhom.linalg's.
+predicate accepts.
 """
 
 from __future__ import annotations
 
 import re
 from functools import cache
-from importlib import import_module
 from itertools import count
 from typing import NamedTuple
 
@@ -108,8 +104,6 @@ __all__ = [
     "PREDICATE_CONDITIONS",
     "IDENTITY_ARITY",
     "IDENTITIES_BY_CHECK",
-    "identity_sides",
-    "identity_residual_on_vectors",
 ]
 
 
@@ -264,22 +258,28 @@ def _nest(node, slot: int) -> tuple:
     return loops, u, read
 
 
-# the lists a slice reads, bound once per call: the target's always, the others
-# where a name in the body starts with their prefix
-_LISTS = {
-    "": "columns, eps, n, nn = target.alpha.sparse_columns, target.eps_table, target.dim, target.dim ** 2\n"
-        " by_key, row_entries, col_entries = target.product_index",
-    "alpha_rows": "alpha_rows = target.alpha.inverse_lists",
-    "s_": "s_columns = source.alpha.sparse_columns\n"
-          " s_by_key, s_row_entries, s_col_entries = source.product_index",
-    "s_alpha_rows": "s_alpha_rows = source.alpha.inverse_lists",
-    "xa_": '_, xa_row, xa_col = _twisted(target, "times-image")',
-    "ax_": '_, ax_row, ax_col = _twisted(target, "image-times")',
-    "f_columns": "f_columns = f.sparse_columns",
-    "f_rows": "f_rows = f.inverse_lists",
-    "g_rows": "g_rows = form.gram_rows",
-    "g_columns": "g_columns = _column_rows(form.gram_rows)",
+# what a generated body reads besides its arguments, name -> its value on the scope's fields: bound once
+# per call, in this order, where the body reads the name (_prelude)
+_BINDINGS = {
+    "columns": "target.alpha.sparse_columns", "eps": "target.eps_table", "rows": "target.product_rows",
+    "n": "len(target.product_rows)", "nn": "len(target.product_rows) ** 2",
+    "by_key": "target.product_index.by_key", "row_entries": "target.product_index.row_entries",
+    "col_entries": "target.product_index.col_entries", "alpha_rows": "target.alpha.inverse_lists",
+    "s_columns": "source.alpha.sparse_columns", "s_rows": "source.product_rows",
+    "s_by_key": "source.product_index.by_key", "s_row_entries": "source.product_index.row_entries",
+    "s_col_entries": "source.product_index.col_entries", "s_alpha_rows": "source.alpha.inverse_lists",
+    "xa_row": '_twisted(target, "times-image").row_entries', "xa_col": '_twisted(target, "times-image").col_entries',
+    "ax_row": '_twisted(target, "image-times").row_entries', "ax_col": '_twisted(target, "image-times").col_entries',
+    "f_columns": "f.sparse_columns", "f_rows": "f.inverse_lists", "kernel_scalar": "source.field.kernel_scalar",
+    "g_rows": "form.gram_rows", "g_columns": "_column_rows(form.gram_rows)",
 }
+
+
+def _prelude(body: str) -> str:
+    """The lines binding each name of _BINDINGS that body reads as a whole identifier, in _BINDINGS's order."""
+    read = set(re.findall(r"\w+", body))
+    return "".join(f" {name} = {value}\n" for name, value in _BINDINGS.items() if name in read)
+
 
 # slot orders other than the lexicographic one: for a fixed z the invariance clause
 # pairs off products against it, and the first reported failure follows that grouping
@@ -349,17 +349,7 @@ def _slice_source(name: str, entry_in_key: bool = False, canonical: tuple = ()) 
         lines.append(f"{' ' * (len(loops) + 1)}r[{q}] = r.get({key if q == key else f'q := {key}'}, 0) + {value}")
     lines += [" return r", "return scan_slice"]
     body = "\n".join(" " + line for line in lines)
-    names = set(re.findall(r"\w+", body))
-    prelude = "".join(f" {lists}\n" for prefix, lists in _LISTS.items() if any(x.startswith(prefix) for x in names))
-    return f"def slice_of(target, source=None, f=None, eps_f=None, weight=0, form=None):\n{prelude}{body}"
-
-
-# what a tuple's sides read besides their arguments, bound once per call where the body names them
-_READS = {
-    "rows": "target.product_rows", "columns": "target.alpha.sparse_columns", "eps": "source.eps_table",
-    "s_rows": "source.product_rows", "s_columns": "source.alpha.sparse_columns", "f_columns": "f.sparse_columns",
-    "g_rows": "form.gram_rows", "kernel_scalar": "source.field.kernel_scalar",
-}
+    return f"def slice_of(target, source=None, f=None, eps_f=None, weight=0, form=None):\n{_prelude(body)}{body}"
 
 
 @cache
@@ -395,7 +385,7 @@ def _tuple_source(name: str, witness: bool = True) -> str:
     is the stored cell or column where it is one, else its own sum, which may
     hold a zero where contributions cancel; the form's is a kernel scalar at
     key 0.  No kernel function is called, and only what the body reads is
-    bound (_READS; f is None for an identity).
+    bound (_prelude; f is None for an identity).
     """
     arity, left, right = _IDENTITIES.get(name) or _CONDITIONS[name]
     rest, top = ([], []) if witness else _split(name)
@@ -466,10 +456,8 @@ def _tuple_source(name: str, witness: bool = True) -> str:
                  "   r[t] = r.get(t, 0) + c * x", " elif c:", "  slope[j] = slope.get(j, 0) + c"]
     end = ["return _nonzero(l), _nonzero(r)"] if witness else ["slope = {}", *walk, "return r, slope"]
     body = "".join(f"  {line}\n" for line in [*reads, *sums, *end])
-    names = [name for name in _READS if name in set(re.findall(r"\w+", body))]
-    prelude = f" {', '.join(names)} = {', '.join(map(_READS.get, names))}\n" * bool(names)
     keys = ", ".join(f"k{p}" for p in range(arity))
-    return (f"def sides_of(target, source=None, f=None, eps_f=None, weight=0, form=None):\n{prelude}"
+    return (f"def sides_of(target, source=None, f=None, eps_f=None, weight=0, form=None):\n{_prelude(body)}"
             f" def sides({keys}):\n{body} return sides\n")
 
 
@@ -956,12 +944,3 @@ def check_bracket_operator_conditions(l: ColorHomAlgebra, f: GradedLinearMap) ->
     _require_even_endo(l.basis, f, "operator")
     return _holds(l, l, f, PREDICATE_CONDITIONS["bracket_operator_conditions"])
 
-
-def __getattr__(name):
-    # names defined in another module, resolved on first read and kept here
-    module = {"linear_conditions": "search", "search_instances": "search", "identity_sides": "linalg",
-              "identity_residual_on_vectors": "linalg"}.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(f"{__package__}.{module}"), name)
-    return value

@@ -30,7 +30,7 @@ maps.  Coordinate tuples appear only at the boundary: eval_product,
 eval_map, structure and matrix convert, and make_algebra and
 GradedLinearMap take dense input.
 The exact linear algebra and what only constructions call live in
-colorhom.linalg (_LINALG names them); each resolves here on first read.
+colorhom.linalg, and are imported from there.
 
 The rows, columns, views and sparse vectors hold kernel scalars, not field
 elements (see ScalarField.kernel_scalar): over Q an int for an integral
@@ -76,8 +76,6 @@ __all__ = [
     "scalar_map",
     "eval_map",
     "compose_maps",
-    "map_power",
-    "invert_map",
     "eval_product",
     "sparse_vector",
     "dense_vector",
@@ -86,12 +84,6 @@ __all__ = [
     "sparse_add",
     "sparse_sub",
     "sparse_scale",
-    "commutator_tensor",
-    "unit_vector",
-    "zero_vector",
-    "homogeneous_components",
-    "determinant",
-    "matrix_rank",
 ]
 
 
@@ -599,15 +591,3 @@ def sparse_sub(x: dict, y: dict) -> dict:
 def sparse_scale(s, x: dict) -> dict:
     return {k: s * c for k, c in x.items()} if s else {}
 
-
-# core's names that live in colorhom.linalg, which no identity scan reads
-_LINALG = frozenset({"_row_reduce", "matrix_rank", "determinant", "invert_map", "map_power", "unit_vector", "zero_vector",
-                     "commutator_tensor", "homogeneous_components", "_basis_of_classes", "_algebra_of_rows"})
-
-
-def __getattr__(name):
-    if name not in _LINALG:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import linalg
-    value = globals()[name] = getattr(linalg, name)
-    return value

@@ -5,8 +5,7 @@ its other conditions visited as the walk sets columns (search_instances), their
 sides at a tuple compiled by checks' one per-tuple generator (_forcing), and
 one _Search object holds the walk's state.  The solved linear part is kept in
 the algebra's instance dict (_SOLVED), as checks keep their scans there.
-catalog.search_maps and checks.linear_conditions and search_instances
-resolve here on first use.
+catalog.search_maps resolves here on first use.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
 
-from .checks import _CONDITIONS, PREDICATE_CONDITIONS, F, _compiled, _groups, _Images, _kept, _Scope, _slice, _split
+from .checks import _CONDITIONS, PREDICATE_CONDITIONS, F, _compiled, _groups, _Images, _kept, _Scope, _slice
 from .core import _EMPTY, ColorHomAlgebra, GradedLinearMap, _column_rows
 from .errors import StructureError
 from .linalg import _row_reduce

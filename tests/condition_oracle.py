@@ -11,7 +11,7 @@ a different verdict or witness.
 
 from itertools import product as iproduct
 
-from colorhom import checks, core
+from colorhom import checks, core, linalg
 from colorhom.checks import PASS, PREDICATE_CONDITIONS
 from colorhom.core import dense_vector, sparse_add, sparse_apply, sparse_product, sparse_sub
 
@@ -85,7 +85,7 @@ def quadratic_structure(a, form):
     v = holds(a, a, None, (("epsilon-symmetry",),), form=form)
     if not v:
         return v
-    det, rank = core.determinant(a.field, form.gram), core.matrix_rank(a.field, form.gram)
+    det, rank = linalg.determinant(a.field, form.gram), linalg.matrix_rank(a.field, form.gram)
     assert (det != 0) == (rank == a.dim)
     if det == 0:
         return checks._fail("nondegeneracy", (), None, None)
@@ -93,6 +93,6 @@ def quadratic_structure(a, form):
 
 
 def symmetric_automorphism(a, form, phi):
-    if core.matrix_rank(a.field, phi.matrix) != a.dim:
+    if linalg.matrix_rank(a.field, phi.matrix) != a.dim:
         return checks._fail("invertibility", (), None, None)
     return holds(a, a, phi, PREDICATE_CONDITIONS["symmetric_automorphism"], form=form)

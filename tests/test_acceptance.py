@@ -62,8 +62,9 @@ from colorhom.catalog import (
     super_commutative_line,
     truncated_polynomial,
 )
-from colorhom.checks import IDENTITY_ARITY, identity_sides, identity_residual_on_vectors
+from colorhom.checks import IDENTITY_ARITY
 from colorhom.cli import main
+from colorhom.linalg import identity_residual_on_vectors, identity_sides
 from colorhom.scalars import prime_field, rationals
 
 Q = rationals()

@@ -13,6 +13,7 @@ and the verdicts with the dense reference of tests/test_sparse_kernel.py.
 import hashlib
 from itertools import permutations
 from itertools import product as iproduct
+from types import CodeType
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -230,16 +231,14 @@ def test_scans_on_a_bicharacter_failing_the_skew_axiom_match_the_dense_reference
 
 
 # ---------------------------------------------------------------------------
-# the lists a slice binds
+# the names a generated function binds
 
 
 def test_the_mapped_product_binds_the_lists_it_reads():
     assert checks._slice_source("mapped") == "\n".join([
         "def slice_of(target, source=None, f=None, eps_f=None, weight=0, form=None):",
-        " columns, eps, n, nn = target.alpha.sparse_columns, target.eps_table, target.dim, target.dim ** 2",
-        " by_key, row_entries, col_entries = target.product_index",
-        " s_columns = source.alpha.sparse_columns",
-        " s_by_key, s_row_entries, s_col_entries = source.product_index",
+        " n = len(target.product_rows)",
+        " s_row_entries = source.product_index.row_entries",
         " f_columns = f.sparse_columns",
         " def scan_slice(k0):",
         "  r = {}",
@@ -252,16 +251,9 @@ def test_the_mapped_product_binds_the_lists_it_reads():
     ])
 
 
-@pytest.mark.parametrize("name", [*checks._CONDITIONS, *checks._PRODUCTS])
-def test_a_slice_builds_the_inverse_lists_only_where_it_reads_them(name):
-    prelude, body = checks._slice_source(name).split(" def scan_slice")
-    assert ("f.inverse_lists" in prelude) == ("f_rows" in body)
-    assert ("_column_rows(form.gram_rows)" in prelude) == ("g_columns" in body)
-
-
-# sha256 over every slice source of _slice_keys, each after its key, as one regular-expression
-# search per list prefix chose the lists a source binds
-SLICE_SOURCES_SHA256 = "e9ec9b2382a638e88548765f9d758491598e80d6a5a080b7e62bed62822d2695"
+# sha256 over every slice source of _slice_keys, each after its key, as checks._prelude binds the
+# names each body reads from checks._BINDINGS
+SLICE_SOURCES_SHA256 = "8ab12c664877523c73f2fa791afe2dcb02db28f21e88faabc1f87b90674ec029"
 
 
 def _reads_f(node) -> bool:
@@ -281,9 +273,32 @@ def _slice_keys():
             yield name, True, ()
 
 
-def test_every_slice_source_is_the_one_the_per_prefix_search_generated():
+def test_every_slice_source_is_the_one_the_binding_table_generated():
     digest, keys = hashlib.sha256(), list(_slice_keys())
     for key in keys:
         digest.update(repr(key).encode() + b"\0" + checks._slice_source(*key).encode() + b"\0")
     assert len(keys) == 60
     assert digest.hexdigest() == SLICE_SOURCES_SHA256
+
+
+# every slice, every declaration's witness sides and every condition's visit, as (generator, key)
+GENERATED = [*((checks._slice_source, key) for key in _slice_keys()),
+             *((checks._tuple_source, (name, True)) for name in {**checks._IDENTITIES, **checks._CONDITIONS}),
+             *((checks._tuple_source, (name, False)) for name in checks._CONDITIONS)]
+SCOPE_FIELDS = {"target", "source", "f", "eps_f", "weight", "form"}
+
+
+@pytest.mark.parametrize("generate, key", GENERATED,
+                         ids=[f"{g.__name__}-{'-'.join(map(str, key))}" for g, key in GENERATED])
+def test_a_generated_function_binds_each_name_its_body_reads_once_in_table_order(generate, key):
+    source = generate(*key)
+    prelude, body = source.split("\n", 1)[1].split(" def ", 1)
+    bound = [line.strip().split(" = ", 1) for line in prelude.splitlines()]
+    names = [name for name, _ in bound]
+    assert all(checks._BINDINGS[name] == value for name, value in bound)
+    assert names == [name for name in checks._BINDINGS if name in names]  # once each, in the table's order
+    # the function the generated one returns reads from its scope exactly the names bound there
+    outer = next(c for c in compile(source, "<generated>", "exec").co_consts if type(c) is CodeType)
+    inner = next(c for c in outer.co_consts if type(c) is CodeType)
+    assert set(inner.co_freevars) - SCOPE_FIELDS == set(names)
+    assert not set(inner.co_names) & set(checks._BINDINGS)

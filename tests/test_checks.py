@@ -30,8 +30,6 @@ from colorhom.checks import (
     check_regular,
     check_right_commutative,
     commutes_with_twist,
-    identity_residual_on_vectors,
-    identity_sides,
     in_alpha_center,
     is_averaging,
     is_centroid,
@@ -39,7 +37,6 @@ from colorhom.checks import (
     is_morphism,
     is_rota_baxter,
     is_weak_morphism,
-    linear_conditions,
 )
 from colorhom.constructions import derivation_product
 from colorhom.core import (
@@ -51,7 +48,9 @@ from colorhom.core import (
 )
 from colorhom.errors import StructureError
 from colorhom.grading import trivial_bicharacter
+from colorhom.linalg import identity_residual_on_vectors, identity_sides
 from colorhom.scalars import prime_field, rationals
+from colorhom.search import linear_conditions
 
 
 Q = rationals()

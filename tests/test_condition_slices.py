@@ -23,7 +23,7 @@ from test_linear_part import near_p_algebra
 from test_support_scans import FIELDS, _values, defect_free_case, sparse_algebras
 
 import condition_oracle
-from colorhom import checks, core, quadratic
+from colorhom import checks, core, linalg, quadratic
 from colorhom.catalog import OPERATIONS, standard_entries
 from colorhom.checks import PREDICATE_CONDITIONS
 from colorhom.core import GradedLinearMap, compose_maps, identity_map, scalar_map
@@ -81,7 +81,7 @@ def catalog_maps(entry):
 
 def vectors(a):
     n, field = a.dim, a.field
-    out = [core.unit_vector(field, n, i) for i in range(n)] + [core.zero_vector(field, n)]
+    out = [linalg.unit_vector(field, n, i) for i in range(n)] + [linalg.zero_vector(field, n)]
     return out + [tuple(field.coerce(sum(range(i + 1))) for i in range(n))]
 
 

@@ -10,25 +10,27 @@ from colorhom.core import (
     GradedBasis,
     GradedLinearMap,
     _Columns,
-    commutator_tensor,
     compose_maps,
-    determinant,
     eval_map,
     eval_product,
-    homogeneous_components,
     identity_map,
-    invert_map,
     make_algebra,
     make_map,
-    map_power,
-    matrix_rank,
     scalar_map,
     trivial_basis,
-    unit_vector,
-    zero_vector,
 )
 from colorhom.errors import SingularMapError, StructureError
 from colorhom.grading import GradeGroup, GroupElement, make_bicharacter
+from colorhom.linalg import (
+    commutator_tensor,
+    determinant,
+    homogeneous_components,
+    invert_map,
+    map_power,
+    matrix_rank,
+    unit_vector,
+    zero_vector,
+)
 from colorhom.scalars import prime_field, rationals
 
 

@@ -35,12 +35,13 @@ from colorhom.catalog import (
     standard_entries,
     truncated_polynomial,
 )
-from colorhom.checks import PREDICATE_CONDITIONS, is_weak_morphism, linear_conditions
+from colorhom.checks import PREDICATE_CONDITIONS, is_weak_morphism
 from colorhom.core import GradedBasis, identity_map, make_algebra, make_map
 from colorhom.errors import StructureError
 from colorhom.grading import GradeGroup, make_bicharacter, trivial_bicharacter
 from colorhom.quadratic import BilinearFormStructure
 from colorhom.scalars import Fp, prime_field, rationals
+from colorhom.search import linear_conditions
 
 Q = rationals()
 F3, F5, F7 = prime_field(3), prime_field(5), prime_field(7)
@@ -340,7 +341,7 @@ def test_which_conditions_may_force_is_read_off_their_declarations():
     searched = {name for p in ONE_MAP_PREDICATES for group in PREDICATE_CONDITIONS[p] for name in group}
     searched -= {name for p in ONE_MAP_PREDICATES for name in linear_conditions(p)}
     assert searched == set(MAY_FORCE)
-    assert {name: bool(search._split(name)[1]) for name in MAY_FORCE} == MAY_FORCE
+    assert {name: bool(checks._split(name)[1]) for name in MAY_FORCE} == MAY_FORCE
 
 
 def _reads_f0(node) -> bool:

@@ -2,7 +2,7 @@
 
 search._solve_linear_part scatters each linear condition's equations from
 the nonzero contributions of its terms (search._linear_equations) and
-reduces them with core._row_reduce.  tests/linear_oracle.py keeps the route
+reduces them with linalg._row_reduce.  tests/linear_oracle.py keeps the route
 it replaced: unit maps, its condition_residual over every tuple and a
 dense Gauss-Jordan.  The RREF of a row space is unique, so (free, pivots)
 must equal the oracle's exactly, its field elements converted to kernel
@@ -26,20 +26,19 @@ from test_support_scans import FIELDS, sparse_algebras
 
 from colorhom import checks, core, linalg, search
 from colorhom.catalog import standard_entries
-from colorhom.checks import linear_conditions
 from colorhom.core import (
     GradedBasis,
     compose_maps,
     identity_map,
-    invert_map,
     make_algebra,
     make_map,
-    matrix_rank,
 )
 from colorhom.errors import SingularMapError
 from colorhom.grading import GradeGroup, make_bicharacter
+from colorhom.linalg import invert_map, matrix_rank
 from colorhom.quadratic import BilinearFormStructure
 from colorhom.scalars import prime_field, rationals
+from colorhom.search import linear_conditions
 
 Q = rationals()
 F3 = prime_field(3)
@@ -215,7 +214,7 @@ def test_the_sparse_rref_is_the_dense_one_in_any_row_order(rows, field, rng):
     _, _, expected, expected_pivots = gauss_jordan(field, rows)
     shuffled = list(rows)
     rng.shuffle(shuffled)
-    reduced, pivots = core._row_reduce(field, sparse_rows(field, shuffled))
+    reduced, pivots = linalg._row_reduce(field, sparse_rows(field, shuffled))
     assert pivots == expected_pivots
     assert dense_rows(field, reduced, len(rows[0])) == expected
 

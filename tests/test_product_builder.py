@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from test_support_scans import FIELDS, _operators, sparse_algebras
 
-from colorhom import checks, constructions, core, grading
+from colorhom import checks, constructions, core, grading, linalg
 from colorhom.catalog import standard_entries
 from colorhom.errors import HypothesisError, StructureError
 from colorhom.scalars import rationals
@@ -65,7 +65,7 @@ def odd_maps(a):
 def construction_builds(a, maps):
     """Every construction that builds a declared product, unchecked, on a and each map in turn."""
     c = constructions
-    xi = core.unit_vector(a.field, a.dim, 0)
+    xi = linalg.unit_vector(a.field, a.dim, 0)
     builds = [
         lambda: c.commutator_algebra(a),
         lambda: c.power_twist(a, 2, checked=False),
@@ -90,14 +90,14 @@ def assert_builds_match_the_oracle(monkeypatch, a, maps) -> set:
     builds = construction_builds(a, maps)
     got = [outcome(build) for build in builds]
     got.append(outcome(lambda: checks._product_algebra("bracket", fresh(a))))
-    got.append(core.commutator_tensor(a))
+    got.append(linalg.commutator_tensor(a))
     got += [checks._twisted(fresh(a), name) for name in TWISTED]
     with monkeypatch.context() as m:
         m.setattr(constructions, "_product_algebra", product_oracle.product_algebra)
         m.setattr(checks, "_product_algebra", product_oracle.product_algebra)
         expected = [outcome(build) for build in builds]
         expected.append(outcome(lambda: product_oracle.product_algebra("bracket", a)))
-        expected.append(core.commutator_tensor(a))
+        expected.append(linalg.commutator_tensor(a))
     expected += [product_oracle.twisted(a, name) for name in TWISTED]
     assert len(got) == len(expected)
     for k, (x, y) in enumerate(zip(got, expected)):
@@ -153,7 +153,7 @@ def mismatched(a):
 def test_a_new_alpha_on_a_bicharacter_that_does_not_grade_the_basis_is_rejected(monkeypatch, field):
     a = standard_entries(field)[0].algebra
     for m, what in mismatched(a):
-        xi = core.unit_vector(a.field, a.dim, 0)
+        xi = linalg.unit_vector(a.field, a.dim, 0)
         builds = [
             lambda: constructions.power_twist(m, 2, checked=False),
             lambda: constructions.yau_twist(m, a.alpha, checked=False),

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from test_support_scans import ALPHA, COMPOSITES, DIRECTED, FIELDS, _algebra, sparse_algebras
 
-from colorhom import catalog, checks, core
+from colorhom import catalog, checks, core, linalg
 from colorhom.catalog import standard_entries
 
 
@@ -111,7 +111,7 @@ def test_each_declaration_builds_exactly_the_twisted_products_it_reads(name):
 
 def test_each_check_builds_exactly_the_twisted_products_of_its_identities():
     a = scaled()
-    x = core.unit_vector(a.field, a.dim, 1)
+    x = linalg.unit_vector(a.field, a.dim, 1)
     for run, expected in (
         (checks.check_epsilon_commutative, set()),
         (checks.check_right_commutative, {"times-image"}),

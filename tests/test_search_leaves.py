@@ -11,7 +11,7 @@ arguments raise there too.  linear_conditions is found once per (predicate,
 side), after both are checked.  A visit reads the sides _forcing compiles,
 which must read the same unset column first and give the (r, slope) that the
 sides evaluated term by term (tests/sides_oracle.py), walked over their top
-terms, give.
+terms, give, so no visit reads a column at a coefficient that cancels to 0.
 """
 
 import copy
@@ -27,6 +27,7 @@ from colorhom import checks, core, quadratic, search
 from colorhom.catalog import OPERATIONS, search_maps, standard_entries, truncated_polynomial
 from colorhom.core import GradedLinearMap
 from colorhom.errors import StructureError
+from colorhom.grading import trivial_bicharacter
 
 
 def catalog_searches(field):
@@ -145,22 +146,22 @@ def degree_one_conditions(name, side):
                  if all(search._f_degree(node) == 1 for terms in checks._CONDITIONS[c][1:] for _, _, node in terms))
 
 
-def test_linear_conditions_through_checks_and_search():
-    assert checks.linear_conditions is search.linear_conditions
-    for fn in (checks.linear_conditions, search.linear_conditions):
-        for name in checks.PREDICATE_CONDITIONS:
-            for side in ("left", "right", "both"):
-                first = fn(name, side)
-                assert first == degree_one_conditions(name, side), (name, side)
-                assert fn(name, side) is first  # found once per (predicate, side)
-        assert fn("derivation") == ("leibniz",)
-        for args, message in [(("nope",), "unknown predicate 'nope'"), (("nope", "left"), "unknown predicate 'nope'"),
-                              (("centroid", "bogus"), "side must be left/right/both, got 'bogus'"),
-                              (("centroid", ["left"]), "side must be left/right/both, got ['left']"),
-                              (("centroid", None), "side must be left/right/both, got None")]:
-            with pytest.raises(StructureError) as raised:
-                fn(*args)
-            assert str(raised.value) == message, args
+def test_linear_conditions_in_search():
+    fn = search.linear_conditions
+    assert fn.__module__ == search.__name__
+    for name in checks.PREDICATE_CONDITIONS:
+        for side in ("left", "right", "both"):
+            first = fn(name, side)
+            assert first == degree_one_conditions(name, side), (name, side)
+            assert fn(name, side) is first  # found once per (predicate, side)
+    assert fn("derivation") == ("leibniz",)
+    for args, message in [(("nope",), "unknown predicate 'nope'"), (("nope", "left"), "unknown predicate 'nope'"),
+                          (("centroid", "bogus"), "side must be left/right/both, got 'bogus'"),
+                          (("centroid", ["left"]), "side must be left/right/both, got ['left']"),
+                          (("centroid", None), "side must be left/right/both, got None")]:
+        with pytest.raises(StructureError) as raised:
+            fn(*args)
+        assert str(raised.value) == message, args
 
 
 def test_search_instances_keep_the_conditions_beyond_the_linear_part():
@@ -219,18 +220,50 @@ def test_the_forcing_sides_read_and_give_what_the_term_by_term_sides_do(field):
             f = checks._Images(columns, None, a.group.zero())
             for weight in (0, field.kernel_scalar(-1)):
                 scope = (a, a, f, {}, weight, None)
-                for name in SEARCHED:
-                    compiled, expected = search._forcing(name)(*scope), sides_oracle.forcing_sides(name)(*scope)
-                    for idx in iproduct(range(n), repeat=checks._CONDITIONS[name][0]):
-                        try:
-                            old_r, old_slope = walked(columns, *expected(*idx))
-                        except KeyError as unset:
-                            with pytest.raises(KeyError) as raised:
-                                compiled(*idx)
-                            assert raised.value.args == unset.args, (name, idx)
-                            continue
-                        r, slope = compiled(*idx)
-                        assert nonzero(r) == nonzero(old_r), (name, idx)
-                        assert list(slope.items()) == list(old_slope.items()), (name, idx)
-                        compared += 1
+                compared += compare_visits(scope, columns, n)
     assert compared > 100
+
+
+def compare_visits(scope, columns, n) -> int:
+    """Assert that each searched condition's visit at every tuple raises or gives what the walked oracle does.
+
+    Returns the number of tuples whose (r, slope) were compared.
+    """
+    compared = 0
+    for name in SEARCHED:
+        compiled, expected = search._forcing(name)(*scope), sides_oracle.forcing_sides(name)(*scope)
+        for idx in iproduct(range(n), repeat=checks._CONDITIONS[name][0]):
+            try:
+                old_r, old_slope = walked(columns, *expected(*idx))
+            except KeyError as unset:
+                with pytest.raises(KeyError) as raised:
+                    compiled(*idx)
+                assert raised.value.args == unset.args, (name, idx)
+                continue
+            r, slope = compiled(*idx)
+            assert nonzero(r) == nonzero(old_r), (name, idx)
+            assert list(slope.items()) == list(old_slope.items()), (name, idx)
+            compared += 1
+    return compared
+
+
+def test_a_visit_reads_no_column_at_a_coefficient_that_cancels():
+    """f(e_0)*e_1 = e_0*e_1 + e_1*e_1 = e_2 - e_2 is an exact 0 at e_2, whose column is unset.
+
+    The kernel's sums drop that zero and never read f(e_2).  Nor may a visit:
+    an F over the sum inside a term (defect-centrality, operator-right-
+    commutativity) reads f's column only at a nonzero coefficient, and an F
+    over it at the top of a side (left-averaging, rota-baxter) puts no zero
+    coefficient into the slope.
+    """
+    basis = core.trivial_basis(Q, 3)
+    structure = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    structure[0][1][2], structure[1][1][2] = 1, -1
+    a = core.make_algebra(basis, trivial_bicharacter(Q, basis.group), structure, core.identity_map(basis))
+    columns = {0: {0: 1, 1: 1}, 1: core._EMPTY}  # f(e_0) = e_0 + e_1, f(e_1) = 0, f(e_2) unset
+    scope = (a, a, checks._Images(columns, None, a.group.zero()), {}, 0, None)
+    assert compare_visits(scope, columns, 3) > 0
+    for name in ("defect-centrality", "operator-right-commutativity", "left-averaging", "rota-baxter"):
+        for idx in sorted({(0, 1, z)[:checks._CONDITIONS[name][0]] for z in range(3)}):
+            _, slope = search._forcing(name)(*scope)(*idx)  # raises KeyError if it reads f(e_2)
+            assert 2 not in slope, (name, idx)

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import scan_oracle
-from colorhom import checks, core
+from colorhom import checks, core, linalg
 from colorhom.catalog import standard_entries
 from colorhom.checks import IDENTITIES_BY_CHECK, A, P
 from colorhom.core import GradedBasis, make_algebra, make_map
@@ -196,7 +196,7 @@ def test_identity_sides_sum_the_terms_like_the_oracle(a, data):
         ]
         eps = [[field.kernel_scalar(a.eps(d, e)) for e in degrees] for d in degrees]
         expected = sides(a, eps, range(arity), [core.sparse_vector(field, v) for v in vectors])
-        got = checks.identity_sides(a, name, degrees, vectors)
+        got = linalg.identity_sides(a, name, degrees, vectors)
         assert repr(got) == repr(tuple(core.dense_vector(field, n, x) for x in expected)), name
 
 

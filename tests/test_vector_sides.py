@@ -10,8 +10,8 @@ with the wrong signs, a false failure on an algebra that passes.
 import pytest
 
 from colorhom.catalog import super_commutative_line, truncated_polynomial
-from colorhom.checks import identity_sides
 from colorhom.errors import StructureError
+from colorhom.linalg import identity_sides
 from colorhom.scalars import rationals
 
 Q = rationals()
